@@ -25,9 +25,9 @@ import numpy as np
 from repro.bench.experiments import experiment_config
 from repro.bench.report import format_table, save_artifact
 from repro.protocol.variants import protocol_overrides
-from repro.sim.cluster import Cluster
 from repro.tournament import PRESETS, run_tournament
 from repro.trace.analysis import TraceAnalysis
+from repro.ws import run_uts
 from repro.ws.results import RunResult
 
 BASELINE = "steal"
@@ -43,14 +43,15 @@ def _row(tournament, selector: str, protocol_tag: str) -> dict:
 
 
 def _chain_stats(protocol_spec: str) -> tuple[RunResult, float]:
-    cfg = experiment_config(
-        "T3L",
-        64,
-        selector="rand",
-        event_trace=True,
-        **protocol_overrides(protocol_spec),
+    result = run_uts(
+        experiment_config(
+            "T3L",
+            64,
+            selector="rand",
+            event_trace=True,
+            **protocol_overrides(protocol_spec),
+        )
     )
-    result = RunResult.from_outcome(Cluster(cfg).run())
     chains = TraceAnalysis(result.events).failed_chains()
     return result, float(np.mean(chains)) if chains else 0.0
 

@@ -59,10 +59,10 @@ __all__ = [
 #: cached results could not satisfy traced requests.
 #:
 #: The execution-engine knobs (``engine``, ``shards``,
-#: ``shard_workers``) are excluded on the same ground: the sharded
-#: engine is bit-identical to the sequential one (the differential
-#: suite in ``tests/sim/test_sharded.py`` is the proof), so they
-#: select *how* the simulation is computed, never *what* it computes.
+#: ``shard_workers``) are excluded on the same ground: every shard
+#: count is bit-identical to one shard (the differential suite in
+#: ``tests/sim/test_sharded.py`` is the proof), so they select *how*
+#: the simulation is computed, never *what* it computes.
 FINGERPRINT_EXCLUDED_FIELDS = frozenset(
     {
         "event_trace",
@@ -161,14 +161,15 @@ class WorkStealingConfig:
     #: meaningful when ``lifelines > 0``.
     lifeline_graph: str = "hypercube"
 
-    #: Simulation engine: ``"sequential"`` (the single event queue) or
-    #: ``"sharded"`` (:mod:`repro.sim.shard` — per-rank-group queues
-    #: with conservative lookahead windows).  Bit-identical results;
-    #: excluded from fingerprints (see
+    #: How :mod:`repro.sim.shard` partitions the job: ``"sequential"``
+    #: is one shard owning every rank, ``"sharded"`` is per-rank-group
+    #: event heaps with conservative lookahead windows.  Bit-identical
+    #: results; excluded from fingerprints (see
     #: :data:`FINGERPRINT_EXCLUDED_FIELDS`).
     engine: str = "sequential"
     #: Shard count for ``engine="sharded"``; 0 picks automatically
-    #: from ``nranks``.
+    #: from ``nranks``.  ``nic_service_time > 0`` always runs one shard
+    #: (NIC port state admits no cross-shard lookahead).
     shards: int = 0
     #: Worker processes hosting the shards: 1 runs every shard
     #: in-process (the default), > 1 spreads shards over that many OS
@@ -270,14 +271,6 @@ class WorkStealingConfig:
             raise ConfigurationError(
                 f"shard_transport must be 'pipe' or 'shm', "
                 f"got {self.shard_transport!r}"
-            )
-        if self.engine == "sharded" and self.nic_service_time > 0:
-            # The NIC port queue is order-sensitive global state mutated
-            # at send time; it cannot be advanced shard-locally without
-            # breaking bit-identity.  Sharded runs must disable it.
-            raise ConfigurationError(
-                "engine='sharded' requires nic_service_time=0 "
-                "(NIC contention is a global order-sensitive queue)"
             )
         # Resolve string shorthands once, all through the single
         # resolution path (repro.core.registry.resolve_spec); resolution

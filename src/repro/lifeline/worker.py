@@ -8,12 +8,12 @@ Protocol on top of the reference steal loop:
    further it **quiesces**: it arms its *lifelines* — a fixed set of
    partner ranks drawn from a configurable lifeline graph
    (:mod:`repro.protocol.graphs`; the cyclic hypercube by default) —
-   with a :class:`~repro.sim.messages.LifelineRegister` message, and
+   with a :class:`~repro.protocol.messages.LifelineRegister` message, and
    stops sending steal requests.
 3. A partner that has stealable work at a poll boundary *pushes* a
    chunk allotment to each armed lifeline, waking it.
 4. A woken rank disarms its remaining lifelines
-   (:class:`~repro.sim.messages.LifelineDeregister`) and resumes
+   (:class:`~repro.protocol.messages.LifelineDeregister`) and resumes
    normal operation.
 
 Quiescent ranks are idle for the termination ring, so the token

@@ -17,8 +17,6 @@ tests verify.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = ["NicContention"]
@@ -36,15 +34,19 @@ class NicContention:
         the model.
     """
 
-    def __init__(self, rank_nodes: np.ndarray, service_time: float = 0.0):
+    def __init__(self, rank_nodes, service_time: float = 0.0):
         if service_time < 0:
             raise ConfigurationError(
                 f"service_time must be >= 0, got {service_time}"
             )
-        self._rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
+        # Plain lists of Python ints/floats: ``inject`` runs twice per
+        # simulated message, and the same float64 arithmetic on numpy
+        # scalars costs several times more (and leaks ``np.float64``
+        # into the engine's heap keys).
+        self._rank_nodes: list[int] = [int(node) for node in rank_nodes]
         self.service_time = float(service_time)
-        n_nodes = int(self._rank_nodes.max()) + 1 if len(self._rank_nodes) else 0
-        self._port_free = np.zeros(n_nodes, dtype=np.float64)
+        n_nodes = max(self._rank_nodes) + 1 if self._rank_nodes else 0
+        self._port_free: list[float] = [0.0] * n_nodes
 
     @property
     def enabled(self) -> bool:
@@ -56,11 +58,12 @@ class NicContention:
         Returns the time the message actually enters the network (the
         send timestamp to which wire latency is added).
         """
-        if not self.enabled:
+        service = self.service_time
+        if service <= 0.0:
             return now
         node = self._rank_nodes[rank]
-        start = max(now, self._port_free[node])
-        depart = start + self.service_time
+        free = self._port_free[node]
+        depart = (now if now >= free else free) + service
         self._port_free[node] = depart
         return depart
 
@@ -75,4 +78,4 @@ class NicContention:
 
     def reset(self) -> None:
         """Clear all port state (between simulation runs)."""
-        self._port_free[:] = 0.0
+        self._port_free = [0.0] * len(self._port_free)

@@ -9,16 +9,16 @@ targets and emits a ``BENCH_<n>.json`` with before/after numbers:
 * **selector sampling** — ``next_victim()`` draw rate for the paper's
   three selector families over a real placement;
 * **event throughput** — the headline number: events/second of a full
-  ``Cluster.run`` on the Fig 2 configuration (T3M tree, 32 ranks,
+  default-engine run on the Fig 2 configuration (T3M tree, 32 ranks,
   reference selector);
 * **end-to-end** — wall time of that same run;
 * **placement scale** — building an 8192-rank placement and proving
   the lazy :class:`~repro.net.pairwise.PairwiseMetric` rows never
   materialise a dense N x N matrix;
-* **sharded throughput** — events/second of the sharded
-  conservative-lookahead engine vs shard count, against an interleaved
-  same-machine single-queue baseline (``python -m repro.perf.sharded``
-  writes this rung as ``BENCH_4.json``);
+* **sharded throughput** — events/second of the engine vs shard
+  count, against an interleaved same-machine one-shard baseline
+  (``python -m repro.perf.sharded`` writes this rung as
+  ``BENCH_4.json``);
 * **parallel shards** — wall time of the multiprocess sharded driver
   vs ``shard_workers`` and transport, with the coordinator-vs-worker
   time split that an Amdahl read-out needs
@@ -36,7 +36,7 @@ from dataclasses import replace
 
 from repro.bench.experiments import experiment_config
 from repro.net.allocation import allocation_by_name, build_placement
-from repro.sim.cluster import Cluster
+from repro.sim.shard import ShardedCluster
 from repro.uts.stack import ChunkedStack
 from repro.uts.tree import TreeGenerator
 from repro.uts.params import tree_by_name
@@ -129,7 +129,8 @@ def bench_selector_sampling(
 def bench_event_throughput(
     tree: str = "T3M", nranks: int = 32, trials: int = 3
 ) -> dict:
-    """The headline: full ``Cluster.run`` on the Fig 2 configuration.
+    """The headline: a full default-engine run (one shard) on the
+    Fig 2 configuration.
 
     Reports the best events/sec over ``trials`` runs (the run is
     deterministic; trials only absorb machine noise) plus the wall
@@ -142,7 +143,7 @@ def bench_event_throughput(
     best_seconds = None
     events = nodes = 0
     for _ in range(trials):
-        cluster = Cluster(cfg)
+        cluster = ShardedCluster(cfg)
         t0 = time.perf_counter()
         outcome = cluster.run()
         elapsed = time.perf_counter() - t0
@@ -166,26 +167,19 @@ def bench_event_throughput(
 def bench_sharded_throughput(
     tree: str = "T3L",
     nranks: int = 1024,
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8),
+    shard_counts: tuple[int, ...] = (2, 4, 8),
     trials: int = 2,
-    sequential_trials: int | None = None,
 ) -> dict:
-    """Events/sec of the sharded engine vs shard count, with the
-    single-queue engine measured *interleaved* on the same machine.
+    """Events/sec of the engine vs shard count, with the one-shard run
+    (what ``engine="sequential"`` is) measured *interleaved* on the
+    same machine.
 
-    Each trial is one round: a sequential ``Cluster.run`` followed by a
-    ``ShardedCluster.run`` per shard count, so the engines see the same
-    machine state within a round and the ratio is not polluted by CPU
-    drift (the BENCH_2 method).  ``sequential_trials`` caps the
-    baseline runs separately — at 4096 ranks the sequential engine is
-    the very bottleneck this rung documents, and one ~half-hour
-    baseline is enough.
-
-    NIC contention is off for both engines (the sharded engine rejects
-    it; the sequential run must match the configuration bit for bit).
+    Each trial is one round: a one-shard run followed by a run per
+    shard count, so every count sees the same machine state within a
+    round and the ratio is not polluted by CPU drift (the BENCH_2
+    method).  NIC contention is off: with it on every row would
+    resolve to one shard.
     """
-    from repro.sim.shard import ShardedCluster
-
     cfg = experiment_config(
         tree,
         nranks,
@@ -194,66 +188,45 @@ def bench_sharded_throughput(
         steal_policy="one",
         nic_service_time=0.0,
     )
-    if sequential_trials is None:
-        sequential_trials = trials
-
-    best: dict[str, dict] = {}
-
-    def record(key: str, outcome, elapsed: float, extra: dict) -> None:
-        evps = outcome.events_processed / elapsed if elapsed else 0.0
-        slot = best.get(key)
-        if slot is None or evps > slot["events_per_sec"]:
-            best[key] = {
-                "events": outcome.events_processed,
-                "nodes": outcome.total_nodes,
-                "seconds": round(elapsed, 6),
-                "events_per_sec": round(evps),
-                **extra,
-            }
-
-    for trial in range(max(trials, sequential_trials)):
-        if trial < sequential_trials:
+    counts = (1, *(s for s in shard_counts if s != 1))
+    best: dict[int, dict] = {}
+    for _ in range(trials):
+        for shards in counts:
             t0 = time.perf_counter()
-            outcome = Cluster(cfg).run()
-            record(
-                "sequential",
-                outcome,
-                time.perf_counter() - t0,
-                {"engine": "sequential"},
-            )
-        if trial < trials:
-            for shards in shard_counts:
-                sharded_cfg = replace(cfg, engine="sharded", shards=shards)
-                t0 = time.perf_counter()
-                outcome = ShardedCluster(sharded_cfg).run()
-                record(
-                    f"sharded-{shards}",
-                    outcome,
-                    time.perf_counter() - t0,
-                    {"engine": "sharded", "shards": shards},
-                )
+            outcome = ShardedCluster(
+                replace(cfg, engine="sharded", shards=shards)
+            ).run()
+            elapsed = time.perf_counter() - t0
+            evps = outcome.events_processed / elapsed if elapsed else 0.0
+            slot = best.get(shards)
+            if slot is None or evps > slot["events_per_sec"]:
+                best[shards] = {
+                    "shards": shards,
+                    "events": outcome.events_processed,
+                    "nodes": outcome.total_nodes,
+                    "seconds": round(elapsed, 6),
+                    "events_per_sec": round(evps),
+                }
 
-    seq = best.get("sequential")
-    rows = [best[f"sharded-{s}"] for s in shard_counts]
-    if seq is not None:
-        for row in rows:
-            row["speedup_vs_sequential"] = round(
-                row["events_per_sec"] / seq["events_per_sec"], 2
+    one = best[1]
+    rows = [best[s] for s in counts[1:]]
+    for row in rows:
+        row["speedup_vs_one_shard"] = round(
+            row["events_per_sec"] / one["events_per_sec"], 2
+        )
+        # Every shard count must have simulated the identical job.
+        if (row["events"], row["nodes"]) != (one["events"], one["nodes"]):
+            raise AssertionError(
+                f"shard counts diverged on {tree}@{nranks}: "
+                f"one shard {one['events']}/{one['nodes']} vs "
+                f"{row['shards']} shards {row['events']}/{row['nodes']}"
             )
-            # Both engines must have simulated the identical job.
-            if (row["events"], row["nodes"]) != (seq["events"], seq["nodes"]):
-                raise AssertionError(
-                    f"engines diverged on {tree}@{nranks}: "
-                    f"sequential {seq['events']}/{seq['nodes']} vs "
-                    f"sharded-{row['shards']} {row['events']}/{row['nodes']}"
-                )
     return {
         "tree": tree,
         "nranks": nranks,
         "trials": trials,
-        "sequential_trials": sequential_trials,
-        "method": "interleaved rounds, best-of per engine, same machine",
-        "sequential": seq,
+        "method": "interleaved rounds, best-of per shard count, same machine",
+        "one_shard": one,
         "sharded": rows,
     }
 
@@ -284,8 +257,6 @@ def bench_parallel_shards(
     why ``cpu_count`` is recorded alongside.
     """
     import os
-
-    from repro.sim.shard import ShardedCluster
 
     cfg = experiment_config(
         tree,

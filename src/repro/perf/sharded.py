@@ -1,14 +1,14 @@
 """Sharded-engine throughput rung: ``python -m repro.perf.sharded``.
 
-Writes ``BENCH_4.json``: events/second of the conservative-lookahead
-sharded engine (:mod:`repro.sim.shard`) versus shard count, with the
-single-queue engine measured interleaved on the same machine (the
-BENCH_2 method).  Two rungs by default:
+Writes ``BENCH_4.json``: events/second of the engine
+(:mod:`repro.sim.shard`) versus shard count, with the one-shard run
+measured interleaved on the same machine (the BENCH_2 method).  Two
+rungs by default:
 
 * **T3L @ 1024 ranks** — the old top of the large ladder, where the
   shard-count curve is cheap enough to sweep;
-* **T3XL @ 4096 ranks** — the scale the single-queue engine cannot
-  reach in practice; its one baseline run is the point of the rung.
+* **T3XL @ 4096 ranks** — the in-regime scale, one shard against
+  eight.
 
 ``--parallel`` switches to the multiprocess rung and writes
 ``BENCH_5.json``: wall time of the sharded engine versus
@@ -21,7 +21,7 @@ per-child busy seconds are what a multi-core wall clock would approach.
 
 Usage::
 
-    python -m repro.perf.sharded                 # full, ~30+ min
+    python -m repro.perf.sharded                 # full, minutes
     python -m repro.perf.sharded --quick         # CI smoke (~seconds)
     python -m repro.perf.sharded --skip-4096     # only the 1024 rung
     python -m repro.perf.sharded --parallel      # workers sweep -> BENCH_5
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--skip-4096",
         action="store_true",
-        help="skip the 4096-rank rung (its sequential baseline is slow)",
+        help="skip the 4096-rank rung",
     )
     parser.add_argument(
         "--parallel",
@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         stage("quick rung (T3S, 64 ranks)")
         rungs.append(
             bench_sharded_throughput(
-                tree="T3S", nranks=64, shard_counts=(1, 2), trials=1
+                tree="T3S", nranks=64, shard_counts=(2,), trials=1
             )
         )
     else:
@@ -105,37 +105,35 @@ def main(argv: list[str] | None = None) -> int:
             bench_sharded_throughput(
                 tree="T3L",
                 nranks=1024,
-                shard_counts=(1, 2, 4, 8),
+                shard_counts=(2, 4, 8),
                 trials=2,
-                sequential_trials=1,
             )
         )
         if not args.skip_4096:
-            stage("T3XL, 4096 ranks (sequential baseline is ~30 min)")
+            stage("T3XL, 4096 ranks")
             rungs.append(
                 bench_sharded_throughput(
                     tree="T3XL",
                     nranks=4096,
                     shard_counts=(8,),
                     trials=1,
-                    sequential_trials=1,
                 )
             )
 
     headline = {}
     top = rungs[-1]
-    if top["sequential"] is not None and top["sharded"]:
+    if top["sharded"]:
         best = max(top["sharded"], key=lambda r: r["events_per_sec"])
         headline = {
             "rung": f"{top['tree']}@{top['nranks']}",
             "sharded_events_per_sec": best["events_per_sec"],
-            "sequential_events_per_sec": top["sequential"]["events_per_sec"],
-            "speedup": best["speedup_vs_sequential"],
+            "one_shard_events_per_sec": top["one_shard"]["events_per_sec"],
+            "speedup_vs_one_shard": best["speedup_vs_one_shard"],
             "shards": best["shards"],
         }
 
     report = {
-        "schema": "repro-perf-sharded-v1",
+        "schema": "repro-perf-sharded-v2",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "commit": _git_commit(),
         "python": platform.python_version(),

@@ -1,11 +1,10 @@
 """Build protocol plans and workers from a config.
 
-The sequential engine (:class:`repro.sim.cluster.Cluster`) and every
-shard of the sharded engine (:class:`repro.sim.shard._Shard`) used to
-carry copies of the same worker-construction loop; both now call
-:func:`build_plan` once per run and :func:`make_worker` once per rank,
-so a protocol knob added to the config is automatically honoured by
-every engine — the precondition for the bit-identity contract.
+Every shard of the engine (:class:`repro.sim.shard._Shard`) and the
+tests' reference oracle call :func:`build_plan` once per run and
+:func:`make_worker` once per rank, so a protocol knob added to the
+config is automatically honoured by both — the precondition for the
+bit-identity contract.
 
 Worker classes are imported lazily inside :func:`make_worker`:
 ``repro.protocol`` must stay importable from ``repro.sim.worker``

@@ -7,9 +7,8 @@ delivery times come from the :mod:`repro.net` latency models.
 Modules
 -------
 ``engine``
-    The event queue and simulation loop primitives.
-``messages``
-    Message types of the steal protocol and termination ring.
+    Event kinds, the ``(time, pusher, seq)`` key order and the plain
+    event queue (the test oracle's; shards keep split heaps).
 ``worker``
     The per-rank state machine: quantum execution, polling, steal
     protocol, activity tracing.
@@ -18,29 +17,29 @@ Modules
 ``clock``
     Per-rank clock skew injection (and its correction).
 ``cluster``
-    Assembles placement + workers + engine and runs a job.
+    :class:`SimOutcome`, the raw record a run returns.
+``shard``
+    The engine: :class:`~repro.sim.shard.ShardedCluster` assembles
+    placement + workers + shards and runs a job (imported on first
+    run, not here).
+
+Message types live in :mod:`repro.protocol.messages`.
 """
 
 from repro.sim.engine import EventQueue, EVT_EXEC, EVT_MSG
-from repro.sim.messages import StealRequest, StealResponse, Token, Finish
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.sim.clock import ClockSkewModel
 from repro.sim.worker import Worker, WorkerStatus
-from repro.sim.cluster import Cluster, SimOutcome
+from repro.sim.cluster import SimOutcome
 
 __all__ = [
     "EventQueue",
     "EVT_EXEC",
     "EVT_MSG",
-    "StealRequest",
-    "StealResponse",
-    "Token",
-    "Finish",
     "DijkstraTermination",
     "TokenAction",
     "ClockSkewModel",
     "Worker",
     "WorkerStatus",
-    "Cluster",
     "SimOutcome",
 ]

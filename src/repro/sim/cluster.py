@@ -1,41 +1,21 @@
-"""Cluster assembly and the simulation main loop.
+"""The raw outcome of one simulated job.
 
-:class:`Cluster` wires a :class:`~repro.core.config.WorkStealingConfig`
-into a runnable job: a placement (topology + allocation + latency
-matrix), one :class:`~repro.sim.worker.Worker` per rank, the
-termination ring and the event queue — then runs it to completion.
-
-The cluster is also the workers' transport: it timestamps sends,
-applies NIC contention and wire latency, and routes token/finish
-traffic to the termination detector.
+The engine itself is :class:`repro.sim.shard.ShardedCluster`; this
+module only holds the record its ``run()`` returns.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-
 
 from repro.core.config import WorkStealingConfig
 from repro.core.tracing import TraceRecorder
-from repro.errors import SimulationError, TerminationError
-from repro.net.allocation import Placement, build_placement
-from repro.net.contention import NicContention
-from repro.protocol.factory import build_plan, make_worker
+from repro.net.allocation import Placement
 from repro.sim.clock import ClockSkewModel
-from repro.sim.engine import EVT_EXEC, EVT_MSG, EventQueue
-from repro.sim.messages import (
-    TAG_STEAL_RESPONSE,
-    TAG_TOKEN,
-    Finish,
-    Token,
-)
-from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.sim.worker import Worker, WorkerStatus
-from repro.trace.events import EV_TOKEN, EventRecorder
-from repro.uts.tree import TreeGenerator
+from repro.sim.worker import Worker
+from repro.trace.events import EventRecorder
 
-__all__ = ["Cluster", "SimOutcome"]
+__all__ = ["SimOutcome"]
 
 
 @dataclass
@@ -57,240 +37,3 @@ class SimOutcome:
     @property
     def total_nodes(self) -> int:
         return sum(w.nodes_processed for w in self.workers)
-
-
-class Cluster:
-    """A simulated job: config -> placement -> workers -> run."""
-
-    def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
-        self.config = config
-        assert not isinstance(config.allocation, str)
-        self.placement = build_placement(
-            config.nranks,
-            config.allocation,
-            latency_model=config.latency_model,
-            topology_factory=config.topology_factory,
-        )
-        self._latency = self.placement.latency
-        self._latency_value = self._latency.value
-        self.engine = (
-            EventQueue(max_events) if max_events is not None else EventQueue()
-        )
-        self.termination = DijkstraTermination(config.nranks)
-        self.clock = ClockSkewModel(
-            config.nranks, std=config.clock_skew_std, seed=config.seed
-        )
-        self.nic = NicContention(
-            self.placement.rank_nodes, service_time=config.nic_service_time
-        )
-        self.recorders = (
-            [TraceRecorder() for _ in range(config.nranks)]
-            if config.trace
-            else None
-        )
-        self.event_recorders = (
-            [
-                EventRecorder(config.event_trace_capacity)
-                for _ in range(config.nranks)
-            ]
-            if config.event_trace
-            else None
-        )
-
-        assert not isinstance(config.rng_backend, str)
-        generator = TreeGenerator(config.tree, config.rng_backend)
-        assert not isinstance(config.selector, str)
-        assert not isinstance(config.steal_policy, str)
-        plan = build_plan(config, self.placement)
-        self.workers = [
-            make_worker(
-                rank,
-                config,
-                self.placement,
-                plan,
-                generator,
-                transport=self,
-                trace=self.recorders[rank] if self.recorders else None,
-                events=(
-                    self.event_recorders[rank]
-                    if self.event_recorders
-                    else None
-                ),
-            )
-            for rank in range(config.nranks)
-        ]
-
-        self._finishing = False
-        self._messages_dropped = 0
-        self._node_budget = config.node_cap
-        self._nodes_total = 0
-        self._nic_enabled = self.nic.enabled
-
-    # ------------------------------------------------------------------
-    # Transport interface (used by workers)
-    # ------------------------------------------------------------------
-
-    def send(self, src: int, dst: int, payload: object, when: float) -> None:
-        """Ship ``payload`` from ``src`` to ``dst``, entering the NIC at
-        ``when``; delivery adds wire latency and payload transfer time."""
-        if self._finishing:
-            # The run is over; in-flight control traffic is dropped,
-            # like an MPI job tearing down.
-            self._messages_dropped += 1
-            return
-        wire = self._latency_value(src, dst)
-        if (
-            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
-            and payload.chunks is not None
-        ):
-            wire += payload.nodes * self.config.transfer_time_per_node
-        if self._nic_enabled:
-            depart = self.nic.inject(src, when)
-            arrival = self.nic.deliver(dst, depart + wire)
-        else:
-            arrival = when + wire
-        self.engine.push(arrival, EVT_MSG, dst, payload, src)
-
-    def schedule_exec(self, rank: int, when: float) -> None:
-        # Inlined EventQueue.push: one EXEC event per work quantum
-        # makes this the most-called transport method by far.
-        engine = self.engine
-        if when < engine.now:
-            raise SimulationError(
-                f"event scheduled at {when} before current time {engine.now}"
-            )
-        rs = engine._rank_seq
-        seq = rs.get(rank, 0)
-        rs[rank] = seq + 1
-        heapq.heappush(engine._heap, (when, rank, seq, EVT_EXEC, rank, None))
-
-    def rank_became_idle(self, rank: int, when: float) -> None:
-        self._dispatch_token_action(rank, self.termination.rank_idle(rank), when)
-
-    def work_sent(self, rank: int) -> None:
-        self.termination.work_sent(rank)
-
-    def nodes_executed(self, n: int) -> None:
-        """Workers report expanded nodes; enforces the node budget O(1)."""
-        self._nodes_total += n
-        if self._nodes_total > self._node_budget:
-            raise SimulationError(
-                f"run exceeded node cap {self._node_budget}"
-            )
-
-    def local_time(self, rank: int, true_time: float) -> float:
-        return self.clock.local_time(rank, true_time)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    def run(self) -> SimOutcome:
-        """Run the job to termination and return the raw outcome."""
-        for worker in self.workers:
-            worker.start(0.0)
-
-        # Hot loop: EventQueue.pop is inlined (heap access + clock
-        # advance), dispatch is on integer tags, and the node budget is
-        # enforced incrementally through ``nodes_executed`` (the old
-        # per-1024-events re-sum over all workers is gone).
-        engine = self.engine
-        heap = engine._heap
-        heappop = heapq.heappop
-        workers = self.workers
-        max_events = engine._max_events
-        processed = engine._processed
-        event_recorders = self.event_recorders
-        try:
-            while heap:
-                time, _pusher, _seq, kind, rank, payload = heappop(heap)
-                engine.now = time
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events "
-                        "(livelock or runaway configuration?)"
-                    )
-                if kind == EVT_EXEC:
-                    workers[rank].on_exec(time)
-                elif payload.tag == TAG_TOKEN:
-                    worker = workers[rank]
-                    # Termination-wave progress (rare: one event per
-                    # token hop, far off the EXEC/steal hot paths).
-                    if event_recorders is not None:
-                        event_recorders[rank].append(
-                            time, EV_TOKEN, payload.color
-                        )
-                    action = self.termination.token_arrived(
-                        rank, payload.color, worker.status is WorkerStatus.WAITING
-                    )
-                    self._dispatch_token_action(rank, action, time)
-                else:
-                    workers[rank].on_message(time, payload)
-        finally:
-            engine._processed = processed
-
-        if sum(w.nodes_processed for w in self.workers) > self._node_budget:
-            raise SimulationError(
-                f"run exceeded node cap {self._node_budget}"
-            )
-        if not self.termination.terminated:
-            raise TerminationError(
-                "event queue drained before termination was detected"
-            )
-        for worker in self.workers:
-            if worker.status is not WorkerStatus.DONE:
-                raise TerminationError(
-                    f"rank {worker.rank} never received Finish"
-                )
-            if not worker.stack.is_empty:
-                raise TerminationError(
-                    f"rank {worker.rank} terminated holding "
-                    f"{worker.stack.size} nodes"
-                )
-        sent = sum(w.nodes_sent for w in self.workers)
-        received = sum(w.nodes_received for w in self.workers)
-        if sent != received:
-            raise TerminationError(
-                f"work lost in flight: {sent} nodes sent but "
-                f"{received} received"
-            )
-
-        total_time = max(w.finish_time for w in self.workers if w.finish_time is not None)
-        return SimOutcome(
-            config=self.config,
-            placement=self.placement,
-            workers=self.workers,
-            recorders=self.recorders,
-            clock=self.clock,
-            total_time=total_time,
-            events_processed=self.engine.processed,
-            messages_dropped=self._messages_dropped,
-            probes_started=self.termination.probes_started,
-            event_recorders=self.event_recorders,
-        )
-
-    # ------------------------------------------------------------------
-    # Termination plumbing
-    # ------------------------------------------------------------------
-
-    def _dispatch_token_action(
-        self, src: int, action: TokenAction, when: float
-    ) -> None:
-        if action.terminated:
-            self._broadcast_finish(when)
-        elif action.sends:
-            assert action.send_color is not None and action.send_to is not None
-            self.send(src, action.send_to, Token(action.send_color), when)
-
-    def _broadcast_finish(self, when: float) -> None:
-        """Rank 0 proved termination: tell everyone, drop the rest."""
-        dropped = self.engine.clear()
-        self._messages_dropped += dropped
-        self._finishing = True
-        self.workers[0].on_message(when, Finish())
-        row0 = self._latency.row(0)
-        for rank in range(1, self.config.nranks):
-            self.engine.push(
-                when + row0[rank], EVT_MSG, rank, Finish(), 0
-            )

@@ -10,9 +10,11 @@ Ordering: events are keyed by ``(time, pusher, seq)`` where ``pusher``
 is the rank that scheduled the event and ``seq`` a per-pusher counter.
 Among equal timestamps this delivers in pusher order, then in each
 pusher's insertion order — a total order that is computable *locally*
-by whichever shard hosts the pusher, which is what lets the sharded
-engine (:mod:`repro.sim.shard`) merge cross-shard event streams into
-exactly the same global order the single queue produces.  A rank only
+by whichever shard hosts the pusher, which is what lets the engine
+(:mod:`repro.sim.shard`) merge cross-shard event streams into exactly
+the global order a single queue produces.  :class:`EventQueue` is that
+single queue, kept plain: the tests' reference oracle runs on it, the
+engine's shards keep their own split heaps.  A rank only
 ever pushes while one of its own events is being processed, so in any
 engine the per-pusher counters evolve identically and the key space is
 globally unique.

@@ -1,16 +1,20 @@
-"""Sharded conservative-lookahead simulation engine.
+"""The simulation engine: one event core, optionally sharded.
 
-The single-queue :class:`~repro.sim.cluster.Cluster` processes every
-event of the job through one heap and one shared latency-row cache; at
-1024+ ranks the cache (128 rows) thrashes and each message send pays an
-O(N) row rebuild — the profile shows 73% of wall time there at 512
-ranks.  :class:`ShardedCluster` splits the rank space into contiguous,
-node-aligned *shards*, each with its own event heap, its own
-termination-detector slice, and its own latency-row cache sized to the
-shard's senders, so every send is a cache hit regardless of job scale.
+:class:`ShardedCluster` is the only engine.  It splits the rank space
+into contiguous, node-aligned *shards*, each a :class:`_Shard` with its
+own event heaps, its own termination-detector slice, and its own
+latency-row cache sized to the shard's senders, so every send is a
+cache hit regardless of job scale.  ``engine="sequential"`` is the
+one-shard case: a single :class:`_Shard` owns every rank and runs as
+one unbounded ``process_window`` — no windows, candidate stops or key
+caps.  NIC contention (``nic_service_time > 0``) is applied inside
+:meth:`_NicShard.send` and also resolves to one shard: delivery occupies
+the *destination* node's port at send-processing time, so with more
+than one shard there is no lookahead on port state (DESIGN.md §5d).
 
-Correctness rests on the classic conservative-synchronisation argument
-(Chandy–Misra–Bryant), specialised to our fixed latency models:
+With more than one shard, correctness rests on the classic
+conservative-synchronisation argument (Chandy–Misra–Bryant),
+specialised to our fixed latency models:
 
 * every cross-shard message is cross-node (shards are node-aligned),
   so it pays at least ``L = latency_model.min_remote_latency()`` of
@@ -20,15 +24,16 @@ Correctness rests on the classic conservative-synchronisation argument
   process all its events with ``time < W + L`` *locally*, in any
   inter-shard interleaving, before the next exchange.
 
-Bit-identity with the sequential engine (not just statistical
-equivalence) follows from the event key design in
-:mod:`repro.sim.engine`: events are ordered by ``(time, pusher,
-per-pusher seq)``, a globally unique key computable by the pusher's
-home shard alone.  Both engines deliver each rank's events in exactly
-the same order, so every float is computed by the same operations in
-the same sequence.  ``tests/sim/test_sharded.py`` asserts this across
-the whole selector × steal-policy registry, byte-for-byte on the
-canonical trace encoding.
+Bit-identity across shard counts (not just statistical equivalence)
+follows from the event key design in :mod:`repro.sim.engine`: events
+are ordered by ``(time, pusher, per-pusher seq)``, a globally unique
+key computable by the pusher's home shard alone.  Every shard count
+delivers each rank's events in exactly the same order, so every float
+is computed by the same operations in the same sequence.
+``tests/sim/test_sharded.py`` asserts this against a deliberately
+plain single-queue reference (``tests/sim/oracle.py``) across the
+whole selector × steal-policy registry, byte-for-byte on the canonical
+trace encoding.
 
 Termination needs one refinement: Dijkstra-ring termination fires at
 rank 0 and atomically drops every in-flight message, so the triggering
@@ -47,12 +52,14 @@ module flag so the differential suite can exercise every combination):
   EXEC for a plain worker with no pending requests and a non-empty
   stack, the shard lets the worker run *chained* compute quanta
   (:meth:`~repro.sim.worker.Worker.run_quanta`) up to the earliest of
-  the window horizon, the candidate cap and the head of either heap.
+  the window horizon, the candidate cap and the head of either heap —
+  provided that stop leaves room for at least two full quanta (below
+  that the burst call costs more than the heap round-trip it saves).
   Because the burst stops at the first instant any other local event
   exists, it is literally the sequential event order — idle
   transitions, steal serving and every send stay on the ordered path,
   and the next EXEC is materialised back into the heap with the exact
-  seq the sequential engine would have assigned (one seq per quantum;
+  seq a single queue would have assigned (one seq per quantum;
   a pure-compute quantum pushes nothing else).
 
 * **Window extension** (:data:`USE_WINDOW_EXTENSION`) — the sound
@@ -95,7 +102,6 @@ resident per-process shard state.)
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import time
 from bisect import bisect_right
@@ -104,13 +110,18 @@ from repro.core.config import WorkStealingConfig
 from repro.core.tracing import TraceRecorder
 from repro.errors import ConfigurationError, SimulationError, TerminationError
 from repro.net.allocation import aligned_block_bounds, build_placement
+from repro.net.contention import NicContention
 from repro.net.pairwise import PairwiseMetric
 from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.messages import (
+    TAG_STEAL_RESPONSE,
+    TAG_TOKEN,
+    Finish,
+    Token,
+)
 from repro.sim.clock import ClockSkewModel
 from repro.sim.cluster import SimOutcome
 from repro.sim.engine import DEFAULT_MAX_EVENTS, EVT_EXEC, EVT_MSG
-from repro.sim.messages import TAG_STEAL_RESPONSE, TAG_TOKEN, Finish, Token
-from repro.sim.shardcodec import decode_entries, encode_entries, min_entry_key
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.sim.worker import Worker, WorkerStatus
 from repro.trace.events import EV_TOKEN, EventRecorder
@@ -276,8 +287,9 @@ class _Shard:
         self.lo = bounds[index]
         self.hi = bounds[index + 1]
         self.nranks = config.nranks
-        self.config = config
-        self.placement = placement
+        # Keep this object under 30 instance attributes: past that
+        # CPython (3.11) stops storing them inline and every
+        # ``self.x`` load on the send path gets ~25% slower.
         self.clock = clock
         self.detector = DijkstraTermination(config.nranks)
 
@@ -309,11 +321,12 @@ class _Shard:
         self.finish_info: tuple[float, int] | None = None
         self._transfer_time_per_node = config.transfer_time_per_node
         self._per_node_time = config.per_node_time
+        #: Simulated length of one full compute quantum.
+        self._quantum_time = config.poll_interval * config.per_node_time
 
-        self.recorders = recorders
         self.event_recorders = event_recorders
-        # Same factory (and thus the same ProtocolPlan values) as the
-        # sequential engine — the construction half of bit-identity.
+        # One factory (and thus the same ProtocolPlan values) for every
+        # shard — the construction half of bit-identity.
         plan = build_plan(config, placement)
         self.workers: list[Worker] = [
             make_worker(
@@ -406,6 +419,8 @@ class _Shard:
         min_key, count)`` — ``data`` is a codec blob when ``encode``
         else the raw entry list; the metadata lets the coordinator
         route and bound without ever decoding."""
+        from repro.sim.shardcodec import encode_entries, min_entry_key
+
         out = []
         for target, box in enumerate(self._outbox):
             if box:
@@ -519,7 +534,11 @@ class _Shard:
         with work runs chained quanta up to the earliest of the
         horizon, the cap and either heap head — below that stop there
         is provably no other local event, so the burst *is* the
-        sequential order (see the worker's ``run_quanta``).  Each
+        sequential order (see the worker's ``run_quanta``).  The burst
+        is taken only when that stop leaves room for at least two full
+        quanta; a one-quantum burst is the plain ``on_exec`` with
+        extra bookkeeping (and in a T3M run at 64 or 256 ranks every
+        burst the bare ``t_stop > t`` test admits is one quantum).  Each
         quantum consumes exactly one event and one seq of the rank
         (the rescheduled EXEC), which the epilogue accounts before
         materialising the next EXEC; a burst ending with an empty
@@ -537,6 +556,7 @@ class _Shard:
         processed = self.processed
         use_burst = USE_BURST
         cap_t = key_cap[0] if key_cap is not None else None
+        quantum = self._quantum_time
         rs = self._rank_seq
         try:
             while mheap or eheap:
@@ -588,7 +608,7 @@ class _Shard:
                             t_stop = mheap[0][0]
                         if eheap and eheap[0][0] < t_stop:
                             t_stop = eheap[0][0]
-                        if t_stop > t:
+                        if t + quantum < t_stop:
                             t_end, nq = worker.run_quanta(t, t_stop)
                             self.now = t_end
                             processed += nq - 1
@@ -678,12 +698,11 @@ class _Shard:
         """Shard 0 proved termination mid-event: finish locally, flag
         the coordinator to finish the other shards before they advance.
 
-        Mirrors ``Cluster._broadcast_finish``: every pending event —
-        including messages staged this very event — is dropped, rank 0
-        gets Finish synchronously (uncounted, like the sequential
-        direct call), and Finish events for the other ranks are keyed
-        with pusher 0 continuing its counter, exactly the sequence the
-        sequential engine's pushes produce.
+        Every pending event — including messages staged this very
+        event — is dropped, rank 0 gets Finish synchronously
+        (uncounted), and Finish events for the other ranks are keyed
+        with pusher 0 continuing its counter, exactly the sequence a
+        single queue's pushes produce.
         """
         dropped = len(self._msg_heap) + len(self._exec_heap)
         self._msg_heap.clear()
@@ -741,10 +760,59 @@ class _Shard:
         return [_WorkerSnapshot(w) for w in self.workers]
 
 
+class _NicShard(_Shard):
+    """The one shard of a run with NIC contention.
+
+    Port state is job-global and order-sensitive, so the model is only
+    sound when one shard owns every rank (DESIGN.md §5d) — which
+    :class:`ShardedCluster` guarantees, and which is why ``send`` here
+    has no cross-shard branch.  A subclass rather than a branch in
+    :meth:`_Shard.send`: the ledger's paired runs read the extra test
+    as ~4% of the search-dominated 4096-rank workload.
+    """
+
+    def __init__(self, index, bounds, config, placement, *args):
+        assert len(bounds) == 2, "NIC contention needs a single shard"
+        super().__init__(index, bounds, config, placement, *args)
+        self._nic = NicContention(
+            placement.rank_nodes, config.nic_service_time
+        )
+
+    def send(self, src: int, dst: int, payload: object, when: float) -> None:
+        if self._finishing:
+            self.messages_dropped += 1
+            return
+        wire = self._latency_value(src, dst)
+        if (
+            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
+            and payload.chunks is not None
+        ):
+            wire += payload.nodes * self._transfer_time_per_node
+        # Inject at the source node's port, deliver at the destination
+        # node's port (the DMA engines are shared both ways).
+        nic = self._nic
+        arrival = nic.deliver(dst, nic.inject(src, when) + wire)
+        rs = self._rank_seq
+        seq = rs.get(src, 0)
+        rs[src] = seq + 1
+        if arrival < self.now:
+            raise SimulationError(
+                f"event scheduled at {arrival} before current time "
+                f"{self.now}"
+            )
+        heapq.heappush(
+            self._msg_heap, (arrival, src, seq, EVT_MSG, dst, payload)
+        )
+
+
 class ShardedCluster:
-    """Drop-in for :class:`~repro.sim.cluster.Cluster` running the
-    sharded engine; ``run()`` returns a bit-identical
-    :class:`SimOutcome`.
+    """A simulated job: config -> placement -> shards -> ``run()``.
+
+    The shard count is ``1`` for ``engine="sequential"`` and whenever
+    NIC contention is on (port state admits no cross-shard lookahead),
+    else ``config.shards`` (0 = :func:`auto_shards`); every count
+    returns a bit-identical :class:`SimOutcome`.  :meth:`teardown`
+    releases a finished in-process run to the reference counter.
 
     After a ``shard_workers > 1`` run, :attr:`parallel_stats` holds the
     transport/protocol accounting (rounds, round-trips, coordinator
@@ -754,11 +822,6 @@ class ShardedCluster:
     """
 
     def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
-        if config.nic_service_time > 0:
-            raise ConfigurationError(
-                "sharded engine requires nic_service_time=0 "
-                "(NIC contention is a global order-sensitive queue)"
-            )
         self.config = config
         assert not isinstance(config.allocation, str)
         self.placement = build_placement(
@@ -767,7 +830,12 @@ class ShardedCluster:
             latency_model=config.latency_model,
             topology_factory=config.topology_factory,
         )
-        nshards = config.shards if config.shards > 0 else auto_shards(config.nranks)
+        if config.engine == "sequential" or config.nic_service_time > 0:
+            nshards = 1
+        elif config.shards > 0:
+            nshards = config.shards
+        else:
+            nshards = auto_shards(config.nranks)
         self.bounds, self.aligned = shard_bounds(
             config.nranks, nshards, self.placement.rank_nodes
         )
@@ -778,7 +846,7 @@ class ShardedCluster:
             if self.aligned
             else model.min_any_latency()
         )
-        if self.lookahead <= 0.0:
+        if self.nshards > 1 and self.lookahead <= 0.0:
             raise ConfigurationError(
                 f"latency model {model.name!r} reports no positive "
                 "lookahead window; the sharded engine needs a lower "
@@ -816,6 +884,7 @@ class ShardedCluster:
         self._nworkers = max(1, min(requested, self.nshards))
         #: Transport/protocol accounting of the last multiprocess run.
         self.parallel_stats: dict | None = None
+        self._shards: list[_Shard] = []
 
     # ------------------------------------------------------------------
 
@@ -823,6 +892,22 @@ class ShardedCluster:
         if self._nworkers > 1:
             return self._run_multiprocess()
         return self._run_inprocess()
+
+    def teardown(self) -> None:
+        """Break the reference cycles of a finished in-process run.
+
+        ``Worker <-> StealProtocol`` and ``Worker -> shard -> workers``
+        would otherwise keep every finished simulation (stacks,
+        selector tables, latency rows) alive until a gen-2 collection,
+        so back-to-back runs grow the heap.  Call once nothing reads
+        the outcome's workers any more (``run_uts`` does, after
+        ``RunResult.from_outcome``).
+        """
+        for shard in self._shards:
+            for worker in shard.workers:
+                worker.protocol.worker = None
+            shard.workers = []
+        self._shards = []
 
     # ------------------------------------------------------------------
     # In-process driver
@@ -832,8 +917,9 @@ class ShardedCluster:
         config = self.config
         assert not isinstance(config.rng_backend, str)
         generator = TreeGenerator(config.tree, config.rng_backend)
+        shard_class = _NicShard if config.nic_service_time > 0 else _Shard
         shards = [
-            _Shard(
+            shard_class(
                 i,
                 self.bounds,
                 config,
@@ -846,15 +932,38 @@ class ShardedCluster:
             )
             for i in range(self.nshards)
         ]
+        self._shards = shards
         for shard in shards:  # shard order == rank order
             shard.start_workers()
-        self._exchange(shards)
+        s0 = shards[0]
+        if self.nshards == 1:
+            # One shard owns every rank: nothing to exchange, and the
+            # termination event is trivially the global minimum.
+            s0.process_window(_INF)
+        else:
+            self._run_windows(shards)
 
+        workers: list[Worker] = []
+        for shard in shards:
+            workers.extend(shard.workers)
+        return self._finalize(
+            workers=workers,
+            events_processed=sum(s.processed for s in shards),
+            messages_dropped=sum(s.messages_dropped for s in shards),
+            probes_started=s0.detector.probes_started,
+            terminated=s0.detector.terminated,
+            recorders=self.recorders,
+            event_recorders=self.event_recorders,
+        )
+
+    def _run_windows(self, shards: list[_Shard]) -> None:
+        """The lookahead-window loop of an in-process multi-shard run."""
+        self._exchange(shards)
         s0 = shards[0]
         rest = shards[1:]
         lookahead = self.lookahead
         max_events = self._max_events
-        node_budget = config.node_cap
+        node_budget = self.config.node_cap
         finished = False
         while True:
             gmin = None
@@ -894,19 +1003,6 @@ class ShardedCluster:
                 raise SimulationError(
                     f"run exceeded node cap {node_budget}"
                 )
-
-        workers: list[Worker] = []
-        for shard in shards:
-            workers.extend(shard.workers)
-        return self._finalize(
-            workers=workers,
-            events_processed=sum(s.processed for s in shards),
-            messages_dropped=sum(s.messages_dropped for s in shards),
-            probes_started=s0.detector.probes_started,
-            terminated=s0.detector.terminated,
-            recorders=self.recorders,
-            event_recorders=self.event_recorders,
-        )
 
     @staticmethod
     def _exchange(shards: list[_Shard]) -> None:
@@ -1427,6 +1523,8 @@ class _ChildPool:
     def __init__(self, config, bounds, assignment, max_events):
         want_shm = config.shard_transport == "shm"
         self.channels: list[_ShardChannel] = []
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         try:
             for shard_list in assignment:
@@ -1488,6 +1586,8 @@ def _shard_worker_main(
     extension, codec) are inherited from the parent under the fork
     start method, which is what lets the differential tests pin them.
     """
+    from repro.sim.shardcodec import decode_entries
+
     busy = 0.0
     rx_seg = _ShmSegment(rx_shm) if rx_shm is not None else None
     tx_seg = _ShmSegment(tx_shm) if tx_shm is not None else None

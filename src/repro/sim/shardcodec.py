@@ -43,8 +43,7 @@ import struct
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.engine import EVT_MSG
-from repro.sim.messages import (
+from repro.protocol.messages import (
     TAG_FINISH,
     TAG_LIFELINE_DEREGISTER,
     TAG_LIFELINE_REGISTER,
@@ -60,6 +59,7 @@ from repro.sim.messages import (
     StealResponse,
     Token,
 )
+from repro.sim.engine import EVT_MSG
 from repro.uts.stack import Chunk
 
 __all__ = [

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TerminationError
-from repro.sim.messages import BLACK, WHITE
+from repro.protocol.messages import BLACK, WHITE
 
 __all__ = ["TokenAction", "DijkstraTermination"]
 

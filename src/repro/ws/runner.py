@@ -16,7 +16,6 @@ shorthands of :mod:`repro.core.config`.
 from __future__ import annotations
 
 from repro.core.config import WorkStealingConfig
-from repro.sim.cluster import Cluster
 from repro.uts.params import TreeParams
 from repro.uts.rng import RngBackend
 from repro.uts.sequential import sequential_count
@@ -82,12 +81,17 @@ def run_uts(
         raise TypeError(
             "pass either a config object or keyword fields, not both"
         )
-    if config.engine == "sharded":
-        # Deferred import: repro.sim.shard imports from repro.ws-adjacent
-        # modules and is only needed when the sharded engine is chosen.
-        from repro.sim.shard import ShardedCluster
+    # Deferred import: the engine is the largest module of the package,
+    # and callers that never simulate (store hits, CLI listings, config
+    # construction) should not pay for loading it.
+    from repro.sim.shard import ShardedCluster
 
-        outcome = ShardedCluster(config, max_events=max_events).run()
-    else:
-        outcome = Cluster(config, max_events=max_events).run()
-    return RunResult.from_outcome(outcome, baseline_time=baseline_time)
+    engine = ShardedCluster(config, max_events=max_events)
+    try:
+        return RunResult.from_outcome(
+            engine.run(), baseline_time=baseline_time
+        )
+    finally:
+        # Finished workers, stacks and latency rows go back to the
+        # reference counter now, not at some later gen-2 collection.
+        engine.teardown()

@@ -8,7 +8,7 @@ import pytest
 from repro.core.steal_policy import StealOne
 from repro.core.victim import UniformRandomSelector
 from repro.lifeline.worker import LifelineWorker
-from repro.sim.messages import (
+from repro.protocol.messages import (
     LifelineDeregister,
     LifelineRegister,
     StealRequest,

@@ -1,0 +1,226 @@
+"""Reference oracle: the whole job on one plain event queue.
+
+:class:`OracleCluster` is what the engine (:mod:`repro.sim.shard`) is
+compared against, bit for bit.  Its only job is to be obviously right,
+so it is written the slow, direct way: every event goes through
+``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no burst
+execution, no split heaps, no inlined loop, no bound-method caches and
+the placement's own shared latency metric.  It shares the workers, the
+protocol layer, the termination detector and :class:`NicContention`
+with the engine — those have their own unit and property suites — and
+nothing of the engine's event handling.
+"""
+
+from __future__ import annotations
+
+from repro.core.config import WorkStealingConfig
+from repro.core.tracing import TraceRecorder
+from repro.errors import SimulationError, TerminationError
+from repro.net.allocation import build_placement
+from repro.net.contention import NicContention
+from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.messages import (
+    TAG_STEAL_RESPONSE,
+    TAG_TOKEN,
+    Finish,
+    Token,
+)
+from repro.sim.clock import ClockSkewModel
+from repro.sim.cluster import SimOutcome
+from repro.sim.engine import EVT_EXEC, EVT_MSG, EventQueue
+from repro.sim.termination import DijkstraTermination, TokenAction
+from repro.sim.worker import WorkerStatus
+from repro.trace.events import EV_TOKEN, EventRecorder
+from repro.uts.tree import TreeGenerator
+from repro.ws.results import RunResult
+
+__all__ = ["OracleCluster", "oracle_result"]
+
+
+class OracleCluster:
+    """A simulated job on a single event queue; also its own transport."""
+
+    def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
+        self.config = config
+        self.placement = build_placement(
+            config.nranks,
+            config.allocation,
+            latency_model=config.latency_model,
+            topology_factory=config.topology_factory,
+        )
+        self.queue = (
+            EventQueue(max_events) if max_events is not None else EventQueue()
+        )
+        self.termination = DijkstraTermination(config.nranks)
+        self.clock = ClockSkewModel(
+            config.nranks, std=config.clock_skew_std, seed=config.seed
+        )
+        self.nic = NicContention(
+            self.placement.rank_nodes, service_time=config.nic_service_time
+        )
+        self.recorders = (
+            [TraceRecorder() for _ in range(config.nranks)]
+            if config.trace
+            else None
+        )
+        self.event_recorders = (
+            [
+                EventRecorder(config.event_trace_capacity)
+                for _ in range(config.nranks)
+            ]
+            if config.event_trace
+            else None
+        )
+        generator = TreeGenerator(config.tree, config.rng_backend)
+        plan = build_plan(config, self.placement)
+        self.workers = [
+            make_worker(
+                rank,
+                config,
+                self.placement,
+                plan,
+                generator,
+                transport=self,
+                trace=self.recorders[rank] if self.recorders else None,
+                events=(
+                    self.event_recorders[rank]
+                    if self.event_recorders
+                    else None
+                ),
+            )
+            for rank in range(config.nranks)
+        ]
+        self._finishing = False
+        self._messages_dropped = 0
+        self._nodes_total = 0
+
+    # ------------------------------------------------------------------
+    # Transport interface (used by workers)
+    # ------------------------------------------------------------------
+
+    def send(self, src: int, dst: int, payload: object, when: float) -> None:
+        """Ship ``payload`` from ``src`` to ``dst``, entering the NIC at
+        ``when``; delivery adds wire latency and payload transfer time."""
+        if self._finishing:
+            # The run is over; in-flight control traffic is dropped,
+            # like an MPI job tearing down.
+            self._messages_dropped += 1
+            return
+        wire = self.placement.latency.value(src, dst)
+        if (
+            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
+            and payload.chunks is not None
+        ):
+            wire += payload.nodes * self.config.transfer_time_per_node
+        depart = self.nic.inject(src, when)
+        arrival = self.nic.deliver(dst, depart + wire)
+        self.queue.push(arrival, EVT_MSG, dst, payload, pusher=src)
+
+    def schedule_exec(self, rank: int, when: float) -> None:
+        self.queue.push(when, EVT_EXEC, rank)
+
+    def rank_became_idle(self, rank: int, when: float) -> None:
+        self._dispatch_token_action(
+            rank, self.termination.rank_idle(rank), when
+        )
+
+    def work_sent(self, rank: int) -> None:
+        self.termination.work_sent(rank)
+
+    def nodes_executed(self, n: int) -> None:
+        self._nodes_total += n
+        if self._nodes_total > self.config.node_cap:
+            raise SimulationError(
+                f"run exceeded node cap {self.config.node_cap}"
+            )
+
+    def local_time(self, rank: int, true_time: float) -> float:
+        return self.clock.local_time(rank, true_time)
+
+    # ------------------------------------------------------------------
+    # Main loop
+    # ------------------------------------------------------------------
+
+    def run(self) -> SimOutcome:
+        for worker in self.workers:
+            worker.start(0.0)
+
+        queue = self.queue
+        while not queue.empty:
+            time, kind, rank, payload = queue.pop()
+            worker = self.workers[rank]
+            if kind == EVT_EXEC:
+                worker.on_exec(time)
+            elif payload.tag == TAG_TOKEN:
+                if self.event_recorders is not None:
+                    self.event_recorders[rank].append(
+                        time, EV_TOKEN, payload.color
+                    )
+                action = self.termination.token_arrived(
+                    rank, payload.color, worker.status is WorkerStatus.WAITING
+                )
+                self._dispatch_token_action(rank, action, time)
+            else:
+                worker.on_message(time, payload)
+
+        if not self.termination.terminated:
+            raise TerminationError(
+                "event queue drained before termination was detected"
+            )
+        for worker in self.workers:
+            if worker.status is not WorkerStatus.DONE:
+                raise TerminationError(
+                    f"rank {worker.rank} never received Finish"
+                )
+            if not worker.stack.is_empty:
+                raise TerminationError(
+                    f"rank {worker.rank} terminated holding "
+                    f"{worker.stack.size} nodes"
+                )
+        sent = sum(w.nodes_sent for w in self.workers)
+        received = sum(w.nodes_received for w in self.workers)
+        if sent != received:
+            raise TerminationError(
+                f"work lost in flight: {sent} nodes sent but "
+                f"{received} received"
+            )
+        return SimOutcome(
+            config=self.config,
+            placement=self.placement,
+            workers=self.workers,
+            recorders=self.recorders,
+            clock=self.clock,
+            total_time=max(w.finish_time for w in self.workers),
+            events_processed=queue.processed,
+            messages_dropped=self._messages_dropped,
+            probes_started=self.termination.probes_started,
+            event_recorders=self.event_recorders,
+        )
+
+    # ------------------------------------------------------------------
+    # Termination plumbing
+    # ------------------------------------------------------------------
+
+    def _dispatch_token_action(
+        self, src: int, action: TokenAction, when: float
+    ) -> None:
+        if action.terminated:
+            self._broadcast_finish(when)
+        elif action.sends:
+            self.send(src, action.send_to, Token(action.send_color), when)
+
+    def _broadcast_finish(self, when: float) -> None:
+        """Rank 0 proved termination: tell everyone, drop the rest."""
+        self._messages_dropped += self.queue.clear()
+        self._finishing = True
+        self.workers[0].on_message(when, Finish())
+        row0 = self.placement.latency.row(0)
+        for rank in range(1, self.config.nranks):
+            self.queue.push(
+                when + row0[rank], EVT_MSG, rank, Finish(), pusher=0
+            )
+
+
+def oracle_result(config: WorkStealingConfig) -> RunResult:
+    """The oracle's refined result for ``config``."""
+    return RunResult.from_outcome(OracleCluster(config).run())

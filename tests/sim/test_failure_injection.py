@@ -14,8 +14,10 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
-from repro.sim.cluster import Cluster
-from repro.sim.messages import StealRequest, StealResponse, Token
+from repro.net.pairwise import PairwiseMetric
+from repro.protocol.messages import StealResponse, Token
+from repro.sim.shard import ShardedCluster, _Shard
+from repro.sim.termination import DijkstraTermination
 from repro.uts.params import T3XS
 
 
@@ -26,46 +28,51 @@ def _cfg(**kw):
 class TestEventBudget:
     def test_tiny_budget_raises(self):
         with pytest.raises(SimulationError):
-            Cluster(_cfg(), max_events=50).run()
+            ShardedCluster(_cfg(), max_events=50).run()
 
     def test_adequate_budget_passes(self):
-        out = Cluster(_cfg(), max_events=10_000_000).run()
+        out = ShardedCluster(_cfg(), max_events=10_000_000).run()
         assert out.total_nodes > 0
+
+    def test_zero_budget_rejected(self):
+        with pytest.raises(SimulationError):
+            ShardedCluster(_cfg(), max_events=0)
 
 
 class TestMessageLoss:
-    def _lossy_cluster(self, drop_type, drop_every=3):
-        cluster = Cluster(_cfg(), max_events=5_000_000)
-        original_send = cluster.send
+    @staticmethod
+    def _lossy_cluster(monkeypatch, drop_type, drop_every, max_events):
+        """The engine with every ``drop_every``-th ``drop_type`` send
+        silently lost (workers look ``transport.send`` up per call)."""
+        original_send = _Shard.send
         state = {"count": 0}
 
-        def lossy_send(src, dst, payload, when):
+        def lossy_send(self, src, dst, payload, when):
             if isinstance(payload, drop_type):
                 state["count"] += 1
                 if state["count"] % drop_every == 0:
                     return  # message silently lost
-            original_send(src, dst, payload, when)
+            original_send(self, src, dst, payload, when)
 
-        cluster.send = lossy_send  # type: ignore[method-assign]
-        for w in cluster.workers:
-            w.transport = cluster  # workers call cluster.send via transport
-        # Workers keep a direct reference to the cluster, so patching
-        # the bound attribute is enough.
-        return cluster
+        monkeypatch.setattr(_Shard, "send", lossy_send)
+        return ShardedCluster(_cfg(), max_events=max_events)
 
-    def test_dropped_responses_detected(self):
+    def test_dropped_responses_detected(self, monkeypatch):
         """Losing steal responses strands thieves; the run must end in
         a TerminationError (queue drained, no termination), never hang
         or return a partial count as success."""
-        cluster = self._lossy_cluster(StealResponse, drop_every=2)
+        cluster = self._lossy_cluster(
+            monkeypatch, StealResponse, drop_every=2, max_events=5_000_000
+        )
         with pytest.raises((TerminationError, SimulationError)):
             cluster.run()
 
-    def test_dropped_tokens_detected(self):
+    def test_dropped_tokens_detected(self, monkeypatch):
         """Losing the termination token leaves idle thieves pinging
         forever; the event budget converts the livelock into an error."""
-        cluster = self._lossy_cluster(Token, drop_every=1)
-        cluster.engine._max_events = 2_000_000
+        cluster = self._lossy_cluster(
+            monkeypatch, Token, drop_every=1, max_events=2_000_000
+        )
         with pytest.raises((TerminationError, SimulationError)):
             cluster.run()
 
@@ -73,9 +80,7 @@ class TestMessageLoss:
 class TestStateCorruption:
     def test_duplicate_token_detected(self):
         """Injecting a forged token trips the protocol's own check."""
-        cfg = _cfg()
-        cluster = Cluster(cfg)
-        det = cluster.termination
+        det = DijkstraTermination(_cfg().nranks)
         det.rank_idle(0)  # probe started, token heading to rank 1
         det.token_arrived(1, 0, is_idle=False)
         with pytest.raises(TerminationError):
@@ -83,4 +88,13 @@ class TestStateCorruption:
 
     def test_node_cap_stops_runaway(self):
         with pytest.raises(SimulationError):
-            Cluster(_cfg(node_cap=50)).run()
+            ShardedCluster(_cfg(node_cap=50)).run()
+
+    def test_send_into_the_past_rejected(self, monkeypatch):
+        """A transport that computes an arrival before ``now`` is a
+        causality bug; the engine refuses to queue it."""
+        monkeypatch.setattr(
+            PairwiseMetric, "value", lambda self, a, b: -1.0
+        )
+        with pytest.raises(SimulationError, match="before current time"):
+            ShardedCluster(_cfg()).run()

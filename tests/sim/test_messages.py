@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.messages import (
+from repro.protocol.messages import (
     BLACK,
     WHITE,
     Finish,

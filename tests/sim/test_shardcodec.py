@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import EVT_EXEC, EVT_MSG
-from repro.sim.messages import (
+from repro.protocol.messages import (
     BLACK,
     WHITE,
     Finish,

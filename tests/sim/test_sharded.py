@@ -1,12 +1,14 @@
-"""Differential suite: sharded engine vs sequential, bit for bit.
+"""Differential suite: the engine vs the reference oracle, bit for bit.
 
-The sharded engine's contract (`repro.sim.shard`) is not statistical
-equivalence but *bit-identity*: same SimOutcome metrics, same per-rank
-worker counters, same canonical trace bytes, for every configuration
-the sequential engine accepts (minus NIC contention, rejected at
-config time).  These tests enforce that across the full selector and
+The engine's contract (`repro.sim.shard`) is not statistical
+equivalence but *bit-identity* with a deliberately plain single-queue
+reference (`tests/sim/oracle.py`): same SimOutcome metrics, same
+per-rank worker counters, same canonical trace bytes, for every
+configuration.  These tests enforce that across the full selector and
 steal-policy registries, shard counts 1-8, aligned and non-aligned
-allocations, and both the in-process and multi-process drivers.
+allocations, NIC contention on and off (on, every shard request
+resolves to one shard), and both the in-process and multi-process
+drivers.
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.latency import UniformLatency
 from repro.sim import shard as shard_mod
-from repro.sim.cluster import Cluster
 from repro.sim.shard import (
     ShardedCluster,
     auto_shard_workers,
     auto_shards,
     shard_bounds,
 )
-from repro.uts.params import T3XS
+from repro.uts.params import T3S, T3XS
 from repro.ws import run_uts
 from repro.ws.results import RunResult
+from tests.sim.oracle import oracle_result
 
 SELECTORS = [
     "reference",
@@ -60,14 +62,14 @@ def _config(**kw) -> WorkStealingConfig:
     return WorkStealingConfig(**kw)
 
 
-_SEQ_CACHE: dict = {}
+_ORACLE_CACHE: dict = {}
 
 
-def _sequential(cfg: WorkStealingConfig) -> RunResult:
+def _oracle(cfg: WorkStealingConfig) -> RunResult:
     key = (cfg.fingerprint(), cfg.trace, cfg.event_trace)
-    if key not in _SEQ_CACHE:
-        _SEQ_CACHE[key] = RunResult.from_outcome(Cluster(cfg).run())
-    return _SEQ_CACHE[key]
+    if key not in _ORACLE_CACHE:
+        _ORACLE_CACHE[key] = oracle_result(cfg)
+    return _ORACLE_CACHE[key]
 
 
 @contextlib.contextmanager
@@ -93,8 +95,8 @@ def assert_identical(
     workers: int = 1,
     transport: str = "pipe",
 ):
-    """Run both engines and compare every observable, bit for bit."""
-    seq = _sequential(cfg)
+    """Run oracle and engine and compare every observable, bit for bit."""
+    seq = _oracle(cfg)
     sharded_cfg = replace(
         cfg,
         engine="sharded",
@@ -157,9 +159,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _config(engine="warp")
 
-    def test_sharded_with_nic_contention_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _config(engine="sharded", nic_service_time=1e-7)
+    @pytest.mark.parametrize("shards", [0, 8])
+    def test_nic_contention_runs_one_shard(self, shards):
+        # Port state admits no cross-shard lookahead: whatever is
+        # asked for, NIC on means one shard — and the oracle's bytes.
+        cfg = _config(nranks=24, allocation="8RR", nic_service_time=1e-7)
+        engine = ShardedCluster(
+            replace(cfg, engine="sharded", shards=shards, shard_workers=2)
+        )
+        assert engine.nshards == 1 and engine._nworkers == 1
+        assert_identical(cfg, shards=shards, workers=2)
+
+    def test_sequential_engine_is_one_shard(self):
+        assert ShardedCluster(_config(nranks=2048, shards=4)).nshards == 1
 
     def test_engine_knobs_excluded_from_fingerprint(self):
         base = _config()
@@ -179,6 +191,8 @@ class TestConfigValidation:
         cfg = _config(latency_model=Zero())
         with pytest.raises(ConfigurationError, match="lookahead"):
             ShardedCluster(replace(cfg, engine="sharded", shards=2))
+        # One shard exchanges nothing, so it needs no lookahead.
+        assert_identical(cfg, shards=1)
 
 
 class TestDifferentialMatrix:
@@ -217,6 +231,70 @@ class TestDifferentialMatrix:
 
     def test_single_rank(self):
         assert_identical(_config(nranks=1), shards=1)
+
+
+NIC = 5e-7  # five times the calibrated cost: queues actually form
+
+NIC_VARIANTS = {
+    "plain": dict(),
+    "lifelines": dict(lifelines=2),
+    "fwd-regions": dict(protocol="forward", forward_ttl=3, regions=4),
+    "skew-trace": dict(clock_skew_std=1e-7, trace=True),
+}
+
+
+class TestNicContentionDifferential:
+    """NIC contention lives in ``_NicShard.send``; the oracle applies the
+    same two port calls on its single queue.  Ranks per node (1/N vs
+    8 per node), odd rank counts and every protocol feature that adds
+    sends must leave metrics and trace bytes identical."""
+
+    @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G"])
+    @pytest.mark.parametrize(
+        "selector", ["reference", "tofu", "adapt-eps[0.2]", "adapt-backoff[2]"]
+    )
+    @pytest.mark.parametrize("policy", ["one", "half", "adaptive[2]"])
+    def test_allocation_selector_policy(self, alloc, selector, policy):
+        assert_identical(
+            _config(
+                nranks=24,
+                allocation=alloc,
+                selector=selector,
+                steal_policy=policy,
+                nic_service_time=NIC,
+            ),
+            shards=1,
+        )
+
+    @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G"])
+    @pytest.mark.parametrize("variant", list(NIC_VARIANTS))
+    @pytest.mark.parametrize("nranks", [24, 33])
+    def test_protocol_variants(self, alloc, variant, nranks):
+        assert_identical(
+            _config(
+                nranks=nranks,
+                allocation=alloc,
+                selector="rand",
+                steal_policy="half",
+                nic_service_time=NIC,
+                **NIC_VARIANTS[variant],
+            ),
+            shards=1,
+        )
+
+    def test_default_engine_with_calibrated_nic(self):
+        # The ladder's own path: run_uts, engine="sequential", the
+        # calibrated 1e-7 s service time, 8 ranks per node.
+        cfg = _config(nranks=32, allocation="8RR", nic_service_time=1e-7)
+        seq, res = _oracle(cfg), run_uts(cfg)
+        assert seq.to_dict() == res.to_dict()
+        assert seq.events.canonical_bytes() == res.events.canonical_bytes()
+
+    def test_contention_changes_the_run(self):
+        # Guard against a silently disabled model: NIC on must differ.
+        on = _oracle(_config(allocation="8RR", nic_service_time=NIC))
+        off = _oracle(_config(allocation="8RR"))
+        assert on.total_time != off.total_time
 
 
 PROTOCOL_CASES = [
@@ -488,6 +566,31 @@ class TestWorkerPoolLifecycle:
             if p.pid not in before
         ]
         assert not leaked
+
+
+class TestSmokeDifferentials:
+    """The CI smoke jobs' byte comparisons (T3S, 32 ranks, shm)."""
+
+    def test_two_worker_shm(self):
+        assert_identical(
+            _config(tree=T3S, nranks=32),
+            shards=4,
+            workers=2,
+            transport="shm",
+        )
+
+    def test_two_shard_shm_forwarding(self):
+        cfg = _config(
+            tree=T3S,
+            nranks=32,
+            protocol="forward",
+            forward_ttl=3,
+            regions=4,
+            lifelines=2,
+            lifeline_graph="ring",
+        )
+        assert _oracle(cfg).requests_forwarded > 0, "forwarding never fired"
+        assert_identical(cfg, shards=2, workers=2, transport="shm")
 
 
 class TestRunnerRouting:

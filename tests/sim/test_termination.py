@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TerminationError
-from repro.sim.messages import BLACK, WHITE
+from repro.protocol.messages import BLACK, WHITE
 from repro.sim.termination import DijkstraTermination
 
 

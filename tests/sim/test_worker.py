@@ -9,7 +9,7 @@ from repro.core.steal_policy import StealHalf, StealOne
 from repro.core.tracing import TraceRecorder
 from repro.core.victim import RoundRobinSelector
 from repro.errors import SimulationError
-from repro.sim.messages import Finish, StealRequest, StealResponse
+from repro.protocol.messages import Finish, StealRequest, StealResponse
 from repro.sim.worker import Worker, WorkerStatus
 from repro.uts.params import TreeParams
 from repro.uts.tree import TreeGenerator

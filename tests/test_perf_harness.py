@@ -39,12 +39,13 @@ def test_sharded_throughput_scenario():
     out = bench_sharded_throughput(
         tree="T3XS", nranks=8, shard_counts=(1, 2), trials=1
     )
-    assert out["sequential"]["events_per_sec"] > 0
+    assert out["one_shard"]["events_per_sec"] > 0
+    assert [row["shards"] for row in out["sharded"]] == [2]
     for row in out["sharded"]:
-        # The interleaved baseline ran the identical job.
-        assert row["events"] == out["sequential"]["events"]
-        assert row["nodes"] == out["sequential"]["nodes"]
-        assert row["speedup_vs_sequential"] > 0
+        # The interleaved one-shard baseline ran the identical job.
+        assert row["events"] == out["one_shard"]["events"]
+        assert row["nodes"] == out["one_shard"]["nodes"]
+        assert row["speedup_vs_one_shard"] > 0
 
 
 def test_sharded_cli_quick_writes_bench4(tmp_path):
@@ -52,8 +53,8 @@ def test_sharded_cli_quick_writes_bench4(tmp_path):
     rc = sharded_main(["--quick", "--out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro-perf-sharded-v1"
-    assert report["headline"]["speedup"] > 0
+    assert report["schema"] == "repro-perf-sharded-v2"
+    assert report["headline"]["speedup_vs_one_shard"] > 0
     assert report["results"][0]["sharded"]
 
 

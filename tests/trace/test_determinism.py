@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.experiments import experiment_config
 from repro.core.config import FINGERPRINT_EXCLUDED_FIELDS
-from repro.sim.cluster import Cluster
+from repro.sim.shard import ShardedCluster
 from repro.trace.events import EventTrace
 from repro.ws.results import RunResult
 
@@ -32,8 +32,8 @@ def traced_pair():
     runs = []
     for _ in range(2):
         cfg = _fig02_config(trace=True, event_trace=True)
-        runs.append(Cluster(cfg).run())
-    plain = Cluster(_fig02_config()).run()
+        runs.append(ShardedCluster(cfg).run())
+    plain = ShardedCluster(_fig02_config()).run()
     return runs, plain
 
 
@@ -62,9 +62,9 @@ def test_run_result_json_invariant_under_event_trace():
     # trace=False keeps the serialized form comparable (the activity
     # trace *is* serialized; the event stream deliberately is not).
     on = RunResult.from_outcome(
-        Cluster(_fig02_config(event_trace=True)).run()
+        ShardedCluster(_fig02_config(event_trace=True)).run()
     )
-    off = RunResult.from_outcome(Cluster(_fig02_config()).run())
+    off = RunResult.from_outcome(ShardedCluster(_fig02_config()).run())
     assert on.events is not None
     assert off.events is None
     assert on.to_json() == off.to_json()

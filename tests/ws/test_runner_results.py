@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import ReproError
+from repro.sim.shard import ShardedCluster
 from repro.uts.params import T3XS
 from repro.uts.sequential import sequential_count
 from repro.ws import RunResult, run_uts, sequential_baseline
@@ -38,6 +42,47 @@ class TestRunApi:
         r = run_uts(tree=T3XS, nranks=4, baseline_time=1.0)
         assert r.baseline_time == 1.0
         assert r.speedup == pytest.approx(1.0 / r.total_time)
+
+
+class TestFinishedRunIsFreed:
+    """A finished run must be released by reference counting alone:
+    back-to-back runs (a sweep, the ledger's fixed window) otherwise
+    pile up whole simulations until a gen-2 collection."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),
+            dict(nic_service_time=1e-7, trace=True, event_trace=True),
+            dict(lifelines=2, selector="adapt-eps[0.2]"),
+            dict(protocol="forward", regions=4),
+            dict(engine="sharded", shards=4),
+        ],
+        ids=["plain", "nic-traced", "lifelines", "forward", "sharded"],
+    )
+    def test_no_cyclic_garbage_survives_run_uts(self, kw, monkeypatch):
+        refs = []
+        run = ShardedCluster.run
+
+        def recording_run(engine):
+            outcome = run(engine)
+            # Workers are slotted (no weakrefs); each owns its stack
+            # and selector outright, so those dying means it died.
+            refs.extend(weakref.ref(s) for s in engine._shards)
+            refs.extend(weakref.ref(w.stack) for w in outcome.workers)
+            refs.extend(weakref.ref(w.selector) for w in outcome.workers)
+            return outcome
+
+        monkeypatch.setattr(ShardedCluster, "run", recording_run)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_uts(tree=T3XS, nranks=16, **kw)
+            assert len(refs) > 2 * 16
+            assert result.total_nodes == SEQ.total_nodes
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
 
 
 class TestSequentialBaseline:
