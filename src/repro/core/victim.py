@@ -147,8 +147,12 @@ class RoundRobinSelector(SelectorFactory):
 
 
 #: Selectors draw random numbers in blocks to amortise NumPy call
-#: overhead; the stream is identical to drawing one at a time.
+#: overhead; the stream is identical to drawing one at a time.  A block
+#: is read through a ``memoryview``, which indexes to a Python int
+#: without building a numpy scalar (``.tolist()`` would too, at 30 MiB
+#: of int objects for 4096 ranks).
 _DRAW_BLOCK = 256
+_NO_DRAWS = memoryview(b"")
 
 
 class _UniformState(VictimSelector):
@@ -156,19 +160,21 @@ class _UniformState(VictimSelector):
         self._rank = rank
         self._nranks = nranks
         self._rng = rng
-        self._buf: np.ndarray | None = None
+        self._buf = _NO_DRAWS
         self._pos = 0
 
     def next_victim(self) -> int:
         # Draw over nranks-1 victims and shift past our own rank: exact
         # uniform over the others with a single draw.
-        if self._buf is None or self._pos >= len(self._buf):
-            self._buf = self._rng.integers(
-                0, self._nranks - 1, size=_DRAW_BLOCK
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._buf = memoryview(
+                self._rng.integers(0, self._nranks - 1, size=_DRAW_BLOCK)
             )
-            self._pos = 0
-        v = int(self._buf[self._pos])
-        self._pos += 1
+            pos = 0
+        self._pos = pos + 1
+        v = buf[pos]
         return v + 1 if v >= self._rank else v
 
 
@@ -217,17 +223,20 @@ class _SkewedState(VictimSelector):
         cumulative[-1] = 1.0
         self._cum = cumulative
         self._rng = rng
-        self._buf: np.ndarray | None = None
+        self._buf = _NO_DRAWS
         self._pos = 0
 
     def next_victim(self) -> int:
-        if self._buf is None or self._pos >= len(self._buf):
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
             draws = self._rng.random(_DRAW_BLOCK)
-            self._buf = np.searchsorted(self._cum, draws, side="right")
-            self._pos = 0
-        v = int(self._buf[self._pos])
-        self._pos += 1
-        return v
+            buf = self._buf = memoryview(
+                np.searchsorted(self._cum, draws, side="right")
+            )
+            pos = 0
+        self._pos = pos + 1
+        return buf[pos]
 
 
 class PowerSkewedSelector(SelectorFactory):

@@ -99,19 +99,48 @@ class CoordSpace:
         d = self.delta(a, b).astype(np.float64)
         return float(np.sqrt((d * d).sum()))
 
-    def delta_from(self, coords: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        """Per-dimension separations of many coords from one reference.
+    def delta_sum_rows(
+        self,
+        coords: np.ndarray,
+        ndims: int | None = None,
+        squared: bool = False,
+    ):
+        """``f(i) -> sum over dimensions of the separations from coords[i]``.
 
-        The one-row counterpart of :meth:`delta_matrix`: for ``(n,
-        ndim)`` coords and a single ``(ndim,)`` reference it returns an
-        ``(n, ndim)`` int array using ``O(n)`` memory, which is what
-        lets placements stay row-lazy at paper scale.
+        The one-row counterpart of :meth:`delta_matrix` summed over its
+        last axis (over the first ``ndims`` dimensions; of the squared
+        separations with ``squared``).  A separation along dimension
+        ``d`` depends on two coordinate values below ``dims[d]`` only,
+        so the sum is *separable*: a ``dims[d] x dims[d]`` table per
+        dimension, gathered once along the job's coordinate column into
+        ``cols[d]`` of shape ``(dims[d], n)``, makes row ``i`` the sum
+        of the views ``cols[d][coords[i, d]]`` — no ``(n, ndim)``
+        temporaries.  Integer arithmetic throughout, so every value
+        equals the matrix path's exactly.  The tables are built on the
+        first row (``sum(dims) * n`` int64 words, O(n^(4/3)) on a
+        near-cubic grid).
         """
         coords = np.asarray(coords, dtype=np.int64)
-        ref = np.asarray(ref, dtype=np.int64)
-        raw = np.abs(coords - ref[None, :])
-        wrapped = np.minimum(raw, self._dims_arr[None, :] - raw)
-        return np.where(self._wrap_arr[None, :], wrapped, raw)
+        dims = range(self.ndim if ndims is None else ndims)
+        cols: list[np.ndarray] = []
+
+        def row(i: int) -> np.ndarray:
+            if not cols:
+                for d in dims:
+                    v = np.arange(self.dims[d], dtype=np.int64)
+                    table = np.abs(v[:, None] - v[None, :])
+                    if self.wraps[d]:
+                        table = np.minimum(table, self.dims[d] - table)
+                    if squared:
+                        table = table * table
+                    cols.append(table.take(coords[:, d], axis=1))
+            ref = coords[i].tolist()
+            out = cols[0][ref[0]].copy()
+            for d in dims[1:]:
+                out += cols[d][ref[d]]
+            return out
+
+        return row
 
     def delta_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Pairwise per-dimension separations for ``(n, ndim)`` coords.

@@ -273,16 +273,18 @@ class HierarchicalLatency(LatencyModel):
             )
         rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
         coords = topology.space.coords_of_many(rank_nodes)
-        cube_xyz = coords[:, :3]
-        blade_id = coords[:, [0, 1, 2, 4]]
-        dims = np.array(topology.cube_grid, dtype=np.int64)
+        # Torus hops across the cube grid only: the first three (all
+        # wrapping) dimensions of the Tofu space.
+        cube_hops = topology.space.delta_sum_rows(coords, ndims=3)
+        # Node ids are row-major with the in-cube dims fastest, so the
+        # cube (x, y, z) and the blade (x, y, z, b) are one integer each.
+        cube_key = rank_nodes // topology.NODES_PER_CUBE
+        blade_key = cube_key * topology.CUBE_DIMS[1] + coords[:, 4]
 
         def row(i: int) -> np.ndarray:
-            raw = np.abs(cube_xyz - cube_xyz[i])
-            hops = np.minimum(raw, dims[None, :] - raw).sum(axis=1)
-            out = self.base + self.per_hop * hops.astype(np.float64)
-            out[(cube_xyz == cube_xyz[i]).all(axis=1)] = self.cube
-            out[(blade_id == blade_id[i]).all(axis=1)] = self.blade
+            out = self.base + self.per_hop * cube_hops(i).astype(np.float64)
+            out[cube_key == cube_key[i]] = self.cube
+            out[blade_key == blade_key[i]] = self.blade
             out[rank_nodes == rank_nodes[i]] = self.intra_node
             return self._validate_row(out, i)
 

@@ -110,6 +110,12 @@ class PairwiseMetric:
         return (self.n, self.n)
 
     @property
+    def row_fn(self) -> Callable[[int], np.ndarray]:
+        """The uncached row builder (for callers that keep their own
+        rows, like the engine's per-shard send table)."""
+        return self._row_fn
+
+    @property
     def materialised(self) -> bool:
         """Whether the full dense matrix currently exists in memory."""
         return self._dense is not None

@@ -163,19 +163,18 @@ class _GridTopology(Topology):
     def hops_rows(self, nodes: np.ndarray):
         space = self._space
         coords = space.coords_of_many(np.asarray(nodes, dtype=np.int64))
-
-        def row(i: int) -> np.ndarray:
-            return space.delta_from(coords, coords[i]).sum(axis=1)
-
-        return row
+        return space.delta_sum_rows(coords)
 
     def euclidean_rows(self, nodes: np.ndarray):
         space = self._space
         coords = space.coords_of_many(np.asarray(nodes, dtype=np.int64))
+        # Sums of squared integer separations are exact in int64 and in
+        # float64 alike, so this equals sqrt((d * d).sum()) bit for bit
+        # (sqrt converts its int64 argument to float64 itself).
+        squares = space.delta_sum_rows(coords, squared=True)
 
         def row(i: int) -> np.ndarray:
-            d = space.delta_from(coords, coords[i]).astype(np.float64)
-            return np.sqrt((d * d).sum(axis=1))
+            return np.sqrt(squares(i))
 
         return row
 

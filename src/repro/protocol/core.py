@@ -460,7 +460,12 @@ class StealProtocol:
         return self.selector.next_victim()
 
     def _send_steal_request(self, t: float) -> None:
-        victim = self._draw_victim()
+        if self._region_peers is None:
+            # _draw_victim without regions, minus its frame: this is
+            # the failed-steal loop, two events per iteration.
+            victim = self.selector.next_victim()
+        else:
+            victim = self._draw_victim()
         self.steal_requests_sent += 1
         self._session_attempts += 1
         escalated = (
@@ -482,13 +487,14 @@ class StealProtocol:
         # wake the thief while a real request is still in flight.  The
         # chain continues as if the thief were still hunting.  Without
         # lifelines any non-WAITING response is a protocol violation.
+        has_work = msg.chunks is not None
         if w.status is not WorkerStatus.WAITING and not (
-            self._lifelines and not msg.has_work
+            self._lifelines and not has_work
         ):
             raise SimulationError(
                 f"rank {self.rank}: steal response while {w.status.name}"
             )
-        if msg.has_work:
+        if has_work:
             if self._armed:
                 self._disarm(now)
                 self.lifeline_wakeups += 1

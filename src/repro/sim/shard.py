@@ -3,8 +3,8 @@
 :class:`ShardedCluster` is the only engine.  It splits the rank space
 into contiguous, node-aligned *shards*, each a :class:`_Shard` with its
 own event heaps, its own termination-detector slice, and its own
-latency-row cache sized to the shard's senders, so every send is a
-cache hit regardless of job scale.  ``engine="sequential"`` is the
+table of latency rows, one per local sender, so every send is a list
+index regardless of job scale.  ``engine="sequential"`` is the
 one-shard case: a single :class:`_Shard` owns every rank and runs as
 one unbounded ``process_window`` — no windows, candidate stops or key
 caps.  NIC contention (``nic_service_time > 0``) is applied inside
@@ -111,7 +111,6 @@ from repro.core.tracing import TraceRecorder
 from repro.errors import ConfigurationError, SimulationError, TerminationError
 from repro.net.allocation import aligned_block_bounds, build_placement
 from repro.net.contention import NicContention
-from repro.net.pairwise import PairwiseMetric
 from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.messages import (
     TAG_STEAL_RESPONSE,
@@ -135,6 +134,9 @@ __all__ = [
 ]
 
 _INF = float("inf")
+#: Two float64 rounding units: the relative slack per operation that
+#: :meth:`_Shard.send_bound` takes off its one-shot drain estimate.
+_TWO_ULP = 2.0**-52
 
 #: Fuse chained pure-compute quanta into one worker call (layer 4).
 USE_BURST = True
@@ -293,22 +295,20 @@ class _Shard:
         self.clock = clock
         self.detector = DijkstraTermination(config.nranks)
 
-        # The structural perf win: a shard-private latency metric whose
-        # row cache covers every local sender (plus row 0 for the
-        # finish broadcast), so sends never rebuild a row after warmup.
-        # Memory: (hi - lo + 1) rows of N float64 per shard.
-        model = config.latency_model
-        self._latency = PairwiseMetric(
-            config.nranks,
-            model.row_builder(placement.topology, placement.rank_nodes),
-            name=f"latency/shard{index}",
-            cache_rows=self.hi - self.lo + 1,
-        )
-        self._latency_value = self._latency.value
+        # The structural perf win: a shard-private table of latency
+        # rows, one slot per local sender, filled from the latency
+        # model's row builder on a rank's first send, so a send is a
+        # list index and ``row.item(dst)`` at any job scale.  ``src`` is
+        # always a local rank (only a home shard may number a rank's
+        # events).  Memory: (hi - lo) rows of N float64 per shard, plus
+        # row 0 while the finish broadcast is keyed.
+        self._row_fn = placement.latency.row_fn
+        self._rows: list = [None] * (self.hi - self.lo)
 
         self._msg_heap: list = []
         self._exec_heap: list = []
-        self._rank_seq: dict[int, int] = {}
+        #: Next event sequence number of each local rank.
+        self._rank_seq = [0] * (self.hi - self.lo)
         self.now = 0.0
         self.processed = 0
         self._max_events = max_events
@@ -341,6 +341,17 @@ class _Shard:
             )
             for rank in range(self.lo, self.hi)
         ]
+        # Message delivery skips the ``Worker.on_message`` trampoline
+        # unless a subclass overrides it.  Bound once here (building it
+        # per window cost 28% of a 4096-rank run); the bound methods
+        # close a cycle through ``protocol.transport``, which
+        # ``ShardedCluster.teardown`` cuts.
+        self._handlers = [
+            w.protocol.on_message
+            if type(w).on_message is Worker.on_message
+            else w.on_message
+            for w in self.workers
+        ]
 
     # ------------------------------------------------------------------
     # Transport interface (used by workers)
@@ -350,7 +361,11 @@ class _Shard:
         if self._finishing:
             self.messages_dropped += 1
             return
-        wire = self._latency_value(src, dst)
+        i = src - self.lo
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = self._row_fn(src)
+        wire = row.item(dst)
         if (
             getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
             and payload.chunks is not None
@@ -358,8 +373,8 @@ class _Shard:
             wire += payload.nodes * self._transfer_time_per_node
         arrival = when + wire
         rs = self._rank_seq
-        seq = rs.get(src, 0)
-        rs[src] = seq + 1
+        seq = rs[i]
+        rs[i] = seq + 1
         entry = (arrival, src, seq, EVT_MSG, dst, payload)
         if self.lo <= dst < self.hi:
             if arrival < self.now:
@@ -377,8 +392,9 @@ class _Shard:
                 f"event scheduled at {when} before current time {self.now}"
             )
         rs = self._rank_seq
-        seq = rs.get(rank, 0)
-        rs[rank] = seq + 1
+        i = rank - self.lo
+        seq = rs[i]
+        rs[i] = seq + 1
         heapq.heappush(
             self._exec_heap, (when, rank, seq, EVT_EXEC, rank, None)
         )
@@ -482,7 +498,13 @@ class _Shard:
         send at the EXEC itself.  No send can therefore happen before
         the returned bound, so no *arrival* anywhere can happen before
         it plus the cross-shard lookahead — the window-extension
-        horizon.  Always ``>= head_key().time``.
+        horizon.
+
+        The drain estimate is one multiply where the engine accumulates
+        ``t += npop * per_node_time`` quantum by quantum, which can
+        round to an ulp *below* the one-shot product; taking ``(size +
+        2) * 2**-52`` of the estimate off it covers every rounding of
+        both (the argument is DESIGN.md §5d-par).
         """
         mh = self._msg_heap
         bound = mh[0][0] if mh else _INF
@@ -497,7 +519,9 @@ class _Shard:
             if w.pending or not w._plain_serve:
                 b = t
             else:
-                b = t + w.stack.size * pnt
+                size = w.stack.size
+                b = t + size * pnt
+                b -= b * (size + 2) * _TWO_ULP
             if b < bound:
                 bound = b
         return bound
@@ -549,6 +573,7 @@ class _Shard:
         pop = heapq.heappop
         push = heapq.heappush
         workers = self.workers
+        handlers = self._handlers
         lo = self.lo
         detector = self.detector
         event_recorders = self.event_recorders
@@ -618,8 +643,8 @@ class _Shard:
                                     "events (livelock or runaway "
                                     "configuration?)"
                                 )
-                            seq0 = rs.get(rank, 0)
-                            rs[rank] = seq0 + nq
+                            seq0 = rs[rank - lo]
+                            rs[rank - lo] = seq0 + nq
                             push(
                                 eheap,
                                 (
@@ -633,7 +658,7 @@ class _Shard:
                             )
                             continue
                     worker.on_exec(t)
-                elif payload.tag == TAG_TOKEN:
+                elif getattr(payload, "tag", None) == TAG_TOKEN:
                     worker = workers[rank - lo]
                     if event_recorders is not None:
                         event_recorders[rank].append(
@@ -646,7 +671,7 @@ class _Shard:
                     )
                     self._dispatch_token_action(rank, action, t)
                 else:
-                    workers[rank - lo].on_message(t, payload)
+                    handlers[rank - lo](t, payload)
         finally:
             self.processed = processed
         return None
@@ -666,7 +691,7 @@ class _Shard:
             )
         if kind == EVT_EXEC:
             self.workers[rank - self.lo].on_exec(t)
-        elif payload.tag == TAG_TOKEN:
+        elif getattr(payload, "tag", None) == TAG_TOKEN:
             worker = self.workers[rank - self.lo]
             if self.event_recorders is not None:
                 self.event_recorders[rank].append(t, EV_TOKEN, payload.color)
@@ -675,7 +700,7 @@ class _Shard:
             )
             self._dispatch_token_action(rank, action, t)
         else:
-            self.workers[rank - self.lo].on_message(t, payload)
+            self._handlers[rank - self.lo](t, payload)
 
     # ------------------------------------------------------------------
     # Termination plumbing
@@ -712,10 +737,10 @@ class _Shard:
             box.clear()
         self.messages_dropped += dropped
         self._finishing = True
-        c0 = self._rank_seq.get(0, 0)
+        c0 = self._rank_seq[0]
         self.finish_info = (when, c0)
         self.workers[0].on_message(when, Finish())
-        row0 = self._latency.row(0)
+        row0 = self._row_fn(0)
         for rank in range(max(self.lo, 1), self.hi):
             heapq.heappush(
                 self._msg_heap,
@@ -733,7 +758,7 @@ class _Shard:
             box.clear()
         self.messages_dropped += dropped
         self._finishing = True
-        row0 = self._latency.row(0)
+        row0 = self._row_fn(0)
         for rank in range(self.lo, self.hi):
             heapq.heappush(
                 self._msg_heap,
@@ -766,7 +791,8 @@ class _NicShard(_Shard):
     Port state is job-global and order-sensitive, so the model is only
     sound when one shard owns every rank (DESIGN.md §5d) — which
     :class:`ShardedCluster` guarantees, and which is why ``send`` here
-    has no cross-shard branch.  A subclass rather than a branch in
+    has no cross-shard branch and indexes the row and sequence tables
+    by rank (``lo == 0``).  A subclass rather than a branch in
     :meth:`_Shard.send`: the ledger's paired runs read the extra test
     as ~4% of the search-dominated 4096-rank workload.
     """
@@ -782,7 +808,10 @@ class _NicShard(_Shard):
         if self._finishing:
             self.messages_dropped += 1
             return
-        wire = self._latency_value(src, dst)
+        row = self._rows[src]
+        if row is None:
+            row = self._rows[src] = self._row_fn(src)
+        wire = row.item(dst)
         if (
             getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
             and payload.chunks is not None
@@ -793,7 +822,7 @@ class _NicShard(_Shard):
         nic = self._nic
         arrival = nic.deliver(dst, nic.inject(src, when) + wire)
         rs = self._rank_seq
-        seq = rs.get(src, 0)
+        seq = rs[src]
         rs[src] = seq + 1
         if arrival < self.now:
             raise SimulationError(
@@ -907,6 +936,7 @@ class ShardedCluster:
             for worker in shard.workers:
                 worker.protocol.worker = None
             shard.workers = []
+            shard._handlers = []
         self._shards = []
 
     # ------------------------------------------------------------------

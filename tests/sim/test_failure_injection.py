@@ -10,11 +10,12 @@ plausible-looking wrong result.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
-from repro.net.pairwise import PairwiseMetric
+from repro.net.latency import HierarchicalLatency
 from repro.protocol.messages import StealResponse, Token
 from repro.sim.shard import ShardedCluster, _Shard
 from repro.sim.termination import DijkstraTermination
@@ -94,7 +95,11 @@ class TestStateCorruption:
         """A transport that computes an arrival before ``now`` is a
         causality bug; the engine refuses to queue it."""
         monkeypatch.setattr(
-            PairwiseMetric, "value", lambda self, a, b: -1.0
+            HierarchicalLatency,
+            "row_builder",
+            lambda self, topology, rank_nodes: (
+                lambda i: np.full(len(rank_nodes), -1.0)
+            ),
         )
         with pytest.raises(SimulationError, match="before current time"):
             ShardedCluster(_cfg()).run()

@@ -57,8 +57,12 @@ class TestFinishedRunIsFreed:
             dict(lifelines=2, selector="adapt-eps[0.2]"),
             dict(protocol="forward", regions=4),
             dict(engine="sharded", shards=4),
+            dict(engine="sharded", shards=4, protocol="forward", regions=4),
         ],
-        ids=["plain", "nic-traced", "lifelines", "forward", "sharded"],
+        ids=[
+            "plain", "nic-traced", "lifelines", "forward", "sharded",
+            "sharded-forward",
+        ],
     )
     def test_no_cyclic_garbage_survives_run_uts(self, kw, monkeypatch):
         refs = []
