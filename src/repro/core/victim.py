@@ -147,11 +147,12 @@ class RoundRobinSelector(SelectorFactory):
 
 
 #: Selectors draw random numbers in blocks to amortise NumPy call
-#: overhead; the stream is identical to drawing one at a time.  A block
-#: is read through a ``memoryview``, which indexes to a Python int
-#: without building a numpy scalar (``.tolist()`` would too, at 30 MiB
-#: of int objects for 4096 ranks).
-_DRAW_BLOCK = 256
+#: overhead (and, for skewed draws, one rebuild of the cumulative
+#: vector per block); the stream is identical to drawing one at a
+#: time.  A block is read through a ``memoryview``, which indexes to a
+#: Python int without building a numpy scalar (``.tolist()`` would too,
+#: at 30 MiB of int objects for 4096 ranks).
+_DRAW_BLOCK = 512
 _NO_DRAWS = memoryview(b"")
 
 
@@ -214,26 +215,49 @@ def skewed_probabilities(
 
 
 class _SkewedState(VictimSelector):
-    def __init__(self, cumulative: np.ndarray, rng: np.random.Generator):
-        # Float rounding can leave cum[-1] a few ulps below 1.0, and
-        # searchsorted(side="right") would then map a draw above it to
-        # len(cum) — an out-of-range victim.  Pin the last edge to 1.0:
-        # draws live in [0, 1), so every index is then in [0, len).
-        cumulative = np.asarray(cumulative, dtype=np.float64).copy()
-        cumulative[-1] = 1.0
-        self._cum = cumulative
+    """Draws from a cumulative distribution it does not keep.
+
+    A cumulative vector is N float64 per rank — N x N per job — and a
+    draw reads one edge of it.  So the state holds ``build``, the
+    closure that computes the vector, and each refill builds it, draws
+    one block of victims and drops it; what stays is the block, in the
+    narrowest unsigned dtype.  ``rng.random`` streams do not depend on
+    the block size, and the first block is drawn here so a degenerate
+    distribution raises at construction.
+    """
+
+    def __init__(self, build, rng: np.random.Generator):
+        self._build = build
         self._rng = rng
-        self._buf = _NO_DRAWS
+        self._buf = self._draw_block()
         self._pos = 0
+
+    def cumulative(self) -> np.ndarray:
+        """The vector draws are searched in (rebuilt on every call).
+
+        Float rounding can leave cum[-1] a few ulps below 1.0, and
+        searchsorted(side="right") would then map a draw above it to
+        len(cum) — an out-of-range victim.  The last edge is pinned to
+        1.0: draws live in [0, 1), so every index is then in [0, len).
+        """
+        cumulative = np.array(self._build(), dtype=np.float64)
+        cumulative[-1] = 1.0
+        return cumulative
+
+    def _draw_block(self) -> memoryview:
+        cumulative = self.cumulative()
+        victims = np.searchsorted(
+            cumulative, self._rng.random(_DRAW_BLOCK), side="right"
+        )
+        return memoryview(
+            victims.astype(np.min_scalar_type(len(cumulative) - 1))
+        )
 
     def next_victim(self) -> int:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            draws = self._rng.random(_DRAW_BLOCK)
-            buf = self._buf = memoryview(
-                np.searchsorted(self._cum, draws, side="right")
-            )
+            buf = self._buf = self._draw_block()
             pos = 0
         self._pos = pos + 1
         return buf[pos]
@@ -264,8 +288,10 @@ class PowerSkewedSelector(SelectorFactory):
     def make(self, rank, nranks, placement=None, seed=0):
         self._check(rank, nranks, placement)
         assert placement is not None
-        probs = self.probabilities(rank, placement)
-        return _SkewedState(np.cumsum(probs), _rank_rng(seed, rank))
+        return _SkewedState(
+            lambda: np.cumsum(self.probabilities(rank, placement)),
+            _rank_rng(seed, rank),
+        )
 
 
 class DistanceSkewedSelector(PowerSkewedSelector):
@@ -307,8 +333,10 @@ class LatencySkewedSelector(SelectorFactory):
     def make(self, rank, nranks, placement=None, seed=0):
         self._check(rank, nranks, placement)
         assert placement is not None
-        probs = self.probabilities(rank, placement)
-        return _SkewedState(np.cumsum(probs), _rank_rng(seed, rank))
+        return _SkewedState(
+            lambda: np.cumsum(self.probabilities(rank, placement)),
+            _rank_rng(seed, rank),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +388,7 @@ class HierarchicalSelector(SelectorFactory):
         self._check(rank, nranks, placement)
         assert placement is not None
         lat = placement.latency.row(rank)
-        others = np.array([r for r in range(nranks) if r != rank])
+        others = np.delete(np.arange(nranks), rank)
         cut = float(np.median(lat[others]))
         near = others[lat[others] <= cut]
         far = others[lat[others] > cut]

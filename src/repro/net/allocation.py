@@ -371,8 +371,11 @@ def build_placement(
     # Row-lazy metrics: nothing N x N is allocated here — rows are
     # computed on demand (LRU-cached), and the dense escape hatch only
     # materialises if a consumer explicitly asks (small-N numpy code).
+    # Latency rows are decoded from the model's byte codes, which ride
+    # along for the engine.
+    codes = latency_model.code_rows(topology, rank_nodes)
     latency = PairwiseMetric(
-        nranks, latency_model.row_builder(topology, rank_nodes), name="latency"
+        nranks, latency_model.float_rows(*codes), name="latency", codes=codes
     )
     euclidean = PairwiseMetric(
         nranks, topology.euclidean_rows(rank_nodes), name="euclidean"

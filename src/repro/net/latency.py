@@ -63,28 +63,43 @@ class LatencyModel(ABC):
         np.fill_diagonal(latency, 0.0)
         return latency
 
+    def code_rows(self, topology: Topology, rank_nodes: np.ndarray):
+        """Return ``(code_row, values)`` with ``values[code_row(i)]``
+        the latency row of rank ``i``.
+
+        A model's rows take a handful of distinct values, so a row is
+        stored as ``N`` small unsigned integers (the narrowest width
+        that indexes ``values``: one byte per rank pair unless a
+        topology has hundreds of hop classes) and ``values`` is one
+        list of Python floats per job.  This is the form the engine
+        keeps (:mod:`repro.sim.shard`); the built-in models implement
+        it row-lazily so paper-scale placements never hold an N x N
+        float array.  This default falls back to :meth:`matrix`
+        (dense!) and only exists so custom third-party models keep
+        working.
+        """
+        unique, inverse = np.unique(
+            self.matrix(topology, rank_nodes), return_inverse=True
+        )
+        values = unique.tolist()
+        n = len(rank_nodes)
+        codes = inverse.reshape(n, n).astype(_code_dtype(values))
+        return codes.__getitem__, values
+
     @staticmethod
-    def _validate_row(row: np.ndarray, i: int) -> np.ndarray:
-        if np.any(row < 0):
-            raise ConfigurationError("negative latency produced")
-        row[i] = 0.0
+    def float_rows(code_row, values):
+        """``f(i) -> float64 latency row`` decoded from :meth:`code_rows`."""
+        table = np.array(values, dtype=np.float64)
+
+        def row(i: int) -> np.ndarray:
+            return table.take(code_row(i))
+
         return row
 
     def row_builder(self, topology: Topology, rank_nodes: np.ndarray):
-        """Return ``f(i) -> latency row for rank i`` (O(N) per call).
-
-        The builder precomputes whatever per-job state the rows share;
-        the built-in models override this with genuinely row-lazy
-        implementations so paper-scale placements never hold an N x N
-        array.  This default falls back to :meth:`matrix` (dense!) and
-        only exists so custom third-party models keep working.
-        """
-        full = self.matrix(topology, rank_nodes)
-
-        def row(i: int) -> np.ndarray:
-            return full[i]
-
-        return row
+        """Return ``f(i) -> latency row for rank i`` (O(N) per call, a
+        fresh float64 array): :meth:`code_rows`, decoded."""
+        return self.float_rows(*self.code_rows(topology, rank_nodes))
 
     def min_remote_latency(self) -> float:
         """Lower bound on the latency between ranks on *different* nodes.
@@ -127,6 +142,22 @@ class LatencyModel(ABC):
         return spec
 
 
+def _code_dtype(values: list[float]) -> np.dtype:
+    """The narrowest unsigned dtype that indexes a value table (uint8
+    up to 256 values, then uint16, ...); rejects a negative latency."""
+    if min(values) < 0:
+        raise ConfigurationError("negative latency produced")
+    return np.min_scalar_type(len(values) - 1)
+
+
+def _hop_values(base: float, per_hop: float, max_hops: int) -> list[float]:
+    """``base + per_hop * h`` for ``h`` in ``0..max_hops`` — the
+    :meth:`LatencyModel.matrix` expression itself, so each entry is
+    the float a dense row holds for that hop count."""
+    hops = np.arange(max_hops + 1, dtype=np.int64)
+    return (base + per_hop * hops.astype(np.float64)).tolist()
+
+
 class UniformLatency(LatencyModel):
     """Every distinct rank pair has the same latency (null model).
 
@@ -147,15 +178,17 @@ class UniformLatency(LatencyModel):
         out = np.full((n, n), self.latency, dtype=np.float64)
         return self._validate(out)
 
-    def row_builder(self, topology: Topology, rank_nodes: np.ndarray):
+    def code_rows(self, topology: Topology, rank_nodes: np.ndarray):
         n = len(rank_nodes)
-        latency = self.latency
+        values = [0.0, self.latency]
+        dtype = _code_dtype(values)
 
-        def row(i: int) -> np.ndarray:
-            out = np.full(n, latency, dtype=np.float64)
-            return self._validate_row(out, i)
+        def code_row(i: int) -> np.ndarray:
+            out = np.ones(n, dtype=dtype)
+            out[i] = 0
+            return out
 
-        return row
+        return code_row, values
 
     def min_remote_latency(self) -> float:
         return self.latency
@@ -189,17 +222,22 @@ class HopLatency(LatencyModel):
         out[same_node] = self.intra_node
         return self._validate(out)
 
-    def row_builder(self, topology: Topology, rank_nodes: np.ndarray):
+    def code_rows(self, topology: Topology, rank_nodes: np.ndarray):
         rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
         hops_row = topology.hops_rows(rank_nodes)
-        base, per_hop, intra = self.base, self.per_hop, self.intra_node
+        # A hop count is its own code; the two constants follow.
+        values = _hop_values(self.base, self.per_hop, topology.diameter())
+        zero = len(values)
+        values += [0.0, self.intra_node]
+        dtype = _code_dtype(values)
 
-        def row(i: int) -> np.ndarray:
-            out = base + per_hop * hops_row(i).astype(np.float64)
-            out[rank_nodes == rank_nodes[i]] = intra
-            return self._validate_row(out, i)
+        def code_row(i: int) -> np.ndarray:
+            out = hops_row(i).astype(dtype)
+            out[rank_nodes == rank_nodes[i]] = zero + 1
+            out[i] = zero
+            return out
 
-        return row
+        return code_row, values
 
     def min_remote_latency(self) -> float:
         # Distinct nodes are >= 0 hops apart, so base is the floor.
@@ -265,7 +303,7 @@ class HierarchicalLatency(LatencyModel):
         out[same_node] = self.intra_node
         return self._validate(out)
 
-    def row_builder(self, topology: Topology, rank_nodes: np.ndarray):
+    def code_rows(self, topology: Topology, rank_nodes: np.ndarray):
         if not isinstance(topology, TofuTopology):
             raise ConfigurationError(
                 "HierarchicalLatency requires a TofuTopology "
@@ -280,15 +318,23 @@ class HierarchicalLatency(LatencyModel):
         # cube (x, y, z) and the blade (x, y, z, b) are one integer each.
         cube_key = rank_nodes // topology.NODES_PER_CUBE
         blade_key = cube_key * topology.CUBE_DIMS[1] + coords[:, 4]
+        # A hop count is its own code; the four constants follow.
+        values = _hop_values(
+            self.base, self.per_hop, sum(d // 2 for d in topology.cube_grid)
+        )
+        zero = len(values)
+        values += [0.0, self.intra_node, self.blade, self.cube]
+        dtype = _code_dtype(values)
 
-        def row(i: int) -> np.ndarray:
-            out = self.base + self.per_hop * cube_hops(i).astype(np.float64)
-            out[cube_key == cube_key[i]] = self.cube
-            out[blade_key == blade_key[i]] = self.blade
-            out[rank_nodes == rank_nodes[i]] = self.intra_node
-            return self._validate_row(out, i)
+        def code_row(i: int) -> np.ndarray:
+            out = cube_hops(i).astype(dtype)
+            out[cube_key == cube_key[i]] = zero + 3
+            out[blade_key == blade_key[i]] = zero + 2
+            out[rank_nodes == rank_nodes[i]] = zero + 1
+            out[i] = zero
+            return out
 
-        return row
+        return code_row, values
 
     def min_remote_latency(self) -> float:
         # Off-node pairs pay blade, cube, or base + per_hop * hops with

@@ -4,8 +4,8 @@ The paper's headline experiments run at 1024--8192 ranks.  Holding the
 three rank-pair matrices (latency, Euclidean distance, hop count) as
 dense arrays costs ``3 * N^2 * 8`` bytes -- about 1.6 GB at 8192 ranks
 -- although almost every consumer only ever looks at one *row* at a
-time: a victim selector weights the caller's row, the cluster transport
-reads single ``(src, dst)`` values, the finish broadcast walks row 0.
+time: a victim selector weights the caller's row once per block of
+draws, the finish broadcast walks row 0.
 
 :class:`PairwiseMetric` is the row-oriented replacement.  It computes
 rows on demand from a ``row_fn`` (usually a closure over the rank
@@ -15,6 +15,14 @@ jobs, and for numpy-style consumers (boolean masks, ``np.allclose``),
 :meth:`dense` materialises the full matrix as an escape hatch --
 :attr:`dense_calls` counts how often that happened so tests can assert
 the large-N code path never does.
+
+The one consumer that reads single ``(src, dst)`` values on every
+message, the engine's transport, keeps every sender's row for the
+whole run, so it does not take float rows from here at all: the latency
+metric also carries :attr:`PairwiseMetric.codes`, its rows as one byte
+per rank pair plus one value table per job (the form the latency model
+produces; the float rows are that, decoded), and the engine holds
+those.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ class PairwiseMetric:
         Label used in error messages and repr.
     cache_rows:
         LRU capacity in rows (>= 1).
+    codes:
+        Optional ``(code_row_fn, values)`` with ``values[code_row_fn(i)]``
+        equal to ``row_fn(i)`` — the compact form of the same rows
+        (:meth:`repro.net.latency.LatencyModel.code_rows`), carried for
+        callers that keep their own rows, like the engine's per-shard
+        send table.
 
     Indexing mirrors the dense-array API the rest of the code grew up
     with: ``m[i]`` is a *copy* of row ``i``, ``m[i, j]`` a float, and
@@ -65,6 +79,7 @@ class PairwiseMetric:
         "_capacity",
         "_dense",
         "dense_calls",
+        "codes",
     )
 
     def __init__(
@@ -73,6 +88,7 @@ class PairwiseMetric:
         row_fn: Callable[[int], np.ndarray],
         name: str = "metric",
         cache_rows: int = DEFAULT_ROW_CACHE,
+        codes: tuple[Callable[[int], np.ndarray], list[float]] | None = None,
     ):
         if n < 1:
             raise ConfigurationError(f"metric needs n >= 1, got {n}")
@@ -88,6 +104,7 @@ class PairwiseMetric:
         self._dense: np.ndarray | None = None
         #: Number of times the dense escape hatch was taken.
         self.dense_calls = 0
+        self.codes = codes
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, name: str = "metric") -> "PairwiseMetric":
@@ -108,12 +125,6 @@ class PairwiseMetric:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
-
-    @property
-    def row_fn(self) -> Callable[[int], np.ndarray]:
-        """The uncached row builder (for callers that keep their own
-        rows, like the engine's per-shard send table)."""
-        return self._row_fn
 
     @property
     def materialised(self) -> bool:

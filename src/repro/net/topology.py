@@ -63,6 +63,12 @@ class Topology(ABC):
     def euclidean(self, a: int, b: int) -> float:
         """Euclidean distance between nodes ``a`` and ``b``."""
 
+    def diameter(self) -> int:
+        """Upper bound on the hop count between any two nodes — the
+        size of a hop-indexed table (default: loops, exact)."""
+        nodes = range(self.num_nodes)
+        return max(self.hops(a, b) for a in nodes for b in nodes)
+
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         """Pairwise hop counts for the given node ids (default: loops)."""
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -150,6 +156,12 @@ class _GridTopology(Topology):
         self._check_node(a)
         self._check_node(b)
         return self._space.euclidean(self._space.coords_of(a), self._space.coords_of(b))
+
+    def diameter(self) -> int:
+        space = self._space
+        return sum(
+            d // 2 if wrap else d - 1 for d, wrap in zip(space.dims, space.wraps)
+        )
 
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         coords = self._space.coords_of_many(np.asarray(nodes, dtype=np.int64))
@@ -312,6 +324,9 @@ class FlatTopology(Topology):
     def euclidean(self, a: int, b: int) -> float:
         return float(self.hops(a, b))
 
+    def diameter(self) -> int:
+        return 1
+
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)
         eq = nodes[:, None] == nodes[None, :]
@@ -384,6 +399,9 @@ class FatTreeTopology(Topology):
 
     def euclidean(self, a: int, b: int) -> float:
         return float(self.hops(a, b))
+
+    def diameter(self) -> int:
+        return 3
 
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)

@@ -3,11 +3,11 @@
 :class:`ShardedCluster` is the only engine.  It splits the rank space
 into contiguous, node-aligned *shards*, each a :class:`_Shard` with its
 own event heaps, its own termination-detector slice, and its own
-table of latency rows, one per local sender, so every send is a list
-index regardless of job scale.  ``engine="sequential"`` is the
-one-shard case: a single :class:`_Shard` owns every rank and runs as
-one unbounded ``process_window`` — no windows, candidate stops or key
-caps.  NIC contention (``nic_service_time > 0``) is applied inside
+table of latency code rows (one byte per destination), one per local
+sender, so every send is two list indexes regardless of job scale.
+``engine="sequential"`` is the one-shard case: a single
+:class:`_Shard` owns every rank and runs as one unbounded
+``process_window`` — no windows, candidate stops or key caps.  NIC contention (``nic_service_time > 0``) is applied inside
 :meth:`_NicShard.send` and also resolves to one shard: delivery occupies
 the *destination* node's port at send-processing time, so with more
 than one shard there is no lookahead on port state (DESIGN.md §5d).
@@ -297,12 +297,13 @@ class _Shard:
 
         # The structural perf win: a shard-private table of latency
         # rows, one slot per local sender, filled from the latency
-        # model's row builder on a rank's first send, so a send is a
-        # list index and ``row.item(dst)`` at any job scale.  ``src`` is
+        # model's code rows on a rank's first send, so a send is a list
+        # index and ``values[row[dst]]`` at any job scale.  ``src`` is
         # always a local rank (only a home shard may number a rank's
-        # events).  Memory: (hi - lo) rows of N float64 per shard, plus
+        # events).  Memory: (hi - lo) rows of N one-byte codes (two
+        # past 256 latency values) per shard, one float per value, plus
         # row 0 while the finish broadcast is keyed.
-        self._row_fn = placement.latency.row_fn
+        self._row_fn, self._values = placement.latency.codes
         self._rows: list = [None] * (self.hi - self.lo)
 
         self._msg_heap: list = []
@@ -364,8 +365,8 @@ class _Shard:
         i = src - self.lo
         row = self._rows[i]
         if row is None:
-            row = self._rows[i] = self._row_fn(src)
-        wire = row.item(dst)
+            row = self._rows[i] = memoryview(self._row_fn(src))
+        wire = self._values[row[dst]]
         if (
             getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
             and payload.chunks is not None
@@ -740,11 +741,12 @@ class _Shard:
         c0 = self._rank_seq[0]
         self.finish_info = (when, c0)
         self.workers[0].on_message(when, Finish())
-        row0 = self._row_fn(0)
+        values, row0 = self._values, self._row_fn(0).tolist()
         for rank in range(max(self.lo, 1), self.hi):
+            arrival = when + values[row0[rank]]
             heapq.heappush(
                 self._msg_heap,
-                (when + row0[rank], 0, c0 + rank - 1, EVT_MSG, rank, Finish()),
+                (arrival, 0, c0 + rank - 1, EVT_MSG, rank, Finish()),
             )
         self._rank_seq[0] = c0 + (self.nranks - 1)
 
@@ -758,11 +760,12 @@ class _Shard:
             box.clear()
         self.messages_dropped += dropped
         self._finishing = True
-        row0 = self._row_fn(0)
+        values, row0 = self._values, self._row_fn(0).tolist()
         for rank in range(self.lo, self.hi):
+            arrival = when + values[row0[rank]]
             heapq.heappush(
                 self._msg_heap,
-                (when + row0[rank], 0, c0 + rank - 1, EVT_MSG, rank, Finish()),
+                (arrival, 0, c0 + rank - 1, EVT_MSG, rank, Finish()),
             )
 
     # ------------------------------------------------------------------
@@ -810,8 +813,8 @@ class _NicShard(_Shard):
             return
         row = self._rows[src]
         if row is None:
-            row = self._rows[src] = self._row_fn(src)
-        wire = row.item(dst)
+            row = self._rows[src] = memoryview(self._row_fn(src))
+        wire = self._values[row[dst]]
         if (
             getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
             and payload.chunks is not None

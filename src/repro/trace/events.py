@@ -261,12 +261,14 @@ class EventTrace:
 
         ``repr`` of floats is exact (shortest round-trip), so two runs
         produce identical bytes iff every event matches bit-for-bit —
-        the golden-determinism contract of the test suite.
+        the golden-determinism contract of the test suite.  Times are
+        encoded as Python floats: a NumPy scalar's ``repr`` depends on
+        its type and the NumPy major version, not only on its value.
         """
         lines = []
         for rank, evs in enumerate(self.ranks):
             for t, etype, a, b in evs:
-                lines.append(f"{rank}:{t!r}:{etype}:{a}:{b}")
+                lines.append(f"{rank}:{float(t)!r}:{etype}:{a}:{b}")
         return "\n".join(lines).encode("ascii")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,10 +19,14 @@ import pytest
 
 from repro.core.registry import available
 from repro.core.victim import (
+    _DRAW_BLOCK,
+    _HierarchicalState,
     _SkewedState,
+    _rank_rng,
     selector_by_name,
     skewed_probabilities,
 )
+from repro.errors import ConfigurationError
 from repro.net.allocation import allocation_by_name, build_placement
 
 #: Concrete instantiations for the registry's pattern templates
@@ -107,12 +111,74 @@ class TestSkewedEdgeDraw:
         cum = np.cumsum(weights)
         draw = 1.0 - 2.0**-53
         assert cum[-1] < draw  # the hazard this test pins
-        state = _SkewedState(cum, self._PinnedRng(draw))
+        state = _SkewedState(lambda: cum, self._PinnedRng(draw))
         for _ in range(10):
             v = state.next_victim()
             assert 0 <= v < 7
 
     def test_low_and_mid_draws_unaffected(self):
         cum = np.cumsum(np.full(4, 0.25))
-        assert _SkewedState(cum, self._PinnedRng(0.0)).next_victim() == 0
-        assert _SkewedState(cum, self._PinnedRng(0.6)).next_victim() == 2
+        assert _SkewedState(lambda: cum, self._PinnedRng(0.0)).next_victim() == 0
+        assert _SkewedState(lambda: cum, self._PinnedRng(0.6)).next_victim() == 2
+
+    def test_degenerate_distribution_raises_at_construction(self):
+        def build():
+            return np.cumsum(skewed_probabilities(0, np.array([0.0])))
+
+        with pytest.raises(ConfigurationError, match="degenerate"):
+            _SkewedState(build, self._PinnedRng(0.5))
+
+
+class TestSkewedBlocks:
+    """A skewed state keeps one block of drawn victims and rebuilds its
+    cumulative vector per block; the victims must be what one
+    ``searchsorted`` of the pinned vector over the rank's whole
+    ``random()`` stream gives, across refills."""
+
+    @pytest.mark.parametrize("nranks", [33, 256, 1000])
+    @pytest.mark.parametrize(
+        "name", ["tofu", "skew[0]", "skew[2.5]", "latskew[1.5]"]
+    )
+    def test_draws_equal_one_search_over_the_stream(self, name, nranks):
+        placement = build_placement(nranks, allocation_by_name("1/N"))
+        factory = selector_by_name(name)
+        k = 3 * _DRAW_BLOCK + 17  # three refills after the first block
+        for rank in (0, nranks // 2, nranks - 1):
+            cum = np.cumsum(factory.probabilities(rank, placement))
+            cum[-1] = 1.0
+            expected = np.searchsorted(
+                cum, _rank_rng(7, rank).random(k), side="right"
+            )
+            state = factory.make(rank, nranks, placement, seed=7)
+            assert [state.next_victim() for _ in range(k)] == expected.tolist()
+            # Nothing N-sized in float64 stays on the state.
+            assert state._buf.nbytes <= 2 * _DRAW_BLOCK
+            assert not any(
+                isinstance(v, np.ndarray) for v in vars(state).values()
+            )
+
+
+class TestHierarchicalPools:
+    @pytest.mark.parametrize("nranks", [33, 256])
+    def test_draws_equal_the_list_built_pools(self, nranks):
+        # ``make`` builds the other-ranks array with ``np.delete``; the
+        # list comprehension it replaced is the reference.
+        placement = build_placement(nranks, allocation_by_name("1/N"))
+        factory = selector_by_name("hier[0.9]")
+        for rank in (0, nranks // 3, nranks - 1):
+            lat = placement.latency.row(rank)
+            others = np.array([r for r in range(nranks) if r != rank])
+            cut = float(np.median(lat[others]))
+            old = _HierarchicalState(
+                others[lat[others] <= cut],
+                others[lat[others] > cut],
+                0.9,
+                _rank_rng(3, rank),
+            )
+            new = factory.make(rank, nranks, placement, seed=3)
+            assert new._near.dtype == old._near.dtype
+            assert np.array_equal(new._near, old._near)
+            assert np.array_equal(new._far, old._far)
+            assert [new.next_victim() for _ in range(400)] == [
+                old.next_victim() for _ in range(400)
+            ]

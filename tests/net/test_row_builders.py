@@ -1,10 +1,12 @@
 """Bit-parity of the separable row builders with the matrix path.
 
-``hops_rows``/``euclidean_rows``/``row_builder`` compute row ``i`` as a
-sum of per-dimension table lookups; ``hops_matrix``/
-``euclidean_matrix``/``matrix`` keep the direct broadcast formulas and
-are the reference here.  Equality is exact — same dtype, same bytes —
-because simulated times and victim tables are pinned by digest.
+``hops_rows``/``euclidean_rows`` compute row ``i`` as a sum of
+per-dimension table lookups and ``code_rows`` as small-integer codes
+into one value table per job (``row_builder`` is that, decoded);
+``hops_matrix``/``euclidean_matrix``/``matrix`` keep the direct
+broadcast formulas and are the reference here.  Equality is exact —
+same dtype, same bytes — because simulated times and victim tables are
+pinned by digest.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.victim import selector_by_name, skewed_probabilities
+from repro.errors import ConfigurationError
 from repro.net.allocation import allocation_by_name, build_placement
 from repro.net.coords import CoordSpace
 from repro.net.latency import (
     HierarchicalLatency,
     HopLatency,
     KComputerLatency,
+    LatencyModel,
     UniformLatency,
 )
 from repro.net.topology import TofuTopology, Torus3D, _GridTopology
@@ -99,11 +103,19 @@ class TestPlacementRows:
             eucl = p.topology.euclidean_matrix(p.rank_nodes)
             lat = model.matrix(p.topology, p.rank_nodes)
             lat_row = model.row_builder(p.topology, p.rank_nodes)
+            code_row, values = model.code_rows(p.topology, p.rank_nodes)
+            assert all(type(v) is float for v in values)
+            table = np.array(values)
             for i in range(nranks):
                 assert _same(p.hops.row(i), hops[i])
                 assert _same(p.euclidean.row(i), eucl[i])
                 assert _same(p.latency.row(i), lat[i])
                 assert _same(lat_row(i), lat[i])
+                codes = code_row(i)
+                assert codes.dtype == np.uint8
+                assert _same(table[codes], lat[i])
+            # What the engine keeps is what the placement decodes.
+            assert p.latency.codes[1] == values
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -127,6 +139,76 @@ class TestPlacementRows:
             assert _same(row(i), lat[i])
 
 
+class TestCodeRows:
+    def test_wide_codes_past_256_values(self):
+        # The 8192-node machine ``for_nodes`` books is a ring of 683
+        # cubes: 342 hop classes and 4 constants do not fit a byte.
+        topo = TofuTopology.for_nodes(8192)
+        assert topo.cube_grid == (1, 1, 683)
+        nodes = np.arange(0, 8192, 16, dtype=np.int64)
+        model = KComputerLatency()
+        code_row, values = model.code_rows(topo, nodes)
+        assert len(values) > 256
+        lat = model.matrix(topo, nodes)
+        table = np.array(values)
+        for i in range(len(nodes)):
+            codes = code_row(i)
+            assert codes.dtype == np.uint16
+            assert _same(table[codes], lat[i])
+        # ... and the engine's view of a row indexes to the same floats.
+        view = memoryview(code_row(3))
+        assert [values[view[j]] for j in range(len(nodes))] == lat[3].tolist()
+
+    def test_hop_latency_on_a_long_mesh(self):
+        topo = _GridTopology(CoordSpace((300,), (False,)))
+        nodes = np.arange(0, 300, 7, dtype=np.int64)
+        model = HopLatency()
+        code_row, values = model.code_rows(topo, nodes)
+        lat = model.matrix(topo, nodes)
+        for i in range(len(nodes)):
+            codes = code_row(i)
+            assert codes.dtype == np.uint16
+            assert _same(np.array(values)[codes], lat[i])
+
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            (KComputerLatency(), "per_hop"),
+            (KComputerLatency(), "blade"),
+            (HopLatency(), "intra_node"),
+            (UniformLatency(), "latency"),
+        ],
+    )
+    def test_negative_component_rejected_on_the_table(self, model, field):
+        # Constructors refuse negative components; one that appears
+        # later must still never reach a simulated time.
+        setattr(model, field, -1.0)
+        p = build_placement(24, "1/N")
+        with pytest.raises(ConfigurationError, match="negative latency"):
+            model.code_rows(p.topology, p.rank_nodes)
+        with pytest.raises(ConfigurationError, match="negative latency"):
+            model.row_builder(p.topology, p.rank_nodes)
+
+    def test_third_party_model_falls_back_from_its_matrix(self):
+        class Odd(LatencyModel):
+            name = "odd"
+
+            def matrix(self, topology, rank_nodes):
+                n = len(rank_nodes)
+                i = np.arange(n)
+                return self._validate(1e-6 * ((i[:, None] + i[None, :]) % 5 + 1.0))
+
+        model = Odd()
+        p = build_placement(33, "8G", latency_model=model)
+        lat = model.matrix(p.topology, p.rank_nodes)
+        code_row, values = p.latency.codes
+        assert len(values) == 6 and all(type(v) is float for v in values)
+        for i in range(33):
+            assert code_row(i).dtype == np.uint8
+            assert _same(np.array(values)[code_row(i)], lat[i])
+            assert _same(p.latency.row(i), lat[i])
+
+
 class TestTofuTables:
     @pytest.mark.parametrize("nranks", [33, 256, 1000])
     def test_cumulative_tables_byte_equal(self, nranks):
@@ -138,5 +220,4 @@ class TestTofuTables:
             state = tofu.make(rank, nranks, placement, seed=0)
             cum = np.cumsum(skewed_probabilities(rank, reference[rank]))
             cum[-1] = 1.0
-            assert state._cum.dtype == cum.dtype
-            assert state._cum.tobytes() == cum.tobytes()
+            assert _same(state.cumulative(), cum)

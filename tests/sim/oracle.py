@@ -214,10 +214,10 @@ class OracleCluster:
         self._messages_dropped += self.queue.clear()
         self._finishing = True
         self.workers[0].on_message(when, Finish())
-        row0 = self.placement.latency.row(0)
+        latency = self.placement.latency
         for rank in range(1, self.config.nranks):
             self.queue.push(
-                when + row0[rank], EVT_MSG, rank, Finish(), pusher=0
+                when + latency.value(0, rank), EVT_MSG, rank, Finish(), pusher=0
             )
 
 

@@ -96,9 +96,10 @@ class TestStateCorruption:
         causality bug; the engine refuses to queue it."""
         monkeypatch.setattr(
             HierarchicalLatency,
-            "row_builder",
+            "code_rows",
             lambda self, topology, rank_nodes: (
-                lambda i: np.full(len(rank_nodes), -1.0)
+                lambda i: np.zeros(len(rank_nodes), dtype=np.uint8),
+                [-1.0],
             ),
         )
         with pytest.raises(SimulationError, match="before current time"):

@@ -1,6 +1,6 @@
 """The engine's send and dispatch paths keep their contracts.
 
-``_Shard.send`` reads wire times from a per-shard row table and
+``_Shard.send`` reads wire times from a per-shard table of code rows and
 ``process_window`` delivers messages through a handler table bound once
 per shard; neither may change what a caller can rely on: transports
 are looked up per call (so a class-level patch sees every message),
@@ -11,6 +11,8 @@ itself reaches by accumulation.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,7 +68,7 @@ class TestSendPath:
         cfg = _cfg(engine="sharded", shards=2)
         shard = _shard(cfg, index=1)
         placement = ShardedCluster(cfg).placement
-        model_row = cfg.latency_model.row_builder(
+        code_row, values = cfg.latency_model.code_rows(
             placement.topology, placement.rank_nodes
         )
         src = shard.lo + 1
@@ -76,14 +78,17 @@ class TestSendPath:
         staged = {e[4]: e[0] for box in shard._outbox for e in box}
         assert sorted(local) == list(range(shard.lo, shard.hi))
         assert sorted(staged) == list(range(shard.lo))
-        row = model_row(src)
+        codes = code_row(src)
         for dst, arrival in {**local, **staged}.items():
             assert type(arrival) is float
-            assert arrival == 1.0 + float(row[dst])
-        # One row per local sender, built on its first send only.
+            assert arrival == 1.0 + values[codes[dst]]
+        # One row per local sender, built on its first send only: the
+        # sender's codes, one byte per rank.
         assert [r is not None for r in shard._rows] == [
             rank == src for rank in range(shard.lo, shard.hi)
         ]
+        assert shard._rows[src - shard.lo].nbytes == cfg.nranks
+        assert bytes(shard._rows[src - shard.lo]) == codes.tobytes()
         # Sequence numbers are dense per sender.
         assert sorted(e[2] for e in shard._msg_heap + sum(shard._outbox, [])) == (
             list(range(cfg.nranks))
@@ -106,6 +111,27 @@ class TestSendPath:
         monkeypatch.setattr(_Shard, "send", corrupting_send)
         with pytest.raises(SimulationError, match="unexpected message"):
             ShardedCluster(_cfg(engine="sharded", shards=shards)).run()
+
+
+class TestMemory:
+    def test_no_float_table_per_rank_pair_at_1024_ranks(self):
+        """Set-up plus run of a 1024-rank tofu job on ``1/N`` peaks at
+        9 MiB traced: one byte per rank pair of latency codes (1 MiB),
+        one block of drawn victims per rank, workers and stacks.  N
+        float64 per rank — latency rows or cumulative victim tables —
+        are 8 MiB each on top (both: 24 MiB)."""
+        cfg = _cfg(nranks=1024, selector="tofu", steal_policy="half")
+        tracemalloc.start()
+        try:
+            cluster = ShardedCluster(cfg)
+            out = cluster.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.total_nodes == 4427
+        assert peak < 18 * 2**20
+        (shard,) = cluster._shards
+        assert all(row.nbytes == cfg.nranks for row in shard._rows)
 
 
 class TestHandlerTable:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -156,6 +157,23 @@ class TestEventTraceViews:
             ]
         )
         assert bumped.canonical_bytes() != blob
+
+    def test_canonical_bytes_ignore_the_scalar_type_of_a_time(self):
+        # The encoding is of values: ``repr(np.float64(x))`` reads
+        # ``np.float64(x)`` on NumPy >= 2, so a stream whose times are
+        # NumPy scalars must still encode like the same Python floats.
+        mixed = EventTrace(
+            [
+                [
+                    (np.float64(0.0), EV_STEAL_SENT, 1, 0),
+                    (1.0, EV_STEAL_OK, 1, 7),
+                ],
+                [(np.float64(0.5), EV_SERVE, 0, 7)],
+            ]
+        )
+        blob = self._trace().canonical_bytes()
+        assert mixed.canonical_bytes() == blob
+        assert b"float64" not in blob
 
 
 def test_schema_covers_every_event_type():
