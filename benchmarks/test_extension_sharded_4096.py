@@ -2,17 +2,17 @@
 
 The standard ladder tops out at 512 ranks, four orders of magnitude
 below the paper's 8192 processes and outside its work-per-rank regime
-(EXPERIMENTS.md "Validity boundary").  The engine's per-shard latency
-rows and burst execution (`repro.sim.shard`) make 4096-rank runs
+(EXPERIMENTS.md "Validity boundary").  The engine's byte-coded latency
+rows and burst execution (`repro.sim.cluster`) make 4096-rank runs
 affordable, and the T3H tree (~32.1M nodes, ~7.8k nodes/rank) restores
 the paper's work-per-rank band.  This rung replays the Fig 3
 allocation comparison and the Fig 4 scheduling latencies at that
 scale, twice:
 
-* **with NIC contention** (the calibrated ``nic_service_time``; the
-  engine then runs one shard, DESIGN.md §5d) — the paper's mechanism
-  at the paper's scale: 8RR must be the worst allocation;
-* **the control, NIC zeroed** (8 shards): without the shared-injection
+* **with NIC contention** (the calibrated ``nic_service_time``) — the
+  paper's mechanism at the paper's scale: 8RR must be the worst
+  allocation;
+* **the control, NIC zeroed**: without the shared-injection
   penalty the 8-per-node allocations lose their handicap and the
   measured allocation spread collapses to <10% (8RR 200.1, 1/N 189.2,
   8G 184.4) — the Fig 2 regime, where the paper itself found
@@ -64,7 +64,6 @@ def _run(allocation: str):
             steal_policy="one",
             trace=True,
             nic_service_time=0.0,
-            engine="sharded",
         )
     )
 
@@ -90,7 +89,6 @@ def _sweep_contended():
                     selector="reference",
                     steal_policy="one",
                     trace=True,
-                    engine="sharded",
                 ),
                 max_events=CONTENDED_MAX_EVENTS,
             )

@@ -58,11 +58,8 @@ __all__ = [
 #: otherwise the result cache would re-run identical physics and
 #: cached results could not satisfy traced requests.
 #:
-#: The execution-engine knobs (``engine``, ``shards``,
-#: ``shard_workers``) are excluded on the same ground: every shard
-#: count is bit-identical to one shard (the differential suite in
-#: ``tests/sim/test_sharded.py`` is the proof), so they select *how*
-#: the simulation is computed, never *what* it computes.
+#: ``engine``, ``shards`` and ``shard_workers`` select nothing (see the
+#: fields) and were never hashed.
 FINGERPRINT_EXCLUDED_FIELDS = frozenset(
     {
         "event_trace",
@@ -70,7 +67,6 @@ FINGERPRINT_EXCLUDED_FIELDS = frozenset(
         "engine",
         "shards",
         "shard_workers",
-        "shard_transport",
     }
 )
 
@@ -161,30 +157,16 @@ class WorkStealingConfig:
     #: meaningful when ``lifelines > 0``.
     lifeline_graph: str = "hypercube"
 
-    #: How :mod:`repro.sim.shard` partitions the job: ``"sequential"``
-    #: is one shard owning every rank, ``"sharded"`` is per-rank-group
-    #: event heaps with conservative lookahead windows.  Bit-identical
-    #: results; excluded from fingerprints (see
-    #: :data:`FINGERPRINT_EXCLUDED_FIELDS`).
+    #: Validated, fingerprint-excluded and otherwise ignored: every
+    #: value runs the one in-process loop of :mod:`repro.sim.cluster`.
+    #: The three fields stay only because the frozen
+    #: ``benchmarks/ledger/workloads.py:173`` and ``rungs.py:319`` pass
+    #: them; the follow-up ``[benchmark]`` PR (ROADMAP 3b: drop
+    #: ``shards=8`` from ``scale-4096`` and the ``sim.sharded.…-s4``
+    #: rung) removes those callers and then the fields.
     engine: str = "sequential"
-    #: Shard count for ``engine="sharded"``; 0 picks automatically
-    #: from ``nranks``.  ``nic_service_time > 0`` always runs one shard
-    #: (NIC port state admits no cross-shard lookahead).
     shards: int = 0
-    #: Worker processes hosting the shards: 1 runs every shard
-    #: in-process (the default), > 1 spreads shards over that many OS
-    #: processes behind the fused coordinator protocol, and 0 picks one
-    #: process per core (:func:`repro.sim.shard.auto_shard_workers`,
-    #: i.e. ``os.cpu_count()``).  The effective count is capped at the
-    #: shard count.
     shard_workers: int = 1
-    #: Cross-process transport for ``shard_workers > 1``: ``"pipe"``
-    #: sends the packed outbox blobs through the coordinator pipes,
-    #: ``"shm"`` moves blob bytes through ``multiprocessing.
-    #: shared_memory`` scratch segments (control stays on the pipe) and
-    #: falls back to pipes per payload and per platform.  Results are
-    #: bit-identical either way; excluded from fingerprints.
-    shard_transport: str = "pipe"
 
     def __post_init__(self) -> None:
         if self.nranks < 1:
@@ -260,17 +242,11 @@ class WorkStealingConfig:
             )
         if self.shards < 0:
             raise ConfigurationError(
-                f"shards must be >= 0 (0 = auto), got {self.shards}"
+                f"shards must be >= 0, got {self.shards}"
             )
         if self.shard_workers < 0:
             raise ConfigurationError(
-                f"shard_workers must be >= 0 (0 = one per core), "
-                f"got {self.shard_workers}"
-            )
-        if self.shard_transport not in ("pipe", "shm"):
-            raise ConfigurationError(
-                f"shard_transport must be 'pipe' or 'shm', "
-                f"got {self.shard_transport!r}"
+                f"shard_workers must be >= 0, got {self.shard_workers}"
             )
         # Resolve string shorthands once, all through the single
         # resolution path (repro.core.registry.resolve_spec); resolution
@@ -438,7 +414,6 @@ class WorkStealingConfig:
             "engine": self.engine,
             "shards": self.shards,
             "shard_workers": self.shard_workers,
-            "shard_transport": self.shard_transport,
         }
 
     @classmethod

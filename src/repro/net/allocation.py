@@ -63,11 +63,10 @@ def aligned_block_bounds(
     randomised allocation interleaves nodes arbitrarily), the ideal
     cuts are kept and ``aligned`` is False.
 
-    Both the sharded engine (:func:`repro.sim.shard.shard_bounds`) and
-    the locality regions of the steal-protocol layer
+    The locality regions of the steal-protocol layer
     (:class:`repro.protocol.regions.RegionMap`) partition the rank
-    space through this one function, which is what keeps protocol
-    regions aligned with the allocation's node blocks.
+    space through this function, which is what keeps them aligned with
+    the allocation's node blocks.
     """
     nblocks = max(1, min(nblocks, nranks))
     ideal = [(s * nranks) // nblocks for s in range(nblocks + 1)]
@@ -86,14 +85,14 @@ def aligned_block_bounds(
         # round-robin [0,1,0,1,...]) change node at every rank while
         # every node still spans every block.  Alignment requires each
         # node's ranks to land entirely inside one block.
-        shard_of: dict = {}
+        block_of: dict = {}
         s = 0
         aligned = True
         for r in range(nranks):
             while r >= snapped[s + 1]:
                 s += 1
             node = rank_nodes[r]
-            prev = shard_of.setdefault(node, s)
+            prev = block_of.setdefault(node, s)
             if prev != s:
                 aligned = False
                 break

@@ -72,7 +72,7 @@ class LatencyModel(ABC):
         that indexes ``values``: one byte per rank pair unless a
         topology has hundreds of hop classes) and ``values`` is one
         list of Python floats per job.  This is the form the engine
-        keeps (:mod:`repro.sim.shard`); the built-in models implement
+        keeps (:mod:`repro.sim.cluster`); the built-in models implement
         it row-lazily so paper-scale placements never hold an N x N
         float array.  This default falls back to :meth:`matrix`
         (dense!) and only exists so custom third-party models keep
@@ -100,30 +100,6 @@ class LatencyModel(ABC):
         """Return ``f(i) -> latency row for rank i`` (O(N) per call, a
         fresh float64 array): :meth:`code_rows`, decoded."""
         return self.float_rows(*self.code_rows(topology, rank_nodes))
-
-    def min_remote_latency(self) -> float:
-        """Lower bound on the latency between ranks on *different* nodes.
-
-        This is the conservative lookahead window of the sharded engine
-        (:mod:`repro.sim.shard`): with node-aligned shards, any
-        cross-shard message pays at least this much wire time, so a
-        shard may advance that far past the global clock before a
-        synchronisation point.  Must be a true lower bound (an
-        overestimate would break bit-identity with the sequential
-        engine); returning ``0.0`` — the conservative default for
-        custom models — disables the sharded engine for that model.
-        """
-        return 0.0
-
-    def min_any_latency(self) -> float:
-        """Lower bound on the latency between any two *distinct* ranks.
-
-        The fallback lookahead when a shard partition cannot be
-        node-aligned (e.g. randomised allocations): still a valid
-        conservative window, just narrower than
-        :meth:`min_remote_latency`.
-        """
-        return 0.0
 
     def to_spec(self) -> dict:
         """Serializable description: ``{"kind": ..., <float params>}``.
@@ -190,12 +166,6 @@ class UniformLatency(LatencyModel):
 
         return code_row, values
 
-    def min_remote_latency(self) -> float:
-        return self.latency
-
-    def min_any_latency(self) -> float:
-        return self.latency
-
 
 class HopLatency(LatencyModel):
     """``base + per_hop * hops`` with a shared-memory intra-node fast path."""
@@ -238,13 +208,6 @@ class HopLatency(LatencyModel):
             return out
 
         return code_row, values
-
-    def min_remote_latency(self) -> float:
-        # Distinct nodes are >= 0 hops apart, so base is the floor.
-        return self.base
-
-    def min_any_latency(self) -> float:
-        return min(self.intra_node, self.base)
 
 
 class HierarchicalLatency(LatencyModel):
@@ -335,14 +298,6 @@ class HierarchicalLatency(LatencyModel):
             return out
 
         return code_row, values
-
-    def min_remote_latency(self) -> float:
-        # Off-node pairs pay blade, cube, or base + per_hop * hops with
-        # hops >= 0 — blade <= cube by construction, base stands alone.
-        return min(self.blade, self.base)
-
-    def min_any_latency(self) -> float:
-        return min(self.intra_node, self.base)
 
 
 class KComputerLatency(HierarchicalLatency):

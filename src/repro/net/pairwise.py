@@ -60,8 +60,8 @@ class PairwiseMetric:
         Optional ``(code_row_fn, values)`` with ``values[code_row_fn(i)]``
         equal to ``row_fn(i)`` — the compact form of the same rows
         (:meth:`repro.net.latency.LatencyModel.code_rows`), carried for
-        callers that keep their own rows, like the engine's per-shard
-        send table.
+        callers that keep their own rows, like the engine's send
+        table.
 
     Indexing mirrors the dense-array API the rest of the code grew up
     with: ``m[i]`` is a *copy* of row ``i``, ``m[i, j]`` a float, and

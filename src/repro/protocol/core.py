@@ -34,9 +34,9 @@ the same message deliveries — the refactor moved code, not semantics.
 New features only add behaviour on paths that previously denied
 (forwarding) or change which victim a draw proposes (regions, lifeline
 graphs) — all rank-local decisions driven by rank-local state, so the
-sequential and sharded engines, which deliver each rank's events in
-the same order by the global event-key design, keep producing
-identical float sequences.
+engine and the test oracle, which deliver each rank's events in the
+same order by the global event-key design, keep producing identical
+float sequences.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Build protocol plans and workers from a config.
 
-Every shard of the engine (:class:`repro.sim.shard._Shard`) and the
-tests' reference oracle call :func:`build_plan` once per run and
+The engine (:class:`repro.sim.cluster.Cluster`) and the tests'
+reference oracle call :func:`build_plan` once per run and
 :func:`make_worker` once per rank, so a protocol knob added to the
 config is automatically honoured by both — the precondition for the
 bit-identity contract.

@@ -16,11 +16,6 @@ Every message class carries an integer ``tag`` class attribute (the
 ``TAG_*`` constants).  The event loop and the workers dispatch on the
 tag with plain integer comparisons instead of ``isinstance`` chains —
 one attribute load and an int compare per message on the DES hot path.
-
-Messages compare by value (``__eq__``) so the cross-shard wire codec
-(:mod:`repro.sim.shardcodec`) can assert encode→decode identity; they
-keep identity hashing — the engine never keys containers by message
-value, and per-instance hashing would silently change that contract.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ class StealRequest:
     (:class:`repro.select.adaptive.AdaptiveStealPolicy`) asks for a
     larger transfer.  Keeping the flag on the message — instead of
     state on the shared policy object — is what keeps the policy
-    stateless and the engines bit-identical across shard layouts.
+    stateless.
     """
 
     tag = TAG_STEAL_REQUEST
@@ -77,15 +72,6 @@ class StealRequest:
     def __init__(self, thief: int, escalated: bool = False):
         self.thief = thief
         self.escalated = escalated
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is StealRequest
-            and other.thief == self.thief
-            and other.escalated == self.escalated
-        )
-
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         esc = ", escalated" if self.escalated else ""
@@ -110,15 +96,6 @@ class StealResponse:
     @property
     def nodes(self) -> int:
         return sum(c.size for c in self.chunks) if self.chunks else 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is StealResponse
-            and other.victim == self.victim
-            and other.chunks == self.chunks
-        )
-
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         what = f"{len(self.chunks)} chunks" if self.chunks else "no work"
@@ -153,17 +130,6 @@ class StealForward:
         self.ttl = ttl
         self.visited = tuple(visited)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is StealForward
-            and other.thief == self.thief
-            and other.escalated == self.escalated
-            and other.ttl == self.ttl
-            and other.visited == self.visited
-        )
-
-    __hash__ = object.__hash__
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         esc = ", escalated" if self.escalated else ""
         return (
@@ -184,11 +150,6 @@ class Token:
             raise ValueError(f"token color must be WHITE/BLACK, got {color}")
         self.color = color
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Token and other.color == self.color
-
-    __hash__ = object.__hash__
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({'white' if self.color == WHITE else 'black'})"
 
@@ -199,11 +160,6 @@ class Finish:
     tag = TAG_FINISH
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Finish
-
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Finish()"
@@ -219,11 +175,6 @@ class LifelineRegister:
     def __init__(self, thief: int):
         self.thief = thief
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is LifelineRegister and other.thief == self.thief
-
-    __hash__ = object.__hash__
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LifelineRegister(thief={self.thief})"
 
@@ -237,11 +188,6 @@ class LifelineDeregister:
 
     def __init__(self, thief: int):
         self.thief = thief
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is LifelineDeregister and other.thief == self.thief
-
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LifelineDeregister(thief={self.thief})"

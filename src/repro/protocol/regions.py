@@ -5,9 +5,9 @@ Stealing", arXiv:1804.04773) analyse the regime where a processor
 first tries to *steal back* work owned by its own locality region and
 only then escalates to remote victims.  :class:`RegionMap` is the
 repro's geometry for that discipline: the rank space is cut into
-contiguous blocks aligned with the allocation's node blocks (the same
-:func:`~repro.net.allocation.aligned_block_bounds` partition the
-sharded engine uses), so intra-region steals are intra-node-block —
+contiguous blocks aligned with the allocation's node blocks
+(:func:`~repro.net.allocation.aligned_block_bounds`), so intra-region
+steals are intra-node-block —
 the cheap traffic class of the paper's Tofu hierarchy.
 """
 

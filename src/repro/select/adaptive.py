@@ -29,8 +29,7 @@ Picasso victim bitsets are the idioms):
     itself is **stateless** — one instance is shared by every worker
     in a process, so the failure streak lives on the thief
     (``Worker.consecutive_failed_steals``) and travels to the victim
-    as ``StealRequest.escalated``.  That split is what keeps the
-    sequential and sharded engines bit-identical.
+    as ``StealRequest.escalated``.
 
 Determinism contract (enforced by the differential and property test
 suites): selector state is a pure function of ``(seed, rank)`` and the

@@ -10,8 +10,7 @@ JSON:
 * **p50/p99 submit-to-result latency**, reported separately for
   *cold* requests (the client waited on a real execution) and *warm*
   ones (served terminal at submit: a store hit) — the two populations
-  differ by orders of magnitude, so pooled percentiles are kept only
-  for cross-report continuity,
+  differ by orders of magnitude, so the pooled percentiles say little,
 * **cache hit rate** (store hits + in-flight joins over submissions),
 * executed-vs-distinct counts proving the one-fingerprint-one-execution
   dedup guarantee.
@@ -28,12 +27,6 @@ differing only by seed, ranked by popularity; client *c* requests rank
 Every run is milliseconds long, so the benchmark measures the service
 stack — submission, dedup, scheduling, store round-trips — not the
 simulator.
-
-``--engine sharded --shard-workers N`` routes every request through
-the sharded engine's multiprocess driver nested inside the service's
-worker pool.  Results are bit-identical to sequential runs (the knobs
-share fingerprints and store entries by design), so the scenario
-exercises the routing and nested process management, not new physics.
 """
 
 from __future__ import annotations
@@ -56,31 +49,10 @@ from repro.service.store import ArtifactStore
 __all__ = ["run_load", "main"]
 
 
-def _universe(
-    size: int,
-    engine: str = "sequential",
-    shards: int = 2,
-    shard_workers: int = 1,
-    shard_transport: str = "pipe",
-) -> list[WorkStealingConfig]:
-    """Popularity-ranked distinct configs (rank 0 = most popular).
-
-    ``engine="sharded"`` routes every request through the sharded DES
-    (optionally multiprocess via ``shard_workers``); results are
-    bit-identical to the sequential engine, so the engine knobs change
-    only where the service's CPU time goes — they share fingerprints,
-    dedup slots and store entries with sequential runs by design.
-    """
-    engine_kw: dict = {}
-    if engine != "sequential":
-        engine_kw = {
-            "engine": engine,
-            "shards": shards,
-            "shard_workers": shard_workers,
-            "shard_transport": shard_transport,
-        }
+def _universe(size: int) -> list[WorkStealingConfig]:
+    """Popularity-ranked distinct configs (rank 0 = most popular)."""
     return [
-        WorkStealingConfig(tree=T3XS, nranks=4, seed=seed, **engine_kw)
+        WorkStealingConfig(tree=T3XS, nranks=4, seed=seed)
         for seed in range(size)
     ]
 
@@ -139,18 +111,8 @@ async def _drive(
     workers: int,
     store_dir: str | None,
     seed: int,
-    engine: str = "sequential",
-    shards: int = 2,
-    shard_workers: int = 1,
-    shard_transport: str = "pipe",
 ) -> dict:
-    universe = _universe(
-        universe_size,
-        engine=engine,
-        shards=shards,
-        shard_workers=shard_workers,
-        shard_transport=shard_transport,
-    )
+    universe = _universe(universe_size)
     weights = _zipf_weights(universe_size, zipf)
     store = ArtifactStore(store_dir) if store_dir else ArtifactStore(
         tempfile.mkdtemp(prefix="repro-loadgen-")
@@ -197,16 +159,6 @@ async def _drive(
         "duration_s": round(elapsed, 3),
         "clients": clients,
         "workers": workers,
-        "engine": engine,
-        **(
-            {
-                "shards": shards,
-                "shard_workers": shard_workers,
-                "shard_transport": shard_transport,
-            }
-            if engine != "sequential"
-            else {}
-        ),
         "universe": universe_size,
         "zipf_exponent": zipf,
         "sweeps": sweeps,
@@ -218,9 +170,8 @@ async def _drive(
         "executed": stats.executed,
         "distinct_configs": universe_size,
         "failed": stats.failed,
-        # Pooled percentiles kept for continuity with BENCH_3-era
-        # reports; read the split distributions instead — pooling a
-        # bimodal population makes both numbers misleading.
+        # Pooled percentiles: read the split distributions instead —
+        # pooling a bimodal population makes both numbers misleading.
         "latency_p50_ms": round(_percentile(pooled, 0.50) * 1e3, 3),
         "latency_p99_ms": round(_percentile(pooled, 0.99) * 1e3, 3),
         "latency_max_ms": round(pooled[-1] * 1e3, 3) if pooled else 0.0,
@@ -237,10 +188,6 @@ def run_load(
     workers: int = 2,
     store_dir: str | None = None,
     seed: int = 0,
-    engine: str = "sequential",
-    shards: int = 2,
-    shard_workers: int = 1,
-    shard_transport: str = "pipe",
 ) -> dict:
     """Run the load benchmark and return its results dict."""
     return asyncio.run(
@@ -252,10 +199,6 @@ def run_load(
             workers=workers,
             store_dir=store_dir,
             seed=seed,
-            engine=engine,
-            shards=shards,
-            shard_workers=shard_workers,
-            shard_transport=shard_transport,
         )
     )
 
@@ -303,33 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, metavar="N")
     parser.add_argument(
-        "--engine",
-        choices=("sequential", "sharded"),
-        default="sequential",
-        help="simulation engine for every config in the universe "
-        "(results are bit-identical; only service CPU routing changes)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="shard count when --engine sharded (default: 2)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="OS processes per sharded run; 0 = one per core (default: 1)",
-    )
-    parser.add_argument(
-        "--shard-transport",
-        choices=("pipe", "shm"),
-        default="pipe",
-        help="cross-process transport when --shard-workers != 1",
-    )
-    parser.add_argument(
         "--out",
         metavar="PATH",
         default=None,
@@ -365,10 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         store_dir=args.store,
         seed=args.seed,
-        engine=args.engine,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
-        shard_transport=args.shard_transport,
     )
     report = {
         "schema": "repro-service-load-v1",

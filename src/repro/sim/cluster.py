@@ -1,21 +1,90 @@
-"""The raw outcome of one simulated job.
+"""The simulation engine: one job, one key-ordered event loop.
 
-The engine itself is :class:`repro.sim.shard.ShardedCluster`; this
-module only holds the record its ``run()`` returns.
+:class:`Cluster` assembles placement, workers and termination detector
+from a config, *is* the transport its workers talk to, and runs the
+whole job as a single sequential loop (DESIGN.md §5d).
+
+Two event kinds exist:
+
+* ``EVT_EXEC`` — a rank reached a poll boundary (end of a work
+  quantum) and runs its scheduler step;
+* ``EVT_MSG`` — a message arrives at a rank.
+
+Events are ``(time, pusher, seq, kind, rank, payload)`` tuples ordered
+by ``(time, pusher, seq)``: ``pusher`` is the rank that scheduled the
+event and ``seq`` that rank's own counter.  Among equal timestamps
+this delivers in pusher order, then in each pusher's insertion order.
+A rank only pushes while one of its own events is being processed, so
+the key is unique, depends on nothing but the simulated history, and
+the tuple compare never reaches ``kind``.  That is what lets the
+events live in two heaps — message deliveries, and each RUNNING rank's
+single outstanding EXEC — whose heads compared against each other
+reproduce the single-queue order exactly, and what lets
+``tests/sim/oracle.py`` (one plain queue, no fast path) be compared
+with this engine byte for byte.
+
+**Burst execution.**  When the popped event is an EXEC for a plain
+worker with no pending requests and a non-empty stack, the worker runs
+*chained* compute quanta (:meth:`~repro.sim.worker.Worker.run_quanta`)
+up to the head of either heap — provided that stop leaves room for at
+least two full quanta (below that the burst call costs more than the
+heap round-trip it saves).  Because the burst stops at the first
+instant any other event exists, it is literally the sequential event
+order: idle transitions, steal serving and every send stay on the
+ordered path, and the next EXEC goes back into the heap with the exact
+seq a single queue would have assigned (one seq per quantum; a
+pure-compute quantum pushes nothing else).
+
+**NIC contention** (``nic_service_time > 0``) is a ``send`` override,
+:class:`_NicCluster`, chosen when the engine is constructed, so a run
+without it pays no test for it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.core.config import WorkStealingConfig
 from repro.core.tracing import TraceRecorder
-from repro.net.allocation import Placement
+from repro.errors import SimulationError, TerminationError
+from repro.net.allocation import Placement, build_placement
+from repro.net.contention import NicContention
+from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.messages import (
+    TAG_STEAL_RESPONSE,
+    TAG_TOKEN,
+    Finish,
+    Token,
+)
 from repro.sim.clock import ClockSkewModel
-from repro.sim.worker import Worker
-from repro.trace.events import EventRecorder
+from repro.sim.termination import DijkstraTermination, TokenAction
+from repro.sim.worker import Worker, WorkerStatus
+from repro.trace.events import EV_TOKEN, EventRecorder
+from repro.uts.tree import TreeGenerator
 
-__all__ = ["SimOutcome"]
+__all__ = [
+    "EVT_EXEC",
+    "EVT_MSG",
+    "DEFAULT_MAX_EVENTS",
+    "SimOutcome",
+    "Cluster",
+]
+
+EVT_EXEC = 0
+EVT_MSG = 1
+
+#: Default runaway guard for one simulation.
+DEFAULT_MAX_EVENTS = 100_000_000
+
+_INF = float("inf")
+
+
+def _budget_exceeded(max_events: int) -> SimulationError:
+    return SimulationError(
+        f"simulation exceeded {max_events} events "
+        "(livelock or runaway configuration?)"
+    )
 
 
 @dataclass
@@ -37,3 +106,382 @@ class SimOutcome:
     @property
     def total_nodes(self) -> int:
         return sum(w.nodes_processed for w in self.workers)
+
+
+class Cluster:
+    """A simulated job: config -> placement -> workers -> ``run()``.
+
+    Implements the worker :class:`~repro.sim.worker.Transport`
+    protocol.  ``Cluster(config)`` returns a :class:`_NicCluster` when
+    the config has NIC contention on.  One instance runs once;
+    :meth:`teardown` then releases it to the reference counter.
+    """
+
+    def __new__(cls, config: WorkStealingConfig, max_events: int | None = None):
+        if cls is Cluster and config.nic_service_time > 0:
+            cls = _NicCluster
+        return super().__new__(cls)
+
+    def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
+        # Keep this object under 30 instance attributes: past that
+        # CPython (3.11) stops storing them inline and every
+        # ``self.x`` load on the send path gets ~25% slower.
+        self.config = config
+        assert not isinstance(config.allocation, str)
+        assert not isinstance(config.rng_backend, str)
+        self.placement = build_placement(
+            config.nranks,
+            config.allocation,
+            latency_model=config.latency_model,
+            topology_factory=config.topology_factory,
+        )
+        self._max_events = (
+            max_events if max_events is not None else DEFAULT_MAX_EVENTS
+        )
+        if self._max_events < 1:
+            raise SimulationError(
+                f"max_events must be >= 1, got {self._max_events}"
+            )
+        self.clock = ClockSkewModel(
+            config.nranks, std=config.clock_skew_std, seed=config.seed
+        )
+        self.detector = DijkstraTermination(config.nranks)
+        self.recorders = (
+            [TraceRecorder() for _ in range(config.nranks)]
+            if config.trace
+            else None
+        )
+        self.event_recorders = (
+            [
+                EventRecorder(config.event_trace_capacity)
+                for _ in range(config.nranks)
+            ]
+            if config.event_trace
+            else None
+        )
+
+        # One latency row per sender, filled from the model's code rows
+        # on a rank's first send, so a send is a list index and
+        # ``values[row[dst]]`` at any job scale.  Memory: N rows of N
+        # one-byte codes (two past 256 latency values), one float per
+        # value, plus row 0 while the finish broadcast is keyed.
+        self._row_fn, self._values = self.placement.latency.codes
+        self._rows: list = [None] * config.nranks
+
+        self._msg_heap: list = []
+        self._exec_heap: list = []
+        #: Next event sequence number of each rank.
+        self._rank_seq = [0] * config.nranks
+        self.now = 0.0
+        self._finishing = False
+        self.messages_dropped = 0
+        self.nodes_total = 0
+        self._node_budget = config.node_cap
+        self._transfer_time_per_node = config.transfer_time_per_node
+        #: Simulated length of one full compute quantum.
+        self._quantum_time = config.poll_interval * config.per_node_time
+
+        generator = TreeGenerator(config.tree, config.rng_backend)
+        plan = build_plan(config, self.placement)
+        self.workers: list[Worker] = [
+            make_worker(
+                rank,
+                config,
+                self.placement,
+                plan,
+                generator,
+                transport=self,
+                trace=self.recorders[rank] if self.recorders else None,
+                events=(
+                    self.event_recorders[rank]
+                    if self.event_recorders
+                    else None
+                ),
+            )
+            for rank in range(config.nranks)
+        ]
+        # Message delivery skips the ``Worker.on_message`` trampoline
+        # unless a subclass overrides it.  The bound methods close a
+        # cycle through ``protocol.transport``, which :meth:`teardown`
+        # cuts.
+        self._handlers = [
+            w.protocol.on_message
+            if type(w).on_message is Worker.on_message
+            else w.on_message
+            for w in self.workers
+        ]
+
+    # ------------------------------------------------------------------
+    # Transport interface (used by workers)
+    # ------------------------------------------------------------------
+
+    def send(self, src: int, dst: int, payload: object, when: float) -> None:
+        if self._finishing:
+            # The run is over; in-flight control traffic is dropped,
+            # like an MPI job tearing down.
+            self.messages_dropped += 1
+            return
+        row = self._rows[src]
+        if row is None:
+            row = self._rows[src] = memoryview(self._row_fn(src))
+        wire = self._values[row[dst]]
+        if (
+            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
+            and payload.chunks is not None
+        ):
+            wire += payload.nodes * self._transfer_time_per_node
+        arrival = when + wire
+        rs = self._rank_seq
+        seq = rs[src]
+        rs[src] = seq + 1
+        if arrival < self.now:
+            raise SimulationError(
+                f"event scheduled at {arrival} before current time "
+                f"{self.now}"
+            )
+        heapq.heappush(
+            self._msg_heap, (arrival, src, seq, EVT_MSG, dst, payload)
+        )
+
+    def schedule_exec(self, rank: int, when: float) -> None:
+        if when < self.now:
+            raise SimulationError(
+                f"event scheduled at {when} before current time {self.now}"
+            )
+        rs = self._rank_seq
+        seq = rs[rank]
+        rs[rank] = seq + 1
+        heapq.heappush(
+            self._exec_heap, (when, rank, seq, EVT_EXEC, rank, None)
+        )
+
+    def rank_became_idle(self, rank: int, when: float) -> None:
+        self._dispatch_token_action(rank, self.detector.rank_idle(rank), when)
+
+    def work_sent(self, rank: int) -> None:
+        self.detector.work_sent(rank)
+
+    def nodes_executed(self, n: int) -> None:
+        self.nodes_total += n
+        if self.nodes_total > self._node_budget:
+            raise SimulationError(
+                f"run exceeded node cap {self._node_budget}"
+            )
+
+    def local_time(self, rank: int, true_time: float) -> float:
+        return self.clock.local_time(rank, true_time)
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+
+    def run(self) -> SimOutcome:
+        """Start every rank, deliver events in key order until both
+        heaps drain, check the run terminated cleanly."""
+        for worker in self.workers:
+            worker.start(0.0)
+
+        mheap = self._msg_heap
+        eheap = self._exec_heap
+        pop = heapq.heappop
+        push = heapq.heappush
+        workers = self.workers
+        handlers = self._handlers
+        detector = self.detector
+        event_recorders = self.event_recorders
+        max_events = self._max_events
+        quantum = self._quantum_time
+        rs = self._rank_seq
+        processed = 0
+        while mheap or eheap:
+            if not eheap or (mheap and mheap[0] < eheap[0]):
+                head = pop(mheap)
+            else:
+                head = pop(eheap)
+            t = head[0]
+            self.now = t
+            processed += 1
+            if processed > max_events:
+                raise _budget_exceeded(max_events)
+            rank = head[4]
+            if head[3] == EVT_EXEC:
+                worker = workers[rank]
+                if (
+                    worker._plain_serve
+                    and not worker.pending
+                    and worker.stack._chunks
+                ):
+                    # Burst: below ``t_stop`` no other event exists.
+                    t_stop = mheap[0][0] if mheap else _INF
+                    if eheap and eheap[0][0] < t_stop:
+                        t_stop = eheap[0][0]
+                    if t + quantum < t_stop:
+                        t_end, nq = worker.run_quanta(t, t_stop)
+                        self.now = t_end
+                        # Each quantum is one event and one seq of
+                        # the rank (its rescheduled EXEC).
+                        processed += nq - 1
+                        if processed > max_events:
+                            raise _budget_exceeded(max_events)
+                        seq = rs[rank] + nq
+                        rs[rank] = seq
+                        push(
+                            eheap,
+                            (t_end, rank, seq - 1, EVT_EXEC, rank, None),
+                        )
+                        continue
+                worker.on_exec(t)
+                continue
+            payload = head[5]
+            if getattr(payload, "tag", None) == TAG_TOKEN:
+                if event_recorders is not None:
+                    event_recorders[rank].append(
+                        t, EV_TOKEN, payload.color
+                    )
+                action = detector.token_arrived(
+                    rank,
+                    payload.color,
+                    workers[rank].status is WorkerStatus.WAITING,
+                )
+                self._dispatch_token_action(rank, action, t)
+            else:
+                handlers[rank](t, payload)
+        return self._finalize(processed)
+
+    def teardown(self) -> None:
+        """Break the reference cycles of a finished run.
+
+        ``Worker <-> StealProtocol`` and ``Worker -> cluster ->
+        workers`` would otherwise keep every finished simulation
+        (stacks, selector state, latency rows) alive until a gen-2
+        collection, so back-to-back runs grow the heap.  Call once
+        nothing reads the outcome's workers any more (``run_uts``
+        does, after ``RunResult.from_outcome``).
+        """
+        for worker in self.workers:
+            worker.protocol.worker = None
+        self.workers = []
+        self._handlers = []
+
+    # ------------------------------------------------------------------
+    # Termination
+    # ------------------------------------------------------------------
+
+    def _dispatch_token_action(
+        self, src: int, action: TokenAction, when: float
+    ) -> None:
+        if action.terminated:
+            self._broadcast_finish(when)
+        elif action.sends:
+            assert action.send_color is not None and action.send_to is not None
+            self.send(src, action.send_to, Token(action.send_color), when)
+
+    def _broadcast_finish(self, when: float) -> None:
+        """Rank 0 proved termination: tell everyone, drop the rest.
+
+        Every pending event is dropped (and every later send: the run
+        is over), rank 0 gets Finish synchronously (uncounted), and the
+        Finish events of the other ranks are keyed with pusher 0
+        continuing its counter — the sequence a single queue's pushes
+        produce.  They pay wire latency but no NIC port.
+        """
+        self.messages_dropped += len(self._msg_heap) + len(self._exec_heap)
+        self._msg_heap.clear()
+        self._exec_heap.clear()
+        self._finishing = True
+        c0 = self._rank_seq[0]
+        self.workers[0].on_message(when, Finish())
+        values, row0 = self._values, self._row_fn(0).tolist()
+        for rank in range(1, self.config.nranks):
+            heapq.heappush(
+                self._msg_heap,
+                (when + values[row0[rank]], 0, c0 + rank - 1, EVT_MSG, rank,
+                 Finish()),
+            )
+        self._rank_seq[0] = c0 + self.config.nranks - 1
+
+    def _finalize(self, events_processed: int) -> SimOutcome:
+        workers = self.workers
+        if sum(w.nodes_processed for w in workers) > self.config.node_cap:
+            raise SimulationError(
+                f"run exceeded node cap {self.config.node_cap}"
+            )
+        if not self.detector.terminated:
+            raise TerminationError(
+                "event queue drained before termination was detected"
+            )
+        for worker in workers:
+            if worker.status is not WorkerStatus.DONE:
+                raise TerminationError(
+                    f"rank {worker.rank} never received Finish"
+                )
+            if not worker.stack.is_empty:
+                raise TerminationError(
+                    f"rank {worker.rank} terminated holding "
+                    f"{worker.stack.size} nodes"
+                )
+        sent = sum(w.nodes_sent for w in workers)
+        received = sum(w.nodes_received for w in workers)
+        if sent != received:
+            raise TerminationError(
+                f"work lost in flight: {sent} nodes sent but "
+                f"{received} received"
+            )
+        return SimOutcome(
+            config=self.config,
+            placement=self.placement,
+            workers=workers,
+            recorders=self.recorders,
+            clock=self.clock,
+            total_time=max(w.finish_time for w in workers),
+            events_processed=events_processed,
+            messages_dropped=self.messages_dropped,
+            probes_started=self.detector.probes_started,
+            event_recorders=self.event_recorders,
+        )
+
+
+class _NicCluster(Cluster):
+    """The engine of a run with NIC contention.
+
+    Delivery occupies the source node's port at injection and the
+    destination node's port at arrival (the DMA engines are shared
+    both ways); port state is job-global and order-sensitive, which
+    the single key-ordered loop gives it for free.  A subclass rather
+    than a branch in :meth:`Cluster.send`: the ledger's paired runs
+    read the extra test as ~4% of the search-dominated 4096-rank
+    workload.
+    """
+
+    def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
+        super().__init__(config, max_events)
+        self._nic = NicContention(
+            self.placement.rank_nodes, config.nic_service_time
+        )
+
+    def send(self, src: int, dst: int, payload: object, when: float) -> None:
+        if self._finishing:
+            self.messages_dropped += 1
+            return
+        row = self._rows[src]
+        if row is None:
+            row = self._rows[src] = memoryview(self._row_fn(src))
+        wire = self._values[row[dst]]
+        if (
+            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
+            and payload.chunks is not None
+        ):
+            wire += payload.nodes * self._transfer_time_per_node
+        nic = self._nic
+        arrival = nic.deliver(dst, nic.inject(src, when) + wire)
+        rs = self._rank_seq
+        seq = rs[src]
+        rs[src] = seq + 1
+        if arrival < self.now:
+            raise SimulationError(
+                f"event scheduled at {arrival} before current time "
+                f"{self.now}"
+            )
+        heapq.heappush(
+            self._msg_heap, (arrival, src, seq, EVT_MSG, dst, payload)
+        )

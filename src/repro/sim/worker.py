@@ -222,7 +222,7 @@ class Worker:
             self._go_idle(t)
 
     def run_quanta(self, now: float, t_stop: float) -> tuple[float, int]:
-        """Burst-execute chained pure-compute quanta (sharded engine).
+        """Burst-execute chained pure-compute quanta.
 
         Equivalent to the event loop delivering this worker's EXEC
         chain one event at a time, for as long as each quantum starts
@@ -230,8 +230,7 @@ class Worker:
         caller materialises the next EXEC event at the returned time,
         so idle transitions, steal serving and every send stay on the
         ordered event path — the burst touches only this worker's stack
-        and counters, which is what makes it commute with other ranks'
-        events inside a lookahead window.
+        and counters.
 
         Only valid for a RUNNING plain worker (``_plain_serve``) with
         no pending requests and a non-empty stack; the first quantum

@@ -21,7 +21,7 @@ import json
 import sys
 
 from repro.errors import ReproError
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
 from repro.trace.chrome import (
     chrome_trace,
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(f"running {cfg.label()} ...", file=sys.stderr)
-    outcome = ShardedCluster(cfg).run()
+    outcome = Cluster(cfg).run()
     result = RunResult.from_outcome(outcome)
     events = result.events
     assert events is not None  # event_trace is forced on by the preset

@@ -227,7 +227,7 @@ T3XL = TreeParams(
     expected_size=1_280_001,
 )
 
-#: Huge tree for the sharded-engine band (4096+ ranks): ~2.56e7 nodes
+#: Huge tree for the 4096+ rank band: ~2.56e7 nodes
 #: expected, ~6e3 nodes per rank at 4096 — the work-per-rank regime the
 #: 512-rank rungs could not reach (EXPERIMENTS.md "validity boundary").
 T3H = TreeParams(

@@ -67,36 +67,6 @@ class Chunk:
         chunk.size = n
         return chunk
 
-    @classmethod
-    def from_lists(
-        cls, states: list[int], depths: list[int], capacity: int
-    ) -> "Chunk":
-        """Adopt ready-made Python lists without ndarray round trips.
-
-        The wire-codec decode path (:mod:`repro.sim.shardcodec`) builds
-        chunks straight from buffer slices; the lists are adopted, not
-        copied, so the caller must hand over ownership.
-        """
-        n = len(states)
-        if n > capacity:
-            raise StackError(f"{n} nodes exceed chunk capacity {capacity}")
-        chunk = cls(capacity)
-        chunk.states = states
-        chunk.depths = depths
-        chunk.size = n
-        return chunk
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Chunk
-            and other.capacity == self.capacity
-            and other.size == self.size
-            and other.states == self.states
-            and other.depths == self.depths
-        )
-
-    __hash__ = object.__hash__
-
     @property
     def is_full(self) -> bool:
         return self.size == self.capacity
@@ -342,7 +312,7 @@ class ChunkedStack:
     ) -> tuple[float, int, int]:
         """Run consecutive :meth:`expand_quantum` calls as one burst.
 
-        The sharded engine's pure-compute fast path: the first quantum
+        The engine's pure-compute fast path: the first quantum
         runs unconditionally (it corresponds to an already-popped EXEC
         event), each further quantum only while the stack still holds
         work and its start time is strictly below ``t_stop``.  ``t``

@@ -16,6 +16,7 @@ shorthands of :mod:`repro.core.config`.
 from __future__ import annotations
 
 from repro.core.config import WorkStealingConfig
+from repro.sim.cluster import Cluster
 from repro.uts.params import TreeParams
 from repro.uts.rng import RngBackend
 from repro.uts.sequential import sequential_count
@@ -81,12 +82,7 @@ def run_uts(
         raise TypeError(
             "pass either a config object or keyword fields, not both"
         )
-    # Deferred import: the engine is the largest module of the package,
-    # and callers that never simulate (store hits, CLI listings, config
-    # construction) should not pay for loading it.
-    from repro.sim.shard import ShardedCluster
-
-    engine = ShardedCluster(config, max_events=max_events)
+    engine = Cluster(config, max_events=max_events)
     try:
         return RunResult.from_outcome(
             engine.run(), baseline_time=baseline_time

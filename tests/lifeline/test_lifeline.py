@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
 from repro.lifeline.worker import LifelineWorker, lifeline_partners
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.uts.params import T3XS
 from repro.uts.sequential import sequential_count
 from repro.ws import run_uts
@@ -73,7 +73,7 @@ class TestLifelineRuns:
 
     def test_workers_are_lifeline_class(self):
         cfg = WorkStealingConfig(tree=T3XS, nranks=4, lifelines=2)
-        workers = ShardedCluster(cfg).run().workers
+        workers = Cluster(cfg).run().workers
         assert all(isinstance(w, LifelineWorker) for w in workers)
 
     def test_pushes_and_quiesces_recorded(self):
@@ -81,7 +81,7 @@ class TestLifelineRuns:
             tree=T3XS, nranks=8, selector="rand", lifelines=2,
             lifeline_threshold=2,
         )
-        workers = ShardedCluster(cfg).run().workers
+        workers = Cluster(cfg).run().workers
         assert sum(w.quiesce_episodes for w in workers) > 0
         assert sum(w.lifeline_pushes for w in workers) > 0
 
@@ -103,5 +103,5 @@ class TestConfigValidation:
     def test_disabled_by_default(self):
         cfg = WorkStealingConfig(tree=T3XS, nranks=4)
         assert cfg.lifelines == 0
-        workers = ShardedCluster(cfg).run().workers
+        workers = Cluster(cfg).run().workers
         assert not any(isinstance(w, LifelineWorker) for w in workers)

@@ -14,6 +14,7 @@ from repro.net.allocation import (
     Placement,
     RandomAllocation,
     RoundRobinPacked,
+    aligned_block_bounds,
     allocation_by_name,
     build_placement,
 )
@@ -206,3 +207,46 @@ class TestBuildPlacement:
         rr_neighbour_lat = np.mean([prr.latency[i, i + 1] for i in range(63)])
         g_neighbour_lat = np.mean([pg.latency[i, i + 1] for i in range(63)])
         assert g_neighbour_lat < rr_neighbour_lat
+
+    @pytest.mark.parametrize("nranks", [256, 8192])
+    def test_touched_rows_never_build_a_dense_matrix(self, nranks):
+        """What selectors and the transport do at any scale: rows of
+        the three metrics, never the N x N escape hatch."""
+        placement = build_placement(nranks, "1/N")
+        metrics = (placement.latency, placement.euclidean, placement.hops)
+        for i in range(0, nranks, nranks // 16):
+            for metric in metrics:
+                metric.row(i)
+        for metric in metrics:
+            assert metric.dense_calls == 0, metric.name
+            assert not metric.materialised, metric.name
+
+
+class TestAlignedBlockBounds:
+    def test_bounds_cover_contiguously(self):
+        bounds, aligned = aligned_block_bounds(16, 4, np.arange(16))
+        assert bounds == [0, 4, 8, 12, 16]
+        assert aligned
+
+    def test_bounds_snap_to_node_boundaries(self):
+        # 3 ranks per node: ideal cut 8 falls inside a node -> snaps to 6.
+        rank_nodes = np.repeat(np.arange(6), 3)[:16]
+        bounds, aligned = aligned_block_bounds(16, 2, rank_nodes)
+        assert aligned
+        cut = bounds[1]
+        assert rank_nodes[cut] != rank_nodes[cut - 1]
+
+    def test_interleaved_nodes_are_not_aligned(self):
+        # Round-robin [0,1,0,1,...]: every adjacent pair changes node,
+        # yet every node spans every block — must NOT count as aligned.
+        bounds, aligned = aligned_block_bounds(16, 4, np.array([0, 1] * 8))
+        assert not aligned
+
+    def test_single_node_not_aligned(self):
+        _, aligned = aligned_block_bounds(8, 4, np.zeros(8, dtype=int))
+        assert not aligned
+
+    def test_single_block_trivially_aligned(self):
+        bounds, aligned = aligned_block_bounds(8, 1, np.zeros(8, dtype=int))
+        assert bounds == [0, 8]
+        assert aligned

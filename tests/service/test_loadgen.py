@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 from repro.service import loadgen
-from repro.service.service import SimulationService
-from repro.service.store import ArtifactStore
-from repro.ws.results import RunResult
 
 
 class TestLoadgen:
@@ -59,60 +55,6 @@ class TestLoadgen:
         assert report["schema"] == "repro-service-load-v1"
         for key in ("sweeps_per_sec", "latency_p99_ms", "hit_rate", "executed"):
             assert key in report["results"]
-
-    def test_sharded_multiprocess_scenario(self, tmp_path):
-        # The same closed loop, but every request routed through the
-        # sharded engine with two OS processes per run (nested inside
-        # the service's worker pool).  Nothing user-visible may change
-        # except where the CPU time goes.
-        results = loadgen.run_load(
-            duration=1.5,
-            clients=2,
-            universe=3,
-            workers=1,
-            store_dir=str(tmp_path),
-            seed=3,
-            engine="sharded",
-            shards=2,
-            shard_workers=2,
-        )
-        assert results["engine"] == "sharded"
-        assert results["shard_workers"] == 2
-        assert results["failed"] == 0
-        assert results["sweeps"] > 0
-        assert results["executed"] <= results["distinct_configs"]
-
-    def test_sharded_service_results_equal_inprocess(self, tmp_path):
-        # Equality, not just liveness: the identical universe submitted
-        # through the service once per driver (multiprocess sharded vs
-        # in-process sharded vs sequential) must serialize identically.
-        # Fresh stores per driver — the engine knobs share fingerprints
-        # by design, so one store would serve the later drivers from
-        # cache and prove nothing.
-        async def run_universe(configs, store_dir):
-            async with SimulationService(
-                1, ArtifactStore(str(store_dir))
-            ) as service:
-                handle = await service.submit(configs, client="eq")
-                results = await handle.results()
-            assert all(isinstance(r, RunResult) for r in results)
-            return [r.to_json() for r in results]
-
-        universes = {
-            "sequential": loadgen._universe(2),
-            "inprocess": loadgen._universe(
-                2, engine="sharded", shards=2, shard_workers=1
-            ),
-            "multiprocess": loadgen._universe(
-                2, engine="sharded", shards=2, shard_workers=2
-            ),
-        }
-        payloads = {
-            name: asyncio.run(run_universe(cfgs, tmp_path / name))
-            for name, cfgs in universes.items()
-        }
-        assert payloads["multiprocess"] == payloads["inprocess"]
-        assert payloads["multiprocess"] == payloads["sequential"]
 
     def test_unmeetable_gate_fails(self, tmp_path):
         rc = loadgen.main(

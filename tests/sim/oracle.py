@@ -1,6 +1,6 @@
 """Reference oracle: the whole job on one plain event queue.
 
-:class:`OracleCluster` is what the engine (:mod:`repro.sim.shard`) is
+:class:`OracleCluster` is what the engine (:mod:`repro.sim.cluster`) is
 compared against, bit for bit.  Its only job is to be obviously right,
 so it is written the slow, direct way: every event goes through
 ``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no burst
@@ -12,6 +12,9 @@ nothing of the engine's event handling.
 """
 
 from __future__ import annotations
+
+import heapq
+from typing import Any
 
 from repro.core.config import WorkStealingConfig
 from repro.core.tracing import TraceRecorder
@@ -26,15 +29,101 @@ from repro.protocol.messages import (
     Token,
 )
 from repro.sim.clock import ClockSkewModel
-from repro.sim.cluster import SimOutcome
-from repro.sim.engine import EVT_EXEC, EVT_MSG, EventQueue
+from repro.sim.cluster import (
+    DEFAULT_MAX_EVENTS,
+    EVT_EXEC,
+    EVT_MSG,
+    SimOutcome,
+)
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.sim.worker import WorkerStatus
 from repro.trace.events import EV_TOKEN, EventRecorder
 from repro.uts.tree import TreeGenerator
 from repro.ws.results import RunResult
 
-__all__ = ["OracleCluster", "oracle_result"]
+__all__ = ["EventQueue", "OracleCluster", "oracle_result"]
+
+
+class EventQueue:
+    """Priority queue of timestamped simulation events.
+
+    Entries are ``(time, pusher, seq, kind, rank, payload)`` tuples;
+    ``(pusher, seq)`` makes the ordering total, deterministic, and
+    FIFO among a single pusher's equal-timestamp events (the key order
+    is documented in :mod:`repro.sim.cluster`).
+    """
+
+    __slots__ = ("_heap", "_rank_seq", "_processed", "_max_events", "now")
+
+    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
+        if max_events < 1:
+            raise SimulationError(f"max_events must be >= 1, got {max_events}")
+        self._heap: list[tuple[float, int, int, int, int, Any]] = []
+        #: Per-pusher monotonic counters.
+        self._rank_seq: dict[int, int] = {}
+        self._processed = 0
+        self._max_events = max_events
+        self.now = 0.0
+
+    def push(
+        self,
+        time: float,
+        kind: int,
+        rank: int,
+        payload: Any = None,
+        pusher: int | None = None,
+    ) -> None:
+        """Schedule an event; scheduling into the past is an error.
+
+        ``pusher`` defaults to the destination rank (self-scheduled
+        EXEC events); message sends pass the sending rank.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"event scheduled at {time} before current time {self.now}"
+            )
+        if pusher is None:
+            pusher = rank
+        rs = self._rank_seq
+        seq = rs.get(pusher, 0)
+        rs[pusher] = seq + 1
+        heapq.heappush(self._heap, (time, pusher, seq, kind, rank, payload))
+
+    def pop(self) -> tuple[float, int, int, Any]:
+        """Remove and return the next ``(time, kind, rank, payload)``.
+
+        Advances :attr:`now`; enforces the event budget.
+        """
+        if not self._heap:
+            raise SimulationError("pop from empty event queue")
+        time, _pusher, _seq, kind, rank, payload = heapq.heappop(self._heap)
+        self.now = time
+        self._processed += 1
+        if self._processed > self._max_events:
+            raise SimulationError(
+                f"simulation exceeded {self._max_events} events "
+                "(livelock or runaway configuration?)"
+            )
+        return time, kind, rank, payload
+
+    @property
+    def empty(self) -> bool:
+        return not self._heap
+
+    @property
+    def pending(self) -> int:
+        return len(self._heap)
+
+    @property
+    def processed(self) -> int:
+        """Number of events delivered so far."""
+        return self._processed
+
+    def clear(self) -> int:
+        """Drop all pending events (post-termination); return the count."""
+        n = len(self._heap)
+        self._heap.clear()
+        return n
 
 
 class OracleCluster:

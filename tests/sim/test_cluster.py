@@ -14,7 +14,7 @@ import pytest
 from repro.core.config import WorkStealingConfig
 from repro.core.metrics import OccupancyCurve
 from repro.core.tracing import ActivityTrace
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.sim.worker import WorkerStatus
 from repro.uts.params import GEO_S, T3XS, TreeParams
 from repro.uts.sequential import sequential_count
@@ -24,7 +24,7 @@ SEQ_T3XS = sequential_count(T3XS)
 
 def run(tree=T3XS, **kw) -> tuple:
     cfg = WorkStealingConfig(tree=tree, **kw)
-    return ShardedCluster(cfg).run(), cfg
+    return Cluster(cfg).run(), cfg
 
 
 class TestConservation:

@@ -1,11 +1,12 @@
-"""Tests for the event queue."""
+"""Tests for the oracle's event queue (``tests/sim/oracle.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import EVT_EXEC, EVT_MSG, EventQueue
+from repro.sim.cluster import EVT_EXEC, EVT_MSG
+from tests.sim.oracle import EventQueue
 
 
 class TestOrdering:

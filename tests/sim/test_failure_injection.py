@@ -17,7 +17,7 @@ from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
 from repro.net.latency import HierarchicalLatency
 from repro.protocol.messages import StealResponse, Token
-from repro.sim.shard import ShardedCluster, _Shard
+from repro.sim.cluster import Cluster
 from repro.sim.termination import DijkstraTermination
 from repro.uts.params import T3XS
 
@@ -29,15 +29,15 @@ def _cfg(**kw):
 class TestEventBudget:
     def test_tiny_budget_raises(self):
         with pytest.raises(SimulationError):
-            ShardedCluster(_cfg(), max_events=50).run()
+            Cluster(_cfg(), max_events=50).run()
 
     def test_adequate_budget_passes(self):
-        out = ShardedCluster(_cfg(), max_events=10_000_000).run()
+        out = Cluster(_cfg(), max_events=10_000_000).run()
         assert out.total_nodes > 0
 
     def test_zero_budget_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedCluster(_cfg(), max_events=0)
+            Cluster(_cfg(), max_events=0)
 
 
 class TestMessageLoss:
@@ -45,7 +45,7 @@ class TestMessageLoss:
     def _lossy_cluster(monkeypatch, drop_type, drop_every, max_events):
         """The engine with every ``drop_every``-th ``drop_type`` send
         silently lost (workers look ``transport.send`` up per call)."""
-        original_send = _Shard.send
+        original_send = Cluster.send
         state = {"count": 0}
 
         def lossy_send(self, src, dst, payload, when):
@@ -55,8 +55,8 @@ class TestMessageLoss:
                     return  # message silently lost
             original_send(self, src, dst, payload, when)
 
-        monkeypatch.setattr(_Shard, "send", lossy_send)
-        return ShardedCluster(_cfg(), max_events=max_events)
+        monkeypatch.setattr(Cluster, "send", lossy_send)
+        return Cluster(_cfg(), max_events=max_events)
 
     def test_dropped_responses_detected(self, monkeypatch):
         """Losing steal responses strands thieves; the run must end in
@@ -89,7 +89,7 @@ class TestStateCorruption:
 
     def test_node_cap_stops_runaway(self):
         with pytest.raises(SimulationError):
-            ShardedCluster(_cfg(node_cap=50)).run()
+            Cluster(_cfg(node_cap=50)).run()
 
     def test_send_into_the_past_rejected(self, monkeypatch):
         """A transport that computes an arrival before ``now`` is a
@@ -103,4 +103,4 @@ class TestStateCorruption:
             ),
         )
         with pytest.raises(SimulationError, match="before current time"):
-            ShardedCluster(_cfg()).run()
+            Cluster(_cfg()).run()

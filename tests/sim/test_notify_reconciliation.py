@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.core.victim import SelectorFactory, VictimSelector, selector_by_name
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
 from repro.uts.params import T3XS
 
@@ -72,7 +72,7 @@ def _run(**kw):
         event_trace=True,
         **kw,
     )
-    outcome = ShardedCluster(cfg).run()
+    outcome = Cluster(cfg).run()
     return factory, outcome
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import WorkStealingConfig
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.uts.params import TreeParams
 from repro.uts.sequential import sequential_count
 
@@ -59,7 +59,7 @@ def _sequential_nodes(tree: TreeParams) -> int:
 def test_conservation_under_random_configs(tree, kw):
     expected = _sequential_nodes(tree)
     cfg = WorkStealingConfig(tree=tree, **kw)
-    out = ShardedCluster(cfg).run()
+    out = Cluster(cfg).run()
     assert out.total_nodes == expected
     assert all(w.stack.is_empty for w in out.workers)
 
@@ -67,8 +67,8 @@ def test_conservation_under_random_configs(tree, kw):
 @given(trees, configs)
 @settings(max_examples=15, deadline=None)
 def test_determinism_under_random_configs(tree, kw):
-    a = ShardedCluster(WorkStealingConfig(tree=tree, **kw)).run()
-    b = ShardedCluster(WorkStealingConfig(tree=tree, **kw)).run()
+    a = Cluster(WorkStealingConfig(tree=tree, **kw)).run()
+    b = Cluster(WorkStealingConfig(tree=tree, **kw)).run()
     assert a.total_time == b.total_time
     assert a.events_processed == b.events_processed
 
@@ -79,7 +79,7 @@ def test_traced_occupancy_consistent(tree):
     """Traced runs: busy time summed over ranks equals compute time
     plus steal service — no phantom activity."""
     cfg = WorkStealingConfig(tree=tree, nranks=6, selector="rand", trace=True)
-    out = ShardedCluster(cfg).run()
+    out = Cluster(cfg).run()
     from repro.core.tracing import ActivityTrace
 
     trace = ActivityTrace.from_recorders(out.recorders)

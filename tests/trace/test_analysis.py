@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import registry
 from repro.errors import TraceError
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
 from repro.trace.events import (
     EV_LIFELINE_PUSH,
@@ -153,7 +153,7 @@ class TestDistances:
         cfg = dict(tree=T3XS, nranks=8, selector="tofu", event_trace=True)
         from repro.core.config import WorkStealingConfig
 
-        outcome = ShardedCluster(WorkStealingConfig(**cfg)).run()
+        outcome = Cluster(WorkStealingConfig(**cfg)).run()
         result = RunResult.from_outcome(outcome)
         a = TraceAnalysis(result.events, placement=outcome.placement)
         d = a.draw_distances()
@@ -218,7 +218,7 @@ def test_lifeline_episode_counts_match_workers():
     cfg = WorkStealingConfig(
         tree=T3XS, nranks=8, selector="rand", lifelines=2, event_trace=True
     )
-    outcome = ShardedCluster(cfg).run()
+    outcome = Cluster(cfg).run()
     events = EventTrace.from_recorders(outcome.event_recorders)
     workers = outcome.workers
     assert events.count(EV_LIFELINE_QUIESCE) == sum(

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.tracing import ActivityTrace
 from repro.errors import TraceError
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.trace.chrome import (
     chrome_trace,
     validate_chrome_trace,
@@ -33,7 +33,7 @@ def _run_trace():
     cfg = WorkStealingConfig(
         tree=T3XS, nranks=8, selector="rand", trace=True, event_trace=True
     )
-    return RunResult.from_outcome(ShardedCluster(cfg).run())
+    return RunResult.from_outcome(Cluster(cfg).run())
 
 
 class TestExport:

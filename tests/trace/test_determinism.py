@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.experiments import experiment_config
 from repro.core.config import FINGERPRINT_EXCLUDED_FIELDS
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.trace.events import EventTrace
 from repro.ws.results import RunResult
 
@@ -32,8 +32,8 @@ def traced_pair():
     runs = []
     for _ in range(2):
         cfg = _fig02_config(trace=True, event_trace=True)
-        runs.append(ShardedCluster(cfg).run())
-    plain = ShardedCluster(_fig02_config()).run()
+        runs.append(Cluster(cfg).run())
+    plain = Cluster(_fig02_config()).run()
     return runs, plain
 
 
@@ -62,9 +62,9 @@ def test_run_result_json_invariant_under_event_trace():
     # trace=False keeps the serialized form comparable (the activity
     # trace *is* serialized; the event stream deliberately is not).
     on = RunResult.from_outcome(
-        ShardedCluster(_fig02_config(event_trace=True)).run()
+        Cluster(_fig02_config(event_trace=True)).run()
     )
-    off = RunResult.from_outcome(ShardedCluster(_fig02_config()).run())
+    off = RunResult.from_outcome(Cluster(_fig02_config()).run())
     assert on.events is not None
     assert off.events is None
     assert on.to_json() == off.to_json()
@@ -87,9 +87,8 @@ def test_fingerprint_invariant_under_trace_flags():
 
 
 def test_excluded_fields_are_the_observationally_inert_knobs():
-    # Trace knobs only add data; engine knobs are bit-identical by the
-    # differential suite (tests/sim/test_sharded.py).  Neither may
-    # change what a fingerprint caches.
+    # Trace knobs only add data; the engine knobs select nothing.
+    # Neither may change what a fingerprint caches.
     assert FINGERPRINT_EXCLUDED_FIELDS == frozenset(
         {
             "event_trace",
@@ -97,6 +96,5 @@ def test_excluded_fields_are_the_observationally_inert_knobs():
             "engine",
             "shards",
             "shard_workers",
-            "shard_transport",
         }
     )

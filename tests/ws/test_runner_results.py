@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import ReproError
-from repro.sim.shard import ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.uts.params import T3XS
 from repro.uts.sequential import sequential_count
 from repro.ws import RunResult, run_uts, sequential_baseline
@@ -56,28 +56,23 @@ class TestFinishedRunIsFreed:
             dict(nic_service_time=1e-7, trace=True, event_trace=True),
             dict(lifelines=2, selector="adapt-eps[0.2]"),
             dict(protocol="forward", regions=4),
-            dict(engine="sharded", shards=4),
-            dict(engine="sharded", shards=4, protocol="forward", regions=4),
         ],
-        ids=[
-            "plain", "nic-traced", "lifelines", "forward", "sharded",
-            "sharded-forward",
-        ],
+        ids=["plain", "nic-traced", "lifelines", "forward"],
     )
     def test_no_cyclic_garbage_survives_run_uts(self, kw, monkeypatch):
         refs = []
-        run = ShardedCluster.run
+        run = Cluster.run
 
         def recording_run(engine):
             outcome = run(engine)
             # Workers are slotted (no weakrefs); each owns its stack
             # and selector outright, so those dying means it died.
-            refs.extend(weakref.ref(s) for s in engine._shards)
+            refs.append(weakref.ref(engine))
             refs.extend(weakref.ref(w.stack) for w in outcome.workers)
             refs.extend(weakref.ref(w.selector) for w in outcome.workers)
             return outcome
 
-        monkeypatch.setattr(ShardedCluster, "run", recording_run)
+        monkeypatch.setattr(Cluster, "run", recording_run)
         gc.collect()
         gc.disable()
         try:
