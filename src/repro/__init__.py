@@ -73,26 +73,20 @@ import repro.select  # noqa: E402,F401
 
 # Imported last: repro.exec / repro.service read repro._version and the
 # registries the imports above populate.
-from repro.exec import ResultCache, RunProgress, run_many  # noqa: E402
+from repro.exec import ArtifactStore, ResultCache, RunProgress, run_many  # noqa: E402
 from repro.core.jobs import (  # noqa: E402
     Job,
     JobEvent,
     JobFailure,
     JobState,
 )
-from repro.service import (  # noqa: E402
-    ArtifactStore,
-    SimulationService,
-    SweepHandle,
-    run_service_sweep,
-)
+from repro.service import SimulationService, SweepHandle  # noqa: E402
 
 __all__ = [
     "WorkStealingConfig",
     "RunResult",
     "run_uts",
     "run_many",
-    "run_service_sweep",
     "sequential_baseline",
     "RunProgress",
     "ResultCache",

@@ -67,12 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the on-disk result cache (benchmarks/_cache/)",
     )
     parser.add_argument(
-        "--service",
-        action="store_true",
-        help="run the sweep through the simulation service "
-        "(repro.service) instead of calling the executor directly",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile and print the top 25 functions by "
@@ -111,9 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile and jobs != 1:
         print("--profile forces --jobs 1", file=sys.stderr)
         jobs = 1
-    experiments.configure(
-        jobs=jobs, cache=not args.no_cache, service=args.service
-    )
+    experiments.configure(jobs=jobs, cache=not args.no_cache)
 
     module = importlib.import_module(f"benchmarks.{module_name}")
     print(f"running {desc} ...", file=sys.stderr)

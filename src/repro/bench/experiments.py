@@ -19,7 +19,7 @@ benchmark suite's figures share sweeps (Fig 3's runs are also Fig 7's,
 Fig 9's also Fig 10's, ...), so each distinct simulation runs once per
 process.  :func:`configure` layers the :mod:`repro.exec` machinery on
 top: worker processes for batch runs (:func:`run_configs`) and the
-on-disk result cache, both wired to the CLI's ``--jobs`` /
+on-disk result store, both wired to the CLI's ``--jobs`` /
 ``--no-cache`` flags.
 """
 
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.config import WorkStealingConfig
-from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import fingerprint_dict
-from repro.exec.pool import run_many
+from repro.exec.pool import resolve, run_many
+from repro.exec.store import ArtifactStore, open_store
 from repro.net.latency import HierarchicalLatency
 from repro.uts.params import TreeParams, tree_by_name
 from repro.ws.results import RunResult
@@ -118,16 +118,14 @@ def experiment_config(
 _MEMO: dict[str, RunResult] = {}
 #: Default worker count for batch runs (1 = serial, None = cpu_count).
 _JOBS: int | None = 1
-#: Optional on-disk cache shared by cached_run / run_configs.
-_DISK: ResultCache | None = None
-#: Route batch runs through the simulation service (the CLI's --service).
-_SERVICE: bool = False
+#: Optional on-disk store shared by cached_run / run_configs.
+_DISK: ArtifactStore | None = None
 
 #: configure() sentinel: "leave this setting unchanged".
 _UNSET = object()
 
 
-def configure(jobs: int | None = _UNSET, cache=_UNSET, service=_UNSET) -> None:
+def configure(jobs: int | None = _UNSET, cache=_UNSET) -> None:
     """Set the harness-wide execution knobs (the CLI's flags).
 
     Parameters
@@ -136,59 +134,29 @@ def configure(jobs: int | None = _UNSET, cache=_UNSET, service=_UNSET) -> None:
         Worker processes for batch runs: ``1`` serial (the default),
         ``None`` for ``os.cpu_count()``, or an explicit count.
     cache:
-        On-disk result cache: ``True`` for the default
+        On-disk result store: ``True`` for the default
         ``benchmarks/_cache/``, a path or
-        :class:`~repro.exec.cache.ResultCache`, or ``None``/``False``
+        :class:`~repro.exec.store.ArtifactStore`, or ``None``/``False``
         to disable (the default — pytest runs stay self-contained).
-    service:
-        ``True`` routes batch runs through a
-        :class:`~repro.service.SimulationService` sweep (same pool,
-        same store, plus the service's dedup and scheduling layers)
-        instead of calling :func:`repro.exec.run_many` directly.
     """
-    global _JOBS, _DISK, _SERVICE
+    global _JOBS, _DISK
     if jobs is not _UNSET:
         _JOBS = jobs
     if cache is not _UNSET:
-        if cache is True:
-            _DISK = ResultCache()
-        elif cache is None or cache is False:
-            _DISK = None
-        elif isinstance(cache, ResultCache):
-            _DISK = cache
-        else:
-            _DISK = ResultCache(cache)
-    if service is not _UNSET:
-        _SERVICE = bool(service)
+        _DISK = open_store(cache)
 
 
 def _lookup(data: dict, fingerprint: str) -> RunResult | None:
-    """Memo/disk lookup with traced-run subsumption.
+    """Memo lookup with traced-run subsumption.
 
     Traced runs subsume untraced ones: if a traced result for the same
-    physics exists, an untraced request returns it (the trace only adds
-    data, it never changes timing).
+    physics is memoised, an untraced request returns it (the trace only
+    adds data, it never changes timing).
     """
     hit = _MEMO.get(fingerprint)
-    if hit is not None:
-        return hit
-    traced_fp = None
-    if not data["trace"]:
-        traced_fp = fingerprint_dict({**data, "trace": True})
-        hit = _MEMO.get(traced_fp)
-        if hit is not None:
-            return hit
-    if _DISK is not None:
-        hit = _DISK.get(fingerprint)
-        if hit is not None:
-            _MEMO[fingerprint] = hit
-            return hit
-        if traced_fp is not None:
-            hit = _DISK.get(traced_fp)
-            if hit is not None:
-                _MEMO[traced_fp] = hit
-                return hit
-    return None
+    if hit is None and not data["trace"]:
+        hit = _MEMO.get(fingerprint_dict({**data, "trace": True}))
+    return hit
 
 
 def cached_run(cfg: WorkStealingConfig) -> RunResult:
@@ -202,53 +170,30 @@ def run_configs(
 ) -> list[RunResult]:
     """Run many configs through the memo + executor, in input order.
 
-    Cache hits (in-process memo, then on-disk cache when enabled)
-    never touch the simulator; the remainder goes to
-    :func:`repro.exec.run_many` with ``jobs`` workers (defaulting to
-    the :func:`configure` setting).
+    Memo hits never leave this function; the misses go to one
+    :func:`repro.exec.run_many` call with ``jobs`` workers (defaulting
+    to the :func:`configure` setting), which dedups them and consults
+    the on-disk store when one is configured.
     """
-    configs = list(configs)
-    dicts = [cfg.to_dict() for cfg in configs]
-    fingerprints = [fingerprint_dict(d) for d in dicts]
-
-    results: list[RunResult | None] = [None] * len(configs)
-    pending: list[int] = []
-    pending_fps: set[str] = set()
-    for i, (data, fp) in enumerate(zip(dicts, fingerprints)):
-        hit = _lookup(data, fp)
-        if hit is not None:
-            results[i] = hit
-        elif fp not in pending_fps:
-            pending.append(i)
-            pending_fps.add(fp)
-
-    if pending:
-        workers = jobs if jobs is not None else _JOBS
-        to_run = [configs[i] for i in pending]
-        if _SERVICE:
-            from repro.core.jobs import JobFailure
-            from repro.service.service import run_service_sweep
-
-            fresh = run_service_sweep(to_run, workers=workers, store=_DISK)
-            for slot in fresh:
-                if isinstance(slot, JobFailure):
-                    raise slot.error
-        else:
-            fresh = run_many(to_run, jobs=workers, store=_DISK)
-        for i, result in zip(pending, fresh):
-            _MEMO[fingerprints[i]] = result
-    # Second pass: fill every slot (duplicates resolve via the memo).
-    for i, (data, fp) in enumerate(zip(dicts, fingerprints)):
-        if results[i] is None:
-            results[i] = _lookup(data, fp)
-    return results  # type: ignore[return-value]
+    resolved = resolve(configs)
+    results = [_lookup(data, fp) for _, data, fp in resolved]
+    misses = [i for i, hit in enumerate(results) if hit is None]
+    if misses:
+        fresh = run_many(
+            [resolved[i][0] for i in misses],
+            jobs=jobs if jobs is not None else _JOBS,
+            store=_DISK,
+        )
+        for i, result in zip(misses, fresh):
+            _MEMO[resolved[i][2]] = results[i] = result
+    return results  # type: ignore[return-value]  # every slot is filled
 
 
 def clear_cache() -> int:
     """Drop all in-process memoised results; returns how many were held.
 
-    The on-disk cache (when configured) is left untouched; use
-    ``ResultCache.clear()`` for that.
+    The on-disk store (when configured) is left untouched; use
+    ``ArtifactStore.clear()`` for that.
     """
     n = len(_MEMO)
     _MEMO.clear()

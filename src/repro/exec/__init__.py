@@ -1,4 +1,4 @@
-"""repro.exec — parallel experiment execution with result caching.
+"""repro.exec — parallel experiment execution with a result store.
 
 The executor subsystem turns the one-run API
 (:func:`repro.ws.runner.run_uts`) into a batch engine:
@@ -7,30 +7,40 @@ The executor subsystem turns the one-run API
   stable content hashes of run configurations (every strategy object
   is name-addressable via :mod:`repro.core.registry`, so configs
   round-trip through plain dicts);
-* :class:`ResultCache` — an on-disk JSON store of
-  :class:`~repro.ws.results.RunResult`\\ s keyed by fingerprint, under
-  ``benchmarks/_cache/<version>/``;
+* :class:`ArtifactStore` — the on-disk store of
+  :class:`~repro.ws.results.RunResult`\\ s and their artifacts keyed
+  by fingerprint, under ``benchmarks/_cache/<version>/``, with an
+  optional LRU byte budget; :func:`open_store` reads a ``store=``
+  argument (``ResultCache`` is the legacy name of the same class);
 * :func:`run_many` — a ``ProcessPoolExecutor`` batch runner with
-  deduplication, cache integration and progress callbacks, whose
+  deduplication, store integration and progress callbacks, whose
   results are bit-identical to the serial path.
 
 Typical use::
 
     from repro import run_many
-    from repro.exec import ResultCache
 
-    results = run_many(configs, jobs=4, cache=True)
+    results = run_many(configs, jobs=4, store=True)
 """
 
-from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.fingerprint import canonical_json, config_fingerprint, fingerprint_dict
 from repro.exec.pool import RunProgress, WorkerPool, run_many
+from repro.exec.store import (
+    DEFAULT_CACHE_DIR,
+    ArtifactStore,
+    ResultCache,
+    StoreStats,
+    open_store,
+)
 
 __all__ = [
     "run_many",
     "RunProgress",
     "WorkerPool",
+    "ArtifactStore",
     "ResultCache",
+    "StoreStats",
+    "open_store",
     "DEFAULT_CACHE_DIR",
     "config_fingerprint",
     "fingerprint_dict",

@@ -7,9 +7,9 @@ they describe the same simulation; because every seed lives inside the
 config, a fingerprint also pins down the run's exact results.
 
 The fingerprint is the key of batch deduplication in
-:func:`repro.exec.run_many` and of the on-disk result cache
-(:mod:`repro.exec.cache`).  Cache invalidation on version bumps happens
-at the cache layer (results live under a per-version directory), so
+:func:`repro.exec.run_many` and of the on-disk store
+(:mod:`repro.exec.store`).  Invalidation on version bumps happens at
+the store layer (results live under a per-version directory), so
 fingerprints themselves stay stable across releases.
 """
 

@@ -7,9 +7,8 @@ over a ``ProcessPoolExecutor``, with
 
 * **fingerprint deduplication** — identical configs in one batch run
   once and share the result object;
-* **result caching** — an optional result store
-  (:class:`~repro.exec.cache.ResultCache` or the service's
-  :class:`~repro.service.store.ArtifactStore`) is consulted before and
+* **result caching** — an optional
+  :class:`~repro.exec.store.ArtifactStore` is consulted before and
   populated after every simulation;
 * **progress streaming** — an optional callback receives one
   :class:`RunProgress` per finished run, with per-run wall-clock time;
@@ -36,6 +35,12 @@ where ``artifact`` is the Chrome-trace JSON string for
 serialization, so the export happens worker-side) and ``None``
 otherwise.  No strategy objects, numpy arrays or tracebacks cross the
 process boundary except via this one format.
+
+:func:`resolve` and :func:`land` are the two per-job steps on either
+side of that protocol — what a sweep is before it runs, and what a
+worker reply becomes once it returns.  :func:`run_many`'s futures loop
+and the service's asyncio dispatcher both call them; the loops
+themselves stay separate (DESIGN.md §5b).
 """
 
 from __future__ import annotations
@@ -49,14 +54,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.config import WorkStealingConfig
-from repro.core.jobs import JobFailure
+from repro.core.jobs import ArtifactRef, JobFailure
 from repro.errors import ConfigurationError, JobTimeoutError
-from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import fingerprint_dict
+from repro.exec.store import ArtifactStore, open_store
 from repro.ws.results import RunResult
 from repro.ws.runner import run_uts
 
-__all__ = ["run_many", "RunProgress", "WorkerPool"]
+__all__ = ["run_many", "RunProgress", "WorkerPool", "resolve", "land"]
 
 #: Seconds between deadline checks when a per-job timeout is armed.
 _TIMEOUT_POLL = 0.05
@@ -155,21 +160,17 @@ class WorkerPool:
         *,
         max_events: int | None = None,
         index: int = 0,
+        _worker: Callable | None = None,
     ) -> Future:
         """Run one config dict on the pool.
 
         Returns a future of the worker protocol's
-        ``(index, result_json, elapsed, artifact)`` tuple.
+        ``(index, result_json, elapsed, artifact)`` tuple.  ``_worker``
+        is :func:`run_many`'s test seam, passed through.
         """
-        return self._ensure().submit(_execute, (index, config_dict, max_events))
-
-    def submit_payload(
-        self,
-        payload: tuple[int, dict, int | None],
-        worker: Callable | None = None,
-    ) -> Future:
-        """Submit a raw worker payload (``run_many``'s internal entry)."""
-        return self._ensure().submit(worker or _execute, payload)
+        return self._ensure().submit(
+            _worker or _execute, (index, config_dict, max_events)
+        )
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         """Stop the executor; the pool can be reused afterwards (lazily)."""
@@ -184,27 +185,59 @@ class WorkerPool:
         self.shutdown()
 
 
-def _normalize_store(
-    store: ResultCache | str | os.PathLike | bool | None,
-) -> ResultCache | None:
-    if store is None or store is False:
-        return None
-    if store is True:
-        return ResultCache()
-    if isinstance(store, ResultCache):
-        return store
-    if isinstance(store, (str, os.PathLike)):
-        return ResultCache(store)
-    raise ConfigurationError(
-        f"store must be a ResultCache, path, bool or None, got {store!r}"
-    )
+def resolve(
+    configs: Iterable[WorkStealingConfig | dict],
+) -> list[tuple[WorkStealingConfig, dict, str]]:
+    """``(config, to_dict payload, fingerprint)`` for every entry of a sweep.
+
+    The whole sweep is validated here, before anything is looked up,
+    enqueued or counted: one bad entry raises
+    :class:`~repro.errors.ConfigurationError` and nothing has run.
+    Config objects are only serialized (``to_dict``); only dicts pay
+    for :meth:`WorkStealingConfig.from_dict`.
+    """
+    resolved = []
+    for config in configs:
+        if isinstance(config, dict):
+            config = WorkStealingConfig.from_dict(config)
+        elif not isinstance(config, WorkStealingConfig):
+            raise ConfigurationError(
+                "a sweep takes WorkStealingConfig objects or config "
+                f"dicts, got {type(config).__name__}"
+            )
+        config_dict = config.to_dict()
+        resolved.append((config, config_dict, fingerprint_dict(config_dict)))
+    return resolved
+
+
+def land(
+    store: ArtifactStore | None,
+    fingerprint: str,
+    config_dict: dict,
+    result_json: str,
+    elapsed: float,
+    artifact: str | None,
+) -> tuple[RunResult, ArtifactRef | None]:
+    """Turn one worker reply into a result, stored when there is a store.
+
+    The only code that writes a finished run back: the result entry,
+    and the worker's Chrome trace as the ``trace.json`` artifact when
+    it built one (whose reference is returned beside the result).
+    """
+    result = RunResult.from_json(result_json)
+    ref = None
+    if store is not None:
+        store.put(fingerprint, result, config=config_dict, elapsed=elapsed)
+        if artifact is not None:
+            ref = store.put_artifact(fingerprint, "trace.json", artifact)
+    return result, ref
 
 
 def run_many(
     configs: Iterable[WorkStealingConfig | dict],
     *,
     jobs: int | None = 1,
-    store: ResultCache | str | os.PathLike | bool | None = None,
+    store: ArtifactStore | str | os.PathLike | bool | None = None,
     progress: Callable[[RunProgress], None] | None = None,
     max_events: int | None = None,
     timeout: float | None = None,
@@ -227,10 +260,12 @@ def run_many(
         bit.
     store:
         ``True`` for the default on-disk result store
-        (``benchmarks/_cache/``), a path or :class:`ResultCache`\\ /
-        :class:`~repro.service.store.ArtifactStore` for a specific
-        one, ``None``/``False`` to disable.  Hits skip the simulator
-        entirely; misses are written back after running.
+        (``benchmarks/_cache/``), a path or
+        :class:`~repro.exec.store.ArtifactStore` for a specific one,
+        ``None``/``False`` to disable
+        (:func:`~repro.exec.store.open_store`).  Hits skip the
+        simulator entirely; misses are written back after running,
+        with the Chrome trace of ``event_trace=True`` runs beside them.
     progress:
         Called once per finished config with a :class:`RunProgress`
         (cache hits first, then completions in finish order).
@@ -262,26 +297,14 @@ def run_many(
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
 
-    config_objs: list[WorkStealingConfig] = []
-    for c in configs:
-        if isinstance(c, dict):
-            c = WorkStealingConfig.from_dict(c)
-        elif not isinstance(c, WorkStealingConfig):
-            raise ConfigurationError(
-                "run_many needs WorkStealingConfig objects or config "
-                f"dicts, got {type(c).__name__}"
-            )
-        config_objs.append(c)
-
-    total = len(config_objs)
-    dicts = [c.to_dict() for c in config_objs]
-    fingerprints = [fingerprint_dict(d) for d in dicts]
-    result_store = _normalize_store(store)
+    resolved = resolve(configs)
+    total = len(resolved)
+    result_store = open_store(store)
 
     results: list[RunResult | JobFailure | None] = [None] * total
     #: fingerprint -> indices sharing that config (batch deduplication).
     groups: dict[str, list[int]] = {}
-    for i, fp in enumerate(fingerprints):
+    for i, (_, _, fp) in enumerate(resolved):
         groups.setdefault(fp, []).append(i)
 
     done = 0
@@ -313,26 +336,20 @@ def run_many(
         if hit is not None:
             _emit(fp, hit, 0.0, "cached")
         else:
-            pending.append((indices[0], dicts[indices[0]], max_events))
+            pending.append((indices[0], resolved[indices[0]][1], max_events))
 
     def _complete(
         index: int, payload: str, elapsed: float, artifact: str | None = None
     ) -> None:
-        fp = fingerprints[index]
-        result = RunResult.from_json(payload)
-        if result_store is not None:
-            result_store.put(fp, result, config=dicts[index], elapsed=elapsed)
-            if artifact is not None:
-                put_artifact = getattr(result_store, "put_artifact", None)
-                if put_artifact is not None:
-                    put_artifact(fp, "trace.json", artifact)
+        _, config_dict, fp = resolved[index]
+        result, _ = land(result_store, fp, config_dict, payload, elapsed, artifact)
         _emit(fp, result, elapsed, "done")
 
     def _fail(index: int, exc: BaseException, elapsed: float) -> None:
-        fp = fingerprints[index]
+        config, _, fp = resolved[index]
         failure = JobFailure(
             fingerprint=fp,
-            label=config_objs[index].label(),
+            label=config.label(),
             error=exc,
             elapsed=elapsed,
         )
@@ -362,7 +379,7 @@ def run_many(
                 worker=worker,
                 timeout=timeout,
                 return_exceptions=return_exceptions,
-                labels=[c.label() for c in config_objs],
+                labels=[config.label() for config, _, _ in resolved],
                 complete=_complete,
                 fail=_fail,
             )
@@ -387,8 +404,11 @@ def _run_on_pool(
     target = pool if pool is not None else own_pool
     abandoned = False
     try:
-        futures: dict[Future, tuple[int, dict, int | None]] = {
-            target.submit_payload(p, worker): p for p in pending
+        futures: dict[Future, int] = {
+            target.submit(
+                config_dict, max_events=max_events, index=index, _worker=worker
+            ): index
+            for index, config_dict, max_events in pending
         }
         waiting = set(futures)
         first_running: dict[Future, float] = {}
@@ -400,7 +420,7 @@ def _run_on_pool(
             )
             for future in finished:
                 waiting.discard(future)
-                index = futures[future][0]
+                index = futures[future]
                 try:
                     payload = future.result()
                 except Exception as exc:
@@ -424,7 +444,7 @@ def _run_on_pool(
                     future.cancel()
                     waiting.discard(future)
                     abandoned = True
-                    index = futures[future][0]
+                    index = futures[future]
                     exc = JobTimeoutError(
                         f"job {labels[index]!r} exceeded its {timeout}s "
                         "budget and was abandoned"

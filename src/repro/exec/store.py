@@ -1,32 +1,41 @@
-"""Versioned artifact store with a size-bounded LRU eviction policy.
+"""The on-disk store: run results, their artifacts, an optional LRU budget.
 
-:class:`ArtifactStore` promotes the plain result cache
-(``benchmarks/_cache/``, :class:`~repro.exec.cache.ResultCache`) into
-the durable storage layer of the simulation service:
+Layout (see DESIGN.md §5b, "Store")::
 
-* **same layout, same entries** — results live as
-  ``<root>/<version>/<fingerprint>.json`` in exactly the cache's entry
-  format, so every cache written by earlier releases reads back
-  unchanged and ``run_many(store=...)`` accepts either class;
-* **artifacts** — arbitrary by-products of a run (Chrome-trace
-  exports, reports) stored next to their result under
-  ``<root>/<version>/artifacts/<fingerprint>.<kind>``;
+    benchmarks/_cache/                       the default root
+        <__version__>/
+            <fingerprint>.json               one RunResult + provenance
+            artifacts/<fingerprint>.<kind>   by-products (Chrome traces)
+
+* **entries** — each result entry stores the package version, the
+  fingerprint, the config dict it hashes to, the serialized
+  :class:`~repro.ws.results.RunResult` and the wall-clock seconds the
+  original simulation took;
+* **artifacts** — arbitrary by-products of a run (Chrome-trace exports,
+  reports) stored next to their result;
 * **LRU eviction** — an optional byte budget (``max_bytes``); reads
   refresh an entry's recency (mtime), writes trigger eviction of the
   least-recently-used entries (result + its artifacts evict together)
   until the store fits the budget;
-* **version hygiene** — entries of other package versions are invisible
-  (inherited from the cache); :meth:`purge_stale_versions` reclaims
-  their disk space.
+* **version hygiene** — results live under a per-version directory, so
+  bumping ``repro.__version__`` invalidates every stored point without
+  touching fingerprints; :meth:`ArtifactStore.purge_stale_versions`
+  reclaims the old directories.
 
-Everything is crash-safe the way the cache is: writes are atomic
-(temp file + ``os.replace``), corrupt entries read as misses, and
+Everything is crash-safe: writes are atomic (temp file +
+``os.replace``) so a parallel sweep interrupted mid-write never leaves
+a truncated entry, corrupt or foreign entries read as misses, and
 eviction tolerates files disappearing underneath it (two services may
 share one store directory).
+
+:func:`open_store` is the one reading of the ``store=`` argument that
+:func:`~repro.exec.pool.run_many`, the service, the tournament and the
+bench harness all accept.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import tempfile
@@ -36,10 +45,20 @@ from pathlib import Path
 from repro._version import __version__
 from repro.core.jobs import ArtifactRef
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.ws.results import RunResult
 
-__all__ = ["ArtifactStore", "StoreStats"]
+__all__ = [
+    "ArtifactStore",
+    "ResultCache",
+    "StoreStats",
+    "open_store",
+    "DEFAULT_CACHE_DIR",
+]
+
+#: Default store root, relative to the working directory (the repo
+#: root for `python -m repro.bench`); override with the
+#: ``REPRO_CACHE_DIR`` environment variable.
+DEFAULT_CACHE_DIR = "benchmarks/_cache"
 
 #: Artifact kinds are path components; keep them boring.
 _KIND_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -61,45 +80,94 @@ class StoreStats:
     evicted: int
 
 
-class ArtifactStore(ResultCache):
+def _write_atomic(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temp file and a rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:12]}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+class ArtifactStore:
     """Fingerprint-keyed result + artifact store with LRU eviction.
 
     Parameters
     ----------
     root:
-        Store root (default: the cache's ``benchmarks/_cache``, or
-        ``$REPRO_CACHE_DIR``).
+        Store root (default: ``$REPRO_CACHE_DIR``, or
+        ``benchmarks/_cache``).  Nothing is created until the first
+        write.
     version:
         Version directory to serve (default: the package version).
     max_bytes:
         Byte budget for the active version directory.  ``None`` (the
-        default) disables eviction — the store behaves like the plain
-        cache plus artifacts.
+        default) disables eviction.
     """
 
     def __init__(
         self,
-        root: str | Path | None = None,
+        root: str | os.PathLike | None = None,
         version: str = __version__,
         max_bytes: int | None = None,
     ):
-        super().__init__(root, version)
+        if root is None:
+            root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
         if max_bytes is not None and max_bytes < 1:
             raise ConfigurationError(
                 f"max_bytes must be >= 1 or None, got {max_bytes}"
             )
+        self.root = Path(root)
+        self.version = version
         self.max_bytes = max_bytes
         self._evicted = 0
 
+    @property
+    def dir(self) -> Path:
+        """Directory holding entries for the active version."""
+        return self.root / self.version
+
+    def path_for(self, fingerprint: str) -> Path:
+        return self.dir / f"{fingerprint}.json"
+
     # ------------------------------------------------------------------
-    # Results (cache-compatible, recency-tracked)
+    # Results
     # ------------------------------------------------------------------
 
     def get(self, fingerprint: str) -> RunResult | None:
-        """Cached result for ``fingerprint``; refreshes LRU recency."""
-        result = super().get(fingerprint)
-        if result is not None:
-            self._touch(self.path_for(fingerprint))
+        """Stored result for ``fingerprint``, or ``None`` on a miss.
+
+        Entries from other versions, truncated files and JSON from
+        foreign tools all read as misses, never as errors.  A hit
+        refreshes the entry's LRU recency.
+        """
+        path = self.path_for(fingerprint)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            return None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("version") != self.version
+            or entry.get("fingerprint") != fingerprint
+            or "result" not in entry
+        ):
+            return None
+        try:
+            result = RunResult.from_dict(entry["result"])
+        except Exception:
+            return None
+        self._touch(path)
         return result
 
     def put(
@@ -109,10 +177,45 @@ class ArtifactStore(ResultCache):
         config: dict | None = None,
         elapsed: float | None = None,
     ) -> Path:
-        """Persist ``result``; evicts LRU entries past the byte budget."""
-        path = super().put(fingerprint, result, config=config, elapsed=elapsed)
+        """Persist ``result`` under ``fingerprint``; returns the path.
+
+        Evicts LRU entries past the byte budget.
+        """
+        entry = {
+            "version": self.version,
+            "fingerprint": fingerprint,
+            "config": config,
+            "elapsed": elapsed,
+            "result": result.to_dict(),
+        }
+        path = self.path_for(fingerprint)
+        _write_atomic(
+            path, json.dumps(entry, separators=(",", ":")).encode("utf-8")
+        )
         self.evict()
         return path
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return self.get(fingerprint) is not None
+
+    def __len__(self) -> int:
+        """Number of result entries for the active version."""
+        try:
+            return sum(1 for _ in self.dir.glob("*.json"))
+        except OSError:
+            return 0
+
+    def clear(self) -> int:
+        """Delete every result entry of the active version; returns the count."""
+        removed = 0
+        if self.dir.is_dir():
+            for path in self.dir.glob("*.json"):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+        return removed
 
     # ------------------------------------------------------------------
     # Artifacts
@@ -133,20 +236,7 @@ class ArtifactStore(ResultCache):
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
         path = self.artifact_path(fingerprint, kind)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:12]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, payload)
         self.evict()
         return ArtifactRef(
             fingerprint=fingerprint, kind=kind, path=path, nbytes=len(payload)
@@ -320,3 +410,33 @@ class ArtifactStore(ResultCache):
                 path.unlink()
             except OSError:
                 pass
+
+
+#: Legacy name of the same class.  It stays only because the frozen
+#: ``benchmarks/ledger/workloads.py`` imports and subclasses it
+#: (``_CaptureStore(ResultCache)``); the ROADMAP 3b ``[benchmark]`` PR
+#: removes that last caller, and then this name.
+ResultCache = ArtifactStore
+
+
+def open_store(
+    store: ArtifactStore | str | os.PathLike | bool | None,
+) -> ArtifactStore | None:
+    """The one reading of a ``store=`` argument.
+
+    ``True`` opens the default store (``$REPRO_CACHE_DIR`` or
+    ``benchmarks/_cache/``), a ``str``/``os.PathLike`` opens that
+    directory, an :class:`ArtifactStore` passes through unchanged and
+    ``None``/``False`` mean no store.
+    """
+    if store is None or store is False:
+        return None
+    if store is True:
+        return ArtifactStore()
+    if isinstance(store, ArtifactStore):
+        return store
+    if isinstance(store, (str, os.PathLike)):
+        return ArtifactStore(store)
+    raise ConfigurationError(
+        f"store must be an ArtifactStore, path, bool or None, got {store!r}"
+    )

@@ -12,10 +12,8 @@ A long-running asyncio job front-end for the work-stealing simulator:
   (priority bands, stride-scheduled weighted fair share, per-client
   FIFO);
 * :class:`ArtifactStore` — the versioned result + artifact store with
-  size-bounded LRU eviction (a drop-in ``run_many(store=...)`` value);
-* :func:`run_service_sweep` — the one-call synchronous wrapper;
-* ``python -m repro.service`` — submit preset sweeps from the shell;
-* ``python -m repro.service.loadgen`` — the service load benchmark.
+  size-bounded LRU eviction (:mod:`repro.exec.store`, re-exported);
+* ``python -m repro.service`` — submit preset sweeps from the shell.
 """
 
 from repro.core.jobs import (
@@ -25,20 +23,14 @@ from repro.core.jobs import (
     JobFailure,
     JobState,
 )
+from repro.exec.store import ArtifactStore, StoreStats
 from repro.service.scheduler import ClientShare, FairShareScheduler
-from repro.service.service import (
-    ServiceStats,
-    SimulationService,
-    SweepHandle,
-    run_service_sweep,
-)
-from repro.service.store import ArtifactStore, StoreStats
+from repro.service.service import ServiceStats, SimulationService, SweepHandle
 
 __all__ = [
     "SimulationService",
     "SweepHandle",
     "ServiceStats",
-    "run_service_sweep",
     "FairShareScheduler",
     "ClientShare",
     "ArtifactStore",

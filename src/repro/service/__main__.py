@@ -31,8 +31,8 @@ import sys
 import time
 
 from repro.core.jobs import JobFailure
+from repro.exec.store import ArtifactStore
 from repro.service.service import SimulationService
-from repro.service.store import ArtifactStore
 
 #: Preset name -> (tree, rank ladder, allocations, selector, steal policy).
 PRESETS: dict[str, tuple[str, tuple[int, ...], tuple[str, ...], str, str]] = {
@@ -63,9 +63,8 @@ def _preset_configs(args) -> list:
 
 async def _submit(args) -> int:
     configs = _preset_configs(args)
-    store = ArtifactStore(args.store) if args.store else None
     start = time.monotonic()
-    async with SimulationService(args.workers, store) as service:
+    async with SimulationService(args.workers, args.store) as service:
         handle = await service.submit(configs, client="cli")
         async for event in handle.events():
             if event.state.terminal:

@@ -23,13 +23,16 @@ Typical use::
             print(event.state, event.label)
         results = await handle.results()
 
-Synchronous callers (the bench CLI) use :func:`run_service_sweep`,
-which wraps one submission in a private event loop.
+Each job goes through the same two steps as a :func:`run_many` job —
+:func:`~repro.exec.pool.resolve` before it is queued,
+:func:`~repro.exec.pool.land` when its worker replies — on the same
+pool and store; only the control loop (this asyncio dispatcher) differs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from dataclasses import dataclass
 from typing import AsyncIterator, Callable, Iterable, Sequence
@@ -42,14 +45,12 @@ from repro.errors import (
     JobTimeoutError,
     ServiceError,
 )
-from repro.exec.cache import ResultCache
-from repro.exec.fingerprint import fingerprint_dict
-from repro.exec.pool import WorkerPool, _normalize_store
+from repro.exec.pool import WorkerPool, land, resolve
+from repro.exec.store import ArtifactStore, open_store
 from repro.service.scheduler import FairShareScheduler
-from repro.service.store import ArtifactStore
 from repro.ws.results import RunResult
 
-__all__ = ["SimulationService", "SweepHandle", "ServiceStats", "run_service_sweep"]
+__all__ = ["SimulationService", "SweepHandle", "ServiceStats"]
 
 #: Queue sentinel that ends a handle's event stream.
 _STREAM_END = None
@@ -192,10 +193,9 @@ class SimulationService:
         Concurrent simulations (= worker processes).  ``None`` uses
         ``os.cpu_count()``.
     store:
-        :class:`~repro.service.store.ArtifactStore` (or plain
-        :class:`~repro.exec.cache.ResultCache`), a path, ``True`` for
+        :class:`~repro.exec.store.ArtifactStore`, a path, ``True`` for
         the default store, or ``None`` to run storeless (in-flight
-        dedup still applies).
+        dedup still applies) — :func:`~repro.exec.store.open_store`.
     max_events:
         Per-run event budget forwarded to the simulator.
     runner:
@@ -206,16 +206,12 @@ class SimulationService:
     def __init__(
         self,
         workers: int | None = None,
-        store: ArtifactStore | ResultCache | str | bool | None = None,
+        store: ArtifactStore | str | os.PathLike | bool | None = None,
         *,
         max_events: int | None = None,
         runner: Callable[[dict], RunResult] | None = None,
     ):
-        if store is True:
-            store = ArtifactStore()
-        elif isinstance(store, str):
-            store = ArtifactStore(store)
-        self.store = _normalize_store(store)
+        self.store = open_store(store)
         self.max_events = max_events
         self._runner = runner
         self._pool = WorkerPool(workers)
@@ -310,11 +306,13 @@ class SimulationService:
     ) -> SweepHandle:
         """Submit a sweep; returns its :class:`SweepHandle` immediately.
 
-        Every config is resolved in order: **store hit** (job is born
-        terminal in state ``cached``), **in-flight join** (an equal
-        fingerprint is already queued or running — this sweep watches
-        that job instead of spawning another execution), or **fresh
-        job** (queued under ``client``/``priority`` for fair-share
+        The whole sweep is validated first (a bad entry raises before
+        anything is counted or queued); then every config is resolved
+        in order: **store hit** (job is born terminal in state
+        ``cached``), **in-flight join** (an equal fingerprint is
+        already queued or running — this sweep watches that job
+        instead of spawning another execution), or **fresh job**
+        (queued under ``client``/``priority`` for fair-share
         dispatch).  ``timeout`` bounds each fresh job's execution
         wall-clock; an overrunning worker is abandoned and the job
         fails with :class:`~repro.errors.JobTimeoutError`.
@@ -325,22 +323,14 @@ class SimulationService:
             configs = [configs]
         if timeout is not None and timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+        resolved = resolve(configs)
         if weight is not None:
             self._scheduler.set_weight(client, weight)
 
         jobs: list[Job] = []
         fresh = False
         now = time.monotonic()
-        for config in configs:
-            if isinstance(config, dict):
-                config = WorkStealingConfig.from_dict(config)
-            elif not isinstance(config, WorkStealingConfig):
-                raise ConfigurationError(
-                    "submit needs WorkStealingConfig objects or config "
-                    f"dicts, got {type(config).__name__}"
-                )
-            config_dict = config.to_dict()
-            fingerprint = fingerprint_dict(config_dict)
+        for config, config_dict, fingerprint in resolved:
             self._counts["submitted"] += 1
 
             shared = self._inflight.get(fingerprint)
@@ -412,7 +402,10 @@ class SimulationService:
         self._emit(job, JobState.STARTED)
         timeout = self._timeouts.get(job.id)
         try:
-            result, elapsed, artifact = await self._execute(job, timeout)
+            payload, elapsed, artifact = await self._execute(job, timeout)
+            result, ref = land(
+                self.store, job.fingerprint, job.config, payload, elapsed, artifact
+            )
         except asyncio.CancelledError:
             # Cancellation is initiated by this service (handle.cancel
             # or close(drain=False)); surface it, don't re-raise.
@@ -434,15 +427,8 @@ class SimulationService:
         else:
             self._counts["executed"] += 1
             job.elapsed = elapsed
-            if self.store is not None:
-                self.store.put(
-                    job.fingerprint, result, config=job.config, elapsed=elapsed
-                )
-                if artifact is not None:
-                    put_artifact = getattr(self.store, "put_artifact", None)
-                    if put_artifact is not None:
-                        ref = put_artifact(job.fingerprint, "trace.json", artifact)
-                        job.artifacts[ref.kind] = ref
+            if ref is not None:
+                job.artifacts[ref.kind] = ref
             job.result = result
             job.state = JobState.DONE
             job.finished_at = time.monotonic()
@@ -453,8 +439,12 @@ class SimulationService:
 
     async def _execute(
         self, job: Job, timeout: float | None
-    ) -> tuple[RunResult, float, str | None]:
-        """One simulation, on the pool (or the injected runner)."""
+    ) -> tuple[str, float, str | None]:
+        """One simulation, on the pool (or the injected runner).
+
+        Returns the worker reply without its index:
+        ``(result_json, elapsed, artifact)``.
+        """
         if self._runner is not None:
             loop = asyncio.get_running_loop()
             start = time.perf_counter()
@@ -462,7 +452,7 @@ class SimulationService:
                 loop.run_in_executor(None, self._runner, dict(job.config)),
                 timeout,
             )
-            return result, time.perf_counter() - start, None
+            return result.to_json(), time.perf_counter() - start, None
         future = self._pool.submit(job.config, max_events=self.max_events)
         try:
             _, payload, elapsed, artifact = await asyncio.wait_for(
@@ -471,7 +461,7 @@ class SimulationService:
         except (asyncio.TimeoutError, asyncio.CancelledError):
             future.cancel()  # abandon; the worker process runs on
             raise
-        return RunResult.from_json(payload), elapsed, artifact
+        return payload, elapsed, artifact
 
     # ------------------------------------------------------------------
     # Completion plumbing
@@ -586,32 +576,3 @@ class SimulationService:
             queued=len(self._scheduler),
             running=len(self._tasks),
         )
-
-
-def run_service_sweep(
-    configs: Iterable[WorkStealingConfig | dict],
-    *,
-    workers: int | None = 1,
-    store: ArtifactStore | ResultCache | str | bool | None = None,
-    max_events: int | None = None,
-    timeout: float | None = None,
-    client: str = "default",
-    priority: int = 0,
-) -> list[RunResult | JobFailure]:
-    """One synchronous sweep through a throwaway service.
-
-    The blocking counterpart of ``service.submit(...)`` +
-    ``handle.results()`` for scripts and the bench CLI; parameters
-    match :class:`SimulationService` / :meth:`SimulationService.submit`.
-    """
-
-    async def _main() -> list[RunResult | JobFailure]:
-        async with SimulationService(
-            workers, store, max_events=max_events
-        ) as service:
-            handle = await service.submit(
-                configs, client=client, priority=priority, timeout=timeout
-            )
-            return await handle.results()
-
-    return asyncio.run(_main())

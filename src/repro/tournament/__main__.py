@@ -64,34 +64,20 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="fail if any config had to be simulated",
     )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="route the batch through the simulation service",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
         for name in sorted(PRESETS):
             spec = PRESETS[name]
-            grid = (
-                len(spec.selectors)
-                * len(spec.steal_policies)
-                * len(spec.allocations)
-            )
             print(
-                f"{name}: {spec.tree} x{spec.nranks}, {grid} configs "
+                f"{name}: {spec.tree} x{spec.nranks}, "
+                f"{len(spec.configs())} configs "
                 f"({', '.join(spec.selectors)})"
             )
         return 0
 
     store = None if args.no_cache else (args.store or True)
-    tournament = run_tournament(
-        PRESETS[args.preset],
-        jobs=args.jobs,
-        store=store,
-        use_service=args.service,
-    )
+    tournament = run_tournament(PRESETS[args.preset], jobs=args.jobs, store=store)
     paths = tournament.write(args.out)
     print(tournament.leaderboard_markdown())
     print(

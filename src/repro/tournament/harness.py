@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from repro.bench.experiments import experiment_config
 from repro.core.config import WorkStealingConfig
-from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import canonical_json
-from repro.exec.pool import WorkerPool, run_many
+from repro.exec.pool import RunProgress, WorkerPool, run_many
+from repro.exec.store import ArtifactStore
 from repro.protocol.variants import protocol_overrides, protocol_tag
 from repro.ws.results import RunResult
 
@@ -234,45 +235,27 @@ def run_tournament(
     spec: TournamentSpec,
     *,
     jobs: int | None = 1,
-    store: ResultCache | str | os.PathLike | bool | None = None,
+    store: ArtifactStore | str | os.PathLike | bool | None = None,
     pool: WorkerPool | None = None,
-    use_service: bool = False,
-    progress=None,
+    progress: Callable[[RunProgress], None] | None = None,
 ) -> Tournament:
     """Execute a tournament grid and rank the results.
 
-    ``jobs``/``store``/``pool`` are forwarded to
-    :func:`repro.exec.run_many`; ``use_service=True`` routes the batch
-    through a :class:`~repro.service.SimulationService` sweep instead
-    (same store, plus the service's dedup/scheduling layers).  The
-    returned leaderboard is independent of all of them.
+    ``jobs``/``store``/``pool`` are forwarded untouched to
+    :func:`repro.exec.run_many`, and so is every ``progress`` tick
+    (after ``cached`` has been counted from it).  The returned
+    leaderboard is independent of all of them.
     """
     configs = spec.configs()
-    if store is True:
-        store = ResultCache()
-    elif isinstance(store, (str, os.PathLike)):
-        store = ResultCache(store)
-    elif store is False:
-        store = None
-
     cached = 0
-    if store is not None:
-        cached = sum(
-            1 for cfg in configs if store.get(cfg.fingerprint()) is not None
-        )
 
-    if use_service:
-        from repro.service.service import run_service_sweep
+    def _count(tick: RunProgress) -> None:
+        nonlocal cached
+        cached += tick.cached
+        if progress is not None:
+            progress(tick)
 
-        results = run_service_sweep(configs, workers=jobs, store=store)
-        for slot in results:
-            if not isinstance(slot, RunResult):
-                raise getattr(slot, "error", RuntimeError(repr(slot)))
-    else:
-        results = run_many(
-            configs, jobs=jobs, store=store, pool=pool, progress=progress
-        )
-
+    results = run_many(configs, jobs=jobs, store=store, pool=pool, progress=_count)
     rows = [_score(cfg, res) for cfg, res in zip(configs, results)]
     rows.sort(key=lambda r: (r["makespan"], r["label"]))
     return Tournament(

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.config import WorkStealingConfig
-from repro.exec.cache import ResultCache
+from repro.exec.store import ResultCache
 from repro.exec.pool import run_many
 from repro.uts.params import T3XS
 

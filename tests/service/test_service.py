@@ -9,6 +9,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,8 @@ from repro.errors import (
     JobTimeoutError,
     ServiceError,
 )
+from repro.exec.pool import run_many
 from repro.service import ArtifactStore, SimulationService
-from repro.service.service import run_service_sweep
 from repro.uts.params import T3XS
 from repro.ws.runner import run_uts
 
@@ -32,6 +33,16 @@ def _config(seed: int = 0) -> WorkStealingConfig:
 
 def _sim(config_dict: dict):
     return run_uts(WorkStealingConfig.from_dict(config_dict))
+
+
+def _sweep(configs, store):
+    """One blocking sweep through a throwaway one-worker service."""
+
+    async def main():
+        async with SimulationService(1, store) as service:
+            return await (await service.submit(configs)).results()
+
+    return asyncio.run(main())
 
 
 class TestDedup:
@@ -85,13 +96,13 @@ class TestDedup:
 
     def test_store_hits_short_circuit(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        first = run_service_sweep([_config()], workers=1, store=store)
-        second = run_service_sweep([_config()], workers=1, store=store)
+        first = _sweep([_config()], store)
+        second = _sweep([_config()], store)
         assert first[0].to_json() == second[0].to_json()
 
     def test_cached_jobs_emit_terminal_events(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        run_service_sweep([_config()], workers=1, store=store)
+        _sweep([_config()], store)
 
         async def main():
             async with SimulationService(1, store) as service:
@@ -262,6 +273,52 @@ class TestFailureModes:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize(
+        "bad", ["nope", {"tree": "T3XS", "no_such_field": 1}], ids=["str", "dict"]
+    )
+    def test_bad_entry_rejects_the_whole_sweep(self, bad, monkeypatch):
+        """Nothing is counted, queued or simulated for a sweep that raises."""
+        executions = []
+
+        def runner(config_dict):
+            executions.append(config_dict["seed"])
+            return _sim(config_dict)
+
+        async def main():
+            service = SimulationService(1, runner=runner)
+            with pytest.raises(ConfigurationError):
+                await service.submit([_config(), bad])
+            stats = service.stats()
+            assert stats.submitted == 0 and stats.queued == 0
+            await service.start()
+            await asyncio.wait_for(service.close(), timeout=5)
+
+        asyncio.run(main())
+        assert executions == []
+
+        monkeypatch.setattr(
+            "repro.exec.pool._execute", lambda payload: executions.append(payload)
+        )
+        with pytest.raises(ConfigurationError):
+            run_many([_config(), bad])
+        assert executions == []
+
+    def test_store_write_failure_fails_the_job(self, tmp_path):
+        class ReadOnlyStore(ArtifactStore):
+            def put(self, fingerprint, result, config=None, elapsed=None):
+                raise PermissionError("read-only store")
+
+        async def main():
+            async with SimulationService(
+                1, ReadOnlyStore(tmp_path), runner=_sim
+            ) as service:
+                handle = await service.submit([_config()])
+                return await asyncio.wait_for(handle.results(), timeout=5)
+
+        results = asyncio.run(main())
+        assert isinstance(results[0], JobFailure)
+        assert isinstance(results[0].error, PermissionError)
+
     def test_empty_sweep_resolves_immediately(self):
         async def main():
             async with SimulationService(1, runner=_sim) as service:
@@ -278,12 +335,30 @@ class TestPoolBacked:
     def test_sweep_matches_direct_runner_and_stores_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path)
         config = _config().replace(event_trace=True)
-        results = run_service_sweep([config], workers=1, store=store)
+        results = _sweep([config], store)
         direct = run_uts(_config())
         assert results[0].total_nodes == direct.total_nodes
         # event_trace=True runs leave a Chrome-trace artifact behind.
         fingerprint = store._entries()[0][0]
         assert "trace.json" in store.artifacts_for(fingerprint)
+
+    @pytest.mark.parametrize("spelling", [Path, str], ids=["path", "str"])
+    def test_store_spellings_keep_trace_artifact(self, spelling, tmp_path):
+        """A store opened from a path is the same store as an instance."""
+        config = _config().replace(event_trace=True)
+
+        async def main():
+            async with SimulationService(1, spelling(tmp_path)) as service:
+                handle = await service.submit([config])
+                await handle.results()
+                return handle.jobs[0]
+
+        job = asyncio.run(main())
+        ref = job.artifacts["trace.json"]
+        assert ref.path == ArtifactStore(tmp_path).artifact_path(
+            config.fingerprint(), "trace.json"
+        )
+        assert ref.path.stat().st_size == ref.nbytes > 0
 
     def test_event_sequence_for_fresh_job(self):
         async def main():

@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
-from repro.service.store import ArtifactStore
+from repro.exec.store import ArtifactStore, ResultCache
 from repro.uts.params import T3XS
 from repro.ws.runner import run_uts
 
@@ -108,6 +107,7 @@ class TestArtifacts:
 
 class TestCompatibility:
     def test_reads_entries_written_by_plain_cache(self, tmp_path, result):
+        assert ResultCache is ArtifactStore
         cache = ResultCache(tmp_path)
         cache.put("fp0", result)
         store = ArtifactStore(tmp_path)
@@ -116,6 +116,7 @@ class TestCompatibility:
         assert hit.to_json() == result.to_json()
 
     def test_plain_cache_reads_store_entries(self, tmp_path, result):
+        assert ResultCache is ArtifactStore
         store = ArtifactStore(tmp_path)
         store.put("fp0", result)
         assert ResultCache(tmp_path).get("fp0") is not None

@@ -36,7 +36,6 @@ class TestPublicSurface:
         for name in (
             "run_uts",
             "run_many",
-            "run_service_sweep",
             "RunResult",
             "RunProgress",
             "WorkStealingConfig",

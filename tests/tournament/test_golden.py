@@ -11,7 +11,7 @@ byte-identical leaderboard artifact:
 
 from __future__ import annotations
 
-from repro.exec.cache import ResultCache
+from repro.exec.store import ResultCache
 from repro.tournament import PRESETS, run_tournament
 
 

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.core.config import WorkStealingConfig
+from repro.exec.store import ResultCache
 from repro.tournament import PRESETS, TournamentSpec, run_tournament
 from repro.tournament.__main__ import main
 from repro.uts.params import T3XS
@@ -120,6 +121,34 @@ class TestRun:
         assert "adapt-sr[0.9]" in md
 
 
+class TestStoreContract:
+    def test_capture_store_subclass_sees_every_result(self, tmp_path, monkeypatch):
+        """What the frozen ledger's ``_CaptureStore`` relies on: a
+        subclass built on a root it never touches, overriding only
+        ``get`` and ``put``, is handed to the sweep as it is."""
+        monkeypatch.chdir(tmp_path)
+
+        class Capture(ResultCache):
+            def __init__(self):
+                super().__init__(root="unused")
+                self.results = []
+
+            def get(self, fingerprint):
+                return None
+
+            def put(self, fingerprint, result, config=None, elapsed=None):
+                self.results.append(result)
+                return self.path_for(fingerprint)
+
+        store, ticks = Capture(), []
+        tournament = run_tournament(SPEC, jobs=1, store=store, progress=ticks.append)
+        labels = [cfg.label() for cfg in SPEC.configs()]
+        assert sorted(r.label for r in store.results) == sorted(labels)
+        assert sorted(t.label for t in ticks) == sorted(labels)
+        assert tournament.executed == len(labels) and tournament.cached == 0
+        assert not (tmp_path / "unused").exists()
+
+
 class TestProtocolAxis:
     SPEC = TournamentSpec(
         name="proto-unit",
@@ -161,6 +190,9 @@ class TestCli:
         out = capsys.readouterr().out
         for name in PRESETS:
             assert name in out
+        # Every grid axis counts, the protocol one included.
+        assert "protocol: T3L x64, 12 configs" in out
+        assert f"full: T3M x64, {len(PRESETS['full'].configs())} configs" in out
 
     def test_smoke_run_and_require_cached(self, tmp_path, capsys):
         store = str(tmp_path / "store")
