@@ -3,8 +3,7 @@
 The standard ladder tops out at 512 ranks, four orders of magnitude
 below the paper's 8192 processes and outside its work-per-rank regime
 (EXPERIMENTS.md "Validity boundary").  The engine's byte-coded latency
-rows and burst execution (`repro.sim.cluster`) make 4096-rank runs
-affordable, and the T3H tree (~32.1M nodes, ~7.8k nodes/rank) restores
+rows (`repro.sim.cluster`) make 4096-rank runs affordable, and the T3H tree (~32.1M nodes, ~7.8k nodes/rank) restores
 the paper's work-per-rank band.  This rung replays the Fig 3
 allocation comparison and the Fig 4 scheduling latencies at that
 scale, twice:

@@ -14,7 +14,8 @@ needed:
 * the paper's contribution (:mod:`repro.core`) — victim-selection
   strategies (round-robin, uniform random, distance-skewed "Tofu"),
   steal-half, and the starting/ending scheduling-latency metric;
-* a lifeline-based comparator (:mod:`repro.lifeline`);
+* the composable steal protocol (:mod:`repro.protocol`) — forwarding,
+  locality regions and a lifeline-based comparator;
 * the experiment harness (:mod:`repro.bench`) regenerating every
   table and figure.
 

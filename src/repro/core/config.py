@@ -132,7 +132,7 @@ class WorkStealingConfig:
     event_trace_capacity: int = 0
     node_cap: int = 50_000_000
 
-    #: Lifeline extension (see :mod:`repro.lifeline`): number of
+    #: Lifeline extension (see :mod:`repro.protocol.core`): number of
     #: lifeline partners per rank; 0 disables the scheme entirely.
     lifelines: int = 0
     #: Consecutive failed steals before a rank quiesces onto its

@@ -16,8 +16,9 @@ core (:class:`repro.sim.worker.Worker`) calls:
     lifelines), returning the advanced local time.
 ``protocol.pending`` / ``protocol.plain_serve``
     The queued-request list (shared object, mutated in place) and the
-    static "serving is a no-op when the queue is empty" flag the
-    engines use for their burst/send-bound reasoning.
+    static "serving is a no-op when the queue is empty" flag:
+    ``Worker.on_exec`` skips the ``serve_pending`` call when the flag
+    is set and the list is empty.
 
 The split is what makes protocol *features* compositional instead of
 subclass forks: lifelines (quiesce-and-wait work pushes), steal-request
@@ -26,6 +27,17 @@ Picasso) and locality regions (intra-region steals first, after
 Suksompong et al., arXiv:1804.04773) are all branches inside one state
 machine, configured by an immutable :class:`ProtocolPlan` shared by
 every rank of a run.
+
+The lifeline axis is the scheme of Saraswat et al., *Lifeline-based
+global load balancing* (PPoPP 2011), which the paper's related-work
+section contrasts with its own victim selection: after
+``lifeline_threshold`` consecutive failed steals an idle rank
+*quiesces* — it arms its partners (:mod:`repro.protocol.graphs`) with
+a :class:`LifelineRegister` and stops sending requests; a partner with
+stealable work at a poll boundary pushes a chunk allotment to each
+armed waiter; a woken rank disarms the rest
+(:class:`LifelineDeregister`).  Quiescent ranks are idle for the
+termination ring and pushes blacken the sender like steal responses.
 
 Bit-identity argument (the contract the differential suite enforces):
 the protocol layer performs *exactly* the sends, event appends and
@@ -213,10 +225,10 @@ class StealProtocol:
         #: The worker aliases this exact list object; it is mutated in
         #: place (append/clear), never rebound.
         self.pending: list = []
-        #: True when ``serve_pending`` is a no-op on an empty queue —
-        #: the engines' burst/send-bound precondition.  Lifeline
-        #: workers push spontaneously to armed waiters; forwarding and
-        #: regions add no spontaneous serving.
+        #: True when ``serve_pending`` is a no-op on an empty queue, so
+        #: ``Worker.on_exec`` may skip it.  Lifeline workers push
+        #: spontaneously to armed waiters; forwarding and regions add
+        #: no spontaneous serving.
         self.plain_serve = not plan.lifelines
 
         self.sessions: list[Session] = []

@@ -6,10 +6,9 @@ reference oracle call :func:`build_plan` once per run and
 config is automatically honoured by both — the precondition for the
 bit-identity contract.
 
-Worker classes are imported lazily inside :func:`make_worker`:
-``repro.protocol`` must stay importable from ``repro.sim.worker``
-(which the workers' own modules import), so this module cannot import
-them at module level.
+``Worker`` is imported lazily inside :func:`make_worker`:
+``repro.protocol`` must stay importable from ``repro.sim.worker``, so
+this module cannot import it at module level.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def make_worker(
     trace=None,
     events=None,
 ):
-    """Construct the rank's worker (lifeline composition included)."""
+    """Construct the rank's worker (lifelines are ``plan.lifeline_count``)."""
     from repro.sim.worker import Worker
 
     selector = (
@@ -57,7 +56,7 @@ def make_worker(
         if config.nranks > 1
         else None
     )
-    kwargs = dict(
+    return Worker(
         rank=rank,
         nranks=config.nranks,
         generator=generator,
@@ -72,8 +71,3 @@ def make_worker(
         events=events,
         plan=plan,
     )
-    if config.lifelines > 0:
-        from repro.lifeline.worker import LifelineWorker
-
-        return LifelineWorker(**kwargs)
-    return Worker(**kwargs)

@@ -1,7 +1,7 @@
 """Lifeline graph builders (registry kind ``"lifeline_graph"``).
 
 A lifeline graph assigns every rank a small set of *partner* ranks it
-arms when quiescing (see :mod:`repro.lifeline`).  The original scheme
+arms when quiescing (see :mod:`repro.protocol.core`).  The original scheme
 hard-coded the cyclic hypercube of Saraswat et al.; the protocol layer
 makes the graph a configuration axis so coverage/diameter trade-offs
 can be measured:

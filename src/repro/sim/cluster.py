@@ -20,20 +20,11 @@ the tuple compare never reaches ``kind``.  That is what lets the
 events live in two heaps — message deliveries, and each RUNNING rank's
 single outstanding EXEC — whose heads compared against each other
 reproduce the single-queue order exactly, and what lets
-``tests/sim/oracle.py`` (one plain queue, no fast path) be compared
-with this engine byte for byte.
+``tests/sim/oracle.py`` (one plain queue) be compared with this
+engine byte for byte.
 
-**Burst execution.**  When the popped event is an EXEC for a plain
-worker with no pending requests and a non-empty stack, the worker runs
-*chained* compute quanta (:meth:`~repro.sim.worker.Worker.run_quanta`)
-up to the head of either heap — provided that stop leaves room for at
-least two full quanta (below that the burst call costs more than the
-heap round-trip it saves).  Because the burst stops at the first
-instant any other event exists, it is literally the sequential event
-order: idle transitions, steal serving and every send stay on the
-ordered path, and the next EXEC goes back into the heap with the exact
-seq a single queue would have assigned (one seq per quantum; a
-pure-compute quantum pushes nothing else).
+One EXEC event is one quantum: the paper's Algorithm 1 polls between
+every ``poll_interval`` node expansions.
 
 **NIC contention** (``nic_service_time > 0``) is a ``send`` override,
 :class:`_NicCluster`, chosen when the engine is constructed, so a run
@@ -76,15 +67,6 @@ EVT_MSG = 1
 
 #: Default runaway guard for one simulation.
 DEFAULT_MAX_EVENTS = 100_000_000
-
-_INF = float("inf")
-
-
-def _budget_exceeded(max_events: int) -> SimulationError:
-    return SimulationError(
-        f"simulation exceeded {max_events} events "
-        "(livelock or runaway configuration?)"
-    )
 
 
 @dataclass
@@ -178,8 +160,6 @@ class Cluster:
         self.nodes_total = 0
         self._node_budget = config.node_cap
         self._transfer_time_per_node = config.transfer_time_per_node
-        #: Simulated length of one full compute quantum.
-        self._quantum_time = config.poll_interval * config.per_node_time
 
         generator = TreeGenerator(config.tree, config.rng_backend)
         plan = build_plan(config, self.placement)
@@ -284,14 +264,11 @@ class Cluster:
         mheap = self._msg_heap
         eheap = self._exec_heap
         pop = heapq.heappop
-        push = heapq.heappush
         workers = self.workers
         handlers = self._handlers
         detector = self.detector
         event_recorders = self.event_recorders
         max_events = self._max_events
-        quantum = self._quantum_time
-        rs = self._rank_seq
         processed = 0
         while mheap or eheap:
             if not eheap or (mheap and mheap[0] < eheap[0]):
@@ -302,35 +279,13 @@ class Cluster:
             self.now = t
             processed += 1
             if processed > max_events:
-                raise _budget_exceeded(max_events)
+                raise SimulationError(
+                    f"simulation exceeded {max_events} events "
+                    "(livelock or runaway configuration?)"
+                )
             rank = head[4]
             if head[3] == EVT_EXEC:
-                worker = workers[rank]
-                if (
-                    worker._plain_serve
-                    and not worker.pending
-                    and worker.stack._chunks
-                ):
-                    # Burst: below ``t_stop`` no other event exists.
-                    t_stop = mheap[0][0] if mheap else _INF
-                    if eheap and eheap[0][0] < t_stop:
-                        t_stop = eheap[0][0]
-                    if t + quantum < t_stop:
-                        t_end, nq = worker.run_quanta(t, t_stop)
-                        self.now = t_end
-                        # Each quantum is one event and one seq of
-                        # the rank (its rescheduled EXEC).
-                        processed += nq - 1
-                        if processed > max_events:
-                            raise _budget_exceeded(max_events)
-                        seq = rs[rank] + nq
-                        rs[rank] = seq
-                        push(
-                            eheap,
-                            (t_end, rank, seq - 1, EVT_EXEC, rank, None),
-                        )
-                        continue
-                worker.on_exec(t)
+                workers[rank].on_exec(t)
                 continue
             payload = head[5]
             if getattr(payload, "tag", None) == TAG_TOKEN:

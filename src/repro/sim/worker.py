@@ -14,8 +14,8 @@ paper studies (§II-A, Algorithm 1):
   thief, until work arrives or the termination ring fires.
 
 The worker owns only *execution*: the stack, quantum expansion
-(``on_exec``/``run_quanta``), the activity trace and the clock
-plumbing.  Everything about finding and moving work — the idle
+(``on_exec``, one quantum per EXEC event), the activity trace and the
+clock plumbing.  Everything about finding and moving work — the idle
 transition, victim draws, every protocol message, session accounting —
 lives in the composed :class:`repro.protocol.StealProtocol`; the
 steal counters tests and results read off the worker are read-only
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from repro.core.steal_policy import StealPolicy
 from repro.core.tracing import TraceRecorder
 from repro.core.victim import VictimSelector
@@ -40,7 +38,7 @@ from repro.protocol.core import ProtocolPlan, StealProtocol
 from repro.protocol.status import WorkerStatus
 from repro.trace.events import EventRecorder
 from repro.uts.stack import ChunkedStack
-from repro.uts.tree import SCALAR_BATCH_CUTOFF, TreeGenerator
+from repro.uts.tree import TreeGenerator
 
 __all__ = ["WorkerStatus", "Transport", "Worker"]
 
@@ -89,10 +87,7 @@ class Worker:
         "finish_time",
         "protocol",
         "pending",
-        "_scalar_path",
         "_notify_nodes",
-        "_pop_list",
-        "_push_list",
         "_children_list",
         "_fused_expand",
         "_schedule_exec",
@@ -140,7 +135,7 @@ class Worker:
         self.finish_time: float | None = None
 
         # The steal lifecycle lives in the protocol layer; the worker
-        # aliases the two pieces the engines' fast paths reason about.
+        # aliases the pieces ``on_exec`` reads at every poll boundary.
         self.protocol = protocol = StealProtocol(
             self, plan if plan is not None else _DEFAULT_PLAN
         )
@@ -148,26 +143,16 @@ class Worker:
         #: mutated in place, never rebound, so the alias stays live).
         self.pending = protocol.pending
         # Plain-serving protocols do nothing at a poll boundary with an
-        # empty queue; the engines skip the call (and burst through
-        # quanta) only then.
+        # empty queue; ``on_exec`` skips the call only then.
         self._plain_serve = protocol.plain_serve
         self._serve = protocol.serve_pending
 
-        # Hot-path plumbing.  The list-based expansion avoids ndarray
-        # traffic on the tiny per-quantum batches the simulator runs
-        # (bit-identical results; see ``TreeGenerator.children_list``).
-        self._scalar_path = (
-            generator.supports_list_path
-            and poll_interval <= SCALAR_BATCH_CUTOFF
-        )
         # Optional transport hook: the cluster keeps a running node
         # total for O(1) budget checks; bare test transports omit it.
         self._notify_nodes = getattr(transport, "nodes_executed", None)
         # Bound-method caches for the per-quantum call chain.  The
         # stack and generator are fixed for the worker's lifetime;
         # ``send`` is deliberately NOT cached (tests patch it).
-        self._pop_list = self.stack.pop_batch_list
-        self._push_list = self.stack.push_batch_list
         self._children_list = generator.children_list
         self._fused_expand = self.stack.expand_quantum
         self._schedule_exec = transport.schedule_exec
@@ -180,10 +165,7 @@ class Worker:
         """Initialise at simulation start: rank 0 holds the root."""
         if self.rank == 0:
             state, depth = self.generator.root()
-            self.stack.push_batch(
-                np.array([state], dtype=np.uint64),
-                np.array([depth], dtype=np.int32),
-            )
+            self.stack.push_batch_list([state], [depth])
             self._record(now, active=True)
             self.status = WorkerStatus.RUNNING
             self.transport.schedule_exec(self.rank, now)
@@ -205,73 +187,14 @@ class Worker:
         else:
             t = self._serve(now)
         if self.stack._chunks:
-            if self._scalar_path:
-                # Fused quantum on the scalar fast path — identical
-                # semantics to ``_expand_quantum``, one call on the
-                # simulator's hottest edge.
-                n = self._fused_expand(self.poll_interval, self._children_list)
-                self.nodes_processed += n
-                notify = self._notify_nodes
-                if notify is not None:
-                    notify(n)
-                t_next = t + n * self.per_node_time
-            else:
-                t_next = t + self._expand_quantum()
-            self._schedule_exec(self.rank, t_next)
+            n = self._fused_expand(self.poll_interval, self._children_list)
+            self.nodes_processed += n
+            notify = self._notify_nodes
+            if notify is not None:
+                notify(n)
+            self._schedule_exec(self.rank, t + n * self.per_node_time)
         else:
             self._go_idle(t)
-
-    def run_quanta(self, now: float, t_stop: float) -> tuple[float, int]:
-        """Burst-execute chained pure-compute quanta.
-
-        Equivalent to the event loop delivering this worker's EXEC
-        chain one event at a time, for as long as each quantum starts
-        strictly before ``t_stop`` and leaves the stack non-empty.  The
-        caller materialises the next EXEC event at the returned time,
-        so idle transitions, steal serving and every send stay on the
-        ordered event path — the burst touches only this worker's stack
-        and counters.
-
-        Only valid for a RUNNING plain worker (``_plain_serve``) with
-        no pending requests and a non-empty stack; the first quantum
-        corresponds to an EXEC event already popped by the caller.
-        Returns ``(next_exec_time, quanta_run)``.
-        """
-        if self._scalar_path:
-            t, nq, nodes = self.stack.expand_quanta(
-                self.poll_interval,
-                self._children_list,
-                now,
-                t_stop,
-                self.per_node_time,
-            )
-        else:
-            stack = self.stack
-            chunks = stack._chunks
-            poll = self.poll_interval
-            pnt = self.per_node_time
-            generator = self.generator
-            t = now
-            nq = 0
-            nodes = 0
-            while True:
-                states, depths = stack.pop_batch(poll)
-                n = len(states)
-                child_states, child_depths, _counts = generator.children_batch(
-                    states, depths
-                )
-                if child_states.size:
-                    stack.push_batch(child_states, child_depths)
-                nq += 1
-                nodes += n
-                t += n * pnt
-                if not chunks or t >= t_stop:
-                    break
-        self.nodes_processed += nodes
-        notify = self._notify_nodes
-        if notify is not None:
-            notify(nodes)
-        return t, nq
 
     def on_message(self, now: float, msg: object) -> None:
         """A message arrived at this rank at (true) time ``now``."""
@@ -280,34 +203,6 @@ class Worker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _expand_quantum(self) -> float:
-        """Expand up to ``poll_interval`` nodes; return the time spent.
-
-        Generic (array) path; ``on_exec`` inlines the equivalent
-        list-based expansion when :attr:`_scalar_path` is set.
-        """
-        if self._scalar_path:
-            stack = self.stack
-            states, depths = stack.pop_batch_list(self.poll_interval)
-            n = len(states)
-            child_states, child_depths = self.generator.children_list(
-                states, depths
-            )
-            if child_states:
-                stack.push_batch_list(child_states, child_depths)
-        else:
-            states, depths = self.stack.pop_batch(self.poll_interval)
-            n = len(states)
-            child_states, child_depths, _counts = self.generator.children_batch(
-                states, depths
-            )
-            if child_states.size:
-                self.stack.push_batch(child_states, child_depths)
-        self.nodes_processed += n
-        if self._notify_nodes is not None:
-            self._notify_nodes(n)
-        return n * self.per_node_time
 
     def _go_idle(self, t: float) -> None:
         """Stack exhausted: record the transition and start searching."""

@@ -19,19 +19,13 @@ chunk overflows, pops only drain the top, and steals only remove
 bottom (full) chunks.  Tests assert this invariant under random
 operation sequences.
 
-Chunks store their nodes as plain Python lists.  The simulator expands
-millions of quanta of a handful of nodes each, and at that granularity
-list slicing beats ndarray round trips by a wide margin; the array API
-(:meth:`ChunkedStack.push_batch` / :meth:`ChunkedStack.pop_batch`)
-converts at the boundary, the list API
-(:meth:`ChunkedStack.push_batch_list` /
-:meth:`ChunkedStack.pop_batch_list`) never leaves Python.  Both APIs
-produce identical stack layouts and identical node orderings.
+Nodes are plain Python lists throughout — in the chunks and in every
+argument and return value.  The simulator expands millions of quanta
+of a handful of nodes each, and at that granularity list slicing beats
+ndarray round trips by a wide margin.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import StackError
 
@@ -42,7 +36,7 @@ class Chunk:
     """A fixed-capacity block of tree nodes (states + depths).
 
     ``states``/``depths`` are Python lists whose length is always
-    ``size``; the array-taking methods convert on entry and exit.
+    ``size``.
     """
 
     __slots__ = ("states", "depths", "size", "capacity")
@@ -55,18 +49,6 @@ class Chunk:
         self.depths: list[int] = []
         self.size = 0
 
-    @classmethod
-    def from_arrays(cls, states: np.ndarray, depths: np.ndarray, capacity: int) -> "Chunk":
-        """Build a chunk holding ``states``/``depths`` (must fit capacity)."""
-        n = len(states)
-        if n > capacity:
-            raise StackError(f"{n} nodes exceed chunk capacity {capacity}")
-        chunk = cls(capacity)
-        chunk.states = np.asarray(states, dtype=np.uint64).tolist()
-        chunk.depths = np.asarray(depths, dtype=np.int32).tolist()
-        chunk.size = n
-        return chunk
-
     @property
     def is_full(self) -> bool:
         return self.size == self.capacity
@@ -78,34 +60,6 @@ class Chunk:
     @property
     def free(self) -> int:
         return self.capacity - self.size
-
-    def push(self, states: np.ndarray, depths: np.ndarray) -> int:
-        """Append as many of the given nodes as fit; return how many."""
-        n = min(len(states), self.free)
-        if n:
-            self.states.extend(np.asarray(states[:n], dtype=np.uint64).tolist())
-            self.depths.extend(np.asarray(depths[:n], dtype=np.int32).tolist())
-            self.size += n
-        return n
-
-    def pop(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Remove and return up to ``n`` nodes from the top of the chunk."""
-        n = min(n, self.size)
-        if n == 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32)
-        self.size -= n
-        s = self.states[-n:]
-        d = self.depths[-n:]
-        del self.states[-n:]
-        del self.depths[-n:]
-        return np.array(s, dtype=np.uint64), np.array(d, dtype=np.int32)
-
-    def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live contents as arrays (copies; the chunk keeps lists)."""
-        return (
-            np.array(self.states, dtype=np.uint64),
-            np.array(self.depths, dtype=np.int32),
-        )
 
     def __len__(self) -> int:
         return self.size
@@ -170,18 +124,8 @@ class ChunkedStack:
     # Owner operations (push/pop at the top)
     # ------------------------------------------------------------------
 
-    def push_batch(self, states: np.ndarray, depths: np.ndarray) -> None:
-        """Push nodes on top of the stack, spilling into new chunks."""
-        states = np.asarray(states, dtype=np.uint64)
-        depths = np.asarray(depths, dtype=np.int32)
-        self.push_batch_list(states.tolist(), depths.tolist())
-
     def push_batch_list(self, states: list[int], depths: list[int]) -> None:
-        """Push nodes held in plain Python lists (hot-path variant).
-
-        Same spill behaviour and resulting chunk layout as
-        :meth:`push_batch`, with no ndarray traffic.
-        """
+        """Push nodes on top of the stack, spilling into new chunks."""
         n = len(states)
         if n == 0:
             return
@@ -212,19 +156,10 @@ class ChunkedStack:
             chunks.append(chunk)
             offset += take
 
-    def pop_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pop up to ``n`` nodes from the top of the stack."""
-        states, depths = self.pop_batch_list(n)
-        return (
-            np.array(states, dtype=np.uint64),
-            np.array(depths, dtype=np.int32),
-        )
-
     def pop_batch_list(self, n: int) -> tuple[list[int], list[int]]:
-        """Pop up to ``n`` nodes as plain Python lists (hot-path variant).
+        """Pop up to ``n`` nodes from the top of the stack.
 
-        Returns the same nodes in the same order as :meth:`pop_batch` —
-        per drained chunk the popped segment keeps its in-chunk order,
+        Per drained chunk the popped segment keeps its in-chunk order,
         newest chunk first.
         """
         chunks = self._chunks
@@ -310,57 +245,21 @@ class ChunkedStack:
         t_stop: float,
         per_node_time: float,
     ) -> tuple[float, int, int]:
-        """Run consecutive :meth:`expand_quantum` calls as one burst.
+        """Run :meth:`expand_quantum` until the stack drains or ``t``
+        (advanced ``npop * per_node_time`` a quantum) reaches ``t_stop``.
 
-        The engine's pure-compute fast path: the first quantum
-        runs unconditionally (it corresponds to an already-popped EXEC
-        event), each further quantum only while the stack still holds
-        work and its start time is strictly below ``t_stop``.  ``t``
-        advances by ``npop * per_node_time`` per quantum — exactly the
-        arithmetic of the worker's EXEC handler, one quantum at a time,
-        so the resulting node stream and timestamps are bit-identical
-        to the event-by-event path.  Requires a non-empty stack.
-
-        Returns ``(t, quanta, nodes)``: the start time of the next
-        (un-run) quantum, how many quanta ran, and the nodes expanded.
+        Returns ``(t, quanta, nodes)``.  Requires a non-empty stack.
         """
-        chunks = self._chunks
-        quanta = 0
-        nodes = 0
-        pop_list = self.pop_batch_list
-        push_list = self.push_batch_list
+        # Only caller: the frozen ``benchmarks/ledger/rungs.py``
+        # (``uts.stack.expand_nodes_per_s``); ROADMAP 2a's [benchmark]
+        # PR retargets that rung to ``expand_quantum`` and removes this.
+        quanta = nodes = 0
         while True:
-            # Inlined expand_quantum body (kept in lockstep with it;
-            # the parity test in tests/uts drives both paths).
-            top = chunks[-1]
-            if top.size > n:
-                top.size -= n
-                ts = top.states
-                td = top.depths
-                states = ts[-n:]
-                depths = td[-n:]
-                del ts[-n:]
-                del td[-n:]
-                self.total_popped += n
-                npop = n
-            else:
-                states, depths = pop_list(n)
-                npop = len(states)
-            child_states, child_depths = children_fn(states, depths)
-            nch = len(child_states)
-            if nch:
-                top = chunks[-1] if chunks else None
-                if top is not None and top.capacity - top.size >= nch:
-                    top.states += child_states
-                    top.depths += child_depths
-                    top.size += nch
-                    self.total_pushed += nch
-                else:
-                    push_list(child_states, child_depths)
+            npop = self.expand_quantum(n, children_fn)
             quanta += 1
             nodes += npop
             t += npop * per_node_time
-            if not chunks or t >= t_stop:
+            if not self._chunks or t >= t_stop:
                 return t, quanta, nodes
 
     # ------------------------------------------------------------------
@@ -403,10 +302,6 @@ class ChunkedStack:
         self._chunks[:0] = chunks
         self.total_pushed += received
         return received
-
-    def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Remove and return everything (used by tests and shutdown)."""
-        return self.pop_batch(self.size)
 
     def __len__(self) -> int:
         return self.size

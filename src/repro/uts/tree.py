@@ -6,14 +6,14 @@ states*.  Everything else (traversal order, who expands which node) is
 the scheduler's business, which is exactly what lets work stealing
 move nodes between processes freely.
 
-Two code paths are provided and tested against each other:
+Three entry points are provided and tested against each other:
 
-* a scalar path (:meth:`TreeGenerator.count_children`,
-  :meth:`TreeGenerator.children`) — the readable reference;
-* a vectorised path (:meth:`TreeGenerator.children_batch`) that expands
-  a whole batch of nodes with NumPy array operations — the hot path of
-  the simulator, following the HPC guide rule that per-node Python
-  loops must be vectorised away.
+* the scalar reference (:meth:`TreeGenerator.count_children`,
+  :meth:`TreeGenerator.children`) — one node, written to be read;
+* :meth:`TreeGenerator.children_list` — plain Python lists in and out,
+  what the simulator calls once per quantum of a handful of nodes;
+* :meth:`TreeGenerator.children_batch` — NumPy arrays in and out, what
+  the sequential traversal calls on batches of thousands.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = ["MAX_GEO_CHILDREN", "TreeGenerator"]
 #: Safety cap on geometric child counts (UTS uses MAXNUMCHILDREN=100).
 MAX_GEO_CHILDREN = 100
 
-#: Batches at or below this size expand through the scalar fast path.
+#: Array batches at or below this size expand through the pure-int loop.
 SCALAR_BATCH_CUTOFF = 64
 
 _TWO_PI = 2.0 * math.pi
@@ -57,9 +57,9 @@ class TreeGenerator:
         self._bin_threshold = int(params.q * UINT31_MAX)
         self._geo_depth_limit = params.gen_mx
         self._hybrid_switch = params.shift * params.gen_mx
-        # The simulator expands millions of tiny batches; for binomial
-        # trees over the SplitMix backend a fused array path cuts the
-        # per-batch NumPy call count roughly in half.
+        # Binomial trees over the SplitMix backend (every paper
+        # experiment) get a fused list loop and a fused array path that
+        # roughly halves the per-batch NumPy call count.
         self._fast_binomial = params.tree_type == "binomial" and isinstance(
             self.backend, SplitMix64Backend
         )
@@ -141,29 +141,27 @@ class TreeGenerator:
         return [spawn(state, i) for i in range(count)], depth + 1
 
     # ------------------------------------------------------------------
-    # List fast path (simulator hot loop)
+    # List path (one simulator quantum)
     # ------------------------------------------------------------------
-
-    @property
-    def supports_list_path(self) -> bool:
-        """Whether :meth:`children_list` may be used for this tree.
-
-        True for binomial trees over the SplitMix backend — the
-        combination every paper experiment uses.
-        """
-        return self._fast_binomial
 
     def children_list(
         self, states: list[int], depths: list[int]
     ) -> tuple[list[int], list[int]]:
-        """Expand nodes held in plain Python lists (hot-path variant).
+        """Expand nodes held in plain Python lists.
 
         Produces exactly the children :meth:`children_batch` would —
-        same values, parent-major order, siblings ``0..count-1`` —
-        without any ndarray traffic.  Only valid when
-        :attr:`supports_list_path` is true; handles the depth-0 root
-        (``b0`` children) as well as interior nodes.
+        same values, parent-major order, siblings ``0..count-1`` — for
+        every tree type and backend, the depth-0 root included.
+        Binomial trees over the SplitMix backend (every paper
+        experiment) take a fused loop with no ndarray traffic; anything
+        else converts and calls :meth:`children_batch`.
         """
+        if not self._fast_binomial:
+            child_states, child_depths, _counts = self.children_batch(
+                np.array(states, dtype=np.uint64),
+                np.array(depths, dtype=np.int32),
+            )
+            return child_states.tolist(), child_depths.tolist()
         thr = self._bin_threshold
         mask64 = 0xFFFFFFFFFFFFFFFF
         m1 = 0xBF58476D1CE4E5B9
@@ -299,8 +297,8 @@ class TreeGenerator:
         Produces bit-identical children, in the same per-parent
         grouping, as the generic path — asserted by tests.  Batches at
         or below :data:`SCALAR_BATCH_CUTOFF` take a pure-Python loop:
-        NumPy's fixed per-call overhead dwarfs the arithmetic on the
-        ~10-node quanta the simulator expands.
+        NumPy's fixed per-call overhead dwarfs the arithmetic on a
+        handful of nodes.
         """
         from repro.uts.rng import _GOLDEN, _mix64  # local import: hot path
 
@@ -331,33 +329,18 @@ class TreeGenerator:
     def _children_small_binomial(
         self, states: np.ndarray, depths: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scalar expansion of a small non-root binomial batch.
+        """Expansion of a small non-root binomial batch.
 
-        The SplitMix arithmetic is inlined (add increment, Stafford
-        mix) so the loop body is pure int ops — bit-identical to the
-        array path.
+        The children come from the pure-int loop of
+        :meth:`children_list` — bit-identical to the array path.
         """
-        from repro.uts.rng import _GOLDEN
-
-        thr = self._bin_threshold
-        m = self.params.m
-        mask64 = 0xFFFFFFFFFFFFFFFF
-        counts = np.zeros(states.size, dtype=np.int64)
-        child_states: list[int] = []
-        child_depths: list[int] = []
-        st = states.tolist()
-        dp = depths.tolist()
-        for k in range(len(st)):
-            s = st[k]
-            if (s >> 33) < thr:
-                counts[k] = m
-                d = dp[k] + 1
-                for i in range(1, m + 1):
-                    z = (s + i * _GOLDEN) & mask64
-                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask64
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
-                    child_states.append(z ^ (z >> 31))
-                    child_depths.append(d)
+        child_states, child_depths = self.children_list(
+            states.tolist(), depths.tolist()
+        )
+        draws = (states >> np.uint64(33)).astype(np.int64)
+        counts = np.where(draws < self._bin_threshold, self.params.m, 0).astype(
+            np.int64
+        )
         return (
             np.array(child_states, dtype=np.uint64),
             np.array(child_depths, dtype=np.int32),

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
-from repro.lifeline.worker import LifelineWorker, lifeline_partners
+from repro.protocol.graphs import hypercube_partners
 from repro.sim.cluster import Cluster
 from repro.uts.params import T3XS
 from repro.uts.sequential import sequential_count
@@ -17,21 +17,21 @@ SEQ = sequential_count(T3XS)
 
 class TestPartnerGraph:
     def test_power_of_two_offsets(self):
-        assert lifeline_partners(0, 16, 4) == [1, 2, 4, 8]
+        assert hypercube_partners(0, 16, 4) == [1, 2, 4, 8]
 
     def test_wraps(self):
-        assert lifeline_partners(14, 16, 3) == [15, 0, 2]
+        assert hypercube_partners(14, 16, 3) == [15, 0, 2]
 
     def test_never_self(self):
         for n in (2, 3, 5, 8, 17):
             for rank in range(n):
-                assert rank not in lifeline_partners(rank, n, 6)
+                assert rank not in hypercube_partners(rank, n, 6)
 
     def test_count_capped(self):
-        assert len(lifeline_partners(0, 1024, 3)) == 3
+        assert len(hypercube_partners(0, 1024, 3)) == 3
 
     def test_small_world(self):
-        assert lifeline_partners(0, 2, 5) == [1]
+        assert hypercube_partners(0, 2, 5) == [1]
 
     def test_connectivity(self):
         """Following lifelines reaches every rank (work percolates)."""
@@ -40,7 +40,7 @@ class TestPartnerGraph:
         frontier = [0]
         while frontier:
             r = frontier.pop()
-            for p in lifeline_partners(r, n, 5):
+            for p in hypercube_partners(r, n, 5):
                 if p not in reached:
                     reached.add(p)
                     frontier.append(p)
@@ -74,7 +74,7 @@ class TestLifelineRuns:
     def test_workers_are_lifeline_class(self):
         cfg = WorkStealingConfig(tree=T3XS, nranks=4, lifelines=2)
         workers = Cluster(cfg).run().workers
-        assert all(isinstance(w, LifelineWorker) for w in workers)
+        assert all(w.protocol.partners for w in workers)
 
     def test_pushes_and_quiesces_recorded(self):
         cfg = WorkStealingConfig(
@@ -82,8 +82,8 @@ class TestLifelineRuns:
             lifeline_threshold=2,
         )
         workers = Cluster(cfg).run().workers
-        assert sum(w.quiesce_episodes for w in workers) > 0
-        assert sum(w.lifeline_pushes for w in workers) > 0
+        assert sum(w.protocol.quiesce_episodes for w in workers) > 0
+        assert sum(w.protocol.lifeline_pushes for w in workers) > 0
 
     def test_determinism(self):
         a = run_uts(tree=T3XS, nranks=8, lifelines=2, seed=5)
@@ -104,4 +104,4 @@ class TestConfigValidation:
         cfg = WorkStealingConfig(tree=T3XS, nranks=4)
         assert cfg.lifelines == 0
         workers = Cluster(cfg).run().workers
-        assert not any(isinstance(w, LifelineWorker) for w in workers)
+        assert not any(w.protocol.partners for w in workers)

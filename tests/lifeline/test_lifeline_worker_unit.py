@@ -1,20 +1,17 @@
-"""Unit tests of the LifelineWorker state machine via a fake transport."""
+"""Unit tests of the lifeline state machine via a fake transport."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.steal_policy import StealOne
 from repro.core.victim import UniformRandomSelector
-from repro.lifeline.worker import LifelineWorker
+from repro.protocol.core import ProtocolPlan
 from repro.protocol.messages import (
     LifelineDeregister,
     LifelineRegister,
     StealRequest,
     StealResponse,
 )
-from repro.sim.worker import WorkerStatus
+from repro.sim.worker import Worker, WorkerStatus
 from repro.uts.params import TreeParams
 from repro.uts.stack import Chunk
 from repro.uts.tree import TreeGenerator
@@ -47,7 +44,7 @@ class FakeTransport:
 
 def make_worker(rank=1, nranks=8, threshold=2, count=2):
     t = FakeTransport()
-    w = LifelineWorker(
+    w = Worker(
         rank=rank,
         nranks=nranks,
         generator=TreeGenerator(TREE),
@@ -58,18 +55,14 @@ def make_worker(rank=1, nranks=8, threshold=2, count=2):
         poll_interval=4,
         per_node_time=1e-6,
         steal_service_time=1e-6,
-        lifeline_count=count,
-        lifeline_threshold=threshold,
+        plan=ProtocolPlan(lifeline_count=count, lifeline_threshold=threshold),
     )
     return w, t
 
 
 def full_chunk(start=0) -> Chunk:
     c = Chunk(5)
-    c.push(
-        np.arange(start, start + 5, dtype=np.uint64),
-        np.full(5, 2, dtype=np.int32),
-    )
+    c.states, c.depths, c.size = list(range(start, start + 5)), [2] * 5, 5
     return c
 
 
@@ -79,12 +72,12 @@ class TestQuiescence:
         w.start(0.0)
         # Two failed responses reach the threshold.
         w.on_message(1.0, StealResponse(victim=2, chunks=None))
-        assert not w._quiescent
+        assert not w.protocol._quiescent
         w.on_message(2.0, StealResponse(victim=3, chunks=None))
-        assert w._quiescent
-        assert w.quiesce_episodes == 1
+        assert w.protocol._quiescent
+        assert w.protocol.quiesce_episodes == 1
         registers = [m for m in t.sent if isinstance(m[2], LifelineRegister)]
-        assert len(registers) == len(w.partners)
+        assert len(registers) == len(w.protocol.partners)
 
     def test_no_requests_while_quiescent(self):
         w, t = make_worker(threshold=1)
@@ -103,59 +96,51 @@ class TestQuiescence:
         w.on_message(1.0, StealResponse(victim=2, chunks=None))  # quiesce
         w.on_message(3.0, StealResponse(victim=4, chunks=[full_chunk()]))
         assert w.status is WorkerStatus.RUNNING
-        assert not w._quiescent
-        assert w.lifeline_wakeups == 1
+        assert not w.protocol._quiescent
+        assert w.protocol.lifeline_wakeups == 1
         deregs = [m for m in t.sent if isinstance(m[2], LifelineDeregister)]
-        assert len(deregs) == len(w.partners)
+        assert len(deregs) == len(w.protocol.partners)
 
 
 class TestPushes:
     def test_push_to_armed_waiter_at_poll(self):
         w, t = make_worker(rank=0)
         # Give the worker plenty of stealable work.
-        w.stack.push_batch(
-            np.arange(25, dtype=np.uint64), np.full(25, 2, dtype=np.int32)
-        )
+        w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.status = WorkerStatus.RUNNING
         w.on_message(1.0, LifelineRegister(thief=5))
-        assert w.waiters == [5]
+        assert w.protocol.waiters == [5]
         w.on_exec(2.0)
         pushes = [
             m for m in t.sent
             if isinstance(m[2], StealResponse) and m[2].has_work and m[1] == 5
         ]
         assert len(pushes) == 1
-        assert w.lifeline_pushes == 1
-        assert w.waiters == []
+        assert w.protocol.lifeline_pushes == 1
+        assert w.protocol.waiters == []
         assert t.work_sends == [0]
 
     def test_deregister_removes_waiter(self):
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch(
-            np.arange(25, dtype=np.uint64), np.full(25, 2, dtype=np.int32)
-        )
+        w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.on_message(1.0, LifelineRegister(thief=5))
         w.on_message(1.5, LifelineDeregister(thief=5))
-        assert w.waiters == []
+        assert w.protocol.waiters == []
 
     def test_duplicate_register_ignored(self):
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch(
-            np.arange(25, dtype=np.uint64), np.full(25, 2, dtype=np.int32)
-        )
+        w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.on_message(1.0, LifelineRegister(thief=5))
         w.on_message(1.1, LifelineRegister(thief=5))
-        assert w.waiters == [5]
+        assert w.protocol.waiters == [5]
 
     def test_spurious_push_while_running_merged(self):
         """A lifeline push racing the thief's own recovery is absorbed."""
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch(
-            np.arange(5, dtype=np.uint64), np.full(5, 2, dtype=np.int32)
-        )
+        w.stack.push_batch_list(list(range(5)), [2] * 5)
         before = w.stack.size
         w.on_message(2.0, StealResponse(victim=3, chunks=[full_chunk(100)]))
         assert w.stack.size == before + 5
@@ -164,13 +149,11 @@ class TestPushes:
     def test_no_push_without_stealable_work(self):
         w, t = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch(
-            np.arange(3, dtype=np.uint64), np.full(3, 2, dtype=np.int32)
-        )  # single private chunk only
+        w.stack.push_batch_list(list(range(3)), [2] * 3)  # single private chunk only
         w.on_message(1.0, LifelineRegister(thief=5))
         w.on_exec(2.0)
         pushes = [
             m for m in t.sent if isinstance(m[2], StealResponse) and m[2].has_work
         ]
         assert pushes == []
-        assert w.waiters == [5]  # still armed for later
+        assert w.protocol.waiters == [5]  # still armed for later

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lifeline.worker import lifeline_partners
 from repro.protocol.graphs import (
     SYMMETRIC_GRAPHS,
     graph_by_name,
@@ -114,16 +113,14 @@ def test_hypercube_connects_the_job(nranks, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(nranks=nranks_st, count=counts)
-def test_lifeline_partners_matches_hypercube(nranks, count):
-    """The legacy helper is now a wrapper; it must agree exactly (the
-    backward-compatibility contract of the refactor) and keep the
-    invariants on non-power-of-two rank counts."""
+def test_hypercube_partners_invariants(nranks, count):
+    """Own rank excluded, no duplicates, every partner in range — on
+    non-power-of-two rank counts too."""
     for rank in range(nranks):
-        legacy = lifeline_partners(rank, nranks, count)
-        assert legacy == hypercube_partners(rank, nranks, count)
-        assert rank not in legacy
-        assert len(legacy) == len(set(legacy))
-        assert all(0 <= p < nranks for p in legacy)
+        partners = hypercube_partners(rank, nranks, count)
+        assert rank not in partners
+        assert len(partners) == len(set(partners))
+        assert all(0 <= p < nranks for p in partners)
 
 
 def test_registry_resolves_every_builder():

@@ -8,12 +8,10 @@ is pinned without running a full simulation.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.steal_policy import StealOne
 from repro.core.victim import UniformRandomSelector
-from repro.lifeline.worker import LifelineWorker
 from repro.protocol.core import ProtocolPlan, StealProtocol
 from repro.protocol.messages import (
     StealForward,
@@ -93,13 +91,12 @@ class TestWorkerSurface:
             "_disarm",
         ):
             assert name not in vars(Worker), name
-            assert name not in vars(LifelineWorker), name
 
     def test_lifeline_worker_is_a_plan_shim(self):
-        # The subclass adds configuration and read-only views, never
-        # behaviour: no message or serve overrides remain.
-        for name in ("on_message", "on_exec", "start", "run_quanta"):
-            assert name not in vars(LifelineWorker), name
+        # Lifelines are a plan field, never a worker class.
+        w, _ = make_worker(plan=ProtocolPlan(lifeline_count=2))
+        assert type(w) is Worker and w.protocol.partners
+        assert not make_worker()[0].protocol.partners
 
     def test_protocol_owns_the_lifecycle(self):
         for name in (
@@ -188,9 +185,7 @@ class TestForwarding:
 
     def test_served_forward_flows_to_originator(self):
         w, t = make_worker(rank=0, plan=FWD_PLAN)
-        w.stack.push_batch(
-            np.arange(25, dtype=np.uint64), np.full(25, 2, dtype=np.int32)
-        )
+        w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.status = WorkerStatus.RUNNING
         w.on_message(
             1.0,
@@ -280,9 +275,7 @@ def _work_chunk():
     from repro.uts.stack import Chunk
 
     c = Chunk(5)
-    c.push(
-        np.arange(5, dtype=np.uint64), np.full(5, 2, dtype=np.int32)
-    )
+    c.states, c.depths, c.size = list(range(5)), [2] * 5, 5
     return c
 
 
@@ -305,8 +298,8 @@ class TestLifelineRaces:
     """A stale lifeline push can wake a thief while its real steal
     request is still in flight; the eventual deny then lands while
     RUNNING.  With lifelines that deny is tolerated (the chain keeps
-    hunting, as the pre-refactor LifelineWorker did); without them a
-    non-WAITING response stays a protocol violation."""
+    hunting); without them a non-WAITING response stays a protocol
+    violation."""
 
     def test_deny_while_running_is_tolerated_with_lifelines(self):
         w, t = make_worker(plan=ProtocolPlan(lifeline_count=2))

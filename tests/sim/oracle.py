@@ -3,9 +3,9 @@
 :class:`OracleCluster` is what the engine (:mod:`repro.sim.cluster`) is
 compared against, bit for bit.  Its only job is to be obviously right,
 so it is written the slow, direct way: every event goes through
-``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no burst
-execution, no split heaps, no inlined loop, no bound-method caches and
-the placement's own shared latency metric.  It shares the workers, the
+``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no split
+heaps, no inlined loop, no bound-method caches and the placement's own
+shared latency metric.  It shares the workers, the
 protocol layer, the termination detector and :class:`NicContention`
 with the engine — those have their own unit and property suites — and
 nothing of the engine's event handling.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.protocol.messages import (
@@ -20,7 +19,7 @@ from repro.uts.stack import Chunk
 
 def _chunk(n: int) -> Chunk:
     c = Chunk(n)
-    c.push(np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.int32))
+    c.states, c.depths, c.size = list(range(n)), [0] * n, n
     return c
 
 

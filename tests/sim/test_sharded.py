@@ -8,7 +8,8 @@ configuration.  These tests enforce that with one parametrisation per
 *physics* axis: the full selector and steal-policy registries,
 allocations aligned with node blocks and not, NIC contention on and
 off, the protocol variants, adaptive selectors, lifelines, clock skew
-with activity traces, and odd and single rank counts.
+with activity traces, non-binomial trees and the SHA-1 backend, and
+odd and single rank counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
 from repro.net.latency import UniformLatency
 from repro.sim.cluster import Cluster
-from repro.uts.params import T3S, T3XS
+from repro.uts.params import GEO_S, HYB_S, T3S, T3XS
 from repro.ws import run_uts
 from repro.ws.results import RunResult
 from tests.sim.oracle import oracle_result
@@ -127,6 +128,23 @@ class TestDifferentialMatrix:
 
     def test_lifelines(self):
         assert_identical(_config(lifelines=2))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(tree=GEO_S),
+            dict(tree=HYB_S),
+            dict(rng_backend="sha1"),
+            dict(poll_interval=100),
+            dict(tree=GEO_S, lifelines=2),
+        ],
+        ids=["GEO_S", "HYB_S", "sha1", "poll100", "GEO_S-lifelines"],
+    )
+    def test_trees_backends_and_long_quanta(self, kw):
+        """Geometric and hybrid trees, the SHA-1 backend and quanta
+        past the array cutoff (no other row leaves binomial+SplitMix
+        at the default poll interval)."""
+        assert_identical(_config(nranks=8, trace=True, **kw))
 
     def test_clock_skew_and_activity_trace(self):
         assert_identical(_config(clock_skew_std=1e-7, trace=True))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.steal_policy import StealHalf, StealOne
@@ -64,10 +63,7 @@ def make_worker(rank=0, nranks=4, policy=None, chunk=5, poll=4, trace=False):
 
 
 def push_nodes(worker: Worker, n: int) -> None:
-    worker.stack.push_batch(
-        np.arange(n, dtype=np.uint64) + 12345,
-        np.full(n, 3, dtype=np.int32),
-    )
+    worker.stack.push_batch_list(list(range(12345, 12345 + n)), [3] * n)
 
 
 class TestStart:

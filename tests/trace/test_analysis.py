@@ -222,11 +222,11 @@ def test_lifeline_episode_counts_match_workers():
     events = EventTrace.from_recorders(outcome.event_recorders)
     workers = outcome.workers
     assert events.count(EV_LIFELINE_QUIESCE) == sum(
-        w.quiesce_episodes for w in workers
+        w.protocol.quiesce_episodes for w in workers
     )
     assert events.count(EV_LIFELINE_WAKE) == sum(
-        w.lifeline_wakeups for w in workers
+        w.protocol.lifeline_wakeups for w in workers
     )
     assert events.count(EV_LIFELINE_PUSH) == sum(
-        w.lifeline_pushes for w in workers
+        w.protocol.lifeline_pushes for w in workers
     )

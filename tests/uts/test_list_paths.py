@@ -1,12 +1,13 @@
-"""Bit-identity of the list fast paths against the array reference.
+"""Bit-identity of the list path against the array reference.
 
-The simulator's hot loop runs on plain-Python-list variants of the
-stack and generator operations (``pop_batch_list`` /
-``push_batch_list`` / ``children_list`` / ``expand_quantum``).  Every
-experiment's determinism rests on those producing *exactly* what the
-array paths produce — same values, same order, same stack layout.
-These tests drive both paths side by side and require equality at
-every step.
+The simulator's hot loop runs on plain Python lists
+(``pop_batch_list`` / ``push_batch_list`` / ``children_list`` /
+``expand_quantum``).  Every experiment's determinism rests on
+``children_list`` producing *exactly* what ``children_batch`` produces
+— same values, same order — for every tree type and backend, and on
+the fused quantum leaving the stack layout of its unfused parts.
+These tests drive both side by side and require equality at every
+step.
 """
 
 import numpy as np
@@ -23,36 +24,6 @@ def _layout(stack: ChunkedStack) -> list[tuple[list[int], list[int]]]:
 
 
 class TestStackListVsArray:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_op_sequence_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        a = ChunkedStack(7)
-        b = ChunkedStack(7)
-        counter = 0
-        for _ in range(400):
-            if rng.random() < 0.55 or a.is_empty:
-                n = int(rng.integers(1, 30))
-                states = list(range(counter, counter + n))
-                depths = [int(rng.integers(0, 10)) for _ in range(n)]
-                counter += n
-                a.push_batch(
-                    np.array(states, dtype=np.uint64),
-                    np.array(depths, dtype=np.int32),
-                )
-                b.push_batch_list(states, depths)
-            else:
-                n = int(rng.integers(1, 25))
-                sa, da = a.pop_batch(n)
-                sb, db = b.pop_batch_list(n)
-                assert sa.tolist() == sb
-                assert da.tolist() == db
-            assert _layout(a) == _layout(b)
-            a.check_invariant()
-            b.check_invariant()
-        assert a.size == b.size
-        assert a.total_pushed == b.total_pushed
-        assert a.total_popped == b.total_popped
-
     def test_pop_zero_and_pop_all(self):
         s = ChunkedStack(4)
         s.push_batch_list([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
@@ -65,14 +36,24 @@ class TestStackListVsArray:
 
 
 class TestChildrenListVsBatch:
-    @pytest.mark.parametrize("tree", ["T3XS", "T3S"])
-    def test_interior_nodes_identical(self, tree):
-        gen = TreeGenerator(tree_by_name(tree))
-        assert gen.supports_list_path
+    @pytest.mark.parametrize(
+        "tree, backend, first_depth",
+        [
+            pytest.param(
+                tree, backend, 1,
+                id=tree if backend == "splitmix64" else f"{tree}-{backend}",
+            )
+            for backend in ("splitmix64", "sha1")
+            for tree in ("T3XS", "T3S", "GEO_S", "GEO_L", "HYB_S")
+        ]
+        + [pytest.param("GEO_S", "splitmix64", 0, id="GEO_S-depth0")],
+    )
+    def test_interior_nodes_identical(self, tree, backend, first_depth):
+        gen = TreeGenerator(tree_by_name(tree), backend_by_name(backend))
         root_state, _ = gen.root()
         # A spread of states: walk a few levels so depths vary.
         states = [root_state]
-        depths = [1]
+        depths = [first_depth]
         for i in range(60):
             states.append(gen.backend.spawn(states[i], i % 7))
             depths.append(1 + (i % 5))
@@ -93,10 +74,6 @@ class TestChildrenListVsBatch:
         assert cd_l == [child_depth] * len(scalar_children)
         assert len(cs_l) == gen.params.b0
 
-    def test_sha1_backend_has_no_list_path(self):
-        gen = TreeGenerator(tree_by_name("T3XS"), backend_by_name("sha1"))
-        assert not gen.supports_list_path
-
     def test_full_tree_traversal_identical(self):
         gen = TreeGenerator(tree_by_name("T3XS"))
         root_state, root_depth = gen.root()
@@ -106,17 +83,17 @@ class TestChildrenListVsBatch:
             stack.push_batch_list([root_state], [root_depth])
             visited = []
             while stack._chunks:
+                s, d = stack.pop_batch_list(2)
                 if use_list:
-                    s, d = stack.pop_batch_list(2)
                     cs, cd = gen.children_list(s, d)
-                    if cs:
-                        stack.push_batch_list(cs, cd)
                 else:
-                    sa, da = stack.pop_batch(2)
-                    s, d = sa.tolist(), da.tolist()
-                    cs, cd, _ = gen.children_batch(sa, da)
-                    if len(cs):
-                        stack.push_batch(cs, cd)
+                    cs_a, cd_a, _ = gen.children_batch(
+                        np.array(s, dtype=np.uint64),
+                        np.array(d, dtype=np.int32),
+                    )
+                    cs, cd = cs_a.tolist(), cd_a.tolist()
+                if cs:
+                    stack.push_batch_list(cs, cd)
                 visited.extend(zip(s, d))
             return visited
 

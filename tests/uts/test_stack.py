@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,64 +10,14 @@ from repro.errors import StackError
 from repro.uts.stack import Chunk, ChunkedStack
 
 
-def _nodes(n: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    states = np.arange(start, start + n, dtype=np.uint64)
-    depths = np.zeros(n, dtype=np.int32)
-    return states, depths
+def _nodes(n: int, start: int = 0) -> tuple[list[int], list[int]]:
+    return list(range(start, start + n)), [0] * n
 
 
 class TestChunk:
-    def test_push_pop_roundtrip(self):
-        c = Chunk(10)
-        s, d = _nodes(7)
-        assert c.push(s, d) == 7
-        out_s, out_d = c.pop(7)
-        # LIFO within the chunk: pop returns the top (end) slice.
-        assert out_s.tolist() == list(range(7))
-        assert c.is_empty
-
-    def test_push_overflow_truncates(self):
-        c = Chunk(5)
-        s, d = _nodes(8)
-        assert c.push(s, d) == 5
-        assert c.is_full
-        assert c.free == 0
-
-    def test_pop_more_than_size(self):
-        c = Chunk(5)
-        c.push(*_nodes(3))
-        s, _ = c.pop(10)
-        assert len(s) == 3
-
-    def test_from_arrays(self):
-        s, d = _nodes(4)
-        c = Chunk.from_arrays(s, d, 10)
-        assert c.size == 4
-        assert c.capacity == 10
-
-    def test_from_arrays_overflow(self):
-        s, d = _nodes(11)
-        with pytest.raises(StackError):
-            Chunk.from_arrays(s, d, 10)
-
     def test_bad_capacity(self):
         with pytest.raises(StackError):
             Chunk(0)
-
-    def test_pop_copies(self):
-        # Popped arrays must not alias chunk storage (the chunk will be
-        # reused for subsequent pushes).
-        c = Chunk(10)
-        c.push(*_nodes(5))
-        s, _ = c.pop(5)
-        c.push(*_nodes(5, start=100))
-        assert s.tolist() == [0, 1, 2, 3, 4]
-
-    def test_view_no_copy(self):
-        c = Chunk(10)
-        c.push(*_nodes(5))
-        v, _ = c.view()
-        assert len(v) == 5
 
 
 class TestChunkedStackBasics:
@@ -84,44 +33,44 @@ class TestChunkedStackBasics:
 
     def test_push_pop_lifo_batches(self):
         st_ = ChunkedStack(4)
-        st_.push_batch(*_nodes(10))
-        s, _ = st_.pop_batch(3)
+        st_.push_batch_list(*_nodes(10))
+        s, _ = st_.pop_batch_list(3)
         # Top of stack = most recently pushed.
-        assert sorted(s.tolist()) == [7, 8, 9]
+        assert sorted(s) == [7, 8, 9]
         assert st_.size == 7
 
     def test_pop_empty(self):
         st_ = ChunkedStack(4)
-        s, d = st_.pop_batch(5)
+        s, d = st_.pop_batch_list(5)
         assert len(s) == 0 and len(d) == 0
 
     def test_pop_negative(self):
         with pytest.raises(StackError):
-            ChunkedStack(4).pop_batch(-1)
+            ChunkedStack(4).pop_batch_list(-1)
 
     def test_push_empty_noop(self):
         st_ = ChunkedStack(4)
-        st_.push_batch(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
+        st_.push_batch_list([], [])
         assert st_.is_empty
 
     def test_chunk_count(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(12))
+        st_.push_batch_list(*_nodes(12))
         assert st_.num_chunks == 3  # 5 + 5 + 2
         assert st_.stealable_chunks == 2
 
     def test_invariant_holds_after_ops(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(23))
-        st_.pop_batch(4)
+        st_.push_batch_list(*_nodes(23))
+        st_.pop_batch_list(4)
         st_.check_invariant()
-        st_.push_batch(*_nodes(9))
+        st_.push_batch_list(*_nodes(9))
         st_.check_invariant()
 
     def test_accounting(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(12))
-        st_.pop_batch(7)
+        st_.push_batch_list(*_nodes(12))
+        st_.pop_batch_list(7)
         assert st_.total_pushed == 12
         assert st_.total_popped == 7
         assert st_.size == 5
@@ -130,30 +79,30 @@ class TestChunkedStackBasics:
 class TestStealing:
     def test_private_chunk_never_stealable(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(5))  # exactly one full chunk
+        st_.push_batch_list(*_nodes(5))  # exactly one full chunk
         assert st_.stealable_chunks == 0
         with pytest.raises(StackError):
             st_.steal_chunks(1)
 
     def test_steal_removes_bottom(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(15))  # chunks: [0-4][5-9][10-14]
+        st_.push_batch_list(*_nodes(15))  # chunks: [0-4][5-9][10-14]
         stolen = st_.steal_chunks(1)
         assert len(stolen) == 1
-        assert stolen[0].view()[0].tolist() == [0, 1, 2, 3, 4]
+        assert stolen[0].states == [0, 1, 2, 3, 4]
         # Owner still pops its newest work.
-        s, _ = st_.pop_batch(1)
-        assert s.tolist() == [14]
+        s, _ = st_.pop_batch_list(1)
+        assert s == [14]
 
     def test_steal_too_many(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(15))
+        st_.push_batch_list(*_nodes(15))
         with pytest.raises(StackError):
             st_.steal_chunks(3)
 
     def test_steal_zero_ok(self):
         st_ = ChunkedStack(5)
-        st_.push_batch(*_nodes(15))
+        st_.push_batch_list(*_nodes(15))
         assert st_.steal_chunks(0) == []
 
     def test_steal_negative(self):
@@ -162,7 +111,7 @@ class TestStealing:
 
     def test_receive_chunks(self):
         victim = ChunkedStack(5)
-        victim.push_batch(*_nodes(15))
+        victim.push_batch_list(*_nodes(15))
         thief = ChunkedStack(5)
         stolen = victim.steal_chunks(2)
         n = thief.receive_chunks(stolen)
@@ -177,19 +126,19 @@ class TestStealing:
 
     def test_receive_goes_below_existing(self):
         victim = ChunkedStack(5)
-        victim.push_batch(*_nodes(15))
+        victim.push_batch_list(*_nodes(15))
         thief = ChunkedStack(5)
-        thief.push_batch(*_nodes(3, start=100))
+        thief.push_batch_list(*_nodes(3, start=100))
         stolen = victim.steal_chunks(1)
         thief.receive_chunks(stolen)
         # Thief's own (newest) work still pops first.
-        s, _ = thief.pop_batch(1)
-        assert s.tolist() == [102]
+        s, _ = thief.pop_batch_list(1)
+        assert s == [102]
         thief.check_invariant()
 
     def test_conservation_across_steal(self):
         victim = ChunkedStack(4)
-        victim.push_batch(*_nodes(20))
+        victim.push_batch_list(*_nodes(20))
         thief = ChunkedStack(4)
         stolen = victim.steal_chunks(2)
         thief.receive_chunks(stolen)
@@ -221,11 +170,11 @@ class TestProperties:
         in_other = 0
         for kind, amount in ops:
             if kind == "push":
-                stack.push_batch(*_nodes(amount, start=counter))
+                stack.push_batch_list(*_nodes(amount, start=counter))
                 counter += amount
                 in_stack += amount
             elif kind == "pop":
-                s, _ = stack.pop_batch(amount)
+                s, _ = stack.pop_batch_list(amount)
                 in_stack -= len(s)
             else:  # steal
                 take = min(amount, stack.stealable_chunks)
@@ -249,13 +198,13 @@ class TestProperties:
     def test_expand_quanta_matches_repeated_expand_quantum(
         self, sizes, chunk_size, n, budget
     ):
-        """The burst path is the per-quantum path, verbatim.
+        """``expand_quanta`` is the per-quantum path, verbatim.
 
-        ``expand_quanta`` inlines ``expand_quantum``'s body (the
-        sharded engine's pure-compute fast path leans on the two
-        staying in lockstep); this drives both over the same stack
-        content, children function and stop time and demands the same
-        node stream, timestamps, counters and final chunk layout.
+        The ledger's ``uts.stack.expand_nodes_per_s`` rung calls
+        ``expand_quanta``; this drives it and ``expand_quantum`` over
+        the same stack content, children function and stop time and
+        demands the same node stream, timestamps, counters and final
+        chunk layout.
         """
 
         def children_fn(states, depths):
@@ -279,8 +228,8 @@ class TestProperties:
         per_node_time = 0.125
         t_stop = budget * per_node_time
 
-        burst = build()
-        t_b, quanta_b, nodes_b = burst.expand_quanta(
+        shim = build()
+        t_b, quanta_b, nodes_b = shim.expand_quanta(
             n, children_fn, 0.0, t_stop, per_node_time
         )
 
@@ -288,8 +237,8 @@ class TestProperties:
         t_s = 0.0
         quanta_s = nodes_s = 0
         while True:
-            # First quantum unconditional (an already-popped EXEC),
-            # further ones only while work remains below t_stop.
+            # First quantum unconditional, further ones only while
+            # work remains below t_stop.
             npop = step.expand_quantum(n, children_fn)
             quanta_s += 1
             nodes_s += npop
@@ -298,15 +247,15 @@ class TestProperties:
                 break
 
         assert (t_b, quanta_b, nodes_b) == (t_s, quanta_s, nodes_s)
-        assert burst.total_popped == step.total_popped
-        assert burst.total_pushed == step.total_pushed
-        assert burst.size == step.size
+        assert shim.total_popped == step.total_popped
+        assert shim.total_pushed == step.total_pushed
+        assert shim.size == step.size
         assert [
-            (c.size, c.capacity, c.states, c.depths) for c in burst._chunks
+            (c.size, c.capacity, c.states, c.depths) for c in shim._chunks
         ] == [
             (c.size, c.capacity, c.states, c.depths) for c in step._chunks
         ]
-        burst.check_invariant()
+        shim.check_invariant()
 
     @given(
         st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=20),
@@ -318,9 +267,9 @@ class TestProperties:
         pushed: list[int] = []
         base = 0
         for n in sizes:
-            stack.push_batch(*_nodes(n, start=base))
+            stack.push_batch_list(*_nodes(n, start=base))
             pushed.extend(range(base, base + n))
             base += n
-        states, _ = stack.drain()
-        assert sorted(states.tolist()) == pushed
+        states, _ = stack.pop_batch_list(stack.size)
+        assert sorted(states) == pushed
         assert stack.is_empty
