@@ -8,9 +8,13 @@ core (:class:`repro.sim.worker.Worker`) calls:
 
 ``on_idle(t)``
     The worker's stack drained; start a work-discovery session.
-``on_message(now, msg)``
+``on_message(now, tag, src, body)``
     A protocol message arrived (the worker dispatches *every* message
-    here).
+    here).  Messages are not objects: the tag says what ``body`` is and
+    ``src``, the sender, is the thief of a request and the victim of a
+    response (:mod:`repro.protocol.messages`).  The two halves of a
+    failed steal — request at an idle rank, deny back at the thief —
+    are the first two branches and do their work in that one frame.
 ``serve_pending(now) -> t``
     Poll boundary: answer queued steal requests (and push to armed
     lifelines), returning the advanced local time.
@@ -33,10 +37,10 @@ global load balancing* (PPoPP 2011), which the paper's related-work
 section contrasts with its own victim selection: after
 ``lifeline_threshold`` consecutive failed steals an idle rank
 *quiesces* — it arms its partners (:mod:`repro.protocol.graphs`) with
-a :class:`LifelineRegister` and stops sending requests; a partner with
+a ``TAG_LIFELINE_REGISTER`` and stops sending requests; a partner with
 stealable work at a poll boundary pushes a chunk allotment to each
 armed waiter; a woken rank disarms the rest
-(:class:`LifelineDeregister`).  Quiescent ranks are idle for the
+(``TAG_LIFELINE_DEREGISTER``).  Quiescent ranks are idle for the
 termination ring and pushes blacken the sender like steal responses.
 
 Bit-identity argument (the contract the differential suite enforces):
@@ -58,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.sessions import Session
+from repro.core.victim import VictimSelector
 from repro.errors import SimulationError
 from repro.protocol.messages import (
     TAG_FINISH,
@@ -66,11 +71,7 @@ from repro.protocol.messages import (
     TAG_STEAL_FORWARD,
     TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
-    LifelineDeregister,
-    LifelineRegister,
     StealForward,
-    StealRequest,
-    StealResponse,
 )
 from repro.protocol.regions import RegionMap
 from repro.protocol.status import WorkerStatus
@@ -164,6 +165,7 @@ class StealProtocol:
         "nranks",
         "transport",
         "selector",
+        "_notify",
         "policy",
         "steal_service_time",
         "events",
@@ -216,12 +218,22 @@ class StealProtocol:
         # lifetime); its methods are looked up per call — tests patch
         # them on the instance.
         self.transport = worker.transport
-        self.selector = worker.selector
+        self.selector = selector = worker.selector
+        #: The selector's feedback hook, or None when it is the
+        #: inherited no-op (every static strategy): a failed steal then
+        #: pays no call for it.
+        self._notify = (
+            None
+            if selector is None
+            or type(selector).notify is VictimSelector.notify
+            else selector.notify
+        )
         self.policy = worker.policy
         self.steal_service_time = worker.steal_service_time
         self.events = worker.events
 
-        #: Queued steal requests/forwards, answered at poll boundaries.
+        #: Queued steal requests/forwards as ``(tag, src, body)``,
+        #: answered at poll boundaries.
         #: The worker aliases this exact list object; it is mutated in
         #: place (append/clear), never rebound.
         self.pending: list = []
@@ -301,56 +313,76 @@ class StealProtocol:
             self._send_steal_request(t)
         # nranks == 1: termination fires via rank_became_idle.
 
-    def on_message(self, now: float, msg: object) -> None:
-        """A message arrived at this rank at (true) time ``now``."""
+    def on_message(self, now: float, tag: int, src: int, body) -> None:
+        """``(tag, body)`` from ``src`` arrived at (true) time ``now``."""
         w = self.worker
-        if w.status is WorkerStatus.DONE:
+        status = w.status
+        if status is WorkerStatus.DONE:
             return  # post-termination stragglers are dropped
-        tag = getattr(msg, "tag", None)
-        if tag == TAG_STEAL_REQUEST:
-            if w.status is WorkerStatus.RUNNING:
-                self.pending.append(msg)
-            else:
-                # Idle ranks have nothing to give; relay or deny now.
-                self._relay_or_deny(
-                    now,
-                    msg.thief,
-                    msg.escalated,
-                    self._forward_ttl,
-                    (msg.thief, self.rank),
+        if tag == TAG_STEAL_RESPONSE and body is None:
+            # A failed steal.  With lifelines a deny may legitimately
+            # land while RUNNING: a stale push (partner served before
+            # our deregister arrived) can wake the thief while a real
+            # request is still in flight; the chain continues as if the
+            # thief were still hunting.  Without lifelines any
+            # non-WAITING response is a protocol violation.
+            if status is not WorkerStatus.WAITING and not self._lifelines:
+                raise SimulationError(
+                    f"rank {self.rank}: steal response while {status.name}"
                 )
-        elif tag == TAG_STEAL_RESPONSE:
+            self.failed_steals += 1
+            self.consecutive_failed_steals += 1
+            if self.events is not None:
+                self.events.append(now, EV_STEAL_FAIL, src)
+            if self._notify is not None:
+                self._notify(src, False)
             if (
                 self._lifelines
-                and msg.has_work
-                and w.status is WorkerStatus.RUNNING
+                and self.consecutive_failed_steals >= self.lifeline_threshold
             ):
-                # A lifeline push raced our own recovery: merge the work.
-                w.stack.receive_chunks(msg.chunks)
-                self.chunks_received += len(msg.chunks)
-                self.nodes_received += msg.nodes
+                if not self._quiescent:
+                    self._quiesce(now)
+                # Quiescent: no further requests; wait for a push or
+                # Finish.
+            else:
+                self._send_steal_request(now)
+        elif tag == TAG_STEAL_REQUEST:
+            if status is WorkerStatus.RUNNING:
+                self.pending.append((tag, src, body))
+            elif self._forward:
+                self._relay_or_deny(
+                    now, src, body, self._forward_ttl, (src, self.rank)
+                )
+            else:
+                # Idle ranks have nothing to give: the deny of
+                # ``_relay_or_deny``, minus its frame.
+                self.requests_denied += 1
                 if self.events is not None:
-                    self.events.append(now, EV_PUSH_RECV, msg.victim, msg.nodes)
-                return
-            self._on_response(now, msg)
+                    self.events.append(now, EV_DENY, src)
+                self.transport.send(
+                    self.rank, src, TAG_STEAL_RESPONSE, None, now
+                )
+        elif tag == TAG_STEAL_RESPONSE:
+            self._on_work(now, src, body, status)
         elif tag == TAG_STEAL_FORWARD:
-            if w.status is WorkerStatus.RUNNING:
-                self.pending.append(msg)
+            if status is WorkerStatus.RUNNING:
+                self.pending.append((tag, src, body))
             else:
                 self._relay_or_deny(
-                    now, msg.thief, msg.escalated, msg.ttl, msg.visited
+                    now, body.thief, body.escalated, body.ttl, body.visited
                 )
         elif tag == TAG_FINISH:
-            self._on_finish(now)
+            self.on_finish(now)
         elif self._lifelines and tag == TAG_LIFELINE_REGISTER:
-            if msg.thief not in self.waiters:
-                self.waiters.append(msg.thief)
+            if src not in self.waiters:
+                self.waiters.append(src)
         elif self._lifelines and tag == TAG_LIFELINE_DEREGISTER:
-            if msg.thief in self.waiters:
-                self.waiters.remove(msg.thief)
+            if src in self.waiters:
+                self.waiters.remove(src)
         else:
             raise SimulationError(
-                f"rank {self.rank}: unexpected message {msg!r}"
+                f"rank {self.rank}: unexpected message tag {tag!r} "
+                f"from rank {src} ({body!r})"
             )
 
     def serve_pending(self, now: float) -> float:
@@ -368,10 +400,14 @@ class StealProtocol:
             ev = self.events
             stack = self.worker.stack
             policy = self.policy
-            for req in pending:
+            for tag, src, body in pending:
+                if tag == TAG_STEAL_FORWARD:
+                    thief, escalated = body.thief, body.escalated
+                else:
+                    thief, escalated = src, body
                 stealable = stack.stealable_chunks
                 take = (
-                    policy.chunks_for_request(stealable, req.escalated)
+                    policy.chunks_for_request(stealable, escalated)
                     if stealable
                     else 0
                 )
@@ -384,27 +420,24 @@ class StealProtocol:
                     self.requests_served += 1
                     self.chunks_sent += len(chunks)
                     self.nodes_sent += nodes
-                    if req.tag == TAG_STEAL_FORWARD:
+                    if tag == TAG_STEAL_FORWARD:
                         self.forwards_served += 1
                         if ev is not None:
-                            ev.append(t, EV_FORWARD_SERVE, req.thief, nodes)
+                            ev.append(t, EV_FORWARD_SERVE, thief, nodes)
                     elif ev is not None:
-                        ev.append(t, EV_SERVE, req.thief, nodes)
+                        ev.append(t, EV_SERVE, thief, nodes)
                     self.transport.work_sent(self.rank)
                     self.transport.send(
-                        self.rank, req.thief, StealResponse(self.rank, chunks), t
+                        self.rank, thief, TAG_STEAL_RESPONSE, chunks, t
                     )
-                elif req.tag == TAG_STEAL_FORWARD:
+                elif tag == TAG_STEAL_FORWARD:
                     self._relay_or_deny(
-                        t, req.thief, req.escalated, req.ttl, req.visited
+                        t, thief, escalated, body.ttl, body.visited
                     )
                 else:
                     self._relay_or_deny(
-                        t,
-                        req.thief,
-                        req.escalated,
-                        self._forward_ttl,
-                        (req.thief, self.rank),
+                        t, thief, escalated, self._forward_ttl,
+                        (thief, self.rank),
                     )
             pending.clear()
         if self._lifelines:
@@ -429,7 +462,7 @@ class StealProtocol:
                     self.events.append(t, EV_LIFELINE_PUSH, thief, nodes)
                 self.transport.work_sent(self.rank)
                 self.transport.send(
-                    self.rank, thief, StealResponse(self.rank, chunks), t
+                    self.rank, thief, TAG_STEAL_RESPONSE, chunks, t
                 )
         return t
 
@@ -446,9 +479,6 @@ class StealProtocol:
             self.events.append(now, EV_FINISH)
         w.status = WorkerStatus.DONE
         w.finish_time = now
-
-    # Internal alias used by on_message dispatch.
-    _on_finish = on_finish
 
     # ------------------------------------------------------------------
     # Thief side
@@ -488,67 +518,41 @@ class StealProtocol:
         if ev is not None:
             ev.append(t, EV_VICTIM_DRAW, victim, self._session_attempts)
             ev.append(t, EV_STEAL_SENT, victim, int(escalated))
-        self.transport.send(
-            self.rank, victim, StealRequest(self.rank, escalated), t
-        )
+        self.transport.send(self.rank, victim, TAG_STEAL_REQUEST, escalated, t)
 
-    def _on_response(self, now: float, msg: StealResponse) -> None:
+    def _on_work(self, now: float, victim: int, chunks: list, status) -> None:
+        """A response carrying work (a served steal or a lifeline push)."""
         w = self.worker
-        # With lifelines a deny may legitimately land while RUNNING: a
-        # stale push (partner served before our deregister arrived) can
-        # wake the thief while a real request is still in flight.  The
-        # chain continues as if the thief were still hunting.  Without
-        # lifelines any non-WAITING response is a protocol violation.
-        has_work = msg.chunks is not None
-        if w.status is not WorkerStatus.WAITING and not (
-            self._lifelines and not has_work
-        ):
-            raise SimulationError(
-                f"rank {self.rank}: steal response while {w.status.name}"
-            )
-        if has_work:
-            if self._armed:
-                self._disarm(now)
-                self.lifeline_wakeups += 1
-                if self.events is not None:
-                    self.events.append(now, EV_LIFELINE_WAKE, msg.victim)
-            assert msg.chunks is not None
-            received = w.stack.receive_chunks(msg.chunks)
-            self.successful_steals += 1
-            self.chunks_received += len(msg.chunks)
-            self.nodes_received += received
+        if status is not WorkerStatus.WAITING:
+            if not self._lifelines:
+                raise SimulationError(
+                    f"rank {self.rank}: steal response while {status.name}"
+                )
+            # A lifeline push raced our own recovery: merge the work.
+            nodes = w.stack.receive_chunks(chunks)
+            self.chunks_received += len(chunks)
+            self.nodes_received += nodes
             if self.events is not None:
-                self.events.append(now, EV_STEAL_OK, msg.victim, received)
-            if self.selector is not None:
-                self.selector.notify(msg.victim, success=True)
-            self.consecutive_failed_steals = 0
-            self._close_session(now, found_work=True)
-            w._record(now, active=True)
-            w.status = WorkerStatus.RUNNING
-            self.transport.schedule_exec(self.rank, now)
-        else:
-            # Shares one failure accounting point (counter, trace
-            # event, selector notify) so the three can never diverge;
-            # only the spin-vs-quiesce decision is lifeline-specific.
-            self._steal_failed(now, msg.victim)
-            if (
-                self._lifelines
-                and self.consecutive_failed_steals >= self.lifeline_threshold
-            ):
-                if not self._quiescent:
-                    self._quiesce(now)
-                # Quiescent: no further requests; wait for a push or
-                # Finish.
-            else:
-                self._send_steal_request(now)
-
-    def _steal_failed(self, now: float, victim: int) -> None:
-        self.failed_steals += 1
-        self.consecutive_failed_steals += 1
+                self.events.append(now, EV_PUSH_RECV, victim, nodes)
+            return
+        if self._armed:
+            self._disarm(now)
+            self.lifeline_wakeups += 1
+            if self.events is not None:
+                self.events.append(now, EV_LIFELINE_WAKE, victim)
+        received = w.stack.receive_chunks(chunks)
+        self.successful_steals += 1
+        self.chunks_received += len(chunks)
+        self.nodes_received += received
         if self.events is not None:
-            self.events.append(now, EV_STEAL_FAIL, victim)
-        if self.selector is not None:
-            self.selector.notify(victim, success=False)
+            self.events.append(now, EV_STEAL_OK, victim, received)
+        if self._notify is not None:
+            self._notify(victim, True)
+        self.consecutive_failed_steals = 0
+        self._close_session(now, found_work=True)
+        w._record(now, active=True)
+        w.status = WorkerStatus.RUNNING
+        self.transport.schedule_exec(self.rank, now)
 
     def _close_session(self, end: float, found_work: bool) -> None:
         assert self._session_start is not None
@@ -582,7 +586,7 @@ class StealProtocol:
         blackening (exactly like the deny they replace); only the
         eventual serve moves work.  The terminal deny replies to the
         *originator*, which closes the chain: every chain produces
-        exactly one :class:`StealResponse`, preserving the
+        exactly one response, preserving the
         one-outstanding-request invariant the trace analysis and the
         termination argument rely on.
         """
@@ -595,6 +599,7 @@ class StealProtocol:
                 self.transport.send(
                     self.rank,
                     target,
+                    TAG_STEAL_FORWARD,
                     StealForward(thief, escalated, ttl - 1, visited + (target,)),
                     now,
                 )
@@ -602,7 +607,7 @@ class StealProtocol:
         self.requests_denied += 1
         if self.events is not None:
             self.events.append(now, EV_DENY, thief)
-        self.transport.send(self.rank, thief, StealResponse(self.rank, None), now)
+        self.transport.send(self.rank, thief, TAG_STEAL_RESPONSE, None, now)
 
     def _forward_target(self, visited: tuple[int, ...]) -> int | None:
         """Pick the next hop: unvisited region peers first, then the
@@ -635,7 +640,7 @@ class StealProtocol:
             self.events.append(now, EV_LIFELINE_QUIESCE)
         for partner in self.partners:
             self.transport.send(
-                self.rank, partner, LifelineRegister(self.rank), now
+                self.rank, partner, TAG_LIFELINE_REGISTER, None, now
             )
 
     def _disarm(self, now: float) -> None:
@@ -644,7 +649,7 @@ class StealProtocol:
         self.consecutive_failed_steals = 0
         for partner in self.partners:
             self.transport.send(
-                self.rank, partner, LifelineDeregister(self.rank), now
+                self.rank, partner, TAG_LIFELINE_DEREGISTER, None, now
             )
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ Picasso victim bitsets are the idioms):
     itself is **stateless** — one instance is shared by every worker
     in a process, so the failure streak lives on the thief
     (``Worker.consecutive_failed_steals``) and travels to the victim
-    as ``StealRequest.escalated``.
+    as the body of the steal request (``escalated``).
 
 Determinism contract (enforced by the differential and property test
 suites): selector state is a pure function of ``(seed, rank)`` and the

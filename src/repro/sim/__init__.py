@@ -14,21 +14,21 @@ Modules
 ``clock``
     Per-rank clock skew injection (and its correction).
 ``cluster``
-    The engine: event kinds, the ``(time, pusher, seq)`` key order,
-    :class:`Cluster` (placement + workers + one event loop) and
-    :class:`SimOutcome`, the raw record a run returns.
+    The engine: the ``(time, pusher, seq, tag, dst, body)`` event, its
+    ``(time, pusher, seq)`` key order, :class:`Cluster` (placement +
+    workers + one heap, one loop) and :class:`SimOutcome`, the raw
+    record a run returns.
 
-Message types live in :mod:`repro.protocol.messages`.
+The tags an event carries — every message tag plus ``TAG_EXEC`` — live
+in :mod:`repro.protocol.messages`.
 """
 
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.sim.clock import ClockSkewModel
 from repro.sim.worker import Worker, WorkerStatus
-from repro.sim.cluster import EVT_EXEC, EVT_MSG, SimOutcome
+from repro.sim.cluster import SimOutcome
 
 __all__ = [
-    "EVT_EXEC",
-    "EVT_MSG",
     "DijkstraTermination",
     "TokenAction",
     "ClockSkewModel",

@@ -4,24 +4,22 @@
 from a config, *is* the transport its workers talk to, and runs the
 whole job as a single sequential loop (DESIGN.md §5d).
 
-Two event kinds exist:
+An event is a ``(time, pusher, seq, tag, dst, body)`` tuple on one heap.
+``tag`` is the message tag itself (:mod:`repro.protocol.messages`), or
+``TAG_EXEC`` for a rank reaching a poll boundary; ``pusher`` is the
+rank that scheduled the event — for a message, its sender, which is
+all a request or a response needs to say about who the thief or the
+victim is — and ``seq`` that rank's own counter.  The loop pops a
+tuple and dispatches on the integer it holds; no message object exists
+unless the body needs more than one field (a relayed request).
 
-* ``EVT_EXEC`` — a rank reached a poll boundary (end of a work
-  quantum) and runs its scheduler step;
-* ``EVT_MSG`` — a message arrives at a rank.
-
-Events are ``(time, pusher, seq, kind, rank, payload)`` tuples ordered
-by ``(time, pusher, seq)``: ``pusher`` is the rank that scheduled the
-event and ``seq`` that rank's own counter.  Among equal timestamps
+Events are ordered by ``(time, pusher, seq)``.  Among equal timestamps
 this delivers in pusher order, then in each pusher's insertion order.
 A rank only pushes while one of its own events is being processed, so
 the key is unique, depends on nothing but the simulated history, and
-the tuple compare never reaches ``kind``.  That is what lets the
-events live in two heaps — message deliveries, and each RUNNING rank's
-single outstanding EXEC — whose heads compared against each other
-reproduce the single-queue order exactly, and what lets
-``tests/sim/oracle.py`` (one plain queue) be compared with this
-engine byte for byte.
+the tuple compare never reaches ``tag``.  That is what makes this heap
+and the plain queue of ``tests/sim/oracle.py`` pop the same sequence,
+and lets the two be compared byte for byte.
 
 One EXEC event is one quantum: the paper's Algorithm 1 polls between
 every ``poll_interval`` node expansions.
@@ -43,10 +41,10 @@ from repro.net.allocation import Placement, build_placement
 from repro.net.contention import NicContention
 from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.messages import (
+    TAG_EXEC,
+    TAG_FINISH,
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
-    Finish,
-    Token,
 )
 from repro.sim.clock import ClockSkewModel
 from repro.sim.termination import DijkstraTermination, TokenAction
@@ -55,15 +53,10 @@ from repro.trace.events import EV_TOKEN, EventRecorder
 from repro.uts.tree import TreeGenerator
 
 __all__ = [
-    "EVT_EXEC",
-    "EVT_MSG",
     "DEFAULT_MAX_EVENTS",
     "SimOutcome",
     "Cluster",
 ]
-
-EVT_EXEC = 0
-EVT_MSG = 1
 
 #: Default runaway guard for one simulation.
 DEFAULT_MAX_EVENTS = 100_000_000
@@ -150,8 +143,7 @@ class Cluster:
         self._row_fn, self._values = self.placement.latency.codes
         self._rows: list = [None] * config.nranks
 
-        self._msg_heap: list = []
-        self._exec_heap: list = []
+        self._heap: list = []
         #: Next event sequence number of each rank.
         self._rank_seq = [0] * config.nranks
         self.now = 0.0
@@ -195,7 +187,9 @@ class Cluster:
     # Transport interface (used by workers)
     # ------------------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload: object, when: float) -> None:
+    def send(
+        self, src: int, dst: int, tag: int, body: object, when: float
+    ) -> None:
         if self._finishing:
             # The run is over; in-flight control traffic is dropped,
             # like an MPI job tearing down.
@@ -205,11 +199,8 @@ class Cluster:
         if row is None:
             row = self._rows[src] = memoryview(self._row_fn(src))
         wire = self._values[row[dst]]
-        if (
-            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
-            and payload.chunks is not None
-        ):
-            wire += payload.nodes * self._transfer_time_per_node
+        if body is not None and tag == TAG_STEAL_RESPONSE:
+            wire += sum(c.size for c in body) * self._transfer_time_per_node
         arrival = when + wire
         rs = self._rank_seq
         seq = rs[src]
@@ -219,9 +210,7 @@ class Cluster:
                 f"event scheduled at {arrival} before current time "
                 f"{self.now}"
             )
-        heapq.heappush(
-            self._msg_heap, (arrival, src, seq, EVT_MSG, dst, payload)
-        )
+        heapq.heappush(self._heap, (arrival, src, seq, tag, dst, body))
 
     def schedule_exec(self, rank: int, when: float) -> None:
         if when < self.now:
@@ -231,9 +220,7 @@ class Cluster:
         rs = self._rank_seq
         seq = rs[rank]
         rs[rank] = seq + 1
-        heapq.heappush(
-            self._exec_heap, (when, rank, seq, EVT_EXEC, rank, None)
-        )
+        heapq.heappush(self._heap, (when, rank, seq, TAG_EXEC, rank, None))
 
     def rank_became_idle(self, rank: int, when: float) -> None:
         self._dispatch_token_action(rank, self.detector.rank_idle(rank), when)
@@ -256,13 +243,12 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def run(self) -> SimOutcome:
-        """Start every rank, deliver events in key order until both
-        heaps drain, check the run terminated cleanly."""
+        """Start every rank, deliver events in key order until the
+        heap drains, check the run terminated cleanly."""
         for worker in self.workers:
             worker.start(0.0)
 
-        mheap = self._msg_heap
-        eheap = self._exec_heap
+        heap = self._heap
         pop = heapq.heappop
         workers = self.workers
         handlers = self._handlers
@@ -270,12 +256,8 @@ class Cluster:
         event_recorders = self.event_recorders
         max_events = self._max_events
         processed = 0
-        while mheap or eheap:
-            if not eheap or (mheap and mheap[0] < eheap[0]):
-                head = pop(mheap)
-            else:
-                head = pop(eheap)
-            t = head[0]
+        while heap:
+            t, src, _seq, tag, rank, body = pop(heap)
             self.now = t
             processed += 1
             if processed > max_events:
@@ -283,24 +265,17 @@ class Cluster:
                     f"simulation exceeded {max_events} events "
                     "(livelock or runaway configuration?)"
                 )
-            rank = head[4]
-            if head[3] == EVT_EXEC:
+            if tag == TAG_EXEC:
                 workers[rank].on_exec(t)
-                continue
-            payload = head[5]
-            if getattr(payload, "tag", None) == TAG_TOKEN:
+            elif tag == TAG_TOKEN:
                 if event_recorders is not None:
-                    event_recorders[rank].append(
-                        t, EV_TOKEN, payload.color
-                    )
+                    event_recorders[rank].append(t, EV_TOKEN, body)
                 action = detector.token_arrived(
-                    rank,
-                    payload.color,
-                    workers[rank].status is WorkerStatus.WAITING,
+                    rank, body, workers[rank].status is WorkerStatus.WAITING
                 )
                 self._dispatch_token_action(rank, action, t)
             else:
-                handlers[rank](t, payload)
+                handlers[rank](t, tag, src, body)
         return self._finalize(processed)
 
     def teardown(self) -> None:
@@ -329,7 +304,7 @@ class Cluster:
             self._broadcast_finish(when)
         elif action.sends:
             assert action.send_color is not None and action.send_to is not None
-            self.send(src, action.send_to, Token(action.send_color), when)
+            self.send(src, action.send_to, TAG_TOKEN, action.send_color, when)
 
     def _broadcast_finish(self, when: float) -> None:
         """Rank 0 proved termination: tell everyone, drop the rest.
@@ -340,18 +315,17 @@ class Cluster:
         continuing its counter — the sequence a single queue's pushes
         produce.  They pay wire latency but no NIC port.
         """
-        self.messages_dropped += len(self._msg_heap) + len(self._exec_heap)
-        self._msg_heap.clear()
-        self._exec_heap.clear()
+        self.messages_dropped += len(self._heap)
+        self._heap.clear()
         self._finishing = True
         c0 = self._rank_seq[0]
-        self.workers[0].on_message(when, Finish())
+        self.workers[0].on_message(when, TAG_FINISH, 0, None)
         values, row0 = self._values, self._row_fn(0).tolist()
         for rank in range(1, self.config.nranks):
             heapq.heappush(
-                self._msg_heap,
-                (when + values[row0[rank]], 0, c0 + rank - 1, EVT_MSG, rank,
-                 Finish()),
+                self._heap,
+                (when + values[row0[rank]], 0, c0 + rank - 1, TAG_FINISH, rank,
+                 None),
             )
         self._rank_seq[0] = c0 + self.config.nranks - 1
 
@@ -414,7 +388,9 @@ class _NicCluster(Cluster):
             self.placement.rank_nodes, config.nic_service_time
         )
 
-    def send(self, src: int, dst: int, payload: object, when: float) -> None:
+    def send(
+        self, src: int, dst: int, tag: int, body: object, when: float
+    ) -> None:
         if self._finishing:
             self.messages_dropped += 1
             return
@@ -422,11 +398,8 @@ class _NicCluster(Cluster):
         if row is None:
             row = self._rows[src] = memoryview(self._row_fn(src))
         wire = self._values[row[dst]]
-        if (
-            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
-            and payload.chunks is not None
-        ):
-            wire += payload.nodes * self._transfer_time_per_node
+        if body is not None and tag == TAG_STEAL_RESPONSE:
+            wire += sum(c.size for c in body) * self._transfer_time_per_node
         nic = self._nic
         arrival = nic.deliver(dst, nic.inject(src, when) + wire)
         rs = self._rank_seq
@@ -437,6 +410,4 @@ class _NicCluster(Cluster):
                 f"event scheduled at {arrival} before current time "
                 f"{self.now}"
             )
-        heapq.heappush(
-            self._msg_heap, (arrival, src, seq, EVT_MSG, dst, payload)
-        )
+        heapq.heappush(self._heap, (arrival, src, seq, tag, dst, body))

@@ -50,8 +50,10 @@ _DEFAULT_PLAN = ProtocolPlan()
 class Transport(Protocol):
     """What a worker needs from the cluster."""
 
-    def send(self, src: int, dst: int, payload: object, when: float) -> None:
-        """Deliver ``payload`` from ``src`` to ``dst``, sent at ``when``."""
+    def send(
+        self, src: int, dst: int, tag: int, body: object, when: float
+    ) -> None:
+        """Deliver ``(tag, body)`` from ``src`` to ``dst``, sent at ``when``."""
 
     def schedule_exec(self, rank: int, when: float) -> None:
         """Schedule the next poll boundary of ``rank`` at ``when``."""
@@ -196,9 +198,9 @@ class Worker:
         else:
             self._go_idle(t)
 
-    def on_message(self, now: float, msg: object) -> None:
-        """A message arrived at this rank at (true) time ``now``."""
-        self.protocol.on_message(now, msg)
+    def on_message(self, now: float, tag: int, src: int, body: object) -> None:
+        """``(tag, body)`` from ``src`` arrived at (true) time ``now``."""
+        self.protocol.on_message(now, tag, src, body)
 
     # ------------------------------------------------------------------
     # Internals

@@ -11,7 +11,8 @@ Open the emitted JSON at https://ui.perfetto.dev (or
 ``chrome://tracing``): one lane per rank, ``active`` slices for the
 busy phases, arrows for every steal attempt, and an ``active
 workers`` counter track.  A text summary of the steal statistics is
-printed to stdout.
+printed to stdout; with ``--capacity`` small enough to drop events the
+truncation warning goes to stderr and the exit status stays 0.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
-from repro.errors import ReproError
+from repro.errors import ReproError, TraceTruncatedWarning
 from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
 from repro.trace.chrome import (
@@ -109,13 +111,19 @@ def main(argv: list[str] | None = None) -> int:
     events = result.events
     assert events is not None  # event_trace is forced on by the preset
 
-    analysis = TraceAnalysis(events, placement=outcome.placement)
-    data = chrome_trace(
-        events,
-        result.trace,
-        total_time=result.total_time,
-        label=cfg.label(),
-    )
+    # Analysis and exporter each warn about a truncated trace; say it
+    # once, as this program's own message.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TraceTruncatedWarning)
+        analysis = TraceAnalysis(events, placement=outcome.placement)
+        data = chrome_trace(
+            events,
+            result.trace,
+            total_time=result.total_time,
+            label=cfg.label(),
+        )
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     out = args.out or f"{args.config}.trace.json"
     write_chrome_trace(out, data)
 

@@ -14,7 +14,9 @@ quantities the paper reasons about but never shows directly:
   the starvation signature of §V.
 
 The analysis is pure post-processing: it never touches the simulator
-and accepts any validated :class:`~repro.trace.events.EventTrace`.
+and accepts any validated :class:`~repro.trace.events.EventTrace`.  A
+trace whose ring buffers dropped events is analysed as far as it goes,
+under a :class:`~repro.errors.TraceTruncatedWarning`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class TraceAnalysis:
     """Derived steal statistics of one traced run."""
 
     def __init__(self, events: EventTrace, placement=None):
+        events.warn_if_truncated()
         self.events = events
         self.nranks = events.nranks
         #: Optional :class:`~repro.net.allocation.Placement`; enables
@@ -274,12 +277,7 @@ class TraceAnalysis:
     def summary(self) -> str:
         """Multi-line human-readable digest (the CLI's text output)."""
         lines = [
-            f"ranks: {self.nranks}, events: {len(self.events)}"
-            + (
-                f" ({sum(self.events.dropped)} dropped by ring buffers)"
-                if any(self.events.dropped)
-                else ""
-            ),
+            f"ranks: {self.nranks}, events: {len(self.events)}",
             f"steal requests: {self.steal_requests} "
             f"(ok {self.successful_steals}, failed {self.failed_steals}, "
             f"success rate {self.steal_success_rate():.3f})",

@@ -23,8 +23,9 @@ coherent clock.
 from __future__ import annotations
 
 import math
+import warnings
 
-from repro.errors import TraceError
+from repro.errors import TraceError, TraceTruncatedWarning
 
 __all__ = [
     "EV_VICTIM_DRAW",
@@ -230,6 +231,25 @@ class EventTrace:
         return cls(
             [sorted(r.events(), key=lambda ev: ev[0]) for r in recorders],
             [r.dropped for r in recorders],
+        )
+
+    def warn_if_truncated(self) -> None:
+        """One :class:`~repro.errors.TraceTruncatedWarning` naming the
+        ranks whose ring buffers dropped events, and how many; called
+        at every entry point that reads statistics off the stream."""
+        lost = [(rank, n) for rank, n in enumerate(self.dropped) if n]
+        if not lost:
+            return
+        shown = ", ".join(f"rank {rank}: {n}" for rank, n in lost[:8])
+        if len(lost) > 8:
+            shown += f", ... {len(lost) - 8} more ranks"
+        warnings.warn(
+            f"event trace is truncated: ring buffers dropped "
+            f"{sum(self.dropped)} events on {len(lost)} of {self.nranks} "
+            f"ranks ({shown}); counts, rates and latencies cover only the "
+            f"{len(self)} events kept",
+            TraceTruncatedWarning,
+            stacklevel=3,
         )
 
     # ------------------------------------------------------------------

@@ -6,10 +6,10 @@ from repro.core.steal_policy import StealOne
 from repro.core.victim import UniformRandomSelector
 from repro.protocol.core import ProtocolPlan
 from repro.protocol.messages import (
-    LifelineDeregister,
-    LifelineRegister,
-    StealRequest,
-    StealResponse,
+    TAG_LIFELINE_DEREGISTER,
+    TAG_LIFELINE_REGISTER,
+    TAG_STEAL_REQUEST,
+    TAG_STEAL_RESPONSE,
 )
 from repro.sim.worker import Worker, WorkerStatus
 from repro.uts.params import TreeParams
@@ -26,8 +26,8 @@ class FakeTransport:
         self.idles = []
         self.work_sends = []
 
-    def send(self, src, dst, payload, when):
-        self.sent.append((src, dst, payload, when))
+    def send(self, src, dst, tag, body, when):
+        self.sent.append((src, dst, tag, body, when))
 
     def schedule_exec(self, rank, when):
         self.execs.append((rank, when))
@@ -71,34 +71,34 @@ class TestQuiescence:
         w, t = make_worker(threshold=2)
         w.start(0.0)
         # Two failed responses reach the threshold.
-        w.on_message(1.0, StealResponse(victim=2, chunks=None))
+        w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)
         assert not w.protocol._quiescent
-        w.on_message(2.0, StealResponse(victim=3, chunks=None))
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 3, None)
         assert w.protocol._quiescent
         assert w.protocol.quiesce_episodes == 1
-        registers = [m for m in t.sent if isinstance(m[2], LifelineRegister)]
+        registers = [m for m in t.sent if m[2] == TAG_LIFELINE_REGISTER]
         assert len(registers) == len(w.protocol.partners)
 
     def test_no_requests_while_quiescent(self):
         w, t = make_worker(threshold=1)
         w.start(0.0)
-        w.on_message(1.0, StealResponse(victim=2, chunks=None))
-        n = len([m for m in t.sent if isinstance(m[2], StealRequest)])
+        w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)
+        n = len([m for m in t.sent if m[2] == TAG_STEAL_REQUEST])
         # Another failed response must not arrive (no request out), but
         # even if a stale one does, no new request is sent.
-        w.on_message(2.0, StealResponse(victim=3, chunks=None))
-        n2 = len([m for m in t.sent if isinstance(m[2], StealRequest)])
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 3, None)
+        n2 = len([m for m in t.sent if m[2] == TAG_STEAL_REQUEST])
         assert n2 == n
 
     def test_wakeup_disarms(self):
         w, t = make_worker(threshold=1)
         w.start(0.0)
-        w.on_message(1.0, StealResponse(victim=2, chunks=None))  # quiesce
-        w.on_message(3.0, StealResponse(victim=4, chunks=[full_chunk()]))
+        w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)  # quiesce
+        w.on_message(3.0, TAG_STEAL_RESPONSE, 4, [full_chunk()])
         assert w.status is WorkerStatus.RUNNING
         assert not w.protocol._quiescent
         assert w.protocol.lifeline_wakeups == 1
-        deregs = [m for m in t.sent if isinstance(m[2], LifelineDeregister)]
+        deregs = [m for m in t.sent if m[2] == TAG_LIFELINE_DEREGISTER]
         assert len(deregs) == len(w.protocol.partners)
 
 
@@ -108,12 +108,12 @@ class TestPushes:
         # Give the worker plenty of stealable work.
         w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, LifelineRegister(thief=5))
+        w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         assert w.protocol.waiters == [5]
         w.on_exec(2.0)
         pushes = [
             m for m in t.sent
-            if isinstance(m[2], StealResponse) and m[2].has_work and m[1] == 5
+            if m[2] == TAG_STEAL_RESPONSE and m[3] is not None and m[1] == 5
         ]
         assert len(pushes) == 1
         assert w.protocol.lifeline_pushes == 1
@@ -124,16 +124,16 @@ class TestPushes:
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
         w.stack.push_batch_list(list(range(25)), [2] * 25)
-        w.on_message(1.0, LifelineRegister(thief=5))
-        w.on_message(1.5, LifelineDeregister(thief=5))
+        w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
+        w.on_message(1.5, TAG_LIFELINE_DEREGISTER, 5, None)
         assert w.protocol.waiters == []
 
     def test_duplicate_register_ignored(self):
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
         w.stack.push_batch_list(list(range(25)), [2] * 25)
-        w.on_message(1.0, LifelineRegister(thief=5))
-        w.on_message(1.1, LifelineRegister(thief=5))
+        w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
+        w.on_message(1.1, TAG_LIFELINE_REGISTER, 5, None)
         assert w.protocol.waiters == [5]
 
     def test_spurious_push_while_running_merged(self):
@@ -142,7 +142,7 @@ class TestPushes:
         w.status = WorkerStatus.RUNNING
         w.stack.push_batch_list(list(range(5)), [2] * 5)
         before = w.stack.size
-        w.on_message(2.0, StealResponse(victim=3, chunks=[full_chunk(100)]))
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 3, [full_chunk(100)])
         assert w.stack.size == before + 5
         assert w.status is WorkerStatus.RUNNING
 
@@ -150,10 +150,10 @@ class TestPushes:
         w, t = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
         w.stack.push_batch_list(list(range(3)), [2] * 3)  # single private chunk only
-        w.on_message(1.0, LifelineRegister(thief=5))
+        w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         w.on_exec(2.0)
         pushes = [
-            m for m in t.sent if isinstance(m[2], StealResponse) and m[2].has_work
+            m for m in t.sent if m[2] == TAG_STEAL_RESPONSE and m[3] is not None
         ]
         assert pushes == []
         assert w.protocol.waiters == [5]  # still armed for later

@@ -11,12 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.steal_policy import StealOne
-from repro.core.victim import UniformRandomSelector
+from repro.core.victim import (
+    UniformRandomSelector,
+    VictimSelector,
+    selector_by_name,
+)
 from repro.protocol.core import ProtocolPlan, StealProtocol
 from repro.protocol.messages import (
+    TAG_STEAL_FORWARD,
+    TAG_STEAL_REQUEST,
+    TAG_STEAL_RESPONSE,
     StealForward,
-    StealRequest,
-    StealResponse,
 )
 from repro.protocol.regions import RegionMap
 from repro.sim.worker import Worker, WorkerStatus
@@ -35,8 +40,8 @@ class FakeTransport:
         self.idles = []
         self.work_sends = []
 
-    def send(self, src, dst, payload, when):
-        self.sent.append((src, dst, payload, when))
+    def send(self, src, dst, tag, body, when):
+        self.sent.append((src, dst, tag, body, when))
 
     def schedule_exec(self, rank, when):
         self.execs.append((rank, when))
@@ -51,14 +56,14 @@ class FakeTransport:
         return true_time
 
 
-def make_worker(rank=1, nranks=8, plan=None):
+def make_worker(rank=1, nranks=8, plan=None, selector=None, policy=None):
     t = FakeTransport()
     w = Worker(
         rank=rank,
         nranks=nranks,
         generator=TreeGenerator(TREE),
-        selector=UniformRandomSelector().make(rank, nranks, seed=0),
-        policy=StealOne(),
+        selector=selector or UniformRandomSelector().make(rank, nranks, seed=0),
+        policy=policy or StealOne(),
         transport=t,
         chunk_size=5,
         poll_interval=4,
@@ -69,8 +74,9 @@ def make_worker(rank=1, nranks=8, plan=None):
     return w, t
 
 
-def _of_type(sent, cls):
-    return [m for m in sent if isinstance(m[2], cls)]
+def _tagged(sent, tag):
+    """The ``(src, dst, tag, body, when)`` sends carrying ``tag``."""
+    return [m for m in sent if m[2] == tag]
 
 
 FWD_PLAN = ProtocolPlan(forward=True, forward_ttl=2)
@@ -118,29 +124,46 @@ class TestBaselineDeny:
     def test_idle_rank_denies_without_forwarding(self):
         w, t = make_worker()  # default plan: no forwarding
         w.start(0.0)
-        w.on_message(1.0, StealRequest(thief=5))
-        denies = _of_type(t.sent, StealResponse)
+        w.on_message(1.0, TAG_STEAL_REQUEST, 5, False)
+        denies = _tagged(t.sent, TAG_STEAL_RESPONSE)
         assert len(denies) == 1
-        _, dst, resp, _ = denies[0]
-        assert dst == 5 and not resp.has_work
+        assert denies[0] == (1, 5, TAG_STEAL_RESPONSE, None, 1.0)
         assert w.requests_denied == 1
         assert w.requests_forwarded == 0
 
     def test_running_rank_queues_request(self):
         w, _ = make_worker()
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=5))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 5, False)
         assert len(w.pending) == 1
+
+    @pytest.mark.parametrize("escalated, chunks", [(False, 1), (True, 3)])
+    def test_queued_request_keeps_escalated_until_the_poll(
+        self, escalated, chunks
+    ):
+        from repro.select.adaptive import AdaptiveStealPolicy
+
+        w, t = make_worker(rank=0, policy=AdaptiveStealPolicy(3))
+        w.stack.push_batch_list(list(range(30)), [2] * 30)  # 5 stealable
+        w.status = WorkerStatus.RUNNING
+        w.on_message(1.0, TAG_STEAL_REQUEST, 5, escalated)
+        assert w.pending == [(TAG_STEAL_REQUEST, 5, escalated)]
+        assert t.sent == []
+        w.on_exec(2.0)
+        [(src, dst, tag, body, _when)] = t.sent
+        assert (src, dst, tag) == (0, 5, TAG_STEAL_RESPONSE)
+        assert len(body) == chunks  # one chunk, or half when escalated
+        assert w.pending == []
 
 
 class TestForwarding:
     def test_idle_rank_relays_instead_of_denying(self):
         w, t = make_worker(plan=FWD_PLAN)
         w.start(0.0)
-        w.on_message(1.0, StealRequest(thief=5))
-        fwds = _of_type(t.sent, StealForward)
+        w.on_message(1.0, TAG_STEAL_REQUEST, 5, False)
+        fwds = _tagged(t.sent, TAG_STEAL_FORWARD)
         assert len(fwds) == 1
-        src, dst, msg, _ = fwds[0]
+        src, dst, _, msg, _ = fwds[0]
         assert src == 1
         assert msg.thief == 5
         assert msg.ttl == FWD_PLAN.forward_ttl - 1
@@ -148,15 +171,19 @@ class TestForwarding:
         assert msg.visited == (5, 1, dst)
         assert w.requests_forwarded == 1
         assert w.requests_denied == 0
-        assert _of_type(t.sent, StealResponse) == []
+        assert _tagged(t.sent, TAG_STEAL_RESPONSE) == []
 
     def test_exhausted_ttl_denies_to_originator(self):
         w, t = make_worker(plan=FWD_PLAN)
         w.start(0.0)
-        w.on_message(1.0, StealForward(thief=5, escalated=False, ttl=0,
-                                       visited=(5, 3, 1)))
-        assert _of_type(t.sent, StealForward) == []
-        denies = _of_type(t.sent, StealResponse)
+        w.on_message(
+            1.0,
+            TAG_STEAL_FORWARD,
+            3,
+            StealForward(thief=5, escalated=False, ttl=0, visited=(5, 3, 1)),
+        )
+        assert _tagged(t.sent, TAG_STEAL_FORWARD) == []
+        denies = _tagged(t.sent, TAG_STEAL_RESPONSE)
         assert len(denies) == 1
         assert denies[0][1] == 5  # terminal deny goes to the originator
         assert w.requests_denied == 1
@@ -166,20 +193,24 @@ class TestForwarding:
         w.start(0.0)
         w.on_message(
             1.0,
+            TAG_STEAL_FORWARD,
+            3,
             StealForward(thief=0, escalated=False, ttl=5,
                          visited=(0, 1, 2, 3)),
         )
-        assert _of_type(t.sent, StealForward) == []
-        assert [m[1] for m in _of_type(t.sent, StealResponse)] == [0]
+        assert _tagged(t.sent, TAG_STEAL_FORWARD) == []
+        assert [m[1] for m in _tagged(t.sent, TAG_STEAL_RESPONSE)] == [0]
 
     def test_relay_skips_visited_ranks(self):
         w, t = make_worker(nranks=4, plan=FWD_PLAN)
         w.start(0.0)
         w.on_message(
             1.0,
+            TAG_STEAL_FORWARD,
+            2,
             StealForward(thief=0, escalated=False, ttl=5, visited=(0, 2, 1)),
         )
-        fwds = _of_type(t.sent, StealForward)
+        fwds = _tagged(t.sent, TAG_STEAL_FORWARD)
         assert len(fwds) == 1
         assert fwds[0][1] == 3  # the only unvisited rank
 
@@ -189,15 +220,17 @@ class TestForwarding:
         w.status = WorkerStatus.RUNNING
         w.on_message(
             1.0,
+            TAG_STEAL_FORWARD,
+            3,
             StealForward(thief=5, escalated=False, ttl=1, visited=(5, 3, 0)),
         )
         w.on_exec(2.0)
         serves = [
-            m for m in _of_type(t.sent, StealResponse) if m[2].has_work
+            m for m in _tagged(t.sent, TAG_STEAL_RESPONSE) if m[3] is not None
         ]
         assert len(serves) == 1
-        assert serves[0][1] == 5  # straight to the thief, not hop 3
-        assert serves[0][2].victim == 0
+        # Straight to the thief, not hop 3; the sender is the victim.
+        assert serves[0][:2] == (0, 5)
         assert w.forwards_served == 1
         assert w.requests_served == 1
         assert t.work_sends == [0]
@@ -206,16 +239,19 @@ class TestForwarding:
         w, t = make_worker(plan=FWD_PLAN)
         w.start(0.0)
         w.on_message(
-            1.0, StealForward(thief=5, escalated=True, ttl=2, visited=(5, 3))
+            1.0,
+            TAG_STEAL_FORWARD,
+            3,
+            StealForward(thief=5, escalated=True, ttl=2, visited=(5, 3)),
         )
-        fwds = _of_type(t.sent, StealForward)
-        assert len(fwds) == 1 and fwds[0][2].escalated
+        fwds = _tagged(t.sent, TAG_STEAL_FORWARD)
+        assert len(fwds) == 1 and fwds[0][3].escalated
 
     def test_forward_off_plan_never_relays(self):
         w, t = make_worker(plan=ProtocolPlan(forward=False))
         w.start(0.0)
-        w.on_message(1.0, StealRequest(thief=5))
-        assert _of_type(t.sent, StealForward) == []
+        w.on_message(1.0, TAG_STEAL_REQUEST, 5, False)
+        assert _tagged(t.sent, TAG_STEAL_FORWARD) == []
         assert w.requests_denied == 1
 
 
@@ -228,12 +264,12 @@ class TestRegions:
     def test_first_draws_stay_in_region(self):
         w, t = make_worker(rank=1, plan=REGION_PLAN)
         w.start(0.0)  # first request of the session
-        reqs = _of_type(t.sent, StealRequest)
+        reqs = _tagged(t.sent, TAG_STEAL_REQUEST)
         assert len(reqs) == 1
         assert reqs[0][1] in {0, 2, 3}
         # A failed reply triggers the second (still intra-region) draw.
-        w.on_message(1.0, StealResponse(victim=reqs[0][1], chunks=None))
-        reqs = _of_type(t.sent, StealRequest)
+        w.on_message(1.0, TAG_STEAL_RESPONSE, reqs[0][1], None)
+        reqs = _tagged(t.sent, TAG_STEAL_REQUEST)
         assert len(reqs) == 2
         assert reqs[1][1] in {0, 2, 3}
 
@@ -243,10 +279,9 @@ class TestRegions:
         # Burn the intra-region budget, then many more draws: at least
         # one must leave the region (uniform over 7 ranks, 4 outside).
         for i in range(40):
-            reqs = _of_type(t.sent, StealRequest)
-            w.on_message(float(i + 1),
-                         StealResponse(victim=reqs[-1][1], chunks=None))
-        targets = {m[1] for m in _of_type(t.sent, StealRequest)[2:]}
+            reqs = _tagged(t.sent, TAG_STEAL_REQUEST)
+            w.on_message(float(i + 1), TAG_STEAL_RESPONSE, reqs[-1][1], None)
+        targets = {m[1] for m in _tagged(t.sent, TAG_STEAL_REQUEST)[2:]}
         assert targets - {0, 2, 3}, "selector draws never left the region"
 
     def test_region_first_forward_targets(self):
@@ -255,8 +290,8 @@ class TestRegions:
         )
         w, t = make_worker(rank=1, plan=plan)
         w.start(0.0)
-        w.on_message(1.0, StealRequest(thief=6))
-        fwds = _of_type(t.sent, StealForward)
+        w.on_message(1.0, TAG_STEAL_REQUEST, 6, False)
+        fwds = _tagged(t.sent, TAG_STEAL_FORWARD)
         assert len(fwds) == 1
         assert fwds[0][1] in {0, 2, 3}  # relay prefers region peers
 
@@ -264,9 +299,9 @@ class TestRegions:
         w, t = make_worker(rank=1, plan=REGION_PLAN)
         w.start(0.0)
         assert w.protocol._session_attempts == 1
-        reqs = _of_type(t.sent, StealRequest)
+        reqs = _tagged(t.sent, TAG_STEAL_REQUEST)
         chunk = _work_chunk()
-        w.on_message(1.0, StealResponse(victim=reqs[0][1], chunks=[chunk]))
+        w.on_message(1.0, TAG_STEAL_RESPONSE, reqs[0][1], [chunk])
         assert w.status is WorkerStatus.RUNNING
         assert w.protocol._session_attempts == 0
 
@@ -304,9 +339,9 @@ class TestLifelineRaces:
     def test_deny_while_running_is_tolerated_with_lifelines(self):
         w, t = make_worker(plan=ProtocolPlan(lifeline_count=2))
         w.status = WorkerStatus.RUNNING
-        w.protocol.on_message(1.0, StealResponse(victim=3, chunks=None))
+        w.protocol.on_message(1.0, TAG_STEAL_RESPONSE, 3, None)
         assert w.failed_steals == 1
-        assert len(_of_type(t.sent, StealRequest)) == 1  # chain resent
+        assert len(_tagged(t.sent, TAG_STEAL_REQUEST)) == 1  # chain resent
 
     def test_deny_while_running_raises_without_lifelines(self):
         from repro.errors import SimulationError
@@ -314,4 +349,65 @@ class TestLifelineRaces:
         w, _ = make_worker(plan=FWD_PLAN)
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError, match="while RUNNING"):
-            w.protocol.on_message(1.0, StealResponse(victim=3, chunks=None))
+            w.protocol.on_message(1.0, TAG_STEAL_RESPONSE, 3, None)
+
+    def test_work_while_running_raises_without_lifelines(self):
+        from repro.errors import SimulationError
+
+        w, _ = make_worker()
+        w.status = WorkerStatus.RUNNING
+        with pytest.raises(SimulationError, match="while RUNNING"):
+            w.protocol.on_message(1.0, TAG_STEAL_RESPONSE, 3, [_work_chunk()])
+        assert w.stack.is_empty
+
+
+class _CountingSelector(VictimSelector):
+    def __init__(self):
+        self.notified = []
+
+    def next_victim(self):
+        return 2
+
+    def notify(self, victim, success):
+        self.notified.append((victim, success))
+
+
+class TestSelectorFeedback:
+    """``notify`` is bound once per rank, and only when a selector
+    overrides it: a failed steal under a static strategy pays no call
+    for the inherited no-op."""
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [
+            ("reference", False),
+            ("rand", False),
+            ("tofu", False),
+            ("lastvictim", True),
+            ("adapt-eps", True),
+            ("adapt-sr", True),
+            ("adapt-backoff", True),
+        ],
+    )
+    def test_base_noop_is_never_bound(self, name, bound):
+        from repro.net.allocation import build_placement
+
+        selector = selector_by_name(name).make(
+            1, 8, build_placement(8, "1/N"), seed=0
+        )
+        w, _ = make_worker(selector=selector)
+        assert (w.protocol._notify is not None) == bound
+        if bound:
+            assert w.protocol._notify == selector.notify
+
+    def test_override_is_called_once_per_steal_outcome(self):
+        selector = _CountingSelector()
+        w, t = make_worker(selector=selector)
+        w.start(0.0)
+        w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, None)
+        assert selector.notified == [(2, False), (2, False)]
+        w.on_message(3.0, TAG_STEAL_RESPONSE, 2, [_work_chunk()])
+        assert selector.notified == [(2, False), (2, False), (2, True)]
+        assert (w.failed_steals, w.successful_steals) == (2, 1)
+        assert len(_tagged(t.sent, TAG_STEAL_REQUEST)) == 3

@@ -3,9 +3,9 @@
 :class:`OracleCluster` is what the engine (:mod:`repro.sim.cluster`) is
 compared against, bit for bit.  Its only job is to be obviously right,
 so it is written the slow, direct way: every event goes through
-``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no split
-heaps, no inlined loop, no bound-method caches and the placement's own
-shared latency metric.  It shares the workers, the
+``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no
+inlined loop, no handler table, no bound-method caches and the
+placement's own shared latency metric.  It shares the workers, the
 protocol layer, the termination detector and :class:`NicContention`
 with the engine — those have their own unit and property suites — and
 nothing of the engine's event handling.
@@ -23,18 +23,13 @@ from repro.net.allocation import build_placement
 from repro.net.contention import NicContention
 from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.messages import (
+    TAG_EXEC,
+    TAG_FINISH,
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
-    Finish,
-    Token,
 )
 from repro.sim.clock import ClockSkewModel
-from repro.sim.cluster import (
-    DEFAULT_MAX_EVENTS,
-    EVT_EXEC,
-    EVT_MSG,
-    SimOutcome,
-)
+from repro.sim.cluster import DEFAULT_MAX_EVENTS, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.sim.worker import WorkerStatus
 from repro.trace.events import EV_TOKEN, EventRecorder
@@ -47,7 +42,7 @@ __all__ = ["EventQueue", "OracleCluster", "oracle_result"]
 class EventQueue:
     """Priority queue of timestamped simulation events.
 
-    Entries are ``(time, pusher, seq, kind, rank, payload)`` tuples;
+    Entries are ``(time, pusher, seq, tag, rank, body)`` tuples;
     ``(pusher, seq)`` makes the ordering total, deterministic, and
     FIFO among a single pusher's equal-timestamp events (the key order
     is documented in :mod:`repro.sim.cluster`).
@@ -68,9 +63,9 @@ class EventQueue:
     def push(
         self,
         time: float,
-        kind: int,
+        tag: int,
         rank: int,
-        payload: Any = None,
+        body: Any = None,
         pusher: int | None = None,
     ) -> None:
         """Schedule an event; scheduling into the past is an error.
@@ -87,16 +82,16 @@ class EventQueue:
         rs = self._rank_seq
         seq = rs.get(pusher, 0)
         rs[pusher] = seq + 1
-        heapq.heappush(self._heap, (time, pusher, seq, kind, rank, payload))
+        heapq.heappush(self._heap, (time, pusher, seq, tag, rank, body))
 
-    def pop(self) -> tuple[float, int, int, Any]:
-        """Remove and return the next ``(time, kind, rank, payload)``.
+    def pop(self) -> tuple[float, int, int, int, Any]:
+        """Remove and return the next ``(time, pusher, tag, rank, body)``.
 
         Advances :attr:`now`; enforces the event budget.
         """
         if not self._heap:
             raise SimulationError("pop from empty event queue")
-        time, _pusher, _seq, kind, rank, payload = heapq.heappop(self._heap)
+        time, pusher, _seq, tag, rank, body = heapq.heappop(self._heap)
         self.now = time
         self._processed += 1
         if self._processed > self._max_events:
@@ -104,7 +99,7 @@ class EventQueue:
                 f"simulation exceeded {self._max_events} events "
                 "(livelock or runaway configuration?)"
             )
-        return time, kind, rank, payload
+        return time, pusher, tag, rank, body
 
     @property
     def empty(self) -> bool:
@@ -187,26 +182,27 @@ class OracleCluster:
     # Transport interface (used by workers)
     # ------------------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload: object, when: float) -> None:
-        """Ship ``payload`` from ``src`` to ``dst``, entering the NIC at
-        ``when``; delivery adds wire latency and payload transfer time."""
+    def send(
+        self, src: int, dst: int, tag: int, body: object, when: float
+    ) -> None:
+        """Ship ``(tag, body)`` from ``src`` to ``dst``, entering the NIC
+        at ``when``; delivery adds wire latency and, for a response
+        carrying chunks, their transfer time."""
         if self._finishing:
             # The run is over; in-flight control traffic is dropped,
             # like an MPI job tearing down.
             self._messages_dropped += 1
             return
         wire = self.placement.latency.value(src, dst)
-        if (
-            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
-            and payload.chunks is not None
-        ):
-            wire += payload.nodes * self.config.transfer_time_per_node
+        if tag == TAG_STEAL_RESPONSE and body is not None:
+            nodes = sum(chunk.size for chunk in body)
+            wire += nodes * self.config.transfer_time_per_node
         depart = self.nic.inject(src, when)
         arrival = self.nic.deliver(dst, depart + wire)
-        self.queue.push(arrival, EVT_MSG, dst, payload, pusher=src)
+        self.queue.push(arrival, tag, dst, body, pusher=src)
 
     def schedule_exec(self, rank: int, when: float) -> None:
-        self.queue.push(when, EVT_EXEC, rank)
+        self.queue.push(when, TAG_EXEC, rank)
 
     def rank_became_idle(self, rank: int, when: float) -> None:
         self._dispatch_token_action(
@@ -236,21 +232,19 @@ class OracleCluster:
 
         queue = self.queue
         while not queue.empty:
-            time, kind, rank, payload = queue.pop()
+            time, src, tag, rank, body = queue.pop()
             worker = self.workers[rank]
-            if kind == EVT_EXEC:
+            if tag == TAG_EXEC:
                 worker.on_exec(time)
-            elif payload.tag == TAG_TOKEN:
+            elif tag == TAG_TOKEN:
                 if self.event_recorders is not None:
-                    self.event_recorders[rank].append(
-                        time, EV_TOKEN, payload.color
-                    )
+                    self.event_recorders[rank].append(time, EV_TOKEN, body)
                 action = self.termination.token_arrived(
-                    rank, payload.color, worker.status is WorkerStatus.WAITING
+                    rank, body, worker.status is WorkerStatus.WAITING
                 )
                 self._dispatch_token_action(rank, action, time)
             else:
-                worker.on_message(time, payload)
+                worker.on_message(time, tag, src, body)
 
         if not self.termination.terminated:
             raise TerminationError(
@@ -296,17 +290,17 @@ class OracleCluster:
         if action.terminated:
             self._broadcast_finish(when)
         elif action.sends:
-            self.send(src, action.send_to, Token(action.send_color), when)
+            self.send(src, action.send_to, TAG_TOKEN, action.send_color, when)
 
     def _broadcast_finish(self, when: float) -> None:
         """Rank 0 proved termination: tell everyone, drop the rest."""
         self._messages_dropped += self.queue.clear()
         self._finishing = True
-        self.workers[0].on_message(when, Finish())
+        self.workers[0].on_message(when, TAG_FINISH, 0, None)
         latency = self.placement.latency
         for rank in range(1, self.config.nranks):
             self.queue.push(
-                when + latency.value(0, rank), EVT_MSG, rank, Finish(), pusher=0
+                when + latency.value(0, rank), TAG_FINISH, rank, pusher=0
             )
 
 

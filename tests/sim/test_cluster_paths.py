@@ -3,22 +3,32 @@
 ``Cluster.send`` reads wire times from a table of code rows and the
 loop delivers messages through a handler table bound once per run;
 neither may change what a caller can rely on: transports are looked up
-per call (so a class-level patch sees every message), foreign payloads
+per call (so a class-level patch sees every message), unknown tags
 fail as ``SimulationError``, a ``Worker`` subclass that overrides
 ``on_message`` is honoured, ``teardown`` leaves nothing cyclic behind,
-and the engine object stays small enough for inline attributes.
+and the engine object stays small enough for inline attributes.  The
+hot loop's cost is gated as a count, Python-level calls per event,
+which repeats exactly and needs no clock.
 """
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import repro.sim.worker as worker_mod
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError
-from repro.protocol.messages import StealRequest, StealResponse, Token
+from repro.protocol.messages import (
+    TAG_FINISH,
+    TAG_STEAL_REQUEST,
+    TAG_STEAL_RESPONSE,
+    TAG_TOKEN,
+)
 from repro.sim.cluster import Cluster
 from repro.sim.worker import Worker
 from repro.uts.params import T3XS
@@ -32,19 +42,22 @@ def _cfg(**kw) -> WorkStealingConfig:
 class TestSendPath:
     def test_class_level_patch_sees_every_message(self, monkeypatch):
         original = Cluster.send
-        seen = {StealRequest: 0, StealResponse: 0, Token: 0}
+        seen = Counter()
 
-        def counting_send(self, src, dst, payload, when):
-            seen[type(payload)] += 1
-            original(self, src, dst, payload, when)
+        def counting_send(self, src, dst, tag, body, when):
+            seen[tag] += 1
+            original(self, src, dst, tag, body, when)
 
         monkeypatch.setattr(Cluster, "send", counting_send)
         workers = Cluster(_cfg()).run().workers
-        assert seen[StealRequest] == sum(w.steal_requests_sent for w in workers)
-        assert seen[StealResponse] == sum(
+        assert seen[TAG_STEAL_REQUEST] == sum(
+            w.steal_requests_sent for w in workers
+        )
+        assert seen[TAG_STEAL_RESPONSE] == sum(
             w.requests_served + w.requests_denied for w in workers
         )
-        assert seen[Token] > 0
+        assert seen[TAG_TOKEN] > 0
+        assert set(seen) == {TAG_STEAL_REQUEST, TAG_STEAL_RESPONSE, TAG_TOKEN}
 
     def test_wire_time_is_the_model_row(self):
         cfg = _cfg()
@@ -55,8 +68,13 @@ class TestSendPath:
         )
         src = 5
         for dst in range(cfg.nranks):
-            cluster.send(src, dst, StealRequest(src), 1.0)
-        arrivals = {e[4]: e[0] for e in cluster._msg_heap}
+            cluster.send(src, dst, TAG_STEAL_REQUEST, False, 1.0)
+        # The sender is the pusher, its sequence numbers are dense, the
+        # tag is the event kind.
+        assert {e[1:4] for e in cluster._heap} == {
+            (src, seq, TAG_STEAL_REQUEST) for seq in range(cfg.nranks)
+        }
+        arrivals = {e[4]: e[0] for e in cluster._heap}
         assert sorted(arrivals) == list(range(cfg.nranks))
         codes = code_row(src)
         for dst, arrival in arrivals.items():
@@ -69,23 +87,16 @@ class TestSendPath:
         ]
         assert cluster._rows[src].nbytes == cfg.nranks
         assert bytes(cluster._rows[src]) == codes.tobytes()
-        # Sequence numbers are dense per sender.
-        assert sorted(e[2] for e in cluster._msg_heap) == list(
-            range(cfg.nranks)
-        )
 
     def test_payload_without_tag_is_a_simulation_error(self, monkeypatch):
-        class Untagged:
-            pass
-
         original = Cluster.send
         state = {"n": 0}
 
-        def corrupting_send(self, src, dst, payload, when):
+        def corrupting_send(self, src, dst, tag, body, when):
             state["n"] += 1
             if state["n"] == 3:
-                payload = Untagged()
-            original(self, src, dst, payload, when)
+                tag = 99
+            original(self, src, dst, tag, body, when)
 
         monkeypatch.setattr(Cluster, "send", corrupting_send)
         with pytest.raises(SimulationError, match="unexpected message"):
@@ -130,25 +141,25 @@ class TestHandlerTable:
         class SpyWorker(Worker):
             __slots__ = ()
 
-            def on_message(self, now, msg):
-                calls.append((self.rank, type(msg).__name__))
-                super().on_message(now, msg)
+            def on_message(self, now, tag, src, body):
+                calls.append((self.rank, tag))
+                super().on_message(now, tag, src, body)
 
         # The factory resolves ``Worker`` from its module at call time.
         monkeypatch.setattr(worker_mod, "Worker", SpyWorker)
         cfg = _cfg()
         out = Cluster(cfg).run()
         assert all(type(w) is SpyWorker for w in out.workers)
-        delivered = [name for _rank, name in calls]
+        delivered = Counter(tag for _rank, tag in calls)
         # Requests still in flight at termination are dropped undelivered.
-        assert 0 < delivered.count("StealRequest") <= sum(
+        assert 0 < delivered[TAG_STEAL_REQUEST] <= sum(
             w.steal_requests_sent for w in out.workers
         )
-        assert delivered.count("StealResponse") == sum(
+        assert delivered[TAG_STEAL_RESPONSE] == sum(
             w.failed_steals + w.successful_steals for w in out.workers
         )
-        assert delivered.count("Finish") == cfg.nranks
-        assert {rank for rank, _name in calls} == set(range(cfg.nranks))
+        assert delivered[TAG_FINISH] == cfg.nranks
+        assert {rank for rank, _tag in calls} == set(range(cfg.nranks))
 
     def test_teardown_cuts_the_table(self):
         cluster = Cluster(_cfg())
@@ -156,3 +167,33 @@ class TestHandlerTable:
         assert cluster._handlers and cluster.workers
         cluster.teardown()
         assert cluster._handlers == [] and cluster.workers == []
+
+
+class TestCallBudget:
+    """Python-level calls per event of the search-dominated loop.
+
+    A failed steal is two events — request at an idle rank, deny back
+    at the thief — and costs eleven calls: two ``heappop``, two
+    ``on_message``, two ``send``, two ``heappush``, one
+    ``_send_steal_request``, one ``next_victim`` and its ``len``.  The
+    count is exact per seed, so a frame that creeps back onto that
+    path fails here without a clock (at PR 22: 12.16 and 15.22).
+    """
+
+    @pytest.mark.parametrize(
+        "nic, budget", [(0.0, 8.0), (1e-7, 11.5)], ids=["nic-off", "nic-on"]
+    )
+    def test_calls_per_event(self, nic, budget):
+        cluster = Cluster(
+            _cfg(
+                nranks=64,
+                selector="tofu",
+                steal_policy="half",
+                nic_service_time=nic,
+            )
+        )
+        profile = cProfile.Profile()
+        out = profile.runcall(cluster.run)
+        assert out.total_nodes == 4427
+        calls = pstats.Stats(profile).total_calls
+        assert calls / out.events_processed <= budget

@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
 from repro.net.latency import HierarchicalLatency
-from repro.protocol.messages import StealResponse, Token
+from repro.protocol.messages import TAG_STEAL_RESPONSE, TAG_TOKEN
 from repro.sim.cluster import Cluster
 from repro.sim.termination import DijkstraTermination
 from repro.uts.params import T3XS
@@ -42,18 +42,18 @@ class TestEventBudget:
 
 class TestMessageLoss:
     @staticmethod
-    def _lossy_cluster(monkeypatch, drop_type, drop_every, max_events):
-        """The engine with every ``drop_every``-th ``drop_type`` send
+    def _lossy_cluster(monkeypatch, drop_tag, drop_every, max_events):
+        """The engine with every ``drop_every``-th ``drop_tag`` send
         silently lost (workers look ``transport.send`` up per call)."""
         original_send = Cluster.send
         state = {"count": 0}
 
-        def lossy_send(self, src, dst, payload, when):
-            if isinstance(payload, drop_type):
+        def lossy_send(self, src, dst, tag, body, when):
+            if tag == drop_tag:
                 state["count"] += 1
                 if state["count"] % drop_every == 0:
                     return  # message silently lost
-            original_send(self, src, dst, payload, when)
+            original_send(self, src, dst, tag, body, when)
 
         monkeypatch.setattr(Cluster, "send", lossy_send)
         return Cluster(_cfg(), max_events=max_events)
@@ -63,7 +63,7 @@ class TestMessageLoss:
         a TerminationError (queue drained, no termination), never hang
         or return a partial count as success."""
         cluster = self._lossy_cluster(
-            monkeypatch, StealResponse, drop_every=2, max_events=5_000_000
+            monkeypatch, TAG_STEAL_RESPONSE, drop_every=2, max_events=5_000_000
         )
         with pytest.raises((TerminationError, SimulationError)):
             cluster.run()
@@ -72,7 +72,7 @@ class TestMessageLoss:
         """Losing the termination token leaves idle thieves pinging
         forever; the event budget converts the livelock into an error."""
         cluster = self._lossy_cluster(
-            monkeypatch, Token, drop_every=1, max_events=2_000_000
+            monkeypatch, TAG_TOKEN, drop_every=1, max_events=2_000_000
         )
         with pytest.raises((TerminationError, SimulationError)):
             cluster.run()

@@ -1,20 +1,24 @@
-"""Tests for protocol message types."""
+"""Tests for the protocol wire format: tags, colours, bodies."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.config import WorkStealingConfig
+from repro.core.steal_policy import StealOne
+from repro.core.victim import RoundRobinSelector
+from repro.protocol import messages
 from repro.protocol.messages import (
     BLACK,
+    TAG_STEAL_RESPONSE,
     WHITE,
-    Finish,
-    LifelineDeregister,
-    LifelineRegister,
-    StealRequest,
-    StealResponse,
-    Token,
+    StealForward,
 )
+from repro.sim.cluster import Cluster
+from repro.sim.worker import Worker, WorkerStatus
+from repro.uts.params import T3XS
 from repro.uts.stack import Chunk
+from repro.uts.tree import TreeGenerator
 
 
 def _chunk(n: int) -> Chunk:
@@ -23,60 +27,104 @@ def _chunk(n: int) -> Chunk:
     return c
 
 
-class TestStealMessages:
-    def test_request_carries_thief(self):
-        assert StealRequest(thief=5).thief == 5
+class _NullTransport:
+    def send(self, src, dst, tag, body, when):
+        pass
 
+    def schedule_exec(self, rank, when):
+        pass
+
+    def rank_became_idle(self, rank, when):
+        pass
+
+
+def _waiting_thief() -> Worker:
+    w = Worker(
+        rank=1,
+        nranks=4,
+        generator=TreeGenerator(T3XS),
+        selector=RoundRobinSelector().make(1, 4),
+        policy=StealOne(),
+        transport=_NullTransport(),
+        chunk_size=4,
+        poll_interval=4,
+        per_node_time=1e-6,
+        steal_service_time=1e-6,
+    )
+    w.start(0.0)
+    assert w.status is WorkerStatus.WAITING
+    return w
+
+
+def _arrival(body) -> float:
+    """When a response with ``body``, sent at 1.0, is due to arrive."""
+    cluster = Cluster(WorkStealingConfig(tree=T3XS, nranks=4))
+    cluster.send(2, 1, TAG_STEAL_RESPONSE, body, 1.0)
+    [(arrival, src, _seq, tag, dst, got)] = cluster._heap
+    assert (src, tag, dst) == (2, TAG_STEAL_RESPONSE, 1) and got is body
+    return arrival
+
+
+def test_tags_are_distinct():
+    tags = {
+        name: value
+        for name, value in vars(messages).items()
+        if name.startswith("TAG_")
+    }
+    assert sorted(tags) == sorted(
+        n for n in messages.__all__ if n.startswith("TAG_")
+    )
+    assert len(tags) == 8 and "TAG_EXEC" in tags
+    assert all(type(v) is int for v in tags.values())
+    assert len(set(tags.values())) == len(tags)
+
+
+class TestStealMessages:
     def test_response_with_work(self):
-        r = StealResponse(victim=2, chunks=[_chunk(4), _chunk(3)])
-        assert r.has_work
-        assert r.nodes == 7
-        assert r.victim == 2
+        # The body of a grant is the chunk list; the wire charges its
+        # nodes, and the thief — who reads the victim off the sender —
+        # resumes with them.
+        cfg = WorkStealingConfig(tree=T3XS, nranks=4)
+        chunks = [_chunk(4), _chunk(4)]
+        assert _arrival(chunks) == pytest.approx(
+            _arrival(None) + 8 * cfg.transfer_time_per_node
+        )
+        w = _waiting_thief()
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, chunks)
+        assert w.status is WorkerStatus.RUNNING
+        assert (w.successful_steals, w.nodes_received) == (1, 8)
 
     def test_response_without_work(self):
-        r = StealResponse(victim=2, chunks=None)
-        assert not r.has_work
-        assert r.nodes == 0
+        # A deny is ``body is None``: nothing allocated, nothing charged.
+        w = _waiting_thief()
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, None)
+        assert w.status is WorkerStatus.WAITING
+        assert (w.failed_steals, w.successful_steals) == (1, 0)
 
     def test_empty_chunk_list_counts_as_work(self):
-        # Protocol rule: chunks=None means denial; an empty list is a
+        # Protocol rule: None means denial; an empty list is a
         # (degenerate) grant.  The worker never produces it, but the
         # distinction must be stable.
-        r = StealResponse(victim=0, chunks=[])
-        assert r.has_work
-        assert r.nodes == 0
+        assert _arrival([]) == _arrival(None)
+        w = _waiting_thief()
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, [])
+        assert w.status is WorkerStatus.RUNNING
+        assert (w.failed_steals, w.successful_steals) == (0, 1)
+        assert w.nodes_received == 0
 
 
 class TestToken:
     def test_colors(self):
-        assert Token(WHITE).color == WHITE
-        assert Token(BLACK).color == BLACK
-
-    def test_bad_color(self):
-        with pytest.raises(ValueError):
-            Token(3)
+        assert {WHITE, BLACK} == {0, 1}
 
 
-class TestLifelineMessages:
-    def test_register(self):
-        assert LifelineRegister(thief=7).thief == 7
-
-    def test_deregister(self):
-        assert LifelineDeregister(thief=7).thief == 7
-
-
-def test_finish_is_stateless():
-    assert repr(Finish()) == "Finish()"
+class TestStealForward:
+    def test_fields(self):
+        f = StealForward(thief=5, escalated=True, ttl=2, visited=[5, 3])
+        assert (f.thief, f.escalated, f.ttl) == (5, True, 2)
+        assert f.visited == (5, 3)  # stored as a tuple
 
 
 def test_messages_use_slots():
-    # Hot-path messages must stay lightweight: no per-instance dict.
-    for msg in (
-        StealRequest(0),
-        StealResponse(0, None),
-        Token(WHITE),
-        Finish(),
-        LifelineRegister(0),
-        LifelineDeregister(0),
-    ):
-        assert not hasattr(msg, "__dict__")
+    # The one body object must stay lightweight: no per-instance dict.
+    assert not hasattr(StealForward(0, False, 1, (0,)), "__dict__")

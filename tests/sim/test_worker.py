@@ -8,7 +8,11 @@ from repro.core.steal_policy import StealHalf, StealOne
 from repro.core.tracing import TraceRecorder
 from repro.core.victim import RoundRobinSelector
 from repro.errors import SimulationError
-from repro.protocol.messages import Finish, StealRequest, StealResponse
+from repro.protocol.messages import (
+    TAG_FINISH,
+    TAG_STEAL_REQUEST,
+    TAG_STEAL_RESPONSE,
+)
 from repro.sim.worker import Worker, WorkerStatus
 from repro.uts.params import TreeParams
 from repro.uts.tree import TreeGenerator
@@ -20,13 +24,13 @@ class FakeTransport:
     """Records every interaction; no event loop."""
 
     def __init__(self):
-        self.sent: list[tuple[int, int, object, float]] = []
+        self.sent: list[tuple[int, int, int, object, float]] = []
         self.execs: list[tuple[int, float]] = []
         self.idles: list[tuple[int, float]] = []
         self.work_sends: list[int] = []
 
-    def send(self, src, dst, payload, when):
-        self.sent.append((src, dst, payload, when))
+    def send(self, src, dst, tag, body, when):
+        self.sent.append((src, dst, tag, body, when))
 
     def schedule_exec(self, rank, when):
         self.execs.append((rank, when))
@@ -62,6 +66,10 @@ def make_worker(rank=0, nranks=4, policy=None, chunk=5, poll=4, trace=False):
     return worker, transport
 
 
+def _nodes(chunks) -> int:
+    return sum(c.size for c in chunks)
+
+
 def push_nodes(worker: Worker, n: int) -> None:
     worker.stack.push_batch_list(list(range(12345, 12345 + n)), [3] * n)
 
@@ -80,8 +88,8 @@ class TestStart:
         assert w.status is WorkerStatus.WAITING
         assert t.idles == [(2, 0.0)]
         assert len(t.sent) == 1
-        src, dst, payload, when = t.sent[0]
-        assert isinstance(payload, StealRequest)
+        src, dst, tag, body, when = t.sent[0]
+        assert (src, tag, body) == (2, TAG_STEAL_REQUEST, False)
         assert dst == 3  # round-robin first victim is rank+1
 
     def test_selector_required_for_multirank(self):
@@ -126,7 +134,7 @@ class TestExec:
         w.on_exec(1.0)
         assert w.status is WorkerStatus.WAITING
         assert t.idles == [(0, 1.0)]
-        assert isinstance(t.sent[-1][2], StealRequest)
+        assert t.sent[-1][2] == TAG_STEAL_REQUEST
 
     def test_exec_while_waiting_is_error(self):
         w, _ = make_worker(rank=1)
@@ -140,7 +148,7 @@ class TestStealProtocol:
         w, t = make_worker(rank=0)
         push_nodes(w, 20)
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=3))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 3, False)
         assert len(w.pending) == 1
         assert not t.sent  # not answered yet
 
@@ -148,13 +156,11 @@ class TestStealProtocol:
         w, t = make_worker(rank=0, chunk=5)
         push_nodes(w, 20)  # 4 chunks, 3 stealable
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=3))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 3, False)
         w.on_exec(2.0)
-        src, dst, payload, when = t.sent[0]
-        assert dst == 3
-        assert isinstance(payload, StealResponse)
-        assert payload.has_work
-        assert payload.nodes == 5  # StealOne: one 5-node chunk
+        src, dst, tag, chunks, when = t.sent[0]
+        assert (src, dst, tag) == (0, 3, TAG_STEAL_RESPONSE)
+        assert _nodes(chunks) == 5  # StealOne: one 5-node chunk
         assert when == pytest.approx(2.0 + 1e-6)  # service time
         assert t.work_sends == [0]
         assert w.requests_served == 1
@@ -163,19 +169,17 @@ class TestStealProtocol:
         w, t = make_worker(rank=0, chunk=5, policy=StealHalf())
         push_nodes(w, 30)  # 6 chunks, 5 stealable
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=3))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 3, False)
         w.on_exec(2.0)
-        payload = t.sent[0][2]
-        assert payload.nodes == 15  # ceil(5/2) = 3 chunks
+        assert _nodes(t.sent[0][3]) == 15  # ceil(5/2) = 3 chunks
 
     def test_denied_when_only_private_chunk(self):
         w, t = make_worker(rank=0, chunk=5)
         push_nodes(w, 4)  # one partial chunk: private
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=3))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 3, False)
         w.on_exec(2.0)
-        payload = t.sent[0][2]
-        assert not payload.has_work
+        assert t.sent[0][2:4] == (TAG_STEAL_RESPONSE, None)
         assert w.requests_denied == 1
         assert t.work_sends == []
 
@@ -183,22 +187,21 @@ class TestStealProtocol:
         w, t = make_worker(rank=1)
         w.start(0.0)
         n_before = len(t.sent)
-        w.on_message(1.0, StealRequest(thief=3))
-        src, dst, payload, when = t.sent[n_before]
-        assert not payload.has_work
-        assert when == 1.0  # no service delay for a denial
+        w.on_message(1.0, TAG_STEAL_REQUEST, 3, False)
+        assert t.sent[n_before] == (1, 3, TAG_STEAL_RESPONSE, None, 1.0)
+        # (sent at 1.0: no service delay for a denial)
 
     def test_successful_response_resumes(self):
         victim, vt = make_worker(rank=0, chunk=5)
         push_nodes(victim, 20)
         victim.status = WorkerStatus.RUNNING
-        victim.on_message(1.0, StealRequest(thief=1))
+        victim.on_message(1.0, TAG_STEAL_REQUEST, 1, False)
         victim.on_exec(2.0)
-        response = vt.sent[0][2]
+        src, _dst, tag, chunks, _when = vt.sent[0]
 
         thief, tt = make_worker(rank=1)
         thief.start(0.0)
-        thief.on_message(3.0, response)
+        thief.on_message(3.0, tag, src, chunks)
         assert thief.status is WorkerStatus.RUNNING
         assert thief.stack.size == 5
         assert thief.successful_steals == 1
@@ -210,10 +213,10 @@ class TestStealProtocol:
         thief, tt = make_worker(rank=1)
         thief.start(0.0)
         first_victim = tt.sent[0][1]
-        thief.on_message(2.0, StealResponse(victim=first_victim, chunks=None))
+        thief.on_message(2.0, TAG_STEAL_RESPONSE, first_victim, None)
         assert thief.failed_steals == 1
         second = tt.sent[-1]
-        assert isinstance(second[2], StealRequest)
+        assert second[2] == TAG_STEAL_REQUEST
         assert second[1] != 1  # never self
         assert second[1] == (first_victim + 1) % 4  # ring continues
 
@@ -222,20 +225,20 @@ class TestStealProtocol:
         push_nodes(w, 5)
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError):
-            w.on_message(1.0, StealResponse(victim=2, chunks=None))
+            w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)
 
     def test_unknown_message_rejected(self):
         w, _ = make_worker(rank=1)
         w.start(0.0)
         with pytest.raises(SimulationError):
-            w.on_message(1.0, object())
+            w.on_message(1.0, 99, 2, None)
 
 
 class TestFinish:
     def test_finish_closes_session(self):
         w, _ = make_worker(rank=1)
         w.start(0.0)
-        w.on_message(4.0, Finish())
+        w.on_message(4.0, TAG_FINISH, 0, None)
         assert w.status is WorkerStatus.DONE
         assert w.finish_time == 4.0
         assert len(w.sessions) == 1
@@ -247,14 +250,14 @@ class TestFinish:
         push_nodes(w, 5)
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError):
-            w.on_message(1.0, Finish())
+            w.on_message(1.0, TAG_FINISH, 0, None)
 
     def test_messages_after_done_dropped(self):
         w, t = make_worker(rank=1)
         w.start(0.0)
-        w.on_message(4.0, Finish())
+        w.on_message(4.0, TAG_FINISH, 0, None)
         n = len(t.sent)
-        w.on_message(5.0, StealRequest(thief=2))
+        w.on_message(5.0, TAG_STEAL_REQUEST, 2, False)
         assert len(t.sent) == n  # no reply
 
 
@@ -273,9 +276,9 @@ class TestTracing:
         victim, vt = make_worker(rank=0, chunk=5)
         push_nodes(victim, 20)
         victim.status = WorkerStatus.RUNNING
-        victim.on_message(0.5, StealRequest(thief=1))
+        victim.on_message(0.5, TAG_STEAL_REQUEST, 1, False)
         victim.on_exec(1.0)
-        w.on_message(2.0, vt.sent[0][2])
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 0, vt.sent[0][3])
         assert w.trace.times == [2.0]
         assert w.trace.states == [True]
         # Drain it (5 nodes, poll=4: two execs).
@@ -287,8 +290,8 @@ class TestTracing:
     def test_search_time_accumulates(self):
         w, t = make_worker(rank=1)
         w.start(0.0)
-        w.on_message(2.0, StealResponse(victim=2, chunks=None))
-        w.on_message(4.0, Finish())
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, None)
+        w.on_message(4.0, TAG_FINISH, 0, None)
         assert w.search_time == pytest.approx(4.0)
 
 
@@ -297,36 +300,36 @@ class TestMultipleQueuedRequests:
         w, t = make_worker(rank=0, chunk=5)
         push_nodes(w, 30)  # 6 chunks, 5 stealable
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=1))
-        w.on_message(1.5, StealRequest(thief=2))
-        w.on_message(1.7, StealRequest(thief=3))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 1, False)
+        w.on_message(1.5, TAG_STEAL_REQUEST, 2, False)
+        w.on_message(1.7, TAG_STEAL_REQUEST, 3, False)
         w.on_exec(2.0)
-        responses = [m for m in t.sent if isinstance(m[2], StealResponse)]
+        responses = [m for m in t.sent if m[2] == TAG_STEAL_RESPONSE]
         assert [r[1] for r in responses] == [1, 2, 3]
         # Each positive response costs one service interval; send times
         # accumulate: 2+1e-6, 2+2e-6, 2+3e-6.
         import pytest as _pytest
 
-        for k, (src, dst, payload, when) in enumerate(responses, start=1):
-            assert payload.has_work
+        for k, (src, dst, tag, chunks, when) in enumerate(responses, start=1):
+            assert chunks is not None
             assert when == _pytest.approx(2.0 + k * 1e-6)
 
     def test_exhausted_victim_denies_remainder(self):
         w, t = make_worker(rank=0, chunk=5)
         push_nodes(w, 10)  # 2 chunks, only 1 stealable
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=1))
-        w.on_message(1.1, StealRequest(thief=2))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 1, False)
+        w.on_message(1.1, TAG_STEAL_REQUEST, 2, False)
         w.on_exec(2.0)
-        responses = [m[2] for m in t.sent if isinstance(m[2], StealResponse)]
-        assert responses[0].has_work
-        assert not responses[1].has_work
+        bodies = [m[3] for m in t.sent if m[2] == TAG_STEAL_RESPONSE]
+        assert bodies[0] is not None
+        assert bodies[1] is None
 
     def test_service_time_delays_next_quantum(self):
         w, t = make_worker(rank=0, chunk=5, poll=4)
         push_nodes(w, 30)
         w.status = WorkerStatus.RUNNING
-        w.on_message(1.0, StealRequest(thief=1))
+        w.on_message(1.0, TAG_STEAL_REQUEST, 1, False)
         w.on_exec(2.0)
         # Next quantum starts after the steal service + 4 nodes of work.
         import pytest as _pytest

@@ -47,12 +47,16 @@ class TestCli:
         assert "steal requests:" in captured.out
         assert "validation ok" in captured.err
 
-    def test_capacity_override_bounds_the_ring(self, tmp_path):
+    def test_capacity_override_bounds_the_ring(self, tmp_path, capsys):
         out = tmp_path / "tiny.trace.json"
         rc = main(["--config", "smoke", "--out", str(out), "--capacity", "8"])
         assert rc == 0
         data = json.loads(out.read_text())
         assert data["otherData"]["dropped"] > 0
+        # Said once on stderr, although analysis and exporter both warn.
+        err = capsys.readouterr().err
+        assert err.count("warning: event trace is truncated") == 1
+        assert f"dropped {data['otherData']['dropped']} events" in err
 
     def test_list_exits_zero(self, capsys):
         assert main(["--list"]) == 0
