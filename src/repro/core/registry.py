@@ -31,6 +31,7 @@ choices, never a bare ``KeyError``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 from repro.errors import RegistryError
@@ -100,6 +101,37 @@ class Registry:
         parameters (``"skew[abc]"``).
         """
         self._patterns.append((template, parser))
+
+    def register_bracket(
+        self,
+        prefix: str,
+        param: str,
+        constructor: Callable[[float], object],
+        cast: type = float,
+    ) -> None:
+        """Bind ``"<prefix>[<param>]"`` to ``constructor(cast(value))``.
+
+        The bracketed text must be one finite number — integral when
+        ``cast`` is ``int`` (``"3"`` and ``"3.0"`` both are) — or the
+        name is rejected with :class:`~repro.errors.RegistryError`;
+        range checks stay with the constructor.
+        """
+
+        def parser(name: str) -> object | None:
+            if not (name.startswith(prefix + "[") and name.endswith("]")):
+                return None
+            try:
+                value = float(name[len(prefix) + 1 : -1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value) or (cast is int and value % 1):
+                raise RegistryError(
+                    f"bad {param} in {self.kind} {name!r}: expected "
+                    f"{'an integer' if cast is int else 'a finite number'}"
+                )
+            return constructor(cast(value))
+
+        self.register_pattern(f"{prefix}[<{param}>]", parser)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -102,20 +102,10 @@ class StealFraction(StealPolicy):
         return max(1, int(stealable * self.fraction))
 
 
-def _parse_fraction(name: str) -> StealPolicy | None:
-    if not (name.startswith("frac[") and name.endswith("]")):
-        return None
-    try:
-        fraction = float(name[5:-1])
-    except ValueError:
-        raise ConfigurationError(f"bad fraction in {name!r}") from None
-    return StealFraction(fraction)
-
-
 _POLICIES = registry_for("steal_policy")
 _POLICIES.register("one", StealOne)
 _POLICIES.register("half", StealHalf)
-_POLICIES.register_pattern("frac[<fraction>]", _parse_fraction)
+_POLICIES.register_bracket("frac", "fraction", StealFraction)
 
 
 def policy_by_name(name: str) -> StealPolicy:

@@ -428,45 +428,15 @@ class LastVictimSelector(SelectorFactory):
         return _LastVictimState(_UniformState(rank, nranks, _rank_rng(seed, rank)))
 
 
-def _parse_skew(name: str) -> SelectorFactory | None:
-    if not (name.startswith("skew[") and name.endswith("]")):
-        return None
-    try:
-        alpha = float(name[5:-1])
-    except ValueError:
-        raise ConfigurationError(f"bad skew exponent in {name!r}") from None
-    return PowerSkewedSelector(alpha)
-
-
-def _parse_hier(name: str) -> SelectorFactory | None:
-    if not (name.startswith("hier[") and name.endswith("]")):
-        return None
-    try:
-        p_near = float(name[5:-1])
-    except ValueError:
-        raise ConfigurationError(f"bad hier probability in {name!r}") from None
-    return HierarchicalSelector(p_near)
-
-
-def _parse_latskew(name: str) -> SelectorFactory | None:
-    if not (name.startswith("latskew[") and name.endswith("]")):
-        return None
-    try:
-        alpha = float(name[8:-1])
-    except ValueError:
-        raise ConfigurationError(f"bad latskew exponent in {name!r}") from None
-    return LatencySkewedSelector(alpha)
-
-
 _SELECTORS = registry_for("selector")
 _SELECTORS.register("reference", RoundRobinSelector, "round_robin", "rr")
 _SELECTORS.register("rand", UniformRandomSelector, "random", "uniform")
 _SELECTORS.register("tofu", DistanceSkewedSelector, "distance", "skewed")
 _SELECTORS.register("hierarchical", HierarchicalSelector)
 _SELECTORS.register("lastvictim", LastVictimSelector)
-_SELECTORS.register_pattern("skew[<alpha>]", _parse_skew)
-_SELECTORS.register_pattern("hier[<p_near>]", _parse_hier)
-_SELECTORS.register_pattern("latskew[<alpha>]", _parse_latskew)
+_SELECTORS.register_bracket("skew", "alpha", PowerSkewedSelector)
+_SELECTORS.register_bracket("hier", "p_near", HierarchicalSelector)
+_SELECTORS.register_bracket("latskew", "alpha", LatencySkewedSelector)
 
 
 def selector_by_name(name: str) -> SelectorFactory:

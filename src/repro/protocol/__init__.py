@@ -1,14 +1,15 @@
-"""The composable steal-protocol layer.
+"""The steal protocol: one rank's state machine and its wire format.
 
-The execution core (:class:`repro.sim.worker.Worker`) runs quanta and
-keeps the clock; everything about *finding and moving work* — the idle
-transition, victim draws, request/response/forward/push handling,
-session accounting and the termination handshake — lives in
-:class:`~repro.protocol.core.StealProtocol`, configured per run by an
-immutable :class:`~repro.protocol.core.ProtocolPlan`.
+:class:`~repro.protocol.core.Worker` is one simulated rank — quantum
+execution, polling, victim draws, request/response/forward/push
+handling, session accounting and the termination handshake —
+configured per run by an immutable
+:class:`~repro.protocol.core.ProtocolPlan` and talking to the engine
+through the :class:`~repro.protocol.core.Transport` interface.  The
+package imports nothing from :mod:`repro.sim`; the engine imports it.
 
-On that seam three protocol features compose (with each other and with
-every victim selector):
+In that state machine three protocol features compose (with each other
+and with every victim selector):
 
 * **Forwarding** (``protocol="forward"``): a victim with nothing to
   give relays the request toward work — TTL-bounded, cycle-free via a
@@ -26,7 +27,7 @@ default elision, so pre-existing fingerprints are unchanged) and hold
 the engine bit-identity contract — see ``DESIGN.md``.
 """
 
-from repro.protocol.core import ProtocolPlan, StealProtocol
+from repro.protocol.core import ProtocolPlan, Transport, Worker, WorkerStatus
 from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.graphs import (
     SYMMETRIC_GRAPHS,
@@ -40,7 +41,9 @@ from repro.protocol.variants import protocol_overrides, protocol_tag
 
 __all__ = [
     "ProtocolPlan",
-    "StealProtocol",
+    "Worker",
+    "WorkerStatus",
+    "Transport",
     "build_plan",
     "make_worker",
     "RegionMap",

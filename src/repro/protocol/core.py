@@ -1,36 +1,38 @@
-"""The steal-protocol state machine, extracted from the worker.
+"""One simulated rank: the paper's Algorithm 1 as one state machine.
 
-:class:`StealProtocol` owns the complete steal lifecycle of one rank —
-the idle transition, victim draws, request/response/forward/push
-message handling, work-discovery session accounting and the
-termination interaction — behind a four-method surface the execution
-core (:class:`repro.sim.worker.Worker`) calls:
+Faithful port of the reference ``mpi_workstealing.c`` behaviour the
+paper studies (§II-A):
 
-``on_idle(t)``
-    The worker's stack drained; start a work-discovery session.
-``on_message(now, tag, src, body)``
-    A protocol message arrived (the worker dispatches *every* message
-    here).  Messages are not objects: the tag says what ``body`` is and
-    ``src``, the sender, is the thief of a request and the victim of a
-    response (:mod:`repro.protocol.messages`).  The two halves of a
-    failed steal — request at an idle rank, deny back at the thief —
-    are the first two branches and do their work in that one frame.
-``serve_pending(now) -> t``
-    Poll boundary: answer queued steal requests (and push to armed
-    lifelines), returning the advanced local time.
-``protocol.pending`` / ``protocol.plain_serve``
-    The queued-request list (shared object, mutated in place) and the
-    static "serving is a no-op when the queue is empty" flag:
-    ``Worker.on_exec`` skips the ``serve_pending`` call when the flag
-    is set and the list is empty.
+* work items are tree nodes managed in fixed-size chunks; the first
+  chunk is private, thieves take whole chunks from the bottom;
+* between every ``poll_interval`` node expansions the rank polls for
+  messages (``on_exec``, one quantum per EXEC event); pending steal
+  requests are answered there — the victim "stop[s] working on its
+  queue to package work and send it to the stealer" (no work-first
+  principle);
+* an empty stack starts a *work-discovery session*: the victim
+  selector proposes victims one at a time, one outstanding request per
+  thief, until work arrives or the termination ring fires.
 
-The split is what makes protocol *features* compositional instead of
-subclass forks: lifelines (quiesce-and-wait work pushes), steal-request
-forwarding (TTL-bounded relays carrying a visited set, after Project
-Picasso) and locality regions (intra-region steals first, after
-Suksompong et al., arXiv:1804.04773) are all branches inside one state
-machine, configured by an immutable :class:`ProtocolPlan` shared by
-every rank of a run.
+:class:`Worker` is the whole rank — stack, quantum expansion, activity
+trace, victim draws, every protocol message, session accounting and
+the steal counters results read.  Messages are not objects: the tag
+says what ``body`` is and ``src``, the sender, is the thief of a
+request and the victim of a response
+(:mod:`repro.protocol.messages`).  The two halves of a failed steal —
+request at an idle rank, deny back at the thief — are the first two
+branches of ``on_message`` and do their work in that one frame.
+
+A worker never touches the event queue or other workers directly; it
+talks to the cluster through a small transport interface
+(:class:`Transport`), which keeps the state machine unit-testable.
+
+Protocol *features* are branches of the one state machine, configured
+by an immutable :class:`ProtocolPlan` shared by every rank of a run:
+lifelines (quiesce-and-wait work pushes), steal-request forwarding
+(TTL-bounded relays carrying a visited set, after Project Picasso) and
+locality regions (intra-region steals first, after Suksompong et al.,
+arXiv:1804.04773).
 
 The lifeline axis is the scheme of Saraswat et al., *Lifeline-based
 global load balancing* (PPoPP 2011), which the paper's related-work
@@ -43,25 +45,24 @@ armed waiter; a woken rank disarms the rest
 (``TAG_LIFELINE_DEREGISTER``).  Quiescent ranks are idle for the
 termination ring and pushes blacken the sender like steal responses.
 
-Bit-identity argument (the contract the differential suite enforces):
-the protocol layer performs *exactly* the sends, event appends and
-counter updates of the pre-refactor worker, in the same order, from
-the same message deliveries — the refactor moved code, not semantics.
-New features only add behaviour on paths that previously denied
-(forwarding) or change which victim a draw proposes (regions, lifeline
-graphs) — all rank-local decisions driven by rank-local state, so the
+Bit-identity (the contract the differential suite enforces): every
+decision here is rank-local and driven by rank-local state, so the
 engine and the test oracle, which deliver each rank's events in the
-same order by the global event-key design, keep producing identical
-float sequences.
+same order by the global event-key design, produce identical float
+sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
+from typing import Protocol
 
 import numpy as np
 
 from repro.core.sessions import Session
+from repro.core.steal_policy import StealPolicy
+from repro.core.tracing import TraceRecorder
 from repro.core.victim import VictimSelector
 from repro.errors import SimulationError
 from repro.protocol.messages import (
@@ -74,7 +75,6 @@ from repro.protocol.messages import (
     StealForward,
 )
 from repro.protocol.regions import RegionMap
-from repro.protocol.status import WorkerStatus
 from repro.trace.events import (
     EV_DENY,
     EV_FINISH,
@@ -89,9 +89,12 @@ from repro.trace.events import (
     EV_STEAL_OK,
     EV_STEAL_SENT,
     EV_VICTIM_DRAW,
+    EventRecorder,
 )
+from repro.uts.stack import ChunkedStack
+from repro.uts.tree import TreeGenerator
 
-__all__ = ["ProtocolPlan", "StealProtocol"]
+__all__ = ["ProtocolPlan", "Transport", "Worker", "WorkerStatus"]
 
 #: Seed-stream constant separating the per-rank region-draw RNG from
 #: the selector streams (``SeedSequence([seed, rank])``) and the
@@ -151,26 +154,66 @@ class ProtocolPlan:
         )
 
 
-class StealProtocol:
-    """Steal-lifecycle state machine of one rank.
+#: Plan used when a worker is constructed without one (unit tests,
+#: single-purpose harnesses): baseline request/response stealing.
+_DEFAULT_PLAN = ProtocolPlan()
 
-    Owns every protocol-side counter and session record; the worker
-    exposes them through read-only delegating properties so the result
-    layer (:mod:`repro.ws.results`) and the tests keep their surface.
-    """
+
+class WorkerStatus(IntEnum):
+    """Lifecycle of a rank."""
+
+    RUNNING = 0  # has work; an EXEC event is outstanding
+    WAITING = 1  # empty stack; one steal request outstanding
+    DONE = 2  # received the termination broadcast
+
+
+class Transport(Protocol):
+    """What a worker needs from the cluster."""
+
+    def send(
+        self, src: int, dst: int, tag: int, body: object, when: float
+    ) -> None:
+        """Deliver ``(tag, body)`` from ``src`` to ``dst``, sent at ``when``."""
+
+    def schedule_exec(self, rank: int, when: float) -> None:
+        """Schedule the next poll boundary of ``rank`` at ``when``."""
+
+    def rank_became_idle(self, rank: int, when: float) -> None:
+        """Termination hook: ``rank`` ran out of work at ``when``."""
+
+    def work_sent(self, rank: int) -> None:
+        """Termination hook: ``rank`` sent a work message."""
+
+    def local_time(self, rank: int, true_time: float) -> float:
+        """Skewed clock reading used for trace timestamps."""
+
+
+class Worker:
+    """One simulated MPI rank: execution and the steal lifecycle."""
 
     __slots__ = (
-        "worker",
         "rank",
         "nranks",
-        "transport",
+        "generator",
         "selector",
         "_notify",
         "policy",
+        "transport",
+        "poll_interval",
+        "per_node_time",
         "steal_service_time",
+        "stack",
+        "status",
+        "trace",
         "events",
+        "nodes_processed",
+        "finish_time",
         "pending",
         "plain_serve",
+        "_notify_nodes",
+        "_children_list",
+        "_fused_expand",
+        "_schedule_exec",
         # Session accounting.
         "sessions",
         "_session_start",
@@ -210,15 +253,30 @@ class StealProtocol:
         "quiesce_episodes",
     )
 
-    def __init__(self, worker, plan: ProtocolPlan):
-        self.worker = worker
-        self.rank = worker.rank
-        self.nranks = worker.nranks
-        # The transport *object* is cached (fixed for the worker's
-        # lifetime); its methods are looked up per call — tests patch
-        # them on the instance.
-        self.transport = worker.transport
-        self.selector = selector = worker.selector
+    def __init__(
+        self,
+        rank: int,
+        nranks: int,
+        generator: TreeGenerator,
+        selector: VictimSelector | None,
+        policy: StealPolicy,
+        transport: Transport,
+        chunk_size: int,
+        poll_interval: int,
+        per_node_time: float,
+        steal_service_time: float,
+        trace: TraceRecorder | None = None,
+        events: EventRecorder | None = None,
+        plan: ProtocolPlan | None = None,
+    ):
+        if nranks > 1 and selector is None:
+            raise SimulationError("multi-rank worker needs a victim selector")
+        if plan is None:
+            plan = _DEFAULT_PLAN
+        self.rank = rank
+        self.nranks = nranks
+        self.generator = generator
+        self.selector = selector
         #: The selector's feedback hook, or None when it is the
         #: inherited no-op (every static strategy): a failed steal then
         #: pays no call for it.
@@ -228,20 +286,41 @@ class StealProtocol:
             or type(selector).notify is VictimSelector.notify
             else selector.notify
         )
-        self.policy = worker.policy
-        self.steal_service_time = worker.steal_service_time
-        self.events = worker.events
+        self.policy = policy
+        self.transport = transport
+        self.poll_interval = poll_interval
+        self.per_node_time = per_node_time
+        self.steal_service_time = steal_service_time
+
+        self.stack = ChunkedStack(chunk_size)
+        self.status = WorkerStatus.RUNNING  # resolved properly in start()
+        self.trace = trace
+        # Structured steal-event sink (repro.trace); None when event
+        # tracing is off, so every hook is one load + one None test on
+        # steal edges only — the EXEC expansion path never sees it.
+        self.events = events
+
+        self.nodes_processed = 0
+        self.finish_time: float | None = None
 
         #: Queued steal requests/forwards as ``(tag, src, body)``,
         #: answered at poll boundaries.
-        #: The worker aliases this exact list object; it is mutated in
-        #: place (append/clear), never rebound.
         self.pending: list = []
         #: True when ``serve_pending`` is a no-op on an empty queue, so
-        #: ``Worker.on_exec`` may skip it.  Lifeline workers push
+        #: ``on_exec`` may skip it.  Lifeline workers push
         #: spontaneously to armed waiters; forwarding and regions add
         #: no spontaneous serving.
         self.plain_serve = not plan.lifelines
+
+        # Optional transport hook: the cluster keeps a running node
+        # total for O(1) budget checks; bare test transports omit it.
+        self._notify_nodes = getattr(transport, "nodes_executed", None)
+        # Bound-method caches for the per-quantum call chain.  The
+        # stack and generator are fixed for the worker's lifetime;
+        # ``send`` is deliberately NOT cached (tests patch it).
+        self._children_list = generator.children_list
+        self._fused_expand = self.stack.expand_quantum
+        self._schedule_exec = transport.schedule_exec
 
         self.sessions: list[Session] = []
         self._session_start: float | None = None
@@ -249,7 +328,7 @@ class StealProtocol:
 
         self.steal_requests_sent = 0
         self.consecutive_failed_steals = 0
-        self._escalate_after = getattr(worker.policy, "escalate_after", None)
+        self._escalate_after = getattr(policy, "escalate_after", None)
         self.failed_steals = 0
         self.successful_steals = 0
         self.chunks_received = 0
@@ -267,14 +346,12 @@ class StealProtocol:
         self._forward_ttl = plan.forward_ttl
 
         regions = plan.regions
-        if regions is not None and self.nranks > 1:
-            peers = regions.peers(self.rank)
+        if regions is not None and nranks > 1:
+            peers = regions.peers(rank)
             self._region_peers = peers if peers else None
             self._region_rng = (
                 np.random.default_rng(
-                    np.random.SeedSequence(
-                        [plan.seed, self.rank, _REGION_STREAM]
-                    )
+                    np.random.SeedSequence([plan.seed, rank, _REGION_STREAM])
                 )
                 if peers
                 else None
@@ -286,7 +363,7 @@ class StealProtocol:
 
         self._lifelines = plan.lifelines
         self.lifeline_threshold = plan.lifeline_threshold
-        self.partners = plan.partners_for(self.rank, self.nranks)
+        self.partners = plan.partners_for(rank, nranks)
         self.waiters: list[int] = []
         self._quiescent = False
         self._armed = False
@@ -295,28 +372,43 @@ class StealProtocol:
         self.quiesce_episodes = 0
 
     # ------------------------------------------------------------------
-    # Worker-facing surface
+    # Event handlers (called by the cluster)
     # ------------------------------------------------------------------
 
-    def on_idle(self, t: float) -> None:
-        """Stack exhausted: start a work-discovery session.
+    def start(self, now: float) -> None:
+        """Initialise at simulation start: rank 0 holds the root."""
+        if self.rank == 0:
+            state, depth = self.generator.root()
+            self.stack.push_batch_list([state], [depth])
+            self._record(now, active=True)
+            self.status = WorkerStatus.RUNNING
+            self.transport.schedule_exec(self.rank, now)
+        else:
+            self._go_idle(now)
 
-        The worker has already recorded the activity-trace transition;
-        everything protocol-side happens here.
-        """
-        self.consecutive_failed_steals = 0
-        self.worker.status = WorkerStatus.WAITING
-        self._session_start = t
-        self._session_attempts = 0
-        self.transport.rank_became_idle(self.rank, t)
-        if self.nranks > 1:
-            self._send_steal_request(t)
-        # nranks == 1: termination fires via rank_became_idle.
+    def on_exec(self, now: float) -> None:
+        """Poll boundary: answer queued steals, then work or search."""
+        if self.status is not WorkerStatus.RUNNING:
+            raise SimulationError(
+                f"rank {self.rank}: EXEC while {self.status.name}"
+            )
+        if self.plain_serve and not self.pending:
+            t = now
+        else:
+            t = self.serve_pending(now)
+        if self.stack._chunks:
+            n = self._fused_expand(self.poll_interval, self._children_list)
+            self.nodes_processed += n
+            notify = self._notify_nodes
+            if notify is not None:
+                notify(n)
+            self._schedule_exec(self.rank, t + n * self.per_node_time)
+        else:
+            self._go_idle(t)
 
     def on_message(self, now: float, tag: int, src: int, body) -> None:
         """``(tag, body)`` from ``src`` arrived at (true) time ``now``."""
-        w = self.worker
-        status = w.status
+        status = self.status
         if status is WorkerStatus.DONE:
             return  # post-termination stragglers are dropped
         if tag == TAG_STEAL_RESPONSE and body is None:
@@ -395,10 +487,10 @@ class StealProtocol:
         lifeline worker pushes work to armed waiters.
         """
         t = now
+        stack = self.stack
         pending = self.pending
         if pending:
             ev = self.events
-            stack = self.worker.stack
             policy = self.policy
             for tag, src, body in pending:
                 if tag == TAG_STEAL_FORWARD:
@@ -441,7 +533,6 @@ class StealProtocol:
                     )
             pending.clear()
         if self._lifelines:
-            stack = self.worker.stack
             while self.waiters and stack.stealable_chunks > 0:
                 thief = self.waiters.pop(0)
                 # A quiesced waiter is starving by definition: grant it
@@ -467,8 +558,7 @@ class StealProtocol:
         return t
 
     def on_finish(self, now: float) -> None:
-        w = self.worker
-        if w.status is WorkerStatus.RUNNING or not w.stack.is_empty:
+        if self.status is WorkerStatus.RUNNING or not self.stack.is_empty:
             raise SimulationError(
                 f"rank {self.rank}: Finish while holding work "
                 "(termination detected too early)"
@@ -477,12 +567,28 @@ class StealProtocol:
             self._close_session(now, found_work=False)
         if self.events is not None:
             self.events.append(now, EV_FINISH)
-        w.status = WorkerStatus.DONE
-        w.finish_time = now
+        self.status = WorkerStatus.DONE
+        self.finish_time = now
 
     # ------------------------------------------------------------------
     # Thief side
     # ------------------------------------------------------------------
+
+    def _go_idle(self, t: float) -> None:
+        """Stack exhausted: record the transition, start a
+        work-discovery session."""
+        # Ranks that never had work have no active->inactive edge; their
+        # trace stays empty until they first receive work.
+        if self._was_active():
+            self._record(t, active=False)
+        self.consecutive_failed_steals = 0
+        self.status = WorkerStatus.WAITING
+        self._session_start = t
+        self._session_attempts = 0
+        self.transport.rank_became_idle(self.rank, t)
+        if self.nranks > 1:
+            self._send_steal_request(t)
+        # nranks == 1: termination fires via rank_became_idle.
 
     def _draw_victim(self) -> int:
         """Propose the next victim of the current session.
@@ -522,14 +628,13 @@ class StealProtocol:
 
     def _on_work(self, now: float, victim: int, chunks: list, status) -> None:
         """A response carrying work (a served steal or a lifeline push)."""
-        w = self.worker
         if status is not WorkerStatus.WAITING:
             if not self._lifelines:
                 raise SimulationError(
                     f"rank {self.rank}: steal response while {status.name}"
                 )
             # A lifeline push raced our own recovery: merge the work.
-            nodes = w.stack.receive_chunks(chunks)
+            nodes = self.stack.receive_chunks(chunks)
             self.chunks_received += len(chunks)
             self.nodes_received += nodes
             if self.events is not None:
@@ -540,7 +645,7 @@ class StealProtocol:
             self.lifeline_wakeups += 1
             if self.events is not None:
                 self.events.append(now, EV_LIFELINE_WAKE, victim)
-        received = w.stack.receive_chunks(chunks)
+        received = self.stack.receive_chunks(chunks)
         self.successful_steals += 1
         self.chunks_received += len(chunks)
         self.nodes_received += received
@@ -550,8 +655,8 @@ class StealProtocol:
             self._notify(victim, True)
         self.consecutive_failed_steals = 0
         self._close_session(now, found_work=True)
-        w._record(now, active=True)
-        w.status = WorkerStatus.RUNNING
+        self._record(now, active=True)
+        self.status = WorkerStatus.RUNNING
         self.transport.schedule_exec(self.rank, now)
 
     def _close_session(self, end: float, found_work: bool) -> None:
@@ -653,6 +758,19 @@ class StealProtocol:
             )
 
     # ------------------------------------------------------------------
+    # Activity trace and derived totals
+    # ------------------------------------------------------------------
+
+    def _was_active(self) -> bool:
+        return self.trace is None or (
+            len(self.trace.states) > 0 and self.trace.states[-1]
+        )
+
+    def _record(self, true_time: float, active: bool) -> None:
+        if self.trace is not None:
+            self.trace.record(
+                self.transport.local_time(self.rank, true_time), active
+            )
 
     @property
     def search_time(self) -> float:
@@ -661,8 +779,6 @@ class StealProtocol:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"StealProtocol(rank={self.rank}, "
-            f"forward={self._forward}, "
-            f"regions={self._region_peers is not None}, "
-            f"lifelines={self._lifelines})"
+            f"Worker(rank={self.rank}, status={self.status.name}, "
+            f"stack={self.stack.size}, processed={self.nodes_processed})"
         )

@@ -5,15 +5,11 @@ reference oracle call :func:`build_plan` once per run and
 :func:`make_worker` once per rank, so a protocol knob added to the
 config is automatically honoured by both — the precondition for the
 bit-identity contract.
-
-``Worker`` is imported lazily inside :func:`make_worker`:
-``repro.protocol`` must stay importable from ``repro.sim.worker``, so
-this module cannot import it at module level.
 """
 
 from __future__ import annotations
 
-from repro.protocol.core import ProtocolPlan
+from repro.protocol.core import ProtocolPlan, Worker
 from repro.protocol.regions import RegionMap
 
 __all__ = ["build_plan", "make_worker"]
@@ -47,10 +43,8 @@ def make_worker(
     transport,
     trace=None,
     events=None,
-):
+) -> Worker:
     """Construct the rank's worker (lifelines are ``plan.lifeline_count``)."""
-    from repro.sim.worker import Worker
-
     selector = (
         config.selector.make(rank, config.nranks, placement, seed=config.seed)
         if config.nranks > 1

@@ -334,54 +334,14 @@ class AdaptiveStealPolicy(StealPolicy):
 # Registration
 # ----------------------------------------------------------------------
 
-
-def _bracket_float(name: str, prefix: str) -> float | None:
-    if not (name.startswith(prefix + "[") and name.endswith("]")):
-        return None
-    try:
-        return float(name[len(prefix) + 1 : -1])
-    except ValueError:
-        raise ConfigurationError(
-            f"bad {prefix} parameter in {name!r}"
-        ) from None
-
-
-def _parse_eps(name: str) -> SelectorFactory | None:
-    eps = _bracket_float(name, "adapt-eps")
-    return None if eps is None else EpsilonGreedySelector(eps)
-
-
-def _parse_sr(name: str) -> SelectorFactory | None:
-    decay = _bracket_float(name, "adapt-sr")
-    return None if decay is None else SuccessRateSelector(decay)
-
-
-def _parse_backoff(name: str) -> SelectorFactory | None:
-    fails = _bracket_float(name, "adapt-backoff")
-    if fails is None:
-        return None
-    if fails != int(fails):
-        raise ConfigurationError(f"fails must be an integer in {name!r}")
-    return FailureBackoffSelector(int(fails))
-
-
-def _parse_adaptive(name: str) -> StealPolicy | None:
-    k = _bracket_float(name, "adaptive")
-    if k is None:
-        return None
-    if k != int(k):
-        raise ConfigurationError(f"escalate_after must be an integer in {name!r}")
-    return AdaptiveStealPolicy(int(k))
-
-
 _SELECTORS = registry_for("selector")
 _SELECTORS.register("adapt-eps", EpsilonGreedySelector)
 _SELECTORS.register("adapt-sr", SuccessRateSelector)
 _SELECTORS.register("adapt-backoff", FailureBackoffSelector)
-_SELECTORS.register_pattern("adapt-eps[<eps>]", _parse_eps)
-_SELECTORS.register_pattern("adapt-sr[<decay>]", _parse_sr)
-_SELECTORS.register_pattern("adapt-backoff[<fails>]", _parse_backoff)
+_SELECTORS.register_bracket("adapt-eps", "eps", EpsilonGreedySelector)
+_SELECTORS.register_bracket("adapt-sr", "decay", SuccessRateSelector)
+_SELECTORS.register_bracket("adapt-backoff", "fails", FailureBackoffSelector, int)
 
 _POLICIES = registry_for("steal_policy")
 _POLICIES.register("adaptive", AdaptiveStealPolicy)
-_POLICIES.register_pattern("adaptive[<fails>]", _parse_adaptive)
+_POLICIES.register_bracket("adaptive", "fails", AdaptiveStealPolicy, int)

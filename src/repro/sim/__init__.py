@@ -6,9 +6,6 @@ delivery times come from the :mod:`repro.net` latency models.
 
 Modules
 -------
-``worker``
-    The per-rank state machine: quantum execution, polling, steal
-    protocol, activity tracing.
 ``termination``
     Dijkstra-style token-ring distributed termination detection.
 ``clock``
@@ -19,20 +16,18 @@ Modules
     workers + one heap, one loop) and :class:`SimOutcome`, the raw
     record a run returns.
 
-The tags an event carries — every message tag plus ``TAG_EXEC`` — live
-in :mod:`repro.protocol.messages`.
+The per-rank state machine (:class:`repro.protocol.Worker`) and the
+tags an event carries — every message tag plus ``TAG_EXEC`` — live in
+:mod:`repro.protocol`, which this package imports and not the reverse.
 """
 
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.sim.clock import ClockSkewModel
-from repro.sim.worker import Worker, WorkerStatus
 from repro.sim.cluster import SimOutcome
 
 __all__ = [
     "DijkstraTermination",
     "TokenAction",
     "ClockSkewModel",
-    "Worker",
-    "WorkerStatus",
     "SimOutcome",
 ]

@@ -39,6 +39,7 @@ from repro.core.tracing import TraceRecorder
 from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import Placement, build_placement
 from repro.net.contention import NicContention
+from repro.protocol.core import Worker, WorkerStatus
 from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.messages import (
     TAG_EXEC,
@@ -48,7 +49,6 @@ from repro.protocol.messages import (
 )
 from repro.sim.clock import ClockSkewModel
 from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.sim.worker import Worker, WorkerStatus
 from repro.trace.events import EV_TOKEN, EventRecorder
 from repro.uts.tree import TreeGenerator
 
@@ -86,7 +86,7 @@ class SimOutcome:
 class Cluster:
     """A simulated job: config -> placement -> workers -> ``run()``.
 
-    Implements the worker :class:`~repro.sim.worker.Transport`
+    Implements the worker :class:`~repro.protocol.core.Transport`
     protocol.  ``Cluster(config)`` returns a :class:`_NicCluster` when
     the config has NIC contention on.  One instance runs once;
     :meth:`teardown` then releases it to the reference counter.
@@ -172,16 +172,9 @@ class Cluster:
             )
             for rank in range(config.nranks)
         ]
-        # Message delivery skips the ``Worker.on_message`` trampoline
-        # unless a subclass overrides it.  The bound methods close a
-        # cycle through ``protocol.transport``, which :meth:`teardown`
-        # cuts.
-        self._handlers = [
-            w.protocol.on_message
-            if type(w).on_message is Worker.on_message
-            else w.on_message
-            for w in self.workers
-        ]
+        # Bound once, not per delivery.  They close a cycle through
+        # ``worker.transport``, which :meth:`teardown` cuts.
+        self._handlers = [w.on_message for w in self.workers]
 
     # ------------------------------------------------------------------
     # Transport interface (used by workers)
@@ -279,17 +272,14 @@ class Cluster:
         return self._finalize(processed)
 
     def teardown(self) -> None:
-        """Break the reference cycles of a finished run.
+        """Break the reference cycle of a finished run.
 
-        ``Worker <-> StealProtocol`` and ``Worker -> cluster ->
-        workers`` would otherwise keep every finished simulation
-        (stacks, selector state, latency rows) alive until a gen-2
-        collection, so back-to-back runs grow the heap.  Call once
-        nothing reads the outcome's workers any more (``run_uts``
-        does, after ``RunResult.from_outcome``).
+        ``Worker -> cluster -> workers`` would otherwise keep every
+        finished simulation (stacks, selector state, latency rows)
+        alive until a gen-2 collection, so back-to-back runs grow the
+        heap.  Call once nothing reads the outcome's workers any more
+        (``run_uts`` does, after ``RunResult.from_outcome``).
         """
-        for worker in self.workers:
-            worker.protocol.worker = None
         self.workers = []
         self._handlers = []
 

@@ -149,6 +149,9 @@ class RunResult:
         sessions: list[Session] = []
         for w in workers:
             sessions.extend(w.sessions)
+        # One O(sessions) walk per rank; the total is the builtin sum
+        # over this list in rank order, which fixes the float.
+        search_times = [w.search_time for w in workers]
         trace = None
         if outcome.recorders is not None:
             raw = ActivityTrace.from_recorders(outcome.recorders)
@@ -185,10 +188,10 @@ class RunResult:
             successful_steals=sum(w.successful_steals for w in workers),
             nodes_stolen=sum(w.nodes_received for w in workers),
             chunks_stolen=sum(w.chunks_received for w in workers),
-            search_time_total=sum(w.search_time for w in workers),
+            search_time_total=sum(search_times),
             sessions=summarize_sessions(sessions, cfg.nranks),
             per_rank_nodes=np.array([w.nodes_processed for w in workers]),
-            per_rank_search_time=np.array([w.search_time for w in workers]),
+            per_rank_search_time=np.array(search_times),
             events_processed=outcome.events_processed,
             messages_dropped=outcome.messages_dropped,
             probes_started=outcome.probes_started,

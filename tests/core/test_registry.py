@@ -53,6 +53,21 @@ class TestRegistryClass:
         assert reg.resolve("x42") == 42
         assert "x<n>" in reg.available()
 
+    def test_bracket_pattern_casts_and_rejects(self):
+        reg = Registry("widget")
+        reg.register_bracket("w", "size", lambda v: ("w", v))
+        reg.register_bracket("n", "count", lambda v: ("n", v), int)
+        assert reg.available() == ["w[<size>]", "n[<count>]"]
+        assert reg.resolve("w[1.5]") == ("w", 1.5)
+        for text in ("n[3]", "n[3.0]"):
+            value = reg.resolve(text)[1]
+            assert value == 3 and type(value) is int
+        for bad in ("w[]", "w[x]", "w[nan]", "w[-inf]", "n[2.5]", "n[inf]"):
+            with pytest.raises(ConfigurationError, match="bad (size|count)"):
+                reg.resolve(bad)
+        with pytest.raises(ConfigurationError, match="unknown widget"):
+            reg.resolve("w[1")
+
     def test_factory_kwargs_forwarded(self):
         reg = Registry("widget")
         reg.register("pair", lambda a, b=0: (a, b))
@@ -95,6 +110,21 @@ class TestGlobalRegistries:
         obj = lookup(name)
         assert isinstance(obj, cls)
         assert registry.resolve(_kind_of(lookup), name).name == obj.name
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [
+            ("selector", "adapt-backoff[nan]"),  # was a bare ValueError
+            ("steal_policy", "adaptive[inf]"),  # was a bare OverflowError
+            ("selector", "skew[nan]"),  # was accepted: all-NaN weights
+            ("selector", "latskew[nan]"),  # likewise
+            ("steal_policy", "frac[nan]"),
+            ("selector", "adapt-backoff[2.5]"),
+        ],
+    )
+    def test_bad_bracket_parameter_is_a_configuration_error(self, kind, name):
+        with pytest.raises(ConfigurationError):
+            registry.resolve(kind, name)
 
     @pytest.mark.parametrize(
         "lookup", [selector_by_name, policy_by_name, allocation_by_name, backend_by_name]

@@ -74,7 +74,7 @@ class TestLifelineRuns:
     def test_workers_are_lifeline_class(self):
         cfg = WorkStealingConfig(tree=T3XS, nranks=4, lifelines=2)
         workers = Cluster(cfg).run().workers
-        assert all(w.protocol.partners for w in workers)
+        assert all(w.partners for w in workers)
 
     def test_pushes_and_quiesces_recorded(self):
         cfg = WorkStealingConfig(
@@ -82,8 +82,8 @@ class TestLifelineRuns:
             lifeline_threshold=2,
         )
         workers = Cluster(cfg).run().workers
-        assert sum(w.protocol.quiesce_episodes for w in workers) > 0
-        assert sum(w.protocol.lifeline_pushes for w in workers) > 0
+        assert sum(w.quiesce_episodes for w in workers) > 0
+        assert sum(w.lifeline_pushes for w in workers) > 0
 
     def test_determinism(self):
         a = run_uts(tree=T3XS, nranks=8, lifelines=2, seed=5)
@@ -104,4 +104,4 @@ class TestConfigValidation:
         cfg = WorkStealingConfig(tree=T3XS, nranks=4)
         assert cfg.lifelines == 0
         workers = Cluster(cfg).run().workers
-        assert not any(w.protocol.partners for w in workers)
+        assert not any(w.partners for w in workers)

@@ -2,62 +2,19 @@
 
 from __future__ import annotations
 
-from repro.core.steal_policy import StealOne
-from repro.core.victim import UniformRandomSelector
-from repro.protocol.core import ProtocolPlan
+from repro.protocol.core import ProtocolPlan, WorkerStatus
 from repro.protocol.messages import (
     TAG_LIFELINE_DEREGISTER,
     TAG_LIFELINE_REGISTER,
     TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
 )
-from repro.sim.worker import Worker, WorkerStatus
-from repro.uts.params import TreeParams
 from repro.uts.stack import Chunk
-from repro.uts.tree import TreeGenerator
-
-TREE = TreeParams(name="lw", tree_type="binomial", root_seed=3, b0=30, m=2, q=0.4)
-
-
-class FakeTransport:
-    def __init__(self):
-        self.sent = []
-        self.execs = []
-        self.idles = []
-        self.work_sends = []
-
-    def send(self, src, dst, tag, body, when):
-        self.sent.append((src, dst, tag, body, when))
-
-    def schedule_exec(self, rank, when):
-        self.execs.append((rank, when))
-
-    def rank_became_idle(self, rank, when):
-        self.idles.append((rank, when))
-
-    def work_sent(self, rank):
-        self.work_sends.append(rank)
-
-    def local_time(self, rank, true_time):
-        return true_time
-
+from tests.sim import fakes
 
 def make_worker(rank=1, nranks=8, threshold=2, count=2):
-    t = FakeTransport()
-    w = Worker(
-        rank=rank,
-        nranks=nranks,
-        generator=TreeGenerator(TREE),
-        selector=UniformRandomSelector().make(rank, nranks, seed=0),
-        policy=StealOne(),
-        transport=t,
-        chunk_size=5,
-        poll_interval=4,
-        per_node_time=1e-6,
-        steal_service_time=1e-6,
-        plan=ProtocolPlan(lifeline_count=count, lifeline_threshold=threshold),
-    )
-    return w, t
+    plan = ProtocolPlan(lifeline_count=count, lifeline_threshold=threshold)
+    return fakes.make_worker(rank, nranks, plan=plan)
 
 
 def full_chunk(start=0) -> Chunk:
@@ -72,12 +29,12 @@ class TestQuiescence:
         w.start(0.0)
         # Two failed responses reach the threshold.
         w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)
-        assert not w.protocol._quiescent
+        assert not w._quiescent
         w.on_message(2.0, TAG_STEAL_RESPONSE, 3, None)
-        assert w.protocol._quiescent
-        assert w.protocol.quiesce_episodes == 1
+        assert w._quiescent
+        assert w.quiesce_episodes == 1
         registers = [m for m in t.sent if m[2] == TAG_LIFELINE_REGISTER]
-        assert len(registers) == len(w.protocol.partners)
+        assert len(registers) == len(w.partners)
 
     def test_no_requests_while_quiescent(self):
         w, t = make_worker(threshold=1)
@@ -96,10 +53,10 @@ class TestQuiescence:
         w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)  # quiesce
         w.on_message(3.0, TAG_STEAL_RESPONSE, 4, [full_chunk()])
         assert w.status is WorkerStatus.RUNNING
-        assert not w.protocol._quiescent
-        assert w.protocol.lifeline_wakeups == 1
+        assert not w._quiescent
+        assert w.lifeline_wakeups == 1
         deregs = [m for m in t.sent if m[2] == TAG_LIFELINE_DEREGISTER]
-        assert len(deregs) == len(w.protocol.partners)
+        assert len(deregs) == len(w.partners)
 
 
 class TestPushes:
@@ -109,15 +66,15 @@ class TestPushes:
         w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.status = WorkerStatus.RUNNING
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
-        assert w.protocol.waiters == [5]
+        assert w.waiters == [5]
         w.on_exec(2.0)
         pushes = [
             m for m in t.sent
             if m[2] == TAG_STEAL_RESPONSE and m[3] is not None and m[1] == 5
         ]
         assert len(pushes) == 1
-        assert w.protocol.lifeline_pushes == 1
-        assert w.protocol.waiters == []
+        assert w.lifeline_pushes == 1
+        assert w.waiters == []
         assert t.work_sends == [0]
 
     def test_deregister_removes_waiter(self):
@@ -126,7 +83,7 @@ class TestPushes:
         w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         w.on_message(1.5, TAG_LIFELINE_DEREGISTER, 5, None)
-        assert w.protocol.waiters == []
+        assert w.waiters == []
 
     def test_duplicate_register_ignored(self):
         w, _ = make_worker(rank=0)
@@ -134,7 +91,7 @@ class TestPushes:
         w.stack.push_batch_list(list(range(25)), [2] * 25)
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         w.on_message(1.1, TAG_LIFELINE_REGISTER, 5, None)
-        assert w.protocol.waiters == [5]
+        assert w.waiters == [5]
 
     def test_spurious_push_while_running_merged(self):
         """A lifeline push racing the thief's own recovery is absorbed."""
@@ -156,4 +113,4 @@ class TestPushes:
             m for m in t.sent if m[2] == TAG_STEAL_RESPONSE and m[3] is not None
         ]
         assert pushes == []
-        assert w.protocol.waiters == [5]  # still armed for later
+        assert w.waiters == [5]  # still armed for later

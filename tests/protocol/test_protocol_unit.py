@@ -1,7 +1,6 @@
-"""Unit tests of the StealProtocol state machine via a fake transport.
+"""Unit tests of the worker's steal lifecycle via a fake transport.
 
-The protocol object is exercised through the worker (the production
-wiring) but with a scripted transport, so each branch — forwarding
+A scripted transport drives one rank, so each branch — forwarding
 relays, terminal denies, visited-set pruning, region-first draws —
 is pinned without running a full simulation.
 """
@@ -10,13 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.steal_policy import StealOne
-from repro.core.victim import (
-    UniformRandomSelector,
-    VictimSelector,
-    selector_by_name,
-)
-from repro.protocol.core import ProtocolPlan, StealProtocol
+from repro.core.victim import VictimSelector, selector_by_name
+from repro.protocol.core import ProtocolPlan, Worker, WorkerStatus
 from repro.protocol.messages import (
     TAG_STEAL_FORWARD,
     TAG_STEAL_REQUEST,
@@ -24,54 +18,7 @@ from repro.protocol.messages import (
     StealForward,
 )
 from repro.protocol.regions import RegionMap
-from repro.sim.worker import Worker, WorkerStatus
-from repro.uts.params import TreeParams
-from repro.uts.tree import TreeGenerator
-
-TREE = TreeParams(
-    name="sp", tree_type="binomial", root_seed=3, b0=30, m=2, q=0.4
-)
-
-
-class FakeTransport:
-    def __init__(self):
-        self.sent = []
-        self.execs = []
-        self.idles = []
-        self.work_sends = []
-
-    def send(self, src, dst, tag, body, when):
-        self.sent.append((src, dst, tag, body, when))
-
-    def schedule_exec(self, rank, when):
-        self.execs.append((rank, when))
-
-    def rank_became_idle(self, rank, when):
-        self.idles.append((rank, when))
-
-    def work_sent(self, rank):
-        self.work_sends.append(rank)
-
-    def local_time(self, rank, true_time):
-        return true_time
-
-
-def make_worker(rank=1, nranks=8, plan=None, selector=None, policy=None):
-    t = FakeTransport()
-    w = Worker(
-        rank=rank,
-        nranks=nranks,
-        generator=TreeGenerator(TREE),
-        selector=selector or UniformRandomSelector().make(rank, nranks, seed=0),
-        policy=policy or StealOne(),
-        transport=t,
-        chunk_size=5,
-        poll_interval=4,
-        per_node_time=1e-6,
-        steal_service_time=1e-6,
-        plan=plan,
-    )
-    return w, t
+from tests.sim.fakes import make_worker
 
 
 def _tagged(sent, tag):
@@ -83,41 +30,13 @@ FWD_PLAN = ProtocolPlan(forward=True, forward_ttl=2)
 
 
 class TestWorkerSurface:
-    """The tentpole's structural guarantee: the execution core holds
-    no steal-protocol message handling of its own."""
-
-    def test_worker_has_no_protocol_handlers(self):
-        for name in (
-            "_on_response",
-            "_send_steal_request",
-            "_serve_pending",
-            "_relay_or_deny",
-            "_steal_failed",
-            "_quiesce",
-            "_disarm",
-        ):
-            assert name not in vars(Worker), name
+    """One rank is one class whatever the plan."""
 
     def test_lifeline_worker_is_a_plan_shim(self):
         # Lifelines are a plan field, never a worker class.
         w, _ = make_worker(plan=ProtocolPlan(lifeline_count=2))
-        assert type(w) is Worker and w.protocol.partners
-        assert not make_worker()[0].protocol.partners
-
-    def test_protocol_owns_the_lifecycle(self):
-        for name in (
-            "on_idle",
-            "on_message",
-            "serve_pending",
-            "_relay_or_deny",
-            "_forward_target",
-            "_draw_victim",
-        ):
-            assert name in vars(StealProtocol), name
-
-    def test_pending_is_shared_in_place(self):
-        w, _ = make_worker()
-        assert w.pending is w.protocol.pending
+        assert type(w) is Worker and w.partners
+        assert not make_worker()[0].partners
 
 
 class TestBaselineDeny:
@@ -298,12 +217,12 @@ class TestRegions:
     def test_session_reset_restores_region_budget(self):
         w, t = make_worker(rank=1, plan=REGION_PLAN)
         w.start(0.0)
-        assert w.protocol._session_attempts == 1
+        assert w._session_attempts == 1
         reqs = _tagged(t.sent, TAG_STEAL_REQUEST)
         chunk = _work_chunk()
         w.on_message(1.0, TAG_STEAL_RESPONSE, reqs[0][1], [chunk])
         assert w.status is WorkerStatus.RUNNING
-        assert w.protocol._session_attempts == 0
+        assert w._session_attempts == 0
 
 
 def _work_chunk():
@@ -317,16 +236,16 @@ def _work_chunk():
 class TestCounters:
     def test_worker_counters_are_protocol_views(self):
         w, _ = make_worker(plan=FWD_PLAN)
-        w.protocol.requests_forwarded = 7
-        w.protocol.forwards_served = 3
+        w.requests_forwarded = 7
+        w.forwards_served = 3
         assert w.requests_forwarded == 7
         assert w.forwards_served == 3
 
     def test_plain_serve_flag(self):
         w, _ = make_worker(plan=FWD_PLAN)
-        assert w._plain_serve  # forwarding adds no spontaneous sends
+        assert w.plain_serve  # forwarding adds no spontaneous sends
         w2, _ = make_worker(plan=ProtocolPlan(lifeline_count=2))
-        assert not w2._plain_serve  # lifeline pushes are spontaneous
+        assert not w2.plain_serve  # lifeline pushes are spontaneous
 
 
 class TestLifelineRaces:
@@ -339,7 +258,7 @@ class TestLifelineRaces:
     def test_deny_while_running_is_tolerated_with_lifelines(self):
         w, t = make_worker(plan=ProtocolPlan(lifeline_count=2))
         w.status = WorkerStatus.RUNNING
-        w.protocol.on_message(1.0, TAG_STEAL_RESPONSE, 3, None)
+        w.on_message(1.0, TAG_STEAL_RESPONSE, 3, None)
         assert w.failed_steals == 1
         assert len(_tagged(t.sent, TAG_STEAL_REQUEST)) == 1  # chain resent
 
@@ -349,7 +268,7 @@ class TestLifelineRaces:
         w, _ = make_worker(plan=FWD_PLAN)
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError, match="while RUNNING"):
-            w.protocol.on_message(1.0, TAG_STEAL_RESPONSE, 3, None)
+            w.on_message(1.0, TAG_STEAL_RESPONSE, 3, None)
 
     def test_work_while_running_raises_without_lifelines(self):
         from repro.errors import SimulationError
@@ -357,7 +276,7 @@ class TestLifelineRaces:
         w, _ = make_worker()
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError, match="while RUNNING"):
-            w.protocol.on_message(1.0, TAG_STEAL_RESPONSE, 3, [_work_chunk()])
+            w.on_message(1.0, TAG_STEAL_RESPONSE, 3, [_work_chunk()])
         assert w.stack.is_empty
 
 
@@ -396,9 +315,9 @@ class TestSelectorFeedback:
             1, 8, build_placement(8, "1/N"), seed=0
         )
         w, _ = make_worker(selector=selector)
-        assert (w.protocol._notify is not None) == bound
+        assert (w._notify is not None) == bound
         if bound:
-            assert w.protocol._notify == selector.notify
+            assert w._notify == selector.notify
 
     def test_override_is_called_once_per_steal_outcome(self):
         selector = _CountingSelector()

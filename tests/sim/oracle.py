@@ -6,8 +6,7 @@ so it is written the slow, direct way: every event goes through
 ``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no
 inlined loop, no handler table, no bound-method caches and the
 placement's own shared latency metric.  It shares the workers, the
-protocol layer, the termination detector and :class:`NicContention`
-with the engine — those have their own unit and property suites — and
+termination detector and :class:`NicContention` with the engine — those have their own unit and property suites — and
 nothing of the engine's event handling.
 """
 
@@ -21,6 +20,7 @@ from repro.core.tracing import TraceRecorder
 from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import build_placement
 from repro.net.contention import NicContention
+from repro.protocol.core import WorkerStatus
 from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.messages import (
     TAG_EXEC,
@@ -31,7 +31,6 @@ from repro.protocol.messages import (
 from repro.sim.clock import ClockSkewModel
 from repro.sim.cluster import DEFAULT_MAX_EVENTS, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.sim.worker import WorkerStatus
 from repro.trace.events import EV_TOKEN, EventRecorder
 from repro.uts.tree import TreeGenerator
 from repro.ws.results import RunResult

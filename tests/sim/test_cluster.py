@@ -14,8 +14,8 @@ import pytest
 from repro.core.config import WorkStealingConfig
 from repro.core.metrics import OccupancyCurve
 from repro.core.tracing import ActivityTrace
+from repro.protocol.core import WorkerStatus
 from repro.sim.cluster import Cluster
-from repro.sim.worker import WorkerStatus
 from repro.uts.params import GEO_S, T3XS, TreeParams
 from repro.uts.sequential import sequential_count
 

@@ -20,9 +20,10 @@ from collections import Counter
 
 import pytest
 
-import repro.sim.worker as worker_mod
+import repro.protocol.factory as factory_mod
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError
+from repro.protocol.core import Worker
 from repro.protocol.messages import (
     TAG_FINISH,
     TAG_STEAL_REQUEST,
@@ -30,7 +31,6 @@ from repro.protocol.messages import (
     TAG_TOKEN,
 )
 from repro.sim.cluster import Cluster
-from repro.sim.worker import Worker
 from repro.uts.params import T3XS
 
 
@@ -131,9 +131,14 @@ class TestMemory:
 
 class TestHandlerTable:
     def test_plain_worker_skips_the_trampoline(self):
-        cluster = Cluster(_cfg())
-        for worker, handler in zip(cluster.workers, cluster._handlers):
-            assert handler == worker.protocol.on_message
+        # One rank is one object: delivery calls the worker itself,
+        # with NIC contention on and off.
+        for nic in (0.0, 1e-6):
+            cluster = Cluster(_cfg(nic_service_time=nic))
+            assert len(cluster._handlers) == len(cluster.workers) == 8
+            for worker, handler in zip(cluster.workers, cluster._handlers):
+                assert not hasattr(type(worker), "protocol")
+                assert handler == worker.on_message
 
     def test_worker_subclass_override_is_called(self, monkeypatch):
         calls = []
@@ -146,7 +151,7 @@ class TestHandlerTable:
                 super().on_message(now, tag, src, body)
 
         # The factory resolves ``Worker`` from its module at call time.
-        monkeypatch.setattr(worker_mod, "Worker", SpyWorker)
+        monkeypatch.setattr(factory_mod, "Worker", SpyWorker)
         cfg = _cfg()
         out = Cluster(cfg).run()
         assert all(type(w) is SpyWorker for w in out.workers)

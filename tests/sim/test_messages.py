@@ -8,6 +8,7 @@ from repro.core.config import WorkStealingConfig
 from repro.core.steal_policy import StealOne
 from repro.core.victim import RoundRobinSelector
 from repro.protocol import messages
+from repro.protocol.core import Worker, WorkerStatus
 from repro.protocol.messages import (
     BLACK,
     TAG_STEAL_RESPONSE,
@@ -15,7 +16,6 @@ from repro.protocol.messages import (
     StealForward,
 )
 from repro.sim.cluster import Cluster
-from repro.sim.worker import Worker, WorkerStatus
 from repro.uts.params import T3XS
 from repro.uts.stack import Chunk
 from repro.uts.tree import TreeGenerator

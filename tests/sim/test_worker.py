@@ -5,65 +5,24 @@ from __future__ import annotations
 import pytest
 
 from repro.core.steal_policy import StealHalf, StealOne
-from repro.core.tracing import TraceRecorder
 from repro.core.victim import RoundRobinSelector
 from repro.errors import SimulationError
+from repro.protocol.core import Worker, WorkerStatus
 from repro.protocol.messages import (
     TAG_FINISH,
     TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
 )
-from repro.sim.worker import Worker, WorkerStatus
 from repro.uts.params import TreeParams
 from repro.uts.tree import TreeGenerator
+from tests.sim import fakes
 
 TREE = TreeParams(name="w", tree_type="binomial", root_seed=5, b0=50, m=2, q=0.4)
 
 
-class FakeTransport:
-    """Records every interaction; no event loop."""
-
-    def __init__(self):
-        self.sent: list[tuple[int, int, int, object, float]] = []
-        self.execs: list[tuple[int, float]] = []
-        self.idles: list[tuple[int, float]] = []
-        self.work_sends: list[int] = []
-
-    def send(self, src, dst, tag, body, when):
-        self.sent.append((src, dst, tag, body, when))
-
-    def schedule_exec(self, rank, when):
-        self.execs.append((rank, when))
-
-    def rank_became_idle(self, rank, when):
-        self.idles.append((rank, when))
-
-    def work_sent(self, rank):
-        self.work_sends.append(rank)
-
-    def local_time(self, rank, true_time):
-        return true_time
-
-
-def make_worker(rank=0, nranks=4, policy=None, chunk=5, poll=4, trace=False):
-    transport = FakeTransport()
-    selector = (
-        RoundRobinSelector().make(rank, nranks) if nranks > 1 else None
-    )
-    worker = Worker(
-        rank=rank,
-        nranks=nranks,
-        generator=TreeGenerator(TREE),
-        selector=selector,
-        policy=policy or StealOne(),
-        transport=transport,
-        chunk_size=chunk,
-        poll_interval=poll,
-        per_node_time=1e-6,
-        steal_service_time=1e-6,
-        trace=TraceRecorder() if trace else None,
-    )
-    return worker, transport
+def make_worker(rank=0, nranks=4, **kwargs):
+    selector = RoundRobinSelector().make(rank, nranks)
+    return fakes.make_worker(rank, nranks, selector=selector, tree=TREE, **kwargs)
 
 
 def _nodes(chunks) -> int:
@@ -100,7 +59,7 @@ class TestStart:
                 generator=TreeGenerator(TREE),
                 selector=None,
                 policy=StealOne(),
-                transport=FakeTransport(),
+                transport=fakes.FakeTransport(),
                 chunk_size=5,
                 poll_interval=4,
                 per_node_time=1e-6,

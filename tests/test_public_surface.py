@@ -7,6 +7,7 @@ and exact.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -56,4 +57,20 @@ class TestPublicSurface:
         for name in service.__all__:
             assert getattr(service, name, None) is not None, name
 
-
+    def test_protocol_package_imports_nothing_from_sim(self):
+        """The dependency is one-way: ``repro.sim`` -> ``repro.protocol``."""
+        package = Path(repro.__file__).parent / "protocol"
+        modules = sorted(package.glob("*.py"))
+        assert modules
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""]
+                else:
+                    continue
+                for name in imported:
+                    assert not (name + ".").startswith("repro.sim."), (
+                        f"{path.name} imports {name}"
+                    )

@@ -268,11 +268,11 @@ def test_lifeline_episode_counts_match_workers():
     events = EventTrace.from_recorders(outcome.event_recorders)
     workers = outcome.workers
     assert events.count(EV_LIFELINE_QUIESCE) == sum(
-        w.protocol.quiesce_episodes for w in workers
+        w.quiesce_episodes for w in workers
     )
     assert events.count(EV_LIFELINE_WAKE) == sum(
-        w.protocol.lifeline_wakeups for w in workers
+        w.lifeline_wakeups for w in workers
     )
     assert events.count(EV_LIFELINE_PUSH) == sum(
-        w.protocol.lifeline_pushes for w in workers
+        w.lifeline_pushes for w in workers
     )
