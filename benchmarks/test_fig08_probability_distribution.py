@@ -49,7 +49,7 @@ def test_fig08_probability_distribution(once):
     ratio = probs.max() / probs[probs > 0].min()
     assert 2.0 < ratio < 50.0
     # Probability decreases with physical distance.
-    e = placement.euclidean[0][1:]
+    e = placement.euclidean.row(0)[1:]
     p = probs[1:]
     order = np.argsort(e)
     assert np.all(np.diff(p[order]) <= 1e-15)

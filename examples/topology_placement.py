@@ -37,9 +37,12 @@ def main() -> None:
         p = build_placement(nranks, alloc)
         placements[alloc] = p
         neighbour_lat = np.array(
-            [p.latency[i, i + 1] for i in range(nranks - 1)]
+            [p.latency.value(i, i + 1) for i in range(nranks - 1)]
         )
-        off_diag = p.latency[~np.eye(nranks, dtype=bool)]
+        off_diag = np.concatenate(
+            [np.delete(p.latency.row(i), i) for i in range(nranks)]
+        )
+        hops = p.topology.hops_rows(p.rank_nodes)
         rows.append(
             [
                 alloc,
@@ -47,7 +50,7 @@ def main() -> None:
                 neighbour_lat.mean() * 1e6,
                 off_diag.mean() * 1e6,
                 off_diag.max() * 1e6,
-                int(p.hops.max()),
+                int(max(hops(i).max() for i in range(nranks))),
             ]
         )
     print(f"Deployment of {nranks} ranks on the Tofu model:\n")
@@ -72,11 +75,11 @@ def main() -> None:
 
     # The paper's Fig 8: p(0, x) over the 1/N deployment.
     p = placements["1/N"]
-    probs = skewed_probabilities(0, p.euclidean[0])
+    probs = skewed_probabilities(0, p.euclidean.row(0))
     print("\nSkewed victim distribution p(0, x) (Fig 8):")
     print(render_ascii_curve(probs.tolist(), width=70, height=8))
     uniform = 1.0 / (nranks - 1)
-    near = p.hops[0] <= 2
+    near = p.topology.hops_rows(p.rank_nodes)(0) <= 2
     near[0] = False
     print(
         format_table(

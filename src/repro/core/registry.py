@@ -114,7 +114,8 @@ class Registry:
         The bracketed text must be one finite number — integral when
         ``cast`` is ``int`` (``"3"`` and ``"3.0"`` both are) — or the
         name is rejected with :class:`~repro.errors.RegistryError`;
-        range checks stay with the constructor.
+        range checks stay with the constructor, which names its object
+        with :meth:`bracket_name`.
         """
 
         def parser(name: str) -> object | None:
@@ -132,6 +133,22 @@ class Registry:
             return constructor(cast(value))
 
         self.register_pattern(f"{prefix}[<{param}>]", parser)
+
+    @staticmethod
+    def bracket_name(prefix: str, value: float) -> str:
+        """``"<prefix>[<value>]"``, which :meth:`register_bracket`
+        parses back to exactly ``value``.
+
+        The number is written ``:g`` when those six significant digits
+        read back as ``value`` (so every name that already round-tripped
+        keeps its bytes), else in full: ``d`` for an int, the shortest
+        round-trip ``repr`` for a float — ``skew[1.23456789]``, not
+        ``skew[1.23457]``, which would name a different selector.
+        """
+        text = f"{value:g}"
+        if float(text) != value:
+            text = f"{value:d}" if isinstance(value, int) else repr(float(value))
+        return f"{prefix}[{text}]"
 
     # ------------------------------------------------------------------
     # Lookup

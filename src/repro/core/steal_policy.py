@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-from repro.core.registry import registry_for
+from repro.core.registry import Registry, registry_for
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -93,7 +93,7 @@ class StealFraction(StealPolicy):
                 f"fraction must be in (0, 1], got {fraction}"
             )
         self.fraction = float(fraction)
-        self.name = f"frac[{fraction:g}]"
+        self.name = Registry.bracket_name("frac", self.fraction)
 
     def chunks_to_steal(self, stealable: int) -> int:
         self._check(stealable)

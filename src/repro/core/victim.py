@@ -32,11 +32,12 @@ Comparators from related work, used by the ablation benchmarks:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.registry import registry_for
+from repro.core.registry import Registry, registry_for
 from repro.errors import ConfigurationError
 from repro.net.allocation import Placement
 
@@ -209,9 +210,19 @@ def skewed_probabilities(
         w = np.where(e > 0.0, 1.0 / np.power(e, alpha), 1.0)
     w[rank] = 0.0
     total = w.sum()
-    if total <= 0.0:
-        raise ConfigurationError("degenerate victim distribution (all weights 0)")
+    if not 0.0 < total < math.inf:
+        raise ConfigurationError(
+            f"degenerate victim distribution (weights sum to {total})"
+        )
     return w / total
+
+
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` as a float, or :class:`ConfigurationError` unless it is
+    finite and >= 0 (a NaN weight would draw victim 0 forever)."""
+    if not 0 <= alpha < math.inf:
+        raise ConfigurationError(f"alpha must be finite and >= 0, got {alpha}")
+    return float(alpha)
 
 
 class _SkewedState(VictimSelector):
@@ -274,10 +285,8 @@ class PowerSkewedSelector(SelectorFactory):
     needs_placement = True
 
     def __init__(self, alpha: float = 1.0):
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = float(alpha)
-        self.name = f"skew[{alpha:g}]"
+        self.alpha = _check_alpha(alpha)
+        self.name = Registry.bracket_name("skew", self.alpha)
 
     def probabilities(self, rank: int, placement: Placement) -> np.ndarray:
         """Expose the distribution itself (used to regenerate Fig 8)."""
@@ -317,13 +326,11 @@ class LatencySkewedSelector(SelectorFactory):
     needs_placement = True
 
     def __init__(self, alpha: float = 1.0):
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = float(alpha)
-        self.name = f"latskew[{alpha:g}]"
+        self.alpha = _check_alpha(alpha)
+        self.name = Registry.bracket_name("latskew", self.alpha)
 
     def probabilities(self, rank: int, placement: Placement) -> np.ndarray:
-        lat = np.array(placement.latency.row(rank))
+        lat = placement.latency.row(rank)
         # Normalise so the nearest victim has unit weight, mirroring
         # the paper's w=1 convention for zero-distance ranks.
         others = lat[np.arange(len(lat)) != rank]
@@ -382,7 +389,7 @@ class HierarchicalSelector(SelectorFactory):
         if not 0.0 <= p_near <= 1.0:
             raise ConfigurationError(f"p_near must be in [0, 1], got {p_near}")
         self.p_near = float(p_near)
-        self.name = f"hier[{p_near:g}]"
+        self.name = Registry.bracket_name("hier", self.p_near)
 
     def make(self, rank, nranks, placement=None, seed=0):
         self._check(rank, nranks, placement)

@@ -16,9 +16,9 @@ the K Computer provided the authors:
 * :mod:`repro.net.allocation` — rank-to-node placements (the paper's
   1/N, 8RR and 8G schemes) and the :class:`~repro.net.allocation.Placement`
   object exposing per-rank-pair distances and latencies;
-* :mod:`repro.net.pairwise` — the row-lazy
-  :class:`~repro.net.pairwise.PairwiseMetric` backing those pairwise
-  quantities with O(N) memory at paper scale;
+* :mod:`repro.net.pairwise` — :class:`~repro.net.pairwise.PairwiseMetric`,
+  those pairwise quantities as row functions (O(N) memory at paper
+  scale, rows computed when read and never stored);
 * :mod:`repro.net.contention` — optional per-node NIC serialisation.
 """
 
@@ -29,7 +29,6 @@ from repro.net.topology import (
     TofuTopology,
     Torus3D,
     FlatTopology,
-    FatTreeTopology,
 )
 from repro.net.latency import (
     LatencyModel,
@@ -58,7 +57,6 @@ __all__ = [
     "TofuTopology",
     "Torus3D",
     "FlatTopology",
-    "FatTreeTopology",
     "LatencyModel",
     "UniformLatency",
     "HopLatency",

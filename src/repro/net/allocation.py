@@ -280,14 +280,11 @@ class Placement:
         The node topology the job runs on.
     latency:
         :class:`~repro.net.pairwise.PairwiseMetric` of one-way message
-        latencies (seconds) between ranks — row-lazy, so paper-scale
-        jobs never hold the dense N x N matrix.  Plain ndarrays are
-        accepted and wrapped for backwards compatibility.
+        latencies (seconds) between ranks — read by row, so paper-scale
+        jobs never hold the dense N x N matrix.
     euclidean:
         Pairwise Euclidean distances between rank positions — the
         quantity the paper's skewed victim selection weights by.
-    hops:
-        Pairwise network hop counts.
     allocation_name, latency_name:
         Provenance, for reports.
     """
@@ -297,20 +294,15 @@ class Placement:
     topology: Topology
     latency: PairwiseMetric
     euclidean: PairwiseMetric
-    hops: PairwiseMetric
     allocation_name: str = "?"
     latency_name: str = "?"
 
     def __post_init__(self) -> None:
         n = self.nranks
-        for name in ("latency", "euclidean", "hops"):
-            metric = getattr(self, name)
-            if isinstance(metric, np.ndarray):
-                metric = PairwiseMetric.from_dense(metric, name=name)
-                object.__setattr__(self, name, metric)
-            if metric.shape != (n, n):
+        for metric in (self.latency, self.euclidean):
+            if metric.n != n:
                 raise ConfigurationError(
-                    f"{name} matrix shape {metric.shape} != ({n}, {n})"
+                    f"{metric.name} metric has {metric.n} ranks, placement {n}"
                 )
         if len(self.rank_nodes) != n:
             raise ConfigurationError(
@@ -331,7 +323,7 @@ def build_placement(
     latency_model: LatencyModel | None = None,
     topology_factory: Callable[[int], Topology] | str | None = None,
 ) -> Placement:
-    """Allocate ``nranks`` processes and precompute all pairwise data.
+    """Allocate ``nranks`` processes and build their pairwise metrics.
 
     Parameters
     ----------
@@ -367,11 +359,10 @@ def build_placement(
     if rank_nodes.max() >= topology.num_nodes:
         raise AllocationError("allocation placed a rank outside the topology")
 
-    # Row-lazy metrics: nothing N x N is allocated here — rows are
-    # computed on demand (LRU-cached), and the dense escape hatch only
-    # materialises if a consumer explicitly asks (small-N numpy code).
-    # Latency rows are decoded from the model's byte codes, which ride
-    # along for the engine.
+    # Row functions: nothing N x N is allocated here — a row is
+    # computed each time a consumer asks for it.  Latency rows are
+    # decoded from the model's byte codes, which ride along for the
+    # engine.
     codes = latency_model.code_rows(topology, rank_nodes)
     latency = PairwiseMetric(
         nranks, latency_model.float_rows(*codes), name="latency", codes=codes
@@ -379,14 +370,12 @@ def build_placement(
     euclidean = PairwiseMetric(
         nranks, topology.euclidean_rows(rank_nodes), name="euclidean"
     )
-    hops = PairwiseMetric(nranks, topology.hops_rows(rank_nodes), name="hops")
     return Placement(
         nranks=nranks,
         rank_nodes=rank_nodes,
         topology=topology,
         latency=latency,
         euclidean=euclidean,
-        hops=hops,
         allocation_name=allocation.name,
         latency_name=latency_model.name,
     )

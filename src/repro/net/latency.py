@@ -96,11 +96,6 @@ class LatencyModel(ABC):
 
         return row
 
-    def row_builder(self, topology: Topology, rank_nodes: np.ndarray):
-        """Return ``f(i) -> latency row for rank i`` (O(N) per call, a
-        fresh float64 array): :meth:`code_rows`, decoded."""
-        return self.float_rows(*self.code_rows(topology, rank_nodes))
-
     def to_spec(self) -> dict:
         """Serializable description: ``{"kind": ..., <float params>}``.
 
@@ -258,11 +253,11 @@ class HierarchicalLatency(LatencyModel):
         hops = np.minimum(raw, dims[None, None, :] - raw).sum(axis=2)
 
         out = self.base + self.per_hop * hops.astype(np.float64)
-        same_cube = (cube_xyz[:, None, :] == cube_xyz[None, :, :]).all(axis=2)
-        same_blade = (blade_id[:, None, :] == blade_id[None, :, :]).all(axis=2)
+        in_cube = (cube_xyz[:, None, :] == cube_xyz[None, :, :]).all(axis=2)
+        in_blade = (blade_id[:, None, :] == blade_id[None, :, :]).all(axis=2)
         same_node = rank_nodes[:, None] == rank_nodes[None, :]
-        out[same_cube] = self.cube
-        out[same_blade] = self.blade
+        out[in_cube] = self.cube
+        out[in_blade] = self.blade
         out[same_node] = self.intra_node
         return self._validate(out)
 

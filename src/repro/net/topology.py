@@ -33,7 +33,6 @@ __all__ = [
     "TofuTopology",
     "Torus3D",
     "FlatTopology",
-    "FatTreeTopology",
     "topology_factory_by_name",
 ]
 
@@ -206,9 +205,6 @@ class TofuTopology(_GridTopology):
     #: In-cube dimensions (a, b, c): b is the blade, (a, c) the slot.
     CUBE_DIMS = (2, 3, 2)
     NODES_PER_CUBE = 12
-    NODES_PER_BLADE = 4
-    #: Cubes per rack on the K Computer (one torus dimension is the rack).
-    CUBES_PER_RACK = 8
 
     def __init__(self, cube_grid: tuple[int, int, int]):
         if len(cube_grid) != 3:
@@ -246,30 +242,6 @@ class TofuTopology(_GridTopology):
                         best = (key, (cx, cy, cz))
         assert best is not None
         return cls(best[1])
-
-    # ------------------------------------------------------------------
-    # Hierarchy queries used by the hierarchical latency model
-    # ------------------------------------------------------------------
-
-    def cube_of(self, node: int) -> tuple[int, int, int]:
-        c = self.coords(node)
-        return (int(c[0]), int(c[1]), int(c[2]))
-
-    def blade_of(self, node: int) -> tuple[int, int, int, int]:
-        c = self.coords(node)
-        return (int(c[0]), int(c[1]), int(c[2]), int(c[4]))
-
-    def rack_of(self, node: int) -> tuple[int, int, int]:
-        """Rack id: the x dimension runs within a rack (8 cubes/rack),
-        y and z enumerate racks."""
-        x, y, z = self.cube_of(node)
-        return (x // self.CUBES_PER_RACK, y, z)
-
-    def same_blade(self, a: int, b: int) -> bool:
-        return self.blade_of(a) == self.blade_of(b)
-
-    def same_cube(self, a: int, b: int) -> bool:
-        return self.cube_of(a) == self.cube_of(b)
 
 
 class Torus3D(_GridTopology):
@@ -340,89 +312,6 @@ class FlatTopology(Topology):
 
         def row(i: int) -> np.ndarray:
             return np.where(nodes == nodes[i], 0, 1).astype(np.int64)
-
-        return row
-
-    def euclidean_rows(self, nodes: np.ndarray):
-        hops_row = self.hops_rows(nodes)
-
-        def row(i: int) -> np.ndarray:
-            return hops_row(i).astype(np.float64)
-
-        return row
-
-
-class FatTreeTopology(Topology):
-    """Two-level switched tree: nodes grouped under leaf switches.
-
-    Models commodity clusters: one hop inside a switch group, three
-    hops (up-core-down) across groups.  Euclidean distance is defined
-    as the hop count, giving the skewed selector a two-level weight
-    profile — the structure hierarchical work stealing papers assume.
-    """
-
-    name = "fattree"
-
-    def __init__(self, num_groups: int, nodes_per_group: int):
-        if num_groups < 1 or nodes_per_group < 1:
-            raise TopologyError(
-                f"groups/nodes_per_group must be >= 1, got "
-                f"{num_groups}/{nodes_per_group}"
-            )
-        self.num_groups = int(num_groups)
-        self.nodes_per_group = int(nodes_per_group)
-        self.num_nodes = self.num_groups * self.nodes_per_group
-
-    def group_of(self, node: int) -> int:
-        self._check_node(node)
-        return node // self.nodes_per_group
-
-    def coords(self, node: int) -> np.ndarray:
-        self._check_node(node)
-        return np.array(
-            [node // self.nodes_per_group, node % self.nodes_per_group],
-            dtype=np.int64,
-        )
-
-    def coords_all(self) -> np.ndarray:
-        nodes = np.arange(self.num_nodes, dtype=np.int64)
-        return np.stack(
-            [nodes // self.nodes_per_group, nodes % self.nodes_per_group], axis=1
-        )
-
-    def hops(self, a: int, b: int) -> int:
-        self._check_node(a)
-        self._check_node(b)
-        if a == b:
-            return 0
-        return 1 if self.group_of(a) == self.group_of(b) else 3
-
-    def euclidean(self, a: int, b: int) -> float:
-        return float(self.hops(a, b))
-
-    def diameter(self) -> int:
-        return 3
-
-    def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        groups = nodes // self.nodes_per_group
-        same_node = nodes[:, None] == nodes[None, :]
-        same_group = groups[:, None] == groups[None, :]
-        return np.where(same_node, 0, np.where(same_group, 1, 3)).astype(np.int64)
-
-    def euclidean_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        return self.hops_matrix(nodes).astype(np.float64)
-
-    def hops_rows(self, nodes: np.ndarray):
-        nodes = np.asarray(nodes, dtype=np.int64)
-        groups = nodes // self.nodes_per_group
-
-        def row(i: int) -> np.ndarray:
-            same_node = nodes == nodes[i]
-            same_group = groups == groups[i]
-            return np.where(same_node, 0, np.where(same_group, 1, 3)).astype(
-                np.int64
-            )
 
         return row
 

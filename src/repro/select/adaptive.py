@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from repro.core.registry import registry_for
+from repro.core.registry import Registry, registry_for
 from repro.core.steal_policy import StealPolicy
 from repro.core.victim import SelectorFactory, VictimSelector, _rank_rng
 from repro.errors import ConfigurationError
@@ -148,7 +148,7 @@ class EpsilonGreedySelector(SelectorFactory):
         if not 0.0 <= eps <= 1.0:
             raise ConfigurationError(f"eps must be in [0, 1], got {eps}")
         self.eps = float(eps)
-        self.name = f"adapt-eps[{eps:g}]"
+        self.name = Registry.bracket_name("adapt-eps", self.eps)
 
     def make(self, rank, nranks, placement=None, seed=0):
         self._check(rank, nranks, placement)
@@ -223,7 +223,7 @@ class SuccessRateSelector(SelectorFactory):
         if not 0.0 < decay < 1.0:
             raise ConfigurationError(f"decay must be in (0, 1), got {decay}")
         self.decay = float(decay)
-        self.name = f"adapt-sr[{decay:g}]"
+        self.name = Registry.bracket_name("adapt-sr", self.decay)
 
     def make(self, rank, nranks, placement=None, seed=0):
         self._check(rank, nranks, placement)
@@ -288,7 +288,7 @@ class FailureBackoffSelector(SelectorFactory):
         if fails < 1:
             raise ConfigurationError(f"fails must be >= 1, got {fails}")
         self.fails = int(fails)
-        self.name = f"adapt-backoff[{self.fails:g}]"
+        self.name = Registry.bracket_name("adapt-backoff", self.fails)
 
     def make(self, rank, nranks, placement=None, seed=0):
         self._check(rank, nranks, placement)
@@ -317,7 +317,7 @@ class AdaptiveStealPolicy(StealPolicy):
                 f"escalate_after must be >= 1, got {escalate_after}"
             )
         self.escalate_after = int(escalate_after)
-        self.name = f"adaptive[{self.escalate_after:g}]"
+        self.name = Registry.bracket_name("adaptive", self.escalate_after)
 
     def chunks_to_steal(self, stealable: int) -> int:
         self._check(stealable)

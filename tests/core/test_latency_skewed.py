@@ -23,7 +23,7 @@ class TestDistribution:
 
     def test_cheaper_victims_likelier(self):
         p = LatencySkewedSelector().probabilities(0, PLACEMENT)
-        lat = PLACEMENT.latency[0]
+        lat = PLACEMENT.latency.row(0)
         others = np.arange(1, 64)
         order = others[np.argsort(lat[others])]
         assert np.all(np.diff(p[order]) <= 1e-12)

@@ -3,13 +3,30 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import registry
+from repro.core.config import WorkStealingConfig
 from repro.core.registry import Registry
 from repro.core.steal_policy import StealFraction, StealHalf, policy_by_name
-from repro.core.victim import DistanceSkewedSelector, RoundRobinSelector, selector_by_name
+from repro.core.victim import (
+    DistanceSkewedSelector,
+    HierarchicalSelector,
+    LatencySkewedSelector,
+    PowerSkewedSelector,
+    RoundRobinSelector,
+    selector_by_name,
+)
 from repro.errors import ConfigurationError
 from repro.net.allocation import DilatedAllocation, OnePerNode, allocation_by_name
+from repro.select.adaptive import (
+    AdaptiveStealPolicy,
+    EpsilonGreedySelector,
+    FailureBackoffSelector,
+    SuccessRateSelector,
+)
+from repro.uts.params import T3XS
 from repro.uts.rng import Sha1Backend, backend_by_name
 
 
@@ -176,3 +193,70 @@ class TestSingleResolutionPath:
         assert not isinstance(cfg.selector, str)
         with pytest.raises(RegistryError):
             WorkStealingConfig(tree=T3XS, nranks=4, selector="bogus")
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+#: Every bracket family: registry kind, constructor, the attribute the
+#: parameter lands in, and the parameter's whole valid range (ints stop
+#: at 2**53, past which the registry's float parse cannot be exact).
+BRACKET_FAMILIES = {
+    "skew": ("selector", PowerSkewedSelector, "alpha", st.floats(0, **_FINITE)),
+    "latskew": ("selector", LatencySkewedSelector, "alpha", st.floats(0, **_FINITE)),
+    "hier": ("selector", HierarchicalSelector, "p_near", st.floats(0, 1)),
+    "adapt-eps": ("selector", EpsilonGreedySelector, "eps", st.floats(0, 1)),
+    "adapt-sr": (
+        "selector",
+        SuccessRateSelector,
+        "decay",
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+    ),
+    "adapt-backoff": ("selector", FailureBackoffSelector, "fails", st.integers(1, 2**53)),
+    "adaptive": (
+        "steal_policy",
+        AdaptiveStealPolicy,
+        "escalate_after",
+        st.integers(1, 2**53),
+    ),
+    "frac": ("steal_policy", StealFraction, "fraction", st.floats(0, 1, exclude_min=True)),
+}
+
+
+class TestBracketNames:
+    """A parameterised name is the parameter, exactly: it is the
+    fingerprint's and the store's key, and what ``run_many`` ships."""
+
+    @pytest.mark.parametrize("prefix", sorted(BRACKET_FAMILIES))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_name_rebuilds_the_exact_parameter(self, prefix, data):
+        kind, cls, attr, values = BRACKET_FAMILIES[prefix]
+        value = data.draw(values)
+        obj = cls(value)
+        assert obj.name.startswith(f"{prefix}[")
+        assert getattr(registry.resolve(kind, obj.name), attr) == value
+        config = WorkStealingConfig(tree=T3XS, nranks=4, **{kind: obj})
+        again = WorkStealingConfig.from_dict(config.to_dict())
+        assert getattr(getattr(again, kind), attr) == value
+
+    @pytest.mark.parametrize(
+        "prefix,value,name",
+        [
+            ("skew", 2.0, "skew[2]"),
+            ("hier", 0.9, "hier[0.9]"),
+            ("frac", 0.25, "frac[0.25]"),
+            ("adapt-backoff", 1_000_000, "adapt-backoff[1e+06]"),
+            ("skew", 1.23456789, "skew[1.23456789]"),
+            ("adapt-backoff", 1_234_567, "adapt-backoff[1234567]"),
+        ],
+    )
+    def test_six_digits_when_they_suffice(self, prefix, value, name):
+        assert Registry.bracket_name(prefix, value) == name
+
+    def test_close_parameters_fingerprint_apart(self):
+        a, b = (
+            WorkStealingConfig(tree=T3XS, nranks=4, selector=PowerSkewedSelector(alpha))
+            for alpha in (1.23456789, 1.2345701)
+        )
+        assert a.selector.name != b.selector.name
+        assert a.fingerprint() != b.fingerprint()

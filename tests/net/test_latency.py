@@ -110,23 +110,16 @@ class TestHierarchical:
         model = KComputerLatency()
         assert model.intra_node < model.blade < model.cube < model.base
         m = model.matrix(TOFU, NODES)
-        t = TOFU
-        blade_lat = [
-            m[a, b]
-            for a in range(48)
-            for b in range(48)
-            if a != b and t.same_blade(a, b)
-        ]
-        cube_lat = [
-            m[a, b]
-            for a in range(48)
-            for b in range(48)
-            if not t.same_blade(a, b) and t.same_cube(a, b)
-        ]
-        cross_lat = [
-            m[a, b] for a in range(48) for b in range(48) if not t.same_cube(a, b)
-        ]
-        assert max(blade_lat) < min(cube_lat) < min(cross_lat)
+        # The integer cube and blade keys code_rows compares.
+        cube = NODES // TOFU.NODES_PER_CUBE
+        blade = cube * TOFU.CUBE_DIMS[1] + TOFU.space.coords_of_many(NODES)[:, 4]
+        in_cube = cube[:, None] == cube[None, :]
+        in_blade = blade[:, None] == blade[None, :]
+        off = ~np.eye(48, dtype=bool)
+        blade_lat = m[in_blade & off]
+        cube_lat = m[in_cube & ~in_blade]
+        cross_lat = m[~in_cube]
+        assert blade_lat.max() < cube_lat.min() < cross_lat.min()
 
 
 class TestKComputerCalibration:

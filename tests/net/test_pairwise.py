@@ -1,4 +1,4 @@
-"""Tests for the lazy pairwise-metric rows (``repro.net.pairwise``)."""
+"""Tests for the pairwise-metric row functions (``repro.net.pairwise``)."""
 
 import tracemalloc
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.allocation import allocation_by_name, build_placement
-from repro.net.pairwise import DEFAULT_ROW_CACHE, PairwiseMetric
+from repro.net.pairwise import PairwiseMetric
 
 
-def _counting_metric(n: int, cache_rows: int = DEFAULT_ROW_CACHE):
+def _counting_metric(n: int):
     """A metric whose rows are ``i + j`` with a call counter on row_fn."""
     calls = []
 
@@ -18,7 +18,7 @@ def _counting_metric(n: int, cache_rows: int = DEFAULT_ROW_CACHE):
         calls.append(i)
         return np.arange(n, dtype=np.float64) + i
 
-    return PairwiseMetric(n, row_fn, name="test", cache_rows=cache_rows), calls
+    return PairwiseMetric(n, row_fn, name="test"), calls
 
 
 class TestRowAccess:
@@ -31,40 +31,13 @@ class TestRowAccess:
         assert m.value(1, 3) == 4.0
         assert isinstance(m.value(1, 3), float)
 
-    def test_row_cached(self):
+    def test_every_read_computes_a_fresh_row(self):
         m, calls = _counting_metric(5)
-        m.row(2)
-        m.row(2)
-        m.row(2)
-        assert calls == [2]
-
-    def test_lru_eviction_recomputes(self):
-        m, calls = _counting_metric(8, cache_rows=2)
-        m.row(0)
-        m.row(1)
-        m.row(2)  # evicts row 0
-        m.row(0)  # must recompute
-        assert calls == [0, 1, 2, 0]
-
-    def test_lru_touch_refreshes(self):
-        m, calls = _counting_metric(8, cache_rows=2)
-        m.row(0)
-        m.row(1)
-        m.row(0)  # row 0 becomes most-recent
-        m.row(2)  # evicts row 1, not row 0
-        m.row(0)
-        assert calls == [0, 1, 2]
-
-    def test_rows_read_only(self):
-        m, _ = _counting_metric(4)
-        with pytest.raises(ValueError):
-            m.row(1)[0] = 99.0
-
-    def test_getitem_row_is_writable_copy(self):
-        m, _ = _counting_metric(4)
-        r = m[1]
-        r[0] = 99.0  # copies must not raise
-        assert m.row(1)[0] != 99.0
+        first = m.row(2)
+        first[0] = 99.0
+        assert m.row(2)[0] == 2.0
+        m.value(2, 1)
+        assert calls == [2, 2, 2]
 
     def test_row_out_of_range(self):
         m, _ = _counting_metric(4)
@@ -79,66 +52,16 @@ class TestRowAccess:
             m.row(0)
 
 
-class TestDenseEscapeHatch:
-    def test_dense_matches_rows(self):
-        m, _ = _counting_metric(6)
-        dense = m.dense()
-        for i in range(6):
-            assert np.array_equal(dense[i], np.arange(6) + i)
-
-    def test_dense_counted(self):
-        m, _ = _counting_metric(4)
-        assert m.dense_calls == 0
-        m.dense()
-        m.dense()
-        assert m.dense_calls == 2
-        assert m.materialised
-
-    def test_row_access_never_materialises(self):
-        m, _ = _counting_metric(4)
-        for i in range(4):
-            m.row(i)
-            m.value(i, 0)
-        assert m.dense_calls == 0
-        assert not m.materialised
-
-    def test_getitem_fancy_goes_dense(self):
-        m, _ = _counting_metric(4)
-        mask = np.array([True, False, True, False])
-        sub = m[mask]
-        assert sub.shape == (2, 4)
-        assert m.dense_calls == 1
-
-    def test_numpy_interop(self):
-        m, _ = _counting_metric(4)
-        arr = np.asarray(m)
-        assert arr.shape == (4, 4)
-        assert np.allclose(arr, m.dense())
-        assert m.max() == arr.max()
-        assert m.min() == arr.min()
-        assert m.mean() == pytest.approx(arr.mean())
-
-    def test_from_dense_roundtrip(self):
-        matrix = np.arange(9, dtype=np.float64).reshape(3, 3)
-        m = PairwiseMetric.from_dense(matrix)
-        assert m.materialised
-        assert np.array_equal(m.row(1), matrix[1])
-        assert m.shape == (3, 3)
-        assert len(m) == 3
-
-    def test_from_dense_rejects_non_square(self):
-        with pytest.raises(ConfigurationError):
-            PairwiseMetric.from_dense(np.zeros((2, 3)))
-
-
 class TestConstruction:
     def test_rejects_zero_ranks(self):
         with pytest.raises(ConfigurationError):
             PairwiseMetric(0, lambda i: np.zeros(0))
 
-    def test_rejects_zero_cache(self):
-        with pytest.raises(ConfigurationError):
-            PairwiseMetric(2, lambda i: np.zeros(2), cache_rows=0)
+    def test_four_slots_and_no_array_sugar(self):
+        assert PairwiseMetric.__slots__ == ("n", "name", "_row_fn", "codes")
+        m, _ = _counting_metric(3)
+        with pytest.raises(TypeError):
+            m[0]  # noqa: B018
 
 
 class TestPlacementScale:
@@ -153,16 +76,12 @@ class TestPlacementScale:
             for i in range(0, 8192, 512):
                 placement.latency.row(i)
                 placement.euclidean.row(i)
-                placement.hops.row(i)
                 placement.latency.value(i, (i + 1) % 8192)
             placement.latency.row(0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
 
-        for metric in (placement.latency, placement.euclidean, placement.hops):
-            assert metric.dense_calls == 0, metric.name
-            assert not metric.materialised, metric.name
-        # One dense float64 matrix alone would be 512 MiB; the lazy rows
+        # One dense float64 matrix alone would be 512 MiB; the rows
         # plus coordinates should stay far under that.
         assert peak < 150 * 1024 * 1024, f"peak RSS-ish {peak / 2**20:.0f} MiB"

@@ -2,7 +2,7 @@
 
 ``hops_rows``/``euclidean_rows`` compute row ``i`` as a sum of
 per-dimension table lookups and ``code_rows`` as small-integer codes
-into one value table per job (``row_builder`` is that, decoded);
+into one value table per job (``float_rows`` decodes them);
 ``hops_matrix``/``euclidean_matrix``/``matrix`` keep the direct
 broadcast formulas and are the reference here.  Equality is exact —
 same dtype, same bytes — because simulated times and victim tables are
@@ -84,8 +84,8 @@ class TestGridRows:
             assert np.array_equal(squared(i), (delta[i] * delta[i]).sum(axis=1))
 
     def test_rows_are_fresh_arrays(self):
-        # A caller may write into a row (``m[i]`` hands out copies of
-        # them); the builder's tables must not be what it gets.
+        # A caller owns the row ``PairwiseMetric.row`` hands it and may
+        # write into it; the builder's tables must not be what it gets.
         row = Torus3D((4, 1, 1)).hops_rows(np.arange(4))
         first = row(1)
         first[:] = -1
@@ -102,12 +102,13 @@ class TestPlacementRows:
             hops = p.topology.hops_matrix(p.rank_nodes)
             eucl = p.topology.euclidean_matrix(p.rank_nodes)
             lat = model.matrix(p.topology, p.rank_nodes)
-            lat_row = model.row_builder(p.topology, p.rank_nodes)
             code_row, values = model.code_rows(p.topology, p.rank_nodes)
+            lat_row = model.float_rows(code_row, values)
+            hops_row = p.topology.hops_rows(p.rank_nodes)
             assert all(type(v) is float for v in values)
             table = np.array(values)
             for i in range(nranks):
-                assert _same(p.hops.row(i), hops[i])
+                assert _same(hops_row(i), hops[i])
                 assert _same(p.euclidean.row(i), eucl[i])
                 assert _same(p.latency.row(i), lat[i])
                 assert _same(lat_row(i), lat[i])
@@ -134,7 +135,7 @@ class TestPlacementRows:
         )
         model = KComputerLatency()
         lat = model.matrix(topo, nodes)
-        row = model.row_builder(topo, nodes)
+        row = model.float_rows(*model.code_rows(topo, nodes))
         for i in range(len(nodes)):
             assert _same(row(i), lat[i])
 
@@ -186,8 +187,6 @@ class TestCodeRows:
         p = build_placement(24, "1/N")
         with pytest.raises(ConfigurationError, match="negative latency"):
             model.code_rows(p.topology, p.rank_nodes)
-        with pytest.raises(ConfigurationError, match="negative latency"):
-            model.row_builder(p.topology, p.rank_nodes)
 
     def test_third_party_model_falls_back_from_its_matrix(self):
         class Odd(LatencyModel):

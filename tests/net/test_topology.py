@@ -8,19 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.net.topology import (
-    FatTreeTopology,
-    FlatTopology,
-    TofuTopology,
-    Topology,
-    Torus3D,
-)
+from repro.net.topology import FlatTopology, TofuTopology, Topology, Torus3D
 
 ALL_TOPOLOGIES = [
     TofuTopology((2, 2, 2)),
     Torus3D((3, 3, 3)),
     FlatTopology(20),
-    FatTreeTopology(4, 5),
 ]
 
 
@@ -83,28 +76,30 @@ class TestTofu:
             TofuTopology((2, 3))  # type: ignore[arg-type]
 
     def test_blade_structure(self):
-        t = TofuTopology((2, 2, 2))
+        # The integer blade key HierarchicalLatency.code_rows compares:
         # 4 nodes per blade, 3 blades per cube.
-        blades: dict = {}
-        for node in range(t.num_nodes):
-            blades.setdefault(t.blade_of(node), []).append(node)
-        assert all(len(v) == t.NODES_PER_BLADE for v in blades.values())
-        assert len(blades) == t.num_nodes // 4
+        t = TofuTopology((2, 2, 2))
+        nodes = np.arange(t.num_nodes)
+        coords = t.space.coords_of_many(nodes)
+        blade = nodes // t.NODES_PER_CUBE * t.CUBE_DIMS[1] + coords[:, 4]
+        _, sizes = np.unique(blade, return_counts=True)
+        assert sizes.tolist() == [4] * (t.num_nodes // 4)
+        # One key per (x, y, z, b): a blade never spans two cubes.
+        for b in np.unique(blade):
+            members = coords[blade == b][:, [0, 1, 2, 4]]
+            assert len({tuple(c) for c in members}) == 1
 
     def test_cube_structure(self):
+        # The integer cube key: nodes are numbered with the in-cube
+        # dimensions fastest, so node // 12 is the cube's (x, y, z).
         t = TofuTopology((2, 2, 2))
-        cubes: dict = {}
-        for node in range(t.num_nodes):
-            cubes.setdefault(t.cube_of(node), []).append(node)
-        assert all(len(v) == t.NODES_PER_CUBE for v in cubes.values())
-        assert len(cubes) == 8
-
-    def test_same_blade_same_cube(self):
-        t = TofuTopology((2, 2, 2))
-        for a in range(0, t.num_nodes, 7):
-            for b in range(0, t.num_nodes, 5):
-                if t.same_blade(a, b):
-                    assert t.same_cube(a, b)
+        nodes = np.arange(t.num_nodes)
+        cube = nodes // t.NODES_PER_CUBE
+        xyz = t.space.coords_of_many(nodes)[:, :3]
+        _, sizes = np.unique(cube, return_counts=True)
+        assert sizes.tolist() == [t.NODES_PER_CUBE] * 8
+        for c in range(8):
+            assert len({tuple(x) for x in xyz[cube == c]}) == 1
 
     def test_torus_wraps_cube_grid(self):
         t = TofuTopology((4, 4, 4))
@@ -160,14 +155,6 @@ class TestTofu:
         x, _, z = sorted(TofuTopology.for_nodes(n_nodes).cube_grid)
         assert z - x <= best
 
-    def test_rack_of(self):
-        t = TofuTopology((16, 2, 2))
-        a = t.space.id_of(np.array([0, 0, 0, 0, 0, 0]))
-        b = t.space.id_of(np.array([7, 0, 0, 0, 0, 0]))
-        c = t.space.id_of(np.array([8, 0, 0, 0, 0, 0]))
-        assert t.rack_of(a) == t.rack_of(b)
-        assert t.rack_of(a) != t.rack_of(c)
-
 
 class TestTorus3D:
     def test_wraps(self):
@@ -198,23 +185,6 @@ class TestFlat:
     def test_bad_size(self):
         with pytest.raises(TopologyError):
             FlatTopology(0)
-
-
-class TestFatTree:
-    def test_three_level_distances(self):
-        t = FatTreeTopology(3, 4)
-        assert t.hops(0, 0) == 0
-        assert t.hops(0, 1) == 1  # same group
-        assert t.hops(0, 4) == 3  # across groups
-
-    def test_group_of(self):
-        t = FatTreeTopology(3, 4)
-        assert t.group_of(0) == 0
-        assert t.group_of(11) == 2
-
-    def test_bad_params(self):
-        with pytest.raises(TopologyError):
-            FatTreeTopology(0, 4)
 
 
 @given(

@@ -4,8 +4,9 @@
 compared against, bit for bit.  Its only job is to be obviously right,
 so it is written the slow, direct way: every event goes through
 ``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no
-inlined loop, no handler table, no bound-method caches and the
-placement's own shared latency metric.  It shares the workers, the
+inlined loop, no handler table and no bound-method caches; a
+sender's latencies are its row of the placement's float metric, read
+once (not the engine's code table).  It shares the workers, the
 termination detector and :class:`NicContention` with the engine — those have their own unit and property suites — and
 nothing of the engine's event handling.
 """
@@ -176,6 +177,7 @@ class OracleCluster:
         self._finishing = False
         self._messages_dropped = 0
         self._nodes_total = 0
+        self._latency_rows: dict[int, list[float]] = {}
 
     # ------------------------------------------------------------------
     # Transport interface (used by workers)
@@ -192,13 +194,20 @@ class OracleCluster:
             # like an MPI job tearing down.
             self._messages_dropped += 1
             return
-        wire = self.placement.latency.value(src, dst)
+        wire = self._latency_row(src)[dst]
         if tag == TAG_STEAL_RESPONSE and body is not None:
             nodes = sum(chunk.size for chunk in body)
             wire += nodes * self.config.transfer_time_per_node
         depart = self.nic.inject(src, when)
         arrival = self.nic.deliver(dst, depart + wire)
         self.queue.push(arrival, tag, dst, body, pusher=src)
+
+    def _latency_row(self, src: int) -> list[float]:
+        """``src``'s one-way latencies, decoded on its first send."""
+        row = self._latency_rows.get(src)
+        if row is None:
+            row = self._latency_rows[src] = self.placement.latency.row(src).tolist()
+        return row
 
     def schedule_exec(self, rank: int, when: float) -> None:
         self.queue.push(when, TAG_EXEC, rank)
@@ -296,11 +305,9 @@ class OracleCluster:
         self._messages_dropped += self.queue.clear()
         self._finishing = True
         self.workers[0].on_message(when, TAG_FINISH, 0, None)
-        latency = self.placement.latency
+        latency = self._latency_row(0)
         for rank in range(1, self.config.nranks):
-            self.queue.push(
-                when + latency.value(0, rank), TAG_FINISH, rank, pusher=0
-            )
+            self.queue.push(when + latency[rank], TAG_FINISH, rank, pusher=0)
 
 
 def oracle_result(config: WorkStealingConfig) -> RunResult:
