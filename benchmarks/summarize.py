@@ -4,15 +4,32 @@
 Used to refresh the measured columns of EXPERIMENTS.md:
 
     python benchmarks/summarize.py > /tmp/experiments_measured.md
+
+The paired ledger runs (``prNN_ledger_pairs.json``: every parent and
+change run of a PR, one row each) become one performance table, a row
+per PR x workload x seed; every other artifact is one table of its own.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import statistics
 import sys
 
 ARTIFACTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_artifacts")
+
+#: The ledger's end-to-end metrics and the direction that wins a pair.
+LEDGER_METRICS = {
+    "wall_s": "lower",
+    "sim_events_per_s": "higher",
+    "request_p50_ms": "lower",
+    "peak_rss_mb": "lower",
+    "setup_s": "lower",
+}
+
+_LEDGER_PAIRS = re.compile(r"pr(\d+)_ledger_pairs\.json$")
 
 
 def _fmt(v) -> str:
@@ -52,15 +69,62 @@ def render_rows(name: str, payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _num(v: float) -> str:
+    return f"{v / 1000:.4g}k" if abs(v) >= 10_000 else f"{v:.4g}"
+
+
+def render_ledger(payloads: dict[int, dict]) -> str:
+    """One table from every PR's paired runs: per PR, workload and
+    seed, the parent median -> change median of each end-to-end metric
+    and how many pairs the change won on it.  A file without a ``seed``
+    column ran seed 0."""
+    lines = ["### Performance: paired ledger runs", ""]
+    lines.append(
+        "| PR | workload | seed | pairs | "
+        + " | ".join(f"`{m}`" for m in LEDGER_METRICS)
+        + " |"
+    )
+    lines.append("|" + "---|" * (4 + len(LEDGER_METRICS)))
+    for pr in sorted(payloads):
+        headers = payloads[pr]["headers"]
+        groups: dict[tuple, dict] = {}
+        for row in payloads[pr]["rows"]:
+            run = dict(zip(headers, row))
+            key = (run["workload"], run.get("seed", 0))
+            groups.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = run
+        for (workload, seed), pairs in groups.items():
+            both = [p for p in pairs.values() if len(p) == 2]
+            cells = [str(pr), f"`{workload}`", str(seed), str(len(both))]
+            for metric, better in LEDGER_METRICS.items():
+                parent = [p["parent"][metric] for p in both]
+                change = [p["change"][metric] for p in both]
+                won = sum(
+                    c < a if better == "lower" else c > a
+                    for a, c in zip(parent, change)
+                )
+                cells.append(
+                    f"{_num(statistics.median(parent))} → "
+                    f"{_num(statistics.median(change))} ({won}/{len(both)})"
+                )
+            lines.append("| " + " | ".join(cells) + " |")
+    lines.append("")
+    return "\n".join(lines)
+
+
 def main() -> None:
     if not os.path.isdir(ARTIFACTS):
         sys.exit(f"no artifacts at {ARTIFACTS}; run pytest benchmarks/ first")
+    ledger: dict[int, dict] = {}
     for fname in sorted(os.listdir(ARTIFACTS)):
         if not fname.endswith(".json"):
             continue
         with open(os.path.join(ARTIFACTS, fname)) as fh:
             payload = json.load(fh)
         name = fname[:-5]
+        pairs = _LEDGER_PAIRS.match(fname)
+        if pairs:
+            ledger[int(pairs.group(1))] = payload
+            continue
         if "rows" in payload:
             print(render_rows(name, payload))
             continue
@@ -83,6 +147,8 @@ def main() -> None:
                 },
             }
         print(render_curves(name, payload, x_key))
+    if ledger:
+        print(render_ledger(ledger))
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -167,10 +168,17 @@ class WorkerPool:
         Returns a future of the worker protocol's
         ``(index, result_json, elapsed, artifact)`` tuple.  ``_worker``
         is :func:`run_many`'s test seam, passed through.
+
+        A worker process that died (killed, out of memory) breaks its
+        executor for good: the jobs it had fail, and the next submission
+        starts a fresh executor instead of failing too.
         """
-        return self._ensure().submit(
-            _worker or _execute, (index, config_dict, max_events)
-        )
+        payload = (index, config_dict, max_events)
+        try:
+            return self._ensure().submit(_worker or _execute, payload)
+        except BrokenProcessPool:
+            self.shutdown()
+            return self._ensure().submit(_worker or _execute, payload)
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         """Stop the executor; the pool can be reused afterwards (lazily)."""

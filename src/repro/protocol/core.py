@@ -92,7 +92,7 @@ from repro.trace.events import (
     EventRecorder,
 )
 from repro.uts.stack import ChunkedStack
-from repro.uts.tree import TreeGenerator
+from repro.uts.tree import TreeGenerator, TreeTable
 
 __all__ = ["ProtocolPlan", "Transport", "Worker", "WorkerStatus"]
 
@@ -257,7 +257,7 @@ class Worker:
         self,
         rank: int,
         nranks: int,
-        generator: TreeGenerator,
+        generator: TreeTable | TreeGenerator,
         selector: VictimSelector | None,
         policy: StealPolicy,
         transport: Transport,

@@ -22,7 +22,9 @@ and the plain queue of ``tests/sim/oracle.py`` pop the same sequence,
 and lets the two be compared byte for byte.
 
 One EXEC event is one quantum: the paper's Algorithm 1 polls between
-every ``poll_interval`` node expansions.
+every ``poll_interval`` node expansions.  The tree is walked once per
+run into a :class:`~repro.uts.tree.TreeTable`, so a quantum reads child
+index ranges instead of hashing RNG states (DESIGN.md §5d).
 
 **NIC contention** (``nic_service_time > 0``) is a ``send`` override,
 :class:`_NicCluster`, chosen when the engine is constructed, so a run
@@ -50,7 +52,7 @@ from repro.protocol.messages import (
 from repro.sim.clock import ClockSkewModel
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.trace.events import EV_TOKEN, EventRecorder
-from repro.uts.tree import TreeGenerator
+from repro.uts.tree import TreeGenerator, TreeTable
 
 __all__ = [
     "DEFAULT_MAX_EVENTS",
@@ -153,7 +155,9 @@ class Cluster:
         self._node_budget = config.node_cap
         self._transfer_time_per_node = config.transfer_time_per_node
 
-        generator = TreeGenerator(config.tree, config.rng_backend)
+        tree = TreeTable(
+            TreeGenerator(config.tree, config.rng_backend), config.node_cap
+        )
         plan = build_plan(config, self.placement)
         self.workers: list[Worker] = [
             make_worker(
@@ -161,7 +165,7 @@ class Cluster:
                 config,
                 self.placement,
                 plan,
-                generator,
+                tree,
                 transport=self,
                 trace=self.recorders[rank] if self.recorders else None,
                 events=(

@@ -18,7 +18,8 @@ Modules
     the scaled stand-ins used by the benchmarks.
 ``tree``
     Child-generation rules (binomial, geometric, hybrid), scalar and
-    vectorised.
+    vectorised, and ``TreeTable``: one run's tree walked once into a
+    breadth-first child table, which is what the simulator expands.
 ``stack``
     The chunked steal-stack with a private working chunk.
 ``sequential``
@@ -39,7 +40,7 @@ from repro.uts.params import (
     HYB_S,
 )
 from repro.uts.rng import RngBackend, Sha1Backend, SplitMix64Backend, backend_by_name
-from repro.uts.tree import TreeGenerator
+from repro.uts.tree import TreeGenerator, TreeTable
 from repro.uts.stack import Chunk, ChunkedStack
 from repro.uts.sequential import SequentialResult, sequential_count
 
@@ -60,6 +61,7 @@ __all__ = [
     "SplitMix64Backend",
     "backend_by_name",
     "TreeGenerator",
+    "TreeTable",
     "Chunk",
     "ChunkedStack",
     "SequentialResult",

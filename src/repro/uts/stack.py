@@ -19,10 +19,14 @@ chunk overflows, pops only drain the top, and steals only remove
 bottom (full) chunks.  Tests assert this invariant under random
 operation sequences.
 
-Nodes are plain Python lists throughout — in the chunks and in every
-argument and return value.  The simulator expands millions of quanta
-of a handful of nodes each, and at that granularity list slicing beats
-ndarray round trips by a wide margin.
+A node is a pair of ints kept in two parallel Python lists, in the
+chunks and in every argument and return value: ``(rng_state, depth)``
+for a hashed tree, and in the simulator a :class:`~repro.uts.tree.TreeTable`
+index in both slots (a table node needs no depth; the second list is
+kept for the hashed reference and the ledger rungs that time it).  The
+simulator expands millions of quanta of a handful of nodes each, and
+at that granularity list slicing beats ndarray round trips by a wide
+margin.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Child generation rules for UTS trees.
+"""Child generation rules for UTS trees, and the tree as data.
 
 The generator is stateless: given a node's ``(rng_state, depth)`` it
 answers *how many children does this node have* and *what are their
@@ -6,33 +6,43 @@ states*.  Everything else (traversal order, who expands which node) is
 the scheduler's business, which is exactly what lets work stealing
 move nodes between processes freely.
 
-Three entry points are provided and tested against each other:
+:class:`TreeGenerator` has three entry points, tested against each
+other:
 
 * the scalar reference (:meth:`TreeGenerator.count_children`,
   :meth:`TreeGenerator.children`) — one node, written to be read;
 * :meth:`TreeGenerator.children_list` — plain Python lists in and out,
-  what the simulator calls once per quantum of a handful of nodes;
+  one quantum of a handful of nodes hashed in Python (the test oracle's
+  expansion and the reference the ``uts.*`` ledger rungs time);
 * :meth:`TreeGenerator.children_batch` — NumPy arrays in and out, what
-  the sequential traversal calls on batches of thousands.
+  the sequential traversal and :class:`TreeTable` call on whole levels.
+
+:class:`TreeTable` is what the simulator expands: the run's tree walked
+once, breadth-first, into one child offset per node.  A node is its BFS
+index and its children are an index range, so a quantum hashes nothing.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.uts.params import TreeParams
 from repro.uts.rng import _GOLDEN, UINT31_MAX, RngBackend, SplitMix64Backend
 
-__all__ = ["MAX_GEO_CHILDREN", "TreeGenerator"]
+__all__ = ["MAX_GEO_CHILDREN", "TreeGenerator", "TreeTable"]
 
 #: Safety cap on geometric child counts (UTS uses MAXNUMCHILDREN=100).
 MAX_GEO_CHILDREN = 100
 
 #: Array batches at or below this size expand through the pure-int loop.
 SCALAR_BATCH_CUTOFF = 64
+
+#: Largest child offset a :class:`TreeTable` stores as int32.
+_INT32_MAX = 2**31 - 1
 
 _TWO_PI = 2.0 * math.pi
 
@@ -141,7 +151,7 @@ class TreeGenerator:
         return [spawn(state, i) for i in range(count)], depth + 1
 
     # ------------------------------------------------------------------
-    # List path (one simulator quantum)
+    # List path (one quantum, hashed)
     # ------------------------------------------------------------------
 
     def children_list(
@@ -346,3 +356,61 @@ class TreeGenerator:
             np.array(child_depths, dtype=np.int32),
             counts,
         )
+
+
+class TreeTable:
+    """One run's tree, expanded once, as a CSR child table.
+
+    Nodes are numbered breadth-first from the root (0), so the children
+    of node ``i`` are the consecutive indices ``first[i] ..
+    first[i+1]-1``, in sibling order — the order
+    :meth:`TreeGenerator.children_list` produces them in.  A node needs
+    no depth: the table answers the simulator's two calls, :meth:`root`
+    and :meth:`children_list`, with indices in both slots.  The stack
+    decisions (sizes, chunk counts) depend only on how many children
+    each node has, so a run over the table is the run over hashed
+    states, event for event.
+
+    Cost: one offset per node (int32; int64 once the tree passes
+    ``2**31 - 1`` nodes), appended level by level, so the build never
+    holds more than one level's arrays beside the table.  A tree past
+    ``node_cap`` raises while it is built.
+    """
+
+    __slots__ = ("_first",)
+
+    def __init__(self, generator: TreeGenerator, node_cap: int):
+        state, depth = generator.root()
+        states = np.array([state], dtype=np.uint64)
+        depths = np.array([depth], dtype=np.int32)
+        first = array("i", [1])
+        size = 1
+        while states.size:
+            states, depths, counts = generator.children_batch(states, depths)
+            ends = np.cumsum(counts)
+            ends += size
+            size += states.size
+            if size > node_cap:
+                raise SimulationError(f"run exceeded node cap {node_cap}")
+            if size > _INT32_MAX and first.typecode == "i":
+                first = array("q", first)
+            first.frombytes(ends.astype(first.typecode).tobytes())
+        self._first = memoryview(first)
+
+    def __len__(self) -> int:
+        """Number of nodes in the tree."""
+        return len(self._first) - 1
+
+    def root(self) -> tuple[int, int]:
+        """The root as ``(index, index)``: node 0."""
+        return 0, 0
+
+    def children_list(
+        self, nodes: list[int], depths: list[int]
+    ) -> tuple[list[int], list[int]]:
+        """Children of ``nodes``, parent-major, as ``(kids, kids)``."""
+        first = self._first
+        kids: list[int] = []
+        for i in nodes:
+            kids += range(first[i], first[i + 1])
+        return kids, kids

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.config import WorkStealingConfig
 from repro.core.jobs import JobFailure, JobState
 from repro.errors import ConfigurationError, JobTimeoutError
 from repro.exec.pool import RunProgress, WorkerPool, run_many
+from repro.exec.store import ArtifactStore
 from repro.uts.params import T3XS
 
 
@@ -105,6 +109,15 @@ def _sleepy_worker(payload):
     index, config_dict, max_events = payload
     if config_dict["seed"] == 1:
         _time.sleep(1.5)
+    from repro.exec.pool import _execute
+
+    return _execute(payload)
+
+
+def _killed_worker(payload):
+    index, config_dict, max_events = payload
+    if index == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
     from repro.exec.pool import _execute
 
     return _execute(payload)
@@ -208,3 +221,25 @@ class TestWorkerPool:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_fails_its_sweep_not_the_pool(self, tmp_path):
+        configs = _configs(3)
+        store = ArtifactStore(tmp_path / "store")
+        # Workers abandoned by earlier timeout tests may still be alive.
+        before = set(multiprocessing.active_children())
+        with WorkerPool(2) as pool:
+            killed = run_many(
+                configs,
+                pool=pool,
+                store=store,
+                return_exceptions=True,
+                _worker=_killed_worker,
+            )
+            assert all(isinstance(slot, JobFailure) for slot in killed)
+            assert store.get(killed[0].fingerprint) is None
+            again = run_many(configs, pool=pool, return_exceptions=True)
+        assert set(multiprocessing.active_children()) <= before
+        serial = run_many(configs)
+        assert [r.to_json() for r in again] == [r.to_json() for r in serial]

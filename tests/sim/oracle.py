@@ -6,7 +6,9 @@ so it is written the slow, direct way: every event goes through
 ``EventQueue.push`` / ``EventQueue.pop``, one at a time, with no
 inlined loop, no handler table and no bound-method caches; a
 sender's latencies are its row of the placement's float metric, read
-once (not the engine's code table).  It shares the workers, the
+once (not the engine's code table), and its workers expand RNG states
+by hash through :class:`TreeGenerator` (not the engine's per-run
+:class:`~repro.uts.tree.TreeTable`).  It shares the workers, the
 termination detector and :class:`NicContention` with the engine — those have their own unit and property suites — and
 nothing of the engine's event handling.
 """

@@ -31,12 +31,14 @@ from repro.protocol.messages import (
     TAG_TOKEN,
 )
 from repro.sim.cluster import Cluster
-from repro.uts.params import T3XS
+from repro.uts.params import GEO_S, T3S, T3XS
+from repro.uts.sequential import sequential_count
 
 
 def _cfg(**kw) -> WorkStealingConfig:
     kw.setdefault("nranks", 8)
-    return WorkStealingConfig(tree=T3XS, **kw)
+    kw.setdefault("tree", T3XS)
+    return WorkStealingConfig(**kw)
 
 
 class TestSendPath:
@@ -175,7 +177,7 @@ class TestHandlerTable:
 
 
 class TestCallBudget:
-    """Python-level calls per event of the search-dominated loop.
+    """Python-level calls per event, search- and expansion-dominated.
 
     A failed steal is two events — request at an idle rank, deny back
     at the thief — and costs eleven calls: two ``heappop``, two
@@ -200,5 +202,21 @@ class TestCallBudget:
         profile = cProfile.Profile()
         out = profile.runcall(cluster.run)
         assert out.total_nodes == 4427
+        calls = pstats.Stats(profile).total_calls
+        assert calls / out.events_processed <= budget
+
+    @pytest.mark.parametrize(
+        "tree, budget", [(T3S, 11.0), (GEO_S, 12.0)], ids=["T3S", "GEO_S"]
+    )
+    def test_calls_per_expansion_event(self, tree, budget):
+        """Expansion-dominated: at 8 ranks a quantum reads a range of
+        the tree table per node and hashes nothing (10.32 and 11.20
+        calls per event; 19.57 and 73.15 when every quantum hashed its
+        children in Python).  A per-child ``append`` is ~4.6 calls per
+        event on T3S, the ndarray round trip far more on GEO_S."""
+        cluster = Cluster(_cfg(tree=tree, nranks=8))
+        profile = cProfile.Profile()
+        out = profile.runcall(cluster.run)
+        assert out.total_nodes == sequential_count(tree).total_nodes
         calls = pstats.Stats(profile).total_calls
         assert calls / out.events_processed <= budget

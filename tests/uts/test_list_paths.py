@@ -1,13 +1,14 @@
 """Bit-identity of the list path against the array reference.
 
-The simulator's hot loop runs on plain Python lists
-(``pop_batch_list`` / ``push_batch_list`` / ``children_list`` /
-``expand_quantum``).  Every experiment's determinism rests on
-``children_list`` producing *exactly* what ``children_batch`` produces
-— same values, same order — for every tree type and backend, and on
-the fused quantum leaving the stack layout of its unfused parts.
-These tests drive both side by side and require equality at every
-step.
+The simulator's stack runs on plain Python lists (``pop_batch_list`` /
+``push_batch_list`` / ``expand_quantum``) and expands table indices
+(``tests/uts/test_tree_table.py``); the test oracle expands the same
+stack by hash, through ``children_list``.  The engine-vs-oracle
+differential therefore rests on ``children_list`` producing *exactly*
+what ``children_batch`` — the table's builder — produces (same values,
+same order) for every tree type and backend, and on the fused quantum
+leaving the stack layout of its unfused parts.  These tests drive both
+side by side and require equality at every step.
 """
 
 import numpy as np

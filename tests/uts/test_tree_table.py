@@ -1,0 +1,93 @@
+"""The engine's tree table is the hashed tree, node for node.
+
+:class:`TreeTable` numbers the tree breadth-first and stores one child
+offset per node.  Walking it level by level beside
+:meth:`TreeGenerator.children_batch` must give every node the child
+count the hash gives it, for every tree type and both RNG backends;
+the whole table must be the size the sequential traversal counts and
+the ledger pins.  (That the simulator's runs over the table equal the
+runs over hashed states is the differential suite's job:
+``tests/sim/oracle.py`` still expands by hash.)
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.uts.tree as tree_mod
+from repro.errors import SimulationError
+from repro.uts.params import tree_by_name
+from repro.uts.rng import backend_by_name
+from repro.uts.sequential import sequential_count
+from repro.uts.tree import TreeGenerator, TreeTable
+
+EXPECTED = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger" / "expected.json"
+
+CASES = [
+    pytest.param(tree, backend, id=f"{tree}-{backend}")
+    for backend in ("splitmix64", "sha1")
+    for tree in ("T3XS", "T3S", "GEO_S", "GEO_L", "HYB_S")
+]
+
+
+@pytest.mark.parametrize("tree, backend", CASES)
+def test_breadth_first_walk_matches_children_batch(tree, backend):
+    gen = TreeGenerator(tree_by_name(tree), backend_by_name(backend))
+    table = TreeTable(gen, node_cap=10**7)
+    state, depth = gen.root()
+    states = np.array([state], dtype=np.uint64)
+    depths = np.array([depth], dtype=np.int32)
+    level = [table.root()[0]]
+    assert level == [0]
+    seen = 0
+    while level:
+        states, depths, counts = gen.children_batch(states, depths)
+        kids, same = table.children_list(level, level)
+        assert same is kids
+        first = table._first
+        assert [first[i + 1] - first[i] for i in level] == counts.tolist()
+        # Breadth-first: the next level is the next block of indices.
+        assert kids == list(range(seen + len(level), seen + len(level) + len(kids)))
+        seen += len(level)
+        level = kids
+    assert seen == len(table)
+    assert len(table) == sequential_count(gen.params, gen.backend).total_nodes
+
+
+@pytest.mark.parametrize("tree", ["T3XS", "T3M"])
+def test_size_is_the_pinned_ledger_size(tree):
+    pinned = json.loads(EXPECTED.read_text(encoding="utf-8"))["tree_nodes"][tree]
+    table = TreeTable(TreeGenerator(tree_by_name(tree)), node_cap=10**7)
+    assert len(table) == pinned == {"T3XS": 4427, "T3M": 294183}[tree]
+    assert table._first.format == "i"  # four bytes per node
+
+
+def test_node_cap_raises_while_building():
+    gen = TreeGenerator(tree_by_name("T3XS"))
+    with pytest.raises(SimulationError, match="run exceeded node cap 10"):
+        TreeTable(gen, node_cap=10)
+    assert len(TreeTable(gen, node_cap=4427)) == 4427
+    with pytest.raises(SimulationError):
+        TreeTable(gen, node_cap=4426)
+
+
+def test_quantum_children_are_parent_major_ranges():
+    table = TreeTable(TreeGenerator(tree_by_name("T3XS")), node_cap=10**7)
+    first = table._first
+    nodes = [5, 1, 3]
+    kids, _ = table.children_list(nodes, [0, 0, 0])
+    assert kids == [k for i in nodes for k in range(first[i], first[i + 1])]
+    assert table.children_list([], []) == ([], [])
+
+
+def test_offsets_widen_to_int64_past_int32(monkeypatch):
+    gen = TreeGenerator(tree_by_name("T3XS"))
+    narrow = TreeTable(gen, node_cap=10**7)
+    monkeypatch.setattr(tree_mod, "_INT32_MAX", 1000)
+    wide = TreeTable(gen, node_cap=10**7)
+    assert (narrow._first.format, wide._first.format) == ("i", "q")
+    assert wide._first.tolist() == narrow._first.tolist()
