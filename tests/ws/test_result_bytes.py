@@ -1,0 +1,56 @@
+"""Byte pins: the serialised result of a handful of probe runs.
+
+Each probe's ``RunResult.to_json()`` is hashed and compared with a
+SHA-256 recorded when the pin was written.  The differential suite
+compares the engine with the test oracle, which share the workers and
+the result layer; these pins compare the whole pipeline with its own
+past, so a refactor of how a worker records its idle time or how the
+result layer derives the activity trace, the session statistics and
+the search times cannot move a byte unnoticed.
+
+A pin that fails after an intended physics change is re-recorded by
+printing ``_digest(PROBES[name])`` for every probe.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.uts.params import T3S, T3XS
+from repro.ws import run_uts
+
+PROBES = {
+    "trace-skew": dict(
+        tree=T3XS, nranks=16, trace=True, clock_skew_std=1e-4, seed=3
+    ),
+    "lifelines-trace": dict(
+        tree=T3S, nranks=16, lifelines=2, trace=True, clock_skew_std=1e-5,
+        seed=1,
+    ),
+    "forward-regions": dict(tree=T3S, nranks=24, protocol="forward", regions=4),
+    "nic": dict(tree=T3XS, nranks=16, nic_service_time=2e-7, trace=True),
+    "one-rank": dict(tree=T3XS, nranks=1, trace=True),
+    "adapt-eps": dict(
+        tree=T3S, nranks=16, selector="adapt-eps[0.2]", steal_policy="half"
+    ),
+}
+
+PINS = {
+    "trace-skew": "71bd0d99fe51656246beca531080b5dd86cf1708fc861e0087eeeeb50daa42a7",
+    "lifelines-trace": "2cbd654377247f93ce45d565b36aee7e1b015ae24b771f05c2fc17d663734909",
+    "forward-regions": "16aecc43f9b1047630d588aa571e73638d7e6b50780994bec9fa8736e0dc4a5c",
+    "nic": "5a1d5a2dab82af675e3f572cd317f75bad4ac6de341110ffab34d1c0e8ccb7bf",
+    "one-rank": "4c72de0c05e65fc8d604116aea7764f3452a7bbcd9851616a622316542054dc6",
+    "adapt-eps": "1ab6f0e6fa3a86682de65bd0b216925f9311c09ee21a2f02dbfcb21c825dc0cf",
+}
+
+
+def _digest(kw: dict) -> str:
+    return hashlib.sha256(run_uts(**kw).to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_result_bytes_are_pinned(name):
+    assert _digest(PROBES[name]) == PINS[name]
