@@ -24,8 +24,9 @@ from repro.bench.report import format_table, render_ascii_curve
 def main() -> None:
     nranks = int(sys.argv[1]) if len(sys.argv) > 1 else 64
 
-    # Clock skew is injected at trace time and corrected in the result,
-    # the same pipeline the paper applies to its K Computer traces.
+    # Clock skew stamps each rank's trace and is corrected in the
+    # result, the same pipeline the paper applies to its K Computer
+    # traces.
     result = run_uts(
         tree=T3S,
         nranks=nranks,

@@ -36,7 +36,7 @@ from repro.core.steal_policy import (
     StealFraction,
     policy_by_name,
 )
-from repro.core.tracing import ActivityTrace, TraceRecorder
+from repro.core.tracing import ActivityTrace
 from repro.core.metrics import (
     OccupancyCurve,
     starting_latency,
@@ -64,7 +64,6 @@ __all__ = [
     "StealFraction",
     "policy_by_name",
     "ActivityTrace",
-    "TraceRecorder",
     "OccupancyCurve",
     "starting_latency",
     "ending_latency",

@@ -7,8 +7,9 @@ sessions; §V-A adds the *search time* ("the portion of the execution
 time a process was waiting for a steal answer") and failed-steal
 counts.
 
-Workers log one :class:`Session` per discovery episode; this module
-aggregates them across ranks.
+A session is one idle period of a worker's idle log
+(:class:`repro.protocol.core.Worker`); this module aggregates their
+durations and steal attempts across ranks.
 """
 
 from __future__ import annotations
@@ -19,30 +20,7 @@ import numpy as np
 
 from repro.errors import TraceError
 
-__all__ = ["Session", "SessionStats", "summarize_sessions"]
-
-
-@dataclass(frozen=True)
-class Session:
-    """One work-discovery episode of one rank."""
-
-    rank: int
-    start: float
-    end: float
-    found_work: bool  # False if the session ended with termination
-    attempts: int  # steal requests sent during the session
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise TraceError(
-                f"session ends before it starts ({self.end} < {self.start})"
-            )
-        if self.attempts < 0:
-            raise TraceError(f"attempts must be >= 0, got {self.attempts}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+__all__ = ["SessionStats", "summarize_sessions"]
 
 
 @dataclass(frozen=True)
@@ -63,11 +41,18 @@ class SessionStats:
         return self.count - self.successful
 
 
-def summarize_sessions(sessions: list[Session], nranks: int) -> SessionStats:
-    """Aggregate session statistics (Fig 10 / Fig 14 inputs)."""
+def summarize_sessions(
+    durations: list[float], attempts: list[int], nranks: int
+) -> SessionStats:
+    """Aggregate session statistics (Fig 10 / Fig 14 inputs).
+
+    ``durations`` and ``attempts`` list every session of the run, in
+    rank order.  Each rank's last session ends with termination, so all
+    but ``nranks`` of them found work.
+    """
     if nranks < 1:
         raise TraceError(f"nranks must be >= 1, got {nranks}")
-    if not sessions:
+    if not durations:
         return SessionStats(
             count=0,
             successful=0,
@@ -77,15 +62,13 @@ def summarize_sessions(sessions: list[Session], nranks: int) -> SessionStats:
             mean_attempts=0.0,
             sessions_per_rank=0.0,
         )
-    durations = np.array([s.duration for s in sessions])
-    attempts = np.array([s.attempts for s in sessions])
-    successful = sum(1 for s in sessions if s.found_work)
+    d = np.array(durations)
     return SessionStats(
-        count=len(sessions),
-        successful=successful,
-        mean_duration=float(durations.mean()),
-        max_duration=float(durations.max()),
-        total_search_time=float(durations.sum()),
-        mean_attempts=float(attempts.mean()),
-        sessions_per_rank=len(sessions) / nranks,
+        count=len(durations),
+        successful=len(durations) - nranks,
+        mean_duration=float(d.mean()),
+        max_duration=float(d.max()),
+        total_search_time=float(d.sum()),
+        mean_attempts=float(np.array(attempts).mean()),
+        sessions_per_rank=len(durations) / nranks,
     )

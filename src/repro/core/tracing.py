@@ -6,13 +6,14 @@ other ...".  A process is *active* while its stack holds work
 (including time spent answering steal requests) and *inactive* while
 it searches for work.
 
-:class:`TraceRecorder` is what a live worker writes into — an
-append-only list of ``(time, became_active)`` transitions, "as the
-trace only contains a time and the new state at each phase transition,
-it is lightweight".  :class:`ActivityTrace` is the post-mortem,
-validated, immutable view the metrics operate on, with the clock-skew
+:class:`ActivityTrace` is the post-mortem, validated, immutable view
+the metrics operate on: per rank, a time and the new state at each
+transition ("as the trace only contains a time and the new state at
+each phase transition, it is lightweight"), with the clock-skew
 adjustment the paper applies ("the trace modified to account for clock
-skew").
+skew").  A run's trace is derived from its workers' idle logs
+(:meth:`ActivityTrace.from_idle_log`): the phase transitions are where
+idle periods start and end.
 """
 
 from __future__ import annotations
@@ -21,29 +22,7 @@ import numpy as np
 
 from repro.errors import TraceError
 
-__all__ = ["TraceRecorder", "ActivityTrace"]
-
-
-class TraceRecorder:
-    """Append-only per-rank transition log.
-
-    The recorder enforces nothing while recording (the hot path must
-    stay cheap); :meth:`ActivityTrace.from_recorders` validates.
-    """
-
-    __slots__ = ("times", "states")
-
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.states: list[bool] = []
-
-    def record(self, time: float, active: bool) -> None:
-        """Log that the rank became active/inactive at ``time``."""
-        self.times.append(time)
-        self.states.append(active)
-
-    def __len__(self) -> int:
-        return len(self.times)
+__all__ = ["ActivityTrace"]
 
 
 class ActivityTrace:
@@ -85,14 +64,37 @@ class ActivityTrace:
         self.nranks = len(self.transitions)
 
     @classmethod
-    def from_recorders(cls, recorders: list[TraceRecorder]) -> "ActivityTrace":
-        """Assemble and validate a trace from live recorders."""
-        return cls(
-            [
-                (np.array(r.times, dtype=np.float64), np.array(r.states, dtype=bool))
-                for r in recorders
-            ]
-        )
+    def from_idle_log(
+        cls,
+        starts: list[list[float]],
+        ends: list[list[float]],
+        offsets: np.ndarray,
+    ) -> "ActivityTrace":
+        """Derive the trace of a finished run from its idle logs.
+
+        ``starts[r]`` and ``ends[r]`` are rank ``r``'s idle periods in
+        true time, the last one ending at termination.  Rank 0 holds
+        the root, so it is active from 0; every other rank starts idle
+        and has no edge until its first period ends.  After that each
+        period start is an inactive edge and each period end but the
+        last an active one.  Each rank's times are stamped on its
+        skewed clock and corrected, ``(t + off) - off``, as the paper
+        treats traces from unsynchronised nodes.
+        """
+        transitions = []
+        for rank, (s, e) in enumerate(zip(starts, ends)):
+            periods = np.empty(2 * len(s))
+            periods[0::2] = s
+            periods[1::2] = e
+            if rank == 0:
+                times = np.concatenate(([0.0], periods[:-1]))
+            else:
+                times = periods[1:-1]
+            off = offsets[rank]
+            transitions.append(
+                ((times + off) - off, np.arange(times.size) % 2 == 0)
+            )
+        return cls(transitions)
 
     # ------------------------------------------------------------------
     # Clock skew

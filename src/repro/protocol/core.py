@@ -14,11 +14,16 @@ paper studies (§II-A):
   selector proposes victims one at a time, one outstanding request per
   thief, until work arrives or the termination ring fires.
 
-:class:`Worker` is the whole rank — stack, quantum expansion, activity
-trace, victim draws, every protocol message, session accounting and
-the steal counters results read.  Messages are not objects: the tag
-says what ``body`` is and ``src``, the sender, is the thief of a
-request and the victim of a response
+:class:`Worker` is the whole rank — stack, quantum expansion, victim
+draws, every protocol message, the idle log and the steal counters
+results read.  The idle log is the one record of a rank's phase
+transitions: one ``(start, end, attempts)`` period per work-discovery
+session, in true time.  The result layer derives the activity trace,
+the session statistics and the search times from it
+(:meth:`repro.ws.results.RunResult.from_outcome`).
+
+Messages are not objects: the tag says what ``body`` is and ``src``,
+the sender, is the thief of a request and the victim of a response
 (:mod:`repro.protocol.messages`).  The two halves of a failed steal —
 request at an idle rank, deny back at the thief — are the first two
 branches of ``on_message`` and do their work in that one frame.
@@ -60,9 +65,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.sessions import Session
 from repro.core.steal_policy import StealPolicy
-from repro.core.tracing import TraceRecorder
 from repro.core.victim import VictimSelector
 from repro.errors import SimulationError
 from repro.protocol.messages import (
@@ -184,9 +187,6 @@ class Transport(Protocol):
     def work_sent(self, rank: int) -> None:
         """Termination hook: ``rank`` sent a work message."""
 
-    def local_time(self, rank: int, true_time: float) -> float:
-        """Skewed clock reading used for trace timestamps."""
-
 
 class Worker:
     """One simulated MPI rank: execution and the steal lifecycle."""
@@ -204,7 +204,6 @@ class Worker:
         "steal_service_time",
         "stack",
         "status",
-        "trace",
         "events",
         "nodes_processed",
         "finish_time",
@@ -214,9 +213,10 @@ class Worker:
         "_children_list",
         "_fused_expand",
         "_schedule_exec",
-        # Session accounting.
-        "sessions",
-        "_session_start",
+        # The idle log.
+        "idle_starts",
+        "idle_ends",
+        "idle_attempts",
         "_session_attempts",
         # Thief-side counters.
         "steal_requests_sent",
@@ -265,7 +265,6 @@ class Worker:
         poll_interval: int,
         per_node_time: float,
         steal_service_time: float,
-        trace: TraceRecorder | None = None,
         events: EventRecorder | None = None,
         plan: ProtocolPlan | None = None,
     ):
@@ -294,7 +293,6 @@ class Worker:
 
         self.stack = ChunkedStack(chunk_size)
         self.status = WorkerStatus.RUNNING  # resolved properly in start()
-        self.trace = trace
         # Structured steal-event sink (repro.trace); None when event
         # tracing is off, so every hook is one load + one None test on
         # steal edges only — the EXEC expansion path never sees it.
@@ -322,8 +320,13 @@ class Worker:
         self._fused_expand = self.stack.expand_quantum
         self._schedule_exec = transport.schedule_exec
 
-        self.sessions: list[Session] = []
-        self._session_start: float | None = None
+        #: The idle log, one entry per work-discovery session in true
+        #: time: opened by ``_go_idle``, closed by ``_on_work`` or
+        #: ``on_finish`` (so a rank's last period ends at Finish).
+        self.idle_starts: list[float] = []
+        self.idle_ends: list[float] = []
+        self.idle_attempts: list[int] = []
+        #: Steal requests sent in the open period.
         self._session_attempts = 0
 
         self.steal_requests_sent = 0
@@ -380,7 +383,6 @@ class Worker:
         if self.rank == 0:
             state, depth = self.generator.root()
             self.stack.push_batch_list([state], [depth])
-            self._record(now, active=True)
             self.status = WorkerStatus.RUNNING
             self.transport.schedule_exec(self.rank, now)
         else:
@@ -563,8 +565,7 @@ class Worker:
                 f"rank {self.rank}: Finish while holding work "
                 "(termination detected too early)"
             )
-        if self._session_start is not None:
-            self._close_session(now, found_work=False)
+        self._close_session(now)
         if self.events is not None:
             self.events.append(now, EV_FINISH)
         self.status = WorkerStatus.DONE
@@ -575,15 +576,11 @@ class Worker:
     # ------------------------------------------------------------------
 
     def _go_idle(self, t: float) -> None:
-        """Stack exhausted: record the transition, start a
-        work-discovery session."""
-        # Ranks that never had work have no active->inactive edge; their
-        # trace stays empty until they first receive work.
-        if self._was_active():
-            self._record(t, active=False)
+        """Stack exhausted: open an idle period, start a work-discovery
+        session."""
         self.consecutive_failed_steals = 0
         self.status = WorkerStatus.WAITING
-        self._session_start = t
+        self.idle_starts.append(t)
         self._session_attempts = 0
         self.transport.rank_became_idle(self.rank, t)
         if self.nranks > 1:
@@ -654,23 +651,13 @@ class Worker:
         if self._notify is not None:
             self._notify(victim, True)
         self.consecutive_failed_steals = 0
-        self._close_session(now, found_work=True)
-        self._record(now, active=True)
+        self._close_session(now)
         self.status = WorkerStatus.RUNNING
         self.transport.schedule_exec(self.rank, now)
 
-    def _close_session(self, end: float, found_work: bool) -> None:
-        assert self._session_start is not None
-        self.sessions.append(
-            Session(
-                rank=self.rank,
-                start=self._session_start,
-                end=end,
-                found_work=found_work,
-                attempts=self._session_attempts,
-            )
-        )
-        self._session_start = None
+    def _close_session(self, end: float) -> None:
+        self.idle_ends.append(end)
+        self.idle_attempts.append(self._session_attempts)
         self._session_attempts = 0
 
     # ------------------------------------------------------------------
@@ -756,26 +743,6 @@ class Worker:
             self.transport.send(
                 self.rank, partner, TAG_LIFELINE_DEREGISTER, None, now
             )
-
-    # ------------------------------------------------------------------
-    # Activity trace and derived totals
-    # ------------------------------------------------------------------
-
-    def _was_active(self) -> bool:
-        return self.trace is None or (
-            len(self.trace.states) > 0 and self.trace.states[-1]
-        )
-
-    def _record(self, true_time: float, active: bool) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.transport.local_time(self.rank, true_time), active
-            )
-
-    @property
-    def search_time(self) -> float:
-        """Total time this rank spent in work-discovery sessions."""
-        return sum(s.duration for s in self.sessions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -41,7 +41,6 @@ def make_worker(
     plan: ProtocolPlan,
     generator,
     transport,
-    trace=None,
     events=None,
 ) -> Worker:
     """Construct the rank's worker (lifelines are ``plan.lifeline_count``)."""
@@ -61,7 +60,6 @@ def make_worker(
         poll_interval=config.poll_interval,
         per_node_time=config.per_node_time,
         steal_service_time=config.steal_service_time,
-        trace=trace,
         events=events,
         plan=plan,
     )

@@ -9,7 +9,8 @@ Modules
 ``termination``
     Dijkstra-style token-ring distributed termination detection.
 ``clock``
-    Per-rank clock skew injection (and its correction).
+    Per-rank clock offsets, which the result layer stamps the activity
+    trace with and corrects it by.
 ``cluster``
     The engine: the ``(time, pusher, seq, tag, dst, body)`` event, its
     ``(time, pusher, seq)`` key order, :class:`Cluster` (placement +

@@ -3,10 +3,10 @@
 The paper's traces are wall-clock timestamps from thousands of nodes
 whose clocks are not perfectly synchronised: "Starting times for each
 processes were recorded and the trace modified to account for clock
-skew" (§III).  The simulator reproduces that pipeline: workers stamp
-trace events with their *local* (skewed) clock, and the results module
-corrects the trace with the recorded offsets — tests assert the
-correction restores the true timeline exactly.
+skew" (§III).  The simulator reproduces that pipeline at result time:
+:meth:`repro.core.tracing.ActivityTrace.from_idle_log` stamps each
+rank's transitions with its offset and corrects them again, so skew
+moves no event of the run itself.
 """
 
 from __future__ import annotations
@@ -36,18 +36,8 @@ class ClockSkewModel:
             raise ConfigurationError(f"need at least 1 rank, got {nranks}")
         if std < 0:
             raise ConfigurationError(f"std must be >= 0, got {std}")
-        self.nranks = nranks
-        self.std = float(std)
         if std == 0.0:
             self.offsets = np.zeros(nranks, dtype=np.float64)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC10C]))
             self.offsets = rng.normal(0.0, std, size=nranks)
-
-    @property
-    def enabled(self) -> bool:
-        return self.std > 0.0
-
-    def local_time(self, rank: int, true_time: float) -> float:
-        """What rank ``rank``'s clock reads at global time ``true_time``."""
-        return true_time + float(self.offsets[rank])

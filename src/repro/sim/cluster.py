@@ -37,7 +37,6 @@ import heapq
 from dataclasses import dataclass
 
 from repro.core.config import WorkStealingConfig
-from repro.core.tracing import TraceRecorder
 from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import Placement, build_placement
 from repro.net.contention import NicContention
@@ -49,7 +48,6 @@ from repro.protocol.messages import (
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
 )
-from repro.sim.clock import ClockSkewModel
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.trace.events import EV_TOKEN, EventRecorder
 from repro.uts.tree import TreeGenerator, TreeTable
@@ -71,8 +69,6 @@ class SimOutcome:
     config: WorkStealingConfig
     placement: Placement
     workers: list[Worker]
-    recorders: list[TraceRecorder] | None
-    clock: ClockSkewModel
     total_time: float
     events_processed: int
     messages_dropped: int
@@ -119,15 +115,7 @@ class Cluster:
             raise SimulationError(
                 f"max_events must be >= 1, got {self._max_events}"
             )
-        self.clock = ClockSkewModel(
-            config.nranks, std=config.clock_skew_std, seed=config.seed
-        )
         self.detector = DijkstraTermination(config.nranks)
-        self.recorders = (
-            [TraceRecorder() for _ in range(config.nranks)]
-            if config.trace
-            else None
-        )
         self.event_recorders = (
             [
                 EventRecorder(config.event_trace_capacity)
@@ -167,7 +155,6 @@ class Cluster:
                 plan,
                 tree,
                 transport=self,
-                trace=self.recorders[rank] if self.recorders else None,
                 events=(
                     self.event_recorders[rank]
                     if self.event_recorders
@@ -231,9 +218,6 @@ class Cluster:
             raise SimulationError(
                 f"run exceeded node cap {self._node_budget}"
             )
-
-    def local_time(self, rank: int, true_time: float) -> float:
-        return self.clock.local_time(rank, true_time)
 
     # ------------------------------------------------------------------
     # The loop
@@ -354,8 +338,6 @@ class Cluster:
             config=self.config,
             placement=self.placement,
             workers=workers,
-            recorders=self.recorders,
-            clock=self.clock,
             total_time=max(w.finish_time for w in workers),
             events_processed=events_processed,
             messages_dropped=self.messages_dropped,

@@ -208,15 +208,6 @@ class TraceAnalysis:
                     out.append(float(row[victim]))
         return np.asarray(out, dtype=np.float64)
 
-    def distance_distribution(
-        self, bins: int = 10
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(counts, edges)`` histogram of victim-draw distances."""
-        d = self.draw_distances()
-        if not d.size:
-            return np.zeros(bins, dtype=np.int64), np.linspace(0, 1, bins + 1)
-        return np.histogram(d, bins=bins)
-
     # ------------------------------------------------------------------
     # Forwarding chains
     # ------------------------------------------------------------------

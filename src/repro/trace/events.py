@@ -130,9 +130,8 @@ class EventRecorder:
     overwritten in place and :attr:`dropped` counts the loss.
     ``capacity=0`` (the default) means unbounded.
 
-    Like :class:`~repro.core.tracing.TraceRecorder`, the recorder
-    enforces nothing while recording; :meth:`EventTrace.from_recorders`
-    validates post-mortem.
+    The recorder enforces nothing while recording;
+    :meth:`EventTrace.from_recorders` validates post-mortem.
     """
 
     __slots__ = ("_buf", "_capacity", "_head", "dropped")

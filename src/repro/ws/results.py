@@ -11,6 +11,10 @@ reports from the raw :class:`~repro.sim.cluster.SimOutcome`:
   statistics (Fig 10);
 * the skew-corrected activity trace and its scheduling-latency
   profile (Figs 4, 5, 12, 13).
+
+The search times, the session statistics and the activity trace are
+three views of one record, each worker's idle log; all three are
+derived here.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.metrics import LatencyProfile, OccupancyCurve, latency_profile
-from repro.core.sessions import Session, SessionStats, summarize_sessions
+from repro.core.sessions import SessionStats, summarize_sessions
 from repro.core.tracing import ActivityTrace
 from repro.errors import ReproError
+from repro.sim.clock import ClockSkewModel
 from repro.sim.cluster import SimOutcome
 
 __all__ = ["RunResult"]
@@ -146,20 +151,23 @@ class RunResult:
         workers = outcome.workers
         if baseline_time is None:
             baseline_time = outcome.total_nodes * cfg.per_node_time
-        sessions: list[Session] = []
+        # Per-rank builtin sums in log order, then their builtin sum in
+        # rank order: that order fixes the floats.
+        durations = []
+        search_times = []
         for w in workers:
-            sessions.extend(w.sessions)
-        # One O(sessions) walk per rank; the total is the builtin sum
-        # over this list in rank order, which fixes the float.
-        search_times = [w.search_time for w in workers]
+            d = [e - s for s, e in zip(w.idle_starts, w.idle_ends)]
+            durations.extend(d)
+            search_times.append(sum(d))
         trace = None
-        if outcome.recorders is not None:
-            raw = ActivityTrace.from_recorders(outcome.recorders)
-            # Undo the simulated clock skew, as the paper does.
-            trace = (
-                raw.corrected(outcome.clock.offsets)
-                if outcome.clock.enabled
-                else raw
+        if cfg.trace:
+            offsets = ClockSkewModel(
+                cfg.nranks, std=cfg.clock_skew_std, seed=cfg.seed
+            ).offsets
+            trace = ActivityTrace.from_idle_log(
+                [w.idle_starts for w in workers],
+                [w.idle_ends for w in workers],
+                offsets,
             )
         events = None
         if outcome.event_recorders is not None:
@@ -189,7 +197,11 @@ class RunResult:
             nodes_stolen=sum(w.nodes_received for w in workers),
             chunks_stolen=sum(w.chunks_received for w in workers),
             search_time_total=sum(search_times),
-            sessions=summarize_sessions(sessions, cfg.nranks),
+            sessions=summarize_sessions(
+                durations,
+                [a for w in workers for a in w.idle_attempts],
+                cfg.nranks,
+            ),
             per_rank_nodes=np.array([w.nodes_processed for w in workers]),
             per_rank_search_time=np.array(search_times),
             events_processed=outcome.events_processed,

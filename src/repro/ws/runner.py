@@ -57,8 +57,9 @@ def run_uts(
     keyword arguments.
 
     Tracing knobs (both observationally free — same simulation, same
-    fingerprint): ``trace=True`` attaches the per-rank activity
-    recorders behind ``result.trace`` and the SL/EL metrics;
+    fingerprint): ``trace=True`` attaches the per-rank activity trace,
+    derived from the workers' idle logs, behind ``result.trace`` and
+    the SL/EL metrics;
     ``event_trace=True`` additionally captures the structured
     steal-event stream behind ``result.events`` for
     :class:`repro.trace.TraceAnalysis` and the Chrome-trace exporter

@@ -4,49 +4,42 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.sessions import Session, SessionStats, summarize_sessions
+from repro.core.sessions import summarize_sessions
 from repro.errors import TraceError
 
 
 class TestSession:
+    """One rank, one session: the period that ends at termination."""
+
     def test_duration(self):
-        s = Session(rank=0, start=1.0, end=3.5, found_work=True, attempts=2)
-        assert s.duration == pytest.approx(2.5)
-
-    def test_end_before_start_rejected(self):
-        with pytest.raises(TraceError):
-            Session(rank=0, start=2.0, end=1.0, found_work=True, attempts=1)
-
-    def test_negative_attempts_rejected(self):
-        with pytest.raises(TraceError):
-            Session(rank=0, start=0.0, end=1.0, found_work=True, attempts=-1)
+        stats = summarize_sessions([2.5], [2], nranks=1)
+        assert stats.mean_duration == pytest.approx(2.5)
+        assert stats.total_search_time == pytest.approx(2.5)
+        assert stats.terminated == 1
 
     def test_zero_duration_ok(self):
-        s = Session(rank=0, start=1.0, end=1.0, found_work=False, attempts=0)
-        assert s.duration == 0.0
+        stats = summarize_sessions([0.0], [0], nranks=1)
+        assert stats.max_duration == 0.0
+        assert stats.mean_attempts == 0.0
 
 
 class TestSummarize:
     def test_empty(self):
-        stats = summarize_sessions([], nranks=4)
+        stats = summarize_sessions([], [], nranks=4)
         assert stats.count == 0
         assert stats.mean_duration == 0.0
         assert stats.sessions_per_rank == 0.0
 
     def test_bad_nranks(self):
         with pytest.raises(TraceError):
-            summarize_sessions([], nranks=0)
+            summarize_sessions([], [], nranks=0)
 
     def test_aggregates(self):
-        sessions = [
-            Session(rank=0, start=0.0, end=2.0, found_work=True, attempts=1),
-            Session(rank=0, start=5.0, end=9.0, found_work=True, attempts=3),
-            Session(rank=1, start=1.0, end=2.0, found_work=False, attempts=2),
-        ]
-        stats = summarize_sessions(sessions, nranks=2)
+        # Rank 0 found work once, then terminated; rank 1 terminated.
+        stats = summarize_sessions([2.0, 4.0, 1.0], [1, 3, 2], nranks=2)
         assert stats.count == 3
-        assert stats.successful == 2
-        assert stats.terminated == 1
+        assert stats.successful == 1
+        assert stats.terminated == 2
         assert stats.mean_duration == pytest.approx((2 + 4 + 1) / 3)
         assert stats.max_duration == pytest.approx(4.0)
         assert stats.total_search_time == pytest.approx(7.0)
@@ -54,15 +47,11 @@ class TestSummarize:
         assert stats.sessions_per_rank == pytest.approx(1.5)
 
     def test_stats_is_frozen(self):
-        stats = summarize_sessions([], nranks=1)
+        stats = summarize_sessions([], [], nranks=1)
         with pytest.raises(AttributeError):
             stats.count = 5  # type: ignore[misc]
 
     def test_all_terminated(self):
-        sessions = [
-            Session(rank=r, start=0.0, end=1.0, found_work=False, attempts=5)
-            for r in range(3)
-        ]
-        stats = summarize_sessions(sessions, nranks=3)
+        stats = summarize_sessions([1.0] * 3, [5] * 3, nranks=3)
         assert stats.successful == 0
         assert stats.terminated == 3

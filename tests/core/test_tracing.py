@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tracing import ActivityTrace, TraceRecorder
+from repro.core.tracing import ActivityTrace
 from repro.errors import TraceError
 
 
@@ -24,18 +24,36 @@ def _trace(*rank_events) -> ActivityTrace:
     )
 
 
-class TestRecorder:
-    def test_record_and_build(self):
-        r = TraceRecorder()
-        r.record(0.0, True)
-        r.record(1.0, False)
-        trace = ActivityTrace.from_recorders([r])
-        assert trace.nranks == 1
-        assert len(r) == 2
+class TestFromIdleLog:
+    def test_edges_from_periods(self):
+        # Rank 0 is active from 0; rank 1 first works at 2.0.  A
+        # period's start is an inactive edge, its end an active one,
+        # and the last period ends at termination (no edge).
+        trace = ActivityTrace.from_idle_log(
+            [[1.0, 3.0], [0.0, 5.0]], [[2.0, 6.0], [2.0, 6.0]], np.zeros(2)
+        )
+        (t0, s0), (t1, s1) = trace.transitions
+        assert t0.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert s0.tolist() == [True, False, True, False]
+        assert t1.tolist() == [2.0, 5.0]
+        assert s1.tolist() == [True, False]
 
-    def test_empty_recorder_ok(self):
-        trace = ActivityTrace.from_recorders([TraceRecorder()])
-        assert trace.nranks == 1
+    def test_never_active_rank_ok(self):
+        trace = ActivityTrace.from_idle_log(
+            [[1.0], [0.0]], [[4.0], [4.0]], np.zeros(2)
+        )
+        assert trace.nranks == 2
+        assert trace.transitions[1][0].size == 0
+        assert trace.busy_time(0, 4.0) == 1.0
+
+    def test_offsets_round_trip(self):
+        offsets = np.array([1e-4, -3e-4])
+        trace = ActivityTrace.from_idle_log(
+            [[1e-3], [0.0, 5e-3]], [[7e-3], [2e-3, 7e-3]], offsets
+        )
+        t1 = trace.transitions[1][0]
+        assert t1.tolist() == [(2e-3 - 3e-4) + 3e-4, (5e-3 - 3e-4) + 3e-4]
+        assert np.allclose(t1, [2e-3, 5e-3], rtol=0, atol=1e-18)
 
 
 class TestValidation:
@@ -73,12 +91,11 @@ class TestNonFiniteRejection:
         with pytest.raises(TraceError, match="non-finite"):
             _trace([(float("inf"), True)])
 
-    def test_nan_rejected_via_from_recorders(self):
-        r = TraceRecorder()
-        r.record(0.0, True)
-        r.record(float("nan"), False)
+    def test_nan_rejected_via_from_idle_log(self):
         with pytest.raises(TraceError, match="non-finite"):
-            ActivityTrace.from_recorders([r])
+            ActivityTrace.from_idle_log(
+                [[1.0, float("nan")]], [[2.0, 3.0]], np.zeros(1)
+            )
 
     def test_non_finite_offsets_rejected(self):
         t = _trace([(1.0, True), (2.0, False)])

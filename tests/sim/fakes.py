@@ -4,7 +4,6 @@ drive one rank's state machine without an event loop."""
 from __future__ import annotations
 
 from repro.core.steal_policy import StealOne
-from repro.core.tracing import TraceRecorder
 from repro.core.victim import UniformRandomSelector
 from repro.protocol.core import Worker
 from repro.uts.params import TreeParams
@@ -36,9 +35,6 @@ class FakeTransport:
     def work_sent(self, rank):
         self.work_sends.append(rank)
 
-    def local_time(self, rank, true_time):
-        return true_time
-
 
 def make_worker(
     rank=1,
@@ -49,7 +45,6 @@ def make_worker(
     tree=TREE,
     chunk=5,
     poll=4,
-    trace=False,
 ):
     """``(worker, transport)``; the selector defaults to uniform random."""
     transport = FakeTransport()
@@ -64,7 +59,6 @@ def make_worker(
         poll_interval=poll,
         per_node_time=1e-6,
         steal_service_time=1e-6,
-        trace=TraceRecorder() if trace else None,
         plan=plan,
     )
     return worker, transport

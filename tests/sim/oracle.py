@@ -19,7 +19,6 @@ import heapq
 from typing import Any
 
 from repro.core.config import WorkStealingConfig
-from repro.core.tracing import TraceRecorder
 from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import build_placement
 from repro.net.contention import NicContention
@@ -31,7 +30,6 @@ from repro.protocol.messages import (
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
 )
-from repro.sim.clock import ClockSkewModel
 from repro.sim.cluster import DEFAULT_MAX_EVENTS, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.trace.events import EV_TOKEN, EventRecorder
@@ -138,16 +136,8 @@ class OracleCluster:
             EventQueue(max_events) if max_events is not None else EventQueue()
         )
         self.termination = DijkstraTermination(config.nranks)
-        self.clock = ClockSkewModel(
-            config.nranks, std=config.clock_skew_std, seed=config.seed
-        )
         self.nic = NicContention(
             self.placement.rank_nodes, service_time=config.nic_service_time
-        )
-        self.recorders = (
-            [TraceRecorder() for _ in range(config.nranks)]
-            if config.trace
-            else None
         )
         self.event_recorders = (
             [
@@ -167,7 +157,6 @@ class OracleCluster:
                 plan,
                 generator,
                 transport=self,
-                trace=self.recorders[rank] if self.recorders else None,
                 events=(
                     self.event_recorders[rank]
                     if self.event_recorders
@@ -229,9 +218,6 @@ class OracleCluster:
                 f"run exceeded node cap {self.config.node_cap}"
             )
 
-    def local_time(self, rank: int, true_time: float) -> float:
-        return self.clock.local_time(rank, true_time)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -281,8 +267,6 @@ class OracleCluster:
             config=self.config,
             placement=self.placement,
             workers=self.workers,
-            recorders=self.recorders,
-            clock=self.clock,
             total_time=max(w.finish_time for w in self.workers),
             events_processed=queue.processed,
             messages_dropped=self._messages_dropped,

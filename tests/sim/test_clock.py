@@ -12,9 +12,7 @@ from repro.sim.clock import ClockSkewModel
 class TestDisabled:
     def test_zero_std_zero_offsets(self):
         clock = ClockSkewModel(8, std=0.0)
-        assert not clock.enabled
         assert np.all(clock.offsets == 0.0)
-        assert clock.local_time(3, 42.0) == 42.0
 
 
 class TestEnabled:
@@ -27,13 +25,6 @@ class TestEnabled:
         a = ClockSkewModel(8, std=1e-3, seed=5)
         b = ClockSkewModel(8, std=1e-3, seed=6)
         assert not np.array_equal(a.offsets, b.offsets)
-
-    def test_local_time_applies_offset(self):
-        clock = ClockSkewModel(4, std=1e-3, seed=0)
-        for rank in range(4):
-            assert clock.local_time(rank, 10.0) == pytest.approx(
-                10.0 + clock.offsets[rank]
-            )
 
     def test_offsets_scale_with_std(self):
         small = ClockSkewModel(100, std=1e-6, seed=1)

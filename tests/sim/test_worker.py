@@ -165,8 +165,7 @@ class TestStealProtocol:
         assert thief.stack.size == 5
         assert thief.successful_steals == 1
         assert tt.execs[-1] == (1, 3.0)
-        assert thief.sessions[-1].found_work
-        assert thief.sessions[-1].duration == pytest.approx(3.0)
+        assert (thief.idle_starts, thief.idle_ends) == ([0.0], [3.0])
 
     def test_failed_response_retries_next_victim(self):
         thief, tt = make_worker(rank=1)
@@ -200,9 +199,8 @@ class TestFinish:
         w.on_message(4.0, TAG_FINISH, 0, None)
         assert w.status is WorkerStatus.DONE
         assert w.finish_time == 4.0
-        assert len(w.sessions) == 1
-        assert not w.sessions[0].found_work
-        assert w.sessions[0].duration == pytest.approx(4.0)
+        assert (w.idle_starts, w.idle_ends) == ([0.0], [4.0])
+        assert w.idle_attempts == [1]
 
     def test_finish_while_holding_work_is_error(self):
         w, _ = make_worker(rank=0)
@@ -221,16 +219,19 @@ class TestFinish:
 
 
 class TestTracing:
+    """The idle log: the one record the activity trace, the session
+    statistics and the search times are derived from."""
+
     def test_rank0_trace(self):
-        w, _ = make_worker(rank=0, trace=True)
+        w, _ = make_worker(rank=0)
         w.start(0.0)
-        assert w.trace.times == [0.0]
-        assert w.trace.states == [True]
+        assert w.status is WorkerStatus.RUNNING
+        assert w.idle_starts == []  # active from 0: nothing logged
 
     def test_activity_cycle(self):
-        w, t = make_worker(rank=1, trace=True)
+        w, t = make_worker(rank=1)
         w.start(0.0)
-        assert len(w.trace) == 0  # never active yet
+        assert (w.idle_starts, w.idle_ends) == ([0.0], [])
         # Receive work.
         victim, vt = make_worker(rank=0, chunk=5)
         push_nodes(victim, 20)
@@ -238,20 +239,20 @@ class TestTracing:
         victim.on_message(0.5, TAG_STEAL_REQUEST, 1, False)
         victim.on_exec(1.0)
         w.on_message(2.0, TAG_STEAL_RESPONSE, 0, vt.sent[0][3])
-        assert w.trace.times == [2.0]
-        assert w.trace.states == [True]
+        assert (w.idle_starts, w.idle_ends) == ([0.0], [2.0])
         # Drain it (5 nodes, poll=4: two execs).
         w.on_exec(2.0)
         w.on_exec(3.0)
         if w.status is WorkerStatus.WAITING:
-            assert w.trace.states[-1] is False
+            assert (w.idle_starts, w.idle_ends) == ([0.0, 3.0], [2.0])
 
     def test_search_time_accumulates(self):
         w, t = make_worker(rank=1)
         w.start(0.0)
         w.on_message(2.0, TAG_STEAL_RESPONSE, 2, None)
         w.on_message(4.0, TAG_FINISH, 0, None)
-        assert w.search_time == pytest.approx(4.0)
+        assert (w.idle_starts, w.idle_ends) == ([0.0], [4.0])
+        assert w.idle_attempts == [2]
 
 
 class TestMultipleQueuedRequests:

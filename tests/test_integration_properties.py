@@ -80,9 +80,9 @@ def test_traced_occupancy_consistent(tree):
     plus steal service — no phantom activity."""
     cfg = WorkStealingConfig(tree=tree, nranks=6, selector="rand", trace=True)
     out = Cluster(cfg).run()
-    from repro.core.tracing import ActivityTrace
+    from repro.ws.results import RunResult
 
-    trace = ActivityTrace.from_recorders(out.recorders)
+    trace = RunResult.from_outcome(out).trace
     total_busy = sum(
         trace.busy_time(r, out.total_time) for r in range(cfg.nranks)
     )
