@@ -115,9 +115,14 @@ def _sleepy_worker(payload):
 
 
 def _killed_worker(payload):
+    import time as _time
+
     index, config_dict, max_events = payload
     if index == 0:
         os.kill(os.getpid(), signal.SIGKILL)
+    # The sweep's other jobs wait for the broken executor to terminate
+    # them: one that finished before the death was noticed would not fail.
+    _time.sleep(30)
     from repro.exec.pool import _execute
 
     return _execute(payload)
@@ -223,8 +228,22 @@ class TestWorkerPool:
             WorkerPool(0)
 
 
+def _expire(signum, frame):
+    raise TimeoutError("test exceeded its time limit")
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test after 60 s instead of letting a wedged pool hang the suite."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestWorkerDeath:
-    def test_dead_worker_fails_its_sweep_not_the_pool(self, tmp_path):
+    def test_dead_worker_fails_its_sweep_not_the_pool(self, tmp_path, time_limit):
         configs = _configs(3)
         store = ArtifactStore(tmp_path / "store")
         # Workers abandoned by earlier timeout tests may still be alive.
