@@ -50,10 +50,11 @@ def test_table1_tree_parameters(once):
     # Paper rows are verbatim Table I.
     assert rows[0][:7] == ["T3XXL", "binomial", 316, 2000, 2, 0.499995, 2793220501]
     assert rows[1][:7] == ["T3WL", "binomial", 559, 2000, 2, 0.4999995, 157063495159]
-    # Scaled trees are deterministic: sizes are pinned.
+    # Scaled trees are deterministic: sizes and depths are pinned.
     measured = {r[0]: r[6] for r in rows[2:]}
-    assert measured["T3XS"] == 4427
-    assert measured["T3M"] == 294183
+    depth = {r[0]: r[8] for r in rows[2:]}
+    assert (measured["T3XS"], depth["T3XS"]) == (4427, 54)
+    assert (measured["T3M"], depth["T3M"]) == (294183, 356)
     # All scaled trees realised within 5x of analytic expectation.
     for t in SCALED_TREES:
         assert measured[t.name] > t.analytic_expected_size / 5

@@ -17,13 +17,15 @@ Modules
     Tree parameter sets, including the paper's T3XXL / T3WL trees and
     the scaled stand-ins used by the benchmarks.
 ``tree``
-    Child-generation rules (binomial, geometric, hybrid), scalar and
-    vectorised, and ``TreeTable``: one run's tree walked once into a
-    breadth-first child table, which is what the simulator expands.
+    Child-generation rules (binomial, geometric, hybrid): a scalar
+    reference and one vectorised path; and ``TreeTable``, the only walk
+    of a tree: one run's tree expanded once into a breadth-first child
+    table, which is what the simulator expands.
 ``stack``
     The chunked steal-stack with a private working chunk.
 ``sequential``
-    Single-process traversal used as ground truth for node counts.
+    The ground-truth counts (size, depth, leaves), read off a
+    ``TreeTable``.
 """
 
 from repro.uts.params import (

@@ -104,6 +104,10 @@ class TreeParams:
             raise ConfigurationError(
                 f"tree_type {self.tree_type!r} not in {_TREE_TYPES}"
             )
+        if not -(2**63) <= self.root_seed < 2**63:
+            raise ConfigurationError(
+                f"root_seed must be a signed 64-bit integer, got {self.root_seed}"
+            )
         if self.shape not in _GEO_SHAPES:
             raise ConfigurationError(f"shape {self.shape!r} not in {_GEO_SHAPES}")
         if self.b0 < 1:
@@ -112,9 +116,10 @@ class TreeParams:
             raise ConfigurationError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.q <= 1.0:
             raise ConfigurationError(f"q must be in [0, 1], got {self.q}")
-        if self.tree_type == "binomial" and self.m * self.q >= 1.0:
+        if self.tree_type != "geometric" and self.m * self.q >= 1.0:
             raise ConfigurationError(
-                f"binomial tree must be subcritical: m*q = {self.m * self.q} >= 1"
+                f"{self.tree_type} tree must be subcritical: "
+                f"m*q = {self.m * self.q} >= 1"
             )
         if self.gen_mx < 1:
             raise ConfigurationError(f"gen_mx must be >= 1, got {self.gen_mx}")

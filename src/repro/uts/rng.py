@@ -84,26 +84,12 @@ class RngBackend(ABC):
         return self.to_uint31(state) / UINT31_MAX
 
     # ------------------------------------------------------------------
-    # Vectorised API.  The default implementations fall back to Python
-    # loops so every backend is usable everywhere; fast backends
-    # override them with array code.
+    # Vectorised API
     # ------------------------------------------------------------------
 
+    @abstractmethod
     def spawn_array(self, states: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`spawn` over matching arrays of states/indices."""
-        states = np.asarray(states, dtype=np.uint64)
-        indices = np.asarray(indices, dtype=np.uint64)
-        if states.shape != indices.shape:
-            raise ConfigurationError(
-                f"states shape {states.shape} != indices shape {indices.shape}"
-            )
-        out = np.empty_like(states)
-        flat_s = states.ravel()
-        flat_i = indices.ravel()
-        flat_o = out.ravel()
-        for k in range(flat_s.size):
-            flat_o[k] = self.spawn(int(flat_s[k]), int(flat_i[k]))
-        return out
 
     def to_uint31_array(self, states: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`to_uint31`."""
@@ -137,8 +123,8 @@ class Sha1Backend(RngBackend):
         SHA-1 itself cannot be vectorised, but hoisting the struct
         packer, the hash constructor and the int conversion out of the
         loop — and iterating plain Python ints instead of NumPy
-        scalars — makes batch spawning several times faster than the
-        generic fallback while remaining bit-identical to it.
+        scalars — makes batch spawning several times faster than
+        calling :meth:`spawn` per element, bit for bit the same.
         """
         states = np.asarray(states, dtype=np.uint64)
         indices = np.asarray(indices, dtype=np.uint64)

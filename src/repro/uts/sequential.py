@@ -1,27 +1,28 @@
 """Single-process UTS traversal.
 
-The sequential traversal serves three purposes:
+The sequential count serves three purposes:
 
 * it is the *ground truth* for the distributed runs — the simulator's
   conservation tests assert that the sum of nodes processed across all
   ranks equals the sequential count for the same tree;
 * it regenerates Table I (tree sizes and depths);
-* its node-processing rate calibrates the single-process baseline used
-  for speedup/efficiency, the same extrapolation the paper applies to
+* its node count is the single-process baseline used for
+  speedup/efficiency, the same extrapolation the paper applies to
   T3WL ("all single MPI process executions, for the same type of
   generated trees, should have the same speed").
+
+It reads the counts off :class:`~repro.uts.tree.TreeTable`, the same
+breadth-first walk the simulator expands, so there is one walk of a
+tree to trust.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import ReproError
 from repro.uts.params import TreeParams
 from repro.uts.rng import RngBackend
-from repro.uts.tree import TreeGenerator
+from repro.uts.tree import TreeGenerator, TreeTable
 
 __all__ = ["SequentialResult", "sequential_count"]
 
@@ -45,10 +46,9 @@ class SequentialResult:
 def sequential_count(
     params: TreeParams,
     backend: RngBackend | None = None,
-    batch: int = 2048,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SequentialResult:
-    """Traverse the whole tree on one process and count it.
+    """Walk the whole tree on one process and count it.
 
     Parameters
     ----------
@@ -56,41 +56,11 @@ def sequential_count(
         Tree to traverse.
     backend:
         RNG backend (defaults to SplitMix64).
-    batch:
-        Number of nodes expanded per vectorised step; affects speed
-        only, never the result.
     node_cap:
         Hard limit guarding against a mis-parameterised (near-critical)
-        tree running forever; exceeded -> :class:`ReproError`.
+        tree running forever; exceeded -> :class:`~repro.errors.SimulationError`.
     """
-    if batch < 1:
-        raise ReproError(f"batch must be >= 1, got {batch}")
-    gen = TreeGenerator(params, backend)
-    root_state, root_depth = gen.root()
-    stack_states: list[np.ndarray] = [np.array([root_state], dtype=np.uint64)]
-    stack_depths: list[np.ndarray] = [np.array([root_depth], dtype=np.int32)]
-
-    total = 0
-    leaves = 0
-    max_depth = 0
-    while stack_states:
-        states = stack_states.pop()
-        depths = stack_depths.pop()
-        if len(states) > batch:
-            # Keep the overflow on the stack, expand only one batch.
-            stack_states.append(states[batch:])
-            stack_depths.append(depths[batch:])
-            states = states[:batch]
-            depths = depths[:batch]
-        total += len(states)
-        if total > node_cap:
-            raise ReproError(
-                f"traversal exceeded node cap {node_cap} for tree {params.name}"
-            )
-        max_depth = max(max_depth, int(depths.max()))
-        child_states, child_depths, counts = gen.children_batch(states, depths)
-        leaves += int((counts == 0).sum())
-        if child_states.size:
-            stack_states.append(child_states)
-            stack_depths.append(child_depths)
-    return SequentialResult(total_nodes=total, max_depth=max_depth, leaves=leaves)
+    table = TreeTable(TreeGenerator(params, backend), node_cap)
+    return SequentialResult(
+        total_nodes=len(table), max_depth=table.depth, leaves=table.leaves
+    )

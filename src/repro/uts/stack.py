@@ -61,10 +61,6 @@ class Chunk:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self.size
-
     def __len__(self) -> int:
         return self.size
 

@@ -6,20 +6,20 @@ states*.  Everything else (traversal order, who expands which node) is
 the scheduler's business, which is exactly what lets work stealing
 move nodes between processes freely.
 
-:class:`TreeGenerator` has three entry points, tested against each
-other:
+:class:`TreeGenerator` has two ways to expand nodes, tested against
+each other:
 
 * the scalar reference (:meth:`TreeGenerator.count_children`,
-  :meth:`TreeGenerator.children`) — one node, written to be read;
-* :meth:`TreeGenerator.children_list` — plain Python lists in and out,
-  one quantum of a handful of nodes hashed in Python (the test oracle's
-  expansion and the reference the ``uts.*`` ledger rungs time);
+  :meth:`TreeGenerator.children`, and :meth:`TreeGenerator.children_list`
+  looping it over a list) — one node at a time, written to be read;
 * :meth:`TreeGenerator.children_batch` — NumPy arrays in and out, what
-  the sequential traversal and :class:`TreeTable` call on whole levels.
+  :class:`TreeTable` calls on whole levels.
 
-:class:`TreeTable` is what the simulator expands: the run's tree walked
-once, breadth-first, into one child offset per node.  A node is its BFS
-index and its children are an index range, so a quantum hashes nothing.
+:class:`TreeTable` is the only walk of a tree: the run's tree expanded
+once, breadth-first, into one child offset per node.  The simulator
+expands it (a node is its BFS index and its children are an index
+range, so a quantum hashes nothing) and the sequential count reads its
+size, depth and leaves.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.uts.params import TreeParams
-from repro.uts.rng import _GOLDEN, UINT31_MAX, RngBackend, SplitMix64Backend
+from repro.uts.rng import UINT31_MAX, RngBackend, SplitMix64Backend
 
 __all__ = ["MAX_GEO_CHILDREN", "TreeGenerator", "TreeTable"]
 
 #: Safety cap on geometric child counts (UTS uses MAXNUMCHILDREN=100).
 MAX_GEO_CHILDREN = 100
-
-#: Array batches at or below this size expand through the pure-int loop.
-SCALAR_BATCH_CUTOFF = 64
 
 #: Largest child offset a :class:`TreeTable` stores as int32.
 _INT32_MAX = 2**31 - 1
@@ -65,25 +62,7 @@ class TreeGenerator:
         # Precompute the 31-bit binomial threshold once; comparing
         # integer draws against it avoids float conversion per node.
         self._bin_threshold = int(params.q * UINT31_MAX)
-        self._geo_depth_limit = params.gen_mx
         self._hybrid_switch = params.shift * params.gen_mx
-        # Binomial trees over the SplitMix backend (every paper
-        # experiment) get a fused list loop and a fused array path that
-        # roughly halves the per-batch NumPy call count.
-        self._fast_binomial = params.tree_type == "binomial" and isinstance(
-            self.backend, SplitMix64Backend
-        )
-        # Precomputed SplitMix spawn increments ((i+1) * GOLDEN mod
-        # 2^64 for sibling i) so the scalar hot loop adds a cached
-        # 64-bit constant instead of multiplying big ints per child.
-        if self._fast_binomial:
-            mask64 = 0xFFFFFFFFFFFFFFFF
-            self._incs_m: tuple[int, ...] = tuple(
-                (i * _GOLDEN) & mask64 for i in range(1, params.m + 1)
-            )
-        else:
-            self._incs_m = ()
-        self._incs_b0: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     # Root
@@ -150,64 +129,17 @@ class TreeGenerator:
         spawn = self.backend.spawn
         return [spawn(state, i) for i in range(count)], depth + 1
 
-    # ------------------------------------------------------------------
-    # List path (one quantum, hashed)
-    # ------------------------------------------------------------------
-
     def children_list(
         self, states: list[int], depths: list[int]
     ) -> tuple[list[int], list[int]]:
-        """Expand nodes held in plain Python lists.
-
-        Produces exactly the children :meth:`children_batch` would —
-        same values, parent-major order, siblings ``0..count-1`` — for
-        every tree type and backend, the depth-0 root included.
-        Binomial trees over the SplitMix backend (every paper
-        experiment) take a fused loop with no ndarray traffic; anything
-        else converts and calls :meth:`children_batch`.
-        """
-        if not self._fast_binomial:
-            child_states, child_depths, _counts = self.children_batch(
-                np.array(states, dtype=np.uint64),
-                np.array(depths, dtype=np.int32),
-            )
-            return child_states.tolist(), child_depths.tolist()
-        thr = self._bin_threshold
-        mask64 = 0xFFFFFFFFFFFFFFFF
-        m1 = 0xBF58476D1CE4E5B9
-        m2 = 0x94D049BB133111EB
-        incs_m = self._incs_m
+        """:meth:`children` over a list of nodes, parent-major."""
         child_states: list[int] = []
         child_depths: list[int] = []
-        append_s = child_states.append
-        append_d = child_depths.append
-        for s, dep in zip(states, depths):
-            if dep:
-                if (s >> 33) >= thr:
-                    continue
-                incs = incs_m
-            else:
-                incs = self._root_incs()
-            d = dep + 1
-            for inc in incs:
-                # Inlined SplitMix64 spawn: add increment, Stafford mix.
-                z = (s + inc) & mask64
-                z = ((z ^ (z >> 30)) * m1) & mask64
-                z = ((z ^ (z >> 27)) * m2) & mask64
-                append_s(z ^ (z >> 31))
-                append_d(d)
+        for state, depth in zip(states, depths):
+            kids, kid_depth = self.children(state, depth)
+            child_states += kids
+            child_depths += [kid_depth] * len(kids)
         return child_states, child_depths
-
-    def _root_incs(self) -> tuple[int, ...]:
-        """Spawn increments for the ``b0`` root children (built lazily)."""
-        incs = self._incs_b0
-        if incs is None:
-            mask64 = 0xFFFFFFFFFFFFFFFF
-            incs = tuple(
-                (i * _GOLDEN) & mask64 for i in range(1, self.params.b0 + 1)
-            )
-            self._incs_b0 = incs
-        return incs
 
     # ------------------------------------------------------------------
     # Vectorised batch path
@@ -275,10 +207,6 @@ class TreeGenerator:
         """
         states = np.asarray(states, dtype=np.uint64)
         depths = np.asarray(depths, dtype=np.int32)
-        if self._fast_binomial and states.size and depths.min() > 0:
-            # Non-root binomial batches (the root is always expanded on
-            # its own at depth 0, never mixed into a batch).
-            return self._children_batch_binomial(states, depths)
         counts = self.count_children_batch(states, depths)
         total = int(counts.sum())
         if total == 0:
@@ -299,64 +227,6 @@ class TreeGenerator:
         child_depths = (parent_depths + 1).astype(np.int32)
         return child_states, child_depths, counts
 
-    def _children_batch_binomial(
-        self, states: np.ndarray, depths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused non-root binomial expansion (SplitMix backend only).
-
-        Produces bit-identical children, in the same per-parent
-        grouping, as the generic path — asserted by tests.  Batches at
-        or below :data:`SCALAR_BATCH_CUTOFF` take a pure-Python loop:
-        NumPy's fixed per-call overhead dwarfs the arithmetic on a
-        handful of nodes.
-        """
-        from repro.uts.rng import _GOLDEN, _mix64  # local import: hot path
-
-        n = states.size
-        if n <= SCALAR_BATCH_CUTOFF:
-            return self._children_small_binomial(states, depths)
-        u64 = np.uint64
-        m = self.params.m
-        draws = (states >> u64(33)).astype(np.int64)
-        mask = draws < self._bin_threshold
-        counts = np.where(mask, m, 0).astype(np.int64)
-        parents = states[mask]
-        if not parents.size:
-            return (
-                np.empty(0, dtype=np.uint64),
-                np.empty(0, dtype=np.int32),
-                counts,
-            )
-        with np.errstate(over="ignore"):
-            siblings = [
-                _mix64(parents + u64((i + 1) * _GOLDEN & 0xFFFFFFFFFFFFFFFF))
-                for i in range(m)
-            ]
-        child_states = np.stack(siblings, axis=1).ravel()
-        child_depths = np.repeat((depths[mask] + 1).astype(np.int32), m)
-        return child_states, child_depths, counts
-
-    def _children_small_binomial(
-        self, states: np.ndarray, depths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expansion of a small non-root binomial batch.
-
-        The children come from the pure-int loop of
-        :meth:`children_list` — bit-identical to the array path.
-        """
-        child_states, child_depths = self.children_list(
-            states.tolist(), depths.tolist()
-        )
-        draws = (states >> np.uint64(33)).astype(np.int64)
-        counts = np.where(draws < self._bin_threshold, self.params.m, 0).astype(
-            np.int64
-        )
-        return (
-            np.array(child_states, dtype=np.uint64),
-            np.array(child_depths, dtype=np.int32),
-            counts,
-        )
-
 
 class TreeTable:
     """One run's tree, expanded once, as a CSR child table.
@@ -369,7 +239,8 @@ class TreeTable:
     and :meth:`children_list`, with indices in both slots.  The stack
     decisions (sizes, chunk counts) depend only on how many children
     each node has, so a run over the table is the run over hashed
-    states, event for event.
+    states, event for event.  :attr:`depth`, :attr:`leaves` and
+    ``len`` are what the sequential count reports.
 
     Cost: one offset per node (int32; int64 once the tree passes
     ``2**31 - 1`` nodes), appended level by level, so the build never
@@ -377,7 +248,7 @@ class TreeTable:
     ``node_cap`` raises while it is built.
     """
 
-    __slots__ = ("_first",)
+    __slots__ = ("_first", "depth")
 
     def __init__(self, generator: TreeGenerator, node_cap: int):
         state, depth = generator.root()
@@ -385,7 +256,10 @@ class TreeTable:
         depths = np.array([depth], dtype=np.int32)
         first = array("i", [1])
         size = 1
+        #: Depth of the deepest node: breadth-first levels minus one.
+        self.depth = -1
         while states.size:
+            self.depth += 1
             states, depths, counts = generator.children_batch(states, depths)
             ends = np.cumsum(counts)
             ends += size
@@ -400,6 +274,12 @@ class TreeTable:
     def __len__(self) -> int:
         """Number of nodes in the tree."""
         return len(self._first) - 1
+
+    @property
+    def leaves(self) -> int:
+        """Number of childless nodes: zero-width offset ranges."""
+        first = np.asarray(self._first)
+        return int(np.count_nonzero(first[1:] == first[:-1]))
 
     def root(self) -> tuple[int, int]:
         """The root as ``(index, index)``: node 0."""

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ def test_renders_artifacts(tmp_path, monkeypatch):
     )
     # Point the script at the private dir by copying it next to them.
     script_copy = tmp_path / "summarize.py"
-    script_copy.write_text(open(SCRIPT).read())
+    script_copy.write_text(Path(SCRIPT).read_text())
     proc = subprocess.run(
         [sys.executable, str(script_copy)],
         capture_output=True,
@@ -80,7 +81,7 @@ def test_ledger_pairs_become_one_performance_table(tmp_path):
         )
     )
     script_copy = tmp_path / "summarize.py"
-    script_copy.write_text(open(SCRIPT).read())
+    script_copy.write_text(Path(SCRIPT).read_text())
     proc = subprocess.run(
         [sys.executable, str(script_copy)], capture_output=True, text=True, timeout=60
     )

@@ -7,8 +7,9 @@ so it is written the slow, direct way: every event goes through
 inlined loop, no handler table and no bound-method caches; a
 sender's latencies are its row of the placement's float metric, read
 once (not the engine's code table), and its workers expand RNG states
-by hash through :class:`TreeGenerator` (not the engine's per-run
-:class:`~repro.uts.tree.TreeTable`).  It shares the workers, the
+by hash through :class:`TreeGenerator`'s scalar reference, one node at
+a time (not the engine's per-run :class:`~repro.uts.tree.TreeTable`,
+which the array path builds).  It shares the workers, the
 termination detector and :class:`NicContention` with the engine — those have their own unit and property suites — and
 nothing of the engine's event handling.
 """

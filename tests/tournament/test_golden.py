@@ -11,6 +11,8 @@ byte-identical leaderboard artifact:
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.exec.store import ResultCache
 from repro.tournament import PRESETS, run_tournament
 
@@ -34,7 +36,7 @@ def test_small_preset_leaderboard_is_golden(tmp_path):
     a = cold.write(tmp_path / "a")
     b = warm.write(tmp_path / "b")
     for pa, pb in zip(a, b):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_small_preset_independent_of_store(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -111,12 +112,12 @@ class TestRun:
             "tournament_unit.json",
             "tournament_unit.md",
         ]
-        payload = json.loads(open(paths[0]).read())
+        payload = json.loads(Path(paths[0]).read_text())
         assert payload["spec"]["name"] == "unit"
         assert len(payload["rows"]) == 4
         # Run bookkeeping must NOT leak into the deterministic artifact.
         assert "executed" not in payload and "cached" not in payload
-        md = open(paths[1]).read()
+        md = Path(paths[1]).read_text()
         assert md.count("\n| ") == 1 + 4  # header + one line per row
         assert "adapt-sr[0.9]" in md
 

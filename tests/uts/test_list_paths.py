@@ -1,9 +1,10 @@
-"""Bit-identity of the list path against the array reference.
+"""Bit-identity of the scalar list path against the array path.
 
 The simulator's stack runs on plain Python lists (``pop_batch_list`` /
 ``push_batch_list`` / ``expand_quantum``) and expands table indices
 (``tests/uts/test_tree_table.py``); the test oracle expands the same
-stack by hash, through ``children_list``.  The engine-vs-oracle
+stack by hash, through ``children_list`` — the scalar reference
+``children`` looped over a quantum's nodes.  The engine-vs-oracle
 differential therefore rests on ``children_list`` producing *exactly*
 what ``children_batch`` — the table's builder — produces (same values,
 same order) for every tree type and backend, and on the fused quantum
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.uts.params import tree_by_name
-from repro.uts.rng import SplitMix64Backend, backend_by_name
+from repro.uts.rng import backend_by_name
 from repro.uts.stack import ChunkedStack
 from repro.uts.tree import TreeGenerator
 
@@ -155,15 +156,3 @@ class TestSha1SpawnArray:
         flat = be.spawn_array(states.ravel(), indices.ravel())
         assert out.ravel().tolist() == flat.tolist()
 
-
-def test_splitmix_increment_precomputation_exact():
-    """The cached ``(i * GOLDEN) mod 2^64`` increments must reproduce
-    ``spawn(state, i-1)`` exactly — the identity the scalar hot loop
-    rests on: ``mix(state + i*G mod 2^64) == mix((state + i*G) mod 2^64)``."""
-    be = SplitMix64Backend()
-    gen = TreeGenerator(tree_by_name("T3XS"), be)
-    state = be.root_state(42)
-    count = gen.count_children(state, 1)
-    expected = [be.spawn(state, i) for i in range(count)]
-    got_s, _ = gen.children_list([state], [1])
-    assert got_s == expected

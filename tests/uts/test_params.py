@@ -14,6 +14,8 @@ from repro.uts.params import (
     TreeParams,
     tree_by_name,
 )
+from repro.uts.rng import backend_by_name
+from repro.uts.tree import TreeGenerator
 
 
 class TestValidation:
@@ -32,6 +34,22 @@ class TestValidation:
     def test_supercritical_rejected(self):
         with pytest.raises(ConfigurationError):
             TreeParams(name="x", tree_type="binomial", root_seed=0, m=2, q=0.5)
+
+    def test_supercritical_hybrid_rejected(self):
+        # The binomial fringe of a hybrid tree would never die out.
+        with pytest.raises(ConfigurationError, match="hybrid tree must be subcritical"):
+            TreeParams(name="x", tree_type="hybrid", root_seed=0, m=2, q=0.6)
+        # Geometric trees never read m or q.
+        TreeParams(name="x", tree_type="geometric", root_seed=0, m=2, q=0.6)
+
+    @pytest.mark.parametrize("backend", ["sha1", "splitmix64"])
+    def test_root_seed_is_signed_64_bit(self, backend):
+        for seed in (-(2**63), 2**63 - 1):
+            p = TreeParams(name="x", tree_type="binomial", root_seed=seed, b0=3)
+            TreeGenerator(p, backend_by_name(backend)).root()
+        for seed in (-(2**63) - 1, 2**63, 2**64 + 316):
+            with pytest.raises(ConfigurationError, match="signed 64-bit"):
+                TreeParams(name="x", tree_type="binomial", root_seed=seed)
 
     def test_q_out_of_range(self):
         with pytest.raises(ConfigurationError):

@@ -28,10 +28,22 @@ def _scalar_count(params: TreeParams, backend=None) -> tuple[int, int, int]:
     return total, max_depth, leaves
 
 
+BACKENDS = [Sha1Backend(), SplitMix64Backend()]
+
+
 class TestAgainstScalarReference:
-    @pytest.mark.parametrize(
-        "backend", [Sha1Backend(), SplitMix64Backend()], ids=lambda b: b.name
-    )
+    """The scalar stack walk is the independent check on the table's
+    size, ``depth`` and ``leaves``."""
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("tree", [T3XS, GEO_S], ids=lambda t: t.name)
+    def test_named_tree(self, tree, backend):
+        res = sequential_count(tree, backend=backend)
+        assert (res.total_nodes, res.max_depth, res.leaves) == _scalar_count(
+            tree, backend
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
     def test_binomial_micro(self, backend, micro_tree):
         res = sequential_count(micro_tree, backend=backend)
         total, max_depth, leaves = _scalar_count(micro_tree, backend)
@@ -69,17 +81,6 @@ class TestAgainstScalarReference:
             max_depth,
             leaves,
         )
-
-
-class TestBatchIndependence:
-    @pytest.mark.parametrize("batch", [1, 2, 7, 64, 4096])
-    def test_batch_size_does_not_change_result(self, batch, tiny_tree):
-        baseline = sequential_count(tiny_tree, batch=1024)
-        assert sequential_count(tiny_tree, batch=batch) == baseline
-
-    def test_bad_batch(self, tiny_tree):
-        with pytest.raises(ReproError):
-            sequential_count(tiny_tree, batch=0)
 
 
 class TestResultInvariants:
