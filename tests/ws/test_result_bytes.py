@@ -35,6 +35,22 @@ PROBES = {
     "adapt-eps": dict(
         tree=T3S, nranks=16, selector="adapt-eps[0.2]", steal_policy="half"
     ),
+    # Chunk boundaries: quanta that drain several chunks, one-node
+    # chunks, lifeline pushes merged into a non-empty stack, and
+    # relayed steals carrying odd-sized chunks.
+    "chunk3-poll13": dict(
+        tree=T3S, nranks=16, chunk_size=3, poll_interval=13, trace=True
+    ),
+    "chunk1-poll2": dict(
+        tree=T3XS, nranks=16, chunk_size=1, poll_interval=2, trace=True
+    ),
+    "chunk7-lifelines": dict(
+        tree=T3S, nranks=16, chunk_size=7, lifelines=2, trace=True
+    ),
+    "chunk7-forward-regions": dict(
+        tree=T3S, nranks=24, chunk_size=7, protocol="forward", regions=4,
+        trace=True,
+    ),
 }
 
 PINS = {
@@ -44,6 +60,10 @@ PINS = {
     "nic": "5a1d5a2dab82af675e3f572cd317f75bad4ac6de341110ffab34d1c0e8ccb7bf",
     "one-rank": "4c72de0c05e65fc8d604116aea7764f3452a7bbcd9851616a622316542054dc6",
     "adapt-eps": "1ab6f0e6fa3a86682de65bd0b216925f9311c09ee21a2f02dbfcb21c825dc0cf",
+    "chunk3-poll13": "bf2cb11832f5b9cb93c657947dc6072d6d681148f39c67ac9590676b0babf6f6",
+    "chunk1-poll2": "ab7afc0426066555b590fa6769f3ceaa6b09435dd54f9b5ebc9f20f453bef8db",
+    "chunk7-lifelines": "cc25051e0c3c74ffa30a98787a70027abd1a8630c00e82b01179e7b3593df943",
+    "chunk7-forward-regions": "111c25886e9904be18737f294a6b6702624b11f7150c3180375114acd187dab4",
 }
 
 
