@@ -146,15 +146,17 @@ class ArtifactStore:
     def get(self, fingerprint: str) -> RunResult | None:
         """Stored result for ``fingerprint``, or ``None`` on a miss.
 
-        Entries from other versions, truncated files and JSON from
-        foreign tools all read as misses, never as errors.  A hit
-        refreshes the entry's LRU recency.
+        Entries from other versions, truncated or corrupt files (bad
+        UTF-8, bad or absurdly nested JSON) and JSON from foreign tools
+        all read as misses, never as errors.  A hit refreshes the
+        entry's LRU recency.
         """
         path = self.path_for(fingerprint)
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):
+            # ValueError covers JSONDecodeError and UnicodeDecodeError.
             return None
         if (
             not isinstance(entry, dict)

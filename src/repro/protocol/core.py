@@ -209,9 +209,9 @@ class Worker:
         "finish_time",
         "pending",
         "plain_serve",
-        "_notify_nodes",
-        "_children_list",
-        "_fused_expand",
+        "_nodes",
+        "_chunk_size",
+        "_expand",
         "_schedule_exec",
         # The idle log.
         "idle_starts",
@@ -310,14 +310,12 @@ class Worker:
         #: no spontaneous serving.
         self.plain_serve = not plan.lifelines
 
-        # Optional transport hook: the cluster keeps a running node
-        # total for O(1) budget checks; bare test transports omit it.
-        self._notify_nodes = getattr(transport, "nodes_executed", None)
-        # Bound-method caches for the per-quantum call chain.  The
-        # stack and generator are fixed for the worker's lifetime;
-        # ``send`` is deliberately NOT cached (tests patch it).
-        self._children_list = generator.children_list
-        self._fused_expand = self.stack.expand_quantum
+        # Caches for the per-quantum path.  The stack's node list, the
+        # generator and the transport are fixed for the worker's
+        # lifetime; ``send`` is deliberately NOT cached (tests patch it).
+        self._nodes = self.stack.nodes
+        self._chunk_size = chunk_size
+        self._expand = generator.expand
         self._schedule_exec = transport.schedule_exec
 
         #: The idle log, one entry per work-discovery session in true
@@ -381,8 +379,7 @@ class Worker:
     def start(self, now: float) -> None:
         """Initialise at simulation start: rank 0 holds the root."""
         if self.rank == 0:
-            state, depth = self.generator.root()
-            self.stack.push_batch_list([state], [depth])
+            self._nodes.append(self.generator.root())
             self.status = WorkerStatus.RUNNING
             self.transport.schedule_exec(self.rank, now)
         else:
@@ -398,12 +395,20 @@ class Worker:
             t = now
         else:
             t = self.serve_pending(now)
-        if self.stack._chunks:
-            n = self._fused_expand(self.poll_interval, self._children_list)
+        nodes = self._nodes
+        if nodes:
+            # One quantum: pop, expand, push.  When the top chunk holds
+            # more than the quantum the pop is a slice; otherwise it
+            # drains chunks in the stack's order (``ChunkedStack.pop``).
+            n = self.poll_interval
+            if (len(nodes) - 1) % self._chunk_size >= n:
+                popped = nodes[-n:]
+                del nodes[-n:]
+            else:
+                popped = self.stack.pop(n)
+                n = len(popped)
+            nodes += self._expand(popped)
             self.nodes_processed += n
-            notify = self._notify_nodes
-            if notify is not None:
-                notify(n)
             self._schedule_exec(self.rank, t + n * self.per_node_time)
         else:
             self._go_idle(t)
@@ -509,10 +514,10 @@ class Worker:
                     # Packaging work costs the victim compute time.
                     t += self.steal_service_time
                     self.service_time += self.steal_service_time
-                    chunks = stack.steal_chunks(take)
-                    nodes = sum(c.size for c in chunks)
+                    body = stack.steal_chunks(take)
+                    nodes = len(body)
                     self.requests_served += 1
-                    self.chunks_sent += len(chunks)
+                    self.chunks_sent += take
                     self.nodes_sent += nodes
                     if tag == TAG_STEAL_FORWARD:
                         self.forwards_served += 1
@@ -522,7 +527,7 @@ class Worker:
                         ev.append(t, EV_SERVE, thief, nodes)
                     self.transport.work_sent(self.rank)
                     self.transport.send(
-                        self.rank, thief, TAG_STEAL_RESPONSE, chunks, t
+                        self.rank, thief, TAG_STEAL_RESPONSE, body, t
                     )
                 elif tag == TAG_STEAL_FORWARD:
                     self._relay_or_deny(
@@ -546,16 +551,16 @@ class Worker:
                     break
                 t += self.steal_service_time
                 self.service_time += self.steal_service_time
-                chunks = stack.steal_chunks(take)
-                nodes = sum(c.size for c in chunks)
-                self.chunks_sent += len(chunks)
+                body = stack.steal_chunks(take)
+                nodes = len(body)
+                self.chunks_sent += take
                 self.nodes_sent += nodes
                 self.lifeline_pushes += 1
                 if self.events is not None:
                     self.events.append(t, EV_LIFELINE_PUSH, thief, nodes)
                 self.transport.work_sent(self.rank)
                 self.transport.send(
-                    self.rank, thief, TAG_STEAL_RESPONSE, chunks, t
+                    self.rank, thief, TAG_STEAL_RESPONSE, body, t
                 )
         return t
 
@@ -623,16 +628,17 @@ class Worker:
             ev.append(t, EV_STEAL_SENT, victim, int(escalated))
         self.transport.send(self.rank, victim, TAG_STEAL_REQUEST, escalated, t)
 
-    def _on_work(self, now: float, victim: int, chunks: list, status) -> None:
-        """A response carrying work (a served steal or a lifeline push)."""
+    def _on_work(self, now: float, victim: int, body: list, status) -> None:
+        """A response carrying work (a served steal or a lifeline push):
+        ``body`` is whole chunks of nodes, bottom first."""
         if status is not WorkerStatus.WAITING:
             if not self._lifelines:
                 raise SimulationError(
                     f"rank {self.rank}: steal response while {status.name}"
                 )
             # A lifeline push raced our own recovery: merge the work.
-            nodes = self.stack.receive_chunks(chunks)
-            self.chunks_received += len(chunks)
+            nodes = self.stack.receive_chunks(body)
+            self.chunks_received += nodes // self._chunk_size
             self.nodes_received += nodes
             if self.events is not None:
                 self.events.append(now, EV_PUSH_RECV, victim, nodes)
@@ -642,9 +648,9 @@ class Worker:
             self.lifeline_wakeups += 1
             if self.events is not None:
                 self.events.append(now, EV_LIFELINE_WAKE, victim)
-        received = self.stack.receive_chunks(chunks)
+        received = self.stack.receive_chunks(body)
         self.successful_steals += 1
-        self.chunks_received += len(chunks)
+        self.chunks_received += received // self._chunk_size
         self.nodes_received += received
         if self.events is not None:
             self.events.append(now, EV_STEAL_OK, victim, received)

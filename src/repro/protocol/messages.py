@@ -16,8 +16,9 @@ failed steal — the event a large run is made of — allocates nothing.
   (:class:`repro.select.adaptive.AdaptiveStealPolicy`) asks for a
   larger transfer.  The flag travels with the request so the policy
   object, shared by every rank, stays stateless;
-* ``TAG_STEAL_RESPONSE`` — body the chunk list (a grant, even when
-  empty) or ``None`` (a deny);
+* ``TAG_STEAL_RESPONSE`` — body the stolen chunks' nodes, one flat
+  list of whole chunks, bottom first (a grant; never empty), or
+  ``None`` (a deny);
 * ``TAG_STEAL_FORWARD`` — body a :class:`StealForward`;
 * ``TAG_TOKEN`` — body the termination token's colour, ``WHITE`` or
   ``BLACK`` (see :mod:`repro.sim.termination`);

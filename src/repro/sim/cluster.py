@@ -139,8 +139,6 @@ class Cluster:
         self.now = 0.0
         self._finishing = False
         self.messages_dropped = 0
-        self.nodes_total = 0
-        self._node_budget = config.node_cap
         self._transfer_time_per_node = config.transfer_time_per_node
 
         tree = TreeTable(
@@ -184,7 +182,7 @@ class Cluster:
             row = self._rows[src] = memoryview(self._row_fn(src))
         wire = self._values[row[dst]]
         if body is not None and tag == TAG_STEAL_RESPONSE:
-            wire += sum(c.size for c in body) * self._transfer_time_per_node
+            wire += len(body) * self._transfer_time_per_node
         arrival = when + wire
         rs = self._rank_seq
         seq = rs[src]
@@ -211,13 +209,6 @@ class Cluster:
 
     def work_sent(self, rank: int) -> None:
         self.detector.work_sent(rank)
-
-    def nodes_executed(self, n: int) -> None:
-        self.nodes_total += n
-        if self.nodes_total > self._node_budget:
-            raise SimulationError(
-                f"run exceeded node cap {self._node_budget}"
-            )
 
     # ------------------------------------------------------------------
     # The loop
@@ -375,7 +366,7 @@ class _NicCluster(Cluster):
             row = self._rows[src] = memoryview(self._row_fn(src))
         wire = self._values[row[dst]]
         if body is not None and tag == TAG_STEAL_RESPONSE:
-            wire += sum(c.size for c in body) * self._transfer_time_per_node
+            wire += len(body) * self._transfer_time_per_node
         nic = self._nic
         arrival = nic.deliver(dst, nic.inject(src, when) + wire)
         rs = self._rank_seq

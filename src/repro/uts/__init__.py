@@ -22,7 +22,8 @@ Modules
     of a tree: one run's tree expanded once into a breadth-first child
     table, which is what the simulator expands.
 ``stack``
-    The chunked steal-stack with a private working chunk.
+    The chunked steal-stack with a private working chunk: one flat node
+    list whose chunks are arithmetic.
 ``sequential``
     The ground-truth counts (size, depth, leaves), read off a
     ``TreeTable``.
@@ -43,7 +44,7 @@ from repro.uts.params import (
 )
 from repro.uts.rng import RngBackend, Sha1Backend, SplitMix64Backend, backend_by_name
 from repro.uts.tree import TreeGenerator, TreeTable
-from repro.uts.stack import Chunk, ChunkedStack
+from repro.uts.stack import ChunkedStack
 from repro.uts.sequential import SequentialResult, sequential_count
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "backend_by_name",
     "TreeGenerator",
     "TreeTable",
-    "Chunk",
     "ChunkedStack",
     "SequentialResult",
     "sequential_count",

@@ -13,59 +13,27 @@ implementation, as described in §II-A of the paper:
   chunk is always considered private" — so a stack with ``k`` chunks
   has ``k - 1`` stealable chunks.
 
-The structural invariant maintained throughout is that **every chunk
-except the top one is full**: new chunks are only created when the top
-chunk overflows, pops only drain the top, and steals only remove
-bottom (full) chunks.  Tests assert this invariant under random
-operation sequences.
+Every chunk except the top one is full: chunks are only opened when
+the top one overflows, pops only drain the top and steals only take
+whole chunks from the bottom.  So the chunks are implicit: the stack
+is one list, :attr:`ChunkedStack.nodes`, bottom to top, and chunk
+``k`` is ``nodes[k*C:(k+1)*C]`` — the top chunk holds the last
+``(len - 1) % C + 1`` nodes.  A push is an ``extend``, a steal of
+``count`` chunks is ``nodes[:count*C]`` and a grant's body is that
+flat node list.
 
-A node is a pair of ints kept in two parallel Python lists, in the
-chunks and in every argument and return value: ``(rng_state, depth)``
-for a hashed tree, and in the simulator a :class:`~repro.uts.tree.TreeTable`
-index in both slots (a table node needs no depth; the second list is
-kept for the hashed reference and the ledger rungs that time it).  The
-simulator expands millions of quanta of a handful of nodes each, and
-at that granularity list slicing beats ndarray round trips by a wide
-margin.
+A node is whatever the tree expands: a :class:`~repro.uts.tree.TreeTable`
+index in the simulator, a ``(rng_state, depth)`` pair for a hashed
+:class:`~repro.uts.tree.TreeGenerator`.  The simulator pops, expands
+and pushes millions of quanta of a handful of nodes each, and does it
+on :attr:`~ChunkedStack.nodes` in place (``Worker.on_exec``).
 """
 
 from __future__ import annotations
 
 from repro.errors import StackError
 
-__all__ = ["Chunk", "ChunkedStack"]
-
-
-class Chunk:
-    """A fixed-capacity block of tree nodes (states + depths).
-
-    ``states``/``depths`` are Python lists whose length is always
-    ``size``.
-    """
-
-    __slots__ = ("states", "depths", "size", "capacity")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise StackError(f"chunk capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.states: list[int] = []
-        self.depths: list[int] = []
-        self.size = 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.size == self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return self.size == 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Chunk(size={self.size}/{self.capacity})"
+__all__ = ["ChunkedStack"]
 
 
 class ChunkedStack:
@@ -78,196 +46,51 @@ class ChunkedStack:
         library's default config) uses 20.
     """
 
+    __slots__ = ("chunk_size", "nodes", "__weakref__")
+
     def __init__(self, chunk_size: int):
         if chunk_size < 1:
             raise StackError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        self._chunks: list[Chunk] = []
-        # Lifetime accounting, used by conservation tests.
-        self.total_pushed = 0
-        self.total_popped = 0
-        self.total_stolen_away = 0
-
-    # ------------------------------------------------------------------
-    # Size / introspection
-    # ------------------------------------------------------------------
+        #: The nodes, bottom to top; mutated in place, never rebound.
+        self.nodes: list = []
 
     @property
     def size(self) -> int:
         """Total number of nodes currently held."""
-        return sum(c.size for c in self._chunks)
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self._chunks)
+        return len(self.nodes)
 
     @property
     def is_empty(self) -> bool:
-        return not self._chunks
+        return not self.nodes
 
     @property
     def stealable_chunks(self) -> int:
         """Chunks a thief may take: all but the private top chunk."""
-        return max(0, len(self._chunks) - 1)
+        return (len(self.nodes) - 1) // self.chunk_size if self.nodes else 0
 
-    def check_invariant(self) -> None:
-        """Raise :class:`StackError` if a non-top chunk is not full."""
-        for chunk in self._chunks[:-1]:
-            if not chunk.is_full:
-                raise StackError(
-                    f"non-top chunk has {chunk.size}/{chunk.capacity} nodes"
-                )
-        if self._chunks and self._chunks[-1].is_empty:
-            raise StackError("top chunk is empty but present")
-
-    # ------------------------------------------------------------------
-    # Owner operations (push/pop at the top)
-    # ------------------------------------------------------------------
-
-    def push_batch_list(self, states: list[int], depths: list[int]) -> None:
-        """Push nodes on top of the stack, spilling into new chunks."""
-        n = len(states)
-        if n == 0:
-            return
-        self.total_pushed += n
-        chunks = self._chunks
-        offset = 0
-        if chunks:
-            top = chunks[-1]
-            free = top.capacity - top.size
-            if free:
-                if free >= n:
-                    # Common case: the whole batch fits in the top chunk.
-                    top.states += states
-                    top.depths += depths
-                    top.size += n
-                    return
-                top.states += states[:free]
-                top.depths += depths[:free]
-                top.size += free
-                offset = free
-        capacity = self.chunk_size
-        while offset < n:
-            take = min(capacity, n - offset)
-            chunk = Chunk(capacity)
-            chunk.states = states[offset : offset + take]
-            chunk.depths = depths[offset : offset + take]
-            chunk.size = take
-            chunks.append(chunk)
-            offset += take
-
-    def pop_batch_list(self, n: int) -> tuple[list[int], list[int]]:
+    def pop(self, n: int) -> list:
         """Pop up to ``n`` nodes from the top of the stack.
 
         Per drained chunk the popped segment keeps its in-chunk order,
-        newest chunk first.
+        newest chunk first — so a pop that crosses a chunk boundary is
+        not ``nodes[-n:]``.
         """
-        chunks = self._chunks
-        if chunks:
-            top = chunks[-1]
-            if top.size > n > 0:
-                # Common case: the top chunk covers the whole request.
-                top.size -= n
-                s = top.states[-n:]
-                d = top.depths[-n:]
-                del top.states[-n:]
-                del top.depths[-n:]
-                self.total_popped += n
-                return s, d
         if n < 0:
             raise StackError(f"cannot pop {n} nodes")
-        states: list[int] = []
-        depths: list[int] = []
-        remaining = n
-        while remaining > 0 and chunks:
-            top = chunks[-1]
-            if remaining >= top.size:
-                remaining -= top.size
-                states += top.states
-                depths += top.depths
-                chunks.pop()
-            else:
-                top.size -= remaining
-                states += top.states[-remaining:]
-                depths += top.depths[-remaining:]
-                del top.states[-remaining:]
-                del top.depths[-remaining:]
-                remaining = 0
-        self.total_popped += len(states)
-        return states, depths
+        nodes = self.nodes
+        popped: list = []
+        while n > 0 and nodes:
+            k = (len(nodes) - 1) % self.chunk_size + 1  # the top chunk
+            if k > n:
+                k = n
+            popped += nodes[-k:]
+            del nodes[-k:]
+            n -= k
+        return popped
 
-    def expand_quantum(self, n: int, children_fn) -> int:
-        """Pop up to ``n`` nodes, expand them, push the children.
-
-        Exactly equivalent to ``pop_batch_list(n)`` + ``children_fn`` +
-        ``push_batch_list(...)`` — one fused call for the simulator's
-        per-quantum edge, with the single-top-chunk case (by far the
-        most common at paper poll intervals) handled without any
-        intermediate bookkeeping.  ``children_fn(states, depths)``
-        must return ``(child_states, child_depths)`` lists.  Returns
-        the number of nodes popped.
-        """
-        chunks = self._chunks
-        if not chunks:
-            return 0
-        top = chunks[-1]
-        if top.size > n > 0:
-            top.size -= n
-            ts = top.states
-            td = top.depths
-            states = ts[-n:]
-            depths = td[-n:]
-            del ts[-n:]
-            del td[-n:]
-            self.total_popped += n
-            npop = n
-        else:
-            states, depths = self.pop_batch_list(n)
-            npop = len(states)
-        child_states, child_depths = children_fn(states, depths)
-        nch = len(child_states)
-        if nch:
-            top = chunks[-1] if chunks else None
-            if top is not None and top.capacity - top.size >= nch:
-                top.states += child_states
-                top.depths += child_depths
-                top.size += nch
-                self.total_pushed += nch
-            else:
-                self.push_batch_list(child_states, child_depths)
-        return npop
-
-    def expand_quanta(
-        self,
-        n: int,
-        children_fn,
-        t: float,
-        t_stop: float,
-        per_node_time: float,
-    ) -> tuple[float, int, int]:
-        """Run :meth:`expand_quantum` until the stack drains or ``t``
-        (advanced ``npop * per_node_time`` a quantum) reaches ``t_stop``.
-
-        Returns ``(t, quanta, nodes)``.  Requires a non-empty stack.
-        """
-        # Only caller: the frozen ``benchmarks/ledger/rungs.py``
-        # (``uts.stack.expand_nodes_per_s``); ROADMAP 2a's [benchmark]
-        # PR retargets that rung to ``expand_quantum`` and removes this.
-        quanta = nodes = 0
-        while True:
-            npop = self.expand_quantum(n, children_fn)
-            quanta += 1
-            nodes += npop
-            t += npop * per_node_time
-            if not self._chunks or t >= t_stop:
-                return t, quanta, nodes
-
-    # ------------------------------------------------------------------
-    # Thief operations (remove whole chunks from the bottom)
-    # ------------------------------------------------------------------
-
-    def steal_chunks(self, count: int) -> list[Chunk]:
-        """Remove ``count`` chunks from the bottom of the stack.
+    def steal_chunks(self, count: int) -> list:
+        """Remove ``count`` chunks from the bottom; return their nodes.
 
         Raises :class:`StackError` if the request exceeds
         :attr:`stealable_chunks` — the steal *policy* must size the
@@ -280,34 +103,61 @@ class ChunkedStack:
                 f"requested {count} chunks but only "
                 f"{self.stealable_chunks} are stealable"
             )
-        stolen = self._chunks[:count]
-        del self._chunks[:count]
-        self.total_stolen_away += sum(c.size for c in stolen)
+        end = count * self.chunk_size
+        stolen = self.nodes[:end]
+        del self.nodes[:end]
         return stolen
 
-    def receive_chunks(self, chunks: list[Chunk]) -> int:
-        """Add stolen chunks to this (thief's) stack; return node count.
+    def receive_chunks(self, body: list) -> int:
+        """Put a stolen block below this (thief's) work; return its size.
 
-        The chunks arrive full (the stack invariant on the victim side
-        guarantees it) and are placed below any existing chunks, so the
-        thief's private chunk stays on top.
+        A steal takes whole chunks, so the block keeps the chunk layout
+        and the thief's private chunk stays on top.
         """
-        received = 0
-        for chunk in chunks:
-            if chunk.is_empty:
-                raise StackError("received an empty chunk")
-            if not chunk.is_full and self._chunks:
-                raise StackError("received a partial chunk into a non-empty stack")
-            received += chunk.size
-        self._chunks[:0] = chunks
-        self.total_pushed += received
-        return received
+        if not body:
+            raise StackError("received an empty block of chunks")
+        if self.nodes and len(body) % self.chunk_size:
+            raise StackError(
+                f"received {len(body)} nodes into a non-empty stack: "
+                f"not whole chunks of {self.chunk_size}"
+            )
+        self.nodes[:0] = body
+        return len(body)
+
+    # ------------------------------------------------------------------
+    # Split-list adapter: only for the frozen ledger rungs
+    # ``uts.stack.*`` (``benchmarks/ledger/rungs.py``), which push and
+    # expand parallel ``states``/``depths`` lists; it goes with them in
+    # the ledger-v2 rewrite.
+    # ------------------------------------------------------------------
+
+    def push_batch_list(self, states: list[int], depths: list[int]) -> None:
+        """Push ``(state, depth)`` pairs from two parallel lists."""
+        self.nodes += zip(states, depths)
+
+    def expand_quanta(
+        self, n: int, children_fn, t: float, t_stop: float, per_node_time: float
+    ) -> tuple[float, int, int]:
+        """Pop ``n`` nodes, expand them with ``children_fn(states,
+        depths) -> (states, depths)`` and push the children, until the
+        stack drains or ``t`` (advanced ``per_node_time`` per popped
+        node) reaches ``t_stop``.  Returns ``(t, quanta, nodes)``."""
+        quanta = nodes = 0
+        while True:
+            popped = self.pop(n)
+            if popped:
+                self.push_batch_list(*children_fn(*map(list, zip(*popped))))
+            quanta += 1
+            nodes += len(popped)
+            t += len(popped) * per_node_time
+            if not self.nodes or t >= t_stop:
+                return t, quanta, nodes
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ChunkedStack(chunks={self.num_chunks}, nodes={self.size}, "
+            f"ChunkedStack(nodes={len(self.nodes)}, "
             f"chunk_size={self.chunk_size})"
         )

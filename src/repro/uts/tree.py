@@ -10,8 +10,9 @@ move nodes between processes freely.
 each other:
 
 * the scalar reference (:meth:`TreeGenerator.count_children`,
-  :meth:`TreeGenerator.children`, and :meth:`TreeGenerator.children_list`
-  looping it over a list) — one node at a time, written to be read;
+  :meth:`TreeGenerator.children`, and :meth:`TreeGenerator.expand`
+  looping it over a list of ``(state, depth)`` nodes) — one node at a
+  time, written to be read;
 * :meth:`TreeGenerator.children_batch` — NumPy arrays in and out, what
   :class:`TreeTable` calls on whole levels.
 
@@ -20,6 +21,10 @@ once, breadth-first, into one child offset per node.  The simulator
 expands it (a node is its BFS index and its children are an index
 range, so a quantum hashes nothing) and the sequential count reads its
 size, depth and leaves.
+
+Both answer the simulator's two calls: ``root()``, the node rank 0
+starts with, and ``expand(nodes)``, the children of a quantum's nodes
+as one parent-major list.
 """
 
 from __future__ import annotations
@@ -129,10 +134,19 @@ class TreeGenerator:
         spawn = self.backend.spawn
         return [spawn(state, i) for i in range(count)], depth + 1
 
+    def expand(self, nodes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """:meth:`children` over ``(state, depth)`` nodes, parent-major."""
+        kids: list[tuple[int, int]] = []
+        for state, depth in nodes:
+            states, kid_depth = self.children(state, depth)
+            kids += [(s, kid_depth) for s in states]
+        return kids
+
     def children_list(
         self, states: list[int], depths: list[int]
     ) -> tuple[list[int], list[int]]:
-        """:meth:`children` over a list of nodes, parent-major."""
+        """:meth:`children` over split lists (the frozen ledger rung
+        ``uts.tree.children_nodes_per_s`` times this), parent-major."""
         child_states: list[int] = []
         child_depths: list[int] = []
         for state, depth in zip(states, depths):
@@ -234,13 +248,13 @@ class TreeTable:
     Nodes are numbered breadth-first from the root (0), so the children
     of node ``i`` are the consecutive indices ``first[i] ..
     first[i+1]-1``, in sibling order — the order
-    :meth:`TreeGenerator.children_list` produces them in.  A node needs
-    no depth: the table answers the simulator's two calls, :meth:`root`
-    and :meth:`children_list`, with indices in both slots.  The stack
-    decisions (sizes, chunk counts) depend only on how many children
-    each node has, so a run over the table is the run over hashed
-    states, event for event.  :attr:`depth`, :attr:`leaves` and
-    ``len`` are what the sequential count reports.
+    :meth:`TreeGenerator.expand` produces them in.  A node needs no
+    depth: the table answers the simulator's two calls, :meth:`root`
+    and :meth:`expand`, with plain indices.  The stack decisions
+    (sizes, chunk counts) depend only on how many children each node
+    has, so a run over the table is the run over hashed states, event
+    for event.  :attr:`depth`, :attr:`leaves` and ``len`` are what the
+    sequential count reports.
 
     Cost: one offset per node (int32; int64 once the tree passes
     ``2**31 - 1`` nodes), appended level by level, so the build never
@@ -281,16 +295,14 @@ class TreeTable:
         first = np.asarray(self._first)
         return int(np.count_nonzero(first[1:] == first[:-1]))
 
-    def root(self) -> tuple[int, int]:
-        """The root as ``(index, index)``: node 0."""
-        return 0, 0
+    def root(self) -> int:
+        """The root: node 0."""
+        return 0
 
-    def children_list(
-        self, nodes: list[int], depths: list[int]
-    ) -> tuple[list[int], list[int]]:
-        """Children of ``nodes``, parent-major, as ``(kids, kids)``."""
+    def expand(self, nodes: list[int]) -> list[int]:
+        """Children of ``nodes``, parent-major."""
         first = self._first
         kids: list[int] = []
         for i in nodes:
             kids += range(first[i], first[i + 1])
-        return kids, kids
+        return kids

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.config import WorkStealingConfig
-from repro.exec.store import ResultCache
+from repro.exec.store import ArtifactStore, ResultCache
 from repro.exec.pool import run_many
 from repro.uts.params import T3XS
 
@@ -62,6 +62,37 @@ class TestResultCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
+
+
+class TestCorruptEntries:
+    """Whatever bytes an entry holds, reading it is a miss, and a sweep
+    recomputes the result and overwrites the entry."""
+
+    @pytest.mark.parametrize(
+        "payload", [b"\xff", b"[" * 200_000], ids=["bad-utf8", "deep-nesting"]
+    )
+    def test_corrupt_bytes_are_a_miss_and_recomputed(self, tmp_path, cfg, payload):
+        store = ArtifactStore(tmp_path)
+        fp = cfg.fingerprint()
+        good = run_many([cfg], store=store)[0]
+        store.path_for(fp).write_bytes(payload)
+        assert store.get(fp) is None
+        [again] = run_many([cfg], store=store, return_exceptions=True)
+        assert again.to_json() == good.to_json()
+        assert store.get(fp).to_json() == good.to_json()
+
+    def test_every_truncation_is_a_miss(self, tmp_path):
+        cfg = WorkStealingConfig(tree=T3XS, nranks=2)
+        store = ArtifactStore(tmp_path)
+        fp = cfg.fingerprint()
+        run_many([cfg], store=store)
+        path = store.path_for(fp)
+        entry = path.read_bytes()
+        for end in range(len(entry)):
+            path.write_bytes(entry[:end])
+            assert store.get(fp) is None, f"prefix of {end} bytes read as a hit"
+        run_many([cfg], store=store)
+        assert store.get(fp) is not None
 
 
 class TestRunManyCacheIntegration:

@@ -9,7 +9,6 @@ from repro.protocol.messages import (
     TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
 )
-from repro.uts.stack import Chunk
 from tests.sim import fakes
 
 def make_worker(rank=1, nranks=8, threshold=2, count=2):
@@ -17,10 +16,13 @@ def make_worker(rank=1, nranks=8, threshold=2, count=2):
     return fakes.make_worker(rank, nranks, plan=plan)
 
 
-def full_chunk(start=0) -> Chunk:
-    c = Chunk(5)
-    c.states, c.depths, c.size = list(range(start, start + 5)), [2] * 5, 5
-    return c
+def full_chunk(start=0) -> list:
+    """A push's body: one five-node chunk of ``(state, depth)`` nodes."""
+    return [(s, 2) for s in range(start, start + 5)]
+
+
+def push_nodes(worker, n: int) -> None:
+    worker.stack.nodes += [(s, 2) for s in range(n)]
 
 
 class TestQuiescence:
@@ -51,7 +53,7 @@ class TestQuiescence:
         w, t = make_worker(threshold=1)
         w.start(0.0)
         w.on_message(1.0, TAG_STEAL_RESPONSE, 2, None)  # quiesce
-        w.on_message(3.0, TAG_STEAL_RESPONSE, 4, [full_chunk()])
+        w.on_message(3.0, TAG_STEAL_RESPONSE, 4, full_chunk())
         assert w.status is WorkerStatus.RUNNING
         assert not w._quiescent
         assert w.lifeline_wakeups == 1
@@ -63,7 +65,7 @@ class TestPushes:
     def test_push_to_armed_waiter_at_poll(self):
         w, t = make_worker(rank=0)
         # Give the worker plenty of stealable work.
-        w.stack.push_batch_list(list(range(25)), [2] * 25)
+        push_nodes(w, 25)
         w.status = WorkerStatus.RUNNING
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         assert w.waiters == [5]
@@ -80,7 +82,7 @@ class TestPushes:
     def test_deregister_removes_waiter(self):
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch_list(list(range(25)), [2] * 25)
+        push_nodes(w, 25)
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         w.on_message(1.5, TAG_LIFELINE_DEREGISTER, 5, None)
         assert w.waiters == []
@@ -88,7 +90,7 @@ class TestPushes:
     def test_duplicate_register_ignored(self):
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch_list(list(range(25)), [2] * 25)
+        push_nodes(w, 25)
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         w.on_message(1.1, TAG_LIFELINE_REGISTER, 5, None)
         assert w.waiters == [5]
@@ -97,16 +99,16 @@ class TestPushes:
         """A lifeline push racing the thief's own recovery is absorbed."""
         w, _ = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch_list(list(range(5)), [2] * 5)
+        push_nodes(w, 5)
         before = w.stack.size
-        w.on_message(2.0, TAG_STEAL_RESPONSE, 3, [full_chunk(100)])
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 3, full_chunk(100))
         assert w.stack.size == before + 5
         assert w.status is WorkerStatus.RUNNING
 
     def test_no_push_without_stealable_work(self):
         w, t = make_worker(rank=0)
         w.status = WorkerStatus.RUNNING
-        w.stack.push_batch_list(list(range(3)), [2] * 3)  # single private chunk only
+        push_nodes(w, 3)  # single private chunk only
         w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
         w.on_exec(2.0)
         pushes = [

@@ -63,7 +63,7 @@ class TestBaselineDeny:
         from repro.select.adaptive import AdaptiveStealPolicy
 
         w, t = make_worker(rank=0, policy=AdaptiveStealPolicy(3))
-        w.stack.push_batch_list(list(range(30)), [2] * 30)  # 5 stealable
+        w.stack.nodes += [(s, 2) for s in range(30)]  # 5 stealable
         w.status = WorkerStatus.RUNNING
         w.on_message(1.0, TAG_STEAL_REQUEST, 5, escalated)
         assert w.pending == [(TAG_STEAL_REQUEST, 5, escalated)]
@@ -71,7 +71,7 @@ class TestBaselineDeny:
         w.on_exec(2.0)
         [(src, dst, tag, body, _when)] = t.sent
         assert (src, dst, tag) == (0, 5, TAG_STEAL_RESPONSE)
-        assert len(body) == chunks  # one chunk, or half when escalated
+        assert len(body) == 5 * chunks  # one chunk, or half when escalated
         assert w.pending == []
 
 
@@ -135,7 +135,7 @@ class TestForwarding:
 
     def test_served_forward_flows_to_originator(self):
         w, t = make_worker(rank=0, plan=FWD_PLAN)
-        w.stack.push_batch_list(list(range(25)), [2] * 25)
+        w.stack.nodes += [(s, 2) for s in range(25)]
         w.status = WorkerStatus.RUNNING
         w.on_message(
             1.0,
@@ -219,18 +219,14 @@ class TestRegions:
         w.start(0.0)
         assert w._session_attempts == 1
         reqs = _tagged(t.sent, TAG_STEAL_REQUEST)
-        chunk = _work_chunk()
-        w.on_message(1.0, TAG_STEAL_RESPONSE, reqs[0][1], [chunk])
+        w.on_message(1.0, TAG_STEAL_RESPONSE, reqs[0][1], _work_chunk())
         assert w.status is WorkerStatus.RUNNING
         assert w._session_attempts == 0
 
 
 def _work_chunk():
-    from repro.uts.stack import Chunk
-
-    c = Chunk(5)
-    c.states, c.depths, c.size = list(range(5)), [2] * 5, 5
-    return c
+    """A grant's body: one five-node chunk of ``(state, depth)`` nodes."""
+    return [(s, 2) for s in range(5)]
 
 
 class TestCounters:
@@ -276,7 +272,7 @@ class TestLifelineRaces:
         w, _ = make_worker()
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError, match="while RUNNING"):
-            w.on_message(1.0, TAG_STEAL_RESPONSE, 3, [_work_chunk()])
+            w.on_message(1.0, TAG_STEAL_RESPONSE, 3, _work_chunk())
         assert w.stack.is_empty
 
 

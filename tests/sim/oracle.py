@@ -168,7 +168,6 @@ class OracleCluster:
         ]
         self._finishing = False
         self._messages_dropped = 0
-        self._nodes_total = 0
         self._latency_rows: dict[int, list[float]] = {}
 
     # ------------------------------------------------------------------
@@ -180,7 +179,7 @@ class OracleCluster:
     ) -> None:
         """Ship ``(tag, body)`` from ``src`` to ``dst``, entering the NIC
         at ``when``; delivery adds wire latency and, for a response
-        carrying chunks, their transfer time."""
+        carrying work, its nodes' transfer time."""
         if self._finishing:
             # The run is over; in-flight control traffic is dropped,
             # like an MPI job tearing down.
@@ -188,8 +187,7 @@ class OracleCluster:
             return
         wire = self._latency_row(src)[dst]
         if tag == TAG_STEAL_RESPONSE and body is not None:
-            nodes = sum(chunk.size for chunk in body)
-            wire += nodes * self.config.transfer_time_per_node
+            wire += len(body) * self.config.transfer_time_per_node
         depart = self.nic.inject(src, when)
         arrival = self.nic.deliver(dst, depart + wire)
         self.queue.push(arrival, tag, dst, body, pusher=src)
@@ -211,13 +209,6 @@ class OracleCluster:
 
     def work_sent(self, rank: int) -> None:
         self.termination.work_sent(rank)
-
-    def nodes_executed(self, n: int) -> None:
-        self._nodes_total += n
-        if self._nodes_total > self.config.node_cap:
-            raise SimulationError(
-                f"run exceeded node cap {self.config.node_cap}"
-            )
 
     # ------------------------------------------------------------------
     # Main loop

@@ -206,14 +206,16 @@ class TestCallBudget:
         assert calls / out.events_processed <= budget
 
     @pytest.mark.parametrize(
-        "tree, budget", [(T3S, 11.0), (GEO_S, 12.0)], ids=["T3S", "GEO_S"]
+        "tree, budget", [(T3S, 8.0), (GEO_S, 9.0)], ids=["T3S", "GEO_S"]
     )
     def test_calls_per_expansion_event(self, tree, budget):
-        """Expansion-dominated: at 8 ranks a quantum reads a range of
-        the tree table per node and hashes nothing (10.32 and 11.20
-        calls per event; 19.57 and 73.15 when every quantum hashed its
-        children in Python).  A per-child ``append`` is ~4.6 calls per
-        event on T3S, the ndarray round trip far more on GEO_S."""
+        """Expansion-dominated: at 8 ranks a quantum is a slice of the
+        rank's node list, one read of the tree table's index ranges and
+        an extend (7.26 and 7.90 calls per event; 10.28 and 11.14 while
+        a quantum went through chunk objects, 19.57 and 73.15 when it
+        hashed its children in Python).  A per-child ``append`` is ~4.6
+        calls per event on T3S, the ndarray round trip far more on
+        GEO_S."""
         cluster = Cluster(_cfg(tree=tree, nranks=8))
         profile = cProfile.Profile()
         out = profile.runcall(cluster.run)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import WorkStealingConfig
 from repro.core.steal_policy import StealOne
 from repro.core.victim import RoundRobinSelector
+from repro.errors import StackError
 from repro.protocol import messages
 from repro.protocol.core import Worker, WorkerStatus
 from repro.protocol.messages import (
@@ -17,14 +18,7 @@ from repro.protocol.messages import (
 )
 from repro.sim.cluster import Cluster
 from repro.uts.params import T3XS
-from repro.uts.stack import Chunk
 from repro.uts.tree import TreeGenerator
-
-
-def _chunk(n: int) -> Chunk:
-    c = Chunk(n)
-    c.states, c.depths, c.size = list(range(n)), [0] * n, n
-    return c
 
 
 class _NullTransport:
@@ -81,18 +75,19 @@ def test_tags_are_distinct():
 
 class TestStealMessages:
     def test_response_with_work(self):
-        # The body of a grant is the chunk list; the wire charges its
-        # nodes, and the thief — who reads the victim off the sender —
-        # resumes with them.
+        # The body of a grant is the stolen chunks' nodes, one flat
+        # list; the wire charges them, and the thief — who reads the
+        # victim off the sender — resumes with them.
         cfg = WorkStealingConfig(tree=T3XS, nranks=4)
-        chunks = [_chunk(4), _chunk(4)]
-        assert _arrival(chunks) == pytest.approx(
+        body = [(s, 1) for s in range(8)]  # two chunks of four
+        assert _arrival(body) == pytest.approx(
             _arrival(None) + 8 * cfg.transfer_time_per_node
         )
         w = _waiting_thief()
-        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, chunks)
+        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, body)
         assert w.status is WorkerStatus.RUNNING
         assert (w.successful_steals, w.nodes_received) == (1, 8)
+        assert (w.chunks_received, w.stack.nodes) == (2, body)
 
     def test_response_without_work(self):
         # A deny is ``body is None``: nothing allocated, nothing charged.
@@ -101,16 +96,16 @@ class TestStealMessages:
         assert w.status is WorkerStatus.WAITING
         assert (w.failed_steals, w.successful_steals) == (1, 0)
 
-    def test_empty_chunk_list_counts_as_work(self):
-        # Protocol rule: None means denial; an empty list is a
-        # (degenerate) grant.  The worker never produces it, but the
-        # distinction must be stable.
+    def test_empty_body_is_rejected(self):
+        # Protocol rule: None means denial, a grant carries whole
+        # chunks.  An empty list is neither: the worker never produces
+        # one, and the thief's stack refuses it instead of counting a
+        # steal that moved nothing.
         assert _arrival([]) == _arrival(None)
         w = _waiting_thief()
-        w.on_message(2.0, TAG_STEAL_RESPONSE, 2, [])
-        assert w.status is WorkerStatus.RUNNING
-        assert (w.failed_steals, w.successful_steals) == (0, 1)
-        assert w.nodes_received == 0
+        with pytest.raises(StackError, match="empty"):
+            w.on_message(2.0, TAG_STEAL_RESPONSE, 2, [])
+        assert (w.failed_steals, w.successful_steals) == (0, 0)
 
 
 class TestToken:

@@ -25,12 +25,8 @@ def make_worker(rank=0, nranks=4, **kwargs):
     return fakes.make_worker(rank, nranks, selector=selector, tree=TREE, **kwargs)
 
 
-def _nodes(chunks) -> int:
-    return sum(c.size for c in chunks)
-
-
 def push_nodes(worker: Worker, n: int) -> None:
-    worker.stack.push_batch_list(list(range(12345, 12345 + n)), [3] * n)
+    worker.stack.nodes += [(s, 3) for s in range(12345, 12345 + n)]
 
 
 class TestStart:
@@ -119,7 +115,7 @@ class TestStealProtocol:
         w.on_exec(2.0)
         src, dst, tag, chunks, when = t.sent[0]
         assert (src, dst, tag) == (0, 3, TAG_STEAL_RESPONSE)
-        assert _nodes(chunks) == 5  # StealOne: one 5-node chunk
+        assert len(chunks) == 5  # StealOne: one 5-node chunk
         assert when == pytest.approx(2.0 + 1e-6)  # service time
         assert t.work_sends == [0]
         assert w.requests_served == 1
@@ -130,7 +126,7 @@ class TestStealProtocol:
         w.status = WorkerStatus.RUNNING
         w.on_message(1.0, TAG_STEAL_REQUEST, 3, False)
         w.on_exec(2.0)
-        assert _nodes(t.sent[0][3]) == 15  # ceil(5/2) = 3 chunks
+        assert len(t.sent[0][3]) == 15  # ceil(5/2) = 3 chunks
 
     def test_denied_when_only_private_chunk(self):
         w, t = make_worker(rank=0, chunk=5)

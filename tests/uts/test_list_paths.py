@@ -1,40 +1,27 @@
 """Bit-identity of the scalar list path against the array path.
 
-The simulator's stack runs on plain Python lists (``pop_batch_list`` /
-``push_batch_list`` / ``expand_quantum``) and expands table indices
-(``tests/uts/test_tree_table.py``); the test oracle expands the same
-stack by hash, through ``children_list`` — the scalar reference
-``children`` looped over a quantum's nodes.  The engine-vs-oracle
-differential therefore rests on ``children_list`` producing *exactly*
-what ``children_batch`` — the table's builder — produces (same values,
-same order) for every tree type and backend, and on the fused quantum
-leaving the stack layout of its unfused parts.  These tests drive both
-side by side and require equality at every step.
+The simulator's stack is one flat node list and the engine expands
+table indices (``tests/uts/test_tree_table.py``); the test oracle
+expands the same stack by hash, through ``expand`` — the scalar
+reference ``children`` looped over a quantum's ``(state, depth)``
+nodes.  The engine-vs-oracle differential therefore rests on the
+scalar path producing *exactly* what ``children_batch`` — which builds
+the table — produces (same values, same order) for every tree type and
+backend, and on the worker's inline quantum leaving the stack of its
+unfused parts.  These tests drive both side by side and require
+equality at every step.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.steal_policy import StealOne
+from repro.protocol.core import Worker
 from repro.uts.params import tree_by_name
 from repro.uts.rng import backend_by_name
 from repro.uts.stack import ChunkedStack
 from repro.uts.tree import TreeGenerator
-
-
-def _layout(stack: ChunkedStack) -> list[tuple[list[int], list[int]]]:
-    return [(list(c.states), list(c.depths)) for c in stack._chunks]
-
-
-class TestStackListVsArray:
-    def test_pop_zero_and_pop_all(self):
-        s = ChunkedStack(4)
-        s.push_batch_list([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
-        states, depths = s.pop_batch_list(0)
-        assert states == [] and depths == []
-        assert s.size == 5
-        states, _ = s.pop_batch_list(99)
-        assert len(states) == 5
-        assert s.is_empty
+from tests.sim.fakes import FakeTransport
 
 
 class TestChildrenListVsBatch:
@@ -66,6 +53,7 @@ class TestChildrenListVsBatch:
         )
         assert cs_l == cs_b.tolist()
         assert cd_l == cd_b.tolist()
+        assert gen.expand(list(zip(states, depths))) == list(zip(cs_l, cd_l))
 
     def test_root_matches_scalar_children(self):
         gen = TreeGenerator(tree_by_name("T3XS"))
@@ -78,25 +66,23 @@ class TestChildrenListVsBatch:
 
     def test_full_tree_traversal_identical(self):
         gen = TreeGenerator(tree_by_name("T3XS"))
-        root_state, root_depth = gen.root()
 
         def run(use_list):
             stack = ChunkedStack(20)
-            stack.push_batch_list([root_state], [root_depth])
+            stack.nodes.append(gen.root())
             visited = []
-            while stack._chunks:
-                s, d = stack.pop_batch_list(2)
+            while stack.nodes:
+                popped = stack.pop(2)
                 if use_list:
-                    cs, cd = gen.children_list(s, d)
+                    kids = gen.expand(popped)
                 else:
                     cs_a, cd_a, _ = gen.children_batch(
-                        np.array(s, dtype=np.uint64),
-                        np.array(d, dtype=np.int32),
+                        np.array([s for s, _ in popped], dtype=np.uint64),
+                        np.array([d for _, d in popped], dtype=np.int32),
                     )
-                    cs, cd = cs_a.tolist(), cd_a.tolist()
-                if cs:
-                    stack.push_batch_list(cs, cd)
-                visited.extend(zip(s, d))
+                    kids = list(zip(cs_a.tolist(), cd_a.tolist()))
+                stack.nodes += kids
+                visited += popped
             return visited
 
         assert run(use_list=True) == run(use_list=False)
@@ -105,33 +91,28 @@ class TestChildrenListVsBatch:
 class TestExpandQuantumFusion:
     @pytest.mark.parametrize("quantum", [1, 2, 5, 20, 50])
     def test_matches_unfused_sequence(self, quantum):
+        """``Worker.on_exec`` pops a quantum inline — a slice when the
+        top chunk holds more than the quantum, ``ChunkedStack.pop``
+        otherwise — and pushes its children; after every poll its stack
+        is the stack of ``pop`` + ``expand`` + push."""
         gen = TreeGenerator(tree_by_name("T3XS"))
-        root_state, root_depth = gen.root()
-
-        fused = ChunkedStack(20)
+        worker = Worker(
+            rank=0, nranks=1, generator=gen, selector=None, policy=StealOne(),
+            transport=FakeTransport(), chunk_size=20, poll_interval=quantum,
+            per_node_time=1e-6, steal_service_time=1e-6,
+        )
+        worker.start(0.0)
         unfused = ChunkedStack(20)
-        fused.push_batch_list([root_state], [root_depth])
-        unfused.push_batch_list([root_state], [root_depth])
-
-        steps = 0
-        while fused._chunks and steps < 500:
-            npop_f = fused.expand_quantum(quantum, gen.children_list)
-            s, d = unfused.pop_batch_list(quantum)
-            cs, cd = gen.children_list(s, d)
-            if cs:
-                unfused.push_batch_list(cs, cd)
-            assert npop_f == len(s)
-            assert _layout(fused) == _layout(unfused)
-            assert fused.total_pushed == unfused.total_pushed
-            assert fused.total_popped == unfused.total_popped
-            steps += 1
-        assert fused.is_empty == unfused.is_empty
-
-    def test_empty_stack_is_noop(self):
-        s = ChunkedStack(4)
-        gen = TreeGenerator(tree_by_name("T3XS"))
-        assert s.expand_quantum(5, gen.children_list) == 0
-        assert s.total_popped == 0
+        unfused.nodes.append(gen.root())
+        processed = 0
+        while unfused.nodes:
+            worker.on_exec(0.0)
+            popped = unfused.pop(quantum)
+            unfused.nodes += gen.expand(popped)
+            processed += len(popped)
+            assert worker.stack.nodes == unfused.nodes
+            assert worker.nodes_processed == processed
+        assert processed == 4427
 
 
 class TestSha1SpawnArray:

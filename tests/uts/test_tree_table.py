@@ -41,13 +41,12 @@ def test_breadth_first_walk_matches_children_batch(tree, backend):
     state, depth = gen.root()
     states = np.array([state], dtype=np.uint64)
     depths = np.array([depth], dtype=np.int32)
-    level = [table.root()[0]]
+    level = [table.root()]
     assert level == [0]
     seen = 0
     while level:
         states, depths, counts = gen.children_batch(states, depths)
-        kids, same = table.children_list(level, level)
-        assert same is kids
+        kids = table.expand(level)
         first = table._first
         assert [first[i + 1] - first[i] for i in level] == counts.tolist()
         # Breadth-first: the next level is the next block of indices.
@@ -79,9 +78,10 @@ def test_quantum_children_are_parent_major_ranges():
     table = TreeTable(TreeGenerator(tree_by_name("T3XS")), node_cap=10**7)
     first = table._first
     nodes = [5, 1, 3]
-    kids, _ = table.children_list(nodes, [0, 0, 0])
+    kids = table.expand(nodes)
     assert kids == [k for i in nodes for k in range(first[i], first[i + 1])]
-    assert table.children_list([], []) == ([], [])
+    assert table.expand([]) == []
+    assert not hasattr(table, "children_list")
 
 
 def test_offsets_widen_to_int64_past_int32(monkeypatch):
