@@ -24,9 +24,13 @@ the session statistics and the search times from it
 
 Messages are not objects: the tag says what ``body`` is and ``src``,
 the sender, is the thief of a request and the victim of a response
-(:mod:`repro.protocol.messages`).  The two halves of a failed steal —
-request at an idle rank, deny back at the thief — are the first two
-branches of ``on_message`` and do their work in that one frame.
+(:mod:`repro.protocol.messages`).  For a plain rank the engine's loop
+(:meth:`repro.sim.cluster.Cluster.run`) runs the three events a run is
+mostly made of itself — a quantum, a request at an idle rank, a deny
+back at the thief — step for step as ``on_exec`` and ``on_message``
+do here.  These methods stay the reference: the test oracle runs them
+for every event, and the engine for a subclass, a traced rank, a
+protocol feature and every other message.
 
 A worker never touches the event queue or other workers directly; it
 talks to the cluster through a small transport interface
@@ -448,18 +452,9 @@ class Worker:
         elif tag == TAG_STEAL_REQUEST:
             if status is WorkerStatus.RUNNING:
                 self.pending.append((tag, src, body))
-            elif self._forward:
+            else:
                 self._relay_or_deny(
                     now, src, body, self._forward_ttl, (src, self.rank)
-                )
-            else:
-                # Idle ranks have nothing to give: the deny of
-                # ``_relay_or_deny``, minus its frame.
-                self.requests_denied += 1
-                if self.events is not None:
-                    self.events.append(now, EV_DENY, src)
-                self.transport.send(
-                    self.rank, src, TAG_STEAL_RESPONSE, None, now
                 )
         elif tag == TAG_STEAL_RESPONSE:
             self._on_work(now, src, body, status)
@@ -541,14 +536,15 @@ class Worker:
             pending.clear()
         if self._lifelines:
             while self.waiters and stack.stealable_chunks > 0:
-                thief = self.waiters.pop(0)
                 # A quiesced waiter is starving by definition: grant it
                 # the escalated amount (a no-op for static policies).
+                # A waiter the policy grants nothing stays armed.
                 take = self.policy.chunks_for_request(
                     stack.stealable_chunks, escalated=True
                 )
                 if take == 0:
                     break
+                thief = self.waiters.pop(0)
                 t += self.steal_service_time
                 self.service_time += self.steal_service_time
                 body = stack.steal_chunks(take)
@@ -610,12 +606,7 @@ class Worker:
         return self.selector.next_victim()
 
     def _send_steal_request(self, t: float) -> None:
-        if self._region_peers is None:
-            # _draw_victim without regions, minus its frame: this is
-            # the failed-steal loop, two events per iteration.
-            victim = self.selector.next_victim()
-        else:
-            victim = self._draw_victim()
+        victim = self._draw_victim()
         self.steal_requests_sent += 1
         self._session_attempts += 1
         escalated = (

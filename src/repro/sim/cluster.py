@@ -26,6 +26,20 @@ every ``poll_interval`` node expansions.  The tree is walked once per
 run into a :class:`~repro.uts.tree.TreeTable`, so a quantum reads child
 index ranges instead of hashing RNG states (DESIGN.md §5d).
 
+**The loop owns the three common events** — a quantum, a request at a
+WAITING rank (deny it), a deny at a WAITING thief (count it, draw,
+request again) — and runs them with no ``Worker`` frame, step for step
+as ``Worker.on_exec`` and ``Worker.on_message`` do.  Which ranks it
+serves is fixed per rank at construction: a rank qualifies when
+``type(worker) is Worker`` and it has no event recorder; the victim
+half also needs no forwarding, the thief half no lifelines and no
+region peers.  Every other event goes to the worker — another status,
+grants, serves, forwards, lifelines, traced ranks, a session's first
+request, and every event of a ``Worker`` subclass, so an override
+sees all of them.  The ``Worker`` methods stay whole: they are the one
+reference ``tests/sim/oracle.py`` runs, and the differential suite
+compares the loop's untraced runs with it.
+
 **NIC contention** (``nic_service_time > 0``) is a ``send`` override,
 :class:`_NicCluster`, chosen when the engine is constructed, so a run
 without it pays no test for it.
@@ -45,6 +59,7 @@ from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.messages import (
     TAG_EXEC,
     TAG_FINISH,
+    TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
 )
@@ -164,6 +179,26 @@ class Cluster:
         # Bound once, not per delivery.  They close a cycle through
         # ``worker.transport``, which :meth:`teardown` cuts.
         self._handlers = [w.on_message for w in self.workers]
+        # Per rank, the worker whose quanta (``_plain``), idle denies
+        # (``_victims``) and failed steals (``_thieves``) ``run``
+        # handles itself, or None where the worker's methods do: a
+        # subclass may override them and a recorder must see every
+        # step; a relay is not a deny, and a lifeline threshold or a
+        # region draw is not a plain redraw.
+        plain = [
+            w if type(w) is Worker and w.events is None else None
+            for w in self.workers
+        ]
+        self._plain = plain
+        self._victims = [
+            w if w is not None and not w._forward else None for w in plain
+        ]
+        self._thieves = [
+            w
+            if w is not None and not w._lifelines and w._region_peers is None
+            else None
+            for w in plain
+        ]
 
     # ------------------------------------------------------------------
     # Transport interface (used by workers)
@@ -216,14 +251,25 @@ class Cluster:
 
     def run(self) -> SimOutcome:
         """Start every rank, deliver events in key order until the
-        heap drains, check the run terminated cleanly."""
+        heap drains, check the run terminated cleanly.  A quantum, an
+        idle deny and a failed steal of a rank chosen at construction
+        run here, not in the worker (module docstring)."""
         for worker in self.workers:
             worker.start(0.0)
 
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
+        # Bound per run, so an override or a class-level patch holds.
+        send = self.send
+        rank_seq = self._rank_seq
         workers = self.workers
         handlers = self._handlers
+        plain = self._plain
+        victims = self._victims
+        thieves = self._thieves
+        running = WorkerStatus.RUNNING
+        waiting = WorkerStatus.WAITING
         detector = self.detector
         event_recorders = self.event_recorders
         max_events = self._max_events
@@ -238,7 +284,59 @@ class Cluster:
                     "(livelock or runaway configuration?)"
                 )
             if tag == TAG_EXEC:
-                workers[rank].on_exec(t)
+                w = plain[rank]
+                if w is None or w.status is not running:
+                    workers[rank].on_exec(t)
+                    continue
+                if w.pending or not w.plain_serve:
+                    t = w.serve_pending(t)
+                nodes = w._nodes
+                if nodes:
+                    n = w.poll_interval
+                    if (len(nodes) - 1) % w._chunk_size >= n:
+                        popped = nodes[-n:]
+                        del nodes[-n:]
+                    else:
+                        popped = w.stack.pop(n)
+                        n = len(popped)
+                    nodes += w._expand(popped)
+                    w.nodes_processed += n
+                    seq = rank_seq[rank]
+                    rank_seq[rank] = seq + 1
+                    push(
+                        heap,
+                        (t + n * w.per_node_time, rank, seq, TAG_EXEC, rank,
+                         None),
+                    )
+                else:
+                    w._go_idle(t)
+            elif tag == TAG_STEAL_RESPONSE:
+                w = thieves[rank]
+                if body is not None or w is None or w.status is not waiting:
+                    handlers[rank](t, tag, src, body)
+                    continue
+                # A failed steal: count it, draw, send the next request.
+                w.failed_steals += 1
+                failed = w.consecutive_failed_steals + 1
+                w.consecutive_failed_steals = failed
+                if w._notify is not None:
+                    w._notify(src, False)
+                victim = w.selector.next_victim()
+                w.steal_requests_sent += 1
+                w._session_attempts += 1
+                after = w._escalate_after
+                send(
+                    rank, victim, TAG_STEAL_REQUEST,
+                    after is not None and failed >= after, t,
+                )
+            elif tag == TAG_STEAL_REQUEST:
+                w = victims[rank]
+                if w is None or w.status is not waiting:
+                    handlers[rank](t, tag, src, body)
+                    continue
+                # An idle rank has nothing to give.
+                w.requests_denied += 1
+                send(rank, src, TAG_STEAL_RESPONSE, None, t)
             elif tag == TAG_TOKEN:
                 if event_recorders is not None:
                     event_recorders[rank].append(t, EV_TOKEN, body)
@@ -253,7 +351,8 @@ class Cluster:
     def teardown(self) -> None:
         """Break the reference cycle of a finished run.
 
-        ``Worker -> cluster -> workers`` would otherwise keep every
+        ``Worker -> cluster -> workers`` (and the loop's per-rank
+        lists) would otherwise keep every
         finished simulation (stacks, selector state, latency rows)
         alive until a gen-2 collection, so back-to-back runs grow the
         heap.  Call once nothing reads the outcome's workers any more
@@ -261,6 +360,7 @@ class Cluster:
         """
         self.workers = []
         self._handlers = []
+        self._plain = self._victims = self._thieves = []
 
     # ------------------------------------------------------------------
     # Termination

@@ -26,7 +26,8 @@ A node is whatever the tree expands: a :class:`~repro.uts.tree.TreeTable`
 index in the simulator, a ``(rng_state, depth)`` pair for a hashed
 :class:`~repro.uts.tree.TreeGenerator`.  The simulator pops, expands
 and pushes millions of quanta of a handful of nodes each, and does it
-on :attr:`~ChunkedStack.nodes` in place (``Worker.on_exec``).
+on :attr:`~ChunkedStack.nodes` in place (``Worker.on_exec`` and its
+copy in ``Cluster.run``).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.steal_policy import StealOne
 from repro.protocol.core import ProtocolPlan, WorkerStatus
 from repro.protocol.messages import (
     TAG_LIFELINE_DEREGISTER,
@@ -11,9 +12,17 @@ from repro.protocol.messages import (
 )
 from tests.sim import fakes
 
-def make_worker(rank=1, nranks=8, threshold=2, count=2):
+
+def make_worker(rank=1, nranks=8, threshold=2, count=2, policy=None):
     plan = ProtocolPlan(lifeline_count=count, lifeline_threshold=threshold)
-    return fakes.make_worker(rank, nranks, plan=plan)
+    return fakes.make_worker(rank, nranks, plan=plan, policy=policy)
+
+
+class GrantNothing(StealOne):
+    """A stub policy that never grants a chunk, stealable or not."""
+
+    def chunks_for_request(self, stealable, escalated=False):
+        return 0
 
 
 def full_chunk(start=0) -> list:
@@ -116,3 +125,20 @@ class TestPushes:
         ]
         assert pushes == []
         assert w.waiters == [5]  # still armed for later
+
+    def test_waiter_kept_when_policy_grants_nothing(self):
+        """Chunks are stealable but the policy grants none: the waiter
+        stays armed, and is pushed work once a grant is possible."""
+        w, t = make_worker(rank=0, policy=GrantNothing())
+        w.status = WorkerStatus.RUNNING
+        push_nodes(w, 25)
+        w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
+        w.on_exec(2.0)
+        assert w.stack.stealable_chunks > 0
+        assert w.waiters == [5]
+        assert w.lifeline_pushes == 0
+        w.policy = StealOne()
+        w.on_exec(3.0)
+        assert w.waiters == []
+        assert w.lifeline_pushes == 1
+        assert [m[1] for m in t.sent if m[2] == TAG_STEAL_RESPONSE] == [5]

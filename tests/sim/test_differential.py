@@ -9,7 +9,9 @@ configuration.  These tests enforce that with one parametrisation per
 allocations aligned with node blocks and not, NIC contention on and
 off, the protocol variants, adaptive selectors, lifelines, clock skew
 with activity traces, non-binomial trees and the SHA-1 backend, and
-odd and single rank counts.
+odd and single rank counts.  Each traced case also runs the engine
+untraced, which is where its loop, not the worker, runs the quanta
+and the failed steals.
 """
 
 from __future__ import annotations
@@ -64,11 +66,22 @@ def _oracle(cfg: WorkStealingConfig) -> RunResult:
 
 def assert_identical(cfg: WorkStealingConfig, res: RunResult | None = None):
     """Compare every observable of the oracle's run of ``cfg`` with
-    ``res`` (default: the engine's run of it), bit for bit."""
+    ``res`` (default: the engine's run of it), bit for bit.
+
+    A rank with an event recorder takes the worker's own methods for
+    every event, so the engine also runs ``cfg`` untraced — the path
+    on which its loop handles quanta and failed steals itself — and
+    that run's ``to_dict()`` must match the oracle's too."""
     seq = _oracle(cfg)
     if res is None:
         res = RunResult.from_outcome(Cluster(cfg).run())
     assert seq.to_dict() == res.to_dict()
+    if cfg.event_trace:
+        untraced = replace(cfg, event_trace=False)
+        assert (
+            seq.to_dict()
+            == RunResult.from_outcome(Cluster(untraced).run()).to_dict()
+        )
     if seq.events is not None:
         assert seq.events.canonical_bytes() == res.events.canonical_bytes()
     if seq.trace is not None:
@@ -166,6 +179,8 @@ NIC_VARIANTS = {
     "lifelines": dict(lifelines=2),
     "fwd-regions": dict(protocol="forward", forward_ttl=3, regions=4),
     "skew-trace": dict(clock_skew_std=1e-7, trace=True),
+    # Some regions hold one rank, whose failed steals the loop runs.
+    "regions-peerless": dict(regions=16),
 }
 
 
@@ -230,10 +245,15 @@ PROTOCOL_CASES = [
     ),
     dict(lifelines=2, lifeline_graph="random"),
     dict(lifelines=3, lifeline_graph="regtree", regions=4),
+    # Regions of one rank: those ranks draw from the selector alone,
+    # so the loop runs their failed steals and the worker the rest.
+    dict(nranks=13, regions=8),
+    dict(nranks=13, protocol="forward", regions=8),
 ]
 
 _PROTOCOL_IDS = [
-    "forward3", "regions4", "fwd-reg-ring", "ll-random", "ll-regtree"
+    "forward3", "regions4", "fwd-reg-ring", "ll-random", "ll-regtree",
+    "regions8-peerless", "fwd-regions8-peerless",
 ]
 
 
