@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
 from repro.bench.report import format_table, save_artifact
 from repro.net.latency import UniformLatency
-from repro.net.topology import FlatTopology
 
 NRANKS = 256
 
@@ -28,7 +27,7 @@ def _rows():
                 selector=selector,
                 steal_policy="half",
                 latency_model=UniformLatency(2e-6),
-                topology_factory=lambda n: FlatTopology(n),
+                topology_factory="flat",
                 trace=True,
             )
         )

@@ -44,9 +44,7 @@ Long-running multi-client workloads go through the simulation service
         handle = await service.submit(configs, client="alice")
         results = await handle.results()
 
-This module is the package's stable public surface: everything in
-``__all__`` keeps working across releases (renames get deprecation
-shims first).
+This module is the package's public surface (``__all__``).
 """
 
 from repro._version import __version__
@@ -64,7 +62,7 @@ from repro.uts.params import (
     tree_by_name,
 )
 from repro.ws.results import RunResult
-from repro.ws.runner import run_uts, sequential_baseline
+from repro.ws.runner import run_uts
 
 # Side-effect import: registers the adaptive selector/steal-policy
 # family ("adapt-eps", "adapt-sr", "adapt-backoff", "adaptive") beside
@@ -88,7 +86,6 @@ __all__ = [
     "RunResult",
     "run_uts",
     "run_many",
-    "sequential_baseline",
     "RunProgress",
     "ResultCache",
     "ArtifactStore",

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.config import WorkStealingConfig
-from repro.exec.fingerprint import fingerprint_dict
+from repro.core.config import WorkStealingConfig, fingerprint_dict
 from repro.exec.pool import resolve, run_many
 from repro.exec.store import ArtifactStore, open_store
 from repro.net.latency import HierarchicalLatency
@@ -192,8 +191,7 @@ def run_configs(
 def clear_cache() -> int:
     """Drop all in-process memoised results; returns how many were held.
 
-    The on-disk store (when configured) is left untouched; use
-    ``ArtifactStore.clear()`` for that.
+    The on-disk store (when configured) is left untouched.
     """
     n = len(_MEMO)
     _MEMO.clear()

@@ -27,20 +27,16 @@ from repro.core.victim import (
     LatencySkewedSelector,
     HierarchicalSelector,
     LastVictimSelector,
-    selector_by_name,
 )
 from repro.core.steal_policy import (
     StealPolicy,
     StealOne,
     StealHalf,
     StealFraction,
-    policy_by_name,
 )
 from repro.core.tracing import ActivityTrace
 from repro.core.metrics import (
     OccupancyCurve,
-    starting_latency,
-    ending_latency,
     latency_profile,
 )
 from repro.core.sessions import SessionStats, summarize_sessions
@@ -57,16 +53,12 @@ __all__ = [
     "LatencySkewedSelector",
     "HierarchicalSelector",
     "LastVictimSelector",
-    "selector_by_name",
     "StealPolicy",
     "StealOne",
     "StealHalf",
     "StealFraction",
-    "policy_by_name",
     "ActivityTrace",
     "OccupancyCurve",
-    "starting_latency",
-    "ending_latency",
     "latency_profile",
     "SessionStats",
     "summarize_sessions",

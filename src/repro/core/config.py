@@ -49,6 +49,8 @@ __all__ = [
     "WorkStealingConfig",
     "FINGERPRINT_EXCLUDED_FIELDS",
     "FINGERPRINT_DEFAULT_ELIDED",
+    "canonical_json",
+    "fingerprint_dict",
 ]
 
 #: Observability-only fields excluded from config fingerprints.
@@ -89,6 +91,29 @@ FINGERPRINT_DEFAULT_ELIDED = {
 
 #: Sentinel distinct from every config value (``None`` is a real one).
 _MISSING = object()
+
+
+def canonical_json(data: dict) -> str:
+    """Canonical (sorted-key, compact, ASCII-safe) JSON encoding."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def fingerprint_dict(data: dict) -> str:
+    """SHA-256 of a :meth:`WorkStealingConfig.to_dict` payload.
+
+    The fields of :data:`FINGERPRINT_EXCLUDED_FIELDS`, and those of
+    :data:`FINGERPRINT_DEFAULT_ELIDED` that hold their defaults, are
+    dropped and the rest is hashed as :func:`canonical_json`.  This is
+    the one fingerprint rule: :meth:`WorkStealingConfig.fingerprint`
+    applies it to the config's own payload, and the batch runner to the
+    payload it ships to workers.
+    """
+    data = {
+        k: v for k, v in data.items()
+        if k not in FINGERPRINT_EXCLUDED_FIELDS
+        and FINGERPRINT_DEFAULT_ELIDED.get(k, _MISSING) != v
+    }
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -349,8 +374,8 @@ class WorkStealingConfig:
         except ConfigurationError:
             raise ConfigurationError(
                 f"{field_name} {name!r} is not name-addressable: "
-                f"register it with repro.core.registry.register"
-                f"({kind!r}, {name!r}, ...) to make the config "
+                f"register it with repro.core.registry.registry_for"
+                f"({kind!r}).register({name!r}, ...) to make the config "
                 "serializable"
             ) from None
         if getattr(resolved, "name", None) != name:
@@ -459,11 +484,4 @@ class WorkStealingConfig:
         stability, but a non-default protocol configuration still
         fingerprints distinctly.
         """
-        data = {
-            k: v
-            for k, v in self.to_dict().items()
-            if k not in FINGERPRINT_EXCLUDED_FIELDS
-            and FINGERPRINT_DEFAULT_ELIDED.get(k, _MISSING) != v
-        }
-        payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return fingerprint_dict(self.to_dict())

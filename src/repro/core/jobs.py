@@ -105,13 +105,6 @@ class Job:
     def terminal(self) -> bool:
         return self.state.terminal
 
-    @property
-    def latency(self) -> float | None:
-        """Submit-to-result seconds (the service SLO metric)."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
 
 @dataclass(frozen=True)
 class JobEvent:
@@ -145,7 +138,3 @@ class JobFailure:
     label: str
     error: BaseException
     elapsed: float = 0.0
-
-    @property
-    def state(self) -> JobState:
-        return JobState.FAILED

@@ -28,8 +28,6 @@ from repro.errors import TraceError
 
 __all__ = [
     "OccupancyCurve",
-    "starting_latency",
-    "ending_latency",
     "latency_profile",
     "LatencyProfile",
 ]
@@ -135,20 +133,6 @@ class OccupancyCurve:
         return None if t is None else (self.total_time - t) / self.total_time
 
 
-def starting_latency(
-    trace: ActivityTrace, nranks: int, total_time: float, occupancy: float
-) -> float | None:
-    """Convenience wrapper: ``SL(occupancy)`` for a trace."""
-    return OccupancyCurve(trace, nranks, total_time).starting_latency(occupancy)
-
-
-def ending_latency(
-    trace: ActivityTrace, nranks: int, total_time: float, occupancy: float
-) -> float | None:
-    """Convenience wrapper: ``EL(occupancy)`` for a trace."""
-    return OccupancyCurve(trace, nranks, total_time).ending_latency(occupancy)
-
-
 @dataclass(frozen=True)
 class LatencyProfile:
     """``SL``/``EL`` sampled over an occupancy grid (one paper curve)."""
@@ -157,9 +141,6 @@ class LatencyProfile:
     starting: np.ndarray  # NaN where unreached
     ending: np.ndarray  # NaN where unreached
     max_occupancy: float
-
-    def reached(self) -> np.ndarray:
-        return ~np.isnan(self.starting)
 
 
 def latency_profile(

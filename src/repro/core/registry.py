@@ -7,16 +7,15 @@ topology factories — resolves through one mechanism defined here.  A
 optionally *patterns* (``"skew[<alpha>]"``, ``"<base>@x<dilation>"``)
 to parser functions for parameterised shorthands.
 
-The strategy modules create one registry each at import time and keep
-their historical ``*_by_name`` functions as thin wrappers; new code
-and the serialization layer (:mod:`repro.exec`) go through
-:func:`resolve` directly::
+The strategy modules create one registry each at import time; every
+caller, the serialization layer (:mod:`repro.exec`) included, goes
+through :func:`resolve`::
 
     from repro.core import registry
 
     selector = registry.resolve("selector", "tofu")
     registry.available("selector")       # all valid selector names
-    registry.register("selector", "mine", MySelector)
+    registry.registry_for("selector").register("mine", MySelector)
 
 :func:`resolve` (and its object-tolerant sibling :func:`resolve_spec`)
 is the **single resolution path** of the package: the config layer
@@ -39,11 +38,9 @@ from repro.errors import RegistryError
 __all__ = [
     "Registry",
     "registry_for",
-    "register",
     "resolve",
     "resolve_spec",
     "available",
-    "kinds",
 ]
 
 
@@ -69,20 +66,15 @@ class Registry:
     # ------------------------------------------------------------------
 
     def register(
-        self,
-        name: str,
-        factory: Callable[[], object],
-        *aliases: str,
-        overwrite: bool = False,
+        self, name: str, factory: Callable[[], object], *aliases: str
     ) -> None:
         """Bind ``name`` (and ``aliases``) to a zero-argument factory.
 
         ``factory`` may be a class or any callable returning the
-        strategy object.  Re-registering an existing name raises unless
-        ``overwrite=True``.
+        strategy object.  Re-registering an existing name raises.
         """
         for alias in (name, *aliases):
-            if alias in self._entries and not overwrite:
+            if alias in self._entries:
                 raise RegistryError(
                     f"{self.kind} {alias!r} is already registered"
                 )
@@ -187,13 +179,6 @@ class Registry:
         """Canonical names in registration order, then pattern templates."""
         return [*self._canonical, *(t for t, _ in self._patterns)]
 
-    def __contains__(self, name: str) -> bool:
-        try:
-            self.resolve(name)
-        except RegistryError:
-            return False
-        return True
-
     def _choices(self) -> str:
         names: Iterable[str] = sorted(set(self._entries))
         parts = [repr(n) for n in names]
@@ -216,17 +201,6 @@ def registry_for(kind: str) -> Registry:
         reg = Registry(kind)
         _REGISTRIES[kind] = reg
         return reg
-
-
-def register(
-    kind: str,
-    name: str,
-    factory: Callable[[], object],
-    *aliases: str,
-    overwrite: bool = False,
-) -> None:
-    """Register ``factory`` under ``name`` in the ``kind`` registry."""
-    registry_for(kind).register(name, factory, *aliases, overwrite=overwrite)
 
 
 def resolve(kind: str, name: str, **kwargs) -> object:
@@ -262,8 +236,3 @@ def available(kind: str | None = None) -> list[str] | dict[str, list[str]]:
             f"unknown strategy kind {kind!r}; known kinds: {sorted(_REGISTRIES)}"
         )
     return _REGISTRIES[kind].available()
-
-
-def kinds() -> list[str]:
-    """All registered strategy kinds."""
-    return sorted(_REGISTRIES)

@@ -35,11 +35,6 @@ class SessionStats:
     mean_attempts: float
     sessions_per_rank: float
 
-    @property
-    def terminated(self) -> int:
-        """Sessions that ended with application termination."""
-        return self.count - self.successful
-
 
 def summarize_sessions(
     durations: list[float], attempts: list[int], nranks: int

@@ -26,7 +26,6 @@ __all__ = [
     "StealOne",
     "StealHalf",
     "StealFraction",
-    "policy_by_name",
 ]
 
 
@@ -106,11 +105,3 @@ _POLICIES = registry_for("steal_policy")
 _POLICIES.register("one", StealOne)
 _POLICIES.register("half", StealHalf)
 _POLICIES.register_bracket("frac", "fraction", StealFraction)
-
-
-def policy_by_name(name: str) -> StealPolicy:
-    """Instantiate a steal policy from a config string.
-
-    Thin wrapper over ``registry.resolve("steal_policy", name)``.
-    """
-    return _POLICIES.resolve(name)  # type: ignore[return-value]

@@ -97,34 +97,6 @@ class ActivityTrace:
         return cls(transitions)
 
     # ------------------------------------------------------------------
-    # Clock skew
-    # ------------------------------------------------------------------
-
-    def with_skew(self, offsets: np.ndarray) -> "ActivityTrace":
-        """Return a copy with per-rank clock offsets *added*.
-
-        Models what raw traces from unsynchronised node clocks look
-        like; :meth:`corrected` undoes it given the measured offsets.
-        """
-        offsets = np.asarray(offsets, dtype=np.float64)
-        if offsets.shape != (self.nranks,):
-            raise TraceError(
-                f"offsets shape {offsets.shape} != ({self.nranks},)"
-            )
-        if offsets.size and not np.all(np.isfinite(offsets)):
-            raise TraceError("clock offsets must be finite")
-        return ActivityTrace(
-            [
-                (times + offsets[rank], states.copy())
-                for rank, (times, states) in enumerate(self.transitions)
-            ]
-        )
-
-    def corrected(self, offsets: np.ndarray) -> "ActivityTrace":
-        """Undo per-rank clock offsets (the paper's skew adjustment)."""
-        return self.with_skew(-np.asarray(offsets, dtype=np.float64))
-
-    # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
 
@@ -152,11 +124,12 @@ class ActivityTrace:
         deltas = deltas[order]
         counts = np.cumsum(deltas)
         # Collapse simultaneous transitions into the final count.  The
-        # comparison is epsilon-tolerant: clock-skew round trips
-        # (with_skew + corrected) perturb timestamps by a few ulp, and
-        # transitions that were simultaneous before the round trip must
-        # still collapse — otherwise zero-width occupancy spikes appear
-        # and threshold metrics (max occupancy, SL/EL crossings) flip.
+        # comparison is epsilon-tolerant: the clock-skew round trip of
+        # from_idle_log, (t + off) - off, perturbs timestamps by a few
+        # ulp, and transitions that were simultaneous before the round
+        # trip must still collapse — otherwise zero-width occupancy
+        # spikes appear and threshold metrics (max occupancy, SL/EL
+        # crossings) flip.
         # 1e-12 s is far below any simulated event spacing (>= ns).
         keep = np.concatenate([np.diff(times) > 1e-12, [True]])
         return times[keep], counts[keep]

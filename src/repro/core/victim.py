@@ -51,7 +51,6 @@ __all__ = [
     "LatencySkewedSelector",
     "HierarchicalSelector",
     "LastVictimSelector",
-    "selector_by_name",
     "skewed_probabilities",
 ]
 
@@ -444,13 +443,3 @@ _SELECTORS.register("lastvictim", LastVictimSelector)
 _SELECTORS.register_bracket("skew", "alpha", PowerSkewedSelector)
 _SELECTORS.register_bracket("hier", "p_near", HierarchicalSelector)
 _SELECTORS.register_bracket("latskew", "alpha", LatencySkewedSelector)
-
-
-def selector_by_name(name: str) -> SelectorFactory:
-    """Instantiate a selector factory from a config string.
-
-    Accepts the registered aliases plus ``"skew[<alpha>]"``,
-    ``"hier[<p>]"`` and ``"latskew[<alpha>]"`` parameterised forms;
-    thin wrapper over ``registry.resolve("selector", name)``.
-    """
-    return _SELECTORS.resolve(name)  # type: ignore[return-value]

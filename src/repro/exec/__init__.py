@@ -3,10 +3,10 @@
 The executor subsystem turns the one-run API
 (:func:`repro.ws.runner.run_uts`) into a batch engine:
 
-* :func:`config_fingerprint` / ``WorkStealingConfig.fingerprint()`` —
-  stable content hashes of run configurations (every strategy object
-  is name-addressable via :mod:`repro.core.registry`, so configs
-  round-trip through plain dicts);
+* ``WorkStealingConfig.fingerprint()`` — the stable content hash of a
+  run configuration (every strategy object is name-addressable via
+  :mod:`repro.core.registry`, so configs round-trip through plain
+  dicts), the key of deduplication and of the store;
 * :class:`ArtifactStore` — the on-disk store of
   :class:`~repro.ws.results.RunResult`\\ s and their artifacts keyed
   by fingerprint, under ``benchmarks/_cache/<version>/``, with an
@@ -23,7 +23,6 @@ Typical use::
     results = run_many(configs, jobs=4, store=True)
 """
 
-from repro.exec.fingerprint import canonical_json, config_fingerprint, fingerprint_dict
 from repro.exec.pool import RunProgress, WorkerPool, run_many
 from repro.exec.store import (
     DEFAULT_CACHE_DIR,
@@ -42,7 +41,4 @@ __all__ = [
     "StoreStats",
     "open_store",
     "DEFAULT_CACHE_DIR",
-    "config_fingerprint",
-    "fingerprint_dict",
-    "canonical_json",
 ]

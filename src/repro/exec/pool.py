@@ -12,9 +12,6 @@ over a ``ProcessPoolExecutor``, with
   populated after every simulation;
 * **progress streaming** — an optional callback receives one
   :class:`RunProgress` per finished run, with per-run wall-clock time;
-* **per-job timeouts** — ``timeout=`` bounds each job's wall-clock;
-  an overrunning worker is abandoned (it no longer wedges the sweep)
-  and the slot fails with :class:`~repro.errors.JobTimeoutError`;
 * **failure isolation** — ``return_exceptions=True`` turns per-job
   exceptions into :class:`~repro.core.jobs.JobFailure` slots instead
   of unwinding the whole batch;
@@ -54,18 +51,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.core.config import WorkStealingConfig
+from repro.core.config import WorkStealingConfig, fingerprint_dict
 from repro.core.jobs import ArtifactRef, JobFailure
-from repro.errors import ConfigurationError, JobTimeoutError
-from repro.exec.fingerprint import fingerprint_dict
+from repro.errors import ConfigurationError
 from repro.exec.store import ArtifactStore, open_store
 from repro.ws.results import RunResult
 from repro.ws.runner import run_uts
 
 __all__ = ["run_many", "RunProgress", "WorkerPool", "resolve", "land"]
-
-#: Seconds between deadline checks when a per-job timeout is armed.
-_TIMEOUT_POLL = 0.05
 
 
 @dataclass(frozen=True)
@@ -144,11 +137,6 @@ class WorkerPool:
     def workers(self) -> int:
         """Worker process count (``None`` request -> ``os.cpu_count()``)."""
         return self._requested or os.cpu_count() or 1
-
-    @property
-    def active(self) -> bool:
-        """True once the executor exists (something was submitted)."""
-        return self._executor is not None
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -248,7 +236,6 @@ def run_many(
     store: ArtifactStore | str | os.PathLike | bool | None = None,
     progress: Callable[[RunProgress], None] | None = None,
     max_events: int | None = None,
-    timeout: float | None = None,
     return_exceptions: bool = False,
     pool: WorkerPool | None = None,
     _worker: Callable | None = None,
@@ -279,19 +266,10 @@ def run_many(
         (cache hits first, then completions in finish order).
     max_events:
         Per-run event budget override, forwarded to the simulator.
-    timeout:
-        Per-job wall-clock budget in seconds, measured from the moment
-        the job starts executing.  An overrunning worker is
-        *abandoned* — its process is left to finish in the background
-        and its slot fails with :class:`~repro.errors.JobTimeoutError`
-        — so one hung job can no longer wedge the sweep.  Setting a
-        timeout forces process-pool execution even for ``jobs=1``
-        (an in-process run cannot be abandoned).
     return_exceptions:
-        With ``True``, a job that raises (or times out) produces a
+        With ``True``, a job that raises produces a
         :class:`~repro.core.jobs.JobFailure` carrying the exception in
-        its slot — its state surfaces as ``JobState.FAILED`` — and the
-        rest of the batch completes normally.  With ``False`` (the
+        its slot, and the rest of the batch completes normally.  With ``False`` (the
         default) the first failure propagates.
     pool:
         A caller-owned :class:`WorkerPool` to run on (reentrant; not
@@ -302,9 +280,6 @@ def run_many(
     One entry per input config, in input order: a ``RunResult``, or a
     ``JobFailure`` when that job failed and ``return_exceptions=True``.
     """
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-
     resolved = resolve(configs)
     total = len(resolved)
     result_store = open_store(store)
@@ -370,7 +345,7 @@ def run_many(
         if workers < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         workers = min(workers, len(pending))
-        if pool is None and timeout is None and workers == 1:
+        if pool is None and workers == 1:
             # Serial fast path: no process-pool overhead.
             for payload in pending:
                 try:
@@ -385,9 +360,7 @@ def run_many(
                 pool=pool,
                 workers=workers,
                 worker=worker,
-                timeout=timeout,
                 return_exceptions=return_exceptions,
-                labels=[config.label() for config, _, _ in resolved],
                 complete=_complete,
                 fail=_fail,
             )
@@ -401,9 +374,7 @@ def _run_on_pool(
     pool: WorkerPool | None,
     workers: int,
     worker: Callable,
-    timeout: float | None,
     return_exceptions: bool,
-    labels: list[str],
     complete: Callable,
     fail: Callable,
 ) -> None:
@@ -419,13 +390,8 @@ def _run_on_pool(
             for index, config_dict, max_events in pending
         }
         waiting = set(futures)
-        first_running: dict[Future, float] = {}
         while waiting:
-            finished, _ = _futures_wait(
-                waiting,
-                timeout=_TIMEOUT_POLL if timeout is not None else None,
-                return_when=FIRST_COMPLETED,
-            )
+            finished, _ = _futures_wait(waiting, return_when=FIRST_COMPLETED)
             for future in finished:
                 waiting.discard(future)
                 index = futures[future]
@@ -438,30 +404,8 @@ def _run_on_pool(
                     fail(index, exc, 0.0)
                 else:
                     complete(*payload)
-            if timeout is None:
-                continue
-            now = time.monotonic()
-            for future in list(waiting):
-                started = first_running.get(future)
-                if started is None:
-                    if future.running():
-                        first_running[future] = now
-                elif now - started >= timeout:
-                    # Abandon: the worker process keeps running in the
-                    # background, but this sweep moves on.
-                    future.cancel()
-                    waiting.discard(future)
-                    abandoned = True
-                    index = futures[future]
-                    exc = JobTimeoutError(
-                        f"job {labels[index]!r} exceeded its {timeout}s "
-                        "budget and was abandoned"
-                    )
-                    if not return_exceptions:
-                        raise exc
-                    fail(index, exc, now - started)
     finally:
         if own_pool is not None:
-            # Abandoned (or error-skipped) workers must not wedge the
-            # caller: drop the pool without waiting for them.
+            # Jobs still running when an error propagates must not
+            # wedge the caller: drop the pool without waiting for them.
             own_pool.shutdown(wait=not abandoned, cancel_pending=abandoned)

@@ -17,10 +17,9 @@ Layout (see DESIGN.md §5b, "Store")::
   refresh an entry's recency (mtime), writes trigger eviction of the
   least-recently-used entries (result + its artifacts evict together)
   until the store fits the budget;
-* **version hygiene** — results live under a per-version directory, so
+* **versioning** — results live under a per-version directory, so
   bumping ``repro.__version__`` invalidates every stored point without
-  touching fingerprints; :meth:`ArtifactStore.purge_stale_versions`
-  reclaims the old directories.
+  touching fingerprints.
 
 Everything is crash-safe: writes are atomic (temp file +
 ``os.replace``) so a parallel sweep interrupted mid-write never leaves
@@ -197,28 +196,6 @@ class ArtifactStore:
         self.evict()
         return path
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.get(fingerprint) is not None
-
-    def __len__(self) -> int:
-        """Number of result entries for the active version."""
-        try:
-            return sum(1 for _ in self.dir.glob("*.json"))
-        except OSError:
-            return 0
-
-    def clear(self) -> int:
-        """Delete every result entry of the active version; returns the count."""
-        removed = 0
-        if self.dir.is_dir():
-            for path in self.dir.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     # ------------------------------------------------------------------
     # Artifacts
     # ------------------------------------------------------------------
@@ -243,20 +220,6 @@ class ArtifactStore:
         return ArtifactRef(
             fingerprint=fingerprint, kind=kind, path=path, nbytes=len(payload)
         )
-
-    def get_artifact(self, fingerprint: str, kind: str) -> bytes | None:
-        """Artifact payload, or ``None`` when absent; refreshes recency."""
-        path = self.artifact_path(fingerprint, kind)
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            return None
-        self._touch(path)
-        # An artifact read also keeps its result entry warm: evicting
-        # the result while its trace is in active use would split the
-        # entry.
-        self._touch(self.path_for(fingerprint))
-        return payload
 
     def artifacts_for(self, fingerprint: str) -> dict[str, Path]:
         """``{kind: path}`` of every stored artifact of ``fingerprint``."""
@@ -326,35 +289,6 @@ class ArtifactStore:
             max_bytes=self.max_bytes,
             evicted=self._evicted,
         )
-
-    def purge_stale_versions(self) -> int:
-        """Delete entry directories of other package versions.
-
-        Returns the number of files removed.  The active version is
-        never touched.
-        """
-        removed = 0
-        try:
-            version_dirs = [p for p in self.root.iterdir() if p.is_dir()]
-        except OSError:
-            return 0
-        for vdir in version_dirs:
-            if vdir.name == self.version:
-                continue
-            for path in sorted(vdir.rglob("*"), reverse=True):
-                try:
-                    if path.is_dir():
-                        path.rmdir()
-                    else:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    pass
-            try:
-                vdir.rmdir()
-            except OSError:
-                pass
-        return removed
 
     # ------------------------------------------------------------------
 

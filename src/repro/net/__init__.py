@@ -42,11 +42,9 @@ from repro.net.allocation import (
     OnePerNode,
     RoundRobinPacked,
     GroupedPacked,
-    RandomAllocation,
     DilatedAllocation,
     Placement,
     build_placement,
-    allocation_by_name,
 )
 from repro.net.contention import NicContention
 
@@ -66,10 +64,8 @@ __all__ = [
     "OnePerNode",
     "RoundRobinPacked",
     "GroupedPacked",
-    "RandomAllocation",
     "DilatedAllocation",
     "Placement",
     "build_placement",
-    "allocation_by_name",
     "NicContention",
 ]

@@ -41,11 +41,9 @@ __all__ = [
     "OnePerNode",
     "RoundRobinPacked",
     "GroupedPacked",
-    "RandomAllocation",
     "DilatedAllocation",
     "Placement",
     "build_placement",
-    "allocation_by_name",
     "aligned_block_bounds",
 ]
 
@@ -179,31 +177,6 @@ class GroupedPacked(ProcessAllocation):
         return np.arange(nranks, dtype=np.int64) // self.per_node
 
 
-class RandomAllocation(ProcessAllocation):
-    """k processes per node, randomly permuted rank numbering.
-
-    A worst-case-agnostic control: no systematic relation between rank
-    distance and physical distance.
-    """
-
-    def __init__(self, per_node: int = 1, seed: int = 0):
-        if per_node < 1:
-            raise AllocationError(f"per_node must be >= 1, got {per_node}")
-        self.per_node = int(per_node)
-        self.seed = int(seed)
-        self.name = f"{per_node}RAND"
-
-    def nodes_needed(self, nranks: int) -> int:
-        self._check(nranks)
-        return math.ceil(nranks / self.per_node)
-
-    def rank_nodes(self, nranks: int) -> np.ndarray:
-        self._check(nranks)
-        grouped = np.arange(nranks, dtype=np.int64) // self.per_node
-        rng = np.random.default_rng(self.seed)
-        return grouped[rng.permutation(nranks)]
-
-
 class DilatedAllocation(ProcessAllocation):
     """Spread a base allocation over a ``dilation``-times larger machine.
 
@@ -255,17 +228,6 @@ def _parse_dilated(name: str) -> ProcessAllocation | None:
 _ALLOCATIONS.register_pattern("<base>@x<dilation>", _parse_dilated)
 
 
-def allocation_by_name(name: str) -> ProcessAllocation:
-    """Instantiate a named allocation.
-
-    Accepts the paper's names (``"1/N"``, ``"8RR"``, ``"8G"``, ...)
-    plus a ``"<base>@x<dilation>"`` suffix for dilated placements,
-    e.g. ``"1/N@x16"``; thin wrapper over
-    ``registry.resolve("allocation", name)``.
-    """
-    return _ALLOCATIONS.resolve(name)  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class Placement:
     """A fully-resolved job placement.
@@ -313,9 +275,6 @@ class Placement:
     def num_nodes_used(self) -> int:
         return int(len(np.unique(self.rank_nodes)))
 
-    def ranks_on_node(self, node: int) -> np.ndarray:
-        return np.nonzero(self.rank_nodes == node)[0]
-
 
 def build_placement(
     nranks: int,
@@ -341,7 +300,7 @@ def build_placement(
         K Computer's scheduler).
     """
     if isinstance(allocation, str):
-        allocation = allocation_by_name(allocation)
+        allocation = _ALLOCATIONS.resolve(allocation)
     if latency_model is None:
         latency_model = KComputerLatency()
     if topology_factory is None:

@@ -48,10 +48,6 @@ class NicContention:
         n_nodes = max(self._rank_nodes) + 1 if self._rank_nodes else 0
         self._port_free: list[float] = [0.0] * n_nodes
 
-    @property
-    def enabled(self) -> bool:
-        return self.service_time > 0.0
-
     def inject(self, rank: int, now: float) -> float:
         """Account for rank ``rank`` injecting a message at time ``now``.
 
@@ -75,7 +71,3 @@ class NicContention:
         actually handed to the rank.
         """
         return self.inject(rank, now)
-
-    def reset(self) -> None:
-        """Clear all port state (between simulation runs)."""
-        self._port_free = [0.0] * len(self._port_free)

@@ -63,6 +63,7 @@ class LatencyModel(ABC):
         np.fill_diagonal(latency, 0.0)
         return latency
 
+    @abstractmethod
     def code_rows(self, topology: Topology, rank_nodes: np.ndarray):
         """Return ``(code_row, values)`` with ``values[code_row(i)]``
         the latency row of rank ``i``.
@@ -72,19 +73,10 @@ class LatencyModel(ABC):
         that indexes ``values``: one byte per rank pair unless a
         topology has hundreds of hop classes) and ``values`` is one
         list of Python floats per job.  This is the form the engine
-        keeps (:mod:`repro.sim.cluster`); the built-in models implement
-        it row-lazily so paper-scale placements never hold an N x N
-        float array.  This default falls back to :meth:`matrix`
-        (dense!) and only exists so custom third-party models keep
-        working.
+        keeps (:mod:`repro.sim.cluster`); models compute it row-lazily
+        so paper-scale placements never hold an N x N float array, and
+        :meth:`matrix` stays the dense reference it is tested against.
         """
-        unique, inverse = np.unique(
-            self.matrix(topology, rank_nodes), return_inverse=True
-        )
-        values = unique.tolist()
-        n = len(rank_nodes)
-        codes = inverse.reshape(n, n).astype(_code_dtype(values))
-        return codes.__getitem__, values
 
     @staticmethod
     def float_rows(code_row, values):

@@ -33,7 +33,6 @@ __all__ = [
     "TofuTopology",
     "Torus3D",
     "FlatTopology",
-    "topology_factory_by_name",
 ]
 
 
@@ -68,27 +67,13 @@ class Topology(ABC):
         nodes = range(self.num_nodes)
         return max(self.hops(a, b) for a in nodes for b in nodes)
 
+    @abstractmethod
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        """Pairwise hop counts for the given node ids (default: loops)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        n = len(nodes)
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                h = self.hops(int(nodes[i]), int(nodes[j]))
-                out[i, j] = out[j, i] = h
-        return out
+        """Pairwise hop counts for the given node ids."""
 
+    @abstractmethod
     def euclidean_matrix(self, nodes: np.ndarray) -> np.ndarray:
         """Pairwise Euclidean distances for the given node ids."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        n = len(nodes)
-        out = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = self.euclidean(int(nodes[i]), int(nodes[j]))
-                out[i, j] = out[j, i] = d
-        return out
 
     # ------------------------------------------------------------------
     # Row builders: O(N)-memory access for paper-scale placements.
@@ -97,29 +82,13 @@ class Topology(ABC):
     # :class:`repro.net.pairwise.PairwiseMetric`.
     # ------------------------------------------------------------------
 
+    @abstractmethod
     def hops_rows(self, nodes: np.ndarray):
-        """``f(i) -> hop counts from rank i to every rank`` (default: loops)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        """``f(i) -> hop counts from rank i to every rank``."""
 
-        def row(i: int) -> np.ndarray:
-            a = int(nodes[i])
-            return np.array(
-                [self.hops(a, int(b)) for b in nodes], dtype=np.int64
-            )
-
-        return row
-
+    @abstractmethod
     def euclidean_rows(self, nodes: np.ndarray):
-        """``f(i) -> Euclidean distances from rank i`` (default: loops)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-
-        def row(i: int) -> np.ndarray:
-            a = int(nodes[i])
-            return np.array(
-                [self.euclidean(a, int(b)) for b in nodes], dtype=np.float64
-            )
-
-        return row
+        """``f(i) -> Euclidean distances from rank i``."""
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -336,11 +305,3 @@ _TOPOLOGIES = registry_for("topology")
 _TOPOLOGIES.register("tofu", lambda: TofuTopology.for_nodes)
 _TOPOLOGIES.register("torus3d", lambda: Torus3D.for_nodes)
 _TOPOLOGIES.register("flat", lambda: FlatTopology)
-
-
-def topology_factory_by_name(name: str):
-    """Resolve a named topology factory (``"tofu"``, ``"flat"``, ...).
-
-    Thin wrapper over ``registry.resolve("topology", name)``.
-    """
-    return _TOPOLOGIES.resolve(name)

@@ -69,9 +69,11 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.core import registry
 from repro.core.steal_policy import StealPolicy
 from repro.core.victim import VictimSelector
 from repro.errors import SimulationError
+from repro.protocol import graphs  # noqa: F401  (registers the lifeline graphs)
 from repro.protocol.messages import (
     TAG_FINISH,
     TAG_LIFELINE_DEREGISTER,
@@ -149,9 +151,7 @@ class ProtocolPlan:
         """Lifeline partners of ``rank`` under the configured graph."""
         if self.lifeline_count <= 0:
             return []
-        from repro.protocol.graphs import graph_by_name
-
-        builder = graph_by_name(self.lifeline_graph)
+        builder = registry.resolve("lifeline_graph", self.lifeline_graph)
         return builder(
             rank,
             nranks,

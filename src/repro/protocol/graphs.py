@@ -155,8 +155,3 @@ _GRAPHS.register("hypercube", lambda: hypercube_partners)
 _GRAPHS.register("ring", lambda: ring_partners)
 _GRAPHS.register("random", lambda: random_partners)
 _GRAPHS.register("regtree", lambda: regtree_partners)
-
-
-def graph_by_name(name: str):
-    """Resolve a lifeline-graph builder by registered name."""
-    return _GRAPHS.resolve(name)

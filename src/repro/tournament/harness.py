@@ -28,8 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.bench.experiments import experiment_config
-from repro.core.config import WorkStealingConfig
-from repro.exec.fingerprint import canonical_json
+from repro.core.config import WorkStealingConfig, canonical_json
 from repro.exec.pool import RunProgress, WorkerPool, run_many
 from repro.exec.store import ArtifactStore
 from repro.protocol.variants import protocol_overrides, protocol_tag

@@ -48,26 +48,4 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
-    "run_traced",
 ]
-
-
-def run_traced(config=None, **config_kwargs):
-    """Run one simulation with full tracing and return its result.
-
-    Convenience wrapper over :func:`repro.ws.runner.run_uts`: forces
-    ``trace=True`` and ``event_trace=True`` (via ``config.replace`` on
-    a prebuilt config) and returns the :class:`~repro.ws.results.RunResult`,
-    whose ``events`` attribute holds the validated
-    :class:`EventTrace` and ``trace`` the activity trace.
-    """
-    # Deferred import: repro.ws pulls in the whole sim stack, which
-    # itself imports repro.trace.events for the recorder types.
-    from repro.ws.runner import run_uts
-
-    if config is not None:
-        config = config.replace(trace=True, event_trace=True)
-        return run_uts(config)
-    config_kwargs["trace"] = True
-    config_kwargs["event_trace"] = True
-    return run_uts(**config_kwargs)

@@ -155,18 +155,11 @@ class EventRecorder:
         else:
             buf.append((time, etype, a, b))
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def events(self) -> list[tuple[float, int, int, int]]:
         """Events in chronological order (unrolls the ring)."""
         if self._head:
             return self._buf[self._head :] + self._buf[: self._head]
         return list(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
 
 
 class EventTrace:

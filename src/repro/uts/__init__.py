@@ -42,7 +42,7 @@ from repro.uts.params import (
     GEO_S,
     HYB_S,
 )
-from repro.uts.rng import RngBackend, Sha1Backend, SplitMix64Backend, backend_by_name
+from repro.uts.rng import RngBackend, Sha1Backend, SplitMix64Backend
 from repro.uts.tree import TreeGenerator, TreeTable
 from repro.uts.stack import ChunkedStack
 from repro.uts.sequential import SequentialResult, sequential_count
@@ -62,7 +62,6 @@ __all__ = [
     "RngBackend",
     "Sha1Backend",
     "SplitMix64Backend",
-    "backend_by_name",
     "TreeGenerator",
     "TreeTable",
     "ChunkedStack",

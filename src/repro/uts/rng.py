@@ -42,7 +42,6 @@ __all__ = [
     "RngBackend",
     "Sha1Backend",
     "SplitMix64Backend",
-    "backend_by_name",
 ]
 
 #: Exclusive upper bound of the 31-bit uniform draws (matches UTS).
@@ -193,11 +192,3 @@ class SplitMix64Backend(RngBackend):
 _BACKENDS = registry_for("rng_backend")
 _BACKENDS.register(Sha1Backend.name, Sha1Backend)
 _BACKENDS.register(SplitMix64Backend.name, SplitMix64Backend)
-
-
-def backend_by_name(name: str) -> RngBackend:
-    """Instantiate an RNG backend by its :attr:`RngBackend.name`.
-
-    Thin wrapper over ``registry.resolve("rng_backend", name)``.
-    """
-    return _BACKENDS.resolve(name)  # type: ignore[return-value]

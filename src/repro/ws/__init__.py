@@ -9,6 +9,6 @@ feeding the scheduling-latency metric.
 """
 
 from repro.ws.results import RunResult
-from repro.ws.runner import run_uts, sequential_baseline
+from repro.ws.runner import run_uts
 
-__all__ = ["RunResult", "run_uts", "sequential_baseline"]
+__all__ = ["RunResult", "run_uts"]

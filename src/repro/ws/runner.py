@@ -18,27 +18,9 @@ from __future__ import annotations
 from repro.core.config import WorkStealingConfig
 from repro.sim.cluster import Cluster
 from repro.uts.params import TreeParams
-from repro.uts.rng import RngBackend
-from repro.uts.sequential import sequential_count
 from repro.ws.results import RunResult
 
-__all__ = ["run_uts", "sequential_baseline"]
-
-
-def sequential_baseline(
-    tree: TreeParams,
-    node_time: float = 1e-6,
-    compute_rounds: int = 1,
-    backend: RngBackend | None = None,
-) -> float:
-    """Extrapolated single-process runtime ``T1`` for a tree.
-
-    The paper could not run T3WL on one process ("it exceeds a day")
-    and extrapolated from the nodes/second rate; we do the same:
-    ``T1 = total_nodes * per_node_time``.
-    """
-    seq = sequential_count(tree, backend=backend)
-    return seq.total_nodes * node_time * compute_rounds
+__all__ = ["run_uts"]
 
 
 def run_uts(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.victim import LatencySkewedSelector, selector_by_name
+from repro.core import registry
+from repro.core.victim import LatencySkewedSelector
 from repro.errors import ConfigurationError
 from repro.net.allocation import build_placement
 from repro.net.latency import UniformLatency
@@ -63,13 +64,13 @@ class TestSelector:
             LatencySkewedSelector().make(0, 64, None)
 
     def test_registry(self):
-        f = selector_by_name("latskew[2]")
+        f = registry.resolve("selector", "latskew[2]")
         assert isinstance(f, LatencySkewedSelector)
         assert f.alpha == 2.0
 
     def test_bad_registry_string(self):
         with pytest.raises(ConfigurationError):
-            selector_by_name("latskew[x]")
+            registry.resolve("selector", "latskew[x]")
 
 
 class TestEndToEnd:

@@ -7,9 +7,7 @@ import pytest
 
 from repro.core.metrics import (
     OccupancyCurve,
-    ending_latency,
     latency_profile,
-    starting_latency,
 )
 from repro.core.tracing import ActivityTrace
 from repro.errors import TraceError
@@ -107,9 +105,6 @@ class TestStartingLatency:
         c = OccupancyCurve(t, 2, 10.0)
         assert c.starting_latency(1.0) is None
 
-    def test_wrapper(self):
-        assert starting_latency(TRACE4, 4, 100.0, 0.5) == pytest.approx(0.05)
-
 
 class TestEndingLatency:
     def test_values(self):
@@ -125,9 +120,6 @@ class TestEndingLatency:
         t = _trace([(0.0, True), (10.0, False)], [])
         c = OccupancyCurve(t, 2, 10.0)
         assert c.ending_latency(1.0) is None
-
-    def test_wrapper(self):
-        assert ending_latency(TRACE4, 4, 100.0, 1.0) == pytest.approx(0.40)
 
     def test_symmetry_of_definitions(self):
         """A time-mirrored trace swaps SL and EL."""
@@ -154,7 +146,6 @@ class TestLatencyProfile:
         assert not np.isnan(p.starting[0])
         assert np.isnan(p.starting[1])
         assert np.isnan(p.ending[1])
-        assert p.reached().tolist() == [True, False]
 
     def test_profile_shapes_match(self):
         p = latency_profile(TRACE4, 4, 100.0)

@@ -1,4 +1,4 @@
-"""Tests for the strategy registry behind the ``*_by_name`` lookups."""
+"""Tests for the strategy registry behind every string shorthand."""
 
 from __future__ import annotations
 
@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from repro.core import registry
 from repro.core.config import WorkStealingConfig
 from repro.core.registry import Registry
-from repro.core.steal_policy import StealFraction, StealHalf, policy_by_name
+from repro.core.steal_policy import StealFraction, StealHalf
 from repro.core.victim import (
     DistanceSkewedSelector,
     HierarchicalSelector,
     LatencySkewedSelector,
     PowerSkewedSelector,
     RoundRobinSelector,
-    selector_by_name,
 )
 from repro.errors import ConfigurationError
-from repro.net.allocation import DilatedAllocation, OnePerNode, allocation_by_name
+from repro.net.allocation import DilatedAllocation, OnePerNode
 from repro.select.adaptive import (
     AdaptiveStealPolicy,
     EpsilonGreedySelector,
@@ -27,7 +26,7 @@ from repro.select.adaptive import (
     SuccessRateSelector,
 )
 from repro.uts.params import T3XS
-from repro.uts.rng import Sha1Backend, backend_by_name
+from repro.uts.rng import Sha1Backend
 
 
 class TestRegistryClass:
@@ -35,7 +34,6 @@ class TestRegistryClass:
         reg = Registry("widget")
         reg.register("a", lambda: "made-a")
         assert reg.resolve("a") == "made-a"
-        assert "a" in reg
         assert reg.available() == ["a"]
 
     def test_aliases_resolve_but_stay_out_of_available(self):
@@ -49,8 +47,7 @@ class TestRegistryClass:
         reg.register("a", lambda: 1)
         with pytest.raises(ConfigurationError):
             reg.register("a", lambda: 2)
-        reg.register("a", lambda: 2, overwrite=True)
-        assert reg.resolve("a") == 2
+        assert reg.resolve("a") == 1
 
     def test_unknown_name_lists_valid_choices(self):
         reg = Registry("widget")
@@ -103,7 +100,7 @@ class TestGlobalRegistries:
             "steal_policy",
             "topology",
         }
-        assert expected <= set(registry.kinds())
+        assert expected <= set(registry.available())
 
     def test_available_lists_paper_names(self):
         assert "reference" in registry.available("selector")
@@ -112,21 +109,21 @@ class TestGlobalRegistries:
         assert "splitmix64" in registry.available("rng_backend")
 
     @pytest.mark.parametrize(
-        "lookup,name,cls",
+        "kind,name,cls",
         [
-            (selector_by_name, "reference", RoundRobinSelector),
-            (selector_by_name, "tofu", DistanceSkewedSelector),
-            (policy_by_name, "half", StealHalf),
-            (policy_by_name, "frac[0.25]", StealFraction),
-            (allocation_by_name, "1/N", OnePerNode),
-            (allocation_by_name, "8G@x2", DilatedAllocation),
-            (backend_by_name, "sha1", Sha1Backend),
+            ("selector", "reference", RoundRobinSelector),
+            ("selector", "tofu", DistanceSkewedSelector),
+            ("steal_policy", "half", StealHalf),
+            ("steal_policy", "frac[0.25]", StealFraction),
+            ("allocation", "1/N", OnePerNode),
+            ("allocation", "8G@x2", DilatedAllocation),
+            ("rng_backend", "sha1", Sha1Backend),
         ],
     )
-    def test_by_name_wrappers_route_through_registry(self, lookup, name, cls):
-        obj = lookup(name)
+    def test_resolve(self, kind, name, cls):
+        obj = registry.resolve(kind, name)
         assert isinstance(obj, cls)
-        assert registry.resolve(_kind_of(lookup), name).name == obj.name
+        assert registry.resolve(kind, obj.name).name == obj.name
 
     @pytest.mark.parametrize(
         "kind,name",
@@ -144,21 +141,12 @@ class TestGlobalRegistries:
             registry.resolve(kind, name)
 
     @pytest.mark.parametrize(
-        "lookup", [selector_by_name, policy_by_name, allocation_by_name, backend_by_name]
+        "kind", ["selector", "steal_policy", "allocation", "rng_backend"]
     )
-    def test_unknown_shorthand_names_choices(self, lookup):
+    def test_unknown_shorthand_names_choices(self, kind):
         with pytest.raises(ConfigurationError) as exc:
-            lookup("no-such-strategy")
+            registry.resolve(kind, "no-such-strategy")
         assert "valid choices" in str(exc.value)
-
-
-def _kind_of(lookup) -> str:
-    return {
-        selector_by_name: "selector",
-        policy_by_name: "steal_policy",
-        allocation_by_name: "allocation",
-        backend_by_name: "rng_backend",
-    }[lookup]
 
 
 class TestSingleResolutionPath:

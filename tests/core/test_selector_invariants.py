@@ -17,17 +17,17 @@ last edge below the draw.
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.core.registry import available
 from repro.core.victim import (
     _DRAW_BLOCK,
     _HierarchicalState,
     _SkewedState,
     _rank_rng,
-    selector_by_name,
     skewed_probabilities,
 )
 from repro.errors import ConfigurationError
-from repro.net.allocation import allocation_by_name, build_placement
+from repro.net.allocation import build_placement
 
 #: Concrete instantiations for the registry's pattern templates
 #: (``skew[<alpha>]`` etc. are templates, not resolvable names).
@@ -57,8 +57,8 @@ class TestEverySelector:
     @pytest.mark.parametrize("nranks", _NRANKS)
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_victims_valid_and_never_self(self, name, nranks, seed):
-        factory = selector_by_name(name)
-        placement = build_placement(nranks, allocation_by_name("1/N"))
+        factory = registry.resolve("selector", name)
+        placement = build_placement(nranks, registry.resolve("allocation", "1/N"))
         for rank in (0, nranks - 1):
             selector = factory.make(rank, nranks, placement, seed=seed)
             for _ in range(300):
@@ -69,8 +69,8 @@ class TestEverySelector:
     def test_survives_notify_feedback(self, name):
         """Invariants hold when success/failure feedback is interleaved."""
         nranks = 8
-        factory = selector_by_name(name)
-        placement = build_placement(nranks, allocation_by_name("1/N"))
+        factory = registry.resolve("selector", name)
+        placement = build_placement(nranks, registry.resolve("allocation", "1/N"))
         selector = factory.make(3, nranks, placement, seed=7)
         for i in range(200):
             v = selector.next_victim()
@@ -82,7 +82,7 @@ class TestSkewedProbabilities:
     @pytest.mark.parametrize("nranks", _NRANKS)
     @pytest.mark.parametrize("alpha", (0.0, 1.0, 2.5))
     def test_shape_and_normalisation(self, nranks, alpha):
-        placement = build_placement(nranks, allocation_by_name("1/N"))
+        placement = build_placement(nranks, registry.resolve("allocation", "1/N"))
         for rank in range(nranks):
             p = skewed_probabilities(
                 rank, placement.euclidean.row(rank), alpha=alpha
@@ -140,8 +140,8 @@ class TestSkewedBlocks:
         "name", ["tofu", "skew[0]", "skew[2.5]", "latskew[1.5]"]
     )
     def test_draws_equal_one_search_over_the_stream(self, name, nranks):
-        placement = build_placement(nranks, allocation_by_name("1/N"))
-        factory = selector_by_name(name)
+        placement = build_placement(nranks, registry.resolve("allocation", "1/N"))
+        factory = registry.resolve("selector", name)
         k = 3 * _DRAW_BLOCK + 17  # three refills after the first block
         for rank in (0, nranks // 2, nranks - 1):
             cum = np.cumsum(factory.probabilities(rank, placement))
@@ -163,8 +163,8 @@ class TestHierarchicalPools:
     def test_draws_equal_the_list_built_pools(self, nranks):
         # ``make`` builds the other-ranks array with ``np.delete``; the
         # list comprehension it replaced is the reference.
-        placement = build_placement(nranks, allocation_by_name("1/N"))
-        factory = selector_by_name("hier[0.9]")
+        placement = build_placement(nranks, registry.resolve("allocation", "1/N"))
+        factory = registry.resolve("selector", "hier[0.9]")
         for rank in (0, nranks // 3, nranks - 1):
             lat = placement.latency.row(rank)
             others = np.array([r for r in range(nranks) if r != rank])

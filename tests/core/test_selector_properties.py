@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from repro.core.victim import selector_by_name
-from repro.net.allocation import allocation_by_name, build_placement
+from repro.core import registry
+from repro.net.allocation import build_placement
 from repro.select.adaptive import AdaptiveVictimSelector
 
 ALL_SELECTORS = [
@@ -49,13 +49,13 @@ _PLACEMENTS: dict[int, object] = {}
 def _placement(nranks: int):
     if nranks not in _PLACEMENTS:
         _PLACEMENTS[nranks] = build_placement(
-            nranks, allocation_by_name("1/N")
+            nranks, registry.resolve("allocation", "1/N")
         )
     return _PLACEMENTS[nranks]
 
 
 def _make(name: str, rank: int, nranks: int, seed: int):
-    return selector_by_name(name).make(
+    return registry.resolve("selector", name).make(
         rank, nranks, _placement(nranks), seed=seed
     )
 

@@ -15,7 +15,7 @@ class TestSession:
         stats = summarize_sessions([2.5], [2], nranks=1)
         assert stats.mean_duration == pytest.approx(2.5)
         assert stats.total_search_time == pytest.approx(2.5)
-        assert stats.terminated == 1
+        assert stats.count == 1 and stats.successful == 0
 
     def test_zero_duration_ok(self):
         stats = summarize_sessions([0.0], [0], nranks=1)
@@ -39,7 +39,6 @@ class TestSummarize:
         stats = summarize_sessions([2.0, 4.0, 1.0], [1, 3, 2], nranks=2)
         assert stats.count == 3
         assert stats.successful == 1
-        assert stats.terminated == 2
         assert stats.mean_duration == pytest.approx((2 + 4 + 1) / 3)
         assert stats.max_duration == pytest.approx(4.0)
         assert stats.total_search_time == pytest.approx(7.0)
@@ -53,5 +52,4 @@ class TestSummarize:
 
     def test_all_terminated(self):
         stats = summarize_sessions([1.0] * 3, [5] * 3, nranks=3)
-        assert stats.successful == 0
-        assert stats.terminated == 3
+        assert stats.count == 3 and stats.successful == 0

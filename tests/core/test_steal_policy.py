@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import registry
 from repro.core.steal_policy import (
     StealFraction,
     StealHalf,
     StealOne,
-    policy_by_name,
 )
 from repro.errors import ConfigurationError
 
@@ -78,20 +78,20 @@ class TestStealFraction:
 
 class TestRegistry:
     def test_one(self):
-        assert isinstance(policy_by_name("one"), StealOne)
+        assert isinstance(registry.resolve("steal_policy", "one"), StealOne)
 
     def test_half(self):
-        assert isinstance(policy_by_name("half"), StealHalf)
+        assert isinstance(registry.resolve("steal_policy", "half"), StealHalf)
 
     def test_fraction(self):
-        p = policy_by_name("frac[0.3]")
+        p = registry.resolve("steal_policy", "frac[0.3]")
         assert isinstance(p, StealFraction)
         assert p.fraction == 0.3
 
     def test_bad_fraction_string(self):
         with pytest.raises(ConfigurationError):
-            policy_by_name("frac[x]")
+            registry.resolve("steal_policy", "frac[x]")
 
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
-            policy_by_name("all")
+            registry.resolve("steal_policy", "all")

@@ -19,7 +19,6 @@ from repro.core.victim import (
     PowerSkewedSelector,
     RoundRobinSelector,
     UniformRandomSelector,
-    selector_by_name,
     skewed_probabilities,
 )
 from repro.errors import ConfigurationError
@@ -275,25 +274,25 @@ class TestRegistry:
         ],
     )
     def test_aliases(self, name, cls_name):
-        assert type(selector_by_name(name)).__name__ == cls_name
+        assert type(registry.resolve("selector", name)).__name__ == cls_name
 
     def test_parametric_skew(self):
-        f = selector_by_name("skew[2.5]")
+        f = registry.resolve("selector", "skew[2.5]")
         assert isinstance(f, PowerSkewedSelector)
         assert f.alpha == 2.5
 
     def test_parametric_hier(self):
-        f = selector_by_name("hier[0.7]")
+        f = registry.resolve("selector", "hier[0.7]")
         assert isinstance(f, HierarchicalSelector)
         assert f.p_near == 0.7
 
     def test_bad_parametric(self):
         with pytest.raises(ConfigurationError):
-            selector_by_name("skew[abc]")
+            registry.resolve("selector", "skew[abc]")
 
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
-            selector_by_name("oracle")
+            registry.resolve("selector", "oracle")
 
 
 @given(

@@ -27,7 +27,7 @@ class TestResultCache:
         hit = cache.get(fp)
         assert hit is not None
         assert hit.to_json() == result.to_json()
-        assert fp in cache and len(cache) == 1
+        assert cache.stats().entries == 1
 
     def test_entry_layout(self, tmp_path, cfg):
         cache = ResultCache(tmp_path, version="9.9.9")
@@ -55,13 +55,6 @@ class TestResultCache:
         cache.put(fp, run_many([cfg])[0])
         cache.path_for(fp).write_text("{corrupt")
         assert cache.get(fp) is None
-
-    def test_clear(self, tmp_path, cfg):
-        cache = ResultCache(tmp_path)
-        cache.put(cfg.fingerprint(), run_many([cfg])[0])
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestCorruptEntries:
@@ -99,7 +92,7 @@ class TestRunManyCacheIntegration:
     def test_second_run_hits_cache_without_simulating(self, tmp_path, cfg, monkeypatch):
         cache = ResultCache(tmp_path)
         first = run_many([cfg], store=cache)[0]
-        assert len(cache) == 1
+        assert cache.stats().entries == 1
 
         def _boom(payload):
             raise AssertionError("simulator invoked on a warm cache")
@@ -125,7 +118,7 @@ class TestRunManyCacheIntegration:
         assert len(configs) == 8
         cache = ResultCache(tmp_path)
         cold = run_many(configs, jobs=2, store=cache)
-        assert len(cache) == 8
+        assert cache.stats().entries == 8
         ticks = []
         warm = run_many(configs, jobs=2, store=cache, progress=ticks.append)
         assert all(t.cached for t in ticks)
@@ -137,4 +130,4 @@ class TestRunManyCacheIntegration:
         cache = ResultCache()
         assert str(cache.dir).startswith(str(tmp_path / "envcache"))
         run_many([cfg], store=True)
-        assert len(ResultCache()) == 1
+        assert ResultCache().stats().entries == 1

@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from repro.core.config import WorkStealingConfig
+from repro.core.config import WorkStealingConfig, canonical_json, fingerprint_dict
 from repro.errors import ConfigurationError, ReproError
-from repro.exec.fingerprint import canonical_json, config_fingerprint, fingerprint_dict
 from repro.uts.params import T3XS
 from repro.ws.runner import run_uts
 
@@ -50,8 +49,9 @@ class TestConfigRoundTrip:
 
     def test_fingerprint_of_dict_and_object_agree(self):
         cfg = _cfg(selector="tofu")
-        assert config_fingerprint(cfg) == config_fingerprint(cfg.to_dict())
-        assert config_fingerprint(cfg) == fingerprint_dict(cfg.to_dict())
+        again = WorkStealingConfig.from_dict(cfg.to_dict())
+        assert again.fingerprint() == cfg.fingerprint()
+        assert fingerprint_dict(cfg.to_dict()) == cfg.fingerprint()
 
     def test_from_dict_rejects_unknown_keys(self):
         data = _cfg().to_dict()
@@ -61,7 +61,7 @@ class TestConfigRoundTrip:
 
     def test_bad_input_type(self):
         with pytest.raises(ConfigurationError):
-            config_fingerprint(42)  # type: ignore[arg-type]
+            WorkStealingConfig.from_dict(42)  # type: ignore[arg-type]
 
     def test_canonical_json_is_stable(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'

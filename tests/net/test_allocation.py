@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import registry
 from repro.errors import AllocationError, ConfigurationError
 from repro.net.allocation import (
     GroupedPacked,
     OnePerNode,
     Placement,
-    RandomAllocation,
     RoundRobinPacked,
     aligned_block_bounds,
-    allocation_by_name,
     build_placement,
 )
 from repro.net.latency import UniformLatency
@@ -81,31 +80,26 @@ class TestGroupedPacked:
             GroupedPacked(-1)
 
 
-class TestRandomAllocation:
-    def test_deterministic_per_seed(self):
-        a = RandomAllocation(per_node=2, seed=7)
-        b = RandomAllocation(per_node=2, seed=7)
-        assert a.rank_nodes(20).tolist() == b.rank_nodes(20).tolist()
-
-    def test_different_seeds_differ(self):
-        a = RandomAllocation(per_node=2, seed=7).rank_nodes(40)
-        b = RandomAllocation(per_node=2, seed=8).rank_nodes(40)
-        assert a.tolist() != b.tolist()
-
-    def test_balanced(self):
-        nodes = RandomAllocation(per_node=4, seed=0).rank_nodes(40)
-        _, counts = np.unique(nodes, return_counts=True)
-        assert np.all(counts == 4)
-
-
 class TestRegistry:
     @pytest.mark.parametrize("name", ["1/N", "8RR", "8G", "4RR", "4G"])
     def test_known(self, name):
-        assert allocation_by_name(name).name == name
+        assert registry.resolve("allocation", name).name == name
 
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
-            allocation_by_name("16G")
+            registry.resolve("allocation", "16G")
+
+
+class _Shuffled(GroupedPacked):
+    """k processes per node, ranks numbered in a seeded random order."""
+
+    def __init__(self, per_node: int, seed: int):
+        super().__init__(per_node)
+        self.seed = seed
+
+    def rank_nodes(self, nranks: int) -> np.ndarray:
+        order = np.random.default_rng(self.seed).permutation(nranks)
+        return super().rank_nodes(nranks)[order]
 
 
 @st.composite
@@ -119,7 +113,7 @@ def alloc_and_nranks(draw):
         return RoundRobinPacked(per_node), nranks
     if kind == "G":
         return GroupedPacked(per_node), nranks
-    return RandomAllocation(per_node, seed=draw(st.integers(0, 100))), nranks
+    return _Shuffled(per_node, seed=draw(st.integers(0, 100))), nranks
 
 
 class TestAllocationProperties:
@@ -180,11 +174,6 @@ class TestBuildPlacement:
             build_placement(
                 100, OnePerNode(), topology_factory=lambda n: FlatTopology(4)
             )
-
-    def test_ranks_on_node(self):
-        p = build_placement(16, "8G")
-        assert p.ranks_on_node(0).tolist() == list(range(8))
-        assert p.ranks_on_node(1).tolist() == list(range(8, 16))
 
     def test_placement_validation(self):
         assert "hops" not in {f.name for f in fields(Placement)}

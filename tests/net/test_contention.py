@@ -14,7 +14,6 @@ from repro.net.contention import NicContention
 class TestDisabled:
     def test_zero_service_is_noop(self):
         nic = NicContention(np.array([0, 0, 1]), service_time=0.0)
-        assert not nic.enabled
         assert nic.inject(0, 5.0) == 5.0
         assert nic.inject(1, 5.0) == 5.0  # same node, same instant: no queueing
 
@@ -43,12 +42,6 @@ class TestEnabled:
         times = [nic.inject(r, 1.0) for r in (0, 1, 2)]
         assert times == sorted(times)
         assert times[2] == pytest.approx(2.5)
-
-    def test_reset(self):
-        nic = NicContention(np.array([0]), service_time=1.0)
-        nic.inject(0, 0.0)
-        nic.reset()
-        assert nic.inject(0, 0.0) == 1.0
 
     def test_negative_service_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.errors import AllocationError, ConfigurationError
 from repro.net.allocation import (
     DilatedAllocation,
     GroupedPacked,
     OnePerNode,
-    allocation_by_name,
     build_placement,
 )
 
@@ -44,18 +44,18 @@ class TestDilatedAllocation:
 
 class TestNameParsing:
     def test_parse(self):
-        a = allocation_by_name("8G@x16")
+        a = registry.resolve("allocation", "8G@x16")
         assert isinstance(a, DilatedAllocation)
         assert a.dilation == 16
         assert a.base.name == "8G"
 
     def test_bad_dilation_string(self):
         with pytest.raises(ConfigurationError):
-            allocation_by_name("1/N@xfoo")
+            registry.resolve("allocation", "1/N@xfoo")
 
     def test_unknown_base(self):
         with pytest.raises(ConfigurationError):
-            allocation_by_name("zzz@x4")
+            registry.resolve("allocation", "zzz@x4")
 
 
 class TestDilatedPlacement:

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.errors import ConfigurationError
-from repro.net.allocation import allocation_by_name, build_placement
+from repro.net.allocation import build_placement
 from repro.net.pairwise import PairwiseMetric
 
 
@@ -70,7 +71,7 @@ class TestPlacementScale:
     def test_8192_rank_placement_stays_lazy(self):
         tracemalloc.start()
         try:
-            placement = build_placement(8192, allocation_by_name("1/N"))
+            placement = build_placement(8192, registry.resolve("allocation", "1/N"))
             # Touch the access patterns the simulator actually uses:
             # selector rows, transport point values, finish-broadcast row.
             for i in range(0, 8192, 512):

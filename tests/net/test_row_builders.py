@@ -16,15 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.victim import selector_by_name, skewed_probabilities
+from repro.core import registry
+from repro.core.victim import skewed_probabilities
 from repro.errors import ConfigurationError
-from repro.net.allocation import allocation_by_name, build_placement
+from repro.net.allocation import build_placement
 from repro.net.coords import CoordSpace
 from repro.net.latency import (
     HierarchicalLatency,
     HopLatency,
     KComputerLatency,
-    LatencyModel,
     UniformLatency,
 )
 from repro.net.topology import TofuTopology, Torus3D, _GridTopology
@@ -96,7 +96,7 @@ class TestPlacementRows:
     @pytest.mark.parametrize("alloc", ALLOCATIONS)
     @pytest.mark.parametrize("nranks", [2, 24, 33, 100])
     def test_every_metric_equals_its_matrix(self, alloc, nranks):
-        allocation = allocation_by_name(alloc)
+        allocation = registry.resolve("allocation", alloc)
         for model in MODELS:
             p = build_placement(nranks, allocation, latency_model=model)
             hops = p.topology.hops_matrix(p.rank_nodes)
@@ -188,32 +188,13 @@ class TestCodeRows:
         with pytest.raises(ConfigurationError, match="negative latency"):
             model.code_rows(p.topology, p.rank_nodes)
 
-    def test_third_party_model_falls_back_from_its_matrix(self):
-        class Odd(LatencyModel):
-            name = "odd"
-
-            def matrix(self, topology, rank_nodes):
-                n = len(rank_nodes)
-                i = np.arange(n)
-                return self._validate(1e-6 * ((i[:, None] + i[None, :]) % 5 + 1.0))
-
-        model = Odd()
-        p = build_placement(33, "8G", latency_model=model)
-        lat = model.matrix(p.topology, p.rank_nodes)
-        code_row, values = p.latency.codes
-        assert len(values) == 6 and all(type(v) is float for v in values)
-        for i in range(33):
-            assert code_row(i).dtype == np.uint8
-            assert _same(np.array(values)[code_row(i)], lat[i])
-            assert _same(p.latency.row(i), lat[i])
-
 
 class TestTofuTables:
     @pytest.mark.parametrize("nranks", [33, 256, 1000])
     def test_cumulative_tables_byte_equal(self, nranks):
         placement = build_placement(nranks, "1/N")
         reference = placement.topology.euclidean_matrix(placement.rank_nodes)
-        tofu = selector_by_name("tofu")
+        tofu = registry.resolve("selector", "tofu")
         step = max(1, nranks // 40)
         for rank in list(range(0, nranks, step)) + [nranks - 1]:
             state = tofu.make(rank, nranks, placement, seed=0)

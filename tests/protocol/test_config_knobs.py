@@ -15,9 +15,9 @@ import pytest
 from repro.core.config import (
     FINGERPRINT_DEFAULT_ELIDED,
     WorkStealingConfig,
+    fingerprint_dict,
 )
 from repro.errors import ConfigurationError
-from repro.exec.fingerprint import config_fingerprint, fingerprint_dict
 from repro.uts.params import T3XS
 
 
@@ -74,7 +74,8 @@ class TestFingerprintStability:
 
     def test_dict_and_object_fingerprints_agree(self):
         cfg = _config(protocol="forward", regions=4)
-        assert config_fingerprint(cfg.to_dict()) == cfg.fingerprint()
+        again = WorkStealingConfig.from_dict(cfg.to_dict())
+        assert again.fingerprint() == cfg.fingerprint()
 
     @pytest.mark.parametrize(
         "kw",

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import registry
 from repro.protocol.graphs import (
     SYMMETRIC_GRAPHS,
-    graph_by_name,
     hypercube_partners,
     random_partners,
     regtree_partners,
@@ -125,7 +125,7 @@ def test_hypercube_partners_invariants(nranks, count):
 
 def test_registry_resolves_every_builder():
     for name, fn in BUILDERS.items():
-        assert graph_by_name(name) is fn
+        assert registry.resolve("lifeline_graph", name) is fn
 
 
 def test_symmetric_graphs_constant_is_honest():

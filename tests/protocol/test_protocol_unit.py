@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.victim import VictimSelector, selector_by_name
+from repro.core import registry
+from repro.core.victim import VictimSelector
 from repro.protocol.core import ProtocolPlan, Worker, WorkerStatus
 from repro.protocol.messages import (
     TAG_STEAL_FORWARD,
@@ -307,7 +308,7 @@ class TestSelectorFeedback:
     def test_base_noop_is_never_bound(self, name, bound):
         from repro.net.allocation import build_placement
 
-        selector = selector_by_name(name).make(
+        selector = registry.resolve("selector", name).make(
             1, 8, build_placement(8, "1/N"), seed=0
         )
         w, _ = make_worker(selector=selector)

@@ -76,7 +76,6 @@ class TestLRUEviction:
         store.max_bytes = store.total_bytes() // 2
         evicted = store.evict()
         assert evicted == ["fp0"]
-        assert store.get_artifact("fp0", "trace.json") is None
         assert store.artifacts_for("fp0") == {}
 
     def test_rejects_bad_budget(self, tmp_path):
@@ -91,12 +90,12 @@ class TestArtifacts:
         assert ref.fingerprint == "fp0"
         assert ref.nbytes == len('{"ok": true}')
         assert ref.path.exists()
-        assert store.get_artifact("fp0", "trace.json") == b'{"ok": true}'
+        assert ref.path.read_bytes() == b'{"ok": true}'
         assert list(store.artifacts_for("fp0")) == ["trace.json"]
 
     def test_missing_artifact_is_none(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.get_artifact("nope", "trace.json") is None
+        assert store.artifacts_for("nope") == {}
 
     def test_rejects_path_traversal_kinds(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -120,17 +119,6 @@ class TestCompatibility:
         store = ArtifactStore(tmp_path)
         store.put("fp0", result)
         assert ResultCache(tmp_path).get("fp0") is not None
-
-    def test_purge_stale_versions(self, tmp_path, result):
-        old = ArtifactStore(tmp_path, version="0.0.1")
-        old.put("fp0", result)
-        old.put_artifact("fp0", "trace.json", b"{}")
-        store = ArtifactStore(tmp_path)
-        store.put("fp1", result)
-        removed = store.purge_stale_versions()
-        assert removed == 2
-        assert not (tmp_path / "0.0.1").exists()
-        assert store.get("fp1") is not None
 
     def test_stats_shape(self, tmp_path, result):
         store = ArtifactStore(tmp_path, max_bytes=10**9)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.core.config import WorkStealingConfig
-from repro.core.victim import SelectorFactory, VictimSelector, selector_by_name
+from repro.core.victim import SelectorFactory, VictimSelector
 from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
 from repro.uts.params import T3XS
@@ -64,7 +65,7 @@ class _CountingFactory(SelectorFactory):
 
 
 def _run(**kw):
-    factory = _CountingFactory(selector_by_name(kw.pop("selector", "rand")))
+    factory = _CountingFactory(registry.resolve("selector", kw.pop("selector", "rand")))
     cfg = WorkStealingConfig(
         tree=T3XS,
         nranks=kw.pop("nranks", 16),

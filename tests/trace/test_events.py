@@ -27,7 +27,7 @@ class TestRecorder:
         r = EventRecorder()
         r.append(0.0, EV_STEAL_SENT, 3)
         r.append(1.0, EV_STEAL_FAIL, 3)
-        assert len(r) == 2
+        assert len(r.events()) == 2
         assert r.events() == [(0.0, EV_STEAL_SENT, 3, 0), (1.0, EV_STEAL_FAIL, 3, 0)]
         assert r.dropped == 0
 
@@ -35,15 +35,14 @@ class TestRecorder:
         r = EventRecorder()
         for k in range(1000):
             r.append(float(k), EV_TOKEN)
-        assert len(r) == 1000
+        assert len(r.events()) == 1000
         assert r.dropped == 0
-        assert r.capacity == 0
 
     def test_ring_overwrites_oldest(self):
         r = EventRecorder(capacity=3)
         for k in range(5):
             r.append(float(k), EV_TOKEN, k)
-        assert len(r) == 3
+        assert len(r.events()) == 3
         assert r.dropped == 2
         # Oldest two events (t=0, t=1) were overwritten; the unrolled
         # view is chronological.

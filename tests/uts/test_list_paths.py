@@ -15,10 +15,10 @@ equality at every step.
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.core.steal_policy import StealOne
 from repro.protocol.core import Worker
 from repro.uts.params import tree_by_name
-from repro.uts.rng import backend_by_name
 from repro.uts.stack import ChunkedStack
 from repro.uts.tree import TreeGenerator
 from tests.sim.fakes import FakeTransport
@@ -38,7 +38,7 @@ class TestChildrenListVsBatch:
         + [pytest.param("GEO_S", "splitmix64", 0, id="GEO_S-depth0")],
     )
     def test_interior_nodes_identical(self, tree, backend, first_depth):
-        gen = TreeGenerator(tree_by_name(tree), backend_by_name(backend))
+        gen = TreeGenerator(tree_by_name(tree), registry.resolve("rng_backend", backend))
         root_state, _ = gen.root()
         # A spread of states: walk a few levels so depths vary.
         states = [root_state]
@@ -117,7 +117,7 @@ class TestExpandQuantumFusion:
 
 class TestSha1SpawnArray:
     def test_matches_scalar_spawn(self):
-        be = backend_by_name("sha1")
+        be = registry.resolve("rng_backend", "sha1")
         rng = np.random.default_rng(0)
         states = rng.integers(0, 2**63, size=40, dtype=np.uint64)
         indices = rng.integers(0, 100, size=40, dtype=np.uint64)
@@ -129,7 +129,7 @@ class TestSha1SpawnArray:
         assert vec.dtype == np.uint64
 
     def test_2d_shape_preserved(self):
-        be = backend_by_name("sha1")
+        be = registry.resolve("rng_backend", "sha1")
         states = np.arange(6, dtype=np.uint64).reshape(2, 3)
         indices = np.arange(6, dtype=np.uint64).reshape(2, 3)
         out = be.spawn_array(states, indices)

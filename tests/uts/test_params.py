@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import registry
 from repro.errors import ConfigurationError
 from repro.uts.params import (
     T3L,
@@ -14,7 +15,6 @@ from repro.uts.params import (
     TreeParams,
     tree_by_name,
 )
-from repro.uts.rng import backend_by_name
 from repro.uts.tree import TreeGenerator
 
 
@@ -46,7 +46,7 @@ class TestValidation:
     def test_root_seed_is_signed_64_bit(self, backend):
         for seed in (-(2**63), 2**63 - 1):
             p = TreeParams(name="x", tree_type="binomial", root_seed=seed, b0=3)
-            TreeGenerator(p, backend_by_name(backend)).root()
+            TreeGenerator(p, registry.resolve("rng_backend", backend)).root()
         for seed in (-(2**63) - 1, 2**63, 2**64 + 316):
             with pytest.raises(ConfigurationError, match="signed 64-bit"):
                 TreeParams(name="x", tree_type="binomial", root_seed=seed)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import registry
 from repro.errors import ConfigurationError
 from repro.uts.rng import (
     UINT31_MAX,
     Sha1Backend,
     SplitMix64Backend,
-    backend_by_name,
 )
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -161,15 +161,15 @@ class TestSha1Backend:
 
 class TestBackendRegistry:
     def test_lookup(self):
-        assert backend_by_name("sha1").name == "sha1"
-        assert backend_by_name("splitmix64").name == "splitmix64"
+        assert registry.resolve("rng_backend", "sha1").name == "sha1"
+        assert registry.resolve("rng_backend", "splitmix64").name == "splitmix64"
 
     def test_unknown_raises(self):
         with pytest.raises(ConfigurationError):
-            backend_by_name("mt19937")
+            registry.resolve("rng_backend", "mt19937")
 
     def test_instances_are_fresh(self):
-        assert backend_by_name("sha1") is not backend_by_name("sha1")
+        assert registry.resolve("rng_backend", "sha1") is not registry.resolve("rng_backend", "sha1")
 
 
 def test_backends_generate_different_streams():

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 import repro.uts.tree as tree_mod
+from repro.core import registry
 from repro.errors import SimulationError
 from repro.uts.params import tree_by_name
-from repro.uts.rng import backend_by_name
 from repro.uts.sequential import sequential_count
 from repro.uts.tree import TreeGenerator, TreeTable
 
@@ -36,7 +36,7 @@ CASES = [
 
 @pytest.mark.parametrize("tree, backend", CASES)
 def test_breadth_first_walk_matches_children_batch(tree, backend):
-    gen = TreeGenerator(tree_by_name(tree), backend_by_name(backend))
+    gen = TreeGenerator(tree_by_name(tree), registry.resolve("rng_backend", backend))
     table = TreeTable(gen, node_cap=10**7)
     state, depth = gen.root()
     states = np.array([state], dtype=np.uint64)

@@ -13,7 +13,7 @@ from repro.errors import ReproError
 from repro.sim.cluster import Cluster
 from repro.uts.params import T3XS
 from repro.uts.sequential import sequential_count
-from repro.ws import RunResult, run_uts, sequential_baseline
+from repro.ws import RunResult, run_uts
 
 SEQ = sequential_count(T3XS)
 
@@ -85,19 +85,20 @@ class TestFinishedRunIsFreed:
 
 
 class TestSequentialBaseline:
+    """A run's ``T1`` is extrapolated from the tree's node count."""
+
     def test_matches_node_count(self):
-        t1 = sequential_baseline(T3XS, node_time=1e-6)
-        assert t1 == pytest.approx(SEQ.total_nodes * 1e-6)
+        r = run_uts(tree=T3XS, nranks=4, node_time=1e-6)
+        assert r.baseline_time == pytest.approx(SEQ.total_nodes * 1e-6)
 
     def test_scales_with_granularity(self):
-        assert sequential_baseline(T3XS, compute_rounds=4) == pytest.approx(
-            4 * sequential_baseline(T3XS)
-        )
+        coarse = run_uts(tree=T3XS, nranks=4, compute_rounds=4)
+        fine = run_uts(tree=T3XS, nranks=4)
+        assert coarse.baseline_time == pytest.approx(4 * fine.baseline_time)
 
     def test_close_to_actual_single_rank_run(self):
         r = run_uts(tree=T3XS, nranks=1)
-        t1 = sequential_baseline(T3XS)
-        assert r.total_time == pytest.approx(t1, rel=0.01)
+        assert r.total_time == pytest.approx(r.baseline_time, rel=0.01)
 
 
 class TestRunResult:
