@@ -13,7 +13,7 @@ the scheduling-latency metric.
   metric (``SL(x)``, ``EL(x)``) and occupancy analysis;
 * :mod:`repro.core.sessions` — work-discovery session statistics;
 * :mod:`repro.core.config` — the work-stealing run configuration;
-* :mod:`repro.core.jobs` — the job/artifact lifecycle dataclasses
+* :mod:`repro.core.jobs` — the job lifecycle dataclasses
   shared by the batch executor and the simulation service.
 """
 
@@ -41,7 +41,7 @@ from repro.core.metrics import (
 )
 from repro.core.sessions import SessionStats, summarize_sessions
 from repro.core.config import WorkStealingConfig
-from repro.core.jobs import ArtifactRef, Job, JobEvent, JobFailure, JobState
+from repro.core.jobs import Job, JobEvent, JobFailure, JobState
 
 __all__ = [
     "VictimSelector",
@@ -63,7 +63,6 @@ __all__ = [
     "SessionStats",
     "summarize_sessions",
     "WorkStealingConfig",
-    "ArtifactRef",
     "Job",
     "JobEvent",
     "JobFailure",

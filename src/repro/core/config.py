@@ -132,7 +132,7 @@ class WorkStealingConfig:
     steal_policy: StealPolicy | str = "one"
     latency_model: LatencyModel | None = None
     #: ``f(n_nodes) -> Topology``; a registered name (``"tofu"``,
-    #: ``"torus3d"``, ``"flat"``) is kept as the string so the config
+    #: ``"flat"``) is kept as the string so the config
     #: stays serializable — :func:`repro.net.allocation.build_placement`
     #: resolves it.  ``None`` means the Tofu default.
     topology_factory: Callable[[int], Topology] | str | None = None
@@ -178,7 +178,7 @@ class WorkStealingConfig:
     #: before the configured selector takes over (``regions > 0``).
     region_attempts: int = 2
     #: Lifeline partner graph (registry kind ``"lifeline_graph"``:
-    #: ``"hypercube"``, ``"ring"``, ``"random"``, ``"regtree"``); only
+    #: ``"hypercube"``, ``"ring"``, ``"regtree"``); only
     #: meaningful when ``lifelines > 0``.
     lifeline_graph: str = "hypercube"
 

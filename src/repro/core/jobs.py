@@ -1,4 +1,4 @@
-"""Job and artifact dataclasses for batch and service execution.
+"""Job dataclasses for batch and service execution.
 
 One simulation request — whether it comes from a :func:`repro.run_many`
 batch or a :class:`repro.service.SimulationService` sweep — moves
@@ -6,16 +6,15 @@ through the same typed lifecycle:
 
 ``queued`` -> ``started`` -> ``done``
                           -> ``failed``
-``cached`` (terminal immediately: the artifact store already held the
-result, the simulator is never touched)
+``cached`` (terminal immediately: the store already held the result,
+the simulator is never touched)
 
 :class:`Job` is the mutable record of one *deduplicated* simulation
 (many submissions of the same fingerprint share one job);
 :class:`JobEvent` is the immutable progress tick streamed to
 subscribers; :class:`JobFailure` is the failed-slot placeholder
 ``run_many(..., return_exceptions=True)`` returns in place of a
-result; :class:`ArtifactRef` points at a stored by-product (e.g. a
-Chrome-trace JSON) in the artifact store.
+result.
 
 The module is deliberately leaf-level (stdlib imports only) so both
 :mod:`repro.exec` and :mod:`repro.service` can share it without import
@@ -26,14 +25,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ws.results import RunResult
 
-__all__ = ["JobState", "Job", "JobEvent", "JobFailure", "ArtifactRef"]
+__all__ = ["JobState", "Job", "JobEvent", "JobFailure"]
 
 
 class JobState(str, enum.Enum):
@@ -60,20 +58,6 @@ def next_job_id() -> str:
     return f"job-{next(_JOB_IDS)}"
 
 
-@dataclass(frozen=True)
-class ArtifactRef:
-    """Pointer to one stored artifact of a finished job."""
-
-    #: Config fingerprint the artifact belongs to.
-    fingerprint: str
-    #: Artifact kind, e.g. ``"trace.json"`` (doubles as file suffix).
-    kind: str
-    #: On-disk location inside the artifact store.
-    path: Path
-    #: Size in bytes at write time.
-    nbytes: int
-
-
 @dataclass(eq=False)
 class Job:
     """One deduplicated simulation request and everything known about it."""
@@ -98,8 +82,6 @@ class Job:
     elapsed: float = 0.0
     result: "RunResult | None" = None
     error: BaseException | None = None
-    #: Artifact kind -> stored reference (trace exports, ...).
-    artifacts: dict[str, ArtifactRef] = field(default_factory=dict)
 
     @property
     def terminal(self) -> bool:
@@ -119,7 +101,7 @@ class JobEvent:
     timestamp: float
     #: Simulation wall-clock seconds (terminal events only).
     elapsed: float = 0.0
-    #: True when the result came from the artifact store.
+    #: True when the result came from the store.
     cached: bool = False
     #: ``str(exception)`` for ``failed`` events.
     error: str | None = None

@@ -4,8 +4,8 @@ Every string shorthand the repro package accepts — victim selectors,
 steal policies, process allocations, RNG backends, latency models,
 topology factories — resolves through one mechanism defined here.  A
 :class:`Registry` maps canonical names (and aliases) to factories, and
-optionally *patterns* (``"skew[<alpha>]"``, ``"<base>@x<dilation>"``)
-to parser functions for parameterised shorthands.
+optionally *patterns* (``"skew[<alpha>]"``) to parser functions for
+parameterised shorthands.
 
 The strategy modules create one registry each at import time; every
 caller, the serialization layer (:mod:`repro.exec`) included, goes

@@ -8,10 +8,10 @@ The executor subsystem turns the one-run API
   :mod:`repro.core.registry`, so configs round-trip through plain
   dicts), the key of deduplication and of the store;
 * :class:`ArtifactStore` — the on-disk store of
-  :class:`~repro.ws.results.RunResult`\\ s and their artifacts keyed
-  by fingerprint, under ``benchmarks/_cache/<version>/``, with an
-  optional LRU byte budget; :func:`open_store` reads a ``store=``
-  argument (``ResultCache`` is the legacy name of the same class);
+  :class:`~repro.ws.results.RunResult`\\ s keyed by fingerprint,
+  under ``benchmarks/_cache/<version>/``, with an optional LRU byte
+  budget; :func:`open_store` reads a ``store=`` argument
+  (``ResultCache`` is the legacy name of the same class);
 * :func:`run_many` — a ``ProcessPoolExecutor`` batch runner with
   deduplication, store integration and progress callbacks, whose
   results are bit-identical to the serial path.

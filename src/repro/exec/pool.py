@@ -26,12 +26,11 @@ over a ``ProcessPoolExecutor``, with
 
 The worker protocol is deliberately dumb: a worker receives
 ``(index, config_dict, max_events)``, rebuilds the config, runs the
-simulation and returns ``(index, result_json, elapsed, artifact)``
-where ``artifact`` is the Chrome-trace JSON string for
-``event_trace=True`` configs (event streams do not survive the result
-serialization, so the export happens worker-side) and ``None``
-otherwise.  No strategy objects, numpy arrays or tracebacks cross the
-process boundary except via this one format.
+simulation and returns ``(index, result_json, elapsed)``.  No strategy
+objects, numpy arrays or tracebacks cross the process boundary except
+via this one format; an ``event_trace=True`` run's event stream does
+not survive the result serialization (``python -m repro.trace``
+exports traces).
 
 :func:`resolve` and :func:`land` are the two per-job steps on either
 side of that protocol — what a sweep is before it runs, and what a
@@ -42,7 +41,6 @@ themselves stay separate (DESIGN.md §5b).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.config import WorkStealingConfig, fingerprint_dict
-from repro.core.jobs import ArtifactRef, JobFailure
+from repro.core.jobs import JobFailure
 from repro.errors import ConfigurationError
 from repro.exec.store import ArtifactStore, open_store
 from repro.ws.results import RunResult
@@ -85,30 +83,14 @@ class RunProgress:
     error: str | None = None
 
 
-def _execute(payload: tuple[int, dict, int | None]) -> tuple[int, str, float, str | None]:
+def _execute(payload: tuple[int, dict, int | None]) -> tuple[int, str, float]:
     """Worker entry point: run one config shipped as a plain dict."""
     index, config_dict, max_events = payload
     start = time.perf_counter()
     config = WorkStealingConfig.from_dict(config_dict)
     result = run_uts(config, max_events=max_events)
     elapsed = time.perf_counter() - start
-    artifact = None
-    if result.events is not None:
-        # Event streams are not part of the result serialization; the
-        # Chrome-trace export is the durable artifact, built where the
-        # events still exist (this worker).
-        from repro.trace.chrome import chrome_trace
-
-        artifact = json.dumps(
-            chrome_trace(
-                result.events,
-                result.trace,
-                total_time=result.total_time,
-                label=result.label,
-            ),
-            separators=(",", ":"),
-        )
-    return index, result.to_json(), elapsed, artifact
+    return index, result.to_json(), elapsed
 
 
 class WorkerPool:
@@ -154,7 +136,7 @@ class WorkerPool:
         """Run one config dict on the pool.
 
         Returns a future of the worker protocol's
-        ``(index, result_json, elapsed, artifact)`` tuple.  ``_worker``
+        ``(index, result_json, elapsed)`` tuple.  ``_worker``
         is :func:`run_many`'s test seam, passed through.
 
         A worker process that died (killed, out of memory) breaks its
@@ -212,21 +194,15 @@ def land(
     config_dict: dict,
     result_json: str,
     elapsed: float,
-    artifact: str | None,
-) -> tuple[RunResult, ArtifactRef | None]:
+) -> RunResult:
     """Turn one worker reply into a result, stored when there is a store.
 
-    The only code that writes a finished run back: the result entry,
-    and the worker's Chrome trace as the ``trace.json`` artifact when
-    it built one (whose reference is returned beside the result).
+    The only code that writes a finished run back.
     """
     result = RunResult.from_json(result_json)
-    ref = None
     if store is not None:
         store.put(fingerprint, result, config=config_dict, elapsed=elapsed)
-        if artifact is not None:
-            ref = store.put_artifact(fingerprint, "trace.json", artifact)
-    return result, ref
+    return result
 
 
 def run_many(
@@ -259,8 +235,7 @@ def run_many(
         :class:`~repro.exec.store.ArtifactStore` for a specific one,
         ``None``/``False`` to disable
         (:func:`~repro.exec.store.open_store`).  Hits skip the
-        simulator entirely; misses are written back after running,
-        with the Chrome trace of ``event_trace=True`` runs beside them.
+        simulator entirely; misses are written back after running.
     progress:
         Called once per finished config with a :class:`RunProgress`
         (cache hits first, then completions in finish order).
@@ -280,6 +255,12 @@ def run_many(
     One entry per input config, in input order: a ``RunResult``, or a
     ``JobFailure`` when that job failed and ``return_exceptions=True``.
     """
+    if pool is not None:
+        workers = pool.workers
+    else:
+        workers = jobs if jobs is not None else (os.cpu_count() or 1)
+        if workers < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     resolved = resolve(configs)
     total = len(resolved)
     result_store = open_store(store)
@@ -321,11 +302,9 @@ def run_many(
         else:
             pending.append((indices[0], resolved[indices[0]][1], max_events))
 
-    def _complete(
-        index: int, payload: str, elapsed: float, artifact: str | None = None
-    ) -> None:
+    def _complete(index: int, payload: str, elapsed: float) -> None:
         _, config_dict, fp = resolved[index]
-        result, _ = land(result_store, fp, config_dict, payload, elapsed, artifact)
+        result = land(result_store, fp, config_dict, payload, elapsed)
         _emit(fp, result, elapsed, "done")
 
     def _fail(index: int, exc: BaseException, elapsed: float) -> None:
@@ -341,9 +320,6 @@ def run_many(
     worker = _worker or _execute
 
     if pending:
-        workers = jobs if jobs is not None else (os.cpu_count() or 1)
-        if workers < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         workers = min(workers, len(pending))
         if pool is None and workers == 1:
             # Serial fast path: no process-pool overhead.

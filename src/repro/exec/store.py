@@ -1,22 +1,18 @@
-"""The on-disk store: run results, their artifacts, an optional LRU budget.
+"""The on-disk store: run results and an optional LRU budget.
 
 Layout (see DESIGN.md §5b, "Store")::
 
     benchmarks/_cache/                       the default root
         <__version__>/
             <fingerprint>.json               one RunResult + provenance
-            artifacts/<fingerprint>.<kind>   by-products (Chrome traces)
 
 * **entries** — each result entry stores the package version, the
   fingerprint, the config dict it hashes to, the serialized
   :class:`~repro.ws.results.RunResult` and the wall-clock seconds the
   original simulation took;
-* **artifacts** — arbitrary by-products of a run (Chrome-trace exports,
-  reports) stored next to their result;
 * **LRU eviction** — an optional byte budget (``max_bytes``); reads
   refresh an entry's recency (mtime), writes trigger eviction of the
-  least-recently-used entries (result + its artifacts evict together)
-  until the store fits the budget;
+  least-recently-used entries until the store fits the budget;
 * **versioning** — results live under a per-version directory, so
   bumping ``repro.__version__`` invalidates every stored point without
   touching fingerprints.
@@ -36,13 +32,11 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro._version import __version__
-from repro.core.jobs import ArtifactRef
 from repro.errors import ConfigurationError
 from repro.ws.results import RunResult
 
@@ -59,9 +53,6 @@ __all__ = [
 #: ``REPRO_CACHE_DIR`` environment variable.
 DEFAULT_CACHE_DIR = "benchmarks/_cache"
 
-#: Artifact kinds are path components; keep them boring.
-_KIND_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
 
 @dataclass(frozen=True)
 class StoreStats:
@@ -69,9 +60,7 @@ class StoreStats:
 
     #: Result entries of the active version.
     entries: int
-    #: Artifact files of the active version.
-    artifacts: int
-    #: Bytes held (results + artifacts).
+    #: Bytes held by those entries.
     total_bytes: int
     #: Configured budget (``None`` = unbounded).
     max_bytes: int | None
@@ -98,7 +87,7 @@ def _write_atomic(path: Path, payload: bytes) -> None:
 
 
 class ArtifactStore:
-    """Fingerprint-keyed result + artifact store with LRU eviction.
+    """Fingerprint-keyed result store with LRU eviction.
 
     Parameters
     ----------
@@ -197,59 +186,19 @@ class ArtifactStore:
         return path
 
     # ------------------------------------------------------------------
-    # Artifacts
-    # ------------------------------------------------------------------
-
-    @property
-    def artifacts_dir(self) -> Path:
-        """Directory holding artifacts for the active version."""
-        return self.dir / "artifacts"
-
-    def artifact_path(self, fingerprint: str, kind: str) -> Path:
-        return self.artifacts_dir / f"{fingerprint}.{self._check_kind(kind)}"
-
-    def put_artifact(
-        self, fingerprint: str, kind: str, payload: bytes | str
-    ) -> ArtifactRef:
-        """Store one artifact atomically; returns its reference."""
-        if isinstance(payload, str):
-            payload = payload.encode("utf-8")
-        path = self.artifact_path(fingerprint, kind)
-        _write_atomic(path, payload)
-        self.evict()
-        return ArtifactRef(
-            fingerprint=fingerprint, kind=kind, path=path, nbytes=len(payload)
-        )
-
-    def artifacts_for(self, fingerprint: str) -> dict[str, Path]:
-        """``{kind: path}`` of every stored artifact of ``fingerprint``."""
-        out: dict[str, Path] = {}
-        prefix = f"{fingerprint}."
-        try:
-            names = sorted(p.name for p in self.artifacts_dir.iterdir())
-        except OSError:
-            return out
-        for name in names:
-            if name.startswith(prefix) and not name.endswith(".tmp"):
-                out[name[len(prefix):]] = self.artifacts_dir / name
-        return out
-
-    # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
 
     def total_bytes(self) -> int:
-        """Bytes held by the active version (results + artifacts)."""
+        """Bytes held by the active version's entries."""
         return sum(size for _, _, size in self._entries())
 
     def evict(self) -> list[str]:
         """Drop least-recently-used entries until the budget fits.
 
-        A result entry and its artifacts evict as one unit, keyed by
-        the *most recent* access of any of the unit's files.  Returns
-        the evicted fingerprints (empty without a budget).  The newest
-        entry is evicted last — but even it goes if it alone exceeds
-        the budget; the budget is a hard ceiling, not advice.
+        Returns the evicted fingerprints (empty without a budget).  The
+        newest entry is evicted last — but even it goes if it alone
+        exceeds the budget; the budget is a hard ceiling, not advice.
         """
         if self.max_bytes is None:
             return []
@@ -264,7 +213,10 @@ class ArtifactStore:
         for fingerprint, _, size in entries:
             if total <= self.max_bytes:
                 break
-            self._remove_entry(fingerprint)
+            try:
+                self.path_for(fingerprint).unlink()
+            except OSError:
+                pass
             evicted.append(fingerprint)
             total -= size
         self._evicted += len(evicted)
@@ -273,32 +225,14 @@ class ArtifactStore:
     def stats(self) -> StoreStats:
         """Current accounting (used by the service's status surface)."""
         entries = self._entries()
-        n_artifacts = 0
-        try:
-            n_artifacts = sum(
-                1
-                for p in self.artifacts_dir.iterdir()
-                if not p.name.endswith(".tmp")
-            )
-        except OSError:
-            pass
         return StoreStats(
-            entries=sum(1 for fp, _, _ in entries if self.path_for(fp).exists()),
-            artifacts=n_artifacts,
+            entries=len(entries),
             total_bytes=sum(size for _, _, size in entries),
             max_bytes=self.max_bytes,
             evicted=self._evicted,
         )
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_kind(kind: str) -> str:
-        if not _KIND_RE.match(kind):
-            raise ConfigurationError(
-                f"artifact kind must match {_KIND_RE.pattern}, got {kind!r}"
-            )
-        return kind
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -308,44 +242,18 @@ class ArtifactStore:
             pass
 
     def _entries(self) -> list[tuple[str, float, int]]:
-        """``(fingerprint, last_access, unit_bytes)`` per stored unit.
-
-        Artifact-only units (result already gone) are included so
-        eviction can reclaim orphaned artifacts too.
-        """
-        units: dict[str, tuple[float, int]] = {}
-
-        def _add(fingerprint: str, path: Path) -> None:
-            try:
-                st = path.stat()
-            except OSError:
-                return
-            mtime, size = units.get(fingerprint, (0.0, 0))
-            units[fingerprint] = (max(mtime, st.st_mtime), size + st.st_size)
-
+        """``(fingerprint, last_access, bytes)`` per stored entry."""
+        entries = []
         try:
             for path in self.dir.glob("*.json"):
-                _add(path.stem, path)
-        except OSError:
-            pass
-        try:
-            for path in self.artifacts_dir.iterdir():
-                if path.name.endswith(".tmp"):
+                try:
+                    st = path.stat()
+                except OSError:
                     continue
-                fingerprint = path.name.split(".", 1)[0]
-                _add(fingerprint, path)
+                entries.append((path.stem, st.st_mtime, st.st_size))
         except OSError:
             pass
-        return [(fp, mtime, size) for fp, (mtime, size) in units.items()]
-
-    def _remove_entry(self, fingerprint: str) -> None:
-        paths = [self.path_for(fingerprint)]
-        paths.extend(self.artifacts_for(fingerprint).values())
-        for path in paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        return entries
 
 
 #: Legacy name of the same class.  It stays only because the frozen

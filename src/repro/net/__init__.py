@@ -27,13 +27,11 @@ from repro.net.pairwise import PairwiseMetric
 from repro.net.topology import (
     Topology,
     TofuTopology,
-    Torus3D,
     FlatTopology,
 )
 from repro.net.latency import (
     LatencyModel,
     UniformLatency,
-    HopLatency,
     HierarchicalLatency,
     KComputerLatency,
 )
@@ -42,7 +40,6 @@ from repro.net.allocation import (
     OnePerNode,
     RoundRobinPacked,
     GroupedPacked,
-    DilatedAllocation,
     Placement,
     build_placement,
 )
@@ -53,18 +50,15 @@ __all__ = [
     "PairwiseMetric",
     "Topology",
     "TofuTopology",
-    "Torus3D",
     "FlatTopology",
     "LatencyModel",
     "UniformLatency",
-    "HopLatency",
     "HierarchicalLatency",
     "KComputerLatency",
     "ProcessAllocation",
     "OnePerNode",
     "RoundRobinPacked",
     "GroupedPacked",
-    "DilatedAllocation",
     "Placement",
     "build_placement",
     "NicContention",

@@ -41,7 +41,6 @@ __all__ = [
     "OnePerNode",
     "RoundRobinPacked",
     "GroupedPacked",
-    "DilatedAllocation",
     "Placement",
     "build_placement",
     "aligned_block_bounds",
@@ -177,55 +176,12 @@ class GroupedPacked(ProcessAllocation):
         return np.arange(nranks, dtype=np.int64) // self.per_node
 
 
-class DilatedAllocation(ProcessAllocation):
-    """Spread a base allocation over a ``dilation``-times larger machine.
-
-    The reproduction simulates far fewer ranks than the paper's 8192
-    nodes.  To keep *physical distances* at paper scale, a dilated
-    allocation books ``dilation`` times as many nodes as the base
-    allocation needs and hosts the job on every ``dilation``-th node —
-    the inter-rank hop/latency spread of the full-size machine with a
-    scaled-down process count.  ``DilatedAllocation(OnePerNode(), 16)``
-    with 512 ranks books the 8192-node box of the paper's largest jobs.
-    """
-
-    def __init__(self, base: ProcessAllocation, dilation: int):
-        if dilation < 1:
-            raise AllocationError(f"dilation must be >= 1, got {dilation}")
-        self.base = base
-        self.dilation = int(dilation)
-        self.name = f"{base.name}@x{dilation}"
-
-    def nodes_needed(self, nranks: int) -> int:
-        return self.base.nodes_needed(nranks) * self.dilation
-
-    def rank_nodes(self, nranks: int) -> np.ndarray:
-        return self.base.rank_nodes(nranks) * self.dilation
-
-
 _ALLOCATIONS = registry_for("allocation")
 _ALLOCATIONS.register("1/N", OnePerNode)
 _ALLOCATIONS.register("8RR", lambda: RoundRobinPacked(8))
 _ALLOCATIONS.register("8G", lambda: GroupedPacked(8))
 _ALLOCATIONS.register("4RR", lambda: RoundRobinPacked(4))
 _ALLOCATIONS.register("4G", lambda: GroupedPacked(4))
-
-
-def _parse_dilated(name: str) -> ProcessAllocation | None:
-    base_name, sep, dilation_part = name.partition("@x")
-    if not sep:
-        return None
-    base = _ALLOCATIONS.resolve(base_name)
-    try:
-        dilation = int(dilation_part)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad dilation in allocation name {name!r}"
-        ) from None
-    return DilatedAllocation(base, dilation)  # type: ignore[arg-type]
-
-
-_ALLOCATIONS.register_pattern("<base>@x<dilation>", _parse_dilated)
 
 
 @dataclass(frozen=True)
@@ -295,7 +251,7 @@ def build_placement(
         Defaults to :class:`~repro.net.latency.KComputerLatency`.
     topology_factory:
         ``f(n_nodes) -> Topology`` or a registered topology name
-        (``"tofu"``, ``"torus3d"``, ``"flat"``); defaults to
+        (``"tofu"``, ``"flat"``); defaults to
         :meth:`TofuTopology.for_nodes` (compact-box placement, like the
         K Computer's scheduler).
     """

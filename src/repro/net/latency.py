@@ -28,7 +28,6 @@ from repro.net.topology import TofuTopology, Topology
 __all__ = [
     "LatencyModel",
     "UniformLatency",
-    "HopLatency",
     "HierarchicalLatency",
     "KComputerLatency",
     "latency_model_from_spec",
@@ -154,49 +153,6 @@ class UniformLatency(LatencyModel):
         return code_row, values
 
 
-class HopLatency(LatencyModel):
-    """``base + per_hop * hops`` with a shared-memory intra-node fast path."""
-
-    name = "hop"
-
-    def __init__(
-        self,
-        base: float = 1e-6,
-        per_hop: float = 1e-7,
-        intra_node: float = 4e-7,
-    ):
-        if min(base, per_hop, intra_node) < 0:
-            raise ConfigurationError("latency components must be >= 0")
-        self.base = float(base)
-        self.per_hop = float(per_hop)
-        self.intra_node = float(intra_node)
-
-    def matrix(self, topology: Topology, rank_nodes: np.ndarray) -> np.ndarray:
-        rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
-        hops = topology.hops_matrix(rank_nodes).astype(np.float64)
-        out = self.base + self.per_hop * hops
-        same_node = rank_nodes[:, None] == rank_nodes[None, :]
-        out[same_node] = self.intra_node
-        return self._validate(out)
-
-    def code_rows(self, topology: Topology, rank_nodes: np.ndarray):
-        rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
-        hops_row = topology.hops_rows(rank_nodes)
-        # A hop count is its own code; the two constants follow.
-        values = _hop_values(self.base, self.per_hop, topology.diameter())
-        zero = len(values)
-        values += [0.0, self.intra_node]
-        dtype = _code_dtype(values)
-
-        def code_row(i: int) -> np.ndarray:
-            out = hops_row(i).astype(dtype)
-            out[rank_nodes == rank_nodes[i]] = zero + 1
-            out[i] = zero
-            return out
-
-        return code_row, values
-
-
 class HierarchicalLatency(LatencyModel):
     """Distinct transports per hierarchy level of a Tofu topology.
 
@@ -231,7 +187,7 @@ class HierarchicalLatency(LatencyModel):
         if not isinstance(topology, TofuTopology):
             raise ConfigurationError(
                 "HierarchicalLatency requires a TofuTopology "
-                f"(got {type(topology).__name__}); use HopLatency instead"
+                f"(got {type(topology).__name__})"
             )
         rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
         coords = topology.space.coords_of_many(rank_nodes)
@@ -257,7 +213,7 @@ class HierarchicalLatency(LatencyModel):
         if not isinstance(topology, TofuTopology):
             raise ConfigurationError(
                 "HierarchicalLatency requires a TofuTopology "
-                f"(got {type(topology).__name__}); use HopLatency instead"
+                f"(got {type(topology).__name__})"
             )
         rank_nodes = np.asarray(rank_nodes, dtype=np.int64)
         coords = topology.space.coords_of_many(rank_nodes)
@@ -308,7 +264,6 @@ class KComputerLatency(HierarchicalLatency):
 
 _LATENCIES = registry_for("latency_model")
 _LATENCIES.register(UniformLatency.name, UniformLatency)
-_LATENCIES.register(HopLatency.name, HopLatency)
 _LATENCIES.register(HierarchicalLatency.name, HierarchicalLatency)
 _LATENCIES.register(KComputerLatency.name, KComputerLatency)
 

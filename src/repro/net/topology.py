@@ -31,7 +31,6 @@ from repro.net.coords import CoordSpace
 __all__ = [
     "Topology",
     "TofuTopology",
-    "Torus3D",
     "FlatTopology",
 ]
 
@@ -60,12 +59,6 @@ class Topology(ABC):
     @abstractmethod
     def euclidean(self, a: int, b: int) -> float:
         """Euclidean distance between nodes ``a`` and ``b``."""
-
-    def diameter(self) -> int:
-        """Upper bound on the hop count between any two nodes — the
-        size of a hop-indexed table (default: loops, exact)."""
-        nodes = range(self.num_nodes)
-        return max(self.hops(a, b) for a in nodes for b in nodes)
 
     @abstractmethod
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
@@ -97,69 +90,7 @@ class Topology(ABC):
             )
 
 
-class _GridTopology(Topology):
-    """Shared implementation for coordinate-space topologies."""
-
-    def __init__(self, space: CoordSpace):
-        self._space = space
-        self.num_nodes = space.size
-
-    @property
-    def space(self) -> CoordSpace:
-        return self._space
-
-    def coords(self, node: int) -> np.ndarray:
-        self._check_node(node)
-        return self._space.coords_of(node)
-
-    def coords_all(self) -> np.ndarray:
-        return self._space.coords_of_many(np.arange(self.num_nodes))
-
-    def hops(self, a: int, b: int) -> int:
-        self._check_node(a)
-        self._check_node(b)
-        return self._space.manhattan(self._space.coords_of(a), self._space.coords_of(b))
-
-    def euclidean(self, a: int, b: int) -> float:
-        self._check_node(a)
-        self._check_node(b)
-        return self._space.euclidean(self._space.coords_of(a), self._space.coords_of(b))
-
-    def diameter(self) -> int:
-        space = self._space
-        return sum(
-            d // 2 if wrap else d - 1 for d, wrap in zip(space.dims, space.wraps)
-        )
-
-    def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        coords = self._space.coords_of_many(np.asarray(nodes, dtype=np.int64))
-        return self._space.delta_matrix(coords).sum(axis=2)
-
-    def euclidean_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        coords = self._space.coords_of_many(np.asarray(nodes, dtype=np.int64))
-        d = self._space.delta_matrix(coords).astype(np.float64)
-        return np.sqrt((d * d).sum(axis=2))
-
-    def hops_rows(self, nodes: np.ndarray):
-        space = self._space
-        coords = space.coords_of_many(np.asarray(nodes, dtype=np.int64))
-        return space.delta_sum_rows(coords)
-
-    def euclidean_rows(self, nodes: np.ndarray):
-        space = self._space
-        coords = space.coords_of_many(np.asarray(nodes, dtype=np.int64))
-        # Sums of squared integer separations are exact in int64 and in
-        # float64 alike, so this equals sqrt((d * d).sum()) bit for bit
-        # (sqrt converts its int64 argument to float64 itself).
-        squares = space.delta_sum_rows(coords, squared=True)
-
-        def row(i: int) -> np.ndarray:
-            return np.sqrt(squares(i))
-
-        return row
-
-
-class TofuTopology(_GridTopology):
+class TofuTopology(Topology):
     """Software model of the Tofu 6-D mesh/torus.
 
     Parameters
@@ -179,12 +110,12 @@ class TofuTopology(_GridTopology):
         if len(cube_grid) != 3:
             raise TopologyError(f"cube_grid must have 3 dims, got {cube_grid}")
         x, y, z = cube_grid
-        space = CoordSpace(
+        self.space = CoordSpace(
             dims=(x, y, z, *self.CUBE_DIMS),
             # The 3-D cube grid is a torus; in-cube links do not wrap.
             wraps=(True, True, True, False, False, False),
         )
-        super().__init__(space)
+        self.num_nodes = self.space.size
         self.cube_grid = (int(x), int(y), int(z))
 
     @classmethod
@@ -212,26 +143,48 @@ class TofuTopology(_GridTopology):
         assert best is not None
         return cls(best[1])
 
+    def coords(self, node: int) -> np.ndarray:
+        self._check_node(node)
+        return self.space.coords_of(node)
 
-class Torus3D(_GridTopology):
-    """Plain 3-D torus (one node per grid point) — a simpler comparator."""
+    def coords_all(self) -> np.ndarray:
+        return self.space.coords_of_many(np.arange(self.num_nodes))
 
-    name = "torus3d"
+    def hops(self, a: int, b: int) -> int:
+        self._check_node(a)
+        self._check_node(b)
+        return self.space.manhattan(self.space.coords_of(a), self.space.coords_of(b))
 
-    def __init__(self, dims: tuple[int, int, int]):
-        if len(dims) != 3:
-            raise TopologyError(f"dims must have 3 entries, got {dims}")
-        super().__init__(CoordSpace(tuple(dims), wraps=(True, True, True)))
-        self.dims = tuple(int(d) for d in dims)
+    def euclidean(self, a: int, b: int) -> float:
+        self._check_node(a)
+        self._check_node(b)
+        return self.space.euclidean(self.space.coords_of(a), self.space.coords_of(b))
 
-    @classmethod
-    def for_nodes(cls, n_nodes: int) -> "Torus3D":
-        if n_nodes < 1:
-            raise TopologyError(f"need at least 1 node, got {n_nodes}")
-        side = max(1, round(n_nodes ** (1 / 3)))
-        while side**3 < n_nodes:
-            side += 1
-        return cls((side, side, side))
+    def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
+        coords = self.space.coords_of_many(np.asarray(nodes, dtype=np.int64))
+        return self.space.delta_matrix(coords).sum(axis=2)
+
+    def euclidean_matrix(self, nodes: np.ndarray) -> np.ndarray:
+        coords = self.space.coords_of_many(np.asarray(nodes, dtype=np.int64))
+        d = self.space.delta_matrix(coords).astype(np.float64)
+        return np.sqrt((d * d).sum(axis=2))
+
+    def hops_rows(self, nodes: np.ndarray):
+        coords = self.space.coords_of_many(np.asarray(nodes, dtype=np.int64))
+        return self.space.delta_sum_rows(coords)
+
+    def euclidean_rows(self, nodes: np.ndarray):
+        space = self.space
+        coords = space.coords_of_many(np.asarray(nodes, dtype=np.int64))
+        # Sums of squared integer separations are exact in int64 and in
+        # float64 alike, so this equals sqrt((d * d).sum()) bit for bit
+        # (sqrt converts its int64 argument to float64 itself).
+        squares = space.delta_sum_rows(coords, squared=True)
+
+        def row(i: int) -> np.ndarray:
+            return np.sqrt(squares(i))
+
+        return row
 
 
 class FlatTopology(Topology):
@@ -264,9 +217,6 @@ class FlatTopology(Topology):
 
     def euclidean(self, a: int, b: int) -> float:
         return float(self.hops(a, b))
-
-    def diameter(self) -> int:
-        return 1
 
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -303,5 +253,4 @@ class FlatTopology(Topology):
 
 _TOPOLOGIES = registry_for("topology")
 _TOPOLOGIES.register("tofu", lambda: TofuTopology.for_nodes)
-_TOPOLOGIES.register("torus3d", lambda: Torus3D.for_nodes)
 _TOPOLOGIES.register("flat", lambda: FlatTopology)

@@ -32,7 +32,6 @@ from repro.protocol.factory import build_plan, make_worker
 from repro.protocol.graphs import (
     SYMMETRIC_GRAPHS,
     hypercube_partners,
-    random_partners,
     regtree_partners,
     ring_partners,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "RegionMap",
     "hypercube_partners",
     "ring_partners",
-    "random_partners",
     "regtree_partners",
     "SYMMETRIC_GRAPHS",
     "protocol_overrides",

@@ -106,8 +106,7 @@ from repro.uts.tree import TreeGenerator, TreeTable
 __all__ = ["ProtocolPlan", "Transport", "Worker", "WorkerStatus"]
 
 #: Seed-stream constant separating the per-rank region-draw RNG from
-#: the selector streams (``SeedSequence([seed, rank])``) and the
-#: lifeline-graph stream (``repro.protocol.graphs._GRAPH_STREAM``).
+#: the selector streams (``SeedSequence([seed, rank])``).
 _REGION_STREAM = 0x5247  # "RG"
 
 #: Selector draws a relaying rank attempts when picking a forward
@@ -140,7 +139,7 @@ class ProtocolPlan:
     lifeline_threshold: int = 8
     #: Registered lifeline-graph builder name.
     lifeline_graph: str = "hypercube"
-    #: Run seed (region draws, randomised lifeline graphs).
+    #: Run seed (region draws).
     seed: int = 0
 
     @property
@@ -152,13 +151,7 @@ class ProtocolPlan:
         if self.lifeline_count <= 0:
             return []
         builder = registry.resolve("lifeline_graph", self.lifeline_graph)
-        return builder(
-            rank,
-            nranks,
-            self.lifeline_count,
-            seed=self.seed,
-            regions=self.regions,
-        )
+        return builder(rank, nranks, self.lifeline_count, regions=self.regions)
 
 
 #: Plan used when a worker is constructed without one (unit tests,
@@ -235,7 +228,6 @@ class Worker:
         "requests_denied",
         "requests_forwarded",
         "forwards_served",
-        "chunks_sent",
         "nodes_sent",
         "service_time",
         # Forwarding.
@@ -343,7 +335,6 @@ class Worker:
         self.requests_denied = 0
         self.requests_forwarded = 0
         self.forwards_served = 0
-        self.chunks_sent = 0
         self.nodes_sent = 0
         self.service_time = 0.0
 
@@ -512,7 +503,6 @@ class Worker:
                     body = stack.steal_chunks(take)
                     nodes = len(body)
                     self.requests_served += 1
-                    self.chunks_sent += take
                     self.nodes_sent += nodes
                     if tag == TAG_STEAL_FORWARD:
                         self.forwards_served += 1
@@ -549,7 +539,6 @@ class Worker:
                 self.service_time += self.steal_service_time
                 body = stack.steal_chunks(take)
                 nodes = len(body)
-                self.chunks_sent += take
                 self.nodes_sent += nodes
                 self.lifeline_pushes += 1
                 if self.events is not None:

@@ -13,9 +13,6 @@ can be measured:
 ``ring``
     Nearest neighbours ``r ± 1, r ± 2, ...`` — symmetric by
     construction, minimal wiring, linear diameter.
-``random``
-    Seeded uniform draw of distinct partners per rank — expander-like
-    in expectation, no structure.
 ``regtree``
     Binary tree *within* each locality region (regions from
     :class:`repro.protocol.regions.RegionMap`; one region covering the
@@ -32,22 +29,14 @@ self-edges, no duplicates, every partner in ``range(nranks)``, at most
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import registry
 
 __all__ = [
     "hypercube_partners",
     "ring_partners",
-    "random_partners",
     "regtree_partners",
     "SYMMETRIC_GRAPHS",
 ]
-
-#: Seed-stream constant separating the per-rank graph RNG from the
-#: selector streams (``SeedSequence([seed, rank])`` in repro.core.victim)
-#: and the region-draw stream (:data:`repro.protocol.core._REGION_STREAM`).
-_GRAPH_STREAM = 0x4C47  # "LG"
 
 #: Graph names whose partner relation is symmetric (``regtree`` only
 #: once ``count >= 4`` admits parent + both children + the root ring).
@@ -55,7 +44,7 @@ SYMMETRIC_GRAPHS = frozenset({"ring"})
 
 
 def hypercube_partners(
-    rank: int, nranks: int, count: int, seed: int = 0, regions=None
+    rank: int, nranks: int, count: int, regions=None
 ) -> list[int]:
     """Cyclic-hypercube lifeline graph: partners at power-of-two offsets.
 
@@ -76,7 +65,7 @@ def hypercube_partners(
 
 
 def ring_partners(
-    rank: int, nranks: int, count: int, seed: int = 0, regions=None
+    rank: int, nranks: int, count: int, regions=None
 ) -> list[int]:
     """Nearest-neighbour ring: ``r ± 1, r ± 2, ...``, symmetric.
 
@@ -94,24 +83,8 @@ def ring_partners(
     return partners
 
 
-def random_partners(
-    rank: int, nranks: int, count: int, seed: int = 0, regions=None
-) -> list[int]:
-    """Seeded uniform draw of distinct partners (expander-ish)."""
-    eligible = nranks - 1
-    k = min(count, eligible)
-    if k <= 0:
-        return []
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, rank, _GRAPH_STREAM])
-    )
-    # Draw from 0..nranks-2 and shift past self: uniform over others.
-    draw = rng.choice(eligible, size=k, replace=False)
-    return [int(d) if d < rank else int(d) + 1 for d in draw]
-
-
 def regtree_partners(
-    rank: int, nranks: int, count: int, seed: int = 0, regions=None
+    rank: int, nranks: int, count: int, regions=None
 ) -> list[int]:
     """Binary tree within each region; region roots linked in a ring.
 
@@ -153,5 +126,4 @@ def regtree_partners(
 _GRAPHS = registry.registry_for("lifeline_graph")
 _GRAPHS.register("hypercube", lambda: hypercube_partners)
 _GRAPHS.register("ring", lambda: ring_partners)
-_GRAPHS.register("random", lambda: random_partners)
 _GRAPHS.register("regtree", lambda: regtree_partners)

@@ -3,7 +3,7 @@
 A long-running asyncio job front-end for the work-stealing simulator:
 
 * :class:`SimulationService` — accepts sweep submissions, dedups them
-  against the artifact store *and* against work already in flight
+  against the store *and* against work already in flight
   (one fingerprint, one execution), schedules with priority +
   weighted fair share onto a shared worker pool, and streams typed
   :class:`~repro.core.jobs.JobEvent`\\ s;
@@ -11,18 +11,12 @@ A long-running asyncio job front-end for the work-stealing simulator:
 * :class:`FairShareScheduler` — the deterministic queue discipline
   (priority bands, stride-scheduled weighted fair share, per-client
   FIFO);
-* :class:`ArtifactStore` — the versioned result + artifact store with
+* :class:`ArtifactStore` — the versioned result store with
   size-bounded LRU eviction (:mod:`repro.exec.store`, re-exported);
 * ``python -m repro.service`` — submit preset sweeps from the shell.
 """
 
-from repro.core.jobs import (
-    ArtifactRef,
-    Job,
-    JobEvent,
-    JobFailure,
-    JobState,
-)
+from repro.core.jobs import Job, JobEvent, JobFailure, JobState
 from repro.exec.store import ArtifactStore, StoreStats
 from repro.service.scheduler import ClientShare, FairShareScheduler
 from repro.service.service import ServiceStats, SimulationService, SweepHandle
@@ -35,7 +29,6 @@ __all__ = [
     "ClientShare",
     "ArtifactStore",
     "StoreStats",
-    "ArtifactRef",
     "Job",
     "JobEvent",
     "JobFailure",

@@ -112,7 +112,6 @@ def _stats(args) -> int:
             {
                 "dir": str(store.dir),
                 "entries": stats.entries,
-                "artifacts": stats.artifacts,
                 "total_bytes": stats.total_bytes,
                 "max_bytes": stats.max_bytes,
             },

@@ -3,8 +3,8 @@
 :class:`SimulationService` is the long-running front-end over
 :mod:`repro.exec`: clients submit sweeps (lists of
 :class:`~repro.core.config.WorkStealingConfig`), the service dedups
-them against the artifact store **and** against work already in
-flight, schedules what remains with priority + weighted fair share
+them against the store **and** against work already in flight,
+schedules what remains with priority + weighted fair share
 (:class:`~repro.service.scheduler.FairShareScheduler`) onto one shared
 :class:`~repro.exec.pool.WorkerPool`, and streams typed
 :class:`~repro.core.jobs.JobEvent`\\ s back to each submitter.
@@ -62,7 +62,7 @@ class ServiceStats:
 
     #: Configs received by :meth:`SimulationService.submit`.
     submitted: int
-    #: Submissions answered straight from the artifact store.
+    #: Submissions answered straight from the store.
     cache_hits: int
     #: Submissions that joined a job already in flight.
     dedup_joins: int
@@ -402,10 +402,8 @@ class SimulationService:
         self._emit(job, JobState.STARTED)
         timeout = self._timeouts.get(job.id)
         try:
-            payload, elapsed, artifact = await self._execute(job, timeout)
-            result, ref = land(
-                self.store, job.fingerprint, job.config, payload, elapsed, artifact
-            )
+            payload, elapsed = await self._execute(job, timeout)
+            result = land(self.store, job.fingerprint, job.config, payload, elapsed)
         except asyncio.CancelledError:
             # Cancellation is initiated by this service (handle.cancel
             # or close(drain=False)); surface it, don't re-raise.
@@ -427,8 +425,6 @@ class SimulationService:
         else:
             self._counts["executed"] += 1
             job.elapsed = elapsed
-            if ref is not None:
-                job.artifacts[ref.kind] = ref
             job.result = result
             job.state = JobState.DONE
             job.finished_at = time.monotonic()
@@ -439,11 +435,11 @@ class SimulationService:
 
     async def _execute(
         self, job: Job, timeout: float | None
-    ) -> tuple[str, float, str | None]:
+    ) -> tuple[str, float]:
         """One simulation, on the pool (or the injected runner).
 
         Returns the worker reply without its index:
-        ``(result_json, elapsed, artifact)``.
+        ``(result_json, elapsed)``.
         """
         if self._runner is not None:
             loop = asyncio.get_running_loop()
@@ -452,16 +448,16 @@ class SimulationService:
                 loop.run_in_executor(None, self._runner, dict(job.config)),
                 timeout,
             )
-            return result.to_json(), time.perf_counter() - start, None
+            return result.to_json(), time.perf_counter() - start
         future = self._pool.submit(job.config, max_events=self.max_events)
         try:
-            _, payload, elapsed, artifact = await asyncio.wait_for(
+            _, payload, elapsed = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout
             )
         except (asyncio.TimeoutError, asyncio.CancelledError):
             future.cancel()  # abandon; the worker process runs on
             raise
-        return payload, elapsed, artifact
+        return payload, elapsed
 
     # ------------------------------------------------------------------
     # Completion plumbing

@@ -106,7 +106,7 @@ class TestDerived:
     def test_replace_keeps_resolved_strategy_objects(self):
         # replace() re-runs validation; already-resolved parameterised
         # strategies must survive it untouched, not be re-parsed.
-        cfg = _cfg(selector="skew[1.5]", steal_policy="frac[0.25]", allocation="8G@x2")
+        cfg = _cfg(selector="skew[1.5]", steal_policy="frac[0.25]", allocation="8G")
         derived = cfg.replace(nranks=16)
         assert derived.selector is cfg.selector
         assert derived.steal_policy is cfg.steal_policy

@@ -18,7 +18,7 @@ from repro.core.victim import (
     RoundRobinSelector,
 )
 from repro.errors import ConfigurationError
-from repro.net.allocation import DilatedAllocation, OnePerNode
+from repro.net.allocation import GroupedPacked, OnePerNode
 from repro.select.adaptive import (
     AdaptiveStealPolicy,
     EpsilonGreedySelector,
@@ -116,7 +116,7 @@ class TestGlobalRegistries:
             ("steal_policy", "half", StealHalf),
             ("steal_policy", "frac[0.25]", StealFraction),
             ("allocation", "1/N", OnePerNode),
-            ("allocation", "8G@x2", DilatedAllocation),
+            ("allocation", "8G", GroupedPacked),
             ("rng_backend", "sha1", Sha1Backend),
         ],
     )

@@ -27,7 +27,7 @@ class TestConfigRoundTrip:
         cfg = _cfg(
             selector="skew[1.5]",
             steal_policy="frac[0.25]",
-            allocation="8G@x2",
+            allocation="8G",
             rng_backend="sha1",
             latency_model="uniform",
             chunk_size=7,
@@ -36,7 +36,7 @@ class TestConfigRoundTrip:
         again = WorkStealingConfig.from_dict(cfg.to_dict())
         assert again.selector.name == "skew[1.5]"
         assert again.steal_policy.name == "frac[0.25]"
-        assert again.allocation.name == "8G@x2"
+        assert again.allocation.name == "8G"
         assert again.fingerprint() == cfg.fingerprint()
 
     def test_to_dict_is_json_safe(self):

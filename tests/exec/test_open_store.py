@@ -28,8 +28,9 @@ class TestOpenStore:
 
 
 @pytest.mark.parametrize("spelling", ["path", "str", "true", "instance"])
-def test_event_trace_run_keeps_its_chrome_trace(spelling, tmp_path, monkeypatch):
-    """Whatever opens the store, the worker's trace.json lands in it."""
+def test_event_trace_run_lands_its_result(spelling, tmp_path, monkeypatch):
+    """Whatever opens the store, a traced run's result lands in it alone:
+    the event stream does not survive the result serialization."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     store = {
         "path": Path(tmp_path),
@@ -38,11 +39,11 @@ def test_event_trace_run_keeps_its_chrome_trace(spelling, tmp_path, monkeypatch)
         "instance": ArtifactStore(tmp_path),
     }[spelling]
     cfg = WorkStealingConfig(tree=T3XS, nranks=4, event_trace=True)
-    run_many([cfg], store=store)
+    (result,) = run_many([cfg], store=store)
+    assert result.events is None
     on_disk = ArtifactStore(tmp_path)
-    assert on_disk.get(cfg.fingerprint()) is not None
-    trace = on_disk.artifact_path(cfg.fingerprint(), "trace.json")
-    assert trace.parent.name == "artifacts" and trace.stat().st_size > 0
+    assert on_disk.get(cfg.fingerprint()).to_json() == result.to_json()
+    assert [p.name for p in on_disk.dir.iterdir()] == [f"{cfg.fingerprint()}.json"]
 
 
 def test_sweep_overflows_the_lru_budget(tmp_path):

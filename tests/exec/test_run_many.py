@@ -86,6 +86,16 @@ class TestRunMany:
     def test_empty_batch(self):
         assert run_many([]) == []
 
+    def test_bad_jobs_rejected_whatever_the_store_holds(self, tmp_path):
+        configs = _configs(2)
+        run_many(configs, store=tmp_path)  # warm: nothing left to run
+        with pytest.raises(ConfigurationError):
+            run_many(configs, jobs=-3, store=tmp_path)
+        with pytest.raises(ConfigurationError):
+            run_many([], jobs=0)
+        with WorkerPool(1) as pool:  # a caller-owned pool overrides jobs
+            assert len(run_many(configs, jobs=0, store=tmp_path, pool=pool)) == 2
+
 
 # ----------------------------------------------------------------------
 # Failure isolation and pool reuse
@@ -162,11 +172,8 @@ class TestWorkerPool:
     def test_direct_submit_speaks_worker_protocol(self):
         cfg = _configs(1)[0]
         with WorkerPool(1) as pool:
-            index, payload, elapsed, artifact = pool.submit(
-                cfg.to_dict(), index=7
-            ).result()
-        assert index == 7
-        assert artifact is None
+            index, payload, elapsed = pool.submit(cfg.to_dict(), index=7).result()
+        assert index == 7 and elapsed > 0
         from repro.ws.results import RunResult
 
         assert RunResult.from_json(payload).label == cfg.label()

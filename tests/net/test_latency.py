@@ -8,18 +8,16 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.latency import (
     HierarchicalLatency,
-    HopLatency,
     KComputerLatency,
     UniformLatency,
 )
-from repro.net.topology import FlatTopology, TofuTopology, Torus3D
+from repro.net.topology import FlatTopology, TofuTopology
 
 TOFU = TofuTopology((2, 2, 2))
 NODES = np.arange(48, dtype=np.int64)
 
 ALL_MODELS = [
     UniformLatency(2e-6),
-    HopLatency(),
     HierarchicalLatency(),
     KComputerLatency(),
 ]
@@ -55,27 +53,6 @@ class TestUniform:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             UniformLatency(-1.0)
-
-
-class TestHop:
-    def test_scaling_with_hops(self):
-        model = HopLatency(base=1e-6, per_hop=1e-7)
-        topo = Torus3D((8, 8, 8))
-        nodes = np.array([0, 1, 4])  # 1 hop and 4 hops from node 0
-        m = model.matrix(topo, nodes)
-        assert m[0, 1] == pytest.approx(1e-6 + 1e-7)
-        assert m[0, 2] == pytest.approx(1e-6 + 4e-7)
-
-    def test_intra_node_fast_path(self):
-        model = HopLatency(base=1e-6, per_hop=1e-7, intra_node=1e-7)
-        # Two ranks on the same node: latency = intra_node.
-        m = model.matrix(Torus3D((4, 4, 4)), np.array([5, 5, 6]))
-        assert m[0, 1] == pytest.approx(1e-7)
-        assert m[0, 2] > 1e-6
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HopLatency(base=-1e-6)
 
 
 class TestHierarchical:

@@ -23,17 +23,15 @@ from repro.net.allocation import build_placement
 from repro.net.coords import CoordSpace
 from repro.net.latency import (
     HierarchicalLatency,
-    HopLatency,
     KComputerLatency,
     UniformLatency,
 )
-from repro.net.topology import TofuTopology, Torus3D, _GridTopology
+from repro.net.topology import TofuTopology
 
-ALLOCATIONS = ["1/N", "8RR", "8G", "4RR", "4G", "1/N@x16", "8RR@x4"]
+ALLOCATIONS = ["1/N", "8RR", "8G", "4RR", "4G"]
 MODELS = [
     KComputerLatency(),
     HierarchicalLatency(3e-7, 5e-7, 9e-7, 1.3e-6, 1.7e-7),
-    HopLatency(),
     UniformLatency(),
 ]
 
@@ -57,12 +55,22 @@ def _space_and_nodes(draw):
     return space, np.array(nodes, dtype=np.int64)
 
 
+@st.composite
+def _tofu_and_nodes(draw):
+    grid = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    topo = TofuTopology(tuple(grid))
+    # Any node multiset: repeats are co-located ranks.
+    nodes = draw(
+        st.lists(st.integers(0, topo.num_nodes - 1), min_size=1, max_size=40)
+    )
+    return topo, np.array(nodes, dtype=np.int64)
+
+
 class TestGridRows:
     @settings(max_examples=150, deadline=None)
-    @given(case=_space_and_nodes())
+    @given(case=_tofu_and_nodes())
     def test_rows_equal_matrix_rows(self, case):
-        space, nodes = case
-        topo = _GridTopology(space)
+        topo, nodes = case
         hops, eucl = topo.hops_matrix(nodes), topo.euclidean_matrix(nodes)
         hops_row, eucl_row = topo.hops_rows(nodes), topo.euclidean_rows(nodes)
         for i in range(len(nodes)):
@@ -86,7 +94,8 @@ class TestGridRows:
     def test_rows_are_fresh_arrays(self):
         # A caller owns the row ``PairwiseMetric.row`` hands it and may
         # write into it; the builder's tables must not be what it gets.
-        row = Torus3D((4, 1, 1)).hops_rows(np.arange(4))
+        # Cube corners 0, 12, 24, 36 sit on one wrapping ring of four.
+        row = TofuTopology((4, 1, 1)).hops_rows(np.arange(0, 48, 12))
         first = row(1)
         first[:] = -1
         assert row(1).tolist() == [1, 0, 1, 2]
@@ -160,23 +169,12 @@ class TestCodeRows:
         view = memoryview(code_row(3))
         assert [values[view[j]] for j in range(len(nodes))] == lat[3].tolist()
 
-    def test_hop_latency_on_a_long_mesh(self):
-        topo = _GridTopology(CoordSpace((300,), (False,)))
-        nodes = np.arange(0, 300, 7, dtype=np.int64)
-        model = HopLatency()
-        code_row, values = model.code_rows(topo, nodes)
-        lat = model.matrix(topo, nodes)
-        for i in range(len(nodes)):
-            codes = code_row(i)
-            assert codes.dtype == np.uint16
-            assert _same(np.array(values)[codes], lat[i])
-
     @pytest.mark.parametrize(
         "model, field",
         [
             (KComputerLatency(), "per_hop"),
             (KComputerLatency(), "blade"),
-            (HopLatency(), "intra_node"),
+            (HierarchicalLatency(), "intra_node"),
             (UniformLatency(), "latency"),
         ],
     )

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.net.topology import FlatTopology, TofuTopology, Topology, Torus3D
+from repro.net.topology import FlatTopology, TofuTopology
 
 ALL_TOPOLOGIES = [
     TofuTopology((2, 2, 2)),
-    Torus3D((3, 3, 3)),
     FlatTopology(20),
 ]
 
@@ -28,12 +27,6 @@ class TestTopologyContract:
         for _ in range(30):
             a, b = rng.integers(0, topo.num_nodes, 2)
             assert topo.hops(int(a), int(b)) == topo.hops(int(b), int(a))
-
-    def test_diameter_is_the_largest_hop_count(self, topo):
-        # Hop-indexed latency tables are sized by it.
-        hops = topo.hops_matrix(np.arange(topo.num_nodes))
-        assert hops.max() == topo.diameter()
-        assert type(topo).diameter(topo) == Topology.diameter(topo)
 
     def test_hops_positive_off_diagonal(self, topo):
         assert topo.hops(0, 1) > 0
@@ -154,25 +147,6 @@ class TestTofu:
         )
         x, _, z = sorted(TofuTopology.for_nodes(n_nodes).cube_grid)
         assert z - x <= best
-
-
-class TestTorus3D:
-    def test_wraps(self):
-        t = Torus3D((5, 5, 5))
-        assert t.hops(0, 4) == 1  # (0,0,0) -> (0,0,4) wraps
-
-    def test_for_nodes(self):
-        t = Torus3D.for_nodes(100)
-        assert t.num_nodes >= 100
-        assert t.dims == (5, 5, 5)
-
-    def test_bad_dims(self):
-        with pytest.raises(TopologyError):
-            Torus3D((5, 5))  # type: ignore[arg-type]
-
-    def test_for_nodes_bad(self):
-        with pytest.raises(TopologyError):
-            Torus3D.for_nodes(0)
 
 
 class TestFlat:

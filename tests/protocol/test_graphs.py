@@ -19,7 +19,6 @@ from repro.core import registry
 from repro.protocol.graphs import (
     SYMMETRIC_GRAPHS,
     hypercube_partners,
-    random_partners,
     regtree_partners,
     ring_partners,
 )
@@ -28,14 +27,12 @@ from repro.protocol.regions import RegionMap
 BUILDERS = {
     "hypercube": hypercube_partners,
     "ring": ring_partners,
-    "random": random_partners,
     "regtree": regtree_partners,
 }
 
 # Deliberately odd sizes: primes, powers of two +- 1, tiny jobs.
 nranks_st = st.sampled_from([1, 2, 3, 5, 7, 8, 13, 16, 17, 31, 32, 40, 64])
 counts = st.integers(min_value=0, max_value=8)
-seeds = st.integers(min_value=0, max_value=2**31)
 
 
 def _region_map(nranks: int, nregions: int) -> RegionMap | None:
@@ -48,8 +45,8 @@ def _region_map(nranks: int, nregions: int) -> RegionMap | None:
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @settings(max_examples=60, deadline=None)
-@given(nranks=nranks_st, count=counts, seed=seeds, data=st.data())
-def test_builder_invariants(name, nranks, count, seed, data):
+@given(nranks=nranks_st, count=counts, data=st.data())
+def test_builder_invariants(name, nranks, count, data):
     builder = BUILDERS[name]
     regions = None
     if name == "regtree":
@@ -57,15 +54,13 @@ def test_builder_invariants(name, nranks, count, seed, data):
             nranks, data.draw(st.integers(1, 4), label="nregions")
         )
     for rank in range(nranks):
-        partners = builder(rank, nranks, count, seed=seed, regions=regions)
+        partners = builder(rank, nranks, count, regions=regions)
         assert rank not in partners, f"{name}: self-edge at rank {rank}"
         assert len(partners) == len(set(partners)), f"{name}: duplicates"
         assert all(0 <= p < nranks for p in partners)
         assert len(partners) <= count
         # Deterministic: a second build is byte-for-byte the same.
-        assert partners == builder(
-            rank, nranks, count, seed=seed, regions=regions
-        )
+        assert partners == builder(rank, nranks, count, regions=regions)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,8 +90,8 @@ def test_regtree_symmetric_with_full_budget(nranks, count, nregions):
 
 
 @settings(max_examples=40, deadline=None)
-@given(nranks=nranks_st, seed=seeds)
-def test_hypercube_connects_the_job(nranks, seed):
+@given(nranks=nranks_st)
+def test_hypercube_connects_the_job(nranks):
     """With the full log2 budget every rank reaches every other —
     the percolation property the lifeline scheme relies on."""
     count = max(1, nranks.bit_length())
@@ -104,7 +99,7 @@ def test_hypercube_connects_the_job(nranks, seed):
     frontier = [0]
     while frontier:
         r = frontier.pop()
-        for p in hypercube_partners(r, nranks, count, seed=seed):
+        for p in hypercube_partners(r, nranks, count):
             if p not in reached:
                 reached.add(p)
                 frontier.append(p)

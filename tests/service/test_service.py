@@ -332,33 +332,26 @@ class TestFailureModes:
 class TestPoolBacked:
     """The real process-pool path (no injected runner)."""
 
-    def test_sweep_matches_direct_runner_and_stores_artifacts(self, tmp_path):
+    def test_traced_sweep_matches_direct_runner_and_is_stored(self, tmp_path):
         store = ArtifactStore(tmp_path)
         config = _config().replace(event_trace=True)
         results = _sweep([config], store)
         direct = run_uts(_config())
         assert results[0].total_nodes == direct.total_nodes
-        # event_trace=True runs leave a Chrome-trace artifact behind.
-        fingerprint = store._entries()[0][0]
-        assert "trace.json" in store.artifacts_for(fingerprint)
+        assert store.get(config.fingerprint()).to_json() == results[0].to_json()
 
     @pytest.mark.parametrize("spelling", [Path, str], ids=["path", "str"])
-    def test_store_spellings_keep_trace_artifact(self, spelling, tmp_path):
+    def test_store_spellings_reach_one_store(self, spelling, tmp_path):
         """A store opened from a path is the same store as an instance."""
-        config = _config().replace(event_trace=True)
 
         async def main():
             async with SimulationService(1, spelling(tmp_path)) as service:
-                handle = await service.submit([config])
-                await handle.results()
-                return handle.jobs[0]
+                handle = await service.submit([_config()])
+                return await handle.results()
 
-        job = asyncio.run(main())
-        ref = job.artifacts["trace.json"]
-        assert ref.path == ArtifactStore(tmp_path).artifact_path(
-            config.fingerprint(), "trace.json"
-        )
-        assert ref.path.stat().st_size == ref.nbytes > 0
+        (result,) = asyncio.run(main())
+        stored = ArtifactStore(tmp_path).get(_config().fingerprint())
+        assert stored.to_json() == result.to_json()
 
     def test_event_sequence_for_fresh_job(self):
         async def main():

@@ -45,7 +45,7 @@ class TestConservation:
         out, _ = run(nranks=8, steal_policy=policy)
         assert out.total_nodes == SEQ_T3XS.total_nodes
 
-    @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G", "1/N@x4"])
+    @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G"])
     def test_across_allocations(self, alloc):
         out, _ = run(nranks=16, allocation=alloc)
         assert out.total_nodes == SEQ_T3XS.total_nodes

@@ -135,7 +135,7 @@ class TestDifferentialMatrix:
     def test_selector_policy_matrix(self, selector, policy):
         assert_identical(_config(selector=selector, steal_policy=policy))
 
-    @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G", "4G", "1/N@x4"])
+    @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G", "4G"])
     def test_allocations_aligned_and_not(self, alloc):
         assert_identical(_config(allocation=alloc))
 
@@ -243,7 +243,6 @@ PROTOCOL_CASES = [
         lifelines=2,
         lifeline_graph="ring",
     ),
-    dict(lifelines=2, lifeline_graph="random"),
     dict(lifelines=3, lifeline_graph="regtree", regions=4),
     # Regions of one rank: those ranks draw from the selector alone,
     # so the loop runs their failed steals and the worker the rest.
@@ -252,7 +251,7 @@ PROTOCOL_CASES = [
 ]
 
 _PROTOCOL_IDS = [
-    "forward3", "regions4", "fwd-reg-ring", "ll-random", "ll-regtree",
+    "forward3", "regions4", "fwd-reg-ring", "ll-regtree",
     "regions8-peerless", "fwd-regions8-peerless",
 ]
 
