@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -204,9 +205,10 @@ class WorkStealingConfig:
             raise ConfigurationError(
                 f"poll_interval must be >= 1, got {self.poll_interval}"
             )
-        if self.node_time <= 0:
+        # Ranges, so NaN (which fails every comparison) is rejected too.
+        if not (0 < self.node_time < math.inf):
             raise ConfigurationError(
-                f"node_time must be > 0, got {self.node_time}"
+                f"node_time must be finite and > 0, got {self.node_time}"
             )
         if self.compute_rounds < 1:
             raise ConfigurationError(
@@ -218,9 +220,9 @@ class WorkStealingConfig:
             "nic_service_time",
             "clock_skew_std",
         ):
-            if getattr(self, name) < 0:
+            if not (0 <= getattr(self, name) < math.inf):
                 raise ConfigurationError(
-                    f"{name} must be >= 0, got {getattr(self, name)}"
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
                 )
         if self.node_cap < 1:
             raise ConfigurationError(

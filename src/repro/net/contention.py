@@ -39,35 +39,31 @@ class NicContention:
             raise ConfigurationError(
                 f"service_time must be >= 0, got {service_time}"
             )
-        # Plain lists of Python ints/floats: ``inject`` runs twice per
-        # simulated message, and the same float64 arithmetic on numpy
-        # scalars costs several times more (and leaks ``np.float64``
-        # into the engine's heap keys).
-        self._rank_nodes: list[int] = [int(node) for node in rank_nodes]
+        # Plain lists of Python ints/floats: the engine reads them on
+        # every simulated message, and the same float64 arithmetic on
+        # numpy scalars costs several times more (and leaks
+        # ``np.float64`` into the engine's heap keys).
+        self.rank_nodes: list[int] = [int(node) for node in rank_nodes]
         self.service_time = float(service_time)
-        n_nodes = max(self._rank_nodes) + 1 if self._rank_nodes else 0
-        self._port_free: list[float] = [0.0] * n_nodes
+        n_nodes = max(self.rank_nodes) + 1 if self.rank_nodes else 0
+        #: ``port_free[n]`` = when node ``n``'s port is next free.
+        self.port_free: list[float] = [0.0] * n_nodes
 
     def inject(self, rank: int, now: float) -> float:
-        """Account for rank ``rank`` injecting a message at time ``now``.
+        """Account for rank ``rank``'s node port taking a message at
+        time ``now``; returns the time the port is done with it.
 
-        Returns the time the message actually enters the network (the
-        send timestamp to which wire latency is added).
+        A send takes the source node's port at injection and the
+        destination node's at arrival (the DMA engines are shared both
+        ways).  ``repro.sim.cluster`` writes this arithmetic out on
+        its send paths; this method is the reference the test oracle
+        runs.
         """
         service = self.service_time
         if service <= 0.0:
             return now
-        node = self._rank_nodes[rank]
-        free = self._port_free[node]
+        node = self.rank_nodes[rank]
+        free = self.port_free[node]
         depart = (now if now >= free else free) + service
-        self._port_free[node] = depart
+        self.port_free[node] = depart
         return depart
-
-    def deliver(self, rank: int, now: float) -> float:
-        """Account for rank ``rank`` receiving a message at time ``now``.
-
-        Reception occupies the same node port as injection (the DMA
-        engines are shared both ways); returns the time the message is
-        actually handed to the rank.
-        """
-        return self.inject(rank, now)

@@ -28,21 +28,25 @@ index ranges instead of hashing RNG states (DESIGN.md §5d).
 
 **The loop owns the three common events** — a quantum, a request at a
 WAITING rank (deny it), a deny at a WAITING thief (count it, draw,
-request again) — and runs them with no ``Worker`` frame, step for step
-as ``Worker.on_exec`` and ``Worker.on_message`` do.  Which ranks it
-serves is fixed per rank at construction: a rank qualifies when
-``type(worker) is Worker`` and it has no event recorder; the victim
-half also needs no forwarding, the thief half no lifelines and no
-region peers.  Every other event goes to the worker — another status,
-grants, serves, forwards, lifelines, traced ranks, a session's first
-request, and every event of a ``Worker`` subclass, so an override
-sees all of them.  The ``Worker`` methods stay whole: they are the one
-reference ``tests/sim/oracle.py`` runs, and the differential suite
-compares the loop's untraced runs with it.
+request again) — step for step as ``Worker.on_exec`` and
+``Worker.on_message`` do, with no call of its own but one
+``heapq.heappushpop``: a quantum extends the node list from the tree
+table's offsets, a deny or a request is ``send`` written out, and the
+pushpop hands back the next event (the pushed one when it is
+earliest; the keys are unique, so the order is the heap's).  Which
+ranks it serves is fixed per rank at construction: a rank qualifies
+when ``type(worker) is Worker`` and it has no event recorder; the
+victim half also needs no forwarding, the thief half no lifelines and
+no region peers, and both a ``send`` that is the engine's own.  Every
+other event goes to the worker — another status, grants, serves,
+forwards, lifelines, traced ranks, a session's first request, and
+every event of a ``Worker`` subclass, so an override sees all of
+them.  The ``Worker`` methods stay whole: they are the one reference
+``tests/sim/oracle.py`` runs, and the differential suite compares the
+loop's untraced runs with it.
 
-**NIC contention** (``nic_service_time > 0``) is a ``send`` override,
-:class:`_NicCluster`, chosen when the engine is constructed, so a run
-without it pays no test for it.
+**NIC contention** (``nic_service_time > 0``) is state, not a
+subclass: the node ports a send takes at injection and at arrival.
 """
 
 from __future__ import annotations
@@ -100,15 +104,9 @@ class Cluster:
     """A simulated job: config -> placement -> workers -> ``run()``.
 
     Implements the worker :class:`~repro.protocol.core.Transport`
-    protocol.  ``Cluster(config)`` returns a :class:`_NicCluster` when
-    the config has NIC contention on.  One instance runs once;
-    :meth:`teardown` then releases it to the reference counter.
+    protocol.  One instance runs once; :meth:`teardown` then releases
+    it to the reference counter.
     """
-
-    def __new__(cls, config: WorkStealingConfig, max_events: int | None = None):
-        if cls is Cluster and config.nic_service_time > 0:
-            cls = _NicCluster
-        return super().__new__(cls)
 
     def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
         # Keep this object under 30 instance attributes: past that
@@ -155,10 +153,17 @@ class Cluster:
         self._finishing = False
         self.messages_dropped = 0
         self._transfer_time_per_node = config.transfer_time_per_node
+        self._nic = (
+            NicContention(self.placement.rank_nodes, config.nic_service_time)
+            if config.nic_service_time > 0
+            else None
+        )
 
         tree = TreeTable(
             TreeGenerator(config.tree, config.rng_backend), config.node_cap
         )
+        # Child index ranges: a quantum reads them without a call.
+        self._first = tree._first
         plan = build_plan(config, self.placement)
         self.workers: list[Worker] = [
             make_worker(
@@ -218,7 +223,21 @@ class Cluster:
         wire = self._values[row[dst]]
         if body is not None and tag == TAG_STEAL_RESPONSE:
             wire += len(body) * self._transfer_time_per_node
-        arrival = when + wire
+        nic = self._nic
+        if nic is None:
+            arrival = when + wire
+        else:
+            # ``NicContention.inject`` at ``src``, then at ``dst``.
+            ports, service = nic.port_free, nic.service_time
+            node = nic.rank_nodes[src]
+            free = ports[node]
+            arrival = (when if when >= free else free) + service
+            ports[node] = arrival
+            arrival += wire
+            node = nic.rank_nodes[dst]
+            free = ports[node]
+            arrival = (arrival if arrival >= free else free) + service
+            ports[node] = arrival
         rs = self._rank_seq
         seq = rs[src]
         rs[src] = seq + 1
@@ -228,6 +247,9 @@ class Cluster:
                 f"{self.now}"
             )
         heapq.heappush(self._heap, (arrival, src, seq, tag, dst, body))
+
+    # What ``run`` writes out; a patch of ``Cluster.send`` leaves it be.
+    _own_send = send
 
     def schedule_exec(self, rank: int, when: float) -> None:
         if when < self.now:
@@ -259,23 +281,38 @@ class Cluster:
 
         heap = self._heap
         pop = heapq.heappop
-        push = heapq.heappush
-        # Bound per run, so an override or a class-level patch holds.
-        send = self.send
+        pushpop = heapq.heappushpop
         rank_seq = self._rank_seq
         workers = self.workers
         handlers = self._handlers
         plain = self._plain
-        victims = self._victims
-        thieves = self._thieves
+        # Sends run inline only while ``send`` is the engine's own.
+        if getattr(self.send, "__func__", None) is Cluster._own_send:
+            victims, thieves = self._victims, self._thieves
+        else:
+            victims = thieves = [None] * len(workers)
+        first = self._first
+        rows, row_fn, values = self._rows, self._row_fn, self._values
+        nic = self._nic
+        if nic is not None:
+            ports, rank_nodes, service = (
+                nic.port_free, nic.rank_nodes, nic.service_time
+            )
         running = WorkerStatus.RUNNING
         waiting = WorkerStatus.WAITING
         detector = self.detector
         event_recorders = self.event_recorders
         max_events = self._max_events
         processed = 0
-        while heap:
-            t, src, _seq, tag, rank, body = pop(heap)
+        # The next event if an inline event's pushpop handed it back.
+        event = None
+        while True:
+            if event is None:
+                if not heap:
+                    break
+                event = pop(heap)
+            t, src, _seq, tag, rank, body = event
+            event = None
             self.now = t
             processed += 1
             if processed > max_events:
@@ -291,25 +328,26 @@ class Cluster:
                 if w.pending or not w.plain_serve:
                     t = w.serve_pending(t)
                 nodes = w._nodes
-                if nodes:
-                    n = w.poll_interval
-                    if (len(nodes) - 1) % w._chunk_size >= n:
-                        popped = nodes[-n:]
-                        del nodes[-n:]
-                    else:
-                        popped = w.stack.pop(n)
-                        n = len(popped)
-                    nodes += w._expand(popped)
-                    w.nodes_processed += n
-                    seq = rank_seq[rank]
-                    rank_seq[rank] = seq + 1
-                    push(
-                        heap,
-                        (t + n * w.per_node_time, rank, seq, TAG_EXEC, rank,
-                         None),
-                    )
-                else:
+                if not nodes:
                     w._go_idle(t)
+                    continue
+                n = w.poll_interval
+                if (len(nodes) - 1) % w._chunk_size >= n:
+                    popped = nodes[-n:]
+                    del nodes[-n:]
+                else:
+                    popped = w.stack.pop(n)
+                    n = len(popped)
+                for i in popped:
+                    nodes += range(first[i], first[i + 1])
+                w.nodes_processed += n
+                seq = rank_seq[rank]
+                rank_seq[rank] = seq + 1
+                event = pushpop(
+                    heap,
+                    (t + n * w.per_node_time, rank, seq, TAG_EXEC, rank, None),
+                )
+                continue
             elif tag == TAG_STEAL_RESPONSE:
                 w = thieves[rank]
                 if body is not None or w is None or w.status is not waiting:
@@ -321,14 +359,12 @@ class Cluster:
                 w.consecutive_failed_steals = failed
                 if w._notify is not None:
                     w._notify(src, False)
-                victim = w.selector.next_victim()
+                dst = w.selector.next_victim()
                 w.steal_requests_sent += 1
                 w._session_attempts += 1
                 after = w._escalate_after
-                send(
-                    rank, victim, TAG_STEAL_REQUEST,
-                    after is not None and failed >= after, t,
-                )
+                tag = TAG_STEAL_REQUEST
+                body = after is not None and failed >= after
             elif tag == TAG_STEAL_REQUEST:
                 w = victims[rank]
                 if w is None or w.status is not waiting:
@@ -336,7 +372,7 @@ class Cluster:
                     continue
                 # An idle rank has nothing to give.
                 w.requests_denied += 1
-                send(rank, src, TAG_STEAL_RESPONSE, None, t)
+                dst, tag, body = src, TAG_STEAL_RESPONSE, None
             elif tag == TAG_TOKEN:
                 if event_recorders is not None:
                     event_recorders[rank].append(t, EV_TOKEN, body)
@@ -344,8 +380,38 @@ class Cluster:
                     rank, body, workers[rank].status is WorkerStatus.WAITING
                 )
                 self._dispatch_token_action(rank, action, t)
+                continue
             else:
                 handlers[rank](t, tag, src, body)
+                continue
+            # ``send`` of the request or the deny, written out: neither
+            # carries nodes, so the wire time is the code row's alone.
+            if self._finishing:
+                self.messages_dropped += 1
+                continue
+            row = rows[rank]
+            if row is None:
+                row = rows[rank] = memoryview(row_fn(rank))
+            arrival = values[row[dst]]
+            if nic is None:
+                arrival += t
+            else:
+                node = rank_nodes[rank]
+                free = ports[node]
+                depart = (t if t >= free else free) + service
+                ports[node] = depart
+                arrival += depart
+                node = rank_nodes[dst]
+                free = ports[node]
+                arrival = (arrival if arrival >= free else free) + service
+                ports[node] = arrival
+            seq = rank_seq[rank]
+            rank_seq[rank] = seq + 1
+            if arrival < t:
+                raise SimulationError(
+                    f"event scheduled at {arrival} before current time {t}"
+                )
+            event = pushpop(heap, (arrival, rank, seq, tag, dst, body))
         return self._finalize(processed)
 
     def teardown(self) -> None:
@@ -436,45 +502,3 @@ class Cluster:
             event_recorders=self.event_recorders,
         )
 
-
-class _NicCluster(Cluster):
-    """The engine of a run with NIC contention.
-
-    Delivery occupies the source node's port at injection and the
-    destination node's port at arrival (the DMA engines are shared
-    both ways); port state is job-global and order-sensitive, which
-    the single key-ordered loop gives it for free.  A subclass rather
-    than a branch in :meth:`Cluster.send`: the ledger's paired runs
-    read the extra test as ~4% of the search-dominated 4096-rank
-    workload.
-    """
-
-    def __init__(self, config: WorkStealingConfig, max_events: int | None = None):
-        super().__init__(config, max_events)
-        self._nic = NicContention(
-            self.placement.rank_nodes, config.nic_service_time
-        )
-
-    def send(
-        self, src: int, dst: int, tag: int, body: object, when: float
-    ) -> None:
-        if self._finishing:
-            self.messages_dropped += 1
-            return
-        row = self._rows[src]
-        if row is None:
-            row = self._rows[src] = memoryview(self._row_fn(src))
-        wire = self._values[row[dst]]
-        if body is not None and tag == TAG_STEAL_RESPONSE:
-            wire += len(body) * self._transfer_time_per_node
-        nic = self._nic
-        arrival = nic.deliver(dst, nic.inject(src, when) + wire)
-        rs = self._rank_seq
-        seq = rs[src]
-        rs[src] = seq + 1
-        if arrival < self.now:
-            raise SimulationError(
-                f"event scheduled at {arrival} before current time "
-                f"{self.now}"
-            )
-        heapq.heappush(self._heap, (arrival, src, seq, tag, dst, body))

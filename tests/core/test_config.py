@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import WorkStealingConfig
@@ -63,6 +65,20 @@ class TestValidation:
             ("nic_service_time", -1e-9),
             ("clock_skew_std", -1e-9),
             ("node_cap", 0),
+            # Non-finite timings: NaN passes ``< 0`` and used to
+            # livelock a run or switch the NIC model off; inf returned
+            # an infinite total time.
+            *(
+                (field, value)
+                for field in (
+                    "node_time",
+                    "steal_service_time",
+                    "transfer_time_per_node",
+                    "nic_service_time",
+                    "clock_skew_std",
+                )
+                for value in (math.nan, math.inf)
+            ),
         ],
     )
     def test_bad_values(self, field, value):

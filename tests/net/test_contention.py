@@ -49,7 +49,7 @@ class TestEnabled:
 
     def test_empty_ranks_ok(self):
         nic = NicContention(np.array([], dtype=np.int64), service_time=1.0)
-        assert len(nic._port_free) == 0
+        assert nic.port_free == []
 
 
 def _reference_ports(rank_nodes, service_time, calls):
@@ -85,11 +85,7 @@ class TestAgainstReferenceFormula:
         nic = NicContention(
             np.array(rank_nodes) if as_array else rank_nodes, service_time
         )
-        # Alternate the two entry points: they share one port.
-        got = [
-            (nic.deliver if i % 2 else nic.inject)(rank, now)
-            for i, (rank, now) in enumerate(calls)
-        ]
+        got = [nic.inject(rank, now) for rank, now in calls]
         assert got == _reference_ports(rank_nodes, service_time, calls)
         assert all(type(t) is float for t in got)
 
@@ -99,5 +95,4 @@ class TestAgainstReferenceFormula:
         nic = NicContention([0, 0, 1], service_time=0.0)
         for rank, now in calls:
             assert nic.inject(rank, now) == now
-            assert nic.deliver(rank, now) == now
-        assert nic._port_free == [0.0, 0.0]
+        assert nic.port_free == [0.0, 0.0]

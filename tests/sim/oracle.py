@@ -9,9 +9,11 @@ sender's latencies are its row of the placement's float metric, read
 once (not the engine's code table), and its workers expand RNG states
 by hash through :class:`TreeGenerator`'s scalar reference, one node at
 a time (not the engine's per-run :class:`~repro.uts.tree.TreeTable`,
-which the array path builds).  It shares the workers, the
-termination detector and :class:`NicContention` with the engine — those have their own unit and property suites — and
-nothing of the engine's event handling.
+which the array path builds).  It shares the workers and the
+termination detector with the engine — those have their own unit and
+property suites — and nothing of the engine's event handling; its NIC
+ports are :meth:`NicContention.inject`, the reference for the port
+arithmetic the engine writes out.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class OracleCluster:
         if tag == TAG_STEAL_RESPONSE and body is not None:
             wire += len(body) * self.config.transfer_time_per_node
         depart = self.nic.inject(src, when)
-        arrival = self.nic.deliver(dst, depart + wire)
+        arrival = self.nic.inject(dst, depart + wire)
         self.queue.push(arrival, tag, dst, body, pusher=src)
 
     def _latency_row(self, src: int) -> list[float]:

@@ -185,10 +185,12 @@ NIC_VARIANTS = {
 
 
 class TestNicContentionDifferential:
-    """NIC contention lives in ``_NicCluster.send``; the oracle applies
-    the same two port calls on its single queue.  Ranks per node (1/N vs
-    8 per node), odd rank counts and every protocol feature that adds
-    sends must leave metrics and trace bytes identical."""
+    """NIC contention is port arithmetic the engine writes out in
+    ``Cluster.send`` and in the loop's inline deny and request; the
+    oracle makes the same two ``NicContention.inject`` calls on its
+    single queue.  Ranks per node (1/N vs 8 per node), odd rank counts
+    and every protocol feature that adds sends must leave metrics and
+    trace bytes identical."""
 
     @pytest.mark.parametrize("alloc", ["1/N", "8RR", "8G"])
     @pytest.mark.parametrize(

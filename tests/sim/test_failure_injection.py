@@ -39,10 +39,21 @@ class TestEventBudget:
         with pytest.raises(SimulationError):
             Cluster(_cfg(), max_events=0)
 
+    @pytest.mark.parametrize("nic", [0.0, 1e-7], ids=["nic-off", "nic-on"])
+    def test_budget_counts_every_event(self, nic):
+        # An event ``heappushpop`` hands straight back never sits on
+        # the heap, and is counted all the same.
+        cfg = _cfg(nic_service_time=nic)
+        n = Cluster(cfg).run().events_processed
+        assert Cluster(cfg, max_events=n).run().events_processed == n
+        with pytest.raises(SimulationError, match=f"exceeded {n - 1} events"):
+            Cluster(cfg, max_events=n - 1).run()
+
 
 class TestMessageLoss:
-    @staticmethod
-    def _lossy_cluster(monkeypatch, drop_tag, drop_every, max_events):
+    nic = 0.0
+
+    def _lossy_cluster(self, monkeypatch, drop_tag, drop_every, max_events):
         """The engine with every ``drop_every``-th ``drop_tag`` send
         silently lost (workers look ``transport.send`` up per call)."""
         original_send = Cluster.send
@@ -56,7 +67,7 @@ class TestMessageLoss:
             original_send(self, src, dst, tag, body, when)
 
         monkeypatch.setattr(Cluster, "send", lossy_send)
-        return Cluster(_cfg(), max_events=max_events)
+        return Cluster(_cfg(nic_service_time=self.nic), max_events=max_events)
 
     def test_dropped_responses_detected(self, monkeypatch):
         """Losing steal responses strands thieves; the run must end in
@@ -76,6 +87,13 @@ class TestMessageLoss:
         )
         with pytest.raises((TerminationError, SimulationError)):
             cluster.run()
+
+
+class TestMessageLossWithNic(TestMessageLoss):
+    """The same losses with NIC contention on: the patch still sees
+    every message."""
+
+    nic = 1e-7
 
 
 class TestStateCorruption:
