@@ -24,7 +24,9 @@ and lets the two be compared byte for byte.
 One EXEC event is one quantum: the paper's Algorithm 1 polls between
 every ``poll_interval`` node expansions.  The tree is walked once per
 run into a :class:`~repro.uts.tree.TreeTable`, so a quantum reads child
-index ranges instead of hashing RNG states (DESIGN.md §5d).
+index ranges instead of hashing RNG states, and a pop of consecutive
+indices (nodes are numbered breadth-first) extends the stack by one
+range (DESIGN.md §5d).
 
 **The loop owns the three common events** — a quantum, a request at a
 WAITING rank (deny it), a deny at a WAITING thief (count it, draw,
@@ -44,6 +46,19 @@ every event of a ``Worker`` subclass, so an override sees all of
 them.  The ``Worker`` methods stay whole: they are the one reference
 ``tests/sim/oracle.py`` runs, and the differential suite compares the
 loop's untraced runs with it.
+
+**A running rank's quanta are not heap events.**  Until an event
+reaches it, a plain running rank's quantum touches its own stack
+alone.  When one leaves more than ``poll_interval`` nodes, the loop
+records the next quantum's key (``_deferred``) and pushes a *wake* —
+an EXEC-tagged event whose body is that key — keyed before the rank
+could run dry.  The rank is brought up to date, by the same code in
+the loop, either by the message that reaches it (every deferred
+quantum keyed below the message's key runs, the next goes back on the
+heap as an EXEC, then the message is delivered) or by its wake (the
+quanta keyed below the wake run, and the next wake or EXEC is
+pushed).  Each deferred quantum counts as one event; wakes count
+neither as events nor as dropped messages.
 
 **NIC contention** (``nic_service_time > 0``) is state, not a
 subclass: the node ports a send takes at injection and at arrival.
@@ -79,6 +94,15 @@ __all__ = [
 
 #: Default runaway guard for one simulation.
 DEFAULT_MAX_EVENTS = 100_000_000
+
+#: A rank that holds ``s`` nodes at its next quantum ``tk`` cannot run
+#: dry before ``tk + s * per_node_time``; its wake takes this share of
+#: that window.  The rest absorbs the rounding of the quanta's time
+#: sums, which ``_WAKE_GUARD`` bounds: a wake is armed only while
+#: ``per_node_time`` exceeds ``_WAKE_GUARD`` times the latest time the
+#: window can reach (DESIGN.md §5d).
+_WAKE_SHARE = 0.9375
+_WAKE_GUARD = 2.0**-47
 
 
 @dataclass
@@ -128,7 +152,7 @@ class Cluster:
             raise SimulationError(
                 f"max_events must be >= 1, got {self._max_events}"
             )
-        self.detector = DijkstraTermination(config.nranks)
+        self.detector = DijkstraTermination(config.nranks, self._quiescent)
         self.event_recorders = (
             [
                 EventRecorder(config.event_trace_capacity)
@@ -204,6 +228,9 @@ class Cluster:
             else None
             for w in plain
         ]
+        # Per rank, the ``[time, seq]`` key of its next quantum while
+        # its quanta are deferred, else None.
+        self._deferred: list = [None] * config.nranks
 
     # ------------------------------------------------------------------
     # Transport interface (used by workers)
@@ -264,6 +291,15 @@ class Cluster:
     def rank_became_idle(self, rank: int, when: float) -> None:
         self._dispatch_token_action(rank, self.detector.rank_idle(rank), when)
 
+    def _quiescent(self) -> bool:
+        """No rank running and no grant on the wire: what a white probe
+        must find before rank 0 declares (``DijkstraTermination``)."""
+        return all(
+            w.status is not WorkerStatus.RUNNING for w in self.workers
+        ) and not any(
+            e[3] == TAG_STEAL_RESPONSE and e[5] for e in self._heap
+        )
+
     def work_sent(self, rank: int) -> None:
         self.detector.work_sent(rank)
 
@@ -275,17 +311,20 @@ class Cluster:
         """Start every rank, deliver events in key order until the
         heap drains, check the run terminated cleanly.  A quantum, an
         idle deny and a failed steal of a rank chosen at construction
-        run here, not in the worker (module docstring)."""
+        run here, not in the worker, and a running rank's quanta are
+        deferred between wakes (module docstring)."""
         for worker in self.workers:
             worker.start(0.0)
 
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
         pushpop = heapq.heappushpop
         rank_seq = self._rank_seq
         workers = self.workers
         handlers = self._handlers
         plain = self._plain
+        deferred = self._deferred
         # Sends run inline only while ``send`` is the engine's own.
         if getattr(self.send, "__func__", None) is Cluster._own_send:
             victims, thieves = self._victims, self._thieves
@@ -304,8 +343,9 @@ class Cluster:
         event_recorders = self.event_recorders
         max_events = self._max_events
         processed = 0
-        # The next event if an inline event's pushpop handed it back.
-        event = None
+        # The next event if an inline event's pushpop handed it back,
+        # and the event a catch-up runs before.
+        event = stash = None
         while True:
             if event is None:
                 if not heap:
@@ -315,65 +355,126 @@ class Cluster:
             event = None
             self.now = t
             processed += 1
-            if processed > max_events:
+            if processed > max_events and (tag != TAG_EXEC or body is None):
+                # A wake is not an event, nor is a catch-up; every
+                # deferred quantum has been counted by the time a later
+                # event pops.
                 raise SimulationError(
                     f"simulation exceeded {max_events} events "
                     "(livelock or runaway configuration?)"
                 )
             if tag == TAG_EXEC:
+                # A quantum, a wake or a catch-up: run the rank's quanta
+                # from key ``(tk, rank, sk)`` — the first one always
+                # (a wake or a catch-up counts as it), the next while
+                # their key is below this event's ``(t, src, _seq)``.
                 w = plain[rank]
-                if w is None or w.status is not running:
-                    workers[rank].on_exec(t)
-                    continue
-                if w.pending or not w.plain_serve:
-                    t = w.serve_pending(t)
-                nodes = w._nodes
-                if not nodes:
-                    w._go_idle(t)
-                    continue
-                n = w.poll_interval
-                if (len(nodes) - 1) % w._chunk_size >= n:
-                    popped = nodes[-n:]
-                    del nodes[-n:]
+                if body is None:
+                    if w is None or w.status is not running:
+                        workers[rank].on_exec(t)
+                        continue
+                    if w.pending or not w.plain_serve:
+                        t = w.serve_pending(t)
+                    nodes = w._nodes
+                    if not nodes:
+                        w._go_idle(t)
+                        continue
+                    tk, sk = t, _seq
+                elif body is deferred[rank]:
+                    deferred[rank] = None
+                    nodes = w._nodes
+                    tk, sk = body
                 else:
-                    popped = w.stack.pop(n)
-                    n = len(popped)
-                for i in popped:
-                    nodes += range(first[i], first[i + 1])
-                w.nodes_processed += n
-                seq = rank_seq[rank]
-                rank_seq[rank] = seq + 1
-                event = pushpop(
-                    heap,
-                    (t + n * w.per_node_time, rank, seq, TAG_EXEC, rank, None),
-                )
-                continue
-            elif tag == TAG_STEAL_RESPONSE:
-                w = thieves[rank]
-                if body is not None or w is None or w.status is not waiting:
+                    # A wake whose deferral an event ended.
+                    processed -= 1
+                    continue
+                n0, size, pnt = w.poll_interval, w._chunk_size, w.per_node_time
+                while True:
+                    n = n0
+                    held = len(nodes)
+                    if (held - 1) % size < n - 1:
+                        # The pop crosses a chunk boundary.
+                        popped = w.stack.pop(n)
+                        n = len(popped)
+                    elif n <= 2 and nodes[-1] - (lo := nodes[-n]) == n - 1:
+                        # Nodes are numbered breadth-first: the children
+                        # of ``lo .. lo+n-1`` are one range.  The end
+                        # points prove such a run only for ``n <= 2``.
+                        del nodes[-n:]
+                        nodes += range(first[lo], first[lo + n])
+                        popped = ()
+                    else:
+                        popped = nodes[-n:]
+                        del nodes[-n:]
+                    for i in popped:
+                        nodes += range(first[i], first[i + 1])
+                    w.nodes_processed += n
+                    sk = rank_seq[rank]
+                    rank_seq[rank] = sk + 1
+                    tk += n * pnt
+                    if tk > t or tk == t and (
+                        rank > src or rank == src and sk > _seq
+                    ):
+                        break
+                    processed += 1
+                if stash is not None:
+                    # A catch-up: the next quantum goes back on the
+                    # heap, and the event it was made for is delivered.
+                    push(heap, (tk, rank, sk, TAG_EXEC, rank, None))
+                    tag, body = stash
+                    stash = None
                     handlers[rank](t, tag, src, body)
                     continue
-                # A failed steal: count it, draw, send the next request.
-                w.failed_steals += 1
-                failed = w.consecutive_failed_steals + 1
-                w.consecutive_failed_steals = failed
-                if w._notify is not None:
-                    w._notify(src, False)
-                dst = w.selector.next_victim()
-                w.steal_requests_sent += 1
-                w._session_attempts += 1
-                after = w._escalate_after
-                tag = TAG_STEAL_REQUEST
-                body = after is not None and failed >= after
+                # Children only add: the stack holds ``s`` nodes or
+                # more at quantum ``tk``.
+                s = held - n
+                if s > n0 and (w.plain_serve or not w.waiters):
+                    span = s * pnt
+                    if (tk + span + span) * _WAKE_GUARD < pnt:
+                        # Until an event reaches it, the rank's quanta
+                        # touch its stack alone, and it cannot run dry
+                        # before ``tk + span``: defer them to a wake
+                        # keyed before that, far enough for rounding
+                        # (DESIGN.md §5d).
+                        body = [tk, sk]
+                        deferred[rank] = body
+                        event = pushpop(
+                            heap,
+                            (tk + span * _WAKE_SHARE, rank, -1, TAG_EXEC,
+                             rank, body),
+                        )
+                        continue
+                event = pushpop(heap, (tk, rank, sk, TAG_EXEC, rank, None))
+                continue
+            if tag == TAG_STEAL_RESPONSE:
+                w = thieves[rank]
+                if body is None and w is not None and w.status is waiting:
+                    # A failed steal: count it, draw, send the next
+                    # request.
+                    w.failed_steals += 1
+                    failed = w.consecutive_failed_steals + 1
+                    w.consecutive_failed_steals = failed
+                    if w._notify is not None:
+                        w._notify(src, False)
+                    dst = w.selector.next_victim()
+                    w.steal_requests_sent += 1
+                    w._session_attempts += 1
+                    after = w._escalate_after
+                    tag = TAG_STEAL_REQUEST
+                    body = after is not None and failed >= after
+                else:
+                    w = None
             elif tag == TAG_STEAL_REQUEST:
                 w = victims[rank]
-                if w is None or w.status is not waiting:
-                    handlers[rank](t, tag, src, body)
-                    continue
-                # An idle rank has nothing to give.
-                w.requests_denied += 1
-                dst, tag, body = src, TAG_STEAL_RESPONSE, None
+                if w is not None and w.status is waiting:
+                    # An idle rank has nothing to give.
+                    w.requests_denied += 1
+                    dst, tag, body = src, TAG_STEAL_RESPONSE, None
+                else:
+                    w = None
             elif tag == TAG_TOKEN:
+                # A token at a running rank is held: it reads only the
+                # status, so deferred quanta need no catch-up.
                 if event_recorders is not None:
                     event_recorders[rank].append(t, EV_TOKEN, body)
                 action = detector.token_arrived(
@@ -382,6 +483,21 @@ class Cluster:
                 self._dispatch_token_action(rank, action, t)
                 continue
             else:
+                w = None
+            if w is None:
+                key = deferred[rank]
+                if key is not None:
+                    # The rank's deferred quanta below this event's key
+                    # run first, in a catch-up that ends the deferral.
+                    tk, sk = key
+                    if tk < t or tk == t and (
+                        rank < src or rank == src and sk < _seq
+                    ):
+                        stash = (tag, body)
+                        event = (t, src, _seq, TAG_EXEC, rank, key)
+                        continue
+                    deferred[rank] = None
+                    push(heap, (tk, rank, sk, TAG_EXEC, rank, None))
                 handlers[rank](t, tag, src, body)
                 continue
             # ``send`` of the request or the deny, written out: neither
@@ -418,7 +534,8 @@ class Cluster:
         """Break the reference cycle of a finished run.
 
         ``Worker -> cluster -> workers`` (and the loop's per-rank
-        lists) would otherwise keep every
+        lists, and the detector's quiescence check, a bound method)
+        would otherwise keep every
         finished simulation (stacks, selector state, latency rows)
         alive until a gen-2 collection, so back-to-back runs grow the
         heap.  Call once nothing reads the outcome's workers any more
@@ -427,6 +544,8 @@ class Cluster:
         self.workers = []
         self._handlers = []
         self._plain = self._victims = self._thieves = []
+        self._deferred = []
+        self.detector = None
 
     # ------------------------------------------------------------------
     # Termination
@@ -450,7 +569,11 @@ class Cluster:
         continuing its counter — the sequence a single queue's pushes
         produce.  They pay wire latency but no NIC port.
         """
-        self.messages_dropped += len(self._heap)
+        # Wakes left behind by a deferral that a message ended are not
+        # messages.
+        self.messages_dropped += sum(
+            1 for e in self._heap if e[3] != TAG_EXEC or e[5] is None
+        )
         self._heap.clear()
         self._finishing = True
         c0 = self._rank_seq[0]

@@ -16,6 +16,15 @@ rule used by practical codes:
   still white, the computation has terminated; otherwise rank 0
   bleaches itself and starts a new probe.
 
+The colours assume a message cannot overtake an earlier one, and the
+wire here keeps no order: a token rank 0 sends right after work (which
+pays a transfer time per node) can pass the thief while it is still
+idle, and come back white while the work is in flight or being worked
+on.  So an optional ``quiescent`` check — no rank running, no grant
+on the wire — must also hold before rank 0 declares; a probe it fails
+is a failed probe.  Where the colours are right it always holds, so it
+changes only runs whose declaration was early.
+
 The class is deliberately pure state-machine: it never touches the
 event queue.  Callers feed it observations (`work_sent`, `rank_idle`,
 `token_arrived`) and it answers with a :class:`TokenAction` describing
@@ -25,6 +34,7 @@ against adversarial schedules.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import TerminationError
@@ -56,7 +66,9 @@ _NOTHING = TokenAction()
 class DijkstraTermination:
     """Token-ring termination detector for ``nranks`` processes."""
 
-    def __init__(self, nranks: int):
+    def __init__(
+        self, nranks: int, quiescent: Callable[[], bool] | None = None
+    ):
         if nranks < 1:
             raise TerminationError(f"need at least 1 rank, got {nranks}")
         self.nranks = nranks
@@ -65,6 +77,7 @@ class DijkstraTermination:
         self._held_color = [WHITE] * nranks
         self._started = False
         self._terminated = False
+        self._quiescent = quiescent
         # Exposed statistics.
         self.probes_started = 0
         self.tokens_forwarded = 0
@@ -131,7 +144,11 @@ class DijkstraTermination:
         self._holds_token[rank] = False
         color = self._held_color[rank]
         if rank == 0:
-            if color == WHITE and self._color[0] == WHITE:
+            if (
+                color == WHITE
+                and self._color[0] == WHITE
+                and (self._quiescent is None or self._quiescent())
+            ):
                 self._terminated = True
                 return TokenAction(terminated=True)
             # Failed probe: bleach and go again.

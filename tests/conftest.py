@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.uts.params import T3XS, TreeParams
 from repro.uts.rng import Sha1Backend, SplitMix64Backend
@@ -26,3 +27,8 @@ def micro_tree() -> TreeParams:
     return TreeParams(
         name="MICRO", tree_type="binomial", root_seed=1, b0=20, m=2, q=0.40
     )
+
+
+# ``--hypothesis-profile deep``: the engine == ``Worker``-path property
+# of ``tests/test_integration_properties.py`` at ten times its budget.
+settings.register_profile("deep", max_examples=1000)

@@ -1,5 +1,7 @@
 """A scripted transport and a worker wired to it, for unit tests that
-drive one rank's state machine without an event loop."""
+drive one rank's state machine without an event loop; and
+:class:`WorkerPath`, the worker that takes an engine's every event down
+the ``Worker`` path."""
 
 from __future__ import annotations
 
@@ -62,3 +64,12 @@ def make_worker(
         plan=plan,
     )
     return worker, transport
+
+
+class WorkerPath(Worker):
+    """Changes nothing, but is not ``Worker``: an engine whose ranks it
+    builds (patch it in as ``repro.protocol.factory.Worker``) sends
+    every event to the ``Worker`` methods, and defers and inlines
+    nothing."""
+
+    __slots__ = ()

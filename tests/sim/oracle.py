@@ -138,7 +138,7 @@ class OracleCluster:
         self.queue = (
             EventQueue(max_events) if max_events is not None else EventQueue()
         )
-        self.termination = DijkstraTermination(config.nranks)
+        self.termination = DijkstraTermination(config.nranks, self._quiescent)
         self.nic = NicContention(
             self.placement.rank_nodes, service_time=config.nic_service_time
         )
@@ -211,6 +211,15 @@ class OracleCluster:
 
     def work_sent(self, rank: int) -> None:
         self.termination.work_sent(rank)
+
+    def _quiescent(self) -> bool:
+        """No rank running and no grant on the wire (the detector's
+        check before rank 0 declares)."""
+        return all(
+            w.status is not WorkerStatus.RUNNING for w in self.workers
+        ) and not any(
+            e[3] == TAG_STEAL_RESPONSE and e[5] for e in self.queue._heap
+        )
 
     # ------------------------------------------------------------------
     # Main loop

@@ -9,8 +9,13 @@ call (so a class-level patch sees every message), unknown tags fail as
 or ``on_exec`` is honoured, a response at a RUNNING rank without
 lifelines is still a protocol violation, ``teardown`` leaves nothing
 cyclic behind, and the engine object stays small enough for inline
-attributes.  The hot loop's cost is gated as a count, Python-level
-calls per event, which repeats exactly and needs no clock.
+attributes.  A running rank's deferred quanta are caught up exactly to
+the key of the event that reaches it: ties at a quantum's time, a
+waiter that registers mid-deferral, a clock that a quantum does not
+move and the event budget all come out as on the ``Worker`` path, and
+a wake is never counted as an event or a dropped message.  The hot
+loop's cost is gated as counts — Python-level calls per event, heap
+operations per event — which repeat exactly and need no clock.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import heapq
 import pstats
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -27,22 +33,57 @@ import repro.protocol.factory as factory_mod
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError
 from repro.protocol.core import Worker
+from repro.net.latency import UniformLatency
 from repro.protocol.messages import (
+    TAG_EXEC,
     TAG_FINISH,
+    TAG_LIFELINE_REGISTER,
     TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
 )
 from repro.sim.cluster import Cluster
-from repro.uts.params import GEO_S, T3S, T3XS
+from repro.uts.params import GEO_S, T3S, T3XS, TreeParams
 from repro.uts.sequential import sequential_count
 from repro.ws.results import RunResult
+from tests.sim.fakes import WorkerPath
+from tests.sim.oracle import oracle_result
 
 
 def _cfg(**kw) -> WorkStealingConfig:
     kw.setdefault("nranks", 8)
     kw.setdefault("tree", T3XS)
     return WorkStealingConfig(**kw)
+
+
+def _result_json(cfg, worker_path=False, inject=(), max_events=None) -> str:
+    """``to_json()`` of one run, with ``inject``'s events on the heap
+    from the start."""
+    with mock.patch.object(
+        factory_mod, "Worker", WorkerPath if worker_path else Worker
+    ):
+        cluster = Cluster(cfg, max_events=max_events)
+    assert (cluster._plain[0] is None) == worker_path
+    for event in inject:
+        heapq.heappush(cluster._heap, event)
+    return RunResult.from_outcome(cluster.run()).to_json()
+
+
+def _passed_deferred_quantum(cfg, rank) -> list:
+    """Stop the run at ever larger event budgets until ``rank`` has a
+    deferred quantum the run has passed; return its ``[time, seq]``.
+
+    Up to that event the rank's quanta ran with no event reaching it,
+    so an event injected at the quantum's key finds it deferred.
+    """
+    for budget in range(1, 20_000, 7):
+        cluster = Cluster(cfg, max_events=budget)
+        with pytest.raises(SimulationError, match="exceeded"):
+            cluster.run()
+        key = cluster._deferred[rank]
+        if key is not None and key[0] < cluster.now:
+            return key
+    raise AssertionError(f"rank {rank} deferred no quantum")
 
 
 class TestSendPath:
@@ -253,6 +294,8 @@ class TestHandlerTable:
         cluster.teardown()
         assert cluster._handlers == [] and cluster.workers == []
         assert cluster._plain == cluster._victims == cluster._thieves == []
+        assert cluster._deferred == []
+        assert cluster.detector is None
 
     def test_loop_eligibility_is_per_rank(self):
         # Regions of one rank (13 ranks, 8 regions) leave some ranks
@@ -270,6 +313,96 @@ class TestHandlerTable:
         assert all(w is not None for w in lifelines._plain)
         traced = Cluster(_cfg(event_trace=True))
         assert traced._plain == traced._victims == traced._thieves == [None] * 8
+
+
+class TestDeferral:
+    """A running rank's quanta wait for the event that reaches it or
+    for its wake, and are then caught up to that event's key."""
+
+    # Three ranks, lifelines (so a stray register is protocol), chunks
+    # small enough to steal from, and a wire slow enough that a
+    # deferral lasts many quanta.
+    TIE = dict(
+        nranks=3,
+        lifelines=2,
+        chunk_size=4,
+        poll_interval=2,
+        latency_model=UniformLatency(1e-4),
+    )
+
+    def test_event_at_a_deferred_quantum_time(self):
+        # Rank 1's deferred quantum at ``(t, 1, seq)`` runs before a
+        # register keyed ``(t, 2, -2)`` and after one keyed
+        # ``(t, 0, -2)``: the waiter is pushed to one poll apart.
+        cfg = _cfg(**self.TIE)
+        t, _seq = _passed_deferred_quantum(cfg, 1)
+        plain = _result_json(cfg)
+        runs = []
+        for pusher in (0, 2):
+            inject = [(t, pusher, -2, TAG_LIFELINE_REGISTER, 1, None)]
+            engine = _result_json(cfg, inject=inject)
+            assert engine == _result_json(cfg, True, inject=inject)
+            assert engine != plain
+            runs.append(engine)
+        assert runs[0] != runs[1]
+
+    def test_waiter_registered_mid_deferral_is_pushed_at_its_poll(self):
+        cfg = _cfg(**self.TIE)
+        t, _seq = _passed_deferred_quantum(cfg, 1)
+        # Between two quanta: the catch-up runs the one at ``t``, the
+        # next poll pushes.
+        inject = [
+            (t + cfg.per_node_time / 2, 0, -2, TAG_LIFELINE_REGISTER, 1, None)
+        ]
+        engine = _result_json(cfg, inject=inject)
+        assert engine == _result_json(cfg, True, inject=inject)
+        assert engine != _result_json(cfg)
+
+    def test_stale_wakes_are_not_dropped_messages(self):
+        # Wide nodes and slow ones: a rank stolen from runs dry long
+        # before the wake its deferral left behind, and the job ends.
+        wide = TreeParams(
+            name="W", tree_type="binomial", root_seed=7, b0=300, m=8, q=0.11
+        )
+        cfg = _cfg(
+            tree=wide, nranks=5, poll_interval=2, chunk_size=2,
+            steal_policy="one", node_time=1e-4,
+        )
+        wakes = []
+
+        class Spy(Cluster):
+            def _broadcast_finish(self, when):
+                wakes.append(sum(
+                    1 for e in self._heap
+                    if e[3] == TAG_EXEC and e[5] is not None
+                ))
+                super()._broadcast_finish(when)
+
+        out = RunResult.from_outcome(Spy(cfg).run())
+        assert wakes[0] > 0
+        assert out.to_json() == oracle_result(cfg).to_json()
+        assert out.messages_dropped == cfg.nranks
+
+    def test_a_clock_a_quantum_does_not_move(self, monkeypatch):
+        cfg = _cfg(poll_interval=2, node_time=1e-25)
+        wakes = []
+        original = heapq.heappushpop
+
+        def spy(heap, item):
+            if item[3] == TAG_EXEC and item[5] is not None:
+                wakes.append(item)
+            return original(heap, item)
+
+        monkeypatch.setattr(heapq, "heappushpop", spy)
+        engine = _result_json(cfg)
+        out = RunResult.from_json(engine)
+        # Late in the run a quantum leaves the clock where it was ...
+        assert out.total_time + 2 * cfg.per_node_time == out.total_time
+        # ... where no wake may be armed: each is strictly later than
+        # the quantum its rank runs next.
+        assert wakes and all(w[0] > w[5][0] for w in wakes)
+        monkeypatch.undo()
+        assert engine == _result_json(cfg, True)
 
 
 class TestCallBudget:
@@ -306,21 +439,50 @@ class TestCallBudget:
         assert calls / out.events_processed <= budget
 
     @pytest.mark.parametrize(
-        "tree, budget", [(T3S, 4.0), (GEO_S, 4.7)], ids=["T3S", "GEO_S"]
+        "tree, budget", [(T3S, 3.6), (GEO_S, 4.35)], ids=["T3S", "GEO_S"]
     )
     def test_calls_per_expansion_event(self, tree, budget):
         """Expansion-dominated: at 8 ranks a quantum, run by the loop
-        itself, is a slice of the rank's node list, one ``range`` per
-        popped node over the tree table's offsets and a
-        ``heappushpop`` (3.82 and 4.57 calls per event; 5.62 and 6.28
-        with an ``expand`` call, a pop and a push, 7.26 and 7.90
-        through ``Worker.on_exec``, 10.28 and 11.14 while a quantum
-        went through chunk objects, 19.57 and 73.15 when it hashed its
-        children in Python).  A per-child ``append`` is ~4.6 calls per
-        event on T3S, the ndarray round trip far more on GEO_S."""
+        itself, is a slice of the rank's node list and one ``range``
+        per popped node over the tree table's offsets, and most quanta
+        run between wakes with no heap operation (3.57 and 4.28 calls
+        per event; 3.82 and 4.57 with a ``heappushpop`` per quantum,
+        5.62 and 6.28 with an ``expand`` call, a pop and a push, 7.26
+        and 7.90 through ``Worker.on_exec``, 10.28 and 11.14 while a
+        quantum went through chunk objects, 19.57 and 73.15 when it
+        hashed its children in Python).  A per-child ``append`` is
+        ~4.6 calls per event on T3S, the ndarray round trip far more
+        on GEO_S.  The catch-up is in the loop, not a method: as a
+        call per wake it was 4.27 and 4.85."""
         cluster = Cluster(_cfg(tree=tree, nranks=8))
         profile = cProfile.Profile()
         out = profile.runcall(cluster.run)
         assert out.total_nodes == sequential_count(tree).total_nodes
         calls = pstats.Stats(profile).total_calls
         assert calls / out.events_processed <= budget
+
+    def test_heap_operations_per_quantum(self, monkeypatch):
+        """At the ledger's ``poll_interval = 2`` most quanta run
+        between wakes: 0.44 heap operations per quantum on T3S at 8
+        ranks, messages included (1.17 when every quantum was a heap
+        event).  Nothing else would show it if deferral stopped."""
+        cfg = _cfg(tree=T3S, poll_interval=2)
+        profile = cProfile.Profile()
+        profile.runcall(Cluster(cfg).run)
+        heap_ops = sum(
+            calls
+            for (_file, _line, name), (_cc, calls, *_rest) in
+            pstats.Stats(profile).stats.items()
+            if name.startswith("<built-in method _heapq.heap")
+        )
+        # The quanta: every EXEC of the ``Worker`` path's run.
+        execs = Counter()
+        original = Cluster.schedule_exec
+
+        def counting_schedule_exec(self, rank, when):
+            execs[rank] += 1
+            original(self, rank, when)
+
+        monkeypatch.setattr(Cluster, "schedule_exec", counting_schedule_exec)
+        _result_json(cfg, worker_path=True)
+        assert heap_ops / sum(execs.values()) <= 0.5

@@ -10,16 +10,21 @@ plausible-looking wrong result.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
+
+import repro.protocol.factory as factory_mod
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
 from repro.net.latency import HierarchicalLatency
-from repro.protocol.messages import TAG_STEAL_RESPONSE, TAG_TOKEN
+from repro.protocol.messages import TAG_EXEC, TAG_STEAL_RESPONSE, TAG_TOKEN
 from repro.sim.cluster import Cluster
 from repro.sim.termination import DijkstraTermination
 from repro.uts.params import T3XS
+from tests.sim.fakes import WorkerPath
 
 
 def _cfg(**kw):
@@ -45,6 +50,30 @@ class TestEventBudget:
         # the heap, and is counted all the same.
         cfg = _cfg(nic_service_time=nic)
         n = Cluster(cfg).run().events_processed
+        assert Cluster(cfg, max_events=n).run().events_processed == n
+        with pytest.raises(SimulationError, match=f"exceeded {n - 1} events"):
+            Cluster(cfg, max_events=n - 1).run()
+
+    def test_budget_counts_deferred_quanta(self, monkeypatch):
+        # Quanta that run between wakes count one event each, wakes
+        # none: the budget that passes and the one that raises are
+        # those of the run that defers nothing.
+        cfg = _cfg(poll_interval=2)
+        wakes = []
+        original = heapq.heappushpop
+
+        def spy(heap, item):
+            if item[3] == TAG_EXEC and item[5] is not None:
+                wakes.append(item)
+            return original(heap, item)
+
+        monkeypatch.setattr(heapq, "heappushpop", spy)
+        n = Cluster(cfg).run().events_processed
+        assert wakes
+        monkeypatch.undo()
+        monkeypatch.setattr(factory_mod, "Worker", WorkerPath)
+        assert Cluster(cfg).run().events_processed == n
+        monkeypatch.undo()
         assert Cluster(cfg, max_events=n).run().events_processed == n
         with pytest.raises(SimulationError, match=f"exceeded {n - 1} events"):
             Cluster(cfg, max_events=n - 1).run()

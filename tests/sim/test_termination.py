@@ -2,7 +2,8 @@
 
 The detector is a pure state machine, so we can drive it through
 adversarial schedules directly — including the classic trap where a
-work message races the token.
+work message races the token, and the one an unordered wire adds: a
+token that overtakes work.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import WorkStealingConfig
 from repro.errors import TerminationError
 from repro.protocol.messages import BLACK, WHITE
+from repro.sim.cluster import Cluster
 from repro.sim.termination import DijkstraTermination
+from repro.uts.params import T3XS
 
 
 def _walk_token_while_idle(det: DijkstraTermination, start_action):
@@ -147,6 +151,47 @@ class TestRaceScenario:
         action = det.token_arrived(2, action.send_color, is_idle=False)
         assert not action.terminated
         assert not det.terminated
+
+
+class TestEarlyDeclaration:
+    """The wire keeps no order: a token rank 0 sends right after work
+    can overtake it, pass the thief while it is idle and come back
+    white.  The engine's quiescence check turns that into a failed
+    probe."""
+
+    def _overtaken(self, quiescent):
+        det = DijkstraTermination(2, quiescent)
+        det.work_sent(0)  # a grant to rank 1, still in flight
+        action = det.rank_idle(0)  # the first probe bleaches rank 0
+        return det, det.token_arrived(1, action.send_color, is_idle=True)
+
+    def test_colours_alone_declare_early(self):
+        det, action = self._overtaken(None)
+        assert det.token_arrived(0, action.send_color, True).terminated
+
+    def test_a_failed_check_is_a_failed_probe(self):
+        busy = [True]
+        det, action = self._overtaken(lambda: not busy[0])
+        action = det.token_arrived(0, action.send_color, True)
+        assert not action.terminated and not det.terminated
+        assert (action.send_to, action.send_color) == (1, WHITE)
+        assert det.probes_started == 2
+        busy[0] = False
+        action = det.token_arrived(1, action.send_color, is_idle=True)
+        assert det.token_arrived(0, action.send_color, True).terminated
+
+    def test_end_to_end(self):
+        # At the parent of this check: "rank 1: Finish while holding
+        # work".  Rank 0 bleached right after its last grant; the token
+        # overtook the grant on the wire.
+        cfg = WorkStealingConfig(
+            tree=T3XS, nranks=2, selector="reference",
+            steal_policy="frac[0.4]", chunk_size=18, poll_interval=17,
+            node_time=3e-8,
+        )
+        out = Cluster(cfg).run()
+        assert out.total_nodes == 4427
+        assert out.probes_started > 1
 
 
 class TestValidation:

@@ -2,31 +2,47 @@
 randomly drawn configurations.
 
 These are the suite's strongest correctness checks: whatever
-combination of tree, strategies and cluster shape hypothesis draws,
-the distributed run must (a) terminate, (b) count exactly the
-sequential tree, (c) be reproducible.
+combination of tree, strategies, protocol and cluster shape hypothesis
+draws, the distributed run must (a) terminate, (b) count exactly the
+sequential tree, (c) be reproducible byte for byte, and (d) be the
+run every event of which goes through the ``Worker`` methods.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.protocol.factory as factory_mod
 from repro.core.config import WorkStealingConfig
 from repro.sim.cluster import Cluster
-from repro.uts.params import TreeParams
+from repro.uts.params import T3S, T3XS, TreeParams
 from repro.uts.sequential import sequential_count
+from repro.ws.results import RunResult
+from tests.sim.fakes import WorkerPath
 
-# Small trees (hundreds to a few thousand nodes) keep each drawn case
-# fast while still exercising steals, denials and termination races.
-trees = st.builds(
-    lambda seed, b0, q: TreeParams(
-        name="h", tree_type="binomial", root_seed=seed, b0=b0, m=2, q=q
+# Small trees (tens to a few thousand nodes) keep each drawn case fast
+# while still exercising steals, denials and termination races.  Wide
+# nodes (``m`` up to 8) and roots (``b0`` up to 400) give deeper stacks,
+# so quanta run between wakes.  A quarter of the cases run T3S (8e4
+# nodes): only a tree that large breaks runs of sibling indices at
+# chunk ends often enough to test what a quantum may expand as one
+# range.
+trees = st.one_of(
+    st.builds(
+        lambda seed, b0, m, qm: TreeParams(
+            name="h", tree_type="binomial", root_seed=seed, b0=b0, m=m,
+            q=qm / m,
+        ),
+        seed=st.integers(min_value=0, max_value=10_000),
+        b0=st.integers(min_value=5, max_value=400),
+        m=st.sampled_from([2, 4, 8]),
+        qm=st.floats(min_value=0.2, max_value=0.9),
     ),
-    seed=st.integers(min_value=0, max_value=10_000),
-    b0=st.integers(min_value=5, max_value=80),
-    q=st.floats(min_value=0.1, max_value=0.45),
+    st.sampled_from([T3XS, T3S]),
 )
 
 configs = st.fixed_dictionaries(
@@ -41,6 +57,12 @@ configs = st.fixed_dictionaries(
         "poll_interval": st.integers(min_value=1, max_value=20),
         "seed": st.integers(min_value=0, max_value=100),
         "lifelines": st.sampled_from([0, 0, 0, 2]),
+        "protocol": st.sampled_from(["steal", "steal", "forward"]),
+        "regions": st.sampled_from([0, 0, 3]),
+        "nic_service_time": st.sampled_from([0.0, 1e-7]),
+        # The last is so small that a quantum does not move the clock
+        # (``t + n * per_node_time == t``).
+        "node_time": st.sampled_from([1e-6, 1e-6, 3e-8, 1e-25]),
     }
 )
 
@@ -48,7 +70,7 @@ _seq_cache: dict[tuple, int] = {}
 
 
 def _sequential_nodes(tree: TreeParams) -> int:
-    key = (tree.root_seed, tree.b0, tree.q)
+    key = (tree.root_seed, tree.b0, tree.m, tree.q)
     if key not in _seq_cache:
         _seq_cache[key] = sequential_count(tree).total_nodes
     return _seq_cache[key]
@@ -64,13 +86,29 @@ def test_conservation_under_random_configs(tree, kw):
     assert all(w.stack.is_empty for w in out.workers)
 
 
+def _result_json(cfg: WorkStealingConfig) -> str:
+    return RunResult.from_outcome(Cluster(cfg).run()).to_json()
+
+
 @given(trees, configs)
 @settings(max_examples=15, deadline=None)
 def test_determinism_under_random_configs(tree, kw):
-    a = Cluster(WorkStealingConfig(tree=tree, **kw)).run()
-    b = Cluster(WorkStealingConfig(tree=tree, **kw)).run()
-    assert a.total_time == b.total_time
-    assert a.events_processed == b.events_processed
+    cfg = WorkStealingConfig(tree=tree, **kw)
+    assert _result_json(cfg) == _result_json(cfg)
+
+
+# Each example runs two engines; ``--hypothesis-profile deep`` (see
+# ``tests/conftest.py``) raises the budget with the profile's.
+@given(trees, configs)
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
+def test_engine_matches_the_worker_path(tree, kw):
+    cfg = WorkStealingConfig(tree=tree, **kw)
+    engine = _result_json(cfg)
+    with mock.patch.object(factory_mod, "Worker", WorkerPath):
+        cluster = Cluster(cfg)
+        assert cluster._plain == [None] * cfg.nranks
+        reference = RunResult.from_outcome(cluster.run()).to_json()
+    assert engine == reference
 
 
 @given(trees)

@@ -7,7 +7,9 @@ count the hash gives it, for every tree type and both RNG backends;
 the whole table must be the size the sequential traversal counts and
 the ledger pins.  (That the simulator's runs over the table equal the
 runs over hashed states is the differential suite's job:
-``tests/sim/oracle.py`` still expands by hash.)
+``tests/sim/oracle.py`` still expands by hash.)  Numbered breadth
+first, a run of consecutive nodes has one run of consecutive children:
+the engine expands such a pop as one ``range``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.uts.tree as tree_mod
 from repro.core import registry
@@ -91,3 +95,35 @@ def test_offsets_widen_to_int64_past_int32(monkeypatch):
     wide = TreeTable(gen, node_cap=10**7)
     assert (narrow._first.format, wide._first.format) == ("i", "q")
     assert wide._first.tolist() == narrow._first.tolist()
+
+
+# Every named tree whose table a unit test can build (T3H and the
+# paper-scale T3XXL/T3WL are 10**7 nodes and up).
+_CONTIGUITY_TREES = [
+    "T3XS", "T3S", "T3M", "T3L", "T3XL", "GEO_S", "GEO_M", "GEO_L", "HYB_S",
+]
+_TABLES: dict[str, TreeTable] = {}
+
+
+def _table(name: str) -> TreeTable:
+    if name not in _TABLES:
+        _TABLES[name] = TreeTable(
+            TreeGenerator(tree_by_name(name)), node_cap=10**7
+        )
+    return _TABLES[name]
+
+
+@pytest.mark.parametrize("tree", _CONTIGUITY_TREES)
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=20, deadline=None)
+def test_a_run_of_nodes_has_one_run_of_children(tree, where, extra):
+    table = _table(tree)
+    first = table._first
+    lo = int(where * len(table))
+    hi = min(lo + extra, len(table) - 1)
+    assert table.expand(list(range(lo, hi + 1))) == list(
+        range(first[lo], first[hi + 1])
+    )
