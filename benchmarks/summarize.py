@@ -58,8 +58,14 @@ def render_curves(name: str, payload: dict, x_key: str) -> str:
 
 
 def render_rows(name: str, payload: dict) -> str:
+    """List rows under ``headers`` (or ``c0, c1, ...``); dict rows (the
+    tournament artifacts) under their keys, in first-seen order."""
     rows = payload["rows"]
-    headers = payload.get("headers") or [f"c{i}" for i in range(len(rows[0]))]
+    if rows and isinstance(rows[0], dict):
+        headers = list(dict.fromkeys(key for row in rows for key in row))
+        rows = [[row.get(key, "") for key in headers] for row in rows]
+    else:
+        headers = payload.get("headers") or [f"c{i}" for i in range(len(rows[0]))]
     lines = [f"### {name}", ""]
     lines.append("| " + " | ".join(str(h) for h in headers) + " |")
     lines.append("|" + "---|" * len(headers))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from repro.core import registry
@@ -92,6 +92,10 @@ FINGERPRINT_DEFAULT_ELIDED = {
 
 #: Sentinel distinct from every config value (``None`` is a real one).
 _MISSING = object()
+
+#: ``TreeParams`` is frozen and holds only scalars, so a shallow field
+#: dict is the ``asdict`` payload without its deep copy.
+_TREE_FIELDS = tuple(f.name for f in fields(TreeParams))
 
 
 def canonical_json(data: dict) -> str:
@@ -410,7 +414,7 @@ class WorkStealingConfig:
         name-addressable (unregistered custom strategy objects).
         """
         return {
-            "tree": asdict(self.tree),
+            "tree": {name: getattr(self.tree, name) for name in _TREE_FIELDS},
             "nranks": self.nranks,
             "allocation": self._spec_of("allocation", "allocation"),
             "selector": self._spec_of("selector", "selector"),

@@ -13,6 +13,11 @@ Layout (see DESIGN.md §5b, "Store")::
 * **LRU eviction** — an optional byte budget (``max_bytes``); reads
   refresh an entry's recency (mtime), writes trigger eviction of the
   least-recently-used entries until the store fits the budget;
+* **memo** — each store object keeps the decoded results it has read,
+  keyed by fingerprint and checked against the file's ``(inode, size,
+  mtime)`` on every hit, so a warm hit is a ``stat`` and a ``utime``,
+  not a parse.  It is an LRU of at most :data:`_MEMO_BYTES` entry
+  bytes;
 * **versioning** — results live under a per-version directory, so
   bumping ``repro.__version__`` invalidates every stored point without
   touching fingerprints.
@@ -33,6 +38,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +59,11 @@ __all__ = [
 #: root for `python -m repro.bench`); override with the
 #: ``REPRO_CACHE_DIR`` environment variable.
 DEFAULT_CACHE_DIR = "benchmarks/_cache"
+
+#: Summed entry bytes (file sizes) of the decoded results one store
+#: object keeps in memory.  A decoded entry holds about 1.6-1.9x its
+#: file bytes (DESIGN.md §5b, "Store").
+_MEMO_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,13 @@ class ArtifactStore:
         self.version = version
         self.max_bytes = max_bytes
         self._evicted = 0
+        self._dir = os.path.join(self.root, version)
+        #: fingerprint -> ((st_ino, st_size, st_mtime_ns), result data),
+        #: least recently served first.
+        self._memo: OrderedDict[str, tuple[tuple[int, int, int], dict]] = (
+            OrderedDict()
+        )
+        self._memo_bytes = 0
 
     @property
     def dir(self) -> Path:
@@ -138,11 +157,35 @@ class ArtifactStore:
         UTF-8, bad or absurdly nested JSON) and JSON from foreign tools
         all read as misses, never as errors.  A hit refreshes the
         entry's LRU recency.
+
+        An entry this object has read before is served from memory
+        while its file's ``(inode, size, mtime)`` is the one the last
+        hit left: the hit's ``utime`` sets the mtime and records it.
+        Any other file — replaced, rewritten, evicted, touched by
+        another store — is read again.  Every hit builds a fresh
+        :class:`RunResult`.
         """
-        path = self.path_for(fingerprint)
+        path = os.path.join(self._dir, fingerprint + ".json")
+        memo = self._forget(fingerprint)
+        if memo is not None:
+            signature, data = memo
+            try:
+                st = os.stat(path)
+                if (st.st_ino, st.st_size, st.st_mtime_ns) == signature:
+                    now = time.time_ns()
+                    os.utime(path, ns=(now, now))
+                    self._remember(fingerprint, (st.st_ino, st.st_size, now), data)
+                    return RunResult.from_dict(data)
+            except OSError:
+                pass
+        return self._read(fingerprint, path)
+
+    def _read(self, fingerprint: str, path: str) -> RunResult | None:
+        """Read, validate and decode one entry file, and remember it."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
+            with open(path, "rb") as fh:
+                st = os.fstat(fh.fileno())
+                entry = json.loads(fh.read())
         except (OSError, ValueError, RecursionError):
             # ValueError covers JSONDecodeError and UnicodeDecodeError.
             return None
@@ -153,11 +196,17 @@ class ArtifactStore:
             or "result" not in entry
         ):
             return None
+        data = entry["result"]
         try:
-            result = RunResult.from_dict(entry["result"])
+            result = RunResult.from_dict(data)
         except Exception:
             return None
-        self._touch(path)
+        now = time.time_ns()
+        try:
+            os.utime(path, ns=(now, now))
+        except OSError:
+            return result  # an entry it cannot touch is read every time
+        self._remember(fingerprint, (st.st_ino, st.st_size, now), data)
         return result
 
     def put(
@@ -178,6 +227,7 @@ class ArtifactStore:
             "elapsed": elapsed,
             "result": result.to_dict(),
         }
+        self._forget(fingerprint)
         path = self.path_for(fingerprint)
         _write_atomic(
             path, json.dumps(entry, separators=(",", ":")).encode("utf-8")
@@ -217,6 +267,7 @@ class ArtifactStore:
                 self.path_for(fingerprint).unlink()
             except OSError:
                 pass
+            self._forget(fingerprint)
             evicted.append(fingerprint)
             total -= size
         self._evicted += len(evicted)
@@ -234,12 +285,23 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _touch(path: Path) -> None:
-        try:
-            os.utime(path)
-        except OSError:
-            pass
+    def _remember(
+        self, fingerprint: str, signature: tuple[int, int, int], data: dict
+    ) -> None:
+        """Memoise ``data``, then drop the least recently served entries
+        until the memo holds at most :data:`_MEMO_BYTES` entry bytes."""
+        self._memo[fingerprint] = (signature, data)
+        self._memo_bytes += signature[1]
+        while self._memo_bytes > _MEMO_BYTES:
+            (_, size, _), _ = self._memo.popitem(last=False)[1]
+            self._memo_bytes -= size
+
+    def _forget(self, fingerprint: str) -> tuple | None:
+        """Drop ``fingerprint``'s memo entry; returns it, or ``None``."""
+        memo = self._memo.pop(fingerprint, None)
+        if memo is not None:
+            self._memo_bytes -= memo[0][1]
+        return memo
 
     def _entries(self) -> list[tuple[str, float, int]]:
         """``(fingerprint, last_access, bytes)`` per stored entry."""

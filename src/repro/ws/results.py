@@ -20,7 +20,7 @@ derived here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from repro.sim.clock import ClockSkewModel
 from repro.sim.cluster import SimOutcome
 
 __all__ = ["RunResult"]
+
+#: ``SessionStats`` is frozen and holds only scalars, so a shallow
+#: field dict is the ``asdict`` payload without its deep copy.
+_SESSION_FIELDS = tuple(f.name for f in fields(SessionStats))
 
 
 @dataclass
@@ -257,7 +261,9 @@ class RunResult:
             "nodes_stolen": self.nodes_stolen,
             "chunks_stolen": self.chunks_stolen,
             "search_time_total": self.search_time_total,
-            "sessions": asdict(self.sessions),
+            "sessions": {
+                name: getattr(self.sessions, name) for name in _SESSION_FIELDS
+            },
             "per_rank_nodes": self.per_rank_nodes.tolist(),
             "per_rank_search_time": self.per_rank_search_time.tolist(),
             "events_processed": self.events_processed,

@@ -45,6 +45,35 @@ def test_renders_artifacts(tmp_path, monkeypatch):
     assert "SL" in out
 
 
+def test_dict_rows_use_their_keys_as_headers(tmp_path):
+    # Tournament artifacts store one dict per row, without "headers".
+    artifacts = tmp_path / "_artifacts"
+    artifacts.mkdir()
+    (artifacts / "extension_t_tournament.json").write_text(
+        json.dumps(
+            {
+                "spec": {"name": "t"},
+                "rows": [
+                    {"selector": "tofu", "speedup": 53.125, "sl50": None},
+                    {"selector": "rand", "speedup": 41.0, "sl50": 0.5},
+                ],
+            }
+        )
+    )
+    script_copy = tmp_path / "summarize.py"
+    script_copy.write_text(Path(SCRIPT).read_text())
+    proc = subprocess.run(
+        [sys.executable, str(script_copy)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("| ")]
+    assert rows == [
+        "| selector | speedup | sl50 |",
+        "| tofu | 53.1 | None |",
+        "| rand | 41 | 0.5 |",
+    ]
+
+
 def _pairs(headers, runs) -> str:
     return json.dumps({"note": "fixture", "headers": headers, "rows": runs})
 

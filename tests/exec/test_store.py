@@ -1,15 +1,19 @@
-"""Tests for the store's LRU eviction and accounting."""
+"""Tests for the store's LRU eviction, accounting and in-memory memo."""
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
+import repro.exec.store as store_mod
 from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
 from repro.exec.store import ArtifactStore, ResultCache
-from repro.uts.params import T3XS
+from repro.uts.params import T3XS, TREES
 from repro.ws.runner import run_uts
 
 
@@ -94,3 +98,103 @@ class TestCompatibility:
         assert stats.total_bytes == store.total_bytes() > 0
         assert stats.max_bytes == 10**9
         assert stats.evicted == 0
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Count the entry files the store parses."""
+    calls = []
+
+    def loads(raw):
+        calls.append(len(raw))
+        return json.loads(raw)
+
+    monkeypatch.setattr(
+        store_mod, "json", SimpleNamespace(loads=loads, dumps=json.dumps)
+    )
+    return calls
+
+
+class TestMemo:
+    def test_a_warm_hit_does_not_parse(self, tmp_path, result, parses):
+        store = ArtifactStore(tmp_path)
+        store.put("fp0", result)
+        hits = [store.get("fp0") for _ in range(3)]
+        assert len(parses) == 1
+        assert all(hit.to_json() == result.to_json() for hit in hits)
+
+    def test_mutating_a_hit_does_not_change_the_next(self, tmp_path, result, parses):
+        store = ArtifactStore(tmp_path)
+        store.put("fp0", result)
+        first = store.get("fp0")
+        second = store.get("fp0")
+        assert second is not first and second.sessions is not first.sessions
+        for hit in (first, second):
+            hit.per_rank_nodes[0] += 1000
+            hit.per_rank_search_time[:] = -1.0
+            object.__setattr__(hit.sessions, "count", -1)
+        third = store.get("fp0")
+        assert len(parses) == 1  # second and third came from the memo
+        assert third.to_json() == result.to_json()
+
+    def test_another_stores_overwrite_is_read(self, tmp_path, result):
+        other = run_uts(WorkStealingConfig(tree=T3XS, nranks=8))
+        assert other.to_json() != result.to_json()
+        store = ArtifactStore(tmp_path)
+        store.put("fp0", result)
+        store.get("fp0")
+        ArtifactStore(tmp_path).put("fp0", other)
+        assert store.get("fp0").to_json() == other.to_json()
+
+    def test_another_stores_eviction_is_a_miss(self, tmp_path, result):
+        store = ArtifactStore(tmp_path)
+        store.put("fp0", result)
+        assert store.get("fp0") is not None
+        _age(store, "fp0", seconds=100)
+        budget = store.total_bytes() + 10  # room for one entry
+        ArtifactStore(tmp_path, max_bytes=budget).put("fp1", result)
+        assert not store.path_for("fp0").exists()
+        assert store.get("fp0") is None
+
+    @pytest.mark.parametrize("same_size", [True, False], ids=["same-size", "short"])
+    def test_garbage_written_in_place_is_a_miss(self, tmp_path, result, same_size):
+        store = ArtifactStore(tmp_path)
+        store.put("fp0", result)
+        store.get("fp0")
+        assert store.get("fp0") is not None  # a memo hit
+        path = store.path_for("fp0")
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:  # same inode
+            fh.write(b"x" * size if same_size else b"{corrupt")
+            fh.truncate()
+        assert store.get("fp0") is None
+
+    def test_memo_bytes_stay_within_the_bound(self, tmp_path, result, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        for i in range(6):
+            store.put(f"fp{i}", result)
+        size = store.path_for("fp0").stat().st_size
+        bound = size * 5 // 2
+        monkeypatch.setattr(store_mod, "_MEMO_BYTES", bound)
+        for i in range(6):
+            assert store.get(f"fp{i}").to_json() == result.to_json()
+        assert store._memo_bytes <= bound
+        assert list(store._memo) == ["fp4", "fp5"]  # the most recent two
+        assert store._memo_bytes == sum(sig[1] for sig, _ in store._memo.values())
+
+    def test_evict_and_put_drop_memo_entries(self, tmp_path, result):
+        store = ArtifactStore(tmp_path)
+        for i in range(3):
+            store.put(f"fp{i}", result)
+            store.get(f"fp{i}")
+            _age(store, f"fp{i}", seconds=100 - i)
+        store.put("fp2", result)
+        store.max_bytes = store.total_bytes() // 3 + 10
+        assert store.evict() == ["fp0", "fp1"]
+        assert not store._memo and store._memo_bytes == 0
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_config_tree_dict_is_asdict(name):
+    tree = TREES[name]
+    assert WorkStealingConfig(tree=tree, nranks=2).to_dict()["tree"] == asdict(tree)

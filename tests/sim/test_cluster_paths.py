@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import cProfile
 import heapq
+import json
 import pstats
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -188,24 +190,61 @@ class TestSendPathWithNic:
         assert RunResult.from_outcome(out).to_dict() == plain.to_dict()
 
 
+#: One 1024-rank tofu job on ``1/N`` in a fresh process: the growth of
+#: its peak RSS over set-up plus run, and the byte sizes of the latency
+#: rows.  An 8-rank job first does the lazy imports and first-call
+#: caches, so the growth is the job's own.
+_PEAK_RSS_JOB = """
+import json, resource
+from repro.core.config import WorkStealingConfig
+from repro.sim.cluster import Cluster
+from repro.uts.params import T3XS
+
+def config(nranks):
+    return WorkStealingConfig(
+        tree=T3XS, nranks=nranks, selector="tofu", steal_policy="half"
+    )
+
+def peak():
+    # VmHWM, not ru_maxrss: Linux carries a parent's ru_maxrss across
+    # fork and exec, so a child of a large process reads its parent's.
+    try:
+        with open("/proc/self/status") as fh:
+            return 1024 * next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS
+
+Cluster(config(8)).run()
+before = peak()
+cluster = Cluster(config(1024))
+out = cluster.run()
+print(json.dumps({
+    "peak": peak() - before,
+    "nodes": out.total_nodes,
+    "row_bytes": sorted({row.nbytes for row in cluster._rows}),
+}))
+"""
+
+
 class TestMemory:
     def test_no_float_table_per_rank_pair_at_1024_ranks(self):
-        """Set-up plus run of a 1024-rank tofu job on ``1/N`` peaks at
-        9 MiB traced: one byte per rank pair of latency codes (1 MiB),
-        one block of drawn victims per rank, workers and stacks.  N
-        float64 per rank — latency rows or cumulative victim tables —
-        are 8 MiB each on top (both: 24 MiB)."""
-        cfg = _cfg(nranks=1024, selector="tofu", steal_policy="half")
-        tracemalloc.start()
-        try:
-            cluster = Cluster(cfg)
-            out = cluster.run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.total_nodes == 4427
-        assert peak < 18 * 2**20
-        assert all(row.nbytes == cfg.nranks for row in cluster._rows)
+        """Set-up plus run of a 1024-rank tofu job on ``1/N`` grows peak
+        RSS by about 7 MiB: one byte per rank pair of latency codes
+        (1 MiB), one block of drawn victims per rank, workers and
+        stacks.  N float64 per rank — latency rows or cumulative victim
+        tables — are 8 MiB each on top (both: 24 MiB).  Peak RSS of a
+        fresh process measures it without tracing the event loop."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_JOB],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        job = json.loads(proc.stdout)
+        assert job["nodes"] == 4427
+        assert job["peak"] < 18 * 2**20
+        assert job["row_bytes"] == [1024]
 
 
 class TestHandlerTable:
