@@ -3,9 +3,8 @@
 Every string shorthand the repro package accepts — victim selectors,
 steal policies, process allocations, RNG backends, latency models,
 topology factories — resolves through one mechanism defined here.  A
-:class:`Registry` maps canonical names (and aliases) to factories, and
-optionally *patterns* (``"skew[<alpha>]"``) to parser functions for
-parameterised shorthands.
+:class:`Registry` maps names to factories, and optionally *patterns*
+(``"skew[<alpha>]"``) to parser functions for parameterised shorthands.
 
 The strategy modules create one registry each at import time; every
 caller, the serialization layer (:mod:`repro.exec`) included, goes
@@ -31,7 +30,7 @@ choices, never a bare ``KeyError``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import RegistryError
 
@@ -58,29 +57,21 @@ class Registry:
     def __init__(self, kind: str):
         self.kind = kind
         self._entries: dict[str, Callable[[], object]] = {}
-        self._canonical: list[str] = []
         self._patterns: list[tuple[str, Callable[[str], object | None]]] = []
 
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------
 
-    def register(
-        self, name: str, factory: Callable[[], object], *aliases: str
-    ) -> None:
-        """Bind ``name`` (and ``aliases``) to a zero-argument factory.
+    def register(self, name: str, factory: Callable[[], object]) -> None:
+        """Bind ``name`` to a zero-argument factory.
 
         ``factory`` may be a class or any callable returning the
         strategy object.  Re-registering an existing name raises.
         """
-        for alias in (name, *aliases):
-            if alias in self._entries:
-                raise RegistryError(
-                    f"{self.kind} {alias!r} is already registered"
-                )
-            self._entries[alias] = factory
-        if name not in self._canonical:
-            self._canonical.append(name)
+        if name in self._entries:
+            raise RegistryError(f"{self.kind} {name!r} is already registered")
+        self._entries[name] = factory
 
     def register_pattern(
         self, template: str, parser: Callable[[str], object | None]
@@ -176,12 +167,11 @@ class Registry:
         )
 
     def available(self) -> list[str]:
-        """Canonical names in registration order, then pattern templates."""
-        return [*self._canonical, *(t for t, _ in self._patterns)]
+        """Names in registration order, then pattern templates."""
+        return [*self._entries, *(t for t, _ in self._patterns)]
 
     def _choices(self) -> str:
-        names: Iterable[str] = sorted(set(self._entries))
-        parts = [repr(n) for n in names]
+        parts = [repr(n) for n in sorted(self._entries)]
         parts.extend(repr(t) for t, _ in self._patterns)
         return ", ".join(parts) if parts else "(none registered)"
 

@@ -435,9 +435,9 @@ class LastVictimSelector(SelectorFactory):
 
 
 _SELECTORS = registry_for("selector")
-_SELECTORS.register("reference", RoundRobinSelector, "round_robin", "rr")
-_SELECTORS.register("rand", UniformRandomSelector, "random", "uniform")
-_SELECTORS.register("tofu", DistanceSkewedSelector, "distance", "skewed")
+_SELECTORS.register("reference", RoundRobinSelector)
+_SELECTORS.register("rand", UniformRandomSelector)
+_SELECTORS.register("tofu", DistanceSkewedSelector)
 _SELECTORS.register("hierarchical", HierarchicalSelector)
 _SELECTORS.register("lastvictim", LastVictimSelector)
 _SELECTORS.register_bracket("skew", "alpha", PowerSkewedSelector)

@@ -42,7 +42,7 @@ class CoordSpace:
         self.wraps = tuple(bool(w) for w in wraps)
         self.ndim = len(dims)
         self.size = int(np.prod(self.dims))
-        # Row-major strides for id <-> coordinate conversion.
+        # Row-major strides for the id -> coordinates conversion.
         strides = [1] * self.ndim
         for k in range(self.ndim - 2, -1, -1):
             strides[k] = strides[k + 1] * self.dims[k + 1]
@@ -50,54 +50,12 @@ class CoordSpace:
         self._dims_arr = np.array(self.dims, dtype=np.int64)
         self._wrap_arr = np.array(self.wraps, dtype=bool)
 
-    # ------------------------------------------------------------------
-    # id <-> coords
-    # ------------------------------------------------------------------
-
-    def coords_of(self, node: int) -> np.ndarray:
-        """Coordinate vector of a node id."""
-        if not 0 <= node < self.size:
-            raise TopologyError(f"node {node} out of range [0, {self.size})")
-        return (node // self._strides) % self._dims_arr
-
     def coords_of_many(self, nodes: np.ndarray) -> np.ndarray:
         """Coordinates of an array of node ids, shape ``(len(nodes), ndim)``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self.size):
             raise TopologyError("node id out of range")
         return (nodes[:, None] // self._strides[None, :]) % self._dims_arr[None, :]
-
-    def id_of(self, coords: np.ndarray) -> int:
-        """Node id of a coordinate vector."""
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.shape != (self.ndim,):
-            raise TopologyError(
-                f"coords shape {coords.shape} != ({self.ndim},)"
-            )
-        if np.any(coords < 0) or np.any(coords >= self._dims_arr):
-            raise TopologyError(f"coords {coords.tolist()} out of range {self.dims}")
-        return int((coords * self._strides).sum())
-
-    # ------------------------------------------------------------------
-    # distances
-    # ------------------------------------------------------------------
-
-    def delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-dimension separation, respecting wrap-around (min-image)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        raw = np.abs(a - b)
-        wrapped = np.minimum(raw, self._dims_arr - raw)
-        return np.where(self._wrap_arr, wrapped, raw)
-
-    def manhattan(self, a: np.ndarray, b: np.ndarray) -> int:
-        """Hop count between two coordinate vectors (Manhattan, min-image)."""
-        return int(self.delta(a, b).sum())
-
-    def euclidean(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Euclidean distance between two coordinate vectors (min-image)."""
-        d = self.delta(a, b).astype(np.float64)
-        return float(np.sqrt((d * d).sum()))
 
     def delta_sum_rows(
         self,
@@ -145,8 +103,10 @@ class CoordSpace:
     def delta_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Pairwise per-dimension separations for ``(n, ndim)`` coords.
 
-        Returns an ``(n, n, ndim)`` int array; memory is ``n^2 * ndim``
-        which for the simulated scales (n <= a few thousand) is fine.
+        Returns an ``(n, n, ndim)`` int array (``n^2 * ndim`` words).
+        The min-image wrap rule is written here and in
+        :meth:`delta_sum_rows` only: runs read the rows, and this dense
+        broadcast is the reference the row tests compare against.
         """
         coords = np.asarray(coords, dtype=np.int64)
         raw = np.abs(coords[:, None, :] - coords[None, :, :])

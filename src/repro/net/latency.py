@@ -195,10 +195,9 @@ class HierarchicalLatency(LatencyModel):
         blade_id = coords[:, [0, 1, 2, 4]]  # (x, y, z, b)
 
         # Torus hop distance across the cube grid only (the long-haul
-        # component); in-cube hops are folded into the level constants.
-        dims = np.array(topology.cube_grid, dtype=np.int64)
-        raw = np.abs(cube_xyz[:, None, :] - cube_xyz[None, :, :])
-        hops = np.minimum(raw, dims[None, None, :] - raw).sum(axis=2)
+        # component): the first three, all wrapping, dimensions.  In-cube
+        # hops are folded into the level constants.
+        hops = topology.space.delta_matrix(coords)[:, :, :3].sum(axis=2)
 
         out = self.base + self.per_hop * hops.astype(np.float64)
         in_cube = (cube_xyz[:, None, :] == cube_xyz[None, :, :]).all(axis=2)

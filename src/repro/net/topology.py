@@ -1,7 +1,7 @@
 """Node topologies: who is physically where.
 
-A :class:`Topology` assigns every compute node a coordinate vector and
-derives distances from it.  The flagship model is
+A :class:`Topology` places every compute node and derives the hop
+counts and Euclidean distances between nodes from where they sit.  The flagship model is
 :class:`TofuTopology`, a software reconstruction of the K Computer's
 Tofu interconnect as the paper describes it (§IV-B):
 
@@ -36,29 +36,18 @@ __all__ = [
 
 
 class Topology(ABC):
-    """Interface of a node topology."""
+    """Interface of a node topology.
+
+    Each pairwise quantity comes in two forms over a list of node ids:
+    ``*_rows`` builders, which runs read, and the dense ``*_matrix``
+    broadcast, the reference the row tests compare against.
+    """
 
     #: Short identifier for configs and reports.
     name: str = "abstract"
 
     #: Total number of compute nodes.
     num_nodes: int
-
-    @abstractmethod
-    def coords(self, node: int) -> np.ndarray:
-        """Coordinate vector of ``node``."""
-
-    @abstractmethod
-    def coords_all(self) -> np.ndarray:
-        """``(num_nodes, ndim)`` coordinates of every node."""
-
-    @abstractmethod
-    def hops(self, a: int, b: int) -> int:
-        """Network hop count between nodes ``a`` and ``b``."""
-
-    @abstractmethod
-    def euclidean(self, a: int, b: int) -> float:
-        """Euclidean distance between nodes ``a`` and ``b``."""
 
     @abstractmethod
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
@@ -82,12 +71,6 @@ class Topology(ABC):
     @abstractmethod
     def euclidean_rows(self, nodes: np.ndarray):
         """``f(i) -> Euclidean distances from rank i``."""
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise TopologyError(
-                f"node {node} out of range [0, {self.num_nodes})"
-            )
 
 
 class TofuTopology(Topology):
@@ -143,23 +126,6 @@ class TofuTopology(Topology):
         assert best is not None
         return cls(best[1])
 
-    def coords(self, node: int) -> np.ndarray:
-        self._check_node(node)
-        return self.space.coords_of(node)
-
-    def coords_all(self) -> np.ndarray:
-        return self.space.coords_of_many(np.arange(self.num_nodes))
-
-    def hops(self, a: int, b: int) -> int:
-        self._check_node(a)
-        self._check_node(b)
-        return self.space.manhattan(self.space.coords_of(a), self.space.coords_of(b))
-
-    def euclidean(self, a: int, b: int) -> float:
-        self._check_node(a)
-        self._check_node(b)
-        return self.space.euclidean(self.space.coords_of(a), self.space.coords_of(b))
-
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         coords = self.space.coords_of_many(np.asarray(nodes, dtype=np.int64))
         return self.space.delta_matrix(coords).sum(axis=2)
@@ -202,21 +168,6 @@ class FlatTopology(Topology):
         if num_nodes < 1:
             raise TopologyError(f"need at least 1 node, got {num_nodes}")
         self.num_nodes = int(num_nodes)
-
-    def coords(self, node: int) -> np.ndarray:
-        self._check_node(node)
-        return np.array([node], dtype=np.int64)
-
-    def coords_all(self) -> np.ndarray:
-        return np.arange(self.num_nodes, dtype=np.int64)[:, None]
-
-    def hops(self, a: int, b: int) -> int:
-        self._check_node(a)
-        self._check_node(b)
-        return 0 if a == b else 1
-
-    def euclidean(self, a: int, b: int) -> float:
-        return float(self.hops(a, b))
 
     def hops_matrix(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)

@@ -243,7 +243,6 @@ class Worker:
         "partners",
         "waiters",
         "_quiescent",
-        "_armed",
         "lifeline_pushes",
         "lifeline_wakeups",
         "quiesce_episodes",
@@ -362,7 +361,6 @@ class Worker:
         self.partners = plan.partners_for(rank, nranks)
         self.waiters: list[int] = []
         self._quiescent = False
-        self._armed = False
         self.lifeline_pushes = 0
         self.lifeline_wakeups = 0
         self.quiesce_episodes = 0
@@ -623,7 +621,7 @@ class Worker:
             if self.events is not None:
                 self.events.append(now, EV_PUSH_RECV, victim, nodes)
             return
-        if self._armed:
+        if self._quiescent:
             self._disarm(now)
             self.lifeline_wakeups += 1
             if self.events is not None:
@@ -712,7 +710,6 @@ class Worker:
 
     def _quiesce(self, now: float) -> None:
         self._quiescent = True
-        self._armed = True
         self.quiesce_episodes += 1
         if self.events is not None:
             self.events.append(now, EV_LIFELINE_QUIESCE)
@@ -722,7 +719,6 @@ class Worker:
             )
 
     def _disarm(self, now: float) -> None:
-        self._armed = False
         self._quiescent = False
         self.consecutive_failed_steals = 0
         for partner in self.partners:

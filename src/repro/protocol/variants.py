@@ -23,7 +23,7 @@ Atoms (combine with ``+``; each may appear once):
                         intra-region attempt budget A
 ``lifelines[K]``        K lifeline partners; ``lifelines[K:G]`` also
                         picks graph G (``hypercube``, ``ring``,
-                        ``random``, ``regtree``)
+                        ``regtree``)
 ======================  ==============================================
 
 The grammar is registered under registry kind ``"protocol"`` (exact

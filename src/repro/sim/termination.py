@@ -80,7 +80,6 @@ class DijkstraTermination:
         self._quiescent = quiescent
         # Exposed statistics.
         self.probes_started = 0
-        self.tokens_forwarded = 0
 
     # ------------------------------------------------------------------
     # Observations
@@ -157,7 +156,6 @@ class DijkstraTermination:
             return TokenAction(send_to=1, send_color=WHITE)
         out_color = BLACK if self._color[rank] == BLACK else color
         self._color[rank] = WHITE
-        self.tokens_forwarded += 1
         return TokenAction(
             send_to=(rank + 1) % self.nranks, send_color=out_color
         )

@@ -36,12 +36,6 @@ class TestRegistryClass:
         assert reg.resolve("a") == "made-a"
         assert reg.available() == ["a"]
 
-    def test_aliases_resolve_but_stay_out_of_available(self):
-        reg = Registry("widget")
-        reg.register("canonical", lambda: 1, "alias1", "alias2")
-        assert reg.resolve("alias1") == reg.resolve("canonical")
-        assert reg.available() == ["canonical"]
-
     def test_duplicate_registration_rejected(self):
         reg = Registry("widget")
         reg.register("a", lambda: 1)
@@ -177,7 +171,7 @@ class TestSingleResolutionPath:
         from repro.errors import RegistryError
         from repro.uts.params import T3XS
 
-        cfg = WorkStealingConfig(tree=T3XS, nranks=4, selector="random")
+        cfg = WorkStealingConfig(tree=T3XS, nranks=4, selector="rand")
         assert not isinstance(cfg.selector, str)
         with pytest.raises(RegistryError):
             WorkStealingConfig(tree=T3XS, nranks=4, selector="bogus")

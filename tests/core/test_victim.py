@@ -265,9 +265,7 @@ class TestRegistry:
         "name,cls_name",
         [
             ("reference", "RoundRobinSelector"),
-            ("round_robin", "RoundRobinSelector"),
             ("rand", "UniformRandomSelector"),
-            ("uniform", "UniformRandomSelector"),
             ("tofu", "DistanceSkewedSelector"),
             ("hierarchical", "HierarchicalSelector"),
             ("lastvictim", "LastVictimSelector"),

@@ -36,69 +36,69 @@ class TestConstruction:
         assert s.wraps == (False, False)
 
 
+def separations(s: CoordSpace, a, b) -> list[int]:
+    """The min-image rule written out one coordinate at a time."""
+    return [
+        min(abs(x - y), n - abs(x - y)) if w else abs(x - y)
+        for x, y, n, w in zip(a, b, s.dims, s.wraps)
+    ]
+
+
+def _pair(s: CoordSpace, a, b) -> np.ndarray:
+    """Per-dimension separations of two coordinate vectors, dense reference."""
+    return s.delta_matrix(np.array([a, b]))[0, 1]
+
+
 class TestIdCoordsRoundtrip:
     @given(DIMS, st.data())
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, dims, data):
         s = CoordSpace(tuple(dims))
-        node = data.draw(st.integers(min_value=0, max_value=s.size - 1))
-        coords = s.coords_of(node)
-        assert s.id_of(coords) == node
+        nodes = np.array(
+            data.draw(st.lists(st.integers(0, s.size - 1), min_size=1, max_size=20))
+        )
+        coords = s.coords_of_many(nodes)
+        assert coords.shape == (len(nodes), s.ndim)
+        assert np.array_equal(np.ravel_multi_index(coords.T, s.dims), nodes)
 
     def test_row_major_order(self):
         s = CoordSpace((2, 3))
-        assert s.coords_of(0).tolist() == [0, 0]
-        assert s.coords_of(1).tolist() == [0, 1]
-        assert s.coords_of(3).tolist() == [1, 0]
+        coords = s.coords_of_many(np.array([0, 1, 3]))
+        assert coords.tolist() == [[0, 0], [0, 1], [1, 0]]
 
     def test_coords_of_many(self):
         s = CoordSpace((2, 3))
         all_coords = s.coords_of_many(np.arange(6))
-        for node in range(6):
-            assert np.array_equal(all_coords[node], s.coords_of(node))
+        assert all_coords.tolist() == [[a, b] for a in range(2) for b in range(3)]
 
     def test_out_of_range(self):
         s = CoordSpace((2, 2))
-        with pytest.raises(TopologyError):
-            s.coords_of(4)
-        with pytest.raises(TopologyError):
-            s.coords_of(-1)
-        with pytest.raises(TopologyError):
-            s.coords_of_many(np.array([0, 5]))
-
-    def test_id_of_bad_shape(self):
-        s = CoordSpace((2, 2))
-        with pytest.raises(TopologyError):
-            s.id_of(np.array([1]))
-
-    def test_id_of_out_of_range(self):
-        s = CoordSpace((2, 2))
-        with pytest.raises(TopologyError):
-            s.id_of(np.array([0, 2]))
+        for nodes in ([4], [-1], [0, 5]):
+            with pytest.raises(TopologyError):
+                s.coords_of_many(np.array(nodes))
 
 
 class TestDistances:
     def test_no_wrap_manhattan(self):
         s = CoordSpace((10,))
-        assert s.manhattan(np.array([0]), np.array([9])) == 9
+        assert _pair(s, [0], [9]).sum() == 9
 
     def test_wrap_manhattan(self):
         s = CoordSpace((10,), wraps=(True,))
-        assert s.manhattan(np.array([0]), np.array([9])) == 1
-        assert s.manhattan(np.array([0]), np.array([5])) == 5
+        assert _pair(s, [0], [9]).sum() == 1
+        assert _pair(s, [0], [5]).sum() == 5
 
     def test_mixed_wrap(self):
         s = CoordSpace((10, 10), wraps=(True, False))
-        d = s.delta(np.array([0, 0]), np.array([9, 9]))
-        assert d.tolist() == [1, 9]
+        assert _pair(s, [0, 0], [9, 9]).tolist() == [1, 9]
 
     def test_euclidean(self):
         s = CoordSpace((10, 10))
-        assert s.euclidean(np.array([0, 0]), np.array([3, 4])) == pytest.approx(5.0)
+        assert np.hypot(*_pair(s, [0, 0], [3, 4])) == pytest.approx(5.0)
 
     def test_euclidean_wrapped(self):
         s = CoordSpace((10, 10), wraps=(True, True))
-        assert s.euclidean(np.array([0, 0]), np.array([9, 0])) == pytest.approx(1.0)
+        assert np.hypot(*_pair(s, [0, 0], [9, 0])) == pytest.approx(1.0)
 
     @given(DIMS, st.data())
     @settings(max_examples=100, deadline=None)
@@ -108,21 +108,22 @@ class TestDistances:
         )
         s = CoordSpace(tuple(dims), wraps=wraps)
         ids = st.integers(min_value=0, max_value=s.size - 1)
-        a = s.coords_of(data.draw(ids))
-        b = s.coords_of(data.draw(ids))
-        c = s.coords_of(data.draw(ids))
+        d = s.delta_matrix(s.coords_of_many([data.draw(ids) for _ in range(3)]))
+        hops = d.sum(axis=2)
+        eucl = np.sqrt((d * d).sum(axis=2))
+        a, b, c = range(3)
         # Identity, symmetry, triangle inequality for manhattan.
-        assert s.manhattan(a, a) == 0
-        assert s.manhattan(a, b) == s.manhattan(b, a)
-        assert s.manhattan(a, c) <= s.manhattan(a, b) + s.manhattan(b, c)
+        assert hops[a, a] == 0
+        assert hops[a, b] == hops[b, a]
+        assert hops[a, c] <= hops[a, b] + hops[b, c]
         # Euclidean <= Manhattan always.
-        assert s.euclidean(a, b) <= s.manhattan(a, b) + 1e-12
+        assert eucl[a, b] <= hops[a, b] + 1e-12
 
     def test_delta_matrix_consistent(self):
         s = CoordSpace((4, 3, 2), wraps=(True, False, True))
         nodes = np.array([0, 5, 11, 17, 23])
-        coords = s.coords_of_many(nodes)
+        coords = s.coords_of_many(nodes).tolist()
         dm = s.delta_matrix(coords)
-        for i in range(len(nodes)):
-            for j in range(len(nodes)):
-                assert np.array_equal(dm[i, j], s.delta(coords[i], coords[j]))
+        for i, a in enumerate(coords):
+            for j, b in enumerate(coords):
+                assert dm[i, j].tolist() == separations(s, a, b)

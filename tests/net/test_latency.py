@@ -71,11 +71,15 @@ class TestHierarchical:
         t = TofuTopology((3, 2, 2))
         # Build specific rank placements: two on one node, two on one
         # blade, two in one cube, two across cubes.
-        n0 = t.space.id_of(np.array([0, 0, 0, 0, 0, 0]))
-        n_blade = t.space.id_of(np.array([0, 0, 0, 1, 0, 0]))  # same blade b=0
-        n_cube = t.space.id_of(np.array([0, 0, 0, 0, 1, 0]))  # other blade
-        n_far = t.space.id_of(np.array([2, 1, 0, 0, 0, 0]))  # other cube
-        m = model.matrix(t, np.array([n0, n0, n_blade, n_cube, n_far]))
+        coords = [
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],  # same node
+            [0, 0, 0, 1, 0, 0],  # same blade b=0
+            [0, 0, 0, 0, 1, 0],  # other blade
+            [2, 1, 0, 0, 0, 0],  # other cube
+        ]
+        nodes = np.ravel_multi_index(np.transpose(coords), t.space.dims)
+        m = model.matrix(t, nodes)
         assert m[0, 1] == pytest.approx(1e-7)  # same node
         assert m[0, 2] == pytest.approx(2e-7)  # same blade
         assert m[0, 3] == pytest.approx(3e-7)  # same cube

@@ -29,10 +29,13 @@ from repro.net.latency import (
 from repro.net.topology import TofuTopology
 
 ALLOCATIONS = ["1/N", "8RR", "8G", "4RR", "4G"]
-MODELS = [
-    KComputerLatency(),
-    HierarchicalLatency(3e-7, 5e-7, 9e-7, 1.3e-6, 1.7e-7),
-    UniformLatency(),
+#: ``(topology_factory, latency_model)``: every model on the default Tofu
+#: topology, then the flat-topology ablation's pair.
+TOPOLOGY_MODELS = [
+    (None, KComputerLatency()),
+    (None, HierarchicalLatency(3e-7, 5e-7, 9e-7, 1.3e-6, 1.7e-7)),
+    (None, UniformLatency()),
+    ("flat", UniformLatency()),
 ]
 
 
@@ -106,8 +109,10 @@ class TestPlacementRows:
     @pytest.mark.parametrize("nranks", [2, 24, 33, 100])
     def test_every_metric_equals_its_matrix(self, alloc, nranks):
         allocation = registry.resolve("allocation", alloc)
-        for model in MODELS:
-            p = build_placement(nranks, allocation, latency_model=model)
+        for topology, model in TOPOLOGY_MODELS:
+            p = build_placement(
+                nranks, allocation, latency_model=model, topology_factory=topology
+            )
             hops = p.topology.hops_matrix(p.rank_nodes)
             eucl = p.topology.euclidean_matrix(p.rank_nodes)
             lat = model.matrix(p.topology, p.rank_nodes)

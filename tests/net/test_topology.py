@@ -2,61 +2,83 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TopologyError
+from repro.errors import AllocationError, TopologyError
+from repro.net.allocation import OnePerNode, build_placement
 from repro.net.topology import FlatTopology, TofuTopology
+from tests.net.test_coords import separations
 
 ALL_TOPOLOGIES = [
-    TofuTopology((2, 2, 2)),
+    TofuTopology((3, 2, 2)),
     FlatTopology(20),
 ]
 
 
+def _node(topo: TofuTopology, coords) -> int:
+    """Row-major node id of a Tofu coordinate vector."""
+    return int(np.ravel_multi_index(coords, topo.space.dims))
+
+
+def _nodes(topo) -> np.ndarray:
+    """Node ids spanning every cube of the Tofu contract grid, across
+    its wrapping x link too; repeats are co-located ranks."""
+    return np.array([0, 1, 5, 13, 30, 47, 50, 77, 95, 100, 143, 0, 30]) % topo.num_nodes
+
+
 @pytest.mark.parametrize("topo", ALL_TOPOLOGIES, ids=lambda t: t.name)
 class TestTopologyContract:
+    # The dense matrices are the reference the row builders are tested
+    # against (tests/net/test_row_builders.py), so the metric laws are
+    # checked on them.
+
     def test_hops_identity(self, topo):
-        for node in range(0, topo.num_nodes, 3):
-            assert topo.hops(node, node) == 0
+        hm = topo.hops_matrix(np.arange(0, topo.num_nodes, 3))
+        assert np.all(np.diag(hm) == 0)
 
     def test_hops_symmetry(self, topo):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            a, b = rng.integers(0, topo.num_nodes, 2)
-            assert topo.hops(int(a), int(b)) == topo.hops(int(b), int(a))
+        hm = topo.hops_matrix(_nodes(topo))
+        assert np.array_equal(hm, hm.T)
 
     def test_hops_positive_off_diagonal(self, topo):
-        assert topo.hops(0, 1) > 0
+        nodes = _nodes(topo)
+        hm = topo.hops_matrix(nodes)
+        distinct = nodes[:, None] != nodes[None, :]
+        assert np.all(hm[distinct] > 0)
+        assert np.all(hm[~distinct] == 0)
 
     def test_euclidean_symmetry(self, topo):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            a, b = rng.integers(0, topo.num_nodes, 2)
-            assert topo.euclidean(int(a), int(b)) == pytest.approx(
-                topo.euclidean(int(b), int(a))
-            )
+        em = topo.euclidean_matrix(_nodes(topo))
+        assert np.array_equal(em, em.T)
 
     def test_matrix_matches_scalar(self, topo):
-        nodes = np.arange(min(topo.num_nodes, 12))
-        hm = topo.hops_matrix(nodes)
-        em = topo.euclidean_matrix(nodes)
-        for i in nodes:
-            for j in nodes:
-                assert hm[i, j] == topo.hops(int(i), int(j))
-                assert em[i, j] == pytest.approx(topo.euclidean(int(i), int(j)))
+        # Each entry against its pair's separations written out by hand:
+        # one 0/1 step on the flat topology, min-image per Tofu dimension.
+        nodes = _nodes(topo)
+        hm, em = topo.hops_matrix(nodes), topo.euclidean_matrix(nodes)
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                if isinstance(topo, FlatTopology):
+                    d = [int(a != b)]
+                else:
+                    d = separations(topo.space, *topo.space.coords_of_many([a, b]))
+                assert hm[i, j] == sum(d)
+                assert em[i, j] == pytest.approx(math.hypot(*d))
 
     def test_out_of_range(self, topo):
-        with pytest.raises(TopologyError):
-            topo.hops(0, topo.num_nodes)
-        with pytest.raises(TopologyError):
-            topo.coords(-1)
+        # Only a placement hands a topology node ids, and it refuses one
+        # the topology does not have.
+        class Outside(OnePerNode):
+            def rank_nodes(self, nranks):
+                return super().rank_nodes(nranks) + 1
 
-    def test_coords_all_shape(self, topo):
-        coords = topo.coords_all()
-        assert coords.shape[0] == topo.num_nodes
+        with pytest.raises(AllocationError):
+            build_placement(topo.num_nodes, Outside(), topology_factory=lambda n: topo)
 
 
 class TestTofu:
@@ -98,14 +120,14 @@ class TestTofu:
         t = TofuTopology((4, 4, 4))
         # Node 0 is in cube (0,0,0); find a node in cube (3,0,0): wrap
         # distance along x should be 1 cube, not 3.
-        n_far = t.space.id_of(np.array([3, 0, 0, 0, 0, 0]))
-        assert t.hops(0, n_far) == 1
+        n_far = _node(t, [3, 0, 0, 0, 0, 0])
+        assert t.hops_matrix([0, n_far])[0, 1] == 1
 
     def test_in_cube_no_wrap(self):
         t = TofuTopology((2, 2, 2))
-        a = t.space.id_of(np.array([0, 0, 0, 0, 0, 0]))
-        b = t.space.id_of(np.array([0, 0, 0, 1, 2, 1]))
-        assert t.hops(a, b) == 4  # 1 + 2 + 1, no wrap on b
+        a = _node(t, [0, 0, 0, 0, 0, 0])
+        b = _node(t, [0, 0, 0, 1, 2, 1])
+        assert t.hops_matrix([a, b])[0, 1] == 4  # 1 + 2 + 1, no wrap on b
 
     def test_for_nodes_capacity(self):
         for n in (1, 8, 12, 13, 100, 1024):
@@ -173,6 +195,7 @@ class TestFlat:
 def test_tofu_triangle_inequality(grid, data):
     t = TofuTopology(grid)
     ids = st.integers(min_value=0, max_value=t.num_nodes - 1)
-    a, b, c = data.draw(ids), data.draw(ids), data.draw(ids)
-    assert t.hops(a, c) <= t.hops(a, b) + t.hops(b, c)
-    assert t.euclidean(a, c) <= t.euclidean(a, b) + t.euclidean(b, c) + 1e-9
+    nodes = [data.draw(ids) for _ in range(3)]
+    hm, em = t.hops_matrix(nodes), t.euclidean_matrix(nodes)
+    assert hm[0, 2] <= hm[0, 1] + hm[1, 2]
+    assert em[0, 2] <= em[0, 1] + em[1, 2] + 1e-9
