@@ -9,8 +9,10 @@ experiment builds on.
 from __future__ import annotations
 
 from repro.bench.report import format_table, save_artifact
-from repro.uts.params import T3L, T3M, T3S, T3WL, T3XS, T3XXL
+from repro.uts.params import T3H, T3L, T3M, T3S, T3WL, T3XS, T3XXL
 from repro.uts.sequential import sequential_count
+from repro.uts.tree import TreeGenerator, TreeTable
+from tests.uts.depth_theory import depth_quantiles
 
 PAPER_TREES = (T3XXL, T3WL)
 SCALED_TREES = (T3XS, T3S, T3M, T3L)
@@ -59,3 +61,13 @@ def test_table1_tree_parameters(once):
     for t in SCALED_TREES:
         assert measured[t.name] > t.analytic_expected_size / 5
         assert measured[t.name] < t.analytic_expected_size * 5
+
+
+def test_t3h_depth_inside_theory_band():
+    """T3H (25.6 M nodes, too big for tier 1): its depth, the critical
+    path of the Fig 3/4 4096-rank rung, lies inside the exact theory's
+    0.5%-99.5% band (``tests/uts/depth_theory.py``)."""
+    lo, hi = depth_quantiles(T3H, (0.005, 0.995))
+    depth = TreeTable(TreeGenerator(T3H), node_cap=50_000_000).depth
+    assert (lo, hi) == (2119, 22088)
+    assert lo <= depth <= hi, depth

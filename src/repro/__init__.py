@@ -35,8 +35,9 @@ Batch runs go through the parallel executor (:mod:`repro.exec`)::
                for n in (8, 16, 32, 64)]
     results = run_many(configs, jobs=4)
 
-Long-running multi-client workloads go through the simulation service
-(:mod:`repro.service`), which dedups, schedules fairly and caches::
+Several clients sharing one pool and store go through the simulation
+service (:mod:`repro.service`), which dedups in flight, gives each
+client an equal share of the workers and caches::
 
     from repro import SimulationService
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -97,6 +98,26 @@ _MISSING = object()
 #: dict is the ``asdict`` payload without its deep copy.
 _TREE_FIELDS = tuple(f.name for f in fields(TreeParams))
 
+#: Integer fields: each goes through ``operator.index`` (so a NumPy
+#: integer becomes a plain ``int`` and a float is rejected) and may not
+#: be a ``bool``.
+_INT_FIELDS = (
+    "nranks",
+    "chunk_size",
+    "poll_interval",
+    "compute_rounds",
+    "seed",
+    "event_trace_capacity",
+    "node_cap",
+    "lifelines",
+    "lifeline_threshold",
+    "forward_ttl",
+    "regions",
+    "region_attempts",
+    "shards",
+    "shard_workers",
+)
+
 
 def canonical_json(data: dict) -> str:
     """Canonical (sorted-key, compact, ASCII-safe) JSON encoding."""
@@ -125,7 +146,8 @@ def fingerprint_dict(data: dict) -> str:
 class WorkStealingConfig:
     """Everything one distributed UTS run needs.
 
-    String shorthands are accepted for ``allocation``, ``selector``,
+    String shorthands are accepted for ``tree`` (a name in
+    :data:`~repro.uts.params.TREES`), ``allocation``, ``selector``,
     ``steal_policy`` and ``rng_backend``; they are resolved once at
     construction time.
     """
@@ -199,6 +221,20 @@ class WorkStealingConfig:
     shard_workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not hasattr(value, "__index__"):
+                    raise ConfigurationError(
+                        f"{name} must be an integer, got {value!r}"
+                    )
+                setattr(self, name, operator.index(value))
+        if isinstance(self.tree, str):
+            self.tree = tree_by_name(self.tree)
+        elif not isinstance(self.tree, TreeParams):
+            raise ConfigurationError(
+                f"tree must be a TreeParams or a tree name, got {self.tree!r}"
+            )
         if self.nranks < 1:
             raise ConfigurationError(f"nranks must be >= 1, got {self.nranks}")
         if self.chunk_size < 1:
@@ -452,7 +488,8 @@ class WorkStealingConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         ``tree`` may be a parameter dict or a registered tree name;
-        unknown keys raise :class:`ConfigurationError`.
+        unknown keys, here or in the tree dict, raise
+        :class:`ConfigurationError`.
         """
         if not isinstance(data, dict):
             raise ConfigurationError(
@@ -462,10 +499,11 @@ class WorkStealingConfig:
         tree = kwargs.pop("tree", None)
         if tree is None:
             raise ConfigurationError("config dict is missing 'tree'")
-        if isinstance(tree, str):
-            tree = tree_by_name(tree)
-        elif isinstance(tree, dict):
-            tree = TreeParams(**tree)
+        if isinstance(tree, dict):
+            try:
+                tree = TreeParams(**tree)
+            except TypeError as exc:
+                raise ConfigurationError(f"bad tree dict: {exc}") from None
         unknown = set(kwargs) - {f.name for f in fields(cls) if f.name != "tree"}
         if unknown:
             raise ConfigurationError(

@@ -71,8 +71,6 @@ class Job:
     label: str
     #: Client that first submitted the job (fair-share accounting key).
     client: str = "default"
-    #: Higher runs earlier; ties fall to weighted fair share.
-    priority: int = 0
     state: JobState = JobState.QUEUED
     #: Service-clock (``time.monotonic``) timestamps.
     submitted_at: float = 0.0
@@ -111,9 +109,8 @@ class JobEvent:
 class JobFailure:
     """Failed slot in a ``run_many(..., return_exceptions=True)`` batch.
 
-    Carries the exception that stopped the job (``JobTimeoutError``
-    for per-job budget overruns) so callers can triage without the
-    whole sweep unwinding.
+    Carries the exception that stopped the job so callers can triage
+    without the whole sweep unwinding.
     """
 
     fingerprint: str

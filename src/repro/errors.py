@@ -31,10 +31,6 @@ class JobError(ReproError):
     """A submitted job could not run to completion."""
 
 
-class JobTimeoutError(JobError):
-    """A job exceeded its per-job wall-clock budget and was abandoned."""
-
-
 class JobCancelledError(JobError):
     """A job was cancelled before it produced a result."""
 

@@ -14,7 +14,10 @@ The executor subsystem turns the one-run API
   (``ResultCache`` is the legacy name of the same class);
 * :func:`run_many` — a ``ProcessPoolExecutor`` batch runner with
   deduplication, store integration and progress callbacks, whose
-  results are bit-identical to the serial path.
+  results are bit-identical to the serial path.  It is how every
+  figure's grid of independent runs is served; :mod:`repro.service`
+  puts an asyncio front-end for several clients over the same
+  :func:`~repro.exec.pool.resolve`/:func:`~repro.exec.pool.land` steps.
 
 Typical use::
 
@@ -28,7 +31,6 @@ from repro.exec.store import (
     DEFAULT_CACHE_DIR,
     ArtifactStore,
     ResultCache,
-    StoreStats,
     open_store,
 )
 
@@ -38,7 +40,6 @@ __all__ = [
     "WorkerPool",
     "ArtifactStore",
     "ResultCache",
-    "StoreStats",
     "open_store",
     "DEFAULT_CACHE_DIR",
 ]

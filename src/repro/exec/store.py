@@ -40,7 +40,6 @@ import os
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro._version import __version__
@@ -50,7 +49,6 @@ from repro.ws.results import RunResult
 __all__ = [
     "ArtifactStore",
     "ResultCache",
-    "StoreStats",
     "open_store",
     "DEFAULT_CACHE_DIR",
 ]
@@ -64,20 +62,6 @@ DEFAULT_CACHE_DIR = "benchmarks/_cache"
 #: object keeps in memory.  A decoded entry holds about 1.6-1.9x its
 #: file bytes (DESIGN.md §5b, "Store").
 _MEMO_BYTES = 16 * 2**20
-
-
-@dataclass(frozen=True)
-class StoreStats:
-    """Point-in-time accounting of one store version directory."""
-
-    #: Result entries of the active version.
-    entries: int
-    #: Bytes held by those entries.
-    total_bytes: int
-    #: Configured budget (``None`` = unbounded).
-    max_bytes: int | None
-    #: Entries evicted since this store object was created.
-    evicted: int
 
 
 def _write_atomic(path: Path, payload: bytes) -> None:
@@ -129,7 +113,6 @@ class ArtifactStore:
         self.root = Path(root)
         self.version = version
         self.max_bytes = max_bytes
-        self._evicted = 0
         self._dir = os.path.join(self.root, version)
         #: fingerprint -> ((st_ino, st_size, st_mtime_ns), result data),
         #: least recently served first.
@@ -270,18 +253,7 @@ class ArtifactStore:
             self._forget(fingerprint)
             evicted.append(fingerprint)
             total -= size
-        self._evicted += len(evicted)
         return evicted
-
-    def stats(self) -> StoreStats:
-        """Current accounting (used by the service's status surface)."""
-        entries = self._entries()
-        return StoreStats(
-            entries=len(entries),
-            total_bytes=sum(size for _, _, size in entries),
-            max_bytes=self.max_bytes,
-            evicted=self._evicted,
-        )
 
     # ------------------------------------------------------------------
 

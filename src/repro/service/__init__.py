@@ -1,23 +1,21 @@
 """repro.service — simulation-as-a-service over :mod:`repro.exec`.
 
-A long-running asyncio job front-end for the work-stealing simulator:
+An asyncio job front-end for the work-stealing simulator:
 
 * :class:`SimulationService` — accepts sweep submissions, dedups them
   against the store *and* against work already in flight
-  (one fingerprint, one execution), schedules with priority +
-  weighted fair share onto a shared worker pool, and streams typed
+  (one fingerprint, one execution), dispatches with an equal share
+  per client onto a shared worker pool, and streams typed
   :class:`~repro.core.jobs.JobEvent`\\ s;
 * :class:`SweepHandle` — one submission's progress stream and results;
 * :class:`FairShareScheduler` — the deterministic queue discipline
-  (priority bands, stride-scheduled weighted fair share, per-client
-  FIFO);
-* :class:`ArtifactStore` — the versioned result store with
-  size-bounded LRU eviction (:mod:`repro.exec.store`, re-exported);
-* ``python -m repro.service`` — submit preset sweeps from the shell.
+  (stride-scheduled equal share across clients, per-client FIFO).
+
+A grid of independent runs needs none of this: ``run_many(configs,
+store=...)`` serves it with the same dedup, pool and store.
 """
 
 from repro.core.jobs import Job, JobEvent, JobFailure, JobState
-from repro.exec.store import ArtifactStore, StoreStats
 from repro.service.scheduler import ClientShare, FairShareScheduler
 from repro.service.service import ServiceStats, SimulationService, SweepHandle
 
@@ -27,8 +25,6 @@ __all__ = [
     "ServiceStats",
     "FairShareScheduler",
     "ClientShare",
-    "ArtifactStore",
-    "StoreStats",
     "Job",
     "JobEvent",
     "JobFailure",

@@ -1,22 +1,18 @@
-"""Priority + weighted fair-share job scheduling.
+"""Equal-share job scheduling.
 
 The service's queue discipline, deterministic and independently
 testable:
 
-1. **Priority bands** — higher :attr:`Job.priority` always dispatches
-   first; bands never mix.
-2. **Weighted fair share inside a band** — clients share dispatch
-   slots by *stride scheduling*: every dispatched job advances its
-   client's virtual time by ``1 / weight``, and the client with the
-   smallest virtual time goes next.  A client with weight 3 therefore
-   receives three dispatches for every one of a weight-1 client,
-   interleaved (not bursty), regardless of how many jobs either has
-   queued.
-3. **FIFO per client** — one client's jobs run in submission order.
+1. **Equal share across clients** — clients share dispatch slots by
+   *stride scheduling*: every dispatched job advances its client's
+   virtual time by one, and the client with the smallest virtual time
+   goes next, so two busy clients alternate regardless of how many
+   jobs either has queued.
+2. **FIFO per client** — one client's jobs run in submission order.
 
-Ties (equal virtual time) break on the client name, then submission
-order, so dispatch order is a pure function of the submission
-sequence — the fairness tests assert exact orders.
+Ties (equal virtual time) break on the client name, so dispatch order
+is a pure function of the submission sequence — the fairness tests
+assert exact orders.
 
 A client returning after idling does not get to "bank" the time it
 did not use: its virtual time is advanced to the minimum virtual time
@@ -30,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.jobs import Job
-from repro.errors import ConfigurationError
 
 __all__ = ["FairShareScheduler", "ClientShare"]
 
@@ -40,100 +35,49 @@ class ClientShare:
     """Fair-share accounting for one client."""
 
     name: str
-    weight: float = 1.0
-    #: Stride-scheduling virtual time: advances by ``1/weight`` per
-    #: dispatched job; the smallest virtual time dispatches next.
+    #: Stride-scheduling virtual time: advances by one per dispatched
+    #: job; the smallest virtual time dispatches next.
     vtime: float = 0.0
-    #: Queued jobs per priority, FIFO.
-    queues: dict[int, deque[Job]] = field(default_factory=dict)
-    dispatched: int = 0
-
-    @property
-    def queued(self) -> int:
-        return sum(len(q) for q in self.queues.values())
+    #: Queued jobs, FIFO.
+    queue: deque[Job] = field(default_factory=deque)
 
 
 class FairShareScheduler:
-    """Deterministic priority + weighted fair-share queue of jobs."""
+    """Deterministic equal-share queue of jobs."""
 
     def __init__(self) -> None:
         self._clients: dict[str, ClientShare] = {}
 
-    # ------------------------------------------------------------------
-
-    def set_weight(self, client: str, weight: float) -> None:
-        """Set ``client``'s fair-share weight (> 0; default 1.0)."""
-        if not weight > 0:
-            raise ConfigurationError(
-                f"client weight must be > 0, got {weight}"
-            )
-        self._share(client).weight = float(weight)
-
-    def weight_of(self, client: str) -> float:
-        share = self._clients.get(client)
-        return share.weight if share is not None else 1.0
-
     def push(self, job: Job) -> None:
-        """Enqueue ``job`` under its client and priority."""
-        share = self._share(job.client)
-        share.queues.setdefault(job.priority, deque()).append(job)
+        """Enqueue ``job`` under its client."""
+        self._share(job.client).queue.append(job)
 
     def pop(self) -> Job | None:
         """Dispatch the next job (or ``None`` when idle).
 
-        Highest priority band first; within the band, the queued
-        client with the smallest ``(vtime, name)`` wins and pays
-        ``1/weight`` virtual time.
+        The queued client with the smallest ``(vtime, name)`` wins and
+        pays one unit of virtual time.
         """
-        backlog = [s for s in self._clients.values() if s.queued]
+        backlog = [s for s in self._clients.values() if s.queue]
         if not backlog:
             return None
-        top = max(p for s in backlog for p, q in s.queues.items() if q)
-        candidates = [s for s in backlog if s.queues.get(top)]
-        share = min(candidates, key=lambda s: (s.vtime, s.name))
-        job = share.queues[top].popleft()
-        if not share.queues[top]:
-            del share.queues[top]
-        share.vtime += 1.0 / share.weight
-        share.dispatched += 1
-        return job
-
-    def remove(self, job: Job) -> bool:
-        """Withdraw a queued job (cancellation); False when not queued."""
-        share = self._clients.get(job.client)
-        if share is None:
-            return False
-        queue = share.queues.get(job.priority)
-        if queue is None:
-            return False
-        try:
-            queue.remove(job)
-        except ValueError:
-            return False
-        if not queue:
-            del share.queues[job.priority]
-        return True
+        share = min(backlog, key=lambda s: (s.vtime, s.name))
+        share.vtime += 1.0
+        return share.queue.popleft()
 
     def drain(self) -> list[Job]:
         """Withdraw every queued job (service shutdown)."""
         jobs: list[Job] = []
         for share in self._clients.values():
-            for priority in sorted(share.queues, reverse=True):
-                jobs.extend(share.queues[priority])
-            share.queues.clear()
+            jobs.extend(share.queue)
+            share.queue.clear()
         return jobs
 
-    # ------------------------------------------------------------------
-
     def __len__(self) -> int:
-        return sum(s.queued for s in self._clients.values())
+        return sum(len(s.queue) for s in self._clients.values())
 
     def __bool__(self) -> bool:
-        return any(s.queued for s in self._clients.values())
-
-    def clients(self) -> dict[str, ClientShare]:
-        """Live accounting view (read-only by convention)."""
-        return dict(self._clients)
+        return any(s.queue for s in self._clients.values())
 
     def _share(self, client: str) -> ClientShare:
         share = self._clients.get(client)
@@ -141,14 +85,14 @@ class FairShareScheduler:
             # A (re)joining client starts at the queued minimum: it
             # cannot retroactively claim the share it did not use.
             floor = min(
-                (s.vtime for s in self._clients.values() if s.queued),
+                (s.vtime for s in self._clients.values() if s.queue),
                 default=0.0,
             )
             share = ClientShare(name=client, vtime=floor)
             self._clients[client] = share
-        elif not share.queued:
+        elif not share.queue:
             floor = min(
-                (s.vtime for s in self._clients.values() if s.queued),
+                (s.vtime for s in self._clients.values() if s.queue),
                 default=share.vtime,
             )
             share.vtime = max(share.vtime, floor)

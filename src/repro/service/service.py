@@ -4,7 +4,7 @@
 :mod:`repro.exec`: clients submit sweeps (lists of
 :class:`~repro.core.config.WorkStealingConfig`), the service dedups
 them against the store **and** against work already in flight,
-schedules what remains with priority + weighted fair share
+schedules what remains with equal-share fair scheduling
 (:class:`~repro.service.scheduler.FairShareScheduler`) onto one shared
 :class:`~repro.exec.pool.WorkerPool`, and streams typed
 :class:`~repro.core.jobs.JobEvent`\\ s back to each submitter.
@@ -39,12 +39,7 @@ from typing import AsyncIterator, Callable, Iterable, Sequence
 
 from repro.core.config import WorkStealingConfig
 from repro.core.jobs import Job, JobEvent, JobFailure, JobState, next_job_id
-from repro.errors import (
-    ConfigurationError,
-    JobCancelledError,
-    JobTimeoutError,
-    ServiceError,
-)
+from repro.errors import JobCancelledError, ServiceError
 from repro.exec.pool import WorkerPool, land, resolve
 from repro.exec.store import ArtifactStore, open_store
 from repro.service.scheduler import FairShareScheduler
@@ -68,7 +63,7 @@ class ServiceStats:
     dedup_joins: int
     #: Simulations actually executed (== distinct cache misses).
     executed: int
-    #: Jobs that ended ``failed`` (errors, timeouts, cancellations).
+    #: Jobs that ended ``failed`` (errors, shutdown cancellations).
     failed: int
     #: Jobs currently queued for dispatch.
     queued: int
@@ -81,15 +76,10 @@ class SweepHandle:
 
     The handle streams every event of the sweep's jobs — including
     jobs it merely joined — and resolves to the sweep's results, in
-    submission order.  :meth:`cancel` withdraws the sweep: jobs no
-    other handle is watching are cancelled (surfacing as ``failed``
-    with :class:`~repro.errors.JobCancelledError` attached), shared
-    jobs keep running for their other watchers, and the event stream
-    terminates either way.
+    submission order.
     """
 
-    def __init__(self, service: "SimulationService", jobs: Sequence[Job]):
-        self._service = service
+    def __init__(self, jobs: Sequence[Job]):
         self._jobs = list(jobs)
         # Every job starts open — even born-terminal (cached) ones,
         # whose terminal event is delivered right after construction
@@ -97,15 +87,12 @@ class SweepHandle:
         self._open = {job.id for job in jobs}
         self._events: asyncio.Queue[JobEvent | None] = asyncio.Queue()
         self._done = asyncio.Event()
-        self._cancelled = False
         if not self._open:  # empty sweep
             self._finish()
 
     # -- service-side delivery -----------------------------------------
 
     def _deliver(self, job: Job, event: JobEvent) -> None:
-        if self._done.is_set():
-            return
         self._events.put_nowait(event)
         if event.state.terminal:
             self._open.discard(job.id)
@@ -113,26 +100,15 @@ class SweepHandle:
                 self._finish()
 
     def _finish(self) -> None:
-        if not self._done.is_set():
-            self._done.set()
-            self._events.put_nowait(_STREAM_END)
+        self._done.set()
+        self._events.put_nowait(_STREAM_END)
 
     # -- client surface ------------------------------------------------
-
-    @property
-    def jobs(self) -> list[Job]:
-        """The sweep's jobs, in submission order (shared jobs repeat)."""
-        return list(self._jobs)
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
 
     async def events(self) -> AsyncIterator[JobEvent]:
         """Stream this sweep's job events until every job is terminal.
 
-        Safe to iterate once; terminates on completion *and* on
-        :meth:`cancel`.
+        Safe to iterate once.
         """
         while True:
             event = await self._events.get()
@@ -143,45 +119,23 @@ class SweepHandle:
     async def results(self) -> list[RunResult | JobFailure]:
         """Wait for the sweep; results in submission order.
 
-        Failed jobs (including timeouts and cancellations) surface as
+        Failed jobs (including shutdown cancellations) surface as
         :class:`~repro.core.jobs.JobFailure` slots, exception attached
         — the same shape ``run_many(..., return_exceptions=True)``
         returns.
         """
         await self._done.wait()
-        out: list[RunResult | JobFailure] = []
-        for job in self._jobs:
-            if job.state is JobState.FAILED or job.result is None:
-                error = job.error or JobCancelledError(
-                    f"job {job.label!r} was withdrawn before it ran"
-                )
-                out.append(
-                    JobFailure(
-                        fingerprint=job.fingerprint,
-                        label=job.label,
-                        error=error,
-                        elapsed=job.elapsed,
-                    )
-                )
-            else:
-                out.append(job.result)
-        return out
-
-    async def cancel(self) -> int:
-        """Withdraw the sweep; returns the number of jobs cancelled.
-
-        Jobs watched only by this handle are cancelled (queued jobs
-        never run, running jobs are interrupted); jobs shared with
-        other handles are left to finish for them.  The handle's event
-        stream terminates.
-        """
-        self._cancelled = True
-        cancelled = await self._service._cancel_jobs(self, self._jobs)
-        for job in self._jobs:
-            self._service._detach(job, self)
-        self._open.clear()
-        self._finish()
-        return cancelled
+        return [
+            JobFailure(
+                fingerprint=job.fingerprint,
+                label=job.label,
+                error=job.error,
+                elapsed=job.elapsed,
+            )
+            if job.state is JobState.FAILED
+            else job.result
+            for job in self._jobs
+        ]
 
 
 class SimulationService:
@@ -196,8 +150,6 @@ class SimulationService:
         :class:`~repro.exec.store.ArtifactStore`, a path, ``True`` for
         the default store, or ``None`` to run storeless (in-flight
         dedup still applies) — :func:`~repro.exec.store.open_store`.
-    max_events:
-        Per-run event budget forwarded to the simulator.
     runner:
         Test seam: a synchronous callable ``runner(config_dict) ->
         RunResult`` executed on a thread instead of the process pool.
@@ -208,24 +160,20 @@ class SimulationService:
         workers: int | None = None,
         store: ArtifactStore | str | os.PathLike | bool | None = None,
         *,
-        max_events: int | None = None,
         runner: Callable[[dict], RunResult] | None = None,
     ):
         self.store = open_store(store)
-        self.max_events = max_events
         self._runner = runner
         self._pool = WorkerPool(workers)
         self._scheduler = FairShareScheduler()
         self._inflight: dict[str, Job] = {}
         self._watchers: dict[str, list[SweepHandle]] = {}
         self._tasks: dict[str, asyncio.Task] = {}
-        self._timeouts: dict[str, float | None] = {}
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
         self._dispatcher: asyncio.Task | None = None
         self._closing = False
-        self._abandoned = False
         self._counts = {
             "submitted": 0,
             "cache_hits": 0,
@@ -279,7 +227,7 @@ class SimulationService:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        self._pool.shutdown(wait=not self._abandoned, cancel_pending=self._abandoned)
+        self._pool.shutdown()
 
     async def __aenter__(self) -> "SimulationService":
         return await self.start()
@@ -291,18 +239,11 @@ class SimulationService:
     # Submission
     # ------------------------------------------------------------------
 
-    def set_weight(self, client: str, weight: float) -> None:
-        """Set ``client``'s fair-share weight (default 1.0)."""
-        self._scheduler.set_weight(client, weight)
-
     async def submit(
         self,
         configs: Iterable[WorkStealingConfig | dict] | WorkStealingConfig,
         *,
         client: str = "default",
-        priority: int = 0,
-        weight: float | None = None,
-        timeout: float | None = None,
     ) -> SweepHandle:
         """Submit a sweep; returns its :class:`SweepHandle` immediately.
 
@@ -312,20 +253,13 @@ class SimulationService:
         ``cached``), **in-flight join** (an equal fingerprint is
         already queued or running — this sweep watches that job
         instead of spawning another execution), or **fresh job**
-        (queued under ``client``/``priority`` for fair-share
-        dispatch).  ``timeout`` bounds each fresh job's execution
-        wall-clock; an overrunning worker is abandoned and the job
-        fails with :class:`~repro.errors.JobTimeoutError`.
+        (queued under ``client`` for fair-share dispatch).
         """
         if self._closing:
             raise ServiceError("service is closed; submit rejected")
         if isinstance(configs, (WorkStealingConfig, dict)):
             configs = [configs]
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout}")
         resolved = resolve(configs)
-        if weight is not None:
-            self._scheduler.set_weight(client, weight)
 
         jobs: list[Job] = []
         fresh = False
@@ -347,7 +281,6 @@ class SimulationService:
                 config=config_dict,
                 label=config.label(),
                 client=client,
-                priority=priority,
                 submitted_at=now,
             )
             jobs.append(job)
@@ -359,11 +292,10 @@ class SimulationService:
                 continue
             fresh = True
             self._inflight[fingerprint] = job
-            self._timeouts[job.id] = timeout
             self._idle.clear()
             self._scheduler.push(job)
 
-        handle = SweepHandle(self, jobs)
+        handle = SweepHandle(jobs)
         seen: set[str] = set()
         for job in jobs:
             if job.id in seen:
@@ -388,7 +320,7 @@ class SimulationService:
             while self._scheduler:
                 await slots.acquire()
                 job = self._scheduler.pop()
-                if job is None:  # cancelled between wake and acquire
+                if job is None:  # drained between wake and acquire
                     slots.release()
                     break
                 task = asyncio.create_task(
@@ -400,25 +332,14 @@ class SimulationService:
         job.state = JobState.STARTED
         job.started_at = time.monotonic()
         self._emit(job, JobState.STARTED)
-        timeout = self._timeouts.get(job.id)
         try:
-            payload, elapsed = await self._execute(job, timeout)
+            payload, elapsed = await self._execute(job)
             result = land(self.store, job.fingerprint, job.config, payload, elapsed)
         except asyncio.CancelledError:
-            # Cancellation is initiated by this service (handle.cancel
-            # or close(drain=False)); surface it, don't re-raise.
+            # Cancellation is initiated by this service
+            # (close(drain=False)); surface it, don't re-raise.
             self._fail(
                 job, JobCancelledError(f"job {job.label!r} was cancelled")
-            )
-        except asyncio.TimeoutError:
-            self._abandoned = True
-            self._fail(
-                job,
-                JobTimeoutError(
-                    f"job {job.label!r} exceeded its {timeout}s budget "
-                    "and was abandoned"
-                ),
-                elapsed=timeout or 0.0,
             )
         except Exception as exc:
             self._fail(job, exc)
@@ -433,9 +354,7 @@ class SimulationService:
         finally:
             slots.release()
 
-    async def _execute(
-        self, job: Job, timeout: float | None
-    ) -> tuple[str, float]:
+    async def _execute(self, job: Job) -> tuple[str, float]:
         """One simulation, on the pool (or the injected runner).
 
         Returns the worker reply without its index:
@@ -444,41 +363,31 @@ class SimulationService:
         if self._runner is not None:
             loop = asyncio.get_running_loop()
             start = time.perf_counter()
-            result = await asyncio.wait_for(
-                loop.run_in_executor(None, self._runner, dict(job.config)),
-                timeout,
+            result = await loop.run_in_executor(
+                None, self._runner, dict(job.config)
             )
             return result.to_json(), time.perf_counter() - start
-        future = self._pool.submit(job.config, max_events=self.max_events)
-        try:
-            _, payload, elapsed = await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout
-            )
-        except (asyncio.TimeoutError, asyncio.CancelledError):
-            future.cancel()  # abandon; the worker process runs on
-            raise
+        _, payload, elapsed = await asyncio.wrap_future(
+            self._pool.submit(job.config)
+        )
         return payload, elapsed
 
     # ------------------------------------------------------------------
     # Completion plumbing
     # ------------------------------------------------------------------
 
-    def _fail(self, job: Job, error: BaseException, elapsed: float = 0.0) -> None:
-        if job.terminal:
-            return
+    def _fail(self, job: Job, error: BaseException) -> None:
         self._counts["failed"] += 1
         job.state = JobState.FAILED
         job.error = error
-        job.elapsed = elapsed
         job.finished_at = time.monotonic()
-        self._emit(job, JobState.FAILED, elapsed=elapsed, error=str(error))
+        self._emit(job, JobState.FAILED, error=str(error))
         self._settle(job)
 
     def _settle(self, job: Job) -> None:
         """Terminal bookkeeping: leave the in-flight index, free watchers."""
         self._inflight.pop(job.fingerprint, None)
         self._tasks.pop(job.id, None)
-        self._timeouts.pop(job.id, None)
         self._watchers.pop(job.id, None)
         if not self._inflight and not self._scheduler:
             self._idle.set()
@@ -489,13 +398,10 @@ class SimulationService:
         state: JobState,
         *,
         elapsed: float = 0.0,
-        cached: bool = False,
         error: str | None = None,
     ) -> None:
-        for handle in list(self._watchers.get(job.id, ())):
-            self._emit_to(
-                handle, job, state, elapsed=elapsed, cached=cached, error=error
-            )
+        for handle in self._watchers.get(job.id, ()):
+            self._emit_to(handle, job, state, elapsed=elapsed, error=error)
 
     def _emit_to(
         self,
@@ -521,43 +427,6 @@ class SimulationService:
                 error=error,
             ),
         )
-
-    def _detach(self, job: Job, handle: SweepHandle) -> None:
-        watchers = self._watchers.get(job.id)
-        if watchers is not None:
-            try:
-                watchers.remove(handle)
-            except ValueError:
-                pass
-            if not watchers:
-                del self._watchers[job.id]
-
-    async def _cancel_jobs(self, handle: SweepHandle, jobs: Iterable[Job]) -> int:
-        """Cancel ``handle``'s sole-watched jobs; shared jobs run on."""
-        cancelled = 0
-        to_await: list[asyncio.Task] = []
-        for job in {j.id: j for j in jobs}.values():
-            if job.terminal:
-                continue
-            if self._watchers.get(job.id, []) != [handle]:
-                continue  # someone else still wants this result
-            if self._scheduler.remove(job):
-                self._fail(
-                    job, JobCancelledError(f"job {job.label!r} was cancelled")
-                )
-                cancelled += 1
-            else:
-                task = self._tasks.get(job.id)
-                if task is not None:
-                    task.cancel()
-                    to_await.append(task)
-                    cancelled += 1
-        for task in to_await:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        return cancelled
 
     # ------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import WorkStealingConfig
@@ -14,6 +15,7 @@ from repro.net.allocation import GroupedPacked, OnePerNode
 from repro.net.latency import KComputerLatency, UniformLatency
 from repro.uts.params import T3XS
 from repro.uts.rng import SplitMix64Backend
+from repro.ws.runner import run_uts
 
 
 def _cfg(**kw) -> WorkStealingConfig:
@@ -42,6 +44,20 @@ class TestDefaults:
         assert isinstance(cfg.selector, DistanceSkewedSelector)
         assert isinstance(cfg.steal_policy, StealHalf)
         assert cfg.rng_backend.name == "sha1"
+
+    def test_tree_name_resolves_at_construction(self):
+        by_name = WorkStealingConfig(tree="T3XS", nranks=4)
+        assert by_name.tree is T3XS
+        assert by_name.fingerprint() == WorkStealingConfig(tree=T3XS, nranks=4).fingerprint()
+        assert run_uts(by_name).to_json() == run_uts(tree=T3XS, nranks=4).to_json()
+
+    def test_numpy_integers_become_ints(self):
+        cfg = WorkStealingConfig(
+            tree=T3XS, nranks=np.int64(4), seed=np.uint32(7), chunk_size=np.int16(5)
+        )
+        assert [type(v) for v in (cfg.nranks, cfg.seed, cfg.chunk_size)] == [int] * 3
+        plain = WorkStealingConfig(tree=T3XS, nranks=4, seed=7, chunk_size=5)
+        assert cfg.fingerprint() == plain.fingerprint()
 
     def test_object_passthrough(self):
         sel = DistanceSkewedSelector()
@@ -79,6 +95,18 @@ class TestValidation:
                 )
                 for value in (math.nan, math.inf)
             ),
+            # A tree that is not a TreeParams or a known name, and an
+            # integer field given a float, a bool or a string.
+            ("tree", 5),
+            ("tree", None),
+            ("tree", {"name": "T3XS"}),
+            ("tree", "T9"),
+            ("nranks", 4.0),
+            ("nranks", True),
+            ("chunk_size", 2.5),
+            ("seed", "0"),
+            ("regions", False),
+            ("node_cap", 1e6),
         ],
     )
     def test_bad_values(self, field, value):
@@ -92,6 +120,7 @@ class TestValidation:
     def test_bad_selector_string(self):
         with pytest.raises(ConfigurationError):
             _cfg(selector="nonexistent")
+
 
     def test_bad_policy_string(self):
         with pytest.raises(ConfigurationError):

@@ -59,6 +59,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError):
             WorkStealingConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "tree", [5, {"name": "x", "bogus": 1}, {"name": "x"}, "T9"],
+        ids=["int", "unknown-key", "missing-keys", "unknown-name"],
+    )
+    def test_from_dict_rejects_bad_trees(self, tree):
+        data = _cfg().to_dict()
+        data["tree"] = tree
+        with pytest.raises(ConfigurationError):
+            WorkStealingConfig.from_dict(data)
+
     def test_bad_input_type(self):
         with pytest.raises(ConfigurationError):
             WorkStealingConfig.from_dict(42)  # type: ignore[arg-type]

@@ -56,7 +56,7 @@ def test_sweep_overflows_the_lru_budget(tmp_path):
     first = run_many(configs, jobs=2, store=store)
     assert [r.label for r in first] == [c.label() for c in configs]
     assert 0 < store.total_bytes() <= store.max_bytes
-    assert store.stats().evicted >= 5
+    assert len(list(store.dir.glob("*.json"))) <= 3  # five or more evicted
 
     again = run_many(configs, jobs=2, store=store)
     assert [r.to_json() for r in again] == [r.to_json() for r in first]

@@ -1,22 +1,18 @@
-"""Tests for the priority + weighted fair-share scheduler."""
+"""Tests for the equal-share scheduler."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.jobs import Job, next_job_id
-from repro.errors import ConfigurationError
 from repro.service.scheduler import FairShareScheduler
 
 
-def _job(client: str, tag: str, priority: int = 0) -> Job:
+def _job(client: str, tag: str) -> Job:
     return Job(
         id=next_job_id(),
         fingerprint=f"fp-{client}-{tag}",
         config={},
         label=f"{client}:{tag}",
         client=client,
-        priority=priority,
     )
 
 
@@ -43,25 +39,12 @@ class TestFairShare:
             "a:0", "b:0", "a:1", "b:1", "a:2", "b:2",
         ]
 
-    def test_unequal_weights_split_dispatches_proportionally(self):
+    def test_ties_break_on_client_name(self):
         sched = FairShareScheduler()
-        sched.set_weight("b", 2.0)
-        for tag in "0123":
-            sched.push(_job("a", tag))
+        for tag in "01":
             sched.push(_job("b", tag))
-        # Stride schedule: b earns two dispatches per one of a's,
-        # interleaved, with ties (equal vtime) falling to 'a' by name.
-        assert _drain_labels(sched) == [
-            "a:0", "b:0", "b:1", "a:1", "b:2", "b:3", "a:2", "a:3",
-        ]
-
-    def test_priority_bands_never_mix(self):
-        sched = FairShareScheduler()
-        sched.push(_job("a", "low", priority=0))
-        sched.push(_job("b", "high", priority=5))
-        sched.push(_job("a", "high", priority=5))
-        labels = _drain_labels(sched)
-        assert labels == ["a:high", "b:high", "a:low"]
+            sched.push(_job("a", tag))
+        assert _drain_labels(sched) == ["a:0", "b:0", "a:1", "b:1"]
 
     def test_idle_client_cannot_bank_share(self):
         sched = FairShareScheduler()
@@ -76,16 +59,6 @@ class TestFairShare:
 
 
 class TestQueueOps:
-    def test_remove_withdraws_only_queued_jobs(self):
-        sched = FairShareScheduler()
-        job = _job("a", "x")
-        other = _job("a", "y")
-        sched.push(job)
-        assert sched.remove(job) is True
-        assert sched.remove(job) is False  # already gone
-        assert sched.remove(other) is False  # never queued
-        assert len(sched) == 0
-
     def test_drain_empties_everything(self):
         sched = FairShareScheduler()
         for client in ("a", "b"):
@@ -95,18 +68,12 @@ class TestQueueOps:
         assert len(drained) == 4
         assert not sched and sched.pop() is None
 
-    def test_rejects_nonpositive_weight(self):
-        sched = FairShareScheduler()
-        with pytest.raises(ConfigurationError):
-            sched.set_weight("a", 0.0)
-        with pytest.raises(ConfigurationError):
-            sched.set_weight("a", -1.0)
-
     def test_dispatch_accounting(self):
+        """One dispatch costs its client one unit of virtual time."""
         sched = FairShareScheduler()
-        sched.push(_job("a", "0"))
-        sched.push(_job("a", "1"))
-        sched.pop()
-        share = sched.clients()["a"]
-        assert share.dispatched == 1
-        assert share.queued == 1
+        sched.push(_job("b", "0"))
+        sched.push(_job("b", "1"))
+        sched.pop()  # b's vtime is now 1.0
+        assert len(sched) == 1
+        sched.push(_job("a", "0"))  # a joins at b's 1.0 and wins the tie
+        assert _drain_labels(sched) == ["a:0", "b:1"]

@@ -110,12 +110,17 @@ class TestMessageLoss:
 
     def test_dropped_tokens_detected(self, monkeypatch):
         """Losing the termination token leaves idle thieves pinging
-        forever; the event budget converts the livelock into an error."""
+        forever; the event budget converts the livelock into an error,
+        and every node of the tree was expanded before it did."""
+        lossless = Cluster(_cfg(nic_service_time=self.nic)).run()
+        budget = 3 * lossless.events_processed
         cluster = self._lossy_cluster(
-            monkeypatch, TAG_TOKEN, drop_every=1, max_events=2_000_000
+            monkeypatch, TAG_TOKEN, drop_every=1, max_events=budget
         )
-        with pytest.raises((TerminationError, SimulationError)):
+        with pytest.raises(SimulationError, match=f"exceeded {budget} events"):
             cluster.run()
+        expanded = sum(w.nodes_processed for w in cluster.workers)
+        assert expanded == lossless.total_nodes
 
 
 class TestMessageLossWithNic(TestMessageLoss):

@@ -35,6 +35,13 @@ class TestSpec:
         ]
         assert labels == [cfg.label() for cfg in SPEC.configs()]
 
+    def test_uncalibrated_spec_runs(self):
+        spec = TournamentSpec(
+            name="raw", tree="T3XS", nranks=8, selectors=("rand",), calibrated=False
+        )
+        (row,) = run_tournament(spec).rows
+        assert row["label"] == "rand/one 1/N x8 [T3XS]"
+
     def test_adaptive_knobs_change_fingerprints(self):
         """The adaptive parameters are physics: two runs that adapt
         differently must never share a cache slot."""
