@@ -60,6 +60,26 @@ quanta keyed below the wake run, and the next wake or EXEC is
 pushed).  Each deferred quantum counts as one event; wakes count
 neither as events nor as dropped messages.
 
+**The quiescent tail is walked, not popped.**  Once no rank runs and
+no grant is on the wire, every rank is a WAITING thief with one
+request or deny in flight, and the run is those chains plus the token
+until rank 0 declares.  ``rank_became_idle`` and ``work_sent`` keep
+``_live`` (running ranks plus grants sent and not yet received); at
+the first event boundary where it is 0, the loop pulls every request
+and deny off the heap, one chain per thief, and carries on with the
+token alone.  When the token declares at key ``(t_d, N-1, s)``,
+:meth:`_walk` runs each chain on its own up to that key — the loop's
+deny and failed-steal steps, no heap — and counts its one pending
+message as dropped.  With NIC off a message's arrival is its send time
+plus a wire time nothing else changes, a WAITING victim always denies
+and a thief draws from its own stream, so a chain's events depend on
+its own draws alone and the heap's order matters only against the
+declaring key; an exact tie there is settled by comparing the two
+events' parents, one rank further back each time (:func:`_chain_first`).
+A run walks only when that argument holds: NIC off, every rank on both
+inline paths, the engine's own ``send``, no zero wire time between two
+ranks and at least three ranks (DESIGN.md §5d).
+
 **NIC contention** (``nic_service_time > 0``) is state, not a
 subclass: the node ports a send takes at injection and at arrival.
 """
@@ -67,6 +87,7 @@ subclass: the node ports a send takes at injection and at arrival.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.config import WorkStealingConfig
@@ -105,6 +126,43 @@ _WAKE_SHARE = 0.9375
 _WAKE_GUARD = 2.0**-47
 
 
+def _budget_error(max_events: int) -> SimulationError:
+    return SimulationError(
+        f"simulation exceeded {max_events} events "
+        "(livelock or runaway configuration?)"
+    )
+
+
+def _chain_first(keys: list, index: int, seq: int, tokens: deque) -> bool:
+    """Whether a walked chain event comes before the declaring token.
+
+    ``keys`` are the ``(time, pusher)`` of the chain event and of up to
+    three ancestors, newest first; the event is the ``index``-th of its
+    chain since the pull, and ``seq`` is the heap sequence number of
+    the chain's pulled event (index 0).  ``tokens`` are the ``(time,
+    pusher, seq)`` keys of the last token events, the declaring one
+    last, with ``seq`` None for each pushed after the pull (only the
+    first was not).  Two events with the same time and pusher come in
+    the order their pusher pushed them, which is the order of the
+    events it was processing: compare those, one level further back,
+    until the keys differ or one side was pushed before the pull, where
+    heap sequence numbers are exact.  A chain's pushers alternate
+    between its thief and its victims and the token's walk the ring
+    backwards, so with three ranks or more this ends within four
+    levels.
+    """
+    for j, key in enumerate(keys[: index + 1]):
+        token = tokens[-1 - j]
+        if key != token[:2]:
+            return key < token[:2]
+        pulled = j == index
+        if token[2] is not None:
+            return pulled and seq < token[2]
+        if pulled:
+            return True
+    raise SimulationError("a tie with the declaring token is unresolved")
+
+
 @dataclass
 class SimOutcome:
     """Raw output of one simulation (refined by ``repro.ws.results``)."""
@@ -118,6 +176,9 @@ class SimOutcome:
     probes_started: int
     #: Structured steal-event recorders (``config.event_trace``).
     event_recorders: list[EventRecorder] | None = None
+    #: Of ``events_processed``, the quiescent tail's events that
+    #: :meth:`Cluster._walk` ran off the heap.  Not a result field.
+    events_walked: int = 0
 
     @property
     def total_nodes(self) -> int:
@@ -176,6 +237,11 @@ class Cluster:
         self.now = 0.0
         self._finishing = False
         self.messages_dropped = 0
+        #: Running ranks plus grants sent and not yet received, from the
+        #: two termination hooks; 0 is quiescence (``run`` walks the
+        #: tail).  Exact while a grant can only reach a WAITING thief,
+        #: which lifelines break, and lifeline runs never walk.
+        self._live = config.nranks
         self._transfer_time_per_node = config.transfer_time_per_node
         self._nic = (
             NicContention(self.placement.rank_nodes, config.nic_service_time)
@@ -289,6 +355,7 @@ class Cluster:
         heapq.heappush(self._heap, (when, rank, seq, TAG_EXEC, rank, None))
 
     def rank_became_idle(self, rank: int, when: float) -> None:
+        self._live -= 1
         self._dispatch_token_action(rank, self.detector.rank_idle(rank), when)
 
     def _quiescent(self) -> bool:
@@ -301,6 +368,7 @@ class Cluster:
         )
 
     def work_sent(self, rank: int) -> None:
+        self._live += 1
         self.detector.work_sent(rank)
 
     # ------------------------------------------------------------------
@@ -342,13 +410,28 @@ class Cluster:
         detector = self.detector
         event_recorders = self.event_recorders
         max_events = self._max_events
-        processed = 0
+        processed = walked = 0
+        # Whether the quiescent tail may be walked (every rank on both
+        # inline steps, so ``send`` is the engine's own), and once it
+        # is pulled, the chains and the token's keys since (module
+        # docstring).
+        tail = (
+            nic is None
+            and len(workers) >= 3
+            and None not in victims
+            and None not in thieves
+        )
+        chains = tokens = None
         # The next event if an inline event's pushpop handed it back,
         # and the event a catch-up runs before.
         event = stash = None
         while True:
             if event is None:
                 if not heap:
+                    if chains is not None:
+                        # No token is left to end the chains: the run
+                        # would fail them until the budget ran out.
+                        raise _budget_error(max_events)
                     break
                 event = pop(heap)
             t, src, _seq, tag, rank, body = event
@@ -359,10 +442,7 @@ class Cluster:
                 # A wake is not an event, nor is a catch-up; every
                 # deferred quantum has been counted by the time a later
                 # event pops.
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events "
-                    "(livelock or runaway configuration?)"
-                )
+                raise _budget_error(max_events)
             if tag == TAG_EXEC:
                 # A quantum, a wake or a catch-up: run the rank's quanta
                 # from key ``(tk, rank, sk)`` — the first one always
@@ -378,6 +458,14 @@ class Cluster:
                     nodes = w._nodes
                     if not nodes:
                         w._go_idle(t)
+                        if tail and not self._live and not self._finishing:
+                            # Quiescent, and this rank's request is on
+                            # the heap: take the tail off it.
+                            tail = False
+                            chains = self._pull_chains()
+                            if chains is not None:
+                                # As many as a tie can reach back.
+                                tokens = deque(maxlen=4)
                         continue
                     tk, sk = t, _seq
                 elif body is deferred[rank]:
@@ -480,6 +568,15 @@ class Cluster:
                 action = detector.token_arrived(
                     rank, body, workers[rank].status is WorkerStatus.WAITING
                 )
+                if tokens is not None:
+                    # Only the token the pull found has an exact seq.
+                    tokens.append((t, src, None if tokens else _seq))
+                    if action.terminated:
+                        # The walked events count against the budget
+                        # from the first Finish on.
+                        walked = self._walk(chains, tokens)
+                        processed += walked
+                        chains = tokens = None
                 self._dispatch_token_action(rank, action, t)
                 continue
             else:
@@ -528,7 +625,127 @@ class Cluster:
                     f"event scheduled at {arrival} before current time {t}"
                 )
             event = pushpop(heap, (arrival, rank, seq, tag, dst, body))
-        return self._finalize(processed)
+        return self._finalize(processed, walked)
+
+    # ------------------------------------------------------------------
+    # The quiescent tail
+    # ------------------------------------------------------------------
+
+    def _pull_chains(self) -> list | None:
+        """Take every request and deny off the heap — one per thief,
+        every rank WAITING — and return them; or return None, leaving
+        the heap be, where a wire time could vanish in a sum.
+
+        The walk compares keys as the heap orders them, which holds
+        while every send lands strictly later than it leaves
+        (``t + wire > t``).  The token declares within three turns of
+        the ring, so no event it compares with is later than
+        ``horizon``; a wire time above ``horizon * 2**-50`` is four
+        ulps or more there.
+        """
+        heap = self._heap
+        values = self._values
+        diagonal = int(self._row_fn(0)[0])
+        wire = [v for code, v in enumerate(values) if code != diagonal]
+        horizon = max(e[0] for e in heap) + 4 * len(self.workers) * max(wire)
+        if min(wire) <= horizon * 2.0**-50:
+            return None
+        chains = []
+        rest = []
+        for e in heap:
+            tag = e[3]
+            if tag == TAG_STEAL_REQUEST or tag == TAG_STEAL_RESPONSE:
+                chains.append(e)
+            else:
+                rest.append(e)
+        heapq.heapify(rest)
+        heap[:] = rest
+        return chains
+
+    def _walk(self, chains: list, tokens: deque) -> int:
+        """Run each pulled chain on its own up to the declaring key
+        ``tokens[-1]``, count its pending message as dropped, and
+        return how many events ran.
+
+        A chain alternates a request at a WAITING victim (deny it) and
+        a deny at its WAITING thief (count it, draw, request again),
+        exactly the loop's two steps, with the counters summed per rank
+        at the end; an event at the declaring time from rank N-1 goes
+        to :func:`_chain_first` with up to three ancestors.
+        """
+        td, last, _ = tokens[-1]
+        workers = self.workers
+        rows, row_fn, values = self._rows, self._row_fn, self._values
+        rank_seq = self._rank_seq
+        denied = [0] * len(workers)
+        walked = 0
+        for t, src, seq, tag, dst, _ in chains:
+            req = tag == TAG_STEAL_REQUEST
+            thief, victim = (src, dst) if req else (dst, src)
+            # An event's index in the chain since the pull (the pulled
+            # one is 0): ``2 * failed + off`` for a deny, one less for
+            # a request.
+            off = 1 if req else 0
+            w = workers[thief]
+            draw, notify = w.selector.next_victim, w._notify
+            own = rows[thief]
+            if own is None:
+                own = rows[thief] = memoryview(row_fn(thief))
+            tr = tn = ptr = ptn = t
+            pv = victim
+            failed = 0
+            while True:
+                if req:
+                    # The request reaches ``victim`` at ``tr``: deny it.
+                    if tr >= td and (
+                        tr > td
+                        or thief == last
+                        and not _chain_first(
+                            [(tr, thief), (ptn, pv), (ptr, thief)],
+                            2 * failed + off - 1,
+                            seq,
+                            tokens,
+                        )
+                    ):
+                        break
+                    denied[victim] += 1
+                    row = rows[victim]
+                    if row is None:
+                        row = rows[victim] = memoryview(row_fn(victim))
+                    tn = tr + values[row[thief]]
+                req = True
+                # The deny reaches the thief at ``tn``: count it, draw,
+                # request again.
+                if tn >= td and (
+                    tn > td
+                    or victim == last
+                    and not _chain_first(
+                        [(tn, victim), (tr, thief), (ptn, pv), (ptr, thief)],
+                        2 * failed + off,
+                        seq,
+                        tokens,
+                    )
+                ):
+                    break
+                failed += 1
+                if notify is not None:
+                    notify(victim, False)
+                pv, ptn, ptr = victim, tn, tr
+                victim = draw()
+                tr = tn + values[own[victim]]
+            walked += failed
+            w.failed_steals += failed
+            w.consecutive_failed_steals += failed
+            w.steal_requests_sent += failed
+            w._session_attempts += failed
+            rank_seq[thief] += failed
+        for rank, count in enumerate(denied):
+            if count:
+                workers[rank].requests_denied += count
+                rank_seq[rank] += count
+                walked += count
+        self.messages_dropped += len(chains)
+        return walked
 
     def teardown(self) -> None:
         """Break the reference cycle of a finished run.
@@ -587,7 +804,7 @@ class Cluster:
             )
         self._rank_seq[0] = c0 + self.config.nranks - 1
 
-    def _finalize(self, events_processed: int) -> SimOutcome:
+    def _finalize(self, events_processed: int, walked: int) -> SimOutcome:
         workers = self.workers
         if sum(w.nodes_processed for w in workers) > self.config.node_cap:
             raise SimulationError(
@@ -623,5 +840,6 @@ class Cluster:
             messages_dropped=self.messages_dropped,
             probes_started=self.detector.probes_started,
             event_recorders=self.event_recorders,
+            events_walked=walked,
         )
 

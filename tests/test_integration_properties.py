@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import repro.protocol.factory as factory_mod
 from repro.core.config import WorkStealingConfig
+from repro.net.latency import UniformLatency
 from repro.sim.cluster import Cluster
 from repro.uts.params import T3S, T3XS, TreeParams
 from repro.uts.sequential import sequential_count
@@ -45,25 +46,45 @@ trees = st.one_of(
     st.sampled_from([T3XS, T3S]),
 )
 
-configs = st.fixed_dictionaries(
-    {
-        "nranks": st.integers(min_value=1, max_value=12),
-        "selector": st.sampled_from(
-            ["reference", "rand", "tofu", "lastvictim", "hierarchical"]
-        ),
-        "steal_policy": st.sampled_from(["one", "half", "frac[0.4]"]),
-        "allocation": st.sampled_from(["1/N", "4RR", "4G"]),
-        "chunk_size": st.integers(min_value=1, max_value=30),
-        "poll_interval": st.integers(min_value=1, max_value=20),
-        "seed": st.integers(min_value=0, max_value=100),
-        "lifelines": st.sampled_from([0, 0, 0, 2]),
-        "protocol": st.sampled_from(["steal", "steal", "forward"]),
-        "regions": st.sampled_from([0, 0, 3]),
-        "nic_service_time": st.sampled_from([0.0, 1e-7]),
-        # The last is so small that a quantum does not move the clock
-        # (``t + n * per_node_time == t``).
-        "node_time": st.sampled_from([1e-6, 1e-6, 3e-8, 1e-25]),
-    }
+# Flat or Tofu nodes, and one wire time for every pair (the flat
+# topology's only model) or the hierarchical default.  A dyadic wire
+# time on a flat machine puts many events at equal times, the
+# quiescent tail's ties with the declaring token among them.
+networks = st.sampled_from(
+    [
+        {"topology_factory": "tofu"},
+        {"topology_factory": "tofu", "latency_model": UniformLatency()},
+        {"topology_factory": "flat", "latency_model": UniformLatency()},
+        {
+            "topology_factory": "flat",
+            "latency_model": UniformLatency(2.0**-20),
+        },
+    ]
+)
+
+configs = st.builds(
+    lambda kw, network: {**kw, **network},
+    st.fixed_dictionaries(
+        {
+            "nranks": st.integers(min_value=1, max_value=40),
+            "selector": st.sampled_from(
+                ["reference", "rand", "tofu", "lastvictim", "hierarchical"]
+            ),
+            "steal_policy": st.sampled_from(["one", "half", "frac[0.4]"]),
+            "allocation": st.sampled_from(["1/N", "4RR", "4G"]),
+            "chunk_size": st.integers(min_value=1, max_value=30),
+            "poll_interval": st.integers(min_value=1, max_value=20),
+            "seed": st.integers(min_value=0, max_value=100),
+            "lifelines": st.sampled_from([0, 0, 0, 2]),
+            "protocol": st.sampled_from(["steal", "steal", "forward"]),
+            "regions": st.sampled_from([0, 0, 3]),
+            "nic_service_time": st.sampled_from([0.0, 1e-7]),
+            # The last is so small that a quantum does not move the clock
+            # (``t + n * per_node_time == t``).
+            "node_time": st.sampled_from([1e-6, 1e-6, 3e-8, 1e-25]),
+        }
+    ),
+    networks,
 )
 
 _seq_cache: dict[tuple, int] = {}
