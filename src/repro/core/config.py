@@ -42,7 +42,12 @@ from repro.core.steal_policy import StealPolicy
 from repro.core.victim import SelectorFactory
 from repro.errors import ConfigurationError
 from repro.net.allocation import ProcessAllocation
-from repro.net.latency import KComputerLatency, LatencyModel, latency_model_from_spec
+from repro.net.latency import (
+    HierarchicalLatency,
+    KComputerLatency,
+    LatencyModel,
+    latency_model_from_spec,
+)
 from repro.net.topology import Topology
 from repro.uts.params import TreeParams, tree_by_name
 from repro.uts.rng import RngBackend
@@ -195,7 +200,8 @@ class WorkStealingConfig:
     #: relays denied requests toward work instead of failing them.
     protocol: str = "steal"
     #: Maximum relay hops per forwarded request chain (the first victim
-    #: spends none; only meaningful when ``protocol="forward"``).
+    #: spends none; only meaningful, and at least 1, when
+    #: ``protocol="forward"``).
     forward_ttl: int = 2
     #: Locality regions for localized stealing: the rank space is cut
     #: into this many allocation-aligned blocks and victim draws try
@@ -289,6 +295,11 @@ class WorkStealingConfig:
             raise ConfigurationError(
                 f"forward_ttl must be >= 0, got {self.forward_ttl}"
             )
+        if self.protocol == "forward" and self.forward_ttl == 0:
+            raise ConfigurationError(
+                'protocol="forward" with forward_ttl=0 relays nothing: '
+                'use protocol="steal"'
+            )
         if self.regions < 0:
             raise ConfigurationError(
                 f"regions must be >= 0 (0 = off), got {self.regions}"
@@ -333,6 +344,13 @@ class WorkStealingConfig:
             # Validate eagerly but keep the name: a named topology
             # factory stays serializable, build_placement resolves it.
             registry.resolve("topology", self.topology_factory)
+            if self.topology_factory != "tofu" and isinstance(
+                self.latency_model, HierarchicalLatency
+            ):
+                raise ConfigurationError(
+                    f"latency_model {self.latency_model.name!r} needs the "
+                    f"'tofu' topology, got {self.topology_factory!r}"
+                )
 
     # ------------------------------------------------------------------
 

@@ -337,7 +337,7 @@ class Worker:
         self.nodes_sent = 0
         self.service_time = 0.0
 
-        self._forward = plan.forward and plan.forward_ttl > 0
+        self._forward = plan.forward
         self._forward_ttl = plan.forward_ttl
 
         regions = plan.regions

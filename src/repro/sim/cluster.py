@@ -60,12 +60,15 @@ quanta keyed below the wake run, and the next wake or EXEC is
 pushed).  Each deferred quantum counts as one event; wakes count
 neither as events nor as dropped messages.
 
-**The quiescent tail is walked, not popped.**  Once no rank runs and
-no grant is on the wire, every rank is a WAITING thief with one
-request or deny in flight, and the run is those chains plus the token
-until rank 0 declares.  ``rank_became_idle`` and ``work_sent`` keep
-``_live`` (running ranks plus grants sent and not yet received); at
-the first event boundary where it is 0, the loop pulls every request
+**One count is quiescence.**  ``_live`` is running ranks plus grants
+sent and not yet received: ``rank_became_idle`` takes one, ``work_sent``
+adds one, and the loop takes one for a grant a RUNNING rank merges (a
+lifeline push).  At 0, where it stays, rank 0 may declare.
+
+**The quiescent tail is walked, not popped.**  At 0 every rank is a
+WAITING thief with one request or deny in flight, and the run is those
+chains plus the token until rank 0 declares.  At the first event
+boundary where it is 0, the loop pulls every request
 and deny off the heap, one chain per thief, and carries on with the
 token alone.  When the token declares at key ``(t_d, N-1, s)``,
 :meth:`_walk` runs each chain on its own up to that key — the loop's
@@ -179,6 +182,9 @@ class SimOutcome:
     #: Of ``events_processed``, the quiescent tail's events that
     #: :meth:`Cluster._walk` ran off the heap.  Not a result field.
     events_walked: int = 0
+    #: When no rank ran and no grant was in flight any more: the
+    #: latest ``idle_starts[-1]``.  Not a result field.
+    quiescent_time: float | None = None
 
     @property
     def total_nodes(self) -> int:
@@ -213,7 +219,9 @@ class Cluster:
             raise SimulationError(
                 f"max_events must be >= 1, got {self._max_events}"
             )
-        self.detector = DijkstraTermination(config.nranks, self._quiescent)
+        self.detector = DijkstraTermination(
+            config.nranks, lambda: not self._live
+        )
         self.event_recorders = (
             [
                 EventRecorder(config.event_trace_capacity)
@@ -237,11 +245,10 @@ class Cluster:
         self.now = 0.0
         self._finishing = False
         self.messages_dropped = 0
-        #: Running ranks plus grants sent and not yet received, from the
-        #: two termination hooks; 0 is quiescence (``run`` walks the
-        #: tail).  Exact while a grant can only reach a WAITING thief,
-        #: which lifelines break, and lifeline runs never walk.
+        #: Running ranks plus grants sent and not yet received (module
+        #: docstring); 0 is quiescence, where it stays.
         self._live = config.nranks
+        self.quiescent_time: float | None = None
         self._transfer_time_per_node = config.transfer_time_per_node
         self._nic = (
             NicContention(self.placement.rank_nodes, config.nic_service_time)
@@ -356,16 +363,9 @@ class Cluster:
 
     def rank_became_idle(self, rank: int, when: float) -> None:
         self._live -= 1
+        if not self._live:
+            self.quiescent_time = when
         self._dispatch_token_action(rank, self.detector.rank_idle(rank), when)
-
-    def _quiescent(self) -> bool:
-        """No rank running and no grant on the wire: what a white probe
-        must find before rank 0 declares (``DijkstraTermination``)."""
-        return all(
-            w.status is not WorkerStatus.RUNNING for w in self.workers
-        ) and not any(
-            e[3] == TAG_STEAL_RESPONSE and e[5] for e in self._heap
-        )
 
     def work_sent(self, rank: int) -> None:
         self._live += 1
@@ -582,6 +582,10 @@ class Cluster:
             else:
                 w = None
             if w is None:
+                if tag == TAG_STEAL_RESPONSE and body and (
+                    workers[rank].status is running
+                ):
+                    self._live -= 1  # a lifeline push merged into a stack
                 key = deferred[rank]
                 if key is not None:
                     # The rank's deferred quanta below this event's key
@@ -751,12 +755,12 @@ class Cluster:
         """Break the reference cycle of a finished run.
 
         ``Worker -> cluster -> workers`` (and the loop's per-rank
-        lists, and the detector's quiescence check, a bound method)
-        would otherwise keep every
-        finished simulation (stacks, selector state, latency rows)
-        alive until a gen-2 collection, so back-to-back runs grow the
-        heap.  Call once nothing reads the outcome's workers any more
-        (``run_uts`` does, after ``RunResult.from_outcome``).
+        lists, and the detector's check of ``_live``, a closure)
+        would otherwise keep every finished simulation (stacks,
+        selector state, latency rows) alive until a gen-2 collection,
+        so back-to-back runs grow the heap.  Call once nothing reads
+        the outcome's workers any more (``run_uts`` does, after
+        ``RunResult.from_outcome``).
         """
         self.workers = []
         self._handlers = []
@@ -841,5 +845,6 @@ class Cluster:
             probes_started=self.detector.probes_started,
             event_recorders=self.event_recorders,
             events_walked=walked,
+            quiescent_time=self.quiescent_time,
         )
 

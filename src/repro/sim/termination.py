@@ -20,9 +20,10 @@ The colours assume a message cannot overtake an earlier one, and the
 wire here keeps no order: a token rank 0 sends right after work (which
 pays a transfer time per node) can pass the thief while it is still
 idle, and come back white while the work is in flight or being worked
-on.  So an optional ``quiescent`` check — no rank running, no grant
-on the wire — must also hold before rank 0 declares; a probe it fails
-is a failed probe.  Where the colours are right it always holds, so it
+on.  So an optional ``quiescent`` check must also hold before rank 0
+declares: no rank running and no grant on the wire, which the engine
+reads off one count (``Cluster._live == 0``).  A probe it fails is a
+failed probe.  Where the colours are right it always holds, so it
 changes only runs whose declaration was early.
 
 The class is deliberately pure state-machine: it never touches the

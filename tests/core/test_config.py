@@ -107,6 +107,8 @@ class TestValidation:
             ("seed", "0"),
             ("regions", False),
             ("node_cap", 1e6),
+            # The default latency model is hierarchical: Tofu only.
+            ("topology_factory", "flat"),
         ],
     )
     def test_bad_values(self, field, value):
@@ -116,6 +118,10 @@ class TestValidation:
             kwargs["nranks"] = value
         with pytest.raises(ConfigurationError):
             WorkStealingConfig(**kwargs)
+
+    def test_hierarchical_latency_needs_tofu(self):
+        with pytest.raises(ConfigurationError, match="'tofu' topology"):
+            _cfg(topology_factory="flat", latency_model="hierarchical")
 
     def test_bad_selector_string(self):
         with pytest.raises(ConfigurationError):

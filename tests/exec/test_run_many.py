@@ -83,6 +83,16 @@ class TestRunMany:
         with pytest.raises(ConfigurationError):
             run_many(_configs(1), store=3.14)
 
+    def test_a_config_only_the_build_rejects_runs_nothing(self):
+        # A flat topology with the default (hierarchical) latency model:
+        # rejected as the sweep is resolved, before the good entry runs.
+        good = _configs(1)[0]
+        bad = {**good.to_dict(), "topology_factory": "flat"}
+        ticks: list[RunProgress] = []
+        with pytest.raises(ConfigurationError):
+            run_many([good, bad], progress=ticks.append)
+        assert ticks == []
+
     def test_empty_batch(self):
         assert run_many([]) == []
 

@@ -48,10 +48,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             _config(lifeline_graph="torus")
 
+    def test_forward_without_relays_rejected(self):
+        # Byte-identical to the baseline under another fingerprint.
+        with pytest.raises(ConfigurationError, match='protocol="steal"'):
+            _config(protocol="forward", forward_ttl=0)
+
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(protocol="forward", forward_ttl=0),
             dict(regions=4, region_attempts=1),
             dict(lifeline_graph="regtree"),
         ],
