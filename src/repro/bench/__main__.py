@@ -4,14 +4,14 @@ Usage::
 
     python -m repro.bench table1
     python -m repro.bench fig11 --jobs 4
-    python -m repro.bench --only fig02 --jobs 2
     python -m repro.bench --list
 
 Runs the same code paths as ``pytest benchmarks/`` (shapes asserted
 there; here the series are just computed and printed).  ``--jobs N``
 runs each experiment's sweep on N worker processes; results are cached
 on disk under ``benchmarks/_cache/`` (disable with ``--no-cache``) so
-re-running an experiment is instant.
+re-running an experiment is instant.  To trace an experiment's
+representative config, run ``python -m repro.trace --config <id>``.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate one of the paper's tables/figures.",
     )
     parser.add_argument("experiment", nargs="?", help="experiment id (e.g. fig11)")
-    parser.add_argument(
-        "--only", metavar="ID", help="experiment id (alias for the positional form)"
-    )
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
         "--jobs",
@@ -73,20 +70,9 @@ def main(argv: list[str] | None = None) -> int:
         "cumulative time (forces --jobs 1 so the profile covers the "
         "actual simulation work)",
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="additionally run the experiment's representative config "
-        "with structured event tracing and write a Chrome-trace JSON "
-        "to benchmarks/_artifacts/<id>.trace.json (see repro.trace)",
-    )
     args = parser.parse_args(argv)
 
-    experiment = args.only or args.experiment
-    if args.only and args.experiment and args.only != args.experiment:
-        print("give the experiment id once (positional or --only)", file=sys.stderr)
-        return 2
-
+    experiment = args.experiment
     if args.list or not experiment:
         for key, (_, _, desc) in _EXPERIMENTS.items():
             print(f"  {key:8s} {desc}")
@@ -126,32 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     from pprint import pprint
 
     pprint(payload)
-
-    if args.trace:
-        return _emit_trace(experiment)
     return 0
-
-
-def _emit_trace(experiment: str) -> int:
-    """Trace the experiment's representative config (``--trace``)."""
-    from pathlib import Path
-
-    from repro.trace import __main__ as trace_cli
-    from repro.trace.presets import TRACE_PRESETS
-
-    if experiment not in TRACE_PRESETS:
-        print(
-            f"no trace preset for {experiment!r}; available: "
-            f"{list(TRACE_PRESETS)} (see python -m repro.trace --list)",
-            file=sys.stderr,
-        )
-        return 2
-    out_dir = Path("benchmarks") / "_artifacts"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{experiment}.trace.json"
-    return trace_cli.main(
-        ["--config", experiment, "--out", str(out), "--check"]
-    )
 
 
 if __name__ == "__main__":

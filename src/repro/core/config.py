@@ -72,7 +72,6 @@ __all__ = [
 FINGERPRINT_EXCLUDED_FIELDS = frozenset(
     {
         "event_trace",
-        "event_trace_capacity",
         "engine",
         "shards",
         "shard_workers",
@@ -112,7 +111,6 @@ _INT_FIELDS = (
     "poll_interval",
     "compute_rounds",
     "seed",
-    "event_trace_capacity",
     "node_cap",
     "lifelines",
     "lifeline_threshold",
@@ -181,12 +179,10 @@ class WorkStealingConfig:
     rng_backend: RngBackend | str = "splitmix64"
     seed: int = 0
     trace: bool = False
-    #: Structured steal-event tracing (:mod:`repro.trace`): attaches a
-    #: per-rank :class:`~repro.trace.events.EventRecorder` to every
-    #: worker.  Observability-only — excluded from fingerprints.
+    #: Structured steal-event tracing (:mod:`repro.trace`): gives every
+    #: worker a list its steal events are appended to, all of them
+    #: kept.  Observability-only — excluded from fingerprints.
     event_trace: bool = False
-    #: Per-rank event ring-buffer capacity; 0 keeps every event.
-    event_trace_capacity: int = 0
     node_cap: int = 50_000_000
 
     #: Lifeline extension (see :mod:`repro.protocol.core`): number of
@@ -273,11 +269,6 @@ class WorkStealingConfig:
         if self.node_cap < 1:
             raise ConfigurationError(
                 f"node_cap must be >= 1, got {self.node_cap}"
-            )
-        if self.event_trace_capacity < 0:
-            raise ConfigurationError(
-                "event_trace_capacity must be >= 0, "
-                f"got {self.event_trace_capacity}"
             )
         if self.lifelines < 0:
             raise ConfigurationError(
@@ -487,7 +478,6 @@ class WorkStealingConfig:
             "seed": self.seed,
             "trace": self.trace,
             "event_trace": self.event_trace,
-            "event_trace_capacity": self.event_trace_capacity,
             "node_cap": self.node_cap,
             "lifelines": self.lifelines,
             "lifeline_threshold": self.lifeline_threshold,

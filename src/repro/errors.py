@@ -62,10 +62,3 @@ class StackError(ReproError):
 class TraceError(ReproError):
     """A phase trace is malformed (unsorted, inconsistent transitions)."""
 
-
-class TraceTruncatedWarning(UserWarning):
-    """An event trace lost events to its ring buffers.
-
-    Every count, rate and latency read off it covers only the events
-    that were kept (``event_trace_capacity``).
-    """

@@ -98,7 +98,6 @@ from repro.trace.events import (
     EV_STEAL_OK,
     EV_STEAL_SENT,
     EV_VICTIM_DRAW,
-    EventRecorder,
 )
 from repro.uts.stack import ChunkedStack
 from repro.uts.tree import TreeGenerator, TreeTable
@@ -260,7 +259,7 @@ class Worker:
         poll_interval: int,
         per_node_time: float,
         steal_service_time: float,
-        events: EventRecorder | None = None,
+        events: list[tuple[float, int, int, int]] | None = None,
         plan: ProtocolPlan | None = None,
     ):
         if nranks > 1 and selector is None:
@@ -288,9 +287,10 @@ class Worker:
 
         self.stack = ChunkedStack(chunk_size)
         self.status = WorkerStatus.RUNNING  # resolved properly in start()
-        # Structured steal-event sink (repro.trace); None when event
-        # tracing is off, so every hook is one load + one None test on
-        # steal edges only — the EXEC expansion path never sees it.
+        # Structured steal-event list (repro.trace) of ``(time, etype,
+        # a, b)`` tuples; None when event tracing is off, so every hook
+        # is one load + one None test on steal edges only — the EXEC
+        # expansion path never sees it.
         self.events = events
 
         self.nodes_processed = 0
@@ -425,7 +425,7 @@ class Worker:
             self.failed_steals += 1
             self.consecutive_failed_steals += 1
             if self.events is not None:
-                self.events.append(now, EV_STEAL_FAIL, src)
+                self.events.append((now, EV_STEAL_FAIL, src, 0))
             if self._notify is not None:
                 self._notify(src, False)
             if (
@@ -505,9 +505,9 @@ class Worker:
                     if tag == TAG_STEAL_FORWARD:
                         self.forwards_served += 1
                         if ev is not None:
-                            ev.append(t, EV_FORWARD_SERVE, thief, nodes)
+                            ev.append((t, EV_FORWARD_SERVE, thief, nodes))
                     elif ev is not None:
-                        ev.append(t, EV_SERVE, thief, nodes)
+                        ev.append((t, EV_SERVE, thief, nodes))
                     self.transport.work_sent(self.rank)
                     self.transport.send(
                         self.rank, thief, TAG_STEAL_RESPONSE, body, t
@@ -540,7 +540,7 @@ class Worker:
                 self.nodes_sent += nodes
                 self.lifeline_pushes += 1
                 if self.events is not None:
-                    self.events.append(t, EV_LIFELINE_PUSH, thief, nodes)
+                    self.events.append((t, EV_LIFELINE_PUSH, thief, nodes))
                 self.transport.work_sent(self.rank)
                 self.transport.send(
                     self.rank, thief, TAG_STEAL_RESPONSE, body, t
@@ -555,7 +555,7 @@ class Worker:
             )
         self._close_session(now)
         if self.events is not None:
-            self.events.append(now, EV_FINISH)
+            self.events.append((now, EV_FINISH, 0, 0))
         self.status = WorkerStatus.DONE
         self.finish_time = now
 
@@ -602,8 +602,8 @@ class Worker:
         )
         ev = self.events
         if ev is not None:
-            ev.append(t, EV_VICTIM_DRAW, victim, self._session_attempts)
-            ev.append(t, EV_STEAL_SENT, victim, int(escalated))
+            ev.append((t, EV_VICTIM_DRAW, victim, self._session_attempts))
+            ev.append((t, EV_STEAL_SENT, victim, int(escalated)))
         self.transport.send(self.rank, victim, TAG_STEAL_REQUEST, escalated, t)
 
     def _on_work(self, now: float, victim: int, body: list, status) -> None:
@@ -619,19 +619,19 @@ class Worker:
             self.chunks_received += nodes // self._chunk_size
             self.nodes_received += nodes
             if self.events is not None:
-                self.events.append(now, EV_PUSH_RECV, victim, nodes)
+                self.events.append((now, EV_PUSH_RECV, victim, nodes))
             return
         if self._quiescent:
             self._disarm(now)
             self.lifeline_wakeups += 1
             if self.events is not None:
-                self.events.append(now, EV_LIFELINE_WAKE, victim)
+                self.events.append((now, EV_LIFELINE_WAKE, victim, 0))
         received = self.stack.receive_chunks(body)
         self.successful_steals += 1
         self.chunks_received += received // self._chunk_size
         self.nodes_received += received
         if self.events is not None:
-            self.events.append(now, EV_STEAL_OK, victim, received)
+            self.events.append((now, EV_STEAL_OK, victim, received))
         if self._notify is not None:
             self._notify(victim, True)
         self.consecutive_failed_steals = 0
@@ -671,7 +671,7 @@ class Worker:
             if target is not None:
                 self.requests_forwarded += 1
                 if self.events is not None:
-                    self.events.append(now, EV_STEAL_FORWARD, target, thief)
+                    self.events.append((now, EV_STEAL_FORWARD, target, thief))
                 self.transport.send(
                     self.rank,
                     target,
@@ -682,7 +682,7 @@ class Worker:
                 return
         self.requests_denied += 1
         if self.events is not None:
-            self.events.append(now, EV_DENY, thief)
+            self.events.append((now, EV_DENY, thief, 0))
         self.transport.send(self.rank, thief, TAG_STEAL_RESPONSE, None, now)
 
     def _forward_target(self, visited: tuple[int, ...]) -> int | None:
@@ -712,7 +712,7 @@ class Worker:
         self._quiescent = True
         self.quiesce_episodes += 1
         if self.events is not None:
-            self.events.append(now, EV_LIFELINE_QUIESCE)
+            self.events.append((now, EV_LIFELINE_QUIESCE, 0, 0))
         for partner in self.partners:
             self.transport.send(
                 self.rank, partner, TAG_LIFELINE_REGISTER, None, now

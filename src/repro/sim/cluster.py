@@ -37,7 +37,7 @@ table's offsets, a deny or a request is ``send`` written out, and the
 pushpop hands back the next event (the pushed one when it is
 earliest; the keys are unique, so the order is the heap's).  Which
 ranks it serves is fixed per rank at construction: a rank qualifies
-when ``type(worker) is Worker`` and it has no event recorder; the
+when ``type(worker) is Worker`` and it has no event list; the
 victim half also needs no forwarding, the thief half no lifelines and
 no region peers, and both a ``send`` that is the engine's own.  Every
 other event goes to the worker — another status, grants, serves,
@@ -107,7 +107,7 @@ from repro.protocol.messages import (
     TAG_TOKEN,
 )
 from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.trace.events import EV_TOKEN, EventRecorder
+from repro.trace.events import EV_TOKEN
 from repro.uts.tree import TreeGenerator, TreeTable
 
 __all__ = [
@@ -177,8 +177,8 @@ class SimOutcome:
     events_processed: int
     messages_dropped: int
     probes_started: int
-    #: Structured steal-event recorders (``config.event_trace``).
-    event_recorders: list[EventRecorder] | None = None
+    #: Per-rank steal-event lists (``config.event_trace``).
+    event_streams: list[list[tuple[float, int, int, int]]] | None = None
     #: Of ``events_processed``, the quiescent tail's events that
     #: :meth:`Cluster._walk` ran off the heap.  Not a result field.
     events_walked: int = 0
@@ -222,13 +222,8 @@ class Cluster:
         self.detector = DijkstraTermination(
             config.nranks, lambda: not self._live
         )
-        self.event_recorders = (
-            [
-                EventRecorder(config.event_trace_capacity)
-                for _ in range(config.nranks)
-            ]
-            if config.event_trace
-            else None
+        self.event_streams = (
+            [[] for _ in range(config.nranks)] if config.event_trace else None
         )
 
         # One latency row per sender, filled from the model's code rows
@@ -271,9 +266,7 @@ class Cluster:
                 tree,
                 transport=self,
                 events=(
-                    self.event_recorders[rank]
-                    if self.event_recorders
-                    else None
+                    self.event_streams[rank] if self.event_streams else None
                 ),
             )
             for rank in range(config.nranks)
@@ -284,7 +277,7 @@ class Cluster:
         # Per rank, the worker whose quanta (``_plain``), idle denies
         # (``_victims``) and failed steals (``_thieves``) ``run``
         # handles itself, or None where the worker's methods do: a
-        # subclass may override them and a recorder must see every
+        # subclass may override them and an event list must see every
         # step; a relay is not a deny, and a lifeline threshold or a
         # region draw is not a plain redraw.
         plain = [
@@ -408,7 +401,7 @@ class Cluster:
         running = WorkerStatus.RUNNING
         waiting = WorkerStatus.WAITING
         detector = self.detector
-        event_recorders = self.event_recorders
+        event_streams = self.event_streams
         max_events = self._max_events
         processed = walked = 0
         # Whether the quiescent tail may be walked (every rank on both
@@ -563,8 +556,8 @@ class Cluster:
             elif tag == TAG_TOKEN:
                 # A token at a running rank is held: it reads only the
                 # status, so deferred quanta need no catch-up.
-                if event_recorders is not None:
-                    event_recorders[rank].append(t, EV_TOKEN, body)
+                if event_streams is not None:
+                    event_streams[rank].append((t, EV_TOKEN, body, 0))
                 action = detector.token_arrived(
                     rank, body, workers[rank].status is WorkerStatus.WAITING
                 )
@@ -843,7 +836,7 @@ class Cluster:
             events_processed=events_processed,
             messages_dropped=self.messages_dropped,
             probes_started=self.detector.probes_started,
-            event_recorders=self.event_recorders,
+            event_streams=self.event_streams,
             events_walked=walked,
             quiescent_time=self.quiescent_time,
         )

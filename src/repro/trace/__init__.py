@@ -8,9 +8,9 @@ the fact.
 
 Layers:
 
-* :mod:`repro.trace.events` — the live :class:`EventRecorder` ring
-  buffers (attached by the cluster when ``event_trace=True``) and the
-  validated :class:`EventTrace` view;
+* :mod:`repro.trace.events` — the event types and the validated
+  :class:`EventTrace` view of the per-rank event lists the workers
+  append to when ``event_trace=True``;
 * :mod:`repro.trace.analysis` — :class:`TraceAnalysis`: steal-success
   rates, reply-latency distributions, victim-draw distances,
   failed-attempt chains;
@@ -35,12 +35,10 @@ from repro.trace.chrome import (
 from repro.trace.events import (
     EVENT_NAMES,
     EVENT_SCHEMA,
-    EventRecorder,
     EventTrace,
 )
 
 __all__ = [
-    "EventRecorder",
     "EventTrace",
     "EVENT_NAMES",
     "EVENT_SCHEMA",

@@ -11,8 +11,7 @@ Open the emitted JSON at https://ui.perfetto.dev (or
 ``chrome://tracing``): one lane per rank, ``active`` slices for the
 busy phases, arrows for every steal attempt, and an ``active
 workers`` counter track.  A text summary of the steal statistics is
-printed to stdout; with ``--capacity`` small enough to drop events the
-truncation warning goes to stderr and the exit status stays 0.
+printed to stdout.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
-from repro.errors import ReproError, TraceTruncatedWarning
+from repro.errors import ReproError
 from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
 from repro.trace.chrome import (
@@ -67,13 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=None, help="override the run seed"
     )
     parser.add_argument(
-        "--capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-rank event ring-buffer capacity (default: unbounded)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="re-read the emitted JSON and validate it structurally",
@@ -96,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["steal_policy"] = args.steal_policy
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.capacity is not None:
-        overrides["event_trace_capacity"] = args.capacity
 
     try:
         cfg = preset_config(args.config, **overrides)
@@ -111,19 +100,10 @@ def main(argv: list[str] | None = None) -> int:
     events = result.events
     assert events is not None  # event_trace is forced on by the preset
 
-    # Analysis and exporter each warn about a truncated trace; say it
-    # once, as this program's own message.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TraceTruncatedWarning)
-        analysis = TraceAnalysis(events, placement=outcome.placement)
-        data = chrome_trace(
-            events,
-            result.trace,
-            total_time=result.total_time,
-            label=cfg.label(),
-        )
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
+    analysis = TraceAnalysis(events, placement=outcome.placement)
+    data = chrome_trace(
+        events, result.trace, total_time=result.total_time, label=cfg.label()
+    )
     out = args.out or f"{args.config}.trace.json"
     write_chrome_trace(out, data)
 

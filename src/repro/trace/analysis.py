@@ -14,9 +14,7 @@ quantities the paper reasons about but never shows directly:
   the starvation signature of §V.
 
 The analysis is pure post-processing: it never touches the simulator
-and accepts any validated :class:`~repro.trace.events.EventTrace`.  A
-trace whose ring buffers dropped events is analysed as far as it goes,
-under a :class:`~repro.errors.TraceTruncatedWarning`.
+and accepts any validated :class:`~repro.trace.events.EventTrace`.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ class TraceAnalysis:
     """Derived steal statistics of one traced run."""
 
     def __init__(self, events: EventTrace, placement=None):
-        events.warn_if_truncated()
         self.events = events
         self.nranks = events.nranks
         #: Optional :class:`~repro.net.allocation.Placement`; enables
@@ -123,11 +120,6 @@ class TraceAnalysis:
         total = ok + fail
         return ok / total if total else float("nan")
 
-    def per_rank_success_rates(self) -> np.ndarray:
-        return np.array(
-            [self.steal_success_rate(r) for r in range(self.nranks)]
-        )
-
     # ------------------------------------------------------------------
     # Reply latency
     # ------------------------------------------------------------------
@@ -141,16 +133,12 @@ class TraceAnalysis:
         (cut off by termination) is ignored.  A quiescent rank woken by
         a lifeline push receives work with *no* outstanding request —
         the preceding ``lifeline_wake`` marks that, and the wake's
-        ``steal_ok`` carries no request latency.  On a rank whose ring
-        buffer dropped events the stream is known-truncated and may
-        open with replies whose requests were overwritten; those are
-        skipped.  Any other reply with no matching request is a
-        malformed stream and raises
+        ``steal_ok`` carries no request latency.  Any other reply with
+        no matching request is a malformed stream and raises
         :class:`~repro.errors.TraceError`.
         """
         latencies: list[float] = []
         for rank, evs in enumerate(self.events.ranks):
-            truncated = bool(self.events.dropped[rank])
             sent_at: float | None = None
             woken = False
             for t, etype, _a, _b in evs:
@@ -167,24 +155,13 @@ class TraceAnalysis:
                     if sent_at is not None:
                         latencies.append(t - sent_at)
                         sent_at = None
-                    elif (etype == EV_STEAL_OK and woken) or truncated:
-                        pass  # push-wake delivery / truncated stream
-                    else:
+                    elif not (etype == EV_STEAL_OK and woken):
                         raise TraceError(
                             f"rank {rank}: steal reply at {t} with no "
                             "outstanding request"
                         )
                     woken = False
         return np.asarray(latencies, dtype=np.float64)
-
-    def latency_histogram(
-        self, bins: int = 20
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(counts, edges)`` histogram of reply latencies."""
-        lat = self.reply_latencies()
-        if not lat.size:
-            return np.zeros(bins, dtype=np.int64), np.linspace(0, 1, bins + 1)
-        return np.histogram(lat, bins=bins)
 
     # ------------------------------------------------------------------
     # Victim-draw distances
@@ -220,9 +197,10 @@ class TraceAnalysis:
         :meth:`reply_latencies`) with the ``steal_forward`` relays that
         carry its originating thief in ``b``.  A directly-answered
         request contributes 0; a request relayed twice before a serve
-        or terminal deny contributes 2.  Relays for a thief with no
-        visible open request (ring-buffer truncation) are ignored, as
-        is a trailing attempt cut off by termination.
+        or terminal deny contributes 2.  A trailing attempt cut off by
+        termination is ignored, and so is a relay that sorts before its
+        request: at zero wire time both carry one timestamp and the
+        merged stream breaks the tie by rank, not by cause.
         """
         lengths: list[int] = []
         hops: dict[int, int] = {}  # thief -> forwards so far

@@ -77,11 +77,7 @@ def chrome_trace(
         were still active at termination.
     label:
         Process name shown in the viewer.
-
-    A trace that lost events to its ring buffers is exported as far as
-    it goes, under a :class:`~repro.errors.TraceTruncatedWarning`.
     """
-    events.warn_if_truncated()
     te: list[dict] = [
         {
             "ph": "M",
@@ -115,7 +111,6 @@ def chrome_trace(
         "otherData": {
             "ranks": events.nranks,
             "events": len(events),
-            "dropped": sum(events.dropped),
             "total_time_s": total_time,
         },
     }

@@ -4,15 +4,16 @@ The activity trace (:mod:`repro.core.tracing`) answers *when* a rank
 had work; this module answers *why*.  Every edge of the steal protocol
 — victim draws, requests, replies, denials, lifeline traffic, the
 termination wave — is logged as one fixed-shape tuple, cheap enough to
-leave compiled into the workers (recording is two attribute loads and
-a method call per protocol edge, and protocol edges are orders of
+leave compiled into the workers (recording is an attribute load and a
+list append per protocol edge, and protocol edges are orders of
 magnitude rarer than node expansions).
 
-:class:`EventRecorder` is the live, per-rank sink: an append-only ring
-buffer of ``(time, etype, a, b)`` tuples.  ``a``/``b`` are small
-integers whose meaning depends on ``etype`` (see :data:`EVENT_SCHEMA`).
-:class:`EventTrace` is the validated post-mortem view the analysis and
-exporters operate on.
+Each rank's live stream is a plain ``list`` of ``(time, etype, a, b)``
+tuples that its worker appends to; ``a``/``b`` are small integers
+whose meaning depends on ``etype`` (see :data:`EVENT_SCHEMA`).  Every
+event is kept: a run's size is bounded by its ``max_events`` budget,
+not by the stream.  :class:`EventTrace` is the validated post-mortem
+view the analysis and exporters operate on.
 
 Timestamps are *true* simulation time (not the skewed per-rank clocks
 the activity trace uses): event streams exist to diagnose the
@@ -23,9 +24,8 @@ coherent clock.
 from __future__ import annotations
 
 import math
-import warnings
 
-from repro.errors import TraceError, TraceTruncatedWarning
+from repro.errors import TraceError
 
 __all__ = [
     "EV_VICTIM_DRAW",
@@ -44,7 +44,6 @@ __all__ = [
     "EV_FORWARD_SERVE",
     "EVENT_NAMES",
     "EVENT_SCHEMA",
-    "EventRecorder",
     "EventTrace",
 ]
 
@@ -122,63 +121,19 @@ EVENT_SCHEMA = {
 }
 
 
-class EventRecorder:
-    """Per-rank ring buffer of ``(time, etype, a, b)`` event tuples.
-
-    Appends are the only hot operation and stay O(1): below
-    ``capacity`` the buffer grows; at capacity the oldest event is
-    overwritten in place and :attr:`dropped` counts the loss.
-    ``capacity=0`` (the default) means unbounded.
-
-    The recorder enforces nothing while recording;
-    :meth:`EventTrace.from_recorders` validates post-mortem.
-    """
-
-    __slots__ = ("_buf", "_capacity", "_head", "dropped")
-
-    def __init__(self, capacity: int = 0) -> None:
-        if capacity < 0:
-            raise TraceError(f"capacity must be >= 0, got {capacity}")
-        self._buf: list[tuple[float, int, int, int]] = []
-        self._capacity = capacity
-        self._head = 0  # next overwrite slot once the ring is full
-        self.dropped = 0
-
-    def append(self, time: float, etype: int, a: int = 0, b: int = 0) -> None:
-        """Log one event (hot path: no validation)."""
-        buf = self._buf
-        cap = self._capacity
-        if cap and len(buf) >= cap:
-            buf[self._head] = (time, etype, a, b)
-            self._head = (self._head + 1) % cap
-            self.dropped += 1
-        else:
-            buf.append((time, etype, a, b))
-
-    def events(self) -> list[tuple[float, int, int, int]]:
-        """Events in chronological order (unrolls the ring)."""
-        if self._head:
-            return self._buf[self._head :] + self._buf[: self._head]
-        return list(self._buf)
-
-
 class EventTrace:
     """Validated per-rank event streams of a whole run.
 
     Validation mirrors the activity-trace contract (and the same
     :class:`~repro.errors.TraceError` discipline): per-rank timestamps
     must be finite and non-decreasing — the event queue delivers in
-    time order, so a violation means a recorder was fed garbage — and
+    time order, so a violation means a stream was fed garbage — and
     every event type must be known.
     """
 
-    __slots__ = ("ranks", "nranks", "dropped")
+    __slots__ = ("ranks", "nranks")
 
-    def __init__(
-        self,
-        ranks: list[list[tuple[float, int, int, int]]],
-        dropped: list[int] | None = None,
-    ):
+    def __init__(self, ranks: list[list[tuple[float, int, int, int]]]):
         if not ranks:
             raise TraceError("event trace must cover at least one rank")
         self.ranks: list[list[tuple[float, int, int, int]]] = []
@@ -206,13 +161,14 @@ class EventTrace:
                     )
             self.ranks.append(list(events))
         self.nranks = len(self.ranks)
-        self.dropped = list(dropped) if dropped is not None else [0] * self.nranks
 
     @classmethod
-    def from_recorders(cls, recorders: list[EventRecorder]) -> "EventTrace":
-        """Assemble and validate a trace from live recorders.
+    def from_streams(
+        cls, streams: list[list[tuple[float, int, int, int]]]
+    ) -> "EventTrace":
+        """Assemble and validate a trace from live per-rank streams.
 
-        Recorders log in *causal* order, which can locally interleave
+        Workers log in *causal* order, which can locally interleave
         timestamps: a victim that advanced its clock packaging work may
         afterwards handle a message that arrived mid-quantum (the DES
         answers arrivals at their arrival time).  Each rank's stream is
@@ -220,29 +176,7 @@ class EventTrace:
         deterministic normalisation, so identical runs still produce
         byte-identical traces.
         """
-        return cls(
-            [sorted(r.events(), key=lambda ev: ev[0]) for r in recorders],
-            [r.dropped for r in recorders],
-        )
-
-    def warn_if_truncated(self) -> None:
-        """One :class:`~repro.errors.TraceTruncatedWarning` naming the
-        ranks whose ring buffers dropped events, and how many; called
-        at every entry point that reads statistics off the stream."""
-        lost = [(rank, n) for rank, n in enumerate(self.dropped) if n]
-        if not lost:
-            return
-        shown = ", ".join(f"rank {rank}: {n}" for rank, n in lost[:8])
-        if len(lost) > 8:
-            shown += f", ... {len(lost) - 8} more ranks"
-        warnings.warn(
-            f"event trace is truncated: ring buffers dropped "
-            f"{sum(self.dropped)} events on {len(lost)} of {self.nranks} "
-            f"ranks ({shown}); counts, rates and latencies cover only the "
-            f"{len(self)} events kept",
-            TraceTruncatedWarning,
-            stacklevel=3,
-        )
+        return cls([sorted(s, key=lambda ev: ev[0]) for s in streams])
 
     # ------------------------------------------------------------------
 

@@ -174,14 +174,14 @@ class RunResult:
                 offsets,
             )
         events = None
-        if outcome.event_recorders is not None:
+        if outcome.event_streams is not None:
             # Deferred import: repro.trace.events is also imported by
             # the sim layer; resolving it lazily keeps RunResult free
             # of import-order coupling.  Event timestamps are true
             # simulation time (no skew to correct).
             from repro.trace.events import EventTrace
 
-            events = EventTrace.from_recorders(outcome.event_recorders)
+            events = EventTrace.from_streams(outcome.event_streams)
         # Config resolution is guaranteed by WorkStealingConfig's
         # __post_init__; the .name accesses below raise cleanly if not.
         return cls(

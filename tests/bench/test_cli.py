@@ -50,17 +50,6 @@ def test_run_fig08():
     assert proc.returncode == 0
 
 
-def test_only_flag_is_an_alias():
-    proc = _cli("--only", "table1", "--no-cache")
-    assert proc.returncode == 0
-    assert "T3XXL" in proc.stdout
-
-
-def test_only_conflicting_with_positional():
-    proc = _cli("fig02", "--only", "fig03")
-    assert proc.returncode == 2
-
-
 def test_bad_jobs_rejected():
     proc = _cli("table1", "--jobs", "0")
     assert proc.returncode == 2

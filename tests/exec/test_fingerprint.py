@@ -54,10 +54,13 @@ class TestConfigRoundTrip:
         assert fingerprint_dict(cfg.to_dict()) == cfg.fingerprint()
 
     def test_from_dict_rejects_unknown_keys(self):
-        data = _cfg().to_dict()
-        data["warp_factor"] = 9
-        with pytest.raises(ConfigurationError):
-            WorkStealingConfig.from_dict(data)
+        # ``event_trace_capacity`` was a field once; a dict that still
+        # carries it fails like any other unknown key.
+        for key, value in (("warp_factor", 9), ("event_trace_capacity", 0)):
+            data = _cfg().to_dict()
+            data[key] = value
+            with pytest.raises(ConfigurationError, match=key):
+                WorkStealingConfig.from_dict(data)
 
     @pytest.mark.parametrize(
         "tree", [5, {"name": "x", "bogus": 1}, {"name": "x"}, "T9"],

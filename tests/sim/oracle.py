@@ -35,7 +35,7 @@ from repro.protocol.messages import (
 )
 from repro.sim.cluster import DEFAULT_MAX_EVENTS, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.trace.events import EV_TOKEN, EventRecorder
+from repro.trace.events import EV_TOKEN
 from repro.uts.tree import TreeGenerator
 from repro.ws.results import RunResult
 
@@ -142,13 +142,8 @@ class OracleCluster:
         self.nic = NicContention(
             self.placement.rank_nodes, service_time=config.nic_service_time
         )
-        self.event_recorders = (
-            [
-                EventRecorder(config.event_trace_capacity)
-                for _ in range(config.nranks)
-            ]
-            if config.event_trace
-            else None
+        self.event_streams = (
+            [[] for _ in range(config.nranks)] if config.event_trace else None
         )
         generator = TreeGenerator(config.tree, config.rng_backend)
         plan = build_plan(config, self.placement)
@@ -161,9 +156,7 @@ class OracleCluster:
                 generator,
                 transport=self,
                 events=(
-                    self.event_recorders[rank]
-                    if self.event_recorders
-                    else None
+                    self.event_streams[rank] if self.event_streams else None
                 ),
             )
             for rank in range(config.nranks)
@@ -236,8 +229,8 @@ class OracleCluster:
             if tag == TAG_EXEC:
                 worker.on_exec(time)
             elif tag == TAG_TOKEN:
-                if self.event_recorders is not None:
-                    self.event_recorders[rank].append(time, EV_TOKEN, body)
+                if self.event_streams is not None:
+                    self.event_streams[rank].append((time, EV_TOKEN, body, 0))
                 action = self.termination.token_arrived(
                     rank, body, worker.status is WorkerStatus.WAITING
                 )
@@ -274,7 +267,7 @@ class OracleCluster:
             events_processed=queue.processed,
             messages_dropped=self._messages_dropped,
             probes_started=self.termination.probes_started,
-            event_recorders=self.event_recorders,
+            event_streams=self.event_streams,
         )
 
     # ------------------------------------------------------------------

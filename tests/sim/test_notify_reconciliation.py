@@ -99,7 +99,7 @@ def test_notify_matches_counters_and_trace(case):
     factory, outcome = _run(**dict(case))
     from repro.trace.events import EventTrace
 
-    events = EventTrace.from_recorders(outcome.event_recorders)
+    events = EventTrace.from_streams(outcome.event_streams)
     analysis = TraceAnalysis(events)
 
     # Per-rank: notify counts == worker counters.
@@ -159,7 +159,7 @@ def test_forward_counters_reconcile_with_trace(case):
         EventTrace,
     )
 
-    events = EventTrace.from_recorders(outcome.event_recorders)
+    events = EventTrace.from_streams(outcome.event_streams)
     analysis = TraceAnalysis(events)
 
     for worker in outcome.workers:

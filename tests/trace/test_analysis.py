@@ -8,16 +8,13 @@ the registry the two views of the same run must agree exactly.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.core import registry
-from repro.errors import TraceError, TraceTruncatedWarning
+from repro.errors import TraceError
 from repro.sim.cluster import Cluster
 from repro.trace.analysis import TraceAnalysis
-from repro.trace.chrome import chrome_trace
 from repro.trace.events import (
     EV_LIFELINE_PUSH,
     EV_LIFELINE_QUIESCE,
@@ -61,7 +58,6 @@ class TestCounters:
     def test_success_rate_nan_without_attempts(self):
         a = _analysis([], [])
         assert np.isnan(a.steal_success_rate())
-        assert np.isnan(a.per_rank_success_rates()).all()
 
     def test_push_traffic_counts_as_node_movement(self):
         a = _analysis(
@@ -113,64 +109,6 @@ class TestReplyLatencies:
             ]
         )
         assert a.reply_latencies().tolist() == [0.5]
-
-    def test_truncated_stream_tolerates_orphan_replies(self):
-        # A bounded ring drops the oldest events, so a truncated rank
-        # can open with a reply whose request was overwritten.
-        events = EventTrace(
-            [[(0.5, EV_STEAL_OK, 1, 3), (1.0, EV_STEAL_SENT, 1, 0),
-              (1.25, EV_STEAL_FAIL, 1, 0)]],
-            dropped=[4],
-        )
-        with pytest.warns(TraceTruncatedWarning, match="rank 0: 4"):
-            analysis = TraceAnalysis(events)
-        assert analysis.reply_latencies().tolist() == [0.25]
-
-    def test_latency_histogram_empty(self):
-        counts, edges = _analysis([]).latency_histogram(bins=5)
-        assert counts.tolist() == [0] * 5
-        assert edges.size == 6
-
-
-class TestTruncation:
-    """A ring buffer that dropped events is a warning at every entry
-    point that reads statistics off the trace, not a footnote."""
-
-    @pytest.fixture(scope="class")
-    def truncated(self):
-        result = run_uts(
-            tree=T3XS, nranks=8, event_trace=True, event_trace_capacity=8
-        )
-        assert all(result.events.dropped)
-        return result.events
-
-    @pytest.mark.parametrize(
-        "entry", [TraceAnalysis, chrome_trace], ids=["analysis", "chrome"]
-    )
-    def test_entry_points_warn_once_naming_ranks_and_counts(
-        self, truncated, entry
-    ):
-        with pytest.warns(TraceTruncatedWarning) as caught:
-            entry(truncated)
-        assert len(caught) == 1
-        text = str(caught[0].message)
-        assert f"dropped {sum(truncated.dropped)} events" in text
-        assert "on 8 of 8 ranks" in text
-        for rank, n in enumerate(truncated.dropped):
-            assert f"rank {rank}: {n}" in text
-        assert caught[0].filename == __file__  # points at the caller
-
-    def test_summary_has_no_parenthesis(self, truncated):
-        with pytest.warns(TraceTruncatedWarning):
-            summary = TraceAnalysis(truncated).summary()
-        assert summary.splitlines()[0] == "ranks: 8, events: 64"
-
-    def test_complete_trace_is_silent(self):
-        events = run_uts(tree=T3XS, nranks=8, event_trace=True).events
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            TraceAnalysis(events).summary()
-            chrome_trace(events)
 
 
 class TestChains:
@@ -265,7 +203,7 @@ def test_lifeline_episode_counts_match_workers():
         tree=T3XS, nranks=8, selector="rand", lifelines=2, event_trace=True
     )
     outcome = Cluster(cfg).run()
-    events = EventTrace.from_recorders(outcome.event_recorders)
+    events = EventTrace.from_streams(outcome.event_streams)
     workers = outcome.workers
     assert events.count(EV_LIFELINE_QUIESCE) == sum(
         w.quiesce_episodes for w in workers

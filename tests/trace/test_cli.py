@@ -1,4 +1,4 @@
-"""Tests for ``python -m repro.trace`` and the bench ``--trace`` hook."""
+"""Tests for ``python -m repro.trace`` and its presets."""
 
 from __future__ import annotations
 
@@ -47,17 +47,6 @@ class TestCli:
         assert "steal requests:" in captured.out
         assert "validation ok" in captured.err
 
-    def test_capacity_override_bounds_the_ring(self, tmp_path, capsys):
-        out = tmp_path / "tiny.trace.json"
-        rc = main(["--config", "smoke", "--out", str(out), "--capacity", "8"])
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert data["otherData"]["dropped"] > 0
-        # Said once on stderr, although analysis and exporter both warn.
-        err = capsys.readouterr().err
-        assert err.count("warning: event trace is truncated") == 1
-        assert f"dropped {data['otherData']['dropped']} events" in err
-
     def test_list_exits_zero(self, capsys):
         assert main(["--list"]) == 0
         assert "fig02" in capsys.readouterr().out
@@ -66,19 +55,3 @@ class TestCli:
         assert main(["--config", "nope"]) == 2
         assert "unknown trace preset" in capsys.readouterr().err
 
-
-class TestBenchHook:
-    def test_emit_trace_without_preset_errors(self, capsys):
-        from repro.bench.__main__ import _emit_trace
-
-        assert _emit_trace("fig04") == 2
-        assert "no trace preset" in capsys.readouterr().err
-
-    def test_emit_trace_writes_artifact(self, tmp_path, monkeypatch):
-        from repro.bench.__main__ import _emit_trace
-
-        monkeypatch.chdir(tmp_path)
-        assert _emit_trace("smoke") == 0
-        out = tmp_path / "benchmarks" / "_artifacts" / "smoke.trace.json"
-        assert out.exists()
-        assert validate_chrome_trace(json.loads(out.read_text())) > 0

@@ -39,8 +39,8 @@ def traced_pair():
 
 def test_event_streams_byte_identical(traced_pair):
     (first, second), _plain = traced_pair
-    a = EventTrace.from_recorders(first.event_recorders)
-    b = EventTrace.from_recorders(second.event_recorders)
+    a = EventTrace.from_streams(first.event_streams)
+    b = EventTrace.from_streams(second.event_streams)
     blob_a, blob_b = a.canonical_bytes(), b.canonical_bytes()
     assert len(a) > 0
     assert blob_a == blob_b
@@ -74,7 +74,6 @@ def test_fingerprint_invariant_under_trace_flags():
     base = _fig02_config()
     for kwargs in (
         dict(event_trace=True),
-        dict(event_trace=True, event_trace_capacity=4096),
         dict(trace=True, event_trace=True),
     ):
         cfg = _fig02_config(**kwargs)
@@ -92,7 +91,6 @@ def test_excluded_fields_are_the_observationally_inert_knobs():
     assert FINGERPRINT_EXCLUDED_FIELDS == frozenset(
         {
             "event_trace",
-            "event_trace_capacity",
             "engine",
             "shards",
             "shard_workers",

@@ -1,4 +1,4 @@
-"""Unit tests for the event recorder and validated event trace."""
+"""Unit tests for the validated event trace."""
 
 from __future__ import annotations
 
@@ -11,53 +11,13 @@ from repro.errors import TraceError
 from repro.trace.events import (
     EV_DENY,
     EV_SERVE,
-    EV_STEAL_FAIL,
     EV_STEAL_OK,
     EV_STEAL_SENT,
     EV_TOKEN,
     EVENT_NAMES,
     EVENT_SCHEMA,
-    EventRecorder,
     EventTrace,
 )
-
-
-class TestRecorder:
-    def test_append_and_events(self):
-        r = EventRecorder()
-        r.append(0.0, EV_STEAL_SENT, 3)
-        r.append(1.0, EV_STEAL_FAIL, 3)
-        assert len(r.events()) == 2
-        assert r.events() == [(0.0, EV_STEAL_SENT, 3, 0), (1.0, EV_STEAL_FAIL, 3, 0)]
-        assert r.dropped == 0
-
-    def test_unbounded_by_default(self):
-        r = EventRecorder()
-        for k in range(1000):
-            r.append(float(k), EV_TOKEN)
-        assert len(r.events()) == 1000
-        assert r.dropped == 0
-
-    def test_ring_overwrites_oldest(self):
-        r = EventRecorder(capacity=3)
-        for k in range(5):
-            r.append(float(k), EV_TOKEN, k)
-        assert len(r.events()) == 3
-        assert r.dropped == 2
-        # Oldest two events (t=0, t=1) were overwritten; the unrolled
-        # view is chronological.
-        assert [ev[0] for ev in r.events()] == [2.0, 3.0, 4.0]
-
-    def test_ring_exactly_full_not_dropped(self):
-        r = EventRecorder(capacity=2)
-        r.append(0.0, EV_TOKEN)
-        r.append(1.0, EV_TOKEN)
-        assert r.dropped == 0
-        assert [ev[0] for ev in r.events()] == [0.0, 1.0]
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(TraceError):
-            EventRecorder(capacity=-1)
 
 
 class TestEventTraceValidation:
@@ -96,22 +56,14 @@ class TestEventTraceValidation:
         assert t.nranks == 2
         assert len(t) == 0
 
-    def test_from_recorders_sorts_interleaved_times(self):
+    def test_from_streams_sorts_interleaved_times(self):
         # Causal order can interleave timestamps (a victim answers a
         # mid-quantum arrival after advancing its local clock); the
         # assembler normalises each rank chronologically.
-        r = EventRecorder()
-        r.append(2.0, EV_SERVE, 1, 5)
-        r.append(1.5, EV_DENY, 2)
-        t = EventTrace.from_recorders([r])
+        stream = [(2.0, EV_SERVE, 1, 5), (1.5, EV_DENY, 2, 0)]
+        t = EventTrace.from_streams([stream])
         assert [ev[0] for ev in t.ranks[0]] == [1.5, 2.0]
 
-    def test_from_recorders_carries_dropped(self):
-        r = EventRecorder(capacity=1)
-        r.append(0.0, EV_TOKEN)
-        r.append(1.0, EV_TOKEN)
-        t = EventTrace.from_recorders([r])
-        assert t.dropped == [1]
 
 
 class TestEventTraceViews:

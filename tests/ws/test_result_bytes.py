@@ -74,3 +74,20 @@ def _digest(kw: dict) -> str:
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_result_bytes_are_pinned(name):
     assert _digest(PROBES[name]) == PINS[name]
+
+
+#: SHA-256 of ``result.events.canonical_bytes()`` for three NIC-off
+#: probes run with ``event_trace=True``: the steal-event stream pinned
+#: across commits, where ``tests/trace/test_determinism.py`` checks
+#: only that two runs of one commit agree.
+EVENT_PINS = {
+    "lifelines-trace": "a2d4cc228dcc5c8ed1915380670bcb07164aa7f9a8790a7e1d4239fec6e5db95",
+    "chunk7-forward-regions": "5149f2d24da8b3641b7076c86cd5fa65a4edb7b2c1e541d7e5c5cf72d0484bf7",
+    "adapt-eps": "b894203f4f41de677a2686d9f08cd39438d68356d344360bd21f1fcfd8610963",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_PINS))
+def test_event_stream_bytes_are_pinned(name):
+    events = run_uts(**PROBES[name], event_trace=True).events
+    assert hashlib.sha256(events.canonical_bytes()).hexdigest() == EVENT_PINS[name]
