@@ -35,6 +35,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 from repro.core import registry
@@ -145,7 +146,7 @@ def fingerprint_dict(data: dict) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkStealingConfig:
     """Everything one distributed UTS run needs.
 
@@ -153,7 +154,21 @@ class WorkStealingConfig:
     :data:`~repro.uts.params.TREES`), ``allocation``, ``selector``,
     ``steal_policy`` and ``rng_backend``; they are resolved once at
     construction time.
+
+    A config is an immutable value: assigning a field raises
+    :class:`dataclasses.FrozenInstanceError`, and a variant is derived
+    with :meth:`replace`.  Its identity — :attr:`payload`,
+    :meth:`fingerprint` and :meth:`label` — is computed on first use
+    and then kept, so a sweep resubmitted with the same config objects
+    serializes and hashes each of them once.  A computation that
+    raises (a strategy that is not name-addressable) is not kept, and
+    raises again on the next call.
     """
+
+    #: Unhashable, as before the class was frozen: equality compares
+    #: strategy objects, and a set or dict of configs keys them by
+    #: :meth:`fingerprint` instead.
+    __hash__ = None  # type: ignore[assignment]
 
     tree: TreeParams
     nranks: int
@@ -230,9 +245,9 @@ class WorkStealingConfig:
                     raise ConfigurationError(
                         f"{name} must be an integer, got {value!r}"
                     )
-                setattr(self, name, operator.index(value))
+                object.__setattr__(self, name, operator.index(value))
         if isinstance(self.tree, str):
-            self.tree = tree_by_name(self.tree)
+            object.__setattr__(self, "tree", tree_by_name(self.tree))
         elif not isinstance(self.tree, TreeParams):
             raise ConfigurationError(
                 f"tree must be a TreeParams or a tree name, got {self.tree!r}"
@@ -322,15 +337,17 @@ class WorkStealingConfig:
         # is idempotent so derived configs (replace, from_dict)
         # re-validate cleanly with already-resolved strategy objects.
         for field_name, kind in self._SPEC_FIELDS.items():
-            setattr(
+            object.__setattr__(
                 self,
                 field_name,
                 registry.resolve_spec(kind, getattr(self, field_name)),
             )
         if isinstance(self.latency_model, (str, dict)):
-            self.latency_model = latency_model_from_spec(self.latency_model)
+            object.__setattr__(
+                self, "latency_model", latency_model_from_spec(self.latency_model)
+            )
         if self.latency_model is None:
-            self.latency_model = KComputerLatency()
+            object.__setattr__(self, "latency_model", KComputerLatency())
         if isinstance(self.topology_factory, str):
             # Validate eagerly but keep the name: a named topology
             # factory stays serializable, build_placement resolves it.
@@ -353,6 +370,8 @@ class WorkStealingConfig:
     def label(self) -> str:
         """Short human-readable description, e.g. ``tofu/half 8G x128``.
 
+        Computed on the first call and kept (see the class docstring).
+
         ``__post_init__`` guarantees every strategy field is resolved,
         so the ``.name`` attributes are always present (no ``assert``
         narrowing — asserts vanish under ``python -O``).
@@ -361,6 +380,10 @@ class WorkStealingConfig:
         (e.g. `` +fwd2+reg8``); the all-default case adds nothing, so
         labels pinned before the protocol layer existed are unchanged.
         """
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         from repro.protocol.variants import protocol_tag
 
         tag = protocol_tag(self)
@@ -452,6 +475,9 @@ class WorkStealingConfig:
     def to_dict(self) -> dict:
         """Plain-data description of the run; see :meth:`from_dict`.
 
+        A new dict on every call, the caller's to edit; the config's
+        own shared copy is :attr:`payload`.
+
         Every value is a JSON-serializable primitive: strategies are
         stored as their registry spec strings, the tree and latency
         model as parameter dicts.  Raises
@@ -535,5 +561,23 @@ class WorkStealingConfig:
         dropped *only at their default values* — same backward
         stability, but a non-default protocol configuration still
         fingerprints distinctly.
+
+        Computed from :attr:`payload` on the first call and kept.
         """
-        return fingerprint_dict(self.to_dict())
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return fingerprint_dict(self.payload)
+
+    @cached_property
+    def payload(self) -> dict:
+        """This config's :meth:`to_dict`, computed once and shared.
+
+        **Read-only.**  :func:`repro.exec.pool.resolve` hands this one
+        dict to every consumer of the config — the service's job, the
+        store entry, the worker it is shipped to — so a caller that
+        wants to edit a payload takes :meth:`to_dict`, which builds a
+        new dict on every call.
+        """
+        return self.to_dict()

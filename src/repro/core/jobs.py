@@ -65,7 +65,8 @@ class Job:
     id: str
     #: Config fingerprint — the dedup/cache key.
     fingerprint: str
-    #: ``WorkStealingConfig.to_dict()`` payload (what workers receive).
+    #: The config's shared ``WorkStealingConfig.payload`` (what workers
+    #: receive); read-only.
     config: dict
     #: Human-readable config label.
     label: str

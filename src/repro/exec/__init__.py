@@ -6,7 +6,11 @@ The executor subsystem turns the one-run API
 * ``WorkStealingConfig.fingerprint()`` — the stable content hash of a
   run configuration (every strategy object is name-addressable via
   :mod:`repro.core.registry`, so configs round-trip through plain
-  dicts), the key of deduplication and of the store;
+  dicts), the key of deduplication and of the store.  A config is an
+  immutable value that computes its ``payload`` (the ``to_dict``
+  dict workers receive), fingerprint and label once, on first use, so
+  a sweep resubmitted with the same config objects does no JSON work;
+  a sweep of dicts is rebuilt and serialized on every submission;
 * :class:`ArtifactStore` — the on-disk store of
   :class:`~repro.ws.results.RunResult`\\ s keyed by fingerprint,
   under ``benchmarks/_cache/<version>/``, with an optional LRU byte

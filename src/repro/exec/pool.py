@@ -49,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.core.config import WorkStealingConfig, fingerprint_dict
+from repro.core.config import WorkStealingConfig
 from repro.core.jobs import JobFailure
 from repro.errors import ConfigurationError
 from repro.exec.store import ArtifactStore, open_store
@@ -166,13 +166,21 @@ class WorkerPool:
 def resolve(
     configs: Iterable[WorkStealingConfig | dict],
 ) -> list[tuple[WorkStealingConfig, dict, str]]:
-    """``(config, to_dict payload, fingerprint)`` for every entry of a sweep.
+    """``(config, payload, fingerprint)`` for every entry of a sweep.
 
     The whole sweep is validated here, before anything is looked up,
     enqueued or counted: one bad entry raises
     :class:`~repro.errors.ConfigurationError` and nothing has run.
-    Config objects are only serialized (``to_dict``); only dicts pay
-    for :meth:`WorkStealingConfig.from_dict`.
+    A config object brings its own identity
+    (:attr:`~repro.core.config.WorkStealingConfig.payload` and
+    :meth:`~repro.core.config.WorkStealingConfig.fingerprint`),
+    computed once, on first use, so a resubmitted object costs two
+    attribute reads.  A dict is rebuilt with
+    :meth:`~repro.core.config.WorkStealingConfig.from_dict` and
+    serialized again on every call.
+
+    The payload is the config's shared dict, read-only for everything
+    downstream (the job, the store entry, the worker).
     """
     resolved = []
     for config in configs:
@@ -183,8 +191,7 @@ def resolve(
                 "a sweep takes WorkStealingConfig objects or config "
                 f"dicts, got {type(config).__name__}"
             )
-        config_dict = config.to_dict()
-        resolved.append((config, config_dict, fingerprint_dict(config_dict)))
+        resolved.append((config, config.payload, config.fingerprint()))
     return resolved
 
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
-from repro.core.config import WorkStealingConfig
+from repro.core import registry
+from repro.core.config import WorkStealingConfig, fingerprint_dict
 from repro.core.steal_policy import StealHalf, StealOne
 from repro.core.victim import DistanceSkewedSelector, RoundRobinSelector
 from repro.errors import ConfigurationError
@@ -178,3 +182,111 @@ class TestDerived:
         object.__setattr__(cfg, "selector", Anonymous())
         with pytest.raises(ConfigurationError):
             cfg.label()
+
+
+#: A value for each parameter placeholder of a pattern entry in the
+#: registry (``skew[<alpha>]`` and the like).
+_PLACEHOLDER_VALUES = {
+    "alpha": "1.5",
+    "p_near": "0.75",
+    "eps": "0.1",
+    "decay": "0.9",
+    "fails": "3",
+    "fraction": "0.25",
+}
+
+
+def _concrete(kind: str) -> list[str]:
+    """Every spec the registry lists for ``kind``, patterns instantiated."""
+    return [
+        re.sub(r"<(\w+)>", lambda m: _PLACEHOLDER_VALUES[m.group(1)], name)
+        for name in registry.available(kind)
+    ]
+
+
+class _Unregistered(RoundRobinSelector):
+    """The reference ring walk under a name the registry does not know."""
+
+    name = "unregistered"
+
+
+class TestIdentity:
+    """A config is a value: frozen fields, an identity computed once."""
+
+    def test_assigning_a_field_raises(self):
+        cfg = _cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.nranks = 16  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.selector = "rand"  # type: ignore[misc]
+        assert cfg.nranks == 8 and cfg.selector.name == "reference"
+
+    def test_unhashable(self):
+        # Equality compares strategy objects; sets and dicts of configs
+        # key them by fingerprint().
+        assert WorkStealingConfig.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(_cfg())
+
+    @pytest.mark.parametrize(
+        "field,spec",
+        [("selector", s) for s in _concrete("selector")]
+        + [("steal_policy", p) for p in _concrete("steal_policy")],
+    )
+    def test_fingerprint_is_the_payload_hash(self, field, spec):
+        cfg = _cfg(**{field: spec})
+        assert cfg.fingerprint() == fingerprint_dict(cfg.to_dict())
+        assert cfg.payload == cfg.to_dict()
+
+    def test_identity_is_computed_once(self):
+        cfg = _cfg(selector="tofu", steal_policy="half")
+        assert cfg.payload is cfg.payload
+        assert cfg.fingerprint() is cfg.fingerprint()
+        assert cfg.label() is cfg.label()
+
+    def test_to_dict_is_fresh_and_mutating_it_changes_nothing(self):
+        cfg = _cfg()
+        fp = cfg.fingerprint()
+        first, second = cfg.to_dict(), cfg.to_dict()
+        assert first == second == cfg.payload
+        assert first is not second and first is not cfg.payload
+        assert first["tree"] is not cfg.payload["tree"]
+        first["nranks"] = 99
+        first["tree"]["name"] = "edited"
+        first["latency_model"]["kind"] = "edited"
+        assert cfg.fingerprint() == fp
+        assert cfg.payload == cfg.to_dict() == second
+        assert fingerprint_dict(cfg.to_dict()) == fp
+
+    def test_replace_gets_its_own_identity(self):
+        cfg = _cfg()
+        fp, payload = cfg.fingerprint(), cfg.payload
+        derived = cfg.replace(seed=1)
+        assert derived.fingerprint() != fp
+        assert derived.payload["seed"] == 1 and payload["seed"] == 0
+        assert derived.label() == cfg.label()
+        assert derived.replace(seed=0).fingerprint() == fp
+        assert cfg.fingerprint() == fp
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_pickle_round_trip_keeps_the_fingerprint(self, warm):
+        cfg = _cfg(selector="skew[1.5]", steal_policy="half", allocation="8G")
+        if warm:
+            cfg.fingerprint()
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again.fingerprint() == cfg.fingerprint()
+        assert again.to_dict() == cfg.to_dict()
+        assert again.label() == cfg.label()
+
+    def test_unaddressable_strategy_runs_but_never_serializes(self):
+        cfg = _cfg(selector=_Unregistered())
+        assert cfg.label() == "unregistered/one 1/N x8 [T3XS]"
+        assert run_uts(cfg).total_time == run_uts(_cfg()).total_time
+        # The failure is not kept: every attempt raises.
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="not name-addressable"):
+                cfg.to_dict()
+            with pytest.raises(ConfigurationError, match="not name-addressable"):
+                cfg.payload
+            with pytest.raises(ConfigurationError, match="not name-addressable"):
+                cfg.fingerprint()
