@@ -37,7 +37,8 @@ Batch runs go through the parallel executor (:mod:`repro.exec`)::
 
 Several clients sharing one pool and store go through the simulation
 service (:mod:`repro.service`), which dedups in flight, gives each
-client an equal share of the workers and caches::
+client an equal share of the workers and caches; leaving the
+``async with`` block waits for every accepted job::
 
     from repro import SimulationService
 

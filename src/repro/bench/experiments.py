@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.config import WorkStealingConfig, fingerprint_dict
+from repro.core.config import WorkStealingConfig
 from repro.exec.pool import resolve, run_many
 from repro.exec.store import ArtifactStore, open_store
 from repro.net.latency import HierarchicalLatency
@@ -90,10 +90,9 @@ def experiment_config(
     allocation: str = "1/N",
     selector: str = "reference",
     steal_policy: str = "one",
-    calibration: Calibration = CALIBRATION,
     **overrides,
 ) -> WorkStealingConfig:
-    """Build a run config with the benchmark calibration applied."""
+    """Build a run config with :data:`CALIBRATION` applied."""
     if isinstance(tree, str):
         tree = tree_by_name(tree)
     kwargs = dict(
@@ -102,12 +101,12 @@ def experiment_config(
         allocation=allocation,
         selector=selector,
         steal_policy=steal_policy,
-        latency_model=calibration.latency_model(),
-        node_time=calibration.node_time,
-        poll_interval=calibration.poll_interval,
-        chunk_size=calibration.chunk_size,
-        nic_service_time=calibration.nic_service_time,
-        steal_service_time=calibration.steal_service_time,
+        latency_model=CALIBRATION.latency_model(),
+        node_time=CALIBRATION.node_time,
+        poll_interval=CALIBRATION.poll_interval,
+        chunk_size=CALIBRATION.chunk_size,
+        nic_service_time=CALIBRATION.nic_service_time,
+        steal_service_time=CALIBRATION.steal_service_time,
     )
     kwargs.update(overrides)
     return WorkStealingConfig(**kwargs)
@@ -145,19 +144,6 @@ def configure(jobs: int | None = _UNSET, cache=_UNSET) -> None:
         _DISK = open_store(cache)
 
 
-def _lookup(data: dict, fingerprint: str) -> RunResult | None:
-    """Memo lookup with traced-run subsumption.
-
-    Traced runs subsume untraced ones: if a traced result for the same
-    physics is memoised, an untraced request returns it (the trace only
-    adds data, it never changes timing).
-    """
-    hit = _MEMO.get(fingerprint)
-    if hit is None and not data["trace"]:
-        hit = _MEMO.get(fingerprint_dict({**data, "trace": True}))
-    return hit
-
-
 def cached_run(cfg: WorkStealingConfig) -> RunResult:
     """Run a config, memoised on its fingerprint (single-run form)."""
     return run_configs([cfg])[0]
@@ -165,23 +151,20 @@ def cached_run(cfg: WorkStealingConfig) -> RunResult:
 
 def run_configs(
     configs: Sequence[WorkStealingConfig] | Iterable[WorkStealingConfig],
-    jobs: int | None = None,
 ) -> list[RunResult]:
     """Run many configs through the memo + executor, in input order.
 
-    Memo hits never leave this function; the misses go to one
-    :func:`repro.exec.run_many` call with ``jobs`` workers (defaulting
-    to the :func:`configure` setting), which dedups them and consults
-    the on-disk store when one is configured.
+    Memo hits (by fingerprint) never leave this function; the misses go
+    to one :func:`repro.exec.run_many` call with the :func:`configure`
+    worker count, which dedups them and consults the on-disk store when
+    one is configured.
     """
     resolved = resolve(configs)
-    results = [_lookup(data, fp) for _, data, fp in resolved]
+    results = [_MEMO.get(fp) for _, _, fp in resolved]
     misses = [i for i, hit in enumerate(results) if hit is None]
     if misses:
         fresh = run_many(
-            [resolved[i][0] for i in misses],
-            jobs=jobs if jobs is not None else _JOBS,
-            store=_DISK,
+            [resolved[i][0] for i in misses], jobs=_JOBS, store=_DISK
         )
         for i, result in zip(misses, fresh):
             _MEMO[resolved[i][2]] = results[i] = result

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.bench.experiments import (
-    CALIBRATION,
-    Calibration,
-    experiment_config,
-    run_configs,
-)
+from repro.bench.experiments import experiment_config, run_configs
 from repro.uts.params import TreeParams
 from repro.ws.results import RunResult
 
@@ -29,17 +24,15 @@ def sweep(
     allocations: Iterable[str] = ("1/N",),
     selector: str = "reference",
     steal_policy: str = "one",
-    calibration: Calibration = CALIBRATION,
-    jobs: int | None = None,
     **overrides,
 ) -> dict[tuple[int, str], RunResult]:
     """Run ``selector/steal_policy`` over ``ladder x allocations``.
 
     Returns ``{(nranks, allocation): RunResult}``; results come from
     the shared memo cache, so overlapping sweeps are free.  The grid
-    is executed as one batch: with ``jobs`` (or the harness-wide
-    :func:`~repro.bench.experiments.configure` setting) above 1, its
-    points run on worker processes in parallel.
+    is executed as one batch: with the harness-wide
+    :func:`~repro.bench.experiments.configure` worker count above 1,
+    its points run on worker processes in parallel.
     """
     keys: list[tuple[int, str]] = []
     configs = []
@@ -53,9 +46,8 @@ def sweep(
                     allocation=allocation,
                     selector=selector,
                     steal_policy=steal_policy,
-                    calibration=calibration,
                     **overrides,
                 )
             )
-    results = run_configs(configs, jobs=jobs)
+    results = run_configs(configs)
     return dict(zip(keys, results))

@@ -27,14 +27,6 @@ class RegistryError(ConfigurationError):
     """
 
 
-class JobError(ReproError):
-    """A submitted job could not run to completion."""
-
-
-class JobCancelledError(JobError):
-    """A job was cancelled before it produced a result."""
-
-
 class ServiceError(ReproError):
     """The simulation service was used in an invalid state."""
 

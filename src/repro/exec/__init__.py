@@ -13,15 +13,17 @@ The executor subsystem turns the one-run API
   a sweep of dicts is rebuilt and serialized on every submission;
 * :class:`ArtifactStore` — the on-disk store of
   :class:`~repro.ws.results.RunResult`\\ s keyed by fingerprint,
-  under ``benchmarks/_cache/<version>/``, with an optional LRU byte
+  under ``benchmarks/_cache/<__version__>/``, with an optional LRU byte
   budget; :func:`open_store` reads a ``store=`` argument
   (``ResultCache`` is the legacy name of the same class);
 * :func:`run_many` — a ``ProcessPoolExecutor`` batch runner with
   deduplication, store integration and progress callbacks, whose
-  results are bit-identical to the serial path.  It is how every
+  results are bit-identical to the serial path.  A parallel call
+  starts and stops a :class:`WorkerPool` of its own.  It is how every
   figure's grid of independent runs is served; :mod:`repro.service`
   puts an asyncio front-end for several clients over the same
-  :func:`~repro.exec.pool.resolve`/:func:`~repro.exec.pool.land` steps.
+  :func:`~repro.exec.pool.resolve`/:func:`~repro.exec.pool.land` steps
+  and keeps one :class:`WorkerPool` alive for its lifetime.
 
 Typical use::
 

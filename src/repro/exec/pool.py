@@ -15,9 +15,9 @@ over a ``ProcessPoolExecutor``, with
 * **failure isolation** — ``return_exceptions=True`` turns per-job
   exceptions into :class:`~repro.core.jobs.JobFailure` slots instead
   of unwinding the whole batch;
-* **pool reuse** — a caller-owned :class:`WorkerPool` (``pool=``) is
-  used reentrantly across many calls, amortising worker start-up; the
-  simulation service keeps one alive for its whole lifetime;
+* **pool reuse** — a :class:`WorkerPool` is reentrant and survives
+  a worker's death, so the simulation service keeps one alive for its
+  whole lifetime; :func:`run_many` starts one per parallel call;
 * **bit-identical results** — configs are shipped to workers as plain
   dicts and results return as JSON, the same serialization single runs
   and the cache use.  Every random seed lives inside the config, so a
@@ -25,7 +25,7 @@ over a ``ProcessPoolExecutor``, with
   on any worker count.
 
 The worker protocol is deliberately dumb: a worker receives
-``(index, config_dict, max_events)``, rebuilds the config, runs the
+``(index, config_dict)``, rebuilds the config, runs the
 simulation and returns ``(index, result_json, elapsed)``.  No strategy
 objects, numpy arrays or tracebacks cross the process boundary except
 via this one format; an ``event_trace=True`` run's event stream does
@@ -83,12 +83,11 @@ class RunProgress:
     error: str | None = None
 
 
-def _execute(payload: tuple[int, dict, int | None]) -> tuple[int, str, float]:
+def _execute(payload: tuple[int, dict]) -> tuple[int, str, float]:
     """Worker entry point: run one config shipped as a plain dict."""
-    index, config_dict, max_events = payload
+    index, config_dict = payload
     start = time.perf_counter()
-    config = WorkStealingConfig.from_dict(config_dict)
-    result = run_uts(config, max_events=max_events)
+    result = run_uts(WorkStealingConfig.from_dict(config_dict))
     elapsed = time.perf_counter() - start
     return index, result.to_json(), elapsed
 
@@ -96,13 +95,12 @@ def _execute(payload: tuple[int, dict, int | None]) -> tuple[int, str, float]:
 class WorkerPool:
     """Reusable process pool speaking the :mod:`repro.exec` worker protocol.
 
-    :func:`run_many` creates a throwaway pool per call unless one is
-    passed in via ``pool=``; long-lived callers (the simulation
-    service, repeated sweeps) keep one ``WorkerPool`` alive instead so
-    worker processes are spawned once and reused.  The pool is
-    reentrant: any number of ``run_many`` calls and direct
-    :meth:`submit`\\ s may share it concurrently — the underlying
-    executor serialises scheduling.
+    :func:`run_many` creates a throwaway pool per parallel call; a
+    long-lived caller (the simulation service) keeps one ``WorkerPool``
+    alive instead so worker processes are spawned once and reused.
+    The pool is reentrant: any number of direct :meth:`submit`\\ s may
+    share it concurrently — the underlying executor serialises
+    scheduling.
 
     The executor is created lazily on first submission, so a
     ``WorkerPool`` is cheap to construct and safe to keep as a
@@ -129,7 +127,6 @@ class WorkerPool:
         self,
         config_dict: dict,
         *,
-        max_events: int | None = None,
         index: int = 0,
         _worker: Callable | None = None,
     ) -> Future:
@@ -143,7 +140,7 @@ class WorkerPool:
         executor for good: the jobs it had fail, and the next submission
         starts a fresh executor instead of failing too.
         """
-        payload = (index, config_dict, max_events)
+        payload = (index, config_dict)
         try:
             return self._ensure().submit(_worker or _execute, payload)
         except BrokenProcessPool:
@@ -218,9 +215,7 @@ def run_many(
     jobs: int | None = 1,
     store: ArtifactStore | str | os.PathLike | bool | None = None,
     progress: Callable[[RunProgress], None] | None = None,
-    max_events: int | None = None,
     return_exceptions: bool = False,
-    pool: WorkerPool | None = None,
     _worker: Callable | None = None,
 ) -> list[RunResult | JobFailure]:
     """Run a batch of configs, in parallel, and return their results.
@@ -246,28 +241,20 @@ def run_many(
     progress:
         Called once per finished config with a :class:`RunProgress`
         (cache hits first, then completions in finish order).
-    max_events:
-        Per-run event budget override, forwarded to the simulator.
     return_exceptions:
         With ``True``, a job that raises produces a
         :class:`~repro.core.jobs.JobFailure` carrying the exception in
         its slot, and the rest of the batch completes normally.  With ``False`` (the
         default) the first failure propagates.
-    pool:
-        A caller-owned :class:`WorkerPool` to run on (reentrant; not
-        shut down by this call).  Overrides ``jobs``.
 
     Returns
     -------
     One entry per input config, in input order: a ``RunResult``, or a
     ``JobFailure`` when that job failed and ``return_exceptions=True``.
     """
-    if pool is not None:
-        workers = pool.workers
-    else:
-        workers = jobs if jobs is not None else (os.cpu_count() or 1)
-        if workers < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    workers = jobs if jobs is not None else (os.cpu_count() or 1)
+    if workers < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     resolved = resolve(configs)
     total = len(resolved)
     result_store = open_store(store)
@@ -301,13 +288,13 @@ def run_many(
                 )
 
     # Cache pass: resolve whole groups without touching the simulator.
-    pending: list[tuple[int, dict, int | None]] = []
+    pending: list[tuple[int, dict]] = []
     for fp, indices in groups.items():
         hit = result_store.get(fp) if result_store is not None else None
         if hit is not None:
             _emit(fp, hit, 0.0, "cached")
         else:
-            pending.append((indices[0], resolved[indices[0]][1], max_events))
+            pending.append((indices[0], resolved[indices[0]][1]))
 
     def _complete(index: int, payload: str, elapsed: float) -> None:
         _, config_dict, fp = resolved[index]
@@ -328,7 +315,7 @@ def run_many(
 
     if pending:
         workers = min(workers, len(pending))
-        if pool is None and workers == 1:
+        if workers == 1:
             # Serial fast path: no process-pool overhead.
             for payload in pending:
                 try:
@@ -340,7 +327,6 @@ def run_many(
         else:
             _run_on_pool(
                 pending,
-                pool=pool,
                 workers=workers,
                 worker=worker,
                 return_exceptions=return_exceptions,
@@ -352,25 +338,21 @@ def run_many(
 
 
 def _run_on_pool(
-    pending: list[tuple[int, dict, int | None]],
+    pending: list[tuple[int, dict]],
     *,
-    pool: WorkerPool | None,
     workers: int,
     worker: Callable,
     return_exceptions: bool,
     complete: Callable,
     fail: Callable,
 ) -> None:
-    """Execute ``pending`` payloads on a (possibly shared) worker pool."""
-    own_pool = WorkerPool(workers) if pool is None else None
-    target = pool if pool is not None else own_pool
+    """Execute ``pending`` payloads on a pool of its own."""
+    pool = WorkerPool(workers)
     abandoned = False
     try:
         futures: dict[Future, int] = {
-            target.submit(
-                config_dict, max_events=max_events, index=index, _worker=worker
-            ): index
-            for index, config_dict, max_events in pending
+            pool.submit(config_dict, index=index, _worker=worker): index
+            for index, config_dict in pending
         }
         waiting = set(futures)
         while waiting:
@@ -388,7 +370,6 @@ def _run_on_pool(
                 else:
                     complete(*payload)
     finally:
-        if own_pool is not None:
-            # Jobs still running when an error propagates must not
-            # wedge the caller: drop the pool without waiting for them.
-            own_pool.shutdown(wait=not abandoned, cancel_pending=abandoned)
+        # Jobs still running when an error propagates must not wedge
+        # the caller: drop the pool without waiting for them.
+        pool.shutdown(wait=not abandoned, cancel_pending=abandoned)

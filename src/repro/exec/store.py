@@ -90,9 +90,7 @@ class ArtifactStore:
     root:
         Store root (default: ``$REPRO_CACHE_DIR``, or
         ``benchmarks/_cache``).  Nothing is created until the first
-        write.
-    version:
-        Version directory to serve (default: the package version).
+        write.  Entries live under ``<root>/<__version__>/``.
     max_bytes:
         Byte budget for the active version directory.  ``None`` (the
         default) disables eviction.
@@ -101,7 +99,6 @@ class ArtifactStore:
     def __init__(
         self,
         root: str | os.PathLike | None = None,
-        version: str = __version__,
         max_bytes: int | None = None,
     ):
         if root is None:
@@ -111,9 +108,8 @@ class ArtifactStore:
                 f"max_bytes must be >= 1 or None, got {max_bytes}"
             )
         self.root = Path(root)
-        self.version = version
         self.max_bytes = max_bytes
-        self._dir = os.path.join(self.root, version)
+        self._dir = os.path.join(self.root, __version__)
         #: fingerprint -> ((st_ino, st_size, st_mtime_ns), result data),
         #: least recently served first.
         self._memo: OrderedDict[str, tuple[tuple[int, int, int], dict]] = (
@@ -123,8 +119,8 @@ class ArtifactStore:
 
     @property
     def dir(self) -> Path:
-        """Directory holding entries for the active version."""
-        return self.root / self.version
+        """Directory holding entries for the package version."""
+        return self.root / __version__
 
     def path_for(self, fingerprint: str) -> Path:
         return self.dir / f"{fingerprint}.json"
@@ -174,7 +170,7 @@ class ArtifactStore:
             return None
         if (
             not isinstance(entry, dict)
-            or entry.get("version") != self.version
+            or entry.get("version") != __version__
             or entry.get("fingerprint") != fingerprint
             or "result" not in entry
         ):
@@ -204,7 +200,7 @@ class ArtifactStore:
         Evicts LRU entries past the byte budget.
         """
         entry = {
-            "version": self.version,
+            "version": __version__,
             "fingerprint": fingerprint,
             "config": config,
             "elapsed": elapsed,

@@ -65,14 +65,6 @@ class FairShareScheduler:
         share.vtime += 1.0
         return share.queue.popleft()
 
-    def drain(self) -> list[Job]:
-        """Withdraw every queued job (service shutdown)."""
-        jobs: list[Job] = []
-        for share in self._clients.values():
-            jobs.extend(share.queue)
-            share.queue.clear()
-        return jobs
-
     def __len__(self) -> int:
         return sum(len(s.queue) for s in self._clients.values())
 

@@ -23,6 +23,10 @@ Typical use::
             print(event.state, event.label)
         results = await handle.results()
 
+Leaving the ``async with`` block (:meth:`SimulationService.close`)
+stops new submissions and waits for every accepted job, whether or not
+the block raised; a job is never cancelled.
+
 Each job goes through the same two steps as a :func:`run_many` job —
 :func:`~repro.exec.pool.resolve` before it is queued,
 :func:`~repro.exec.pool.land` when its worker replies — on the same
@@ -39,7 +43,7 @@ from typing import AsyncIterator, Callable, Iterable, Sequence
 
 from repro.core.config import WorkStealingConfig
 from repro.core.jobs import Job, JobEvent, JobFailure, JobState, next_job_id
-from repro.errors import JobCancelledError, ServiceError
+from repro.errors import ServiceError
 from repro.exec.pool import WorkerPool, land, resolve
 from repro.exec.store import ArtifactStore, open_store
 from repro.service.scheduler import FairShareScheduler
@@ -63,7 +67,7 @@ class ServiceStats:
     dedup_joins: int
     #: Simulations actually executed (== distinct cache misses).
     executed: int
-    #: Jobs that ended ``failed`` (errors, shutdown cancellations).
+    #: Jobs that ended ``failed`` (the run or its store write raised).
     failed: int
     #: Jobs currently queued for dispatch.
     queued: int
@@ -119,10 +123,9 @@ class SweepHandle:
     async def results(self) -> list[RunResult | JobFailure]:
         """Wait for the sweep; results in submission order.
 
-        Failed jobs (including shutdown cancellations) surface as
-        :class:`~repro.core.jobs.JobFailure` slots, exception attached
-        — the same shape ``run_many(..., return_exceptions=True)``
-        returns.
+        Failed jobs surface as :class:`~repro.core.jobs.JobFailure`
+        slots, exception attached — the same shape
+        ``run_many(..., return_exceptions=True)`` returns.
         """
         await self._done.wait()
         return [
@@ -197,27 +200,11 @@ class SimulationService:
             self._wake.set()
         return self
 
-    async def close(self, drain: bool = True) -> None:
-        """Stop the service.
-
-        ``drain=True`` (the default) finishes every accepted job
-        first; ``drain=False`` cancels queued and running jobs (their
-        watchers see ``failed`` events with
-        :class:`~repro.errors.JobCancelledError` attached).
-        """
+    async def close(self) -> None:
+        """Stop the service once every accepted job has finished."""
         if self._closing:
             return
         self._closing = True
-        if not drain:
-            for job in self._scheduler.drain():
-                self._fail(
-                    job,
-                    JobCancelledError(
-                        f"job {job.label!r} cancelled: service shutting down"
-                    ),
-                )
-            for task in list(self._tasks.values()):
-                task.cancel()
         self._wake.set()
         await self._idle.wait()
         if self._dispatcher is not None:
@@ -233,7 +220,7 @@ class SimulationService:
         return await self.start()
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close(drain=exc_type is None)
+        await self.close()
 
     # ------------------------------------------------------------------
     # Submission
@@ -320,9 +307,6 @@ class SimulationService:
             while self._scheduler:
                 await slots.acquire()
                 job = self._scheduler.pop()
-                if job is None:  # drained between wake and acquire
-                    slots.release()
-                    break
                 task = asyncio.create_task(
                     self._run_job(job, slots), name=f"repro-{job.id}"
                 )
@@ -335,12 +319,6 @@ class SimulationService:
         try:
             payload, elapsed = await self._execute(job)
             result = land(self.store, job.fingerprint, job.config, payload, elapsed)
-        except asyncio.CancelledError:
-            # Cancellation is initiated by this service
-            # (close(drain=False)); surface it, don't re-raise.
-            self._fail(
-                job, JobCancelledError(f"job {job.label!r} was cancelled")
-            )
         except Exception as exc:
             self._fail(job, exc)
         else:

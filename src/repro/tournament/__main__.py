@@ -76,6 +76,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     store = None if args.no_cache else (args.store or True)
     tournament = run_tournament(PRESETS[args.preset], jobs=args.jobs, store=store)
     paths = tournament.write(args.out)

@@ -29,7 +29,7 @@ from typing import Callable
 
 from repro.bench.experiments import experiment_config
 from repro.core.config import WorkStealingConfig, canonical_json
-from repro.exec.pool import RunProgress, WorkerPool, run_many
+from repro.exec.pool import RunProgress, run_many
 from repro.exec.store import ArtifactStore
 from repro.protocol.variants import protocol_overrides, protocol_tag
 from repro.ws.results import RunResult
@@ -235,12 +235,11 @@ def run_tournament(
     *,
     jobs: int | None = 1,
     store: ArtifactStore | str | os.PathLike | bool | None = None,
-    pool: WorkerPool | None = None,
     progress: Callable[[RunProgress], None] | None = None,
 ) -> Tournament:
     """Execute a tournament grid and rank the results.
 
-    ``jobs``/``store``/``pool`` are forwarded untouched to
+    ``jobs`` and ``store`` are forwarded untouched to
     :func:`repro.exec.run_many`, and so is every ``progress`` tick
     (after ``cached`` has been counted from it).  The returned
     leaderboard is independent of all of them.
@@ -254,7 +253,7 @@ def run_tournament(
         if progress is not None:
             progress(tick)
 
-    results = run_many(configs, jobs=jobs, store=store, pool=pool, progress=_count)
+    results = run_many(configs, jobs=jobs, store=store, progress=_count)
     rows = [_score(cfg, res) for cfg, res in zip(configs, results)]
     rows.sort(key=lambda r: (r["makespan"], r["label"]))
     return Tournament(

@@ -142,19 +142,15 @@ class RunResult:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_outcome(
-        cls, outcome: SimOutcome, baseline_time: float | None = None
-    ) -> "RunResult":
+    def from_outcome(cls, outcome: SimOutcome) -> "RunResult":
         """Derive the refined result from a raw simulation outcome.
 
-        ``baseline_time`` defaults to the paper's extrapolation: the
-        node count times the per-node compute time (what a single
-        process traversing the same tree would take).
+        The baseline is the paper's extrapolation: the node count times
+        the per-node compute time (what a single process traversing the
+        same tree would take).
         """
         cfg = outcome.config
         workers = outcome.workers
-        if baseline_time is None:
-            baseline_time = outcome.total_nodes * cfg.per_node_time
         # Per-rank builtin sums in log order, then their builtin sum in
         # rank order: that order fixes the floats.
         durations = []
@@ -194,7 +190,7 @@ class RunResult:
             compute_rounds=cfg.compute_rounds,
             total_nodes=outcome.total_nodes,
             total_time=outcome.total_time,
-            baseline_time=baseline_time,
+            baseline_time=outcome.total_nodes * cfg.per_node_time,
             steal_requests=sum(w.steal_requests_sent for w in workers),
             failed_steals=sum(w.failed_steals for w in workers),
             successful_steals=sum(w.successful_steals for w in workers),

@@ -28,7 +28,6 @@ def run_uts(
     *,
     tree: TreeParams | None = None,
     nranks: int | None = None,
-    baseline_time: float | None = None,
     max_events: int | None = None,
     **config_kwargs,
 ) -> RunResult:
@@ -38,20 +37,22 @@ def run_uts(
     or pass ``tree``, ``nranks`` and any other config fields as
     keyword arguments.
 
-    Tracing knobs (both observationally free — same simulation, same
-    fingerprint): ``trace=True`` attaches the per-rank activity trace,
-    derived from the workers' idle logs, behind ``result.trace`` and
-    the SL/EL metrics;
-    ``event_trace=True`` additionally captures the structured
-    steal-event stream behind ``result.events`` for
+    Tracing knobs (both leave the simulation itself unchanged):
+    ``trace=True`` attaches the per-rank activity trace, derived from
+    the workers' idle logs, behind ``result.trace`` and the SL/EL
+    metrics.  The trace is part of the stored result, so it is part of
+    the fingerprint too.  ``event_trace=True`` additionally captures
+    the structured steal-event stream behind ``result.events`` for
     :class:`repro.trace.TraceAnalysis` and the Chrome-trace exporter
-    (``python -m repro.trace``).
+    (``python -m repro.trace``); the stream is never stored, so it
+    keeps the fingerprint.
+
+    Speedup and efficiency are taken against the extrapolated
+    single-process time: the tree's node count times
+    ``per_node_time``.
 
     Parameters
     ----------
-    baseline_time:
-        ``T1`` for speedup/efficiency; defaults to the extrapolated
-        single-process time of the run's own tree.
     max_events:
         Override the simulator's event budget.
     """
@@ -67,9 +68,7 @@ def run_uts(
         )
     engine = Cluster(config, max_events=max_events)
     try:
-        return RunResult.from_outcome(
-            engine.run(), baseline_time=baseline_time
-        )
+        return RunResult.from_outcome(engine.run())
     finally:
         # Finished workers, stacks and latency rows go back to the
         # reference counter now, not at some later gen-2 collection.

@@ -57,11 +57,6 @@ class TestCache:
         b = cached_run(experiment_config(T3XS, 4, selector="rand"))
         assert a is not b
 
-    def test_traced_run_subsumes_untraced(self):
-        traced = cached_run(experiment_config(T3XS, 4, trace=True))
-        untraced = cached_run(experiment_config(T3XS, 4))
-        assert untraced is traced
-
     def test_untraced_does_not_subsume_traced(self):
         untraced = cached_run(experiment_config(T3XS, 4))
         traced = cached_run(experiment_config(T3XS, 4, trace=True))

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from repro._version import __version__
 from repro.core.config import WorkStealingConfig
-from repro.exec.store import ArtifactStore, ResultCache
+from repro.exec.store import ArtifactStore
 from repro.exec.pool import run_many
 from repro.uts.params import T3XS
 
@@ -19,7 +20,7 @@ def cfg() -> WorkStealingConfig:
 
 class TestResultCache:
     def test_put_get_round_trip(self, tmp_path, cfg):
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         result = run_many([cfg])[0]
         fp = cfg.fingerprint()
         assert cache.get(fp) is None
@@ -30,27 +31,33 @@ class TestResultCache:
         assert len(list(cache.dir.glob("*.json"))) == 1
 
     def test_entry_layout(self, tmp_path, cfg):
-        cache = ResultCache(tmp_path, version="9.9.9")
+        cache = ArtifactStore(tmp_path)
         result = run_many([cfg])[0]
         fp = cfg.fingerprint()
         cache.put(fp, result, config=cfg.to_dict(), elapsed=0.5)
         path = cache.path_for(fp)
-        assert path.parent.name == "9.9.9"
+        assert path.parent == tmp_path / __version__
         entry = json.loads(path.read_text())
-        assert entry["version"] == "9.9.9"
+        assert entry["version"] == __version__
         assert entry["fingerprint"] == fp
         assert entry["config"]["nranks"] == 8
 
     def test_version_bump_invalidates(self, tmp_path, cfg):
-        old = ResultCache(tmp_path, version="1.0.0")
+        store = ArtifactStore(tmp_path)
         result = run_many([cfg])[0]
         fp = cfg.fingerprint()
-        old.put(fp, result)
-        assert ResultCache(tmp_path, version="2.0.0").get(fp) is None
-        assert old.get(fp) is not None
+        path = store.put(fp, result)
+        # An entry another package version wrote, planted where this
+        # version looks: a miss, for a warm store object and a new one.
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "version": "0.0.0-other"}))
+        assert store.get(fp) is None
+        assert ArtifactStore(tmp_path).get(fp) is None
+        path.write_text(json.dumps(entry))
+        assert ArtifactStore(tmp_path).get(fp) is not None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, cfg):
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         fp = cfg.fingerprint()
         cache.put(fp, run_many([cfg])[0])
         cache.path_for(fp).write_text("{corrupt")
@@ -90,7 +97,7 @@ class TestCorruptEntries:
 
 class TestRunManyCacheIntegration:
     def test_second_run_hits_cache_without_simulating(self, tmp_path, cfg, monkeypatch):
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         first = run_many([cfg], store=cache)[0]
         assert len(list(cache.dir.glob("*.json"))) == 1
 
@@ -102,7 +109,7 @@ class TestRunManyCacheIntegration:
         assert second.to_json() == first.to_json()
 
     def test_cache_hit_reports_cached_progress(self, tmp_path, cfg):
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         run_many([cfg], store=cache)
         ticks = []
         run_many([cfg], store=cache, progress=ticks.append)
@@ -116,7 +123,7 @@ class TestRunManyCacheIntegration:
             for c in (10, 20)
         ]
         assert len(configs) == 8
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cold = run_many(configs, jobs=2, store=cache)
         assert len(list(cache.dir.glob("*.json"))) == 8
         ticks = []
@@ -127,7 +134,7 @@ class TestRunManyCacheIntegration:
 
     def test_cache_env_override(self, tmp_path, cfg, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        cache = ResultCache()
+        cache = ArtifactStore()
         assert str(cache.dir).startswith(str(tmp_path / "envcache"))
         run_many([cfg], store=True)
-        assert len(list(ResultCache().dir.glob("*.json"))) == 1
+        assert len(list(ArtifactStore().dir.glob("*.json"))) == 1

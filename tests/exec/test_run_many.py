@@ -6,6 +6,7 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -103,8 +104,6 @@ class TestRunMany:
             run_many(configs, jobs=-3, store=tmp_path)
         with pytest.raises(ConfigurationError):
             run_many([], jobs=0)
-        with WorkerPool(1) as pool:  # a caller-owned pool overrides jobs
-            assert len(run_many(configs, jobs=0, store=tmp_path, pool=pool)) == 2
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +114,7 @@ class TestRunMany:
 
 
 def _boom_worker(payload):
-    index, config_dict, max_events = payload
+    index, config_dict = payload
     if config_dict["seed"] == 1:
         raise ValueError("injected failure")
     from repro.exec.pool import _execute
@@ -126,7 +125,7 @@ def _boom_worker(payload):
 def _killed_worker(payload):
     import time as _time
 
-    index, config_dict, max_events = payload
+    index, config_dict = payload
     if index == 0:
         os.kill(os.getpid(), signal.SIGKILL)
     # The sweep's other jobs wait for the broken executor to terminate
@@ -170,14 +169,19 @@ class TestFailureIsolation:
 
 class TestWorkerPool:
     def test_shared_pool_is_reused_across_calls(self):
+        dicts = [cfg.to_dict() for cfg in _configs(2)]
+
+        def batch(pool):
+            futures = [pool.submit(d, index=i) for i, d in enumerate(dicts)]
+            return [future.result()[:2] for future in futures]
+
         with WorkerPool(2) as pool:
-            first = run_many(_configs(2), pool=pool)
+            first = batch(pool)
             executor = pool._executor
             assert executor is not None
-            second = run_many(_configs(2), pool=pool)
+            second = batch(pool)
             assert pool._executor is executor  # same processes, reused
-        for a, b in zip(first, second):
-            assert a.to_json() == b.to_json()
+        assert first == second == [(i, r.to_json()) for i, r in enumerate(run_many(dicts))]
 
     def test_direct_submit_speaks_worker_protocol(self):
         cfg = _configs(1)[0]
@@ -213,17 +217,25 @@ class TestWorkerDeath:
         store = ArtifactStore(tmp_path / "store")
         # Workers abandoned by earlier timeout tests may still be alive.
         before = set(multiprocessing.active_children())
+        killed = run_many(
+            configs,
+            jobs=2,
+            store=store,
+            return_exceptions=True,
+            _worker=_killed_worker,
+        )
+        assert all(isinstance(slot, JobFailure) for slot in killed)
+        assert store.get(killed[0].fingerprint) is None
+        # A shared pool outlives the death: the next submission starts
+        # a fresh executor instead of failing too.  (One doomed job: a
+        # second one submitted after the death was noticed would land
+        # on the fresh executor and run.)
+        dicts = [cfg.to_dict() for cfg in configs]
         with WorkerPool(2) as pool:
-            killed = run_many(
-                configs,
-                pool=pool,
-                store=store,
-                return_exceptions=True,
-                _worker=_killed_worker,
-            )
-            assert all(isinstance(slot, JobFailure) for slot in killed)
-            assert store.get(killed[0].fingerprint) is None
-            again = run_many(configs, pool=pool, return_exceptions=True)
+            doomed = pool.submit(dicts[0], index=0, _worker=_killed_worker)
+            with pytest.raises(BrokenProcessPool):
+                doomed.result()
+            again = [pool.submit(d, index=i) for i, d in enumerate(dicts)]
+            again = [future.result()[1] for future in again]
         assert set(multiprocessing.active_children()) <= before
-        serial = run_many(configs)
-        assert [r.to_json() for r in again] == [r.to_json() for r in serial]
+        assert again == [r.to_json() for r in run_many(configs)]

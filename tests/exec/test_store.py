@@ -12,7 +12,7 @@ import pytest
 import repro.exec.store as store_mod
 from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
-from repro.exec.store import ArtifactStore, ResultCache
+from repro.exec.store import ArtifactStore
 from repro.uts.params import T3XS, TREES
 from repro.ws.runner import run_uts
 
@@ -75,20 +75,18 @@ class TestLRUEviction:
 
 
 class TestCompatibility:
+    """Two store objects on one root read each other's entries."""
+
     def test_reads_entries_written_by_plain_cache(self, tmp_path, result):
-        assert ResultCache is ArtifactStore
-        cache = ResultCache(tmp_path)
-        cache.put("fp0", result)
-        store = ArtifactStore(tmp_path)
-        hit = store.get("fp0")
+        ArtifactStore(tmp_path).put("fp0", result)
+        hit = ArtifactStore(tmp_path).get("fp0")
         assert hit is not None
         assert hit.to_json() == result.to_json()
 
     def test_plain_cache_reads_store_entries(self, tmp_path, result):
-        assert ResultCache is ArtifactStore
         store = ArtifactStore(tmp_path)
         store.put("fp0", result)
-        assert ResultCache(tmp_path).get("fp0") is not None
+        assert ArtifactStore(tmp_path).get("fp0") is not None
 
 
 @pytest.fixture

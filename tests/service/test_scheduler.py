@@ -29,6 +29,7 @@ class TestFairShare:
         for tag in "abcd":
             sched.push(_job("solo", tag))
         assert _drain_labels(sched) == [f"solo:{t}" for t in "abcd"]
+        assert not sched and len(sched) == 0 and sched.pop() is None
 
     def test_equal_weights_interleave_round_robin(self):
         sched = FairShareScheduler()
@@ -59,15 +60,6 @@ class TestFairShare:
 
 
 class TestQueueOps:
-    def test_drain_empties_everything(self):
-        sched = FairShareScheduler()
-        for client in ("a", "b"):
-            for tag in "01":
-                sched.push(_job(client, tag))
-        drained = sched.drain()
-        assert len(drained) == 4
-        assert not sched and sched.pop() is None
-
     def test_dispatch_accounting(self):
         """One dispatch costs its client one unit of virtual time."""
         sched = FairShareScheduler()

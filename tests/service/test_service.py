@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.core.jobs import JobFailure, JobState
-from repro.errors import ConfigurationError, JobCancelledError, ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.exec.pool import run_many
 from repro.exec.store import ArtifactStore
 from repro.service import SimulationService
@@ -137,42 +137,29 @@ class TestFairShare:
         assert order == [10, 20, 11, 21, 12, 22, 13]
 
 
-class TestCancellation:
-    def test_event_stream_terminates_on_cancel(self):
-        """``close(drain=False)`` fails queued and running jobs alike."""
+class TestShutdown:
+    def test_close_drains_even_when_the_body_raises(self):
+        """Leaving ``async with`` finishes running and queued jobs."""
         running = threading.Event()
-        release = threading.Event()
 
         def runner(config_dict):
             running.set()
-            assert release.wait(timeout=10)
             return _sim(config_dict)
 
         async def main():
             service = SimulationService(1, runner=runner)
-            await service.start()
-            handle = await service.submit([_config(0), _config(1)])
-            events = []
+            with pytest.raises(RuntimeError, match="client gave up"):
+                async with service:
+                    handle = await service.submit([_config(0), _config(1)])
+                    await asyncio.to_thread(running.wait, 10)  # job 0 runs
+                    raise RuntimeError("client gave up")
+            return await asyncio.wait_for(handle.results(), timeout=5), service.stats()
 
-            async def consume():
-                async for event in handle.events():
-                    events.append(event)
-
-            consumer = asyncio.create_task(consume())
-            await asyncio.to_thread(running.wait, 10)  # job 0 is executing
-            await service.close(drain=False)
-            release.set()
-            # The stream must end promptly — this wait_for is the test.
-            await asyncio.wait_for(consumer, timeout=5)
-            results = await asyncio.wait_for(handle.results(), timeout=5)
-            return events, results, service.stats()
-
-        events, results, stats = asyncio.run(main())
-        assert all(isinstance(r, JobFailure) for r in results)
-        assert all(isinstance(r.error, JobCancelledError) for r in results)
-        terminal = [e for e in events if e.state.terminal]
-        assert [e.state for e in terminal] == [JobState.FAILED] * 2
-        assert stats.failed == 2 and stats.executed == 0
+        results, stats = asyncio.run(main())
+        assert [r.to_json() for r in results] == [
+            r.to_json() for r in run_many([_config(0), _config(1)])
+        ]
+        assert stats.executed == 2 and stats.failed == 0 and stats.queued == 0
 
 
 class TestFailureModes:

@@ -51,6 +51,10 @@ class TestPublicSurface:
         ):
             assert name in repro.__all__, name
 
+    def test_legacy_store_name_is_the_store(self):
+        """``ResultCache`` stays only for the frozen ledger's subclass."""
+        assert repro.ResultCache is repro.ArtifactStore
+
     def test_service_package_facade(self):
         import repro.service as service
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.exec.store import ResultCache
+from repro.exec.store import ArtifactStore
 from repro.tournament import PRESETS, run_tournament
 
 
 def test_small_preset_leaderboard_is_golden(tmp_path):
     spec = PRESETS["small"]
-    store = ResultCache(tmp_path / "store")
+    store = ArtifactStore(tmp_path / "store")
 
     cold = run_tournament(spec, jobs=2, store=store)
     assert cold.executed == len(spec.configs()) and cold.cached == 0
@@ -42,6 +42,6 @@ def test_small_preset_leaderboard_is_golden(tmp_path):
 def test_small_preset_independent_of_store(tmp_path):
     """No store at all gives the same leaderboard bytes."""
     spec = PRESETS["small"]
-    stored = run_tournament(spec, store=ResultCache(tmp_path / "s"))
+    stored = run_tournament(spec, store=ArtifactStore(tmp_path / "s"))
     bare = run_tournament(spec, store=None)
     assert stored.leaderboard_json() == bare.leaderboard_json()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import WorkStealingConfig
-from repro.exec.store import ResultCache
+from repro.exec.store import ArtifactStore
 from repro.tournament import PRESETS, TournamentSpec, run_tournament
 from repro.tournament.__main__ import main
 from repro.uts.params import T3XS
@@ -136,7 +136,7 @@ class TestStoreContract:
         ``get`` and ``put``, is handed to the sweep as it is."""
         monkeypatch.chdir(tmp_path)
 
-        class Capture(ResultCache):
+        class Capture(ArtifactStore):
             def __init__(self):
                 super().__init__(root="unused")
                 self.results = []
@@ -211,3 +211,11 @@ class TestCli:
         # ...and the warm rerun must be fully store-served.
         assert main(args + ["--require-cached"]) == 0
         assert os.path.exists(os.path.join(out, "tournament_smoke.json"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bad_jobs_rejected(self, jobs, tmp_path, capsys):
+        out = tmp_path / "art"
+        args = ["--preset", "smoke", "--no-cache", "--out", str(out)]
+        assert main(args + ["--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()

@@ -38,11 +38,6 @@ class TestRunApi:
         with pytest.raises(TypeError):
             run_uts(tree=T3XS)
 
-    def test_custom_baseline(self):
-        r = run_uts(tree=T3XS, nranks=4, baseline_time=1.0)
-        assert r.baseline_time == 1.0
-        assert r.speedup == pytest.approx(1.0 / r.total_time)
-
 
 class TestFinishedRunIsFreed:
     """A finished run must be released by reference counting alone:
