@@ -33,15 +33,17 @@ class ActivityTrace:
     nranks:
         Number of ranks traced.
     transitions:
-        Per-rank ``(times, states)`` arrays; times non-decreasing and
-        states strictly alternating (an active transition follows an
-        inactive one and vice versa).
+        Per-rank ``(times, states)`` arrays, in a tuple; times
+        non-decreasing and states strictly alternating (an active
+        transition follows an inactive one and vice versa).  The
+        arrays are read-only once validated, so the trace stays the
+        one that was checked.
     """
 
     def __init__(self, transitions: list[tuple[np.ndarray, np.ndarray]]):
         if not transitions:
             raise TraceError("trace must cover at least one rank")
-        self.transitions = []
+        checked = []
         for rank, (times, states) in enumerate(transitions):
             times = np.asarray(times, dtype=np.float64)
             states = np.asarray(states, dtype=bool)
@@ -60,7 +62,10 @@ class ActivityTrace:
                 raise TraceError(f"rank {rank}: times not sorted")
             if states.size > 1 and np.any(states[1:] == states[:-1]):
                 raise TraceError(f"rank {rank}: states do not alternate")
-            self.transitions.append((times, states))
+            times.flags.writeable = False
+            states.flags.writeable = False
+            checked.append((times, states))
+        self.transitions = tuple(checked)
         self.nranks = len(self.transitions)
 
     @classmethod

@@ -6,7 +6,7 @@
 over a ``ProcessPoolExecutor``, with
 
 * **fingerprint deduplication** — identical configs in one batch run
-  once and share the result object;
+  once and share the (immutable) result object;
 * **result caching** — an optional
   :class:`~repro.exec.store.ArtifactStore` is consulted before and
   populated after every simulation;
@@ -17,7 +17,8 @@ over a ``ProcessPoolExecutor``, with
   of unwinding the whole batch;
 * **pool reuse** — a :class:`WorkerPool` is reentrant and survives
   a worker's death, so the simulation service keeps one alive for its
-  whole lifetime; :func:`run_many` starts one per parallel call;
+  whole lifetime; :func:`run_many` starts one executor per parallel
+  call, and a worker's death fails that call's every job;
 * **bit-identical results** — configs are shipped to workers as plain
   dicts and results return as JSON, the same serialization single runs
   and the cache use.  Every random seed lives inside the config, so a
@@ -95,9 +96,9 @@ def _execute(payload: tuple[int, dict]) -> tuple[int, str, float]:
 class WorkerPool:
     """Reusable process pool speaking the :mod:`repro.exec` worker protocol.
 
-    :func:`run_many` creates a throwaway pool per parallel call; a
-    long-lived caller (the simulation service) keeps one ``WorkerPool``
-    alive instead so worker processes are spawned once and reused.
+    A long-lived caller (the simulation service) keeps one
+    ``WorkerPool`` alive so worker processes are spawned once and
+    reused.
     The pool is reentrant: any number of direct :meth:`submit`\\ s may
     share it concurrently — the underlying executor serialises
     scheduling.
@@ -134,7 +135,8 @@ class WorkerPool:
 
         Returns a future of the worker protocol's
         ``(index, result_json, elapsed)`` tuple.  ``_worker``
-        is :func:`run_many`'s test seam, passed through.
+        replaces :func:`_execute`, as in :func:`run_many` (a test
+        seam).
 
         A worker process that died (killed, out of memory) breaks its
         executor for good: the jobs it had fail, and the next submission
@@ -147,10 +149,11 @@ class WorkerPool:
             self.shutdown()
             return self._ensure().submit(_worker or _execute, payload)
 
-    def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
-        """Stop the executor; the pool can be reused afterwards (lazily)."""
+    def shutdown(self) -> None:
+        """Stop the executor once its jobs are done; the pool can be
+        reused afterwards (lazily)."""
         if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=cancel_pending)
+            self._executor.shutdown()
             self._executor = None
 
     def __enter__(self) -> "WorkerPool":
@@ -346,14 +349,25 @@ def _run_on_pool(
     complete: Callable,
     fail: Callable,
 ) -> None:
-    """Execute ``pending`` payloads on a pool of its own."""
-    pool = WorkerPool(workers)
+    """Execute ``pending`` payloads on one executor of their own.
+
+    The whole sweep goes to that one executor: a worker's death breaks
+    it, and every job of the sweep fails, whether it was submitted
+    before the death was noticed or after (no restart, unlike
+    :meth:`WorkerPool.submit`).
+    """
+    executor = ProcessPoolExecutor(max_workers=workers)
     abandoned = False
     try:
-        futures: dict[Future, int] = {
-            pool.submit(config_dict, index=index, _worker=worker): index
-            for index, config_dict in pending
-        }
+        futures: dict[Future, int] = {}
+        for index, config_dict in pending:
+            try:
+                futures[executor.submit(worker, (index, config_dict))] = index
+            except BrokenProcessPool as exc:
+                if not return_exceptions:
+                    abandoned = bool(futures)
+                    raise
+                fail(index, exc, 0.0)
         waiting = set(futures)
         while waiting:
             finished, _ = _futures_wait(waiting, return_when=FIRST_COMPLETED)
@@ -371,5 +385,5 @@ def _run_on_pool(
                     complete(*payload)
     finally:
         # Jobs still running when an error propagates must not wedge
-        # the caller: drop the pool without waiting for them.
-        pool.shutdown(wait=not abandoned, cancel_pending=abandoned)
+        # the caller: drop the executor without waiting for them.
+        executor.shutdown(wait=not abandoned, cancel_futures=abandoned)

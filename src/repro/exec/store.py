@@ -13,11 +13,12 @@ Layout (see DESIGN.md §5b, "Store")::
 * **LRU eviction** — an optional byte budget (``max_bytes``); reads
   refresh an entry's recency (mtime), writes trigger eviction of the
   least-recently-used entries until the store fits the budget;
-* **memo** — each store object keeps the decoded results it has read,
-  keyed by fingerprint and checked against the file's ``(inode, size,
-  mtime)`` on every hit, so a warm hit is a ``stat`` and a ``utime``,
-  not a parse.  It is an LRU of at most :data:`_MEMO_BYTES` entry
-  bytes;
+* **memo** — each store object keeps the results it has read, keyed
+  by fingerprint and checked against the file's ``(inode, size,
+  mtime)`` on every hit, so a warm hit is a ``stat`` and a ``utime``
+  that return the kept (immutable) :class:`~repro.ws.results.RunResult`,
+  not a parse or a decode.  It is an LRU of at most :data:`_MEMO_BYTES`
+  entry bytes;
 * **versioning** — results live under a per-version directory, so
   bumping ``repro.__version__`` invalidates every stored point without
   touching fingerprints.
@@ -58,9 +59,9 @@ __all__ = [
 #: ``REPRO_CACHE_DIR`` environment variable.
 DEFAULT_CACHE_DIR = "benchmarks/_cache"
 
-#: Summed entry bytes (file sizes) of the decoded results one store
-#: object keeps in memory.  A decoded entry holds about 1.6-1.9x its
-#: file bytes (DESIGN.md §5b, "Store").
+#: Summed entry bytes (file sizes) of the results one store object
+#: keeps in memory.  A kept RunResult holds about 0.5-0.8x its file
+#: bytes (DESIGN.md §5b, "Store memo").
 _MEMO_BYTES = 16 * 2**20
 
 
@@ -110,11 +111,11 @@ class ArtifactStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self._dir = os.path.join(self.root, __version__)
-        #: fingerprint -> ((st_ino, st_size, st_mtime_ns), result data),
+        #: fingerprint -> ((st_ino, st_size, st_mtime_ns), result),
         #: least recently served first.
-        self._memo: OrderedDict[str, tuple[tuple[int, int, int], dict]] = (
-            OrderedDict()
-        )
+        self._memo: OrderedDict[
+            str, tuple[tuple[int, int, int], RunResult]
+        ] = OrderedDict()
         self._memo_bytes = 0
 
     @property
@@ -141,20 +142,23 @@ class ArtifactStore:
         while its file's ``(inode, size, mtime)`` is the one the last
         hit left: the hit's ``utime`` sets the mtime and records it.
         Any other file — replaced, rewritten, evicted, touched by
-        another store — is read again.  Every hit builds a fresh
-        :class:`RunResult`.
+        another store — is read again.  A memo hit returns the same
+        :class:`RunResult` object as the read it came from; results are
+        immutable, so no holder can change what another sees.
         """
         path = os.path.join(self._dir, fingerprint + ".json")
         memo = self._forget(fingerprint)
         if memo is not None:
-            signature, data = memo
+            signature, result = memo
             try:
                 st = os.stat(path)
                 if (st.st_ino, st.st_size, st.st_mtime_ns) == signature:
                     now = time.time_ns()
                     os.utime(path, ns=(now, now))
-                    self._remember(fingerprint, (st.st_ino, st.st_size, now), data)
-                    return RunResult.from_dict(data)
+                    self._remember(
+                        fingerprint, (st.st_ino, st.st_size, now), result
+                    )
+                    return result
             except OSError:
                 pass
         return self._read(fingerprint, path)
@@ -175,9 +179,8 @@ class ArtifactStore:
             or "result" not in entry
         ):
             return None
-        data = entry["result"]
         try:
-            result = RunResult.from_dict(data)
+            result = RunResult.from_dict(entry["result"])
         except Exception:
             return None
         now = time.time_ns()
@@ -185,7 +188,7 @@ class ArtifactStore:
             os.utime(path, ns=(now, now))
         except OSError:
             return result  # an entry it cannot touch is read every time
-        self._remember(fingerprint, (st.st_ino, st.st_size, now), data)
+        self._remember(fingerprint, (st.st_ino, st.st_size, now), result)
         return result
 
     def put(
@@ -254,11 +257,14 @@ class ArtifactStore:
     # ------------------------------------------------------------------
 
     def _remember(
-        self, fingerprint: str, signature: tuple[int, int, int], data: dict
+        self,
+        fingerprint: str,
+        signature: tuple[int, int, int],
+        result: RunResult,
     ) -> None:
-        """Memoise ``data``, then drop the least recently served entries
+        """Memoise ``result``, then drop the least recently served entries
         until the memo holds at most :data:`_MEMO_BYTES` entry bytes."""
-        self._memo[fingerprint] = (signature, data)
+        self._memo[fingerprint] = (signature, result)
         self._memo_bytes += signature[1]
         while self._memo_bytes > _MEMO_BYTES:
             (_, size, _), _ = self._memo.popitem(last=False)[1]

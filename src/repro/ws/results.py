@@ -38,9 +38,17 @@ __all__ = ["RunResult"]
 _SESSION_FIELDS = tuple(f.name for f in fields(SessionStats))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Everything the paper measures, for one run."""
+    """Everything the paper measures, for one run.
+
+    An immutable value: its fields cannot be assigned and its arrays
+    (the per-rank counts and the activity trace's) are read-only, so
+    one object may be handed to every holder of the same run (store
+    memo hits, :func:`~repro.exec.pool.run_many`'s deduplicated slots,
+    a service join) without any of them changing what the others see.
+    Equality is identity: distinct results compare by :meth:`to_json`.
+    """
 
     label: str
     tree_name: str
@@ -82,6 +90,11 @@ class RunResult:
     #: results therefore round-trip without them.
     events: "object | None" = field(default=None, repr=False)
     _profile: LatencyProfile | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # The trace's arrays are read-only from its construction.
+        self.per_rank_nodes.flags.writeable = False
+        self.per_rank_search_time.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Paper headline numbers
@@ -131,8 +144,10 @@ class RunResult:
             )
         if occupancies is None:
             if self._profile is None:
-                self._profile = latency_profile(
-                    self.trace, self.nranks, self.total_time
+                object.__setattr__(
+                    self,
+                    "_profile",
+                    latency_profile(self.trace, self.nranks, self.total_time),
                 )
             return self._profile
         return latency_profile(

@@ -6,11 +6,15 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.config import WorkStealingConfig
+import repro.exec.pool as pool_mod
+
 from repro.core.jobs import JobFailure
 from repro.errors import ConfigurationError
 from repro.exec.pool import RunProgress, WorkerPool, run_many
@@ -136,6 +140,27 @@ def _killed_worker(payload):
     return _execute(payload)
 
 
+def _killed_first_worker(payload):
+    if payload[0] == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    from repro.exec.pool import _execute
+
+    return _execute(payload)
+
+
+class _DeathSeenFirst(ProcessPoolExecutor):
+    """An executor whose first submission returns only once its future
+    is done: a death in the first job is noticed before the next job is
+    submitted."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        if not getattr(self, "_held", False):
+            self._held = True
+            futures_wait([future])
+        return future
+
+
 class TestFailureIsolation:
     def test_worker_exception_raises_by_default(self):
         with pytest.raises(ValueError, match="injected failure"):
@@ -239,3 +264,23 @@ class TestWorkerDeath:
             again = [future.result()[1] for future in again]
         assert set(multiprocessing.active_children()) <= before
         assert again == [r.to_json() for r in run_many(configs)]
+
+    def test_death_seen_before_the_rest_is_submitted(
+        self, tmp_path, monkeypatch, time_limit
+    ):
+        # The order a fast death makes: jobs 1 and 2 are submitted to
+        # an executor already known to be broken.  They fail with the
+        # sweep; they do not run on a fresh executor.
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", _DeathSeenFirst)
+        configs = _configs(3)
+        store = ArtifactStore(tmp_path / "store")
+        killed = run_many(
+            configs,
+            jobs=2,
+            store=store,
+            return_exceptions=True,
+            _worker=_killed_first_worker,
+        )
+        assert all(isinstance(slot, JobFailure) for slot in killed)
+        assert all(isinstance(slot.error, BrokenProcessPool) for slot in killed)
+        assert all(store.get(cfg.fingerprint()) is None for cfg in configs)

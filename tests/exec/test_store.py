@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +14,7 @@ from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
 from repro.exec.store import ArtifactStore
 from repro.uts.params import T3XS, TREES
+from repro.ws.results import RunResult
 from repro.ws.runner import run_uts
 
 
@@ -104,6 +105,20 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count the results the store decodes from their dicts."""
+    calls = []
+    original = RunResult.from_dict.__func__
+
+    def from_dict(cls, data):
+        calls.append(data["label"])
+        return original(cls, data)
+
+    monkeypatch.setattr(RunResult, "from_dict", classmethod(from_dict))
+    return calls
+
+
 class TestMemo:
     def test_a_warm_hit_does_not_parse(self, tmp_path, result, parses):
         store = ArtifactStore(tmp_path)
@@ -112,19 +127,34 @@ class TestMemo:
         assert len(parses) == 1
         assert all(hit.to_json() == result.to_json() for hit in hits)
 
-    def test_mutating_a_hit_does_not_change_the_next(self, tmp_path, result, parses):
+    def test_a_warm_hit_is_the_kept_object(self, tmp_path, result, parses, decodes):
         store = ArtifactStore(tmp_path)
         store.put("fp0", result)
-        first = store.get("fp0")
-        second = store.get("fp0")
-        assert second is not first and second.sessions is not first.sessions
-        for hit in (first, second):
+        hits = [store.get("fp0") for _ in range(3)]
+        assert hits[0] is hits[1] is hits[2]
+        assert len(parses) == len(decodes) == 1  # the cold read only
+        # Another store object on the same root decodes its own.
+        other = ArtifactStore(tmp_path).get("fp0")
+        assert other is not hits[0] and len(decodes) == 2
+        assert other.to_json() == hits[0].to_json()
+
+    def test_a_hit_cannot_be_mutated_and_the_next_hit_has_the_cold_bytes(
+        self, tmp_path, result, parses
+    ):
+        store = ArtifactStore(tmp_path)
+        store.put("fp0", result)
+        cold = store.get("fp0").to_json()
+        hit = store.get("fp0")
+        with pytest.raises(ValueError, match="read-only"):
             hit.per_rank_nodes[0] += 1000
+        with pytest.raises(ValueError, match="read-only"):
             hit.per_rank_search_time[:] = -1.0
-            object.__setattr__(hit.sessions, "count", -1)
-        third = store.get("fp0")
-        assert len(parses) == 1  # second and third came from the memo
-        assert third.to_json() == result.to_json()
+        with pytest.raises(FrozenInstanceError):
+            hit.sessions.count = -1
+        with pytest.raises(FrozenInstanceError):
+            hit.total_nodes = 0
+        assert len(parses) == 1  # every hit after the first came from the memo
+        assert store.get("fp0").to_json() == cold == result.to_json()
 
     def test_another_stores_overwrite_is_read(self, tmp_path, result):
         other = run_uts(WorkStealingConfig(tree=T3XS, nranks=8))
