@@ -22,8 +22,9 @@ and the plain queue of ``tests/sim/oracle.py`` pop the same sequence,
 and lets the two be compared byte for byte.
 
 One EXEC event is one quantum: the paper's Algorithm 1 polls between
-every ``poll_interval`` node expansions.  The tree is walked once per
-run into a :class:`~repro.uts.tree.TreeTable`, so a quantum reads child
+every ``poll_interval`` node expansions.  A tree is walked once per
+process into a :class:`~repro.uts.tree.TreeTable` (held for the next run
+by :func:`~repro.uts.tree.tree_table`), so a quantum reads child
 index ranges instead of hashing RNG states, and a pop of consecutive
 indices (nodes are numbered breadth-first) extends the stack by one
 range (DESIGN.md §5d).
@@ -108,7 +109,7 @@ from repro.protocol.messages import (
 )
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.trace.events import EV_TOKEN
-from repro.uts.tree import TreeGenerator, TreeTable
+from repro.uts.tree import tree_table
 
 __all__ = [
     "DEFAULT_MAX_EVENTS",
@@ -251,9 +252,7 @@ class Cluster:
             else None
         )
 
-        tree = TreeTable(
-            TreeGenerator(config.tree, config.rng_backend), config.node_cap
-        )
+        tree = tree_table(config.tree, config.rng_backend, config.node_cap)
         # Child index ranges: a quantum reads them without a call.
         self._first = tree._first
         plan = build_plan(config, self.placement)

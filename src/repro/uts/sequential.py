@@ -13,7 +13,9 @@ The sequential count serves three purposes:
 
 It reads the counts off :class:`~repro.uts.tree.TreeTable`, the same
 breadth-first walk the simulator expands, so there is one walk of a
-tree to trust.
+tree to trust.  It builds its own table, never the one
+:func:`~repro.uts.tree.tree_table` holds for the simulator: it is the
+independent count a run's node total is checked against.
 """
 
 from __future__ import annotations

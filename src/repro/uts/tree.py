@@ -24,7 +24,9 @@ size, depth and leaves.
 
 Both answer the simulator's two calls: ``root()``, the node rank 0
 starts with, and ``expand(nodes)``, the children of a quantum's nodes
-as one parent-major list.
+as one parent-major list.  :func:`tree_table` is how the simulator gets
+its table: a process holds the last one it built, so a sweep over one
+tree walks it once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.uts.params import TreeParams
 from repro.uts.rng import UINT31_MAX, RngBackend, SplitMix64Backend
 
-__all__ = ["MAX_GEO_CHILDREN", "TreeGenerator", "TreeTable"]
+__all__ = ["MAX_GEO_CHILDREN", "TreeGenerator", "TreeTable", "tree_table"]
 
 #: Safety cap on geometric child counts (UTS uses MAXNUMCHILDREN=100).
 MAX_GEO_CHILDREN = 100
@@ -259,10 +261,11 @@ class TreeTable:
     Cost: one offset per node (int32; int64 once the tree passes
     ``2**31 - 1`` nodes), appended level by level, so the build never
     holds more than one level's arrays beside the table.  A tree past
-    ``node_cap`` raises while it is built.
+    ``node_cap`` raises while it is built.  The offsets are read-only:
+    one table serves every run of its tree in a process.
     """
 
-    __slots__ = ("_first", "depth")
+    __slots__ = ("_first", "depth", "__weakref__")
 
     def __init__(self, generator: TreeGenerator, node_cap: int):
         state, depth = generator.root()
@@ -283,7 +286,7 @@ class TreeTable:
             if size > _INT32_MAX and first.typecode == "i":
                 first = array("q", first)
             first.frombytes(ends.astype(first.typecode).tobytes())
-        self._first = memoryview(first)
+        self._first = memoryview(first).toreadonly()
 
     def __len__(self) -> int:
         """Number of nodes in the tree."""
@@ -306,3 +309,29 @@ class TreeTable:
         for i in nodes:
             kids += range(first[i], first[i + 1])
         return kids
+
+
+#: The last table :func:`tree_table` built, under its key.
+_held: dict = {}
+
+
+def tree_table(
+    params: TreeParams, backend: RngBackend | None, node_cap: int
+) -> TreeTable:
+    """The table of ``params`` under ``backend``, held for the next run.
+
+    The process keeps one table, keyed on ``(params, type(backend),
+    backend.name)`` (``None`` is SplitMix64); a new key drops it before
+    building, so the process never holds two.  ``node_cap`` bounds the
+    tree, not the key: a held table past the cap raises what its build
+    would have raised.
+    """
+    generator = TreeGenerator(params, backend)
+    key = (params, type(generator.backend), generator.backend.name)
+    table = _held.get(key)
+    if table is None:
+        _held.clear()
+        table = _held[key] = TreeTable(generator, node_cap)
+    if len(table) > node_cap:
+        raise SimulationError(f"run exceeded node cap {node_cap}")
+    return table

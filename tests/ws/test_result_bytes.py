@@ -8,6 +8,10 @@ past, so a refactor of how a worker records its idle time or how the
 result layer derives the activity trace, the session statistics and
 the search times cannot move a byte unnoticed.
 
+Each probe runs twice in one process: cold, with no tree table held,
+and warm, reading the table the cold run left
+(:func:`repro.uts.tree.tree_table`); both must give the pinned bytes.
+
 A pin that fails after an intended physics change is re-recorded by
 printing ``_digest(PROBES[name])`` for every probe.
 """
@@ -18,6 +22,7 @@ import hashlib
 
 import pytest
 
+import repro.uts.tree as tree_mod
 from repro.uts.params import T3S, T3XS
 from repro.ws import run_uts
 
@@ -72,8 +77,12 @@ def _digest(kw: dict) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
-def test_result_bytes_are_pinned(name):
+def test_result_bytes_are_pinned(name, monkeypatch):
+    monkeypatch.setattr(tree_mod, "_held", {})
     assert _digest(PROBES[name]) == PINS[name]
+    held = dict(tree_mod._held)
+    assert _digest(PROBES[name]) == PINS[name]
+    assert tree_mod._held == held and len(held) == 1
 
 
 #: SHA-256 of ``result.events.canonical_bytes()`` for three NIC-off
