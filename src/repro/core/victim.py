@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 
 import numpy as np
 
@@ -109,6 +110,95 @@ class SelectorFactory(ABC):
 def _rank_rng(seed: int, rank: int) -> np.random.Generator:
     """Independent, reproducible per-rank RNG stream."""
     return np.random.default_rng(np.random.SeedSequence([seed, rank]))
+
+
+#: Raw 64-bit outputs a :class:`_DrawStream` reads per refill.
+_RAW_BLOCK = 64
+_U32 = 0xFFFFFFFF
+
+
+class _DrawStream:
+    """``Generator.random()`` and ``Generator.integers(0, n)``, one
+    scalar at a time, without a numpy call per draw.
+
+    A numpy scalar draw costs about 2 us of call overhead; this stream
+    reads the PCG64 bit generator's raw output ``_RAW_BLOCK`` words at
+    a time (``random_raw``, copied into an ``array('Q')``: as fast to
+    index as a ``memoryview`` of it, without the 384 bytes a view and
+    numpy's buffer export hold per stream) and applies numpy's own
+    transforms in Python, so the values, and the order in which they
+    consume the bit stream, are the Generator's:
+
+    * ``random()`` is ``next_double``: ``(u64 >> 11) * 2**-53``;
+    * ``integers(n)`` is ``random_bounded_uint64_fill`` for one value
+      of range ``n - 1``: no draw when ``n == 1``, one ``next_uint32``
+      when ``n == 2**32``, Lemire's rejection on ``next_uint32``
+      otherwise.  ``next_uint32`` returns the low half of a fresh word
+      and keeps the high half for the next call (PCG64's
+      ``has_uint32``/``uinteger``, taken from ``bit_generator.state``
+      here and carried across ``random()`` calls as numpy does).
+
+    The stream owns the generator: the raw words it has read ahead are
+    gone from the generator's own stream.  ``tests/core/
+    test_draw_stream.py`` pins it to ``Generator``'s scalar calls.
+    """
+
+    __slots__ = ("_raw", "_buf", "_pos", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(
+                f"a draw stream reads PCG64, not {state['bit_generator']}"
+            )
+        self._raw = bitgen.random_raw
+        self._buf = array("Q")
+        self._pos = 0
+        #: The kept high half-word, or None (``has_uint32 == 0``).
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _refill(self) -> array:
+        buf = self._buf = array("Q", self._raw(_RAW_BLOCK).tobytes())
+        return buf
+
+    def random(self) -> float:
+        """``Generator.random()``: a float in ``[0, 1)``."""
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf, pos = self._refill(), 0
+        self._pos = pos + 1
+        return (buf[pos] >> 11) * 2.0**-53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf, pos = self._refill(), 0
+        self._pos = pos + 1
+        word = buf[pos]
+        self._half = word >> 32
+        return word & _U32
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(0, n)`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if n > _U32:
+            return m >> 32
+        leftover = m & _U32
+        if leftover < n:
+            threshold = (_U32 + 1 - n) % n
+            while leftover < threshold:
+                m = self._next32() * n
+                leftover = m & _U32
+        return m >> 32
 
 
 # ----------------------------------------------------------------------

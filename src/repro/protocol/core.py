@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.core import registry
 from repro.core.steal_policy import StealPolicy
-from repro.core.victim import VictimSelector
+from repro.core.victim import VictimSelector, _DrawStream
 from repro.errors import SimulationError
 from repro.protocol import graphs  # noqa: F401  (registers the lifeline graphs)
 from repro.protocol.messages import (
@@ -204,7 +204,6 @@ class Worker:
         "nodes_processed",
         "finish_time",
         "pending",
-        "plain_serve",
         "_nodes",
         "_chunk_size",
         "_expand",
@@ -235,7 +234,7 @@ class Worker:
         # Locality regions.
         "_region_peers",
         "_region_attempts",
-        "_region_rng",
+        "_region_draw",
         # Lifelines.
         "_lifelines",
         "lifeline_threshold",
@@ -299,11 +298,6 @@ class Worker:
         #: Queued steal requests/forwards as ``(tag, src, body)``,
         #: answered at poll boundaries.
         self.pending: list = []
-        #: True when ``serve_pending`` is a no-op on an empty queue, so
-        #: ``on_exec`` may skip it.  Lifeline workers push
-        #: spontaneously to armed waiters; forwarding and regions add
-        #: no spontaneous serving.
-        self.plain_serve = not plan.lifelines
 
         # Caches for the per-quantum path.  The stack's node list, the
         # generator and the transport are fixed for the worker's
@@ -344,16 +338,13 @@ class Worker:
         if regions is not None and nranks > 1:
             peers = regions.peers(rank)
             self._region_peers = peers if peers else None
-            self._region_rng = (
-                np.random.default_rng(
-                    np.random.SeedSequence([plan.seed, rank, _REGION_STREAM])
-                )
-                if peers
-                else None
+            seq = np.random.SeedSequence([plan.seed, rank, _REGION_STREAM])
+            self._region_draw = (
+                _DrawStream(np.random.default_rng(seq)) if peers else None
             )
         else:
             self._region_peers = None
-            self._region_rng = None
+            self._region_draw = None
         self._region_attempts = plan.region_attempts
 
         self._lifelines = plan.lifelines
@@ -384,10 +375,12 @@ class Worker:
             raise SimulationError(
                 f"rank {self.rank}: EXEC while {self.status.name}"
             )
-        if self.plain_serve and not self.pending:
-            t = now
-        else:
+        # ``serve_pending`` is a no-op with nothing queued and no armed
+        # lifeline waiter (only lifeline ranks ever have one).
+        if self.pending or self.waiters:
             t = self.serve_pending(now)
+        else:
+            t = now
         nodes = self._nodes
         if nodes:
             # One quantum: pop, expand, push.  When the top chunk holds
@@ -588,7 +581,7 @@ class Worker:
             and self._session_attempts < self._region_attempts
         ):
             peers = self._region_peers
-            return peers[int(self._region_rng.integers(len(peers)))]
+            return peers[self._region_draw.integers(len(peers))]
         assert self.selector is not None
         return self.selector.next_victim()
 

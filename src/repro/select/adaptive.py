@@ -46,12 +46,20 @@ suite (finite, non-negative, self-weight zero, sums to one).
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right, insort
+from collections import deque
 
 import numpy as np
 
 from repro.core.registry import Registry, registry_for
 from repro.core.steal_policy import StealPolicy
-from repro.core.victim import SelectorFactory, VictimSelector, _rank_rng
+from repro.core.victim import (
+    SelectorFactory,
+    VictimSelector,
+    _DrawStream,
+    _rank_rng,
+)
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -61,6 +69,12 @@ __all__ = [
     "FailureBackoffSelector",
     "AdaptiveStealPolicy",
 ]
+
+
+def _ranks(values: np.ndarray) -> array:
+    """Integers as a flat ``array('q')``: indexing it gives a Python
+    int, and it holds no numpy buffer export."""
+    return array("q", values.astype(np.int64).tobytes())
 
 
 class AdaptiveVictimSelector(VictimSelector):
@@ -92,9 +106,9 @@ class _EpsilonGreedyState(AdaptiveVictimSelector):
         self._rank = rank
         self._nranks = nranks
         self._eps = eps
-        self._rng = rng
-        self._others = np.array([r for r in range(nranks) if r != rank])
-        d = np.asarray(distances, dtype=np.float64)[self._others]
+        self._draw = _DrawStream(rng)
+        others = np.array([r for r in range(nranks) if r != rank])
+        d = np.asarray(distances, dtype=np.float64)[others]
         # Quartile edges over the caller's distance row; np.unique
         # collapses degenerate quartiles (small jobs, co-located ranks)
         # so bands are never empty.
@@ -102,39 +116,43 @@ class _EpsilonGreedyState(AdaptiveVictimSelector):
         raw = np.searchsorted(edges, d, side="left")
         used = np.unique(raw)
         compact = np.searchsorted(used, raw)  # contiguous band ids
-        self._nbands = int(used.size)
-        self._members = [
-            self._others[compact == b] for b in range(self._nbands)
-        ]
+        self._all = _ranks(others)
+        self._pools = [_ranks(others[compact == b]) for b in range(used.size)]
         # band id per rank (self = -1), for O(1) notify.
-        self._band_of = np.full(nranks, -1, dtype=np.int64)
-        self._band_of[self._others] = compact
+        band_of = np.full(nranks, -1)
+        band_of[others] = compact
+        self._band_of = _ranks(band_of)
         # Laplace prior: one success in two attempts per band, so every
         # band starts at rate 0.5 and a single failure cannot zero it.
-        self._succ = np.full(self._nbands, 1.0)
-        self._att = np.full(self._nbands, 2.0)
-
-    def _best_band(self) -> int:
-        # argmax breaks ties toward the lowest index == nearest band
-        # (bands are built in ascending distance order).
-        return int(np.argmax(self._succ / self._att))
+        self._succ = [1.0] * used.size
+        self._att = [2.0] * used.size
+        self._rate = [0.5] * used.size
+        self._best = 0
 
     def next_victim(self) -> int:
-        explore = self._rng.random() < self._eps
-        pool = self._others if explore else self._members[self._best_band()]
-        return int(pool[self._rng.integers(0, pool.size)])
+        draw = self._draw
+        explore = draw.random() < self._eps
+        pool = self._all if explore else self._pools[self._best]
+        return pool[draw.integers(len(pool))]
 
     def notify(self, victim: int, success: bool) -> None:
         if not 0 <= victim < self._nranks or victim == self._rank:
             return
         b = self._band_of[victim]
-        self._succ[b] += 1.0 if success else 0.0
+        if success:
+            self._succ[b] += 1.0
         self._att[b] += 1.0
+        rate = self._rate
+        rate[b] = self._succ[b] / self._att[b]
+        # The first maximum, as ``np.argmax`` picks: ties go to the
+        # nearest band (bands are built in ascending distance order).
+        self._best = rate.index(max(rate))
 
     def sampling_weights(self) -> np.ndarray:
+        others = np.frombuffer(self._all, dtype=np.int64)
+        best = np.frombuffer(self._pools[self._best], dtype=np.int64)
         w = np.zeros(self._nranks)
-        w[self._others] = self._eps / self._others.size
-        best = self._members[self._best_band()]
+        w[others] = self._eps / others.size
         w[best] += (1.0 - self._eps) / best.size
         return w
 
@@ -172,47 +190,68 @@ _SR_FLOOR = 0.05
 
 
 class _SuccessRateState(AdaptiveVictimSelector):
+    """Draws search the prefix sums of the weights ``score + floor``.
+
+    Both vectors sit one slot right of their rank (``_sums[j]`` is the
+    sum of the first ``j`` weights, ``_sums[0] == 0``).  A notify
+    changes one weight, so only the sums past the lowest victim
+    notified since the last draw are stale; the next draw recomputes
+    those with one ``np.add.accumulate`` seeded with the last good sum
+    (strictly left to right, as the ``np.cumsum`` it replaces), then a
+    bisect keyed on ``sum / total`` — the normalised edge — finds the
+    first edge above the uniform draw ``u``: the victims are
+    ``searchsorted(cumsum / total, u, side="right")`` bit for bit, and
+    the last edge is ``total / total == 1.0`` exactly.
+    """
+
     def __init__(
         self, rank: int, nranks: int, decay: float, rng: np.random.Generator
     ):
         self._rank = rank
         self._nranks = nranks
         self._decay = decay
-        self._rng = rng
-        self._scores = np.full(nranks, 0.5)
+        self._gain = 1.0 - decay
+        self._draw = _DrawStream(rng)
+        self._scores = array("d", [0.5]) * nranks
         self._scores[rank] = 0.0
-        self._cum: np.ndarray | None = None  # rebuilt when dirty
-
-    def _weights(self) -> np.ndarray:
-        w = self._scores + _SR_FLOOR
-        w[self._rank] = 0.0
-        return w
+        self._weights = np.full(nranks + 1, 0.5 + _SR_FLOOR)
+        self._weights[rank + 1] = 0.0
+        self._w = memoryview(self._weights)
+        self._sums = np.zeros(nranks + 1)
+        self._s = memoryview(self._sums)
+        self._stale = 0  # _sums[j] is good for j <= _stale
 
     def next_victim(self) -> int:
-        if self._cum is None:
-            cum = np.cumsum(self._weights())
-            cum /= cum[-1]
-            # Pin the top edge (draws live in [0, 1)); same fp guard as
-            # the static _SkewedState.
-            cum[-1] = 1.0
-            self._cum = cum
-        # searchsorted(side="right") can never land on the caller's own
-        # zero-width bin: cum[rank] == cum[rank - 1].
-        return int(
-            np.searchsorted(self._cum, self._rng.random(), side="right")
-        )
+        lo = self._stale
+        n = self._nranks
+        if lo < n:
+            # The slot before the stale weights briefly holds the last
+            # good sum, so the accumulate starts from it.
+            w = self._w
+            kept = w[lo]
+            w[lo] = self._s[lo]
+            np.add.accumulate(self._weights[lo:], out=self._sums[lo:])
+            w[lo] = kept
+            self._stale = n
+        sums = self._s
+        u = self._draw.random()
+        # The caller's own bin has zero width (its sum equals the one
+        # before), so the search never lands on it.
+        return bisect_right(sums, u, 1, key=sums[n].__rtruediv__) - 1
 
     def notify(self, victim: int, success: bool) -> None:
         if not 0 <= victim < self._nranks or victim == self._rank:
             return
-        outcome = 1.0 if success else 0.0
-        self._scores[victim] = (
-            self._decay * self._scores[victim] + (1.0 - self._decay) * outcome
+        score = self._decay * self._scores[victim] + (
+            self._gain if success else 0.0
         )
-        self._cum = None
+        self._scores[victim] = score
+        self._w[victim + 1] = score + _SR_FLOOR
+        if victim < self._stale:
+            self._stale = victim
 
     def sampling_weights(self) -> np.ndarray:
-        w = self._weights()
+        w = self._weights[1:]
         return w / w.sum()
 
 
@@ -236,6 +275,18 @@ class SuccessRateSelector(SelectorFactory):
 
 
 class _FailureBackoffState(AdaptiveVictimSelector):
+    """Uniform over a kept pool of the eligible ranks.
+
+    ``_until[v]`` is the draw from which a demoted ``v`` is eligible
+    again, and 0 exactly when ``v`` is in the pool (ascending, as the
+    mask it replaces gave).  A demotion takes ``v`` out and queues its
+    expiry; expiries come due in queue order (the draw count never
+    falls), and a draw first returns the due ones to the pool, setting
+    their ``_until`` to 0 — eligible either way.  A queued expiry
+    whose ``_until`` has moved on (a success re-promoted ``v``, or a
+    later demotion replaced it) is dropped.
+    """
+
     def __init__(
         self, rank: int, nranks: int, fails: int, rng: np.random.Generator
     ):
@@ -245,37 +296,52 @@ class _FailureBackoffState(AdaptiveVictimSelector):
         # Long enough for a starved victim to regain work, short enough
         # that demotion is temporary on any job size.
         self._cooldown = max(4, nranks)
-        self._rng = rng
-        self._others = np.array([r for r in range(nranks) if r != rank])
-        self._streak = np.zeros(nranks, dtype=np.int64)
-        self._demoted_until = np.zeros(nranks, dtype=np.int64)
+        self._draw = _DrawStream(rng)
+        self._all = _ranks(np.delete(np.arange(nranks), rank))
+        self._pool = array("q", self._all)
+        self._streak = array("q", bytes(8 * nranks))
+        self._until = array("q", bytes(8 * nranks))
+        self._expiry: deque[tuple[int, int]] = deque()
         self._draws = 0
 
-    def _eligible(self, at_draw: int) -> np.ndarray:
-        pool = self._others[self._demoted_until[self._others] <= at_draw]
+    def next_victim(self) -> int:
+        draws = self._draws = self._draws + 1
+        expiry = self._expiry
+        while expiry and expiry[0][0] <= draws:
+            at, v = expiry.popleft()
+            if self._until[v] == at:
+                self._until[v] = 0
+                insort(self._pool, v)
         # Everyone demoted -> everyone eligible again (Picasso: when
         # the bitset fills up, clear it and fall back to uniform).
-        return pool if pool.size else self._others
-
-    def next_victim(self) -> int:
-        self._draws += 1
-        pool = self._eligible(self._draws)
-        return int(pool[self._rng.integers(0, pool.size)])
+        pool = self._pool or self._all
+        return pool[self._draw.integers(len(pool))]
 
     def notify(self, victim: int, success: bool) -> None:
         if not 0 <= victim < self._nranks or victim == self._rank:
             return
+        until = self._until
         if success:
             self._streak[victim] = 0
-            self._demoted_until[victim] = 0  # fresh work: re-promote
+            if until[victim]:  # fresh work: re-promote
+                until[victim] = 0
+                insort(self._pool, victim)
             return
-        self._streak[victim] += 1
-        if self._streak[victim] >= self._fails:
-            self._demoted_until[victim] = self._draws + self._cooldown
-            self._streak[victim] = 0
+        streak = self._streak[victim] + 1
+        if streak >= self._fails:
+            streak = 0
+            if not until[victim]:
+                del self._pool[bisect_left(self._pool, victim)]
+            until[victim] = at = self._draws + self._cooldown
+            self._expiry.append((at, victim))
+        self._streak[victim] = streak
 
     def sampling_weights(self) -> np.ndarray:
-        pool = self._eligible(self._draws + 1)
+        others = np.frombuffer(self._all, dtype=np.int64)
+        until = np.frombuffer(self._until, dtype=np.int64)
+        pool = others[until[others] <= self._draws + 1]
+        if not pool.size:
+            pool = others
         w = np.zeros(self._nranks)
         w[pool] = 1.0 / pool.size
         return w

@@ -445,7 +445,7 @@ class Cluster:
                     if w is None or w.status is not running:
                         workers[rank].on_exec(t)
                         continue
-                    if w.pending or not w.plain_serve:
+                    if w.pending or w.waiters:
                         t = w.serve_pending(t)
                     nodes = w._nodes
                     if not nodes:
@@ -508,7 +508,7 @@ class Cluster:
                 # Children only add: the stack holds ``s`` nodes or
                 # more at quantum ``tk``.
                 s = held - n
-                if s > n0 and (w.plain_serve or not w.waiters):
+                if s > n0 and not w.waiters:
                     span = s * pnt
                     if (tk + span + span) * _WAKE_GUARD < pnt:
                         # Until an event reaches it, the rank's quanta

@@ -13,6 +13,7 @@ from repro.core import registry
 from repro.core.victim import VictimSelector
 from repro.protocol.core import ProtocolPlan, Worker, WorkerStatus
 from repro.protocol.messages import (
+    TAG_LIFELINE_REGISTER,
     TAG_STEAL_FORWARD,
     TAG_STEAL_REQUEST,
     TAG_STEAL_RESPONSE,
@@ -238,11 +239,19 @@ class TestCounters:
         assert w.requests_forwarded == 7
         assert w.forwards_served == 3
 
-    def test_plain_serve_flag(self):
+    def test_only_lifeline_ranks_take_waiters(self):
+        # A poll skips ``serve_pending`` when nothing is pending and no
+        # waiter is armed: only a lifeline rank serves spontaneously,
+        # and only a lifeline rank ever holds a waiter.
+        from repro.errors import SimulationError
+
         w, _ = make_worker(plan=FWD_PLAN)
-        assert w.plain_serve  # forwarding adds no spontaneous sends
+        with pytest.raises(SimulationError, match="unexpected message tag"):
+            w.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
+        assert w.waiters == []
         w2, _ = make_worker(plan=ProtocolPlan(lifeline_count=2))
-        assert not w2.plain_serve  # lifeline pushes are spontaneous
+        w2.on_message(1.0, TAG_LIFELINE_REGISTER, 5, None)
+        assert w2.waiters == [5]
 
 
 class TestLifelineRaces:

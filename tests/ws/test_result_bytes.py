@@ -40,6 +40,18 @@ PROBES = {
     "adapt-eps": dict(
         tree=T3S, nranks=16, selector="adapt-eps[0.2]", steal_policy="half"
     ),
+    # The adaptive and region draws read numpy's scalar streams from
+    # raw blocks; the engine and the test oracle build the same
+    # selectors, so only these pins see a stream that drifts.
+    "adapt-sr": dict(tree=T3S, nranks=16, selector="adapt-sr[0.9]"),
+    "adapt-backoff": dict(
+        tree=T3S, nranks=16, selector="adapt-backoff[2]",
+        steal_policy="adaptive[3]",
+    ),
+    "forward-regions-adapt-sr": dict(
+        tree=T3S, nranks=24, protocol="forward", regions=4,
+        selector="adapt-sr[0.9]", trace=True,
+    ),
     # Chunk boundaries: quanta that drain several chunks, one-node
     # chunks, lifeline pushes merged into a non-empty stack, and
     # relayed steals carrying odd-sized chunks.
@@ -65,6 +77,9 @@ PINS = {
     "nic": "5a1d5a2dab82af675e3f572cd317f75bad4ac6de341110ffab34d1c0e8ccb7bf",
     "one-rank": "4c72de0c05e65fc8d604116aea7764f3452a7bbcd9851616a622316542054dc6",
     "adapt-eps": "1ab6f0e6fa3a86682de65bd0b216925f9311c09ee21a2f02dbfcb21c825dc0cf",
+    "adapt-sr": "fc468c759dadbbf226986be9fe19b536e8163f8ec3bcb808f8dc2b0a37ef916e",
+    "adapt-backoff": "bc6d2164792b07daca348ead15a11561998613c2d224ca1f7ceb4d00bb8a1594",
+    "forward-regions-adapt-sr": "79d49754ee3f5eff2fd0698e6997ec1e59316b90b1c7364fb870d9461aa83178",
     "chunk3-poll13": "bf2cb11832f5b9cb93c657947dc6072d6d681148f39c67ac9590676b0babf6f6",
     "chunk1-poll2": "ab7afc0426066555b590fa6769f3ceaa6b09435dd54f9b5ebc9f20f453bef8db",
     "chunk7-lifelines": "cc25051e0c3c74ffa30a98787a70027abd1a8630c00e82b01179e7b3593df943",
@@ -85,7 +100,7 @@ def test_result_bytes_are_pinned(name, monkeypatch):
     assert tree_mod._held == held and len(held) == 1
 
 
-#: SHA-256 of ``result.events.canonical_bytes()`` for three NIC-off
+#: SHA-256 of ``result.events.canonical_bytes()`` for six NIC-off
 #: probes run with ``event_trace=True``: the steal-event stream pinned
 #: across commits, where ``tests/trace/test_determinism.py`` checks
 #: only that two runs of one commit agree.
@@ -93,6 +108,9 @@ EVENT_PINS = {
     "lifelines-trace": "a2d4cc228dcc5c8ed1915380670bcb07164aa7f9a8790a7e1d4239fec6e5db95",
     "chunk7-forward-regions": "5149f2d24da8b3641b7076c86cd5fa65a4edb7b2c1e541d7e5c5cf72d0484bf7",
     "adapt-eps": "b894203f4f41de677a2686d9f08cd39438d68356d344360bd21f1fcfd8610963",
+    "adapt-sr": "912485217f652f2829a9300910214707356f978fa36814922c4066d7055f7058",
+    "adapt-backoff": "275c7aeb7a85081b6aaa480e5e1ed4fc9c24b650725ea44acdb6d2d821802008",
+    "forward-regions-adapt-sr": "b90e723a5214e81a97e92591166d2e12167217423efed01631c31e695edb416a",
 }
 
 
