@@ -63,6 +63,16 @@ class VictimSelector(ABC):
     def next_victim(self) -> int:
         """Return the next victim rank to try (never the caller's own)."""
 
+    def draws(self, k: int) -> np.ndarray:
+        """The next ``k`` values of :meth:`next_victim`, as one array.
+
+        The state moves exactly as ``k`` calls would move it.  Block
+        and ring selectors read it off their state; this default makes
+        the calls.
+        """
+        draw = self.next_victim
+        return np.fromiter((draw() for _ in range(k)), np.int64, k)
+
     def notify(self, victim: int, success: bool) -> None:
         """Feedback hook: the steal from ``victim`` succeeded/failed.
 
@@ -220,6 +230,17 @@ class _RoundRobinState(VictimSelector):
         self._next = (victim + 1) % self._nranks
         return victim
 
+    def draws(self, k: int) -> np.ndarray:
+        # The other ranks by offset past our own, 0 .. N-2, walked
+        # cyclically from ``_next``'s; our own rank's offset, N-1, wraps
+        # to 0 as ``next_victim`` skips it.
+        n, rank = self._nranks, self._rank
+        start = (self._next - rank - 1) % n
+        victims = (rank + 1 + (start + np.arange(k)) % (n - 1)) % n
+        if k:
+            self._next = (int(victims[-1]) + 1) % n
+        return victims
+
 
 class RoundRobinSelector(SelectorFactory):
     """The reference UTS deterministic ring walk."""
@@ -246,7 +267,41 @@ _DRAW_BLOCK = 512
 _NO_DRAWS = memoryview(b"")
 
 
-class _UniformState(VictimSelector):
+class _BlockState(VictimSelector):
+    """A selector that holds one block of draws, ``_buf[_pos:]``, and
+    draws the next (``_draw_block``) when it is used up."""
+
+    _buf: memoryview
+    _pos: int
+
+    @abstractmethod
+    def _draw_block(self) -> memoryview:
+        """The next ``_DRAW_BLOCK`` raw draws."""
+
+    def next_victim(self) -> int:
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._buf = self._draw_block()
+            pos = 0
+        self._pos = pos + 1
+        return buf[pos]
+
+    def draws(self, k: int) -> np.ndarray:
+        """What is left of the held block, then whole new blocks,
+        each drawn where ``next_victim`` would draw it."""
+        pos, buf = self._pos, self._buf
+        parts = []
+        while pos + k > len(buf):
+            parts.append(np.asarray(buf[pos:]))
+            k -= len(buf) - pos
+            buf, pos = self._draw_block(), 0
+        self._buf, self._pos = buf, pos + k
+        parts.append(np.asarray(buf[pos : pos + k]))
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+class _UniformState(_BlockState):
     def __init__(self, rank: int, nranks: int, rng: np.random.Generator):
         self._rank = rank
         self._nranks = nranks
@@ -254,19 +309,26 @@ class _UniformState(VictimSelector):
         self._buf = _NO_DRAWS
         self._pos = 0
 
+    def _draw_block(self) -> memoryview:
+        return memoryview(
+            self._rng.integers(0, self._nranks - 1, size=_DRAW_BLOCK)
+        )
+
     def next_victim(self) -> int:
         # Draw over nranks-1 victims and shift past our own rank: exact
         # uniform over the others with a single draw.
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            buf = self._buf = memoryview(
-                self._rng.integers(0, self._nranks - 1, size=_DRAW_BLOCK)
-            )
+            buf = self._buf = self._draw_block()
             pos = 0
         self._pos = pos + 1
         v = buf[pos]
         return v + 1 if v >= self._rank else v
+
+    def draws(self, k: int) -> np.ndarray:
+        v = super().draws(k)
+        return v + (v >= self._rank)
 
 
 class UniformRandomSelector(SelectorFactory):
@@ -295,8 +357,10 @@ def skewed_probabilities(
     generalises it for the ablation study.
     """
     e = np.asarray(euclidean_row, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        w = np.where(e > 0.0, 1.0 / np.power(e, alpha), 1.0)
+    w = np.ones_like(e)
+    # Divided only where ``e > 0``: a zero distance keeps weight 1 and
+    # never divides by zero.
+    np.divide(1.0, np.power(e, alpha), out=w, where=e > 0.0)
     w[rank] = 0.0
     total = w.sum()
     if not 0.0 < total < math.inf:
@@ -314,7 +378,7 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-class _SkewedState(VictimSelector):
+class _SkewedState(_BlockState):
     """Draws from a cumulative distribution it does not keep.
 
     A cumulative vector is N float64 per rank — N x N per job — and a
@@ -353,14 +417,6 @@ class _SkewedState(VictimSelector):
             victims.astype(np.min_scalar_type(len(cumulative) - 1))
         )
 
-    def next_victim(self) -> int:
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._buf = self._draw_block()
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
 
 
 class PowerSkewedSelector(SelectorFactory):
@@ -441,6 +497,10 @@ class LatencySkewedSelector(SelectorFactory):
 
 
 class _HierarchicalState(VictimSelector):
+    """``rng.random() < p_near`` picks the pool (when both have ranks),
+    ``rng.integers(0, len(pool))`` the rank in it, both read from a
+    :class:`_DrawStream`."""
+
     def __init__(
         self,
         near: np.ndarray,
@@ -451,14 +511,15 @@ class _HierarchicalState(VictimSelector):
         self._near = near
         self._far = far
         self._p_near = p_near
-        self._rng = rng
+        self._stream = _DrawStream(rng)
 
     def next_victim(self) -> int:
-        pick_near = self._near.size and (
-            not self._far.size or self._rng.random() < self._p_near
+        near, far, stream = self._near, self._far, self._stream
+        pick_near = len(near) and (
+            not len(far) or stream.random() < self._p_near
         )
-        pool = self._near if pick_near else self._far
-        return int(pool[self._rng.integers(0, pool.size)])
+        pool = near if pick_near else far
+        return pool.item(stream.integers(len(pool)))
 
 
 class HierarchicalSelector(SelectorFactory):

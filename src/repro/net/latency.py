@@ -75,6 +75,11 @@ class LatencyModel(ABC):
         keeps (:mod:`repro.sim.cluster`); models compute it row-lazily
         so paper-scale placements never hold an N x N float array, and
         :meth:`matrix` stays the dense reference it is tested against.
+
+        Rows are symmetric: ``values[code_row(i)[j]] ==
+        values[code_row(j)[i]]``, exactly.  The engine's walk of the
+        quiescent tail reads a deny's wire time off the thief's row
+        (``tests/net/test_code_row_symmetry.py``).
         """
 
     @staticmethod

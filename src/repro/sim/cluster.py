@@ -73,16 +73,18 @@ boundary where it is 0, the loop pulls every request
 and deny off the heap, one chain per thief, and carries on with the
 token alone.  When the token declares at key ``(t_d, N-1, s)``,
 :meth:`_walk` runs each chain on its own up to that key — the loop's
-deny and failed-steal steps, no heap — and counts its one pending
-message as dropped.  With NIC off a message's arrival is its send time
-plus a wire time nothing else changes, a WAITING victim always denies
-and a thief draws from its own stream, so a chain's events depend on
-its own draws alone and the heap's order matters only against the
-declaring key; an exact tie there is settled by comparing the two
-events' parents, one rank further back each time (:func:`_chain_first`).
-A run walks only when that argument holds: NIC off, every rank on both
-inline paths, the engine's own ``send``, no zero wire time between two
-ranks and at least three ranks (DESIGN.md §5d).
+deny and failed-steal steps, in arrays: victims in blocks from
+``selector.draws``, arrival times as one cumulative sum per block — and
+counts its one pending message as dropped.  With NIC off a message's
+arrival is its send time plus a wire time nothing else changes, a
+WAITING victim always denies and a thief draws from its own stream, so
+a chain's events depend on its own draws alone and the heap's order
+matters only against the declaring key; an exact tie there is settled
+by comparing the two events' parents, one rank further back each time
+(:func:`_chain_first`).  A run walks only when that argument holds: NIC
+off, every rank on both inline paths, the engine's own ``send``, no
+selector that takes feedback (it cannot be drawn ahead), no zero wire
+time between two ranks and at least three ranks (DESIGN.md §5d).
 
 **NIC contention** (``nic_service_time > 0``) is state, not a
 subclass: the node ports a send takes at injection and at arrival.
@@ -93,6 +95,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
@@ -404,14 +408,15 @@ class Cluster:
         max_events = self._max_events
         processed = walked = 0
         # Whether the quiescent tail may be walked (every rank on both
-        # inline steps, so ``send`` is the engine's own), and once it
-        # is pulled, the chains and the token's keys since (module
-        # docstring).
+        # inline steps, so ``send`` is the engine's own, and no selector
+        # that takes feedback), and once it is pulled, the chains and
+        # the token's keys since (module docstring).
         tail = (
             nic is None
             and len(workers) >= 3
             and None not in victims
             and None not in thieves
+            and all(w._notify is None for w in workers)
         )
         chains = tokens = None
         # The next event if an inline event's pushpop handed it back,
@@ -665,81 +670,105 @@ class Cluster:
 
         A chain alternates a request at a WAITING victim (deny it) and
         a deny at its WAITING thief (count it, draw, request again),
-        exactly the loop's two steps, with the counters summed per rank
-        at the end; an event at the declaring time from rank N-1 goes
-        to :func:`_chain_first` with up to three ancestors.
+        the loop's two steps.  Its victims come in blocks from
+        ``selector.draws``, and its arrival times are one cumulative
+        sum per block of ``[t, d1, d1, d2, d2, ...]``, ``d`` the wire
+        time off the thief's own code row (rows are symmetric), which
+        adds in the order the loop adds.  The first time at or past the
+        declaring time cuts the chain; a tie there from the declaring
+        token's pusher goes to :func:`_chain_first` with up to three
+        ancestors.  Counters are summed per rank at the end.
         """
         td, last, _ = tokens[-1]
         workers = self.workers
-        rows, row_fn, values = self._rows, self._row_fn, self._values
+        rows, row_fn = self._rows, self._row_fn
+        values = np.array(self._values)
         rank_seq = self._rank_seq
-        denied = [0] * len(workers)
+        denied = np.zeros(len(workers), np.int64)
         walked = 0
+        # Drawn victims per simulated second over the blocks walked so
+        # far (each victim is a request and its deny): it sizes the
+        # next block, and the first chain seeds it from its mean wire.
+        drawn = span = 0.0
         for t, src, seq, tag, dst, _ in chains:
             req = tag == TAG_STEAL_REQUEST
             thief, victim = (src, dst) if req else (dst, src)
-            # An event's index in the chain since the pull (the pulled
-            # one is 0): ``2 * failed + off`` for a deny, one less for
-            # a request.
-            off = 1 if req else 0
             w = workers[thief]
-            draw, notify = w.selector.next_victim, w._notify
+            draw = w.selector.draws
             own = rows[thief]
             if own is None:
                 own = rows[thief] = memoryview(row_fn(thief))
-            tr = tn = ptr = ptn = t
-            pv = victim
-            failed = 0
+            own = np.asarray(own)
+            if not drawn:
+                drawn, span = 1.0, 2.0 * float(values[own].mean())
+            # Events are indexed in the chain since the pull (the pulled
+            # one is 0): ``(index + off) % 2`` is 1 for a request, 0 for
+            # a deny.
+            off = 1 if req else 0
+            # The chain's times by index, and ``picks[j]``, the victim
+            # of its j-th deny, in blocks.
+            times, picks = [], [np.array([victim])]
+            # A block starts at ``cur``, the time of the chain's event
+            # ``base``: the pulled one, then the last deny of a block.
+            base, cur = 0, t
             while True:
-                if req:
-                    # The request reaches ``victim`` at ``tr``: deny it.
-                    if tr >= td and (
-                        tr > td
-                        or thief == last
-                        and not _chain_first(
-                            [(tr, thief), (ptn, pv), (ptr, thief)],
-                            2 * failed + off - 1,
-                            seq,
-                            tokens,
-                        )
-                    ):
-                        break
-                    denied[victim] += 1
-                    row = rows[victim]
-                    if row is None:
-                        row = rows[victim] = memoryview(row_fn(victim))
-                    tn = tr + values[row[thief]]
-                req = True
-                # The deny reaches the thief at ``tn``: count it, draw,
-                # request again.
-                if tn >= td and (
-                    tn > td
-                    or victim == last
-                    and not _chain_first(
-                        [(tn, victim), (tr, thief), (ptn, pv), (ptr, thief)],
-                        2 * failed + off,
-                        seq,
-                        tokens,
-                    )
-                ):
+                k = int((td - cur) * drawn / span * 1.0625) + 2
+                victims = draw(k)
+                wire = values[own[victims]]
+                lead = [cur]
+                if req and not times:
+                    # The pulled request's deny leads the first block.
+                    lead.append(values[own[victim]])
+                h = len(lead)
+                buf = np.empty(h + 2 * k)
+                buf[:h] = lead
+                buf[h::2] = wire
+                buf[h + 1 :: 2] = wire
+                at = np.cumsum(buf)
+                cut = int(at.searchsorted(td))
+                times.append(at[1:] if times else at)
+                picks.append(victims)
+                if cut < len(at):
                     break
-                failed += 1
-                if notify is not None:
-                    notify(victim, False)
-                pv, ptn, ptr = victim, tn, tr
-                victim = draw()
-                tr = tn + values[own[victim]]
-            walked += failed
+                drawn += k
+                span += at[-1] - cur
+                base += len(at) - 1
+                cur = at[-1]
+            picks = np.concatenate(picks)
+            if at[cut] == td:
+                index = base + cut
+                times = np.concatenate(times)
+
+                def pusher(i: int) -> int:
+                    if (i + off) % 2:
+                        return thief
+                    return int(picks[(i + 1 - off) // 2])
+
+                # A request and up to two ancestors, a deny and three.
+                depth = 3 if (index + off) % 2 else 4
+                keys = [
+                    (float(times[i]), pusher(i))
+                    for i in range(index, max(index - depth, -1), -1)
+                ]
+                if pusher(index) != last or _chain_first(
+                    keys, index, seq, tokens
+                ):
+                    cut += 1
+            # ``n`` events ran, denies and requests in turn; the
+            # requests went to ``picks[1 - off:]``.
+            n = base + cut
+            failed = (n + 1 - off) // 2
+            walked += n
+            np.add.at(denied, picks[1 - off : 1 - off + n - failed], 1)
             w.failed_steals += failed
             w.consecutive_failed_steals += failed
             w.steal_requests_sent += failed
             w._session_attempts += failed
             rank_seq[thief] += failed
-        for rank, count in enumerate(denied):
-            if count:
-                workers[rank].requests_denied += count
-                rank_seq[rank] += count
-                walked += count
+        for rank in np.flatnonzero(denied).tolist():
+            count = int(denied[rank])
+            workers[rank].requests_denied += count
+            rank_seq[rank] += count
         self.messages_dropped += len(chains)
         return walked
 

@@ -162,6 +162,25 @@ class TestSkewedProbabilities:
         with pytest.raises(ConfigurationError):
             skewed_probabilities(0, np.array([0.0]))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+    def test_weights_are_the_masked_formulas_bytes(self, alpha):
+        # The weights are divided out at the positive distances alone;
+        # the formula over the whole row, division warnings off, is the
+        # reference, to the byte.
+        rows = [
+            np.array([0.0, 0.0, 2.0, 4.0, 0.0, 3.5]),
+            PLACEMENT_64.euclidean.row(5),
+            build_placement(64, "8RR").euclidean.row(9),
+        ]
+        for rank, e in enumerate(rows):
+            assert (e == 0.0).sum() > 1
+            with np.errstate(divide="ignore"):
+                w = np.where(e > 0.0, 1.0 / np.power(e, alpha), 1.0)
+            w[rank] = 0.0
+            expected = w / w.sum()
+            got = skewed_probabilities(rank, e, alpha)
+            assert got.tobytes() == expected.tobytes()
+
     def test_nan_weights_rejected(self):
         # NaN > 0 and NaN <= 0 are both False: the total must be checked
         # to be finite and positive, not merely "not <= 0".

@@ -131,6 +131,21 @@ def test_notify_matches_counters_and_trace(case):
     )
 
 
+@pytest.mark.parametrize("selector", ["adapt-sr[0.9]", "lastvictim"])
+def test_untraced_notify_matches_failed_steals(selector):
+    """Untraced, the loop runs every failed steal inline: a selector
+    with feedback keeps its tail on the heap, where each one notifies."""
+    factory = _CountingFactory(registry.resolve("selector", selector))
+    cfg = WorkStealingConfig(tree=T3XS, nranks=16, selector=factory)
+    outcome = Cluster(cfg).run()
+    assert outcome.events_walked == 0
+    for worker in outcome.workers:
+        state = factory.states[worker.rank]
+        assert state.fail == worker.failed_steals
+        assert state.ok == worker.successful_steals
+    assert sum(w.failed_steals for w in outcome.workers) > 0
+
+
 FORWARD_CASES = [
     dict(selector="rand", protocol="forward", forward_ttl=3),
     dict(selector="rand", protocol="forward", regions=4),

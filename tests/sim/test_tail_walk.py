@@ -177,12 +177,16 @@ class TestEligibility:
                 latency_model=HierarchicalLatency(intra_node=0.0),
             ),
             dict(nranks=2),
+            # A selector that takes feedback cannot be drawn ahead.
+            dict(selector="adapt-sr[0.9]"),
+            dict(selector="lastvictim"),
             "worker-subclass",
             "send-patch",
         ],
         ids=[
             "nic", "event_trace", "forward", "lifelines", "regions",
-            "intra_node-0", "nranks-2", "worker-subclass", "send-patch",
+            "intra_node-0", "nranks-2", "adapt-sr", "lastvictim",
+            "worker-subclass", "send-patch",
         ],
     )
     def test_never_walks(self, monkeypatch, change):

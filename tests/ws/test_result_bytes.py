@@ -52,6 +52,9 @@ PROBES = {
         tree=T3S, nranks=24, protocol="forward", regions=4,
         selector="adapt-sr[0.9]", trace=True,
     ),
+    # The near/far draw reads the same raw-block stream, and its tail
+    # is walked.
+    "hier": dict(tree=T3S, nranks=16, selector="hier[0.9]"),
     # Chunk boundaries: quanta that drain several chunks, one-node
     # chunks, lifeline pushes merged into a non-empty stack, and
     # relayed steals carrying odd-sized chunks.
@@ -80,6 +83,7 @@ PINS = {
     "adapt-sr": "fc468c759dadbbf226986be9fe19b536e8163f8ec3bcb808f8dc2b0a37ef916e",
     "adapt-backoff": "bc6d2164792b07daca348ead15a11561998613c2d224ca1f7ceb4d00bb8a1594",
     "forward-regions-adapt-sr": "79d49754ee3f5eff2fd0698e6997ec1e59316b90b1c7364fb870d9461aa83178",
+    "hier": "5406e1597b3927494de46d20e163f31e8c00d3b58391efae8d28e3b87abcf094",
     "chunk3-poll13": "bf2cb11832f5b9cb93c657947dc6072d6d681148f39c67ac9590676b0babf6f6",
     "chunk1-poll2": "ab7afc0426066555b590fa6769f3ceaa6b09435dd54f9b5ebc9f20f453bef8db",
     "chunk7-lifelines": "cc25051e0c3c74ffa30a98787a70027abd1a8630c00e82b01179e7b3593df943",
