@@ -3,7 +3,8 @@
 A *selector factory* (:class:`SelectorFactory`) describes a strategy;
 binding it to a rank (:meth:`SelectorFactory.make`) yields the
 per-rank :class:`VictimSelector` the scheduler queries whenever it
-needs someone to steal from.
+needs someone to steal from, and :meth:`SelectorFactory.make_all`
+binds every rank of a job at once (what the engine calls).
 
 The paper's three protagonists:
 
@@ -99,6 +100,20 @@ class SelectorFactory(ABC):
         seed: int = 0,
     ) -> VictimSelector:
         """Bind the strategy to ``rank`` of an ``nranks``-process job."""
+
+    def make_all(
+        self,
+        nranks: int,
+        placement: Placement | None = None,
+        seed: int = 0,
+    ) -> list[VictimSelector]:
+        """Bind the strategy to every rank of the job, in rank order.
+
+        Each selector draws what :meth:`make` would bind for its rank;
+        a strategy whose ranks share work overrides this to do that
+        work once per job.
+        """
+        return [self.make(rank, nranks, placement, seed) for rank in range(nranks)]
 
     def _check(self, rank: int, nranks: int, placement: Placement | None) -> None:
         if nranks < 2:
@@ -258,7 +273,7 @@ class RoundRobinSelector(SelectorFactory):
 
 
 #: Selectors draw random numbers in blocks to amortise NumPy call
-#: overhead (and, for skewed draws, one rebuild of the cumulative
+#: overhead (and, for skewed draws, one build of the cumulative
 #: vector per block); the stream is identical to drawing one at a
 #: time.  A block is read through a ``memoryview``, which indexes to a
 #: Python int without building a numpy scalar (``.tolist()`` would too,
@@ -356,18 +371,53 @@ def skewed_probabilities(
     over ``j != i``.  ``alpha = 1`` is the paper's formula; ``alpha``
     generalises it for the ablation study.
     """
-    e = np.asarray(euclidean_row, dtype=np.float64)
+    w = _skew_weights(np.asarray(euclidean_row, dtype=np.float64), alpha)
+    w[rank] = 0.0
+    return _normalise(w)
+
+
+def _skew_weights(e: np.ndarray, alpha: float) -> np.ndarray:
+    """``1 / e^alpha``, and ``1`` where ``e == 0``."""
     w = np.ones_like(e)
     # Divided only where ``e > 0``: a zero distance keeps weight 1 and
     # never divides by zero.
     np.divide(1.0, np.power(e, alpha), out=w, where=e > 0.0)
-    w[rank] = 0.0
-    total = w.sum()
-    if not 0.0 < total < math.inf:
-        raise ConfigurationError(
-            f"degenerate victim distribution (weights sum to {total})"
-        )
-    return w / total
+    return w
+
+
+def _normalise(w: np.ndarray) -> np.ndarray:
+    """``w`` over its sum along the last axis, in place (a row, or a
+    block of rows: a block's row sums are its rows' own sums)."""
+    total = w.sum(axis=-1, keepdims=True)
+    for t in total.ravel().tolist():
+        if not 0.0 < t < math.inf:
+            raise ConfigurationError(
+                f"degenerate victim distribution (weights sum to {t})"
+            )
+    w /= total
+    return w
+
+
+def _pin(cumulative: np.ndarray) -> np.ndarray:
+    """Set the trailing edges equal to the final sum to 1.0, in place.
+
+    Float rounding can leave the final sum a few ulps below 1.0, and
+    ``searchsorted(side="right")`` would map a draw above it past the
+    last victim: to ``len`` (out of range), or, when the drawing rank
+    is the last one, to that rank's zero-weight edge (itself).  With
+    every edge equal to the final sum pinned (the vector never
+    decreases, so they are a suffix), a draw in ``[0, 1)`` lands on a
+    rank of positive weight.
+    """
+    cumulative[np.searchsorted(cumulative, cumulative[-1]) :] = 1.0
+    return cumulative
+
+
+def _search(cumulative: np.ndarray, rng: np.random.Generator) -> memoryview:
+    """One block of victims from a pinned cumulative vector, in the
+    narrowest unsigned dtype."""
+    victims = np.searchsorted(cumulative, rng.random(_DRAW_BLOCK), side="right")
+    return memoryview(victims.astype(np.min_scalar_type(len(cumulative) - 1)))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -385,38 +435,36 @@ class _SkewedState(_BlockState):
     draw reads one edge of it.  So the state holds ``build``, the
     closure that computes the vector, and each refill builds it, draws
     one block of victims and drops it; what stays is the block, in the
-    narrowest unsigned dtype.  ``rng.random`` streams do not depend on
-    the block size, and the first block is drawn here so a degenerate
-    distribution raises at construction.
+    narrowest unsigned dtype.  A state bound by
+    :meth:`PowerSkewedSelector.make_all` gets its first block from the
+    job's block build, and its ``build`` looks the rank's row up in the
+    job's one weight table (one entry per squared distance); a refill
+    rebuilds that one row.  Otherwise the first block is drawn here.
+    Either way it is drawn at construction, so a degenerate
+    distribution raises there.  ``rng.random`` streams do not depend on
+    the block size.
     """
 
-    def __init__(self, build, rng: np.random.Generator):
+    def __init__(self, build, rng: np.random.Generator, block=None):
         self._build = build
         self._rng = rng
-        self._buf = self._draw_block()
+        self._buf = self._draw_block() if block is None else block
         self._pos = 0
 
     def cumulative(self) -> np.ndarray:
-        """The vector draws are searched in (rebuilt on every call).
-
-        Float rounding can leave cum[-1] a few ulps below 1.0, and
-        searchsorted(side="right") would then map a draw above it to
-        len(cum) — an out-of-range victim.  The last edge is pinned to
-        1.0: draws live in [0, 1), so every index is then in [0, len).
-        """
-        cumulative = np.array(self._build(), dtype=np.float64)
-        cumulative[-1] = 1.0
-        return cumulative
+        """The pinned vector draws are searched in (rebuilt on every
+        call; :func:`_pin`)."""
+        return _pin(np.array(self._build(), dtype=np.float64))
 
     def _draw_block(self) -> memoryview:
-        cumulative = self.cumulative()
-        victims = np.searchsorted(
-            cumulative, self._rng.random(_DRAW_BLOCK), side="right"
-        )
-        return memoryview(
-            victims.astype(np.min_scalar_type(len(cumulative) - 1))
-        )
+        return _search(self.cumulative(), self._rng)
 
+
+#: Ranks whose cumulative rows :meth:`PowerSkewedSelector.make_all`
+#: builds at once: 16 rows of 4096 ranks are 512 KiB a block.  Set-up
+#: time is flat from 8 to 64 rows; at 64, a second job in the process
+#: peaked 4-6 MiB higher (the freed blocks stay in the heap).
+_ROW_BLOCK = 16
 
 
 class PowerSkewedSelector(SelectorFactory):
@@ -446,6 +494,50 @@ class PowerSkewedSelector(SelectorFactory):
             lambda: np.cumsum(self.probabilities(rank, placement)),
             _rank_rng(seed, rank),
         )
+
+    def make_all(self, nranks, placement=None, seed=0):
+        """Every rank's selector, equal to :meth:`make`'s, in one pass.
+
+        A weight depends on the integer squared distance alone, so the
+        weights are one table per placement (each entry the same
+        expression, evaluated once per value) and a rank's row is a
+        lookup of its squared-distance row.  The rows come
+        ``_ROW_BLOCK`` at a time from the placement's separable
+        per-dimension tables, each block normalised and summed
+        cumulatively at once; a block's rows are its ranks' own rows bit
+        for bit.  Each rank still draws its first block from its own
+        generator.  Without the squared-distance codes this is
+        :meth:`make` per rank.
+        """
+        self._check(0, nranks, placement)
+        assert placement is not None
+        if placement.euclidean.codes is None:
+            return super().make_all(nranks, placement, seed)
+        squares, values = placement.euclidean.codes
+        table = _skew_weights(np.asarray(values, dtype=np.float64), self.alpha)
+
+        def cumsums(start: int, stop: int) -> np.ndarray:
+            w = table.take(squares(slice(start, stop)))
+            w[np.arange(stop - start), np.arange(start, stop)] = 0.0
+            return np.cumsum(_normalise(w), axis=1, out=w)
+
+        def refill(rank: int):
+            def build() -> np.ndarray:
+                w = table.take(squares(rank))
+                w[rank] = 0.0
+                return np.cumsum(_normalise(w))
+
+            return build
+
+        states = []
+        for start in range(0, nranks, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, nranks)
+            block = cumsums(start, stop)
+            for rank in range(start, stop):
+                rng = _rank_rng(seed, rank)
+                first = _search(_pin(block[rank - start]), rng)
+                states.append(_SkewedState(refill(rank), rng, first))
+        return states
 
 
 class DistanceSkewedSelector(PowerSkewedSelector):

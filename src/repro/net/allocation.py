@@ -277,13 +277,18 @@ def build_placement(
     # Row functions: nothing N x N is allocated here — a row is
     # computed each time a consumer asks for it.  Latency rows are
     # decoded from the model's byte codes, which ride along for the
-    # engine.
+    # engine; Euclidean rows carry their integer squares, which the
+    # skewed selectors weight through one table per job.
     codes = latency_model.code_rows(topology, rank_nodes)
     latency = PairwiseMetric(
         nranks, latency_model.float_rows(*codes), name="latency", codes=codes
     )
+    squares, roots = topology.euclidean_codes(rank_nodes)
     euclidean = PairwiseMetric(
-        nranks, topology.euclidean_rows(rank_nodes), name="euclidean"
+        nranks,
+        lambda i: np.sqrt(squares(i)),  # ``Topology.euclidean_rows``
+        name="euclidean",
+        codes=(squares, roots),
     )
     return Placement(
         nranks=nranks,

@@ -73,17 +73,22 @@ class CoordSpace:
         dimension, gathered once along the job's coordinate column into
         ``cols[d]`` of shape ``(dims[d], n)``, makes row ``i`` the sum
         of the views ``cols[d][coords[i, d]]`` — no ``(n, ndim)``
-        temporaries.  Integer arithmetic throughout, so every value
-        equals the matrix path's exactly.  The tables are built on the
-        first row (``sum(dims) * n`` int64 words, O(n^(4/3)) on a
-        near-cubic grid).
+        temporaries.  ``f(slice)`` returns those rows as one
+        ``(len, n)`` block, gathered a block at a time.  Integer
+        arithmetic throughout, so every value equals the matrix path's
+        exactly.  The tables are built on the first row, in the
+        narrowest dtype that holds the largest sum (``sum(dims) * n``
+        words, O(n^(4/3)) on a near-cubic grid): a row is int64, a
+        block keeps that dtype, so gathering it moves a byte or two
+        per pair instead of eight.
         """
         coords = np.asarray(coords, dtype=np.int64)
         dims = range(self.ndim if ndims is None else ndims)
         cols: list[np.ndarray] = []
 
-        def row(i: int) -> np.ndarray:
+        def row(i) -> np.ndarray:
             if not cols:
+                tables = []
                 for d in dims:
                     v = np.arange(self.dims[d], dtype=np.int64)
                     table = np.abs(v[:, None] - v[None, :])
@@ -91,12 +96,18 @@ class CoordSpace:
                         table = np.minimum(table, self.dims[d] - table)
                     if squared:
                         table = table * table
-                    cols.append(table.take(coords[:, d], axis=1))
-            ref = coords[i].tolist()
-            out = cols[0][ref[0]].copy()
-            for d in dims[1:]:
+                    tables.append(table)
+                dtype = np.min_scalar_type(sum(int(t.max()) for t in tables))
+                for d, table in zip(dims, tables):
+                    cols.append(table.astype(dtype).take(coords[:, d], axis=1))
+            # One coordinate per dimension (a rank: views), or one list
+            # per dimension (a slice: gathered blocks).
+            ref = coords[i].T.tolist()
+            out = cols[0][ref[0]]
+            out = out + cols[1][ref[1]] if len(cols) > 1 else out.copy()
+            for d in dims[2:]:
                 out += cols[d][ref[d]]
-            return out
+            return out if isinstance(i, slice) else out.astype(np.int64)
 
         return row
 

@@ -22,7 +22,7 @@ those.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class PairwiseMetric:
         equal to ``row_fn(i)`` — the compact form of the same rows
         (:meth:`repro.net.latency.LatencyModel.code_rows`), carried for
         callers that keep their own rows, like the engine's send
-        table.
+        table.  The Euclidean metric's codes are integer squared
+        distances (:meth:`repro.net.topology.Topology.euclidean_codes`),
+        whose ``code_row_fn`` also takes a ``slice`` of ranks.
     """
 
     __slots__ = ("n", "name", "_row_fn", "codes")
@@ -59,7 +61,7 @@ class PairwiseMetric:
         n: int,
         row_fn: Callable[[int], np.ndarray],
         name: str = "metric",
-        codes: tuple[Callable[[int], np.ndarray], list[float]] | None = None,
+        codes: tuple[Callable[[int], np.ndarray], Sequence[float]] | None = None,
     ):
         if n < 1:
             raise ConfigurationError(f"metric needs n >= 1, got {n}")

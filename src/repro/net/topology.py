@@ -69,8 +69,24 @@ class Topology(ABC):
         """``f(i) -> hop counts from rank i to every rank``."""
 
     @abstractmethod
+    def euclidean_codes(self, nodes: np.ndarray):
+        """``(f, values)``: ``f(i)`` is rank ``i``'s integer squared
+        Euclidean distances to every rank, ``f(slice)`` a ``(len, n)``
+        block of such rows, and ``values[s] == sqrt(s)`` for every
+        value ``s`` a row can hold (the code form of
+        :class:`repro.net.pairwise.PairwiseMetric`)."""
+
     def euclidean_rows(self, nodes: np.ndarray):
         """``f(i) -> Euclidean distances from rank i``."""
+        squares, _ = self.euclidean_codes(nodes)
+
+        def row(i: int) -> np.ndarray:
+            # Sums of squared integer separations are exact in int64
+            # and in float64 alike, so this equals sqrt((d * d).sum())
+            # bit for bit (sqrt converts its int64 argument itself).
+            return np.sqrt(squares(i))
+
+        return row
 
 
 class TofuTopology(Topology):
@@ -139,18 +155,17 @@ class TofuTopology(Topology):
         coords = self.space.coords_of_many(np.asarray(nodes, dtype=np.int64))
         return self.space.delta_sum_rows(coords)
 
-    def euclidean_rows(self, nodes: np.ndarray):
+    def euclidean_codes(self, nodes: np.ndarray):
         space = self.space
         coords = space.coords_of_many(np.asarray(nodes, dtype=np.int64))
-        # Sums of squared integer separations are exact in int64 and in
-        # float64 alike, so this equals sqrt((d * d).sum()) bit for bit
-        # (sqrt converts its int64 argument to float64 itself).
-        squares = space.delta_sum_rows(coords, squared=True)
-
-        def row(i: int) -> np.ndarray:
-            return np.sqrt(squares(i))
-
-        return row
+        # The farthest separation along a dimension: half of it on a
+        # torus dimension, all of it on a mesh one.
+        top = sum(
+            (d // 2 if wraps else d - 1) ** 2
+            for d, wraps in zip(space.dims, space.wraps)
+        )
+        values = np.sqrt(np.arange(top + 1, dtype=np.int64))
+        return space.delta_sum_rows(coords, squared=True), values
 
 
 class FlatTopology(Topology):
@@ -185,13 +200,14 @@ class FlatTopology(Topology):
 
         return row
 
-    def euclidean_rows(self, nodes: np.ndarray):
-        hops_row = self.hops_rows(nodes)
+    def euclidean_codes(self, nodes: np.ndarray):
+        nodes = np.asarray(nodes, dtype=np.int64)
 
-        def row(i: int) -> np.ndarray:
-            return hops_row(i).astype(np.float64)
+        def row(i) -> np.ndarray:
+            # ``nodes[i, None]`` is (1,) for a rank, (len, 1) for a slice.
+            return (nodes[i, None] != nodes).astype(np.int64)
 
-        return row
+        return row, np.sqrt(np.arange(2, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

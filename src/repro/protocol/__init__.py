@@ -28,7 +28,7 @@ the engine bit-identity contract — see ``DESIGN.md``.
 """
 
 from repro.protocol.core import ProtocolPlan, Transport, Worker, WorkerStatus
-from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.factory import build_plan, make_workers
 from repro.protocol.graphs import (
     SYMMETRIC_GRAPHS,
     hypercube_partners,
@@ -44,7 +44,7 @@ __all__ = [
     "WorkerStatus",
     "Transport",
     "build_plan",
-    "make_worker",
+    "make_workers",
     "RegionMap",
     "hypercube_partners",
     "ring_partners",

@@ -103,7 +103,7 @@ from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import Placement, build_placement
 from repro.net.contention import NicContention
 from repro.protocol.core import Worker, WorkerStatus
-from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.factory import build_plan, make_workers
 from repro.protocol.messages import (
     TAG_EXEC,
     TAG_FINISH,
@@ -260,20 +260,9 @@ class Cluster:
         # Child index ranges: a quantum reads them without a call.
         self._first = tree._first
         plan = build_plan(config, self.placement)
-        self.workers: list[Worker] = [
-            make_worker(
-                rank,
-                config,
-                self.placement,
-                plan,
-                tree,
-                transport=self,
-                events=(
-                    self.event_streams[rank] if self.event_streams else None
-                ),
-            )
-            for rank in range(config.nranks)
-        ]
+        self.workers: list[Worker] = make_workers(
+            config, self.placement, plan, tree, self, self.event_streams
+        )
         # Bound once, not per delivery.  They close a cycle through
         # ``worker.transport``, which :meth:`teardown` cuts.
         self._handlers = [w.on_message for w in self.workers]

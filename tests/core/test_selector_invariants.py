@@ -121,6 +121,29 @@ class TestSkewedEdgeDraw:
         assert _SkewedState(lambda: cum, self._PinnedRng(0.0)).next_victim() == 0
         assert _SkewedState(lambda: cum, self._PinnedRng(0.6)).next_victim() == 2
 
+    @pytest.mark.parametrize(
+        "allocation, nranks", [("1/N", 4096), ("8RR", 256)]
+    )
+    def test_last_rank_never_draws_itself(self, allocation, nranks):
+        # The last rank's own zero weight is the last edge, equal to the
+        # one before it; rounding leaves both below the draw.
+        placement = build_placement(nranks, allocation)
+        tofu = registry.resolve("selector", "tofu")
+        rank = nranks - 1
+        draw = 1.0 - 2.0**-53
+        assert np.cumsum(tofu.probabilities(rank, placement))[-2] < draw
+        state = _SkewedState(
+            lambda: np.cumsum(tofu.probabilities(rank, placement)),
+            self._PinnedRng(draw),
+        )
+        v = state.next_victim()
+        assert 0 <= v < nranks and v != rank
+        if nranks <= 256:
+            # The job-wide build, refilled from its weight table.
+            bound = tofu.make_all(nranks, placement)[rank]
+            bound._rng = self._PinnedRng(draw)
+            assert rank not in bound._draw_block().tolist()
+
     def test_degenerate_distribution_raises_at_construction(self):
         def build():
             return np.cumsum(skewed_probabilities(0, np.array([0.0])))
@@ -145,7 +168,7 @@ class TestSkewedBlocks:
         k = 3 * _DRAW_BLOCK + 17  # three refills after the first block
         for rank in (0, nranks // 2, nranks - 1):
             cum = np.cumsum(factory.probabilities(rank, placement))
-            cum[-1] = 1.0
+            cum[cum == cum[-1]] = 1.0
             expected = np.searchsorted(
                 cum, _rank_rng(7, rank).random(k), side="right"
             )

@@ -93,6 +93,14 @@ class TestGridRows:
         for i in range(len(nodes)):
             assert np.array_equal(plain(i), delta[i].sum(axis=1))
             assert np.array_equal(squared(i), (delta[i] * delta[i]).sum(axis=1))
+        # A slice is those rows as one block, in an unsigned dtype.
+        lo = data.draw(st.integers(0, len(nodes) - 1))
+        hi = data.draw(st.integers(lo, len(nodes)))
+        for rows in (plain, squared):
+            block = rows(slice(lo, hi))
+            assert block.shape == (hi - lo, len(nodes))
+            assert block.dtype.kind == "u"
+            assert all(np.array_equal(block[i - lo], rows(i)) for i in range(lo, hi))
 
     def test_rows_are_fresh_arrays(self):
         # A caller owns the row ``PairwiseMetric.row`` hands it and may
@@ -131,6 +139,13 @@ class TestPlacementRows:
                 assert _same(table[codes], lat[i])
             # What the engine keeps is what the placement decodes.
             assert p.latency.codes[1] == values
+            # Euclidean codes are squared distances: each decodes to its
+            # row, and a slice of them is the stacked rows.
+            squares, roots = p.euclidean.codes
+            block = squares(slice(0, nranks))
+            for i in range(nranks):
+                assert _same(roots[squares(i)], eucl[i])
+                assert np.array_equal(block[i], squares(i))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -202,5 +217,7 @@ class TestTofuTables:
         for rank in list(range(0, nranks, step)) + [nranks - 1]:
             state = tofu.make(rank, nranks, placement, seed=0)
             cum = np.cumsum(skewed_probabilities(rank, reference[rank]))
-            cum[-1] = 1.0
+            # Every edge equal to the final sum is pinned: the last
+            # rank's own zero-weight edge as well as the one before it.
+            cum[cum == cum[-1]] = 1.0
             assert _same(state.cumulative(), cum)

@@ -26,7 +26,7 @@ from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import build_placement
 from repro.net.contention import NicContention
 from repro.protocol.core import WorkerStatus
-from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.factory import build_plan, make_workers
 from repro.protocol.messages import (
     TAG_EXEC,
     TAG_FINISH,
@@ -147,20 +147,9 @@ class OracleCluster:
         )
         generator = TreeGenerator(config.tree, config.rng_backend)
         plan = build_plan(config, self.placement)
-        self.workers = [
-            make_worker(
-                rank,
-                config,
-                self.placement,
-                plan,
-                generator,
-                transport=self,
-                events=(
-                    self.event_streams[rank] if self.event_streams else None
-                ),
-            )
-            for rank in range(config.nranks)
-        ]
+        self.workers = make_workers(
+            config, self.placement, plan, generator, self, self.event_streams
+        )
         self._finishing = False
         self._messages_dropped = 0
         self._latency_rows: dict[int, list[float]] = {}
