@@ -506,13 +506,10 @@ class PowerSkewedSelector(SelectorFactory):
         per-dimension tables, each block normalised and summed
         cumulatively at once; a block's rows are its ranks' own rows bit
         for bit.  Each rank still draws its first block from its own
-        generator.  Without the squared-distance codes this is
-        :meth:`make` per rank.
+        generator.
         """
         self._check(0, nranks, placement)
         assert placement is not None
-        if placement.euclidean.codes is None:
-            return super().make_all(nranks, placement, seed)
         squares, values = placement.euclidean.codes
         table = _skew_weights(np.asarray(values, dtype=np.float64), self.alpha)
 

@@ -10,10 +10,10 @@ it holds, with no communication and no coordination.
 Two backends are provided:
 
 :class:`Sha1Backend`
-    Faithful to the reference UTS, which uses SHA-1 as the splitting
-    hash.  States are 64-bit truncations of SHA-1 digests.  Scalar only
-    (hashlib cannot be vectorised), so it is the *fidelity* backend:
-    used in tests and small runs to pin down determinism.
+    SHA-1 over 64-bit truncated states: not the reference UTS's SHA-1
+    rule, so no UTS sample tree reproduces under it.  Scalar only
+    (hashlib cannot be vectorised): a second hash for tests and small
+    runs.
 
 :class:`SplitMix64Backend`
     A SplitMix64-style mixing function over uint64, fully vectorised
@@ -22,8 +22,8 @@ Two backends are provided:
     node expansions) must be array code, not Python-level hashing.
 
 Both backends map ``uint64 state -> uint64 child state`` and extract a
-31-bit uniform integer from a state, mirroring the 31-bit values the
-reference UTS extracts from its SHA-1 digests.
+31-bit uniform integer from a state's top bits, the width (not the
+bytes) of the values the reference UTS extracts from its SHA-1 digests.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ class RngBackend(ABC):
 
 
 class Sha1Backend(RngBackend):
-    """SHA-1 splittable RNG, the hash family used by the reference UTS.
+    """SHA-1 splittable RNG over 64-bit states, not UTS's rule.
 
     A node state is the first 8 bytes (big-endian) of a SHA-1 digest.
-    Spawning child ``i`` hashes the 8-byte parent state concatenated
-    with the 4-byte child index, exactly one compression-function call
-    per node, like UTS.
+    Spawning child ``i`` hashes the 8-byte parent state and the 4-byte
+    child index (``>QI``); UTS hashes the parent's whole 20-byte digest.
     """
 
     name = "sha1"

@@ -29,6 +29,7 @@ def micro_tree() -> TreeParams:
     )
 
 
-# ``--hypothesis-profile deep``: the engine == ``Worker``-path property
-# of ``tests/test_integration_properties.py`` at ten times its budget.
+# ``--hypothesis-profile deep``: the engine == oracle and time-rescaling
+# properties of ``tests/test_integration_properties.py`` at ten times
+# their budgets (500 and 50 examples).
 settings.register_profile("deep", max_examples=1000)

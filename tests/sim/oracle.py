@@ -21,6 +21,8 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
+import numpy as np
+
 from repro.core.config import WorkStealingConfig
 from repro.errors import SimulationError, TerminationError
 from repro.net.allocation import build_placement
@@ -33,13 +35,13 @@ from repro.protocol.messages import (
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
 )
-from repro.sim.cluster import DEFAULT_MAX_EVENTS, SimOutcome
+from repro.sim.cluster import DEFAULT_MAX_EVENTS, Cluster, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
 from repro.trace.events import EV_TOKEN
 from repro.uts.tree import TreeGenerator
 from repro.ws.results import RunResult
 
-__all__ = ["EventQueue", "OracleCluster", "oracle_result"]
+__all__ = ["EventQueue", "OracleCluster", "assert_identical", "oracle_result"]
 
 
 class EventQueue:
@@ -284,3 +286,34 @@ class OracleCluster:
 def oracle_result(config: WorkStealingConfig) -> RunResult:
     """The oracle's refined result for ``config``."""
     return RunResult.from_outcome(OracleCluster(config).run())
+
+
+def assert_identical(
+    cfg: WorkStealingConfig, res: RunResult | None = None
+) -> RunResult:
+    """Compare every observable of the oracle's run of ``cfg`` with
+    ``res`` (default: the engine's run of it), bit for bit, and return
+    the oracle's result.
+
+    A rank with an event recorder takes the worker's own methods for
+    every event, so the engine also runs ``cfg`` untraced — the path
+    on which its loop handles quanta and failed steals itself — and
+    that run's ``to_dict()`` must match the oracle's too."""
+    seq = oracle_result(cfg)
+    if res is None:
+        res = RunResult.from_outcome(Cluster(cfg).run())
+    expected = seq.to_dict()
+    assert expected == res.to_dict()
+    if cfg.event_trace:
+        untraced = Cluster(cfg.replace(event_trace=False)).run()
+        assert expected == RunResult.from_outcome(untraced).to_dict()
+    if seq.events is not None:
+        assert seq.events.canonical_bytes() == res.events.canonical_bytes()
+    if seq.trace is not None:
+        assert res.trace is not None
+        for (ta, sa), (tb, sb) in zip(
+            seq.trace.transitions, res.trace.transitions
+        ):
+            assert np.array_equal(ta, tb)
+            assert np.array_equal(sa, sb)
+    return seq
