@@ -1,53 +1,32 @@
-"""Shared sweeps for the large-scale figures.
+"""What the large-scale figures share.
 
-Figs 3, 6, 7, 9, 10, 11, 14 and 15 all draw on the same underlying
-runs; these helpers route everything through the memo cache so each
-simulation happens once per pytest session.
+Figs 3, 5—7 and 9—15 read runs of the same grids: the large tree,
+traced, over the large ladder or at one of its scales.  Each figure
+runs its own grids through :func:`repro.bench.run_grid`, whose memo
+makes the overlap free: each distinct simulation happens once per
+pytest session.
 """
 
 from __future__ import annotations
 
-from repro.bench.experiments import CALIBRATION, LARGE_LADDER, cached_run, experiment_config
-from repro.bench.sweep import sweep
-from repro.ws.results import RunResult
+from repro.bench.experiments import CALIBRATION, LARGE_LADDER
 
 ALLOCATIONS = ("1/N", "8RR", "8G")
+
+#: The fixed fields of every large-scale run; a figure adds ``nranks``
+#: and its axes.
+LARGE = {"tree": CALIBRATION.large_tree, "trace": True}
 
 #: The scale standing in for the paper's 8192-process runs.
 TOP = LARGE_LADDER[-1]
 
 
-def large_sweep(
-    selector: str,
-    steal_policy: str = "one",
-    allocations=ALLOCATIONS,
-) -> dict[tuple[int, str], RunResult]:
-    return sweep(
-        CALIBRATION.large_tree,
-        LARGE_LADDER,
-        allocations=allocations,
-        selector=selector,
-        steal_policy=steal_policy,
-        trace=True,
-    )
-
-
-def top_run(selector: str, steal_policy: str = "one", allocation: str = "1/N") -> RunResult:
-    """The top-of-ladder run for one strategy (Figs 4/5/12/13 traces)."""
-    return cached_run(
-        experiment_config(
-            CALIBRATION.large_tree,
-            TOP,
-            allocation=allocation,
-            selector=selector,
-            steal_policy=steal_policy,
-            trace=True,
-        )
-    )
-
-
-def speedups(res, allocations=ALLOCATIONS, label: str = "") -> dict[str, list[float]]:
+def by_allocation(res, metric: str, label: str, allocations=ALLOCATIONS, scale=1):
+    """``{"<label> <allocation>": [metric per rank count]}`` from a grid
+    keyed ``(nranks, allocation)``."""
     return {
-        f"{label} {a}".strip(): [res[(n, a)].speedup for n in LARGE_LADDER]
+        f"{label} {a}": [
+            getattr(r, metric) * scale for (_, b), r in res.items() if b == a
+        ]
         for a in allocations
     }

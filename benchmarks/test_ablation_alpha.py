@@ -10,38 +10,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_series, save_artifact
+
+from benchmarks._shared import LARGE
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 4.0)
 NRANKS = 256
 
 
 def _series():
-    speedups = []
-    for alpha in ALPHAS:
-        r = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                NRANKS,
-                allocation="1/N",
-                selector=f"skew[{alpha}]",
-                steal_policy="half",
-                trace=True,
-            )
-        )
-        speedups.append(r.speedup)
-    rand = cached_run(
-        experiment_config(
-            CALIBRATION.large_tree,
-            NRANKS,
-            allocation="1/N",
-            selector="rand",
-            steal_policy="half",
-            trace=True,
-        )
+    skews = tuple(f"skew[{alpha}]" for alpha in ALPHAS)
+    res = run_grid(
+        **LARGE, nranks=NRANKS, steal_policy="half", selector=(*skews, "rand")
     )
-    return speedups, rand.speedup
+    return [res[(s,)].speedup for s in skews], res[("rand",)].speedup
 
 
 def test_ablation_skew_exponent(once):

@@ -9,29 +9,20 @@ more work away).
 
 from __future__ import annotations
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_series, save_artifact
+
+from benchmarks._shared import LARGE
 
 CHUNKS = (2, 5, 20, 50, 100)
 NRANKS = 128
 
 
 def _series():
-    speedups = []
-    for chunk in CHUNKS:
-        r = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                NRANKS,
-                allocation="1/N",
-                selector="tofu",
-                steal_policy="half",
-                chunk_size=chunk,
-                trace=True,
-            )
-        )
-        speedups.append(r.speedup)
-    return speedups
+    res = run_grid(
+        **LARGE, nranks=NRANKS, selector="tofu", steal_policy="half", chunk_size=CHUNKS
+    )
+    return [r.speedup for r in res.values()]
 
 
 def test_ablation_chunk_size(once):

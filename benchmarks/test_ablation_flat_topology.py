@@ -9,30 +9,25 @@ uniform random.  This is the control experiment for the whole paper.
 
 from __future__ import annotations
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_table, save_artifact
 from repro.net.latency import UniformLatency
+
+from benchmarks._shared import LARGE
 
 NRANKS = 256
 
 
 def _rows():
-    rows = []
-    for selector in ("rand", "tofu"):
-        r = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                NRANKS,
-                allocation="1/N",
-                selector=selector,
-                steal_policy="half",
-                latency_model=UniformLatency(2e-6),
-                topology_factory="flat",
-                trace=True,
-            )
-        )
-        rows.append([selector, r.speedup, r.failed_steals])
-    return rows
+    res = run_grid(
+        **LARGE,
+        nranks=NRANKS,
+        selector=("rand", "tofu"),
+        steal_policy="half",
+        latency_model=UniformLatency(2e-6),
+        topology_factory="flat",
+    )
+    return [[selector, r.speedup, r.failed_steals] for (selector,), r in res.items()]
 
 
 def test_ablation_equidistant_null_model(once):

@@ -8,36 +8,27 @@ steals (idle ranks quiesce instead of hammering).
 
 from __future__ import annotations
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_table, save_artifact
 
+from benchmarks._shared import LARGE
+
 NRANKS = 256
-VARIANTS = (
-    ("rand, no lifelines", "rand", 0, 8),
-    ("rand + 2 lifelines", "rand", 2, 8),
-    ("rand + 4 lifelines", "rand", 4, 8),
-    ("tofu/half, no lifelines", "tofu", 0, 8),
-)
 
 
 def _rows():
-    rows = []
-    for label, selector, lifelines, threshold in VARIANTS:
-        policy = "half" if "half" in label else "one"
-        r = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                NRANKS,
-                allocation="1/N",
-                selector=selector,
-                steal_policy=policy,
-                lifelines=lifelines,
-                lifeline_threshold=threshold,
-                trace=True,
-            )
-        )
-        rows.append([label, r.speedup, r.failed_steals, r.mean_search_time * 1e3])
-    return rows
+    rand = run_grid(**LARGE, nranks=NRANKS, selector="rand", lifelines=(0, 2, 4))
+    tofu = run_grid(**LARGE, nranks=NRANKS, selector="tofu", steal_policy="half")
+    runs = {
+        "rand, no lifelines": rand[(0,)],
+        "rand + 2 lifelines": rand[(2,)],
+        "rand + 4 lifelines": rand[(4,)],
+        "tofu/half, no lifelines": tofu[()],
+    }
+    return [
+        [label, r.speedup, r.failed_steals, r.mean_search_time * 1e3]
+        for label, r in runs.items()
+    ]
 
 
 def test_ablation_lifelines(once):

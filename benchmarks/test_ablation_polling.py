@@ -7,31 +7,24 @@ sweep quantifies that trade-off.
 
 from __future__ import annotations
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_series, save_artifact
+
+from benchmarks._shared import LARGE
 
 POLLS = (1, 2, 5, 10, 50)
 NRANKS = 128
 
 
 def _series():
-    speedups = []
-    responsiveness = []
-    for poll in POLLS:
-        r = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                NRANKS,
-                allocation="1/N",
-                selector="tofu",
-                steal_policy="half",
-                poll_interval=poll,
-                trace=True,
-            )
-        )
-        speedups.append(r.speedup)
-        responsiveness.append(r.mean_session_duration * 1e6)
-    return speedups, responsiveness
+    runs = run_grid(
+        **LARGE,
+        nranks=NRANKS,
+        selector="tofu",
+        steal_policy="half",
+        poll_interval=POLLS,
+    ).values()
+    return [r.speedup for r in runs], [r.mean_session_duration * 1e6 for r in runs]
 
 
 def test_ablation_poll_interval(once):

@@ -17,8 +17,10 @@ import os
 
 import pytest
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_table, save_artifact
+
+from benchmarks._shared import LARGE
 
 NRANKS = 1024
 
@@ -32,27 +34,17 @@ pytestmark = [
 
 
 def _rows():
-    rows = []
-    for label, selector, policy in (
-        ("Reference", "reference", "one"),
-        ("Rand", "rand", "one"),
-        ("Tofu Half", "tofu", "half"),
-    ):
-        r = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                NRANKS,
-                allocation="1/N",
-                selector=selector,
-                steal_policy=policy,
-                trace=True,
-            )
-        )
-        curve = r.occupancy_curve()
-        rows.append(
-            [label, r.speedup, curve.max_occupancy, r.failed_steals]
-        )
-    return rows
+    plain = run_grid(**LARGE, nranks=NRANKS, selector=("reference", "rand"))
+    half = run_grid(**LARGE, nranks=NRANKS, selector="tofu", steal_policy="half")
+    runs = {
+        "Reference": plain[("reference",)],
+        "Rand": plain[("rand",)],
+        "Tofu Half": half[()],
+    }
+    return [
+        [label, r.speedup, r.occupancy_curve().max_occupancy, r.failed_steals]
+        for label, r in runs.items()
+    ]
 
 
 def test_extension_extended_scale(once):

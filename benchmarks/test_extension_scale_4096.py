@@ -31,7 +31,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.bench.experiments import cached_run, experiment_config
+from repro.bench.experiments import experiment_config, run_grid
 from repro.bench.report import format_table, save_artifact
 from repro.ws import run_uts
 
@@ -53,22 +53,11 @@ pytestmark = [
 ]
 
 
-def _run(allocation: str):
-    return cached_run(
-        experiment_config(
-            TREE,
-            NRANKS,
-            allocation=allocation,
-            selector="reference",
-            steal_policy="one",
-            trace=True,
-            nic_service_time=0.0,
-        )
-    )
-
-
 def _sweep():
-    return {alloc: _run(alloc) for alloc in ALLOCATIONS}
+    res = run_grid(
+        TREE, NRANKS, allocation=ALLOCATIONS, trace=True, nic_service_time=0.0
+    )
+    return {alloc: r for (alloc,), r in res.items()}
 
 
 _CONTENDED: dict = {}
@@ -76,7 +65,7 @@ _CONTENDED: dict = {}
 
 def _sweep_contended():
     """The same three runs with the calibrated NIC cost on (memoised:
-    the Fig 3 and Fig 4 tests share them; ``cached_run`` cannot raise
+    the Fig 3 and Fig 4 tests share them; ``run_grid`` cannot raise
     the event budget)."""
     for alloc in ALLOCATIONS:
         if alloc not in _CONTENDED:

@@ -10,26 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.experiments import CALIBRATION, SMALL_LADDER
+from repro.bench.experiments import CALIBRATION, SMALL_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
-from repro.bench.sweep import sweep
 
-ALLOCATIONS = ("1/N", "8RR", "8G")
+from benchmarks._shared import ALLOCATIONS, by_allocation
 
 
 def _series():
-    res = sweep(
-        CALIBRATION.small_tree,
-        SMALL_LADDER,
-        allocations=ALLOCATIONS,
-        selector="reference",
-        steal_policy="one",
-        trace=True,
+    res = run_grid(
+        CALIBRATION.small_tree, SMALL_LADDER, allocation=ALLOCATIONS, trace=True
     )
-    return {
-        f"Reference {a}": [res[(n, a)].efficiency for n in SMALL_LADDER]
-        for a in ALLOCATIONS
-    }
+    return by_allocation(res, "efficiency", "Reference")
 
 
 def test_fig02_small_scale_efficiency(once):

@@ -8,14 +8,15 @@ stand-in: 64—512 ranks on T3L.
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import large_sweep, speedups
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    return speedups(large_sweep("reference", "one"), label="Reference")
+    res = run_grid(**LARGE, nranks=LARGE_LADDER, allocation=ALLOCATIONS)
+    return by_allocation(res, "speedup", "Reference")
 
 
 def test_fig03_reference_large_speedup(once):

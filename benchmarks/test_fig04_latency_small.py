@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.experiments import CALIBRATION, SMALL_LADDER, cached_run, experiment_config
+from repro.bench.experiments import CALIBRATION, SMALL_LADDER, run_grid
 from repro.bench.report import format_series, render_ascii_curve, save_artifact
 
 GRID = np.arange(0.05, 0.91, 0.05)
@@ -23,16 +23,7 @@ SCALE = SMALL_LADDER[-2]
 
 
 def _profile():
-    result = cached_run(
-        experiment_config(
-            CALIBRATION.small_tree,
-            SCALE,
-            allocation="1/N",
-            selector="reference",
-            steal_policy="one",
-            trace=True,
-        )
-    )
+    result = run_grid(CALIBRATION.small_tree, SCALE, trace=True)[()]
     return result.latency_profile(GRID)
 
 

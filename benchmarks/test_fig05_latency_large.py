@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import top_run
+from benchmarks._shared import LARGE, TOP
 
 GRID = np.arange(0.05, 1.001, 0.05)
 
 
 def _profile():
-    return top_run("reference", "one").latency_profile(GRID)
+    return run_grid(**LARGE, nranks=TOP)[()].latency_profile(GRID)
 
 
 def test_fig05_large_scale_latencies(once):

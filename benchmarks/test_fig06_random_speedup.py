@@ -12,17 +12,21 @@ its top scales (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import large_sweep, speedups
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    curves = speedups(large_sweep("rand", "one"), label="Rand")
-    ref = speedups(large_sweep("reference", "one"), allocations=("1/N",), label="Reference")
-    curves.update(ref)
-    return curves
+    rand = run_grid(
+        **LARGE, nranks=LARGE_LADDER, selector="rand", allocation=ALLOCATIONS
+    )
+    ref = run_grid(**LARGE, nranks=LARGE_LADDER, allocation=ALLOCATIONS)
+    return {
+        **by_allocation(rand, "speedup", "Rand"),
+        **by_allocation(ref, "speedup", "Reference", allocations=("1/N",)),
+    }
 
 
 def test_fig06_random_selection_speedup(once):

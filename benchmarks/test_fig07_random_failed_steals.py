@@ -6,21 +6,21 @@ random victim selection strategy" (for the 1/N allocation).
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import ALLOCATIONS, large_sweep
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    rand = large_sweep("rand", "one")
-    ref = large_sweep("reference", "one", allocations=("1/N",))
-    curves = {
-        "Reference 1/N": [ref[(n, "1/N")].failed_steals for n in LARGE_LADDER]
+    ref = run_grid(**LARGE, nranks=LARGE_LADDER, allocation=("1/N",))
+    rand = run_grid(
+        **LARGE, nranks=LARGE_LADDER, selector="rand", allocation=ALLOCATIONS
+    )
+    return {
+        **by_allocation(ref, "failed_steals", "Reference", allocations=("1/N",)),
+        **by_allocation(rand, "failed_steals", "Rand"),
     }
-    for a in ALLOCATIONS:
-        curves[f"Rand {a}"] = [rand[(n, a)].failed_steals for n in LARGE_LADDER]
-    return curves
 
 
 def test_fig07_failed_steals(once):

@@ -8,19 +8,23 @@ allocation".
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import ALLOCATIONS, large_sweep, speedups
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    curves = speedups(large_sweep("tofu", "one"), label="Tofu")
-    rand = speedups(
-        large_sweep("rand", "one"), allocations=("1/N", "8G"), label="Rand"
+    tofu = run_grid(
+        **LARGE, nranks=LARGE_LADDER, selector="tofu", allocation=ALLOCATIONS
     )
-    curves.update(rand)
-    return curves
+    rand = run_grid(
+        **LARGE, nranks=LARGE_LADDER, selector="rand", allocation=ALLOCATIONS
+    )
+    return {
+        **by_allocation(tofu, "speedup", "Tofu"),
+        **by_allocation(rand, "speedup", "Rand", allocations=("1/N", "8G")),
+    }
 
 
 def test_fig09_tofu_speedup(once):

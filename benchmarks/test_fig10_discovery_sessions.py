@@ -8,29 +8,24 @@ results in much faster work discovery."
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import ALLOCATIONS, large_sweep
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    tofu = large_sweep("tofu", "one")
-    rand = large_sweep("rand", "one", allocations=("1/N",))
-    ref = large_sweep("reference", "one", allocations=("1/N",))
-    curves = {
-        "Reference 1/N": [
-            ref[(n, "1/N")].mean_session_duration * 1e3 for n in LARGE_LADDER
-        ],
-        "Rand 1/N": [
-            rand[(n, "1/N")].mean_session_duration * 1e3 for n in LARGE_LADDER
-        ],
+    ref = run_grid(**LARGE, nranks=LARGE_LADDER, allocation=("1/N",))
+    rand = run_grid(**LARGE, nranks=LARGE_LADDER, selector="rand", allocation=("1/N",))
+    tofu = run_grid(
+        **LARGE, nranks=LARGE_LADDER, selector="tofu", allocation=ALLOCATIONS
+    )
+    ms = "mean_session_duration"
+    return {
+        **by_allocation(ref, ms, "Reference", allocations=("1/N",), scale=1e3),
+        **by_allocation(rand, ms, "Rand", allocations=("1/N",), scale=1e3),
+        **by_allocation(tofu, ms, "Tofu", scale=1e3),
     }
-    for a in ALLOCATIONS:
-        curves[f"Tofu {a}"] = [
-            tofu[(n, a)].mean_session_duration * 1e3 for n in LARGE_LADDER
-        ]
-    return curves
 
 
 def test_fig10_work_discovery_sessions(once):

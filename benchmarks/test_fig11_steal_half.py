@@ -10,25 +10,37 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import large_sweep
+from benchmarks._shared import LARGE
+
+#: Curve label -> (selector, steal policy); every run is 1/N.
+VARIANTS = {
+    "Reference": ("reference", "one"),
+    "Reference Half": ("reference", "half"),
+    "Tofu": ("tofu", "one"),
+    "Rand Half": ("rand", "half"),
+    "Tofu Half": ("tofu", "half"),
+}
 
 
 def _series():
-    variants = {
-        "Reference": ("reference", "one"),
-        "Reference Half": ("reference", "half"),
-        "Tofu": ("tofu", "one"),
-        "Rand Half": ("rand", "half"),
-        "Tofu Half": ("tofu", "half"),
+    res = {
+        **run_grid(
+            **LARGE,
+            nranks=LARGE_LADDER,
+            selector=("reference", "tofu"),
+            steal_policy=("one", "half"),
+        ),
+        **run_grid(
+            **LARGE, nranks=LARGE_LADDER, selector=("rand",), steal_policy=("half",)
+        ),
     }
-    curves = {}
-    for name, (sel, pol) in variants.items():
-        res = large_sweep(sel, pol, allocations=("1/N",))
-        curves[name] = [res[(n, "1/N")].speedup for n in LARGE_LADDER]
-    return curves
+    return {
+        name: [res[(n, *variant)].speedup for n in LARGE_LADDER]
+        for name, variant in VARIANTS.items()
+    }
 
 
 def test_fig11_steal_half_speedup(once):

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import top_run
+from benchmarks._shared import LARGE, TOP
 
 GRID = np.arange(0.05, 1.001, 0.05)
 
 
 def _profiles():
-    ref = top_run("reference", "one").latency_profile(GRID)
-    opt = top_run("tofu", "half").latency_profile(GRID)
-    return ref, opt
+    ref = run_grid(**LARGE, nranks=TOP)[()]
+    opt = run_grid(**LARGE, nranks=TOP, selector="tofu", steal_policy="half")[()]
+    return ref.latency_profile(GRID), opt.latency_profile(GRID)
 
 
 def test_fig12_starting_latency_comparison(once):

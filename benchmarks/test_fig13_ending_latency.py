@@ -11,27 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.experiments import CALIBRATION, LARGE_LADDER, cached_run, experiment_config
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
+
+from benchmarks._shared import LARGE
 
 GRID = np.arange(0.05, 1.001, 0.05)
 SCALE = LARGE_LADDER[-2]
 
 
 def _profiles():
-    ref = cached_run(
-        experiment_config(
-            CALIBRATION.large_tree, SCALE, allocation="1/N",
-            selector="reference", steal_policy="one", trace=True,
-        )
-    ).latency_profile(GRID)
-    opt = cached_run(
-        experiment_config(
-            CALIBRATION.large_tree, SCALE, allocation="1/N",
-            selector="tofu", steal_policy="half", trace=True,
-        )
-    ).latency_profile(GRID)
-    return ref, opt
+    ref = run_grid(**LARGE, nranks=SCALE)[()]
+    opt = run_grid(**LARGE, nranks=SCALE, selector="tofu", steal_policy="half")[()]
+    return ref.latency_profile(GRID), opt.latency_profile(GRID)
 
 
 def test_fig13_ending_latency_comparison(once):

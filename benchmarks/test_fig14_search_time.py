@@ -7,25 +7,26 @@ work."
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import ALLOCATIONS, large_sweep
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    ref = large_sweep("reference", "one", allocations=("1/N",))
-    opt = large_sweep("tofu", "half")
-    curves = {
-        "Reference 1/N": [
-            ref[(n, "1/N")].mean_search_time * 1e3 for n in LARGE_LADDER
-        ]
+    ref = run_grid(**LARGE, nranks=LARGE_LADDER, allocation=("1/N",))
+    opt = run_grid(
+        **LARGE,
+        nranks=LARGE_LADDER,
+        selector="tofu",
+        steal_policy="half",
+        allocation=ALLOCATIONS,
+    )
+    ms = "mean_search_time"
+    return {
+        **by_allocation(ref, ms, "Reference", allocations=("1/N",), scale=1e3),
+        **by_allocation(opt, ms, "Tofu Half", scale=1e3),
     }
-    for a in ALLOCATIONS:
-        curves[f"Tofu Half {a}"] = [
-            opt[(n, a)].mean_search_time * 1e3 for n in LARGE_LADDER
-        ]
-    return curves
 
 
 def test_fig14_average_search_time(once):

@@ -6,23 +6,25 @@ better work distribution."
 
 from __future__ import annotations
 
-from repro.bench.experiments import LARGE_LADDER
+from repro.bench.experiments import LARGE_LADDER, run_grid
 from repro.bench.report import format_series, save_artifact
 
-from benchmarks._shared import ALLOCATIONS, large_sweep
+from benchmarks._shared import ALLOCATIONS, LARGE, by_allocation
 
 
 def _series():
-    ref = large_sweep("reference", "one", allocations=("1/N",))
-    opt = large_sweep("tofu", "half")
-    curves = {
-        "Reference 1/N": [ref[(n, "1/N")].failed_steals for n in LARGE_LADDER]
+    ref = run_grid(**LARGE, nranks=LARGE_LADDER, allocation=("1/N",))
+    opt = run_grid(
+        **LARGE,
+        nranks=LARGE_LADDER,
+        selector="tofu",
+        steal_policy="half",
+        allocation=ALLOCATIONS,
+    )
+    return {
+        **by_allocation(ref, "failed_steals", "Reference", allocations=("1/N",)),
+        **by_allocation(opt, "failed_steals", "Tofu Half"),
     }
-    for a in ALLOCATIONS:
-        curves[f"Tofu Half {a}"] = [
-            opt[(n, a)].failed_steals for n in LARGE_LADDER
-        ]
-    return curves
 
 
 def test_fig15_failed_steals_comparison(once):

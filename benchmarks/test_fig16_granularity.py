@@ -14,35 +14,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import run_grid
 from repro.bench.report import format_series, save_artifact
+
+from benchmarks._shared import LARGE
 
 ROUNDS = (1, 2, 4, 8, 16, 24)
 NRANKS = 256  # top scale affordable for a 6-point granularity sweep
 
 
-def _run(selector: str, rounds: int):
-    return cached_run(
-        experiment_config(
-            CALIBRATION.large_tree,
-            NRANKS,
-            allocation="1/N",
-            selector=selector,
-            steal_policy="half",
-            compute_rounds=rounds,
-            trace=True,
-        )
-    )
-
-
 def _series():
-    curves = {"Rand Half": [], "Tofu Half": []}
-    for rounds in ROUNDS:
-        base = _run("reference", rounds).total_time
-        for label, sel in (("Rand Half", "rand"), ("Tofu Half", "tofu")):
-            t = _run(sel, rounds).total_time
-            curves[label].append(100.0 * (base - t) / base)
-    return curves
+    res = run_grid(
+        **LARGE,
+        nranks=NRANKS,
+        steal_policy="half",
+        compute_rounds=ROUNDS,
+        selector=("reference", "rand", "tofu"),
+    )
+    base = {rounds: res[(rounds, "reference")].total_time for rounds in ROUNDS}
+    return {
+        label: [
+            100.0 * (base[rounds] - res[(rounds, sel)].total_time) / base[rounds]
+            for rounds in ROUNDS
+        ]
+        for label, sel in (("Rand Half", "rand"), ("Tofu Half", "tofu"))
+    }
 
 
 def test_fig16_granularity_sweep(once):

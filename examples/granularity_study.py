@@ -15,43 +15,31 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import CALIBRATION, run_grid
 from repro.bench.report import format_series
 
 ROUNDS = (1, 4, 16)
 
 
-def improvement(selector: str, nranks: int, rounds: int, base_time: float) -> float:
-    r = cached_run(
-        experiment_config(
-            CALIBRATION.large_tree,
-            nranks,
-            allocation="1/N",
-            selector=selector,
-            steal_policy="half",
-            compute_rounds=rounds,
-        )
-    )
-    return 100.0 * (base_time - r.total_time) / base_time
-
-
 def main() -> None:
     nranks = int(sys.argv[1]) if len(sys.argv) > 1 else 128
 
-    curves = {"Rand Half": [], "Tofu Half": []}
-    for rounds in ROUNDS:
-        base = cached_run(
-            experiment_config(
-                CALIBRATION.large_tree,
-                nranks,
-                allocation="1/N",
-                selector="reference",
-                steal_policy="half",
-                compute_rounds=rounds,
-            )
-        ).total_time
-        curves["Rand Half"].append(improvement("rand", nranks, rounds, base))
-        curves["Tofu Half"].append(improvement("tofu", nranks, rounds, base))
+    # One grid: granularity x selector, every run steal-half on 1/N.
+    res = run_grid(
+        CALIBRATION.large_tree,
+        nranks,
+        steal_policy="half",
+        compute_rounds=ROUNDS,
+        selector=("reference", "rand", "tofu"),
+    )
+    base = {rounds: res[rounds, "reference"].total_time for rounds in ROUNDS}
+    curves = {
+        label: [
+            100.0 * (base[rounds] - res[rounds, sel].total_time) / base[rounds]
+            for rounds in ROUNDS
+        ]
+        for label, sel in (("Rand Half", "rand"), ("Tofu Half", "tofu"))
+    }
 
     print(
         format_series(

@@ -24,15 +24,16 @@ import sys
 
 import numpy as np
 
-from repro.bench.experiments import CALIBRATION, cached_run, experiment_config
+from repro.bench.experiments import CALIBRATION, run_grid
 from repro.bench.report import format_series, format_table, render_ascii_curve
 
-STRATEGIES = [
-    ("Reference", "reference", "one"),
-    ("Rand", "rand", "one"),
-    ("Tofu", "tofu", "one"),
-    ("Tofu Half", "tofu", "half"),
-]
+#: Label -> (selector, steal policy).
+STRATEGIES = {
+    "Reference": ("reference", "one"),
+    "Rand": ("rand", "one"),
+    "Tofu": ("tofu", "one"),
+    "Tofu Half": ("tofu", "half"),
+}
 
 
 def main() -> None:
@@ -40,21 +41,26 @@ def main() -> None:
     ladder = (64, 128) if quick else (64, 128, 256, 512)
     tree = CALIBRATION.large_tree
 
-    # 1-2. Speedups across the ladder.
-    results = {}
-    curves = {}
-    for label, selector, policy in STRATEGIES:
-        series = []
-        for nranks in ladder:
-            r = cached_run(
-                experiment_config(
-                    tree, nranks, allocation="1/N",
-                    selector=selector, steal_policy=policy, trace=True,
-                )
-            )
-            results[(label, nranks)] = r
-            series.append(r.speedup)
-        curves[label] = series
+    # 1-2. Speedups across the ladder: two grids keyed
+    # (nranks, selector, policy), every run traced on 1/N.
+    runs = {
+        **run_grid(
+            tree,
+            ladder,
+            selector=("reference", "rand", "tofu"),
+            steal_policy=("one",),
+            trace=True,
+        ),
+        **run_grid(
+            tree, ladder, selector=("tofu",), steal_policy=("half",), trace=True
+        ),
+    }
+    # label -> its runs in ladder order
+    results = {
+        label: [runs[(n, *strategy)] for n in ladder]
+        for label, strategy in STRATEGIES.items()
+    }
+    curves = {label: [r.speedup for r in rs] for label, rs in results.items()}
     print(format_series("Speedup, 1/N allocation", "nranks", ladder, curves))
 
     # 3. Scheduling latencies at the top scale.
@@ -62,7 +68,7 @@ def main() -> None:
     grid = np.arange(0.05, 1.001, 0.05)
     print("\nScheduling latencies at x%d (fraction of runtime):" % top)
     for label in ("Reference", "Tofu Half"):
-        profile = results[(label, top)].latency_profile(grid)
+        profile = results[label][-1].latency_profile(grid)
         print(f"\n  {label}: max occupancy {profile.max_occupancy:.0%}")
         print("  SL(x):")
         print(
@@ -76,8 +82,8 @@ def main() -> None:
 
     # 4. Search time and failed steals.
     rows = []
-    for label, *_ in STRATEGIES:
-        r = results[(label, top)]
+    for label, rs in results.items():
+        r = rs[-1]
         rows.append(
             [label, r.mean_search_time * 1e3, r.failed_steals,
              r.mean_session_duration * 1e6, r.sessions.sessions_per_rank]

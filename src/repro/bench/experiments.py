@@ -14,17 +14,19 @@ The paper ran on 1024—8192 K Computer nodes with trees of 2.8e9 and
 * a NIC serialisation cost of 0.1 µs/message models the shared
   per-node injection path that penalised 8-processes-per-node runs.
 
-:func:`cached_run` memoises simulations by config fingerprint: the
-benchmark suite's figures share sweeps (Fig 3's runs are also Fig 7's,
-Fig 9's also Fig 10's, ...), so each distinct simulation runs once per
-process.  :func:`configure` layers the :mod:`repro.exec` machinery on
-top: worker processes for batch runs (:func:`run_configs`) and the
-on-disk result store, both wired to the CLI's ``--jobs`` /
-``--no-cache`` flags.
+:func:`grid` builds a figure's runs as one ordered grid and
+:func:`run_grid` executes it; :func:`run_configs` memoises simulations
+by config fingerprint: the benchmark suite's figures share runs (Fig
+3's runs are also Fig 7's, Fig 9's also Fig 10's, ...), so each
+distinct simulation runs once per process.  :func:`configure` layers
+the :mod:`repro.exec` machinery on top: worker processes for batch
+runs and the on-disk result store, both wired to the CLI's ``--jobs``
+/ ``--no-cache`` flags.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +34,7 @@ from repro.core.config import WorkStealingConfig
 from repro.exec.pool import resolve, run_many
 from repro.exec.store import ArtifactStore, open_store
 from repro.net.latency import HierarchicalLatency
+from repro.protocol.variants import protocol_overrides
 from repro.uts.params import TreeParams, tree_by_name
 from repro.ws.results import RunResult
 
@@ -41,8 +44,9 @@ __all__ = [
     "SMALL_LADDER",
     "LARGE_LADDER",
     "experiment_config",
+    "grid",
+    "run_grid",
     "configure",
-    "cached_run",
     "run_configs",
     "clear_cache",
 ]
@@ -112,11 +116,51 @@ def experiment_config(
     return WorkStealingConfig(**kwargs)
 
 
+def grid(
+    tree: TreeParams | str | tuple,
+    nranks: int | tuple[int, ...],
+    *,
+    calibrated: bool = True,
+    **fields,
+) -> dict[tuple, WorkStealingConfig]:
+    """The configs of a run grid, keyed by their axis values, in order.
+
+    ``tree``, ``nranks`` and every other keyword are config fields: a
+    tuple value is an axis, any other value is fixed.  Axes iterate in
+    keyword order, the first outermost, and a key holds one value per
+    axis (``()`` when there is none).  ``protocol`` values are variant
+    specs expanded through
+    :func:`~repro.protocol.variants.protocol_overrides`, so ``"steal"``
+    and ``"forward"`` keep their meaning.  ``calibrated`` builds through
+    :func:`experiment_config`; without it the config defaults apply.
+
+    A seed spread is ``seed=(0, 1, 2, 3)``; a root-seed spread is a
+    tuple of ``dataclasses.replace(tree, root_seed=r)``.
+    """
+    fields = {"tree": tree, "nranks": nranks, **fields}
+    axes = [name for name, value in fields.items() if isinstance(value, tuple)]
+    build = experiment_config if calibrated else WorkStealingConfig
+    out = {}
+    for key in itertools.product(*(fields[name] for name in axes)):
+        point = {**fields, **dict(zip(axes, key))}
+        if "protocol" in point:
+            point.update(protocol_overrides(point.pop("protocol")))
+        out[key] = build(**point)
+    return out
+
+
+def run_grid(tree, nranks, **fields) -> dict[tuple, RunResult]:
+    """Run a :func:`grid` as one :func:`run_configs` batch:
+    ``{key: RunResult}`` in grid order."""
+    configs = grid(tree, nranks, **fields)
+    return dict(zip(configs, run_configs(configs.values())))
+
+
 #: In-process memo: fingerprint -> result (shared across all figures).
 _MEMO: dict[str, RunResult] = {}
 #: Default worker count for batch runs (1 = serial, None = cpu_count).
 _JOBS: int | None = 1
-#: Optional on-disk store shared by cached_run / run_configs.
+#: Optional on-disk store behind run_configs.
 _DISK: ArtifactStore | None = None
 
 #: configure() sentinel: "leave this setting unchanged".
@@ -142,11 +186,6 @@ def configure(jobs: int | None = _UNSET, cache=_UNSET) -> None:
         _JOBS = jobs
     if cache is not _UNSET:
         _DISK = open_store(cache)
-
-
-def cached_run(cfg: WorkStealingConfig) -> RunResult:
-    """Run a config, memoised on its fingerprint (single-run form)."""
-    return run_configs([cfg])[0]
 
 
 def run_configs(

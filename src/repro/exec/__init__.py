@@ -19,8 +19,9 @@ The executor subsystem turns the one-run API
 * :func:`run_many` — a ``ProcessPoolExecutor`` batch runner with
   deduplication, store integration and progress callbacks, whose
   results are bit-identical to the serial path.  A parallel call
-  starts and stops a :class:`WorkerPool` of its own.  It is how every
-  figure's grid of independent runs is served; :mod:`repro.service`
+  submits its batch to a ``ProcessPoolExecutor`` of its own.  It is
+  how every figure's grid of independent runs is served
+  (:func:`repro.bench.run_grid`); :mod:`repro.service`
   puts an asyncio front-end for several clients over the same
   :func:`~repro.exec.pool.resolve`/:func:`~repro.exec.pool.land` steps
   and keeps one :class:`WorkerPool` alive for its lifetime.

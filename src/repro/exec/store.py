@@ -294,8 +294,8 @@ class ArtifactStore:
 
 #: Legacy name of the same class.  It stays only because the frozen
 #: ``benchmarks/ledger/workloads.py`` imports and subclasses it
-#: (``_CaptureStore(ResultCache)``); the ROADMAP 3b ``[benchmark]`` PR
-#: removes that last caller, and then this name.
+#: (``_CaptureStore(ResultCache)``); the ROADMAP 3(a) ``[benchmark]``
+#: PR removes that last caller, and then this name.
 ResultCache = ArtifactStore
 
 

@@ -1,6 +1,6 @@
 """Protocol-variant shorthand grammar (registry kind ``"protocol"``).
 
-The tournament harness and the bench sweeps name protocol
+The tournament harness and the bench grid name protocol
 configurations with compact "+"-joined specs; this module owns the
 grammar in both directions:
 

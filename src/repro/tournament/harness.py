@@ -27,11 +27,11 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from repro.bench.experiments import experiment_config
+from repro.bench.experiments import grid
 from repro.core.config import WorkStealingConfig, canonical_json
 from repro.exec.pool import RunProgress, run_many
 from repro.exec.store import ArtifactStore
-from repro.protocol.variants import protocol_overrides, protocol_tag
+from repro.protocol.variants import protocol_tag
 from repro.ws.results import RunResult
 
 __all__ = [
@@ -73,36 +73,19 @@ class TournamentSpec:
 
     def configs(self) -> list[WorkStealingConfig]:
         """The grid, in fixed selector-major order."""
-        out = []
-        for selector in self.selectors:
-            for policy in self.steal_policies:
-                for allocation in self.allocations:
-                    for protocol in self.protocols:
-                        extra = protocol_overrides(protocol)
-                        if self.calibrated:
-                            cfg = experiment_config(
-                                self.tree,
-                                self.nranks,
-                                allocation=allocation,
-                                selector=selector,
-                                steal_policy=policy,
-                                seed=self.seed,
-                                trace=True,
-                                **extra,
-                            )
-                        else:
-                            cfg = WorkStealingConfig(
-                                tree=self.tree,
-                                nranks=self.nranks,
-                                allocation=allocation,
-                                selector=selector,
-                                steal_policy=policy,
-                                seed=self.seed,
-                                trace=True,
-                                **extra,
-                            )
-                        out.append(cfg)
-        return out
+        return list(
+            grid(
+                self.tree,
+                self.nranks,
+                calibrated=self.calibrated,
+                selector=self.selectors,
+                steal_policy=self.steal_policies,
+                allocation=self.allocations,
+                protocol=self.protocols,
+                seed=self.seed,
+                trace=True,
+            ).values()
+        )
 
 
 def _score(cfg: WorkStealingConfig, result: RunResult) -> dict:

@@ -37,7 +37,7 @@ from repro.protocol.messages import (
 )
 from repro.sim.cluster import DEFAULT_MAX_EVENTS, Cluster, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.trace.events import EV_TOKEN
+from repro.trace.events import EV_TOKEN, EVENT_NAMES
 from repro.uts.tree import TreeGenerator
 from repro.ws.results import RunResult
 
@@ -298,22 +298,99 @@ def assert_identical(
     A rank with an event recorder takes the worker's own methods for
     every event, so the engine also runs ``cfg`` untraced — the path
     on which its loop handles quanta and failed steals itself — and
-    that run's ``to_dict()`` must match the oracle's too."""
+    that run's ``to_dict()`` must match the oracle's too.  A mismatch
+    raises with :func:`_divergence`'s report."""
     seq = oracle_result(cfg)
     if res is None:
         res = RunResult.from_outcome(Cluster(cfg).run())
     expected = seq.to_dict()
-    assert expected == res.to_dict()
+    _check(cfg, seq, res, expected == res.to_dict())
     if cfg.event_trace:
-        untraced = Cluster(cfg.replace(event_trace=False)).run()
-        assert expected == RunResult.from_outcome(untraced).to_dict()
+        untraced = RunResult.from_outcome(
+            Cluster(cfg.replace(event_trace=False)).run()
+        )
+        _check(cfg, seq, untraced, expected == untraced.to_dict())
     if seq.events is not None:
-        assert seq.events.canonical_bytes() == res.events.canonical_bytes()
+        _check(
+            cfg,
+            seq,
+            res,
+            seq.events.canonical_bytes() == res.events.canonical_bytes(),
+        )
     if seq.trace is not None:
-        assert res.trace is not None
-        for (ta, sa), (tb, sb) in zip(
-            seq.trace.transitions, res.trace.transitions
-        ):
-            assert np.array_equal(ta, tb)
-            assert np.array_equal(sa, sb)
+        _check(
+            cfg,
+            seq,
+            res,
+            res.trace is not None
+            and all(
+                np.array_equal(ta, tb) and np.array_equal(sa, sb)
+                for (ta, sa), (tb, sb) in zip(
+                    seq.trace.transitions, res.trace.transitions
+                )
+            ),
+        )
     return seq
+
+
+def _check(
+    cfg: WorkStealingConfig, seq: RunResult, res: RunResult, same: bool
+) -> None:
+    if not same:
+        raise AssertionError(_divergence(cfg, seq, res))
+
+
+def _short(value: Any, limit: int = 160) -> str:
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _event(ev: tuple[float, int, int, int, int] | None) -> str:
+    if ev is None:
+        return "(no event: the stream ended)"
+    time, rank, etype, a, b = ev
+    return f"t={time!r} rank={rank} {EVENT_NAMES[etype]} ({a}, {b})"
+
+
+def _divergence(cfg: WorkStealingConfig, seq: RunResult, res: RunResult) -> str:
+    """Where the oracle's result ``seq`` and ``res`` first part.
+
+    Names the first differing ``to_dict()`` key (and, for a list, its
+    first differing entry), the first differing event of the merged
+    time-sorted streams on each side, and the config.  A run without
+    events is rerun on both sides with ``event_trace=True``; those
+    reruns take the workers' own methods, so they may agree where the
+    engine's untraced loop did not, and the report says so.
+    """
+    lines = [f"engine != oracle for {cfg.label()}"]
+    a, b = seq.to_dict(), res.to_dict()
+    key = next((k for k in {**a, **b} if a.get(k) != b.get(k)), None)
+    if key is None:
+        lines.append("to_dict(): equal")
+    else:
+        va, vb = a.get(key), b.get(key)
+        if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
+            i = next(i for i, (x, y) in enumerate(zip(va, vb)) if x != y)
+            key, va, vb = f"{key}[{i}]", va[i], vb[i]
+        lines.append(
+            f"first differing to_dict() key {key!r}: "
+            f"oracle {_short(va)}, engine {_short(vb)}"
+        )
+    ea, eb, note = seq.events, res.events, ""
+    if ea is None or eb is None:
+        traced = cfg.replace(event_trace=True)
+        ea = oracle_result(traced).events
+        eb = RunResult.from_outcome(Cluster(traced).run()).events
+        note = " (reruns with event_trace=True)"
+    ma, mb = ea.merged(), eb.merged()
+    i = next(
+        (i for i, (x, y) in enumerate(zip(ma, mb)) if x != y), min(len(ma), len(mb))
+    )
+    if i == len(ma) == len(mb):
+        lines.append(f"events{note}: all {i} equal")
+    else:
+        lines.append(f"first differing event #{i}{note}:")
+        lines.append(f"  oracle {_event(ma[i] if i < len(ma) else None)}")
+        lines.append(f"  engine {_event(mb[i] if i < len(mb) else None)}")
+    lines.append(f"config: {cfg.to_dict()}")
+    return "\n".join(lines)

@@ -9,7 +9,8 @@ configuration.  The drawn property
 enforces that over the whole config space: every registered selector
 and steal policy, every allocation and lifeline graph, NIC contention,
 the protocol variants, clock skew with activity traces, the tree
-shapes and RNG backends, and 1 to 40 ranks.  Each event-traced draw
+shapes and RNG backends, and 2 to 40 ranks (one rank through an
+``@example``).  Each event-traced draw
 also runs the engine untraced, which is where its loop, not the
 worker, runs the quanta and the failed steals.
 
@@ -27,8 +28,9 @@ import pytest
 
 from repro.core.config import WorkStealingConfig
 from repro.errors import ConfigurationError
+from repro.sim.cluster import Cluster
 from repro.uts.params import T3S, T3XS
-from repro.ws import run_uts
+from repro.ws import RunResult, run_uts
 from tests.sim.oracle import assert_identical, oracle_result
 
 
@@ -111,3 +113,30 @@ class TestRunnerRouting:
         assert_identical(
             _config(), run_uts(tree=T3XS, nranks=16, event_trace=True)
         )
+
+
+class TestDivergenceReport:
+    """A mismatch names where the two runs part, before any shrinking."""
+
+    def test_an_untraced_mismatch_names_its_key_and_the_config(self):
+        cfg = _config(selector="rand", event_trace=False)
+        other = RunResult.from_outcome(Cluster(cfg.replace(seed=1)).run())
+        with pytest.raises(AssertionError) as info:
+            assert_identical(cfg, other)
+        report = str(info.value)
+        assert report.startswith(f"engine != oracle for {cfg.label()}")
+        assert "first differing to_dict() key" in report
+        # The reruns of cfg itself agree on both sides.
+        assert "events (reruns with event_trace=True): all" in report
+        assert report.endswith(f"config: {cfg.to_dict()}")
+
+    def test_a_traced_mismatch_names_its_first_event_on_each_side(self):
+        cfg = _config(selector="rand")
+        other = RunResult.from_outcome(Cluster(cfg.replace(seed=1)).run())
+        with pytest.raises(AssertionError) as info:
+            assert_identical(cfg, other)
+        lines = str(info.value).splitlines()
+        (at,) = [i for i, line in enumerate(lines) if "first differing event #" in line]
+        assert lines[at + 1].startswith("  oracle t=")
+        assert lines[at + 2].startswith("  engine t=")
+        assert " rank=" in lines[at + 1] and " rank=" in lines[at + 2]
