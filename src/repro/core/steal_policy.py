@@ -10,7 +10,7 @@ ablation study.
 
 The policy sees only the victim's *stealable* chunk count (all chunks
 except the private working chunk) and returns how many to transfer;
-the mechanics live in :class:`repro.uts.stack.ChunkedStack`.
+the mechanics live in :mod:`repro.uts.stack`.
 """
 
 from __future__ import annotations

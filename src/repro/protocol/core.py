@@ -16,10 +16,16 @@ paper studies (§II-A):
 
 :class:`Worker` is the whole rank — stack, quantum expansion, victim
 draws, every protocol message, the idle log and the steal counters
-results read.  The idle log is the one record of a rank's phase
-transitions: one ``(start, end, attempts)`` period per work-discovery
-session, in true time.  The result layer derives the activity trace,
-the session statistics and the search times from it
+results read.  Its stack follows its tree: a
+:class:`~repro.uts.tree.TreeTable` (the engine's) gives a
+:class:`~repro.uts.stack.RangeStack` of index ranges, a hashing
+:class:`~repro.uts.tree.TreeGenerator` (the test oracle's) a
+:class:`~repro.uts.stack.ChunkedStack` of ``(state, depth)`` nodes;
+a quantum is one ``stack.quantum`` call either way.  The idle log is
+the one record of a rank's phase transitions: one ``(start, end,
+attempts)`` period per work-discovery session, in true time.  The
+result layer derives the activity trace, the session statistics and
+the search times from it
 (:meth:`repro.ws.results.RunResult.from_outcome`).
 
 Messages are not objects: the tag says what ``body`` is and ``src``,
@@ -99,7 +105,7 @@ from repro.trace.events import (
     EV_STEAL_SENT,
     EV_VICTIM_DRAW,
 )
-from repro.uts.stack import ChunkedStack
+from repro.uts.stack import ChunkedStack, RangeStack
 from repro.uts.tree import TreeGenerator, TreeTable
 
 __all__ = ["ProtocolPlan", "Transport", "Worker", "WorkerStatus"]
@@ -204,9 +210,7 @@ class Worker:
         "nodes_processed",
         "finish_time",
         "pending",
-        "_nodes",
         "_chunk_size",
-        "_expand",
         "_schedule_exec",
         # The idle log.
         "idle_starts",
@@ -284,7 +288,12 @@ class Worker:
         self.per_node_time = per_node_time
         self.steal_service_time = steal_service_time
 
-        self.stack = ChunkedStack(chunk_size)
+        # Table indices are held as ranges; hashed nodes one by one.
+        self.stack = (
+            RangeStack(chunk_size, generator)
+            if isinstance(generator, TreeTable)
+            else ChunkedStack(chunk_size, generator.expand)
+        )
         self.status = WorkerStatus.RUNNING  # resolved properly in start()
         # Structured steal-event list (repro.trace) of ``(time, etype,
         # a, b)`` tuples; None when event tracing is off, so every hook
@@ -299,12 +308,9 @@ class Worker:
         #: answered at poll boundaries.
         self.pending: list = []
 
-        # Caches for the per-quantum path.  The stack's node list, the
-        # generator and the transport are fixed for the worker's
-        # lifetime; ``send`` is deliberately NOT cached (tests patch it).
-        self._nodes = self.stack.nodes
+        # Fixed for the worker's lifetime; ``send`` is deliberately NOT
+        # cached (tests patch it).
         self._chunk_size = chunk_size
-        self._expand = generator.expand
         self._schedule_exec = transport.schedule_exec
 
         #: The idle log, one entry per work-discovery session in true
@@ -363,7 +369,8 @@ class Worker:
     def start(self, now: float) -> None:
         """Initialise at simulation start: rank 0 holds the root."""
         if self.rank == 0:
-            self._nodes.append(self.generator.root())
+            # The root is rank 0's first block.
+            self.stack.receive_chunks([self.generator.root()])
             self.status = WorkerStatus.RUNNING
             self.transport.schedule_exec(self.rank, now)
         else:
@@ -381,19 +388,9 @@ class Worker:
             t = self.serve_pending(now)
         else:
             t = now
-        nodes = self._nodes
-        if nodes:
-            # One quantum: pop, expand, push.  When the top chunk holds
-            # more than the quantum the pop is a slice; otherwise it
-            # drains chunks in the stack's order (``ChunkedStack.pop``).
-            n = self.poll_interval
-            if (len(nodes) - 1) % self._chunk_size >= n:
-                popped = nodes[-n:]
-                del nodes[-n:]
-            else:
-                popped = self.stack.pop(n)
-                n = len(popped)
-            nodes += self._expand(popped)
+        # One quantum: pop, expand, push.
+        n = self.stack.quantum(self.poll_interval)
+        if n:
             self.nodes_processed += n
             self._schedule_exec(self.rank, t + n * self.per_node_time)
         else:

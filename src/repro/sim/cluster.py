@@ -25,18 +25,22 @@ One EXEC event is one quantum: the paper's Algorithm 1 polls between
 every ``poll_interval`` node expansions.  A tree is walked once per
 process into a :class:`~repro.uts.tree.TreeTable` (held for the next run
 by :func:`~repro.uts.tree.tree_table`), so a quantum reads child
-index ranges instead of hashing RNG states, and a pop of consecutive
-indices (nodes are numbered breadth-first) extends the stack by one
+index ranges instead of hashing RNG states, and each rank's stack is a
+:class:`~repro.uts.stack.RangeStack`: index ranges, not nodes.  Nodes
+are numbered breadth-first, so the children of a run of consecutive
+nodes are one range, and a quantum whose nodes lie in one range of the
+top chunk — at any poll interval — is one subtraction and one pushed
 range (DESIGN.md §5d).
 
 **The loop owns the three common events** — a quantum, a request at a
 WAITING rank (deny it), a deny at a WAITING thief (count it, draw,
 request again) — step for step as ``Worker.on_exec`` and
 ``Worker.on_message`` do, with no call of its own but one
-``heapq.heappushpop``: a quantum extends the node list from the tree
-table's offsets, a deny or a request is ``send`` written out, and the
-pushpop hands back the next event (the pushed one when it is
-earliest; the keys are unique, so the order is the heap's).  Which
+``heapq.heappushpop``: a quantum is ``RangeStack.quantum`` written out
+over the stack's ranges and the tree table's offsets, a deny or a
+request is ``send`` written out, and the pushpop hands back the next
+event (the pushed one when it is earliest; the keys are unique, so the
+order is the heap's).  Which
 ranks it serves is fixed per rank at construction: a rank qualifies
 when ``type(worker) is Worker`` and it has no event list; the
 victim half also needs no forwarding, the thief half no lifelines and
@@ -431,9 +435,9 @@ class Cluster:
                 raise _budget_error(max_events)
             if tag == TAG_EXEC:
                 # A quantum, a wake or a catch-up: run the rank's quanta
-                # from key ``(tk, rank, sk)`` — the first one always
-                # (a wake or a catch-up counts as it), the next while
-                # their key is below this event's ``(t, src, _seq)``.
+                # from time ``tk`` — the first one always (a wake or a
+                # catch-up counts as it), the next while their key is
+                # below this event's ``(t, src, _seq)``.
                 w = plain[rank]
                 if body is None:
                     if w is None or w.status is not running:
@@ -441,8 +445,8 @@ class Cluster:
                         continue
                     if w.pending or w.waiters:
                         t = w.serve_pending(t)
-                    nodes = w._nodes
-                    if not nodes:
+                    stack = w.stack
+                    if not stack.count:
                         w._go_idle(t)
                         if tail and not self._live and not self._finishing:
                             # Quiescent, and this rank's request is on
@@ -453,44 +457,98 @@ class Cluster:
                                 # As many as a tie can reach back.
                                 tokens = deque(maxlen=4)
                         continue
-                    tk, sk = t, _seq
+                    tk = t
                 elif body is deferred[rank]:
                     deferred[rank] = None
-                    nodes = w._nodes
-                    tk, sk = body
+                    stack = w.stack
+                    tk = body[0]
                 else:
                     # A wake whose deferral an event ended.
                     processed -= 1
                     continue
-                n0, size, pnt = w.poll_interval, w._chunk_size, w.per_node_time
+                # ``RangeStack.quantum`` written out, quantum after
+                # quantum; the counters are settled once per run of
+                # quanta.  A pop falls short of ``n0`` only on a stack
+                # that holds fewer; ``short`` sums the shortfall.
+                segs, count, size = stack.segs, stack.count, stack.chunk_size
+                n0, pnt = w.poll_interval, w.per_node_time
+                n1 = n0 - 1
+                s0 = rank_seq[rank]
+                sk = s0 - 1
+                short = 0
                 while True:
-                    n = n0
-                    held = len(nodes)
-                    if (held - 1) % size < n - 1:
-                        # The pop crosses a chunk boundary.
-                        popped = w.stack.pop(n)
-                        n = len(popped)
-                    elif n <= 2 and nodes[-1] - (lo := nodes[-n]) == n - 1:
-                        # Nodes are numbered breadth-first: the children
-                        # of ``lo .. lo+n-1`` are one range.  The end
-                        # points prove such a run only for ``n <= 2``.
-                        del nodes[-n:]
-                        nodes += range(first[lo], first[lo + n])
-                        popped = ()
+                    held = count
+                    hi = segs[-1]
+                    m = hi - n0
+                    lo = segs[-2]
+                    if m >= lo and (count - 1) % size >= n1:
+                        # The top ``n0`` nodes lie in one range and the
+                        # top chunk; their children are one range.
+                        a = first[m]
+                        b = first[hi]
+                        if m > lo:
+                            segs[-1] = m
+                            if a != b:
+                                segs += a, b
+                        elif a != b:
+                            segs[-2] = a
+                            segs[-1] = b
+                        else:
+                            del segs[-2:]
+                        count += b - a - n0
+                        n = n0
                     else:
-                        popped = nodes[-n:]
-                        del nodes[-n:]
-                    for i in popped:
-                        nodes += range(first[i], first[i + 1])
-                    w.nodes_processed += n
-                    sk = rank_seq[rank]
-                    rank_seq[rank] = sk + 1
+                        # Chunk by chunk, newest first: the top ``k``
+                        # nodes are the ranges from ``segs[i]`` up, the
+                        # lowest cut at ``cut``; their children go on
+                        # once every chunk is popped.
+                        kids = []
+                        n = 0
+                        k = (count - 1) % size + 1
+                        while True:
+                            if k > n0 - n:
+                                k = n0 - n
+                            n += k
+                            i = -2
+                            got = hi - lo
+                            while got < k:
+                                i -= 2
+                                got += segs[i + 1] - segs[i]
+                            lo = segs[i]
+                            cut = lo + got - k
+                            a = first[cut]
+                            j = i
+                            while True:
+                                b = first[segs[j + 1]]
+                                if a != b:
+                                    kids += a, b
+                                    count += b - a
+                                j += 2
+                                if not j:
+                                    break
+                                a = first[segs[j]]
+                            if cut > lo:
+                                segs[i + 1 :] = (cut,)
+                            else:
+                                del segs[i:]
+                            if n == n0 or not segs:
+                                break
+                            k = size
+                            hi = segs[-1]
+                            lo = segs[-2]
+                        segs += kids
+                        count -= n
+                        short += n0 - n
+                    sk += 1
                     tk += n * pnt
                     if tk > t or tk == t and (
                         rank > src or rank == src and sk > _seq
                     ):
                         break
-                    processed += 1
+                stack.count = count
+                rank_seq[rank] = sk + 1
+                processed += sk - s0
+                w.nodes_processed += (sk - s0 + 1) * n0 - short
                 if stash is not None:
                     # A catch-up: the next quantum goes back on the
                     # heap, and the event it was made for is delivered.

@@ -22,8 +22,9 @@ Modules
     of a tree: one run's tree expanded once into a breadth-first child
     table, which is what the simulator expands.
 ``stack``
-    The chunked steal-stack with a private working chunk: one flat node
-    list whose chunks are arithmetic.
+    The chunked steal-stacks with a private working chunk, whose chunks
+    are arithmetic: ``RangeStack`` holds table indices as index ranges
+    (the simulator's), ``ChunkedStack`` any node in one flat list.
 ``sequential``
     The ground-truth counts (size, depth, leaves), read off a
     ``TreeTable``.
@@ -44,7 +45,7 @@ from repro.uts.params import (
 )
 from repro.uts.rng import RngBackend, Sha1Backend, SplitMix64Backend
 from repro.uts.tree import TreeGenerator, TreeTable
-from repro.uts.stack import ChunkedStack
+from repro.uts.stack import ChunkedStack, RangeStack
 from repro.uts.sequential import SequentialResult, sequential_count
 
 __all__ = [
@@ -65,6 +66,7 @@ __all__ = [
     "TreeGenerator",
     "TreeTable",
     "ChunkedStack",
+    "RangeStack",
     "SequentialResult",
     "sequential_count",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from typing import Any
+from unittest import mock
 
 import numpy as np
 
@@ -29,11 +30,14 @@ from repro.net.allocation import build_placement
 from repro.net.contention import NicContention
 from repro.protocol.core import WorkerStatus
 from repro.protocol.factory import build_plan, make_workers
+import repro.protocol.messages as messages
+import repro.sim.cluster as cluster_mod
 from repro.protocol.messages import (
     TAG_EXEC,
     TAG_FINISH,
     TAG_STEAL_RESPONSE,
     TAG_TOKEN,
+    StealForward,
 )
 from repro.sim.cluster import DEFAULT_MAX_EVENTS, Cluster, SimOutcome
 from repro.sim.termination import DijkstraTermination, TokenAction
@@ -53,12 +57,14 @@ class EventQueue:
     is documented in :mod:`repro.sim.cluster`).
     """
 
-    __slots__ = ("_heap", "_rank_seq", "_processed", "_max_events", "now")
+    __slots__ = ("_heap", "_rank_seq", "_processed", "_max_events", "now", "log")
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
         if max_events < 1:
             raise SimulationError(f"max_events must be >= 1, got {max_events}")
         self._heap: list[tuple[float, int, int, int, int, Any]] = []
+        #: Every popped entry, in order, when a list (``_divergence``).
+        self.log: list | None = None
         #: Per-pusher monotonic counters.
         self._rank_seq: dict[int, int] = {}
         self._processed = 0
@@ -96,7 +102,10 @@ class EventQueue:
         """
         if not self._heap:
             raise SimulationError("pop from empty event queue")
-        time, pusher, _seq, tag, rank, body = heapq.heappop(self._heap)
+        entry = heapq.heappop(self._heap)
+        if self.log is not None:
+            self.log.append(entry)
+        time, pusher, _seq, tag, rank, body = entry
         self.now = time
         self._processed += 1
         if self._processed > self._max_events:
@@ -345,9 +354,7 @@ def _short(value: Any, limit: int = 160) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _event(ev: tuple[float, int, int, int, int] | None) -> str:
-    if ev is None:
-        return "(no event: the stream ended)"
+def _event(ev: tuple[float, int, int, int, int]) -> str:
     time, rank, etype, a, b = ev
     return f"t={time!r} rank={rank} {EVENT_NAMES[etype]} ({a}, {b})"
 
@@ -357,10 +364,12 @@ def _divergence(cfg: WorkStealingConfig, seq: RunResult, res: RunResult) -> str:
 
     Names the first differing ``to_dict()`` key (and, for a list, its
     first differing entry), the first differing event of the merged
-    time-sorted streams on each side, and the config.  A run without
-    events is rerun on both sides with ``event_trace=True``; those
-    reruns take the workers' own methods, so they may agree where the
-    engine's untraced loop did not, and the report says so.
+    time-sorted streams on each side, the first differing delivered
+    message, and the config.  A run without events is rerun on both
+    sides with ``event_trace=True``; those reruns take the workers' own
+    methods, so they may agree where the engine's untraced loop did
+    not, and the report says so.  The messages come from untraced
+    reruns, where the loop runs its own steps (:func:`_deliveries`).
     """
     lines = [f"engine != oracle for {cfg.label()}"]
     a, b = seq.to_dict(), res.to_dict()
@@ -383,14 +392,112 @@ def _divergence(cfg: WorkStealingConfig, seq: RunResult, res: RunResult) -> str:
         eb = RunResult.from_outcome(Cluster(traced).run()).events
         note = " (reruns with event_trace=True)"
     ma, mb = ea.merged(), eb.merged()
-    i = next(
-        (i for i, (x, y) in enumerate(zip(ma, mb)) if x != y), min(len(ma), len(mb))
+    lines += _first_difference("event", note, ma, mb, _event)
+    lines += _first_difference(
+        "delivered message",
+        " (untraced reruns, no tail walk)",
+        *_deliveries(cfg.replace(event_trace=False)),
+        _message,
     )
-    if i == len(ma) == len(mb):
-        lines.append(f"events{note}: all {i} equal")
-    else:
-        lines.append(f"first differing event #{i}{note}:")
-        lines.append(f"  oracle {_event(ma[i] if i < len(ma) else None)}")
-        lines.append(f"  engine {_event(mb[i] if i < len(mb) else None)}")
     lines.append(f"config: {cfg.to_dict()}")
     return "\n".join(lines)
+
+
+def _first_difference(noun: str, note: str, xs: list, ys: list, show) -> list:
+    """The report's lines on where ``xs`` (oracle) and ``ys`` (engine)
+    first part, ``show`` naming an entry."""
+    i = next(
+        (i for i, (x, y) in enumerate(zip(xs, ys)) if x != y),
+        min(len(xs), len(ys)),
+    )
+    if i == len(xs) == len(ys):
+        return [f"{noun}s{note}: all {i} equal"]
+    ended = "(none: the stream ended)"
+    return [
+        f"first differing {noun} #{i}{note}:",
+        f"  oracle {show(xs[i]) if i < len(xs) else ended}",
+        f"  engine {show(ys[i]) if i < len(ys) else ended}",
+    ]
+
+
+class _PopLog:
+    """``heapq`` for one engine run: every event the loop's
+    ``heappop`` or ``heappushpop`` hands back is logged, in the order
+    the loop processes them."""
+
+    heappush = staticmethod(heapq.heappush)
+    heapify = staticmethod(heapq.heapify)
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def heappop(self, heap: list):
+        event = heapq.heappop(heap)
+        self.log.append(event)
+        return event
+
+    def heappushpop(self, heap: list, item):
+        event = heapq.heappushpop(heap, item)
+        self.log.append(event)
+        return event
+
+
+def _deliveries(cfg: WorkStealingConfig) -> tuple[list, list]:
+    """The messages the oracle's and the engine's runs of ``cfg``
+    deliver, in delivery order, as ``(time, pusher, seq, tag, dst,
+    body)`` with a grant's body as its length.
+
+    The engine's come from its heap, through ``repro.sim.cluster.heapq``
+    patched for this run alone; its quanta are no heap events, so EXEC
+    events are left out on both sides.  The run keeps its quiescent
+    tail on the heap (a ``_pull_chains`` that declines, which the loop
+    reads as "leave the heap be"), so the tail's messages are there to
+    compare; a defect in the walk itself shows in ``to_dict()`` only.
+    A run that raises logs what it delivered before.
+    """
+    oracle = OracleCluster(cfg)
+    oracle.queue.log = oracle_log = []
+    engine = Cluster(cfg)
+    engine._pull_chains = lambda: None
+    engine_log: list = []
+    try:
+        oracle.run()
+    except (SimulationError, TerminationError):
+        pass
+    with mock.patch.object(cluster_mod, "heapq", _PopLog(engine_log)):
+        try:
+            engine.run()
+        except (SimulationError, TerminationError):
+            pass
+    return _messages(oracle_log), _messages(engine_log)
+
+
+def _messages(log: list) -> list:
+    out = []
+    for time, pusher, seq, tag, dst, body in log:
+        if tag == TAG_EXEC:
+            continue
+        if isinstance(body, list):
+            body = len(body)
+        elif isinstance(body, StealForward):
+            body = (body.thief, body.escalated, body.ttl, body.visited)
+        out.append((time, pusher, seq, tag, dst, body))
+    return out
+
+
+#: Tag names by value, for the report.
+_TAGS = {
+    getattr(messages, name): name[4:]
+    for name in messages.__all__
+    if name.startswith("TAG_")
+}
+
+
+def _message(msg: tuple) -> str:
+    time, pusher, seq, tag, dst, body = msg
+    if tag == TAG_STEAL_RESPONSE and body is not None:
+        body = f"{body} nodes"
+    return (
+        f"t={time!r} {_TAGS[tag]} {pusher} -> {dst} (seq {seq}) "
+        f"body {_short(body, 60)}"
+    )

@@ -140,3 +140,31 @@ class TestDivergenceReport:
         assert lines[at + 1].startswith("  oracle t=")
         assert lines[at + 2].startswith("  engine t=")
         assert " rank=" in lines[at + 1] and " rank=" in lines[at + 2]
+
+    def test_an_inline_loop_defect_names_its_first_message(self, monkeypatch):
+        # The loop's quanta read the tree's offsets from ``_first``, the
+        # ``Worker`` path from its stack: move the root's last child to
+        # node 1 in the loop's copy alone.  The traced reruns take the
+        # worker's quanta and agree; the delivered messages do not.
+        original = Cluster.__init__
+
+        def planted(self, config, max_events=None):
+            original(self, config, max_events)
+            first = list(self._first)
+            first[1] -= 1
+            self._first = first
+
+        monkeypatch.setattr(Cluster, "__init__", planted)
+        cfg = _config(selector="rand", event_trace=False)
+        with pytest.raises(AssertionError) as info:
+            assert_identical(cfg)
+        lines = str(info.value).splitlines()
+        assert "events (reruns with event_trace=True): all" in str(info.value)
+        (at,) = [
+            i for i, line in enumerate(lines)
+            if line.startswith("first differing delivered message #")
+        ]
+        assert lines[at].endswith("(untraced reruns, no tail walk):")
+        assert lines[at + 1].startswith("  oracle t=")
+        assert lines[at + 2].startswith("  engine t=")
+        assert " -> " in lines[at + 1]

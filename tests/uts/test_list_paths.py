@@ -1,15 +1,15 @@
 """Bit-identity of the scalar list path against the array path.
 
-The simulator's stack is one flat node list and the engine expands
-table indices (``tests/uts/test_tree_table.py``); the test oracle
-expands the same stack by hash, through ``expand`` — the scalar
-reference ``children`` looped over a quantum's ``(state, depth)``
-nodes.  The engine-vs-oracle differential therefore rests on the
-scalar path producing *exactly* what ``children_batch`` — which builds
-the table — produces (same values, same order) for every tree type and
-backend, and on the worker's inline quantum leaving the stack of its
-unfused parts.  These tests drive both side by side and require
-equality at every step.
+The engine holds table indices as ranges (``RangeStack``,
+``tests/uts/test_range_stack.py``); the test oracle holds ``(state,
+depth)`` nodes in a flat list and expands them by hash, through
+``expand`` — the scalar reference ``children`` looped over a
+quantum's nodes.  The engine-vs-oracle differential therefore rests on
+the scalar path producing *exactly* what ``children_batch`` — which
+builds the table — produces (same values, same order) for every tree
+type and backend, and on the worker's quantum leaving the stack of its
+unfused parts, over hashed nodes and over table indices alike.  These
+tests drive both side by side and require equality at every step.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.core.steal_policy import StealOne
 from repro.protocol.core import Worker
 from repro.uts.params import tree_by_name
 from repro.uts.stack import ChunkedStack
-from repro.uts.tree import TreeGenerator
+from repro.uts.tree import TreeGenerator, TreeTable
 from tests.sim.fakes import FakeTransport
 
 
@@ -91,11 +91,23 @@ class TestChildrenListVsBatch:
 class TestExpandQuantumFusion:
     @pytest.mark.parametrize("quantum", [1, 2, 5, 20, 50])
     def test_matches_unfused_sequence(self, quantum):
-        """``Worker.on_exec`` pops a quantum inline — a slice when the
-        top chunk holds more than the quantum, ``ChunkedStack.pop``
-        otherwise — and pushes its children; after every poll its stack
-        is the stack of ``pop`` + ``expand`` + push."""
+        """``Worker.on_exec`` runs one ``ChunkedStack.quantum`` for a
+        hashed tree — a slice when the top chunk holds more than the
+        quantum, ``ChunkedStack.pop`` otherwise — and pushes its
+        children; after every poll its stack is the stack of ``pop`` +
+        ``expand`` + push."""
         gen = TreeGenerator(tree_by_name("T3XS"))
+        self._check(gen, gen.root(), quantum)
+
+    @pytest.mark.parametrize("quantum", [1, 2, 5, 20, 50])
+    def test_a_table_worker_matches_unfused_sequence(self, quantum):
+        """The same for a ``TreeTable``, whose worker holds its stack as
+        index ranges (``RangeStack``)."""
+        table = TreeTable(TreeGenerator(tree_by_name("T3XS")), 10**6)
+        self._check(table, 0, quantum)
+
+    @staticmethod
+    def _check(gen, root, quantum):
         worker = Worker(
             rank=0, nranks=1, generator=gen, selector=None, policy=StealOne(),
             transport=FakeTransport(), chunk_size=20, poll_interval=quantum,
@@ -103,7 +115,7 @@ class TestExpandQuantumFusion:
         )
         worker.start(0.0)
         unfused = ChunkedStack(20)
-        unfused.nodes.append(gen.root())
+        unfused.nodes.append(root)
         processed = 0
         while unfused.nodes:
             worker.on_exec(0.0)
